@@ -24,9 +24,7 @@
 //! both batch (structure-of-arrays) and scalar (descriptor-at-a-time
 //! baseline) modes; `batch_over_scalar` records the speedup.
 //!
-//! The reactor frontend is measured twice: the same 8-conn closed-loop
-//! workload as the threads rows (`reactor_packets_per_sec`, directly
-//! comparable to `fast_packets_per_sec`), and a 5000-connection fan-in
+//! High fan-in is measured separately: a 5000-connection fan-in
 //! (`reactor5k_*` — 5000 live connections each pipelining one 200-packet
 //! verify batch per round, one million packets per timed round, zero
 //! mismatches enforced inside the measurement).
@@ -52,7 +50,7 @@ use memsync_netapp::fib::Route;
 use memsync_netapp::Workload;
 use memsync_serve::backend::{FastBackend, ForwardingBackend};
 use memsync_serve::{
-    BackendKind, Client, FrontendKind, Response, ServeConfig, Server, SubmitOptions, TracingConfig,
+    BackendKind, Client, Response, ServeConfig, Server, SubmitOptions, TracingConfig,
 };
 use memsync_trace::Json;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -128,26 +126,19 @@ fn rep(addr: std::net::SocketAddr, conns: usize, jobs: usize, seed: u64) -> f64 
     served as f64 / t0.elapsed().as_secs_f64()
 }
 
-/// Boots a fresh server running `backend` under `tracing`, served by
-/// `frontend`.
-fn boot(backend: BackendKind, tracing: TracingConfig, frontend: FrontendKind) -> Server {
-    boot_opt(backend, tracing, frontend, OptLevel::O0)
+/// Boots a fresh server running `backend` under `tracing`.
+fn boot(backend: BackendKind, tracing: TracingConfig) -> Server {
+    boot_opt(backend, tracing, OptLevel::O0)
 }
 
 /// [`boot`] with an explicit middle-end level for the compiled FSMs.
-fn boot_opt(
-    backend: BackendKind,
-    tracing: TracingConfig,
-    frontend: FrontendKind,
-    opt: OptLevel,
-) -> Server {
+fn boot_opt(backend: BackendKind, tracing: TracingConfig, opt: OptLevel) -> Server {
     let config = ServeConfig {
         shards: SHARDS,
         routes: ROUTES,
         backend,
         batch_max: BATCH,
         tracing,
-        frontend,
         opt,
         ..ServeConfig::default()
     };
@@ -159,17 +150,8 @@ fn boot_opt(
 /// repeat) so machine drift hits both series equally — the `--check`
 /// floor compares the two directly.
 fn measure_sim_pair(jobs: usize, reps: usize) -> (f64, f64) {
-    let o0_server = boot(
-        BackendKind::Sim,
-        TracingConfig::default(),
-        FrontendKind::Threads,
-    );
-    let o1_server = boot_opt(
-        BackendKind::Sim,
-        TracingConfig::default(),
-        FrontendKind::Threads,
-        OptLevel::O1,
-    );
+    let o0_server = boot(BackendKind::Sim, TracingConfig::default());
+    let o1_server = boot_opt(BackendKind::Sim, TracingConfig::default(), OptLevel::O1);
     let (o0_addr, o1_addr) = (o0_server.local_addr(), o1_server.local_addr());
     let _ = rep(o0_addr, CONNS, jobs.min(4), 0x3A3A);
     let _ = rep(o1_addr, CONNS, jobs.min(4), 0x3A3A);
@@ -185,29 +167,6 @@ fn measure_sim_pair(jobs: usize, reps: usize) -> (f64, f64) {
     (o0, o1)
 }
 
-/// Like the sim/fast measurements, parameterized on the connection
-/// frontend — the
-/// threads-vs-reactor comparison drives the same closed-loop reps against
-/// both so the numbers differ only in the connection plane.
-fn measure_frontend(
-    backend: BackendKind,
-    jobs: usize,
-    reps: usize,
-    tracing: TracingConfig,
-    frontend: FrontendKind,
-) -> f64 {
-    let server = boot(backend, tracing, frontend);
-    let addr = server.local_addr();
-    let _ = rep(addr, CONNS, jobs.min(4), 0x3A3A); // warmup: caches, lanes, FIB
-    let mut best = 0.0f64;
-    for r in 0..reps {
-        best = best.max(rep(addr, CONNS, jobs, 0x5EED + r as u64));
-    }
-    server.stop();
-    server.wait();
-    best
-}
-
 /// Best-of-`reps` for the fast backend with tracing off and on, measured
 /// **interleaved against the same pair of warmed servers** — one off rep,
 /// one traced rep, repeat. Any slow machine drift (thermal, noisy
@@ -215,12 +174,8 @@ fn measure_frontend(
 /// run second, which is what used to let the reported overhead go
 /// negative.
 fn measure_traced_pair(jobs: usize, reps: usize) -> (f64, f64) {
-    let off_server = boot(
-        BackendKind::Fast,
-        TracingConfig::default(),
-        FrontendKind::Threads,
-    );
-    let traced_server = boot(BackendKind::Fast, traced_config(), FrontendKind::Threads);
+    let off_server = boot(BackendKind::Fast, TracingConfig::default());
+    let traced_server = boot(BackendKind::Fast, traced_config());
     let (off_addr, traced_addr) = (off_server.local_addr(), traced_server.local_addr());
     let _ = rep(off_addr, CONNS, jobs.min(4), 0x3A3A);
     let _ = rep(traced_addr, CONNS, jobs.min(4), 0x3A3A);
@@ -237,7 +192,7 @@ fn measure_traced_pair(jobs: usize, reps: usize) -> (f64, f64) {
 }
 
 /// The 5000-connection fan-in measurement: `conns` live connections to a
-/// reactor-frontend fast-backend server, multiplexed onto 8 worker
+/// fast-backend server, multiplexed onto 8 worker
 /// threads that pipeline one verify-mode `batch`-packet submit per
 /// connection per round (send on every connection, then collect every
 /// response). One warmup round, then `rounds` timed rounds; returns the
@@ -252,7 +207,6 @@ fn measure_reactor_fanin(conns: usize, batch: usize, rounds: usize) -> f64 {
         backend: BackendKind::Fast,
         batch_max: BATCH,
         queue_cap: 1024,
-        frontend: FrontendKind::Reactor,
         max_conns: conns + 16,
         ..ServeConfig::default()
     };
@@ -352,11 +306,7 @@ const SWAP_LATENCY_CEILING_US: u64 = 250_000;
 /// section; the retirement audit (`retired == generation - 1`) is
 /// asserted before returning.
 fn measure_swap_latency(pairs: usize) -> (u64, u64) {
-    let server = boot(
-        BackendKind::Fast,
-        TracingConfig::default(),
-        FrontendKind::Threads,
-    );
+    let server = boot(BackendKind::Fast, TracingConfig::default());
     let addr = server.local_addr();
     let stop = Arc::new(AtomicBool::new(false));
     let load: Vec<_> = (0..2)
@@ -476,9 +426,7 @@ fn main() {
 
     if args.iter().any(|a| a == "--check") {
         let doc = std::fs::read_to_string(&path).expect("BENCH_serve.json present at repo root");
-        let recorded = json_u64(&doc, "sim_packets_per_sec")
-            .or_else(|| json_u64(&doc, "packets_per_sec"))
-            .expect("sim_packets_per_sec recorded");
+        let recorded = json_u64(&doc, "sim_packets_per_sec").expect("sim_packets_per_sec recorded");
         let recorded_fast = json_u64(&doc, "fast_packets_per_sec").unwrap_or(0);
         let recorded_5k = json_u64(&doc, "reactor5k_packets_per_sec");
         let (sim, sim_opt) = measure_sim_pair(8, 2);
@@ -486,13 +434,6 @@ fn main() {
         // where connect/warmup costs dominate and understate the rate —
         // give it enough jobs for the steady state to show.
         let (fast, traced) = measure_traced_pair(24, 2);
-        let reactor = measure_frontend(
-            BackendKind::Fast,
-            24,
-            2,
-            TracingConfig::default(),
-            FrontendKind::Reactor,
-        );
         let reactor5k = measure_reactor_fanin(5_000, 200, 1);
         let batch = measure_backend_rate(false, Duration::from_millis(200));
         let (swap_p50, swap_p99) = measure_swap_latency(10);
@@ -503,7 +444,6 @@ fn main() {
              sim O1 {sim_opt:.0} pkts/sec ({:+.1}% vs O0, floor 0.8x), \
              fast {fast:.0} pkts/sec ({:.1}x sim, floor {FAST_OVER_SIM_FLOOR:.0}x), \
              traced {traced:.0} pkts/sec ({:+.1}% vs traced-off), \
-             reactor {reactor:.0} pkts/sec (recorded fast e2e {recorded_fast}), \
              reactor 5k-conn fan-in {reactor5k:.0} pkts/sec (recorded {:?}), \
              batch kernels {batch:.0} pkts/sec, \
              swap latency p50 {swap_p50}µs p99 {swap_p99}µs (recorded p99 {recorded_swap:?}, \
@@ -558,16 +498,6 @@ fn main() {
             );
             failed = true;
         }
-        // The reactor serves the same closed-loop workload as the
-        // blocking frontend; more than 3x below the recorded blocking
-        // fast rate means the event loop itself regressed.
-        if reactor < recorded_fast as f64 / 3.0 {
-            eprintln!(
-                "serve perf check FAILED: reactor frontend {reactor:.0} pkts/sec fell below \
-                 a third of the recorded threads-frontend fast rate {recorded_fast}"
-            );
-            failed = true;
-        }
         if let Some(recorded_5k) = recorded_5k {
             if reactor5k < recorded_5k as f64 / 3.0 {
                 eprintln!(
@@ -611,19 +541,8 @@ fn main() {
     // artifact by construction; clamp so noise never records a negative.
     let overhead_pct = ((1.0 - traced / fast) * 100.0).max(0.0);
     println!("  fast backend: {traced:.0} packets/sec (tracing on, {overhead_pct:.1}% overhead)");
-    let reactor = measure_frontend(
-        BackendKind::Fast,
-        jobs,
-        3,
-        TracingConfig::default(),
-        FrontendKind::Reactor,
-    );
-    println!(
-        "  fast backend: {reactor:.0} packets/sec (reactor frontend, {:.2}x threads)",
-        reactor / fast
-    );
     let reactor5k = measure_reactor_fanin(5_000, 200, 2);
-    println!("  fast backend: {reactor5k:.0} packets/sec (reactor, 5000-conn verify fan-in)");
+    println!("  fast backend: {reactor5k:.0} packets/sec (5000-conn verify fan-in)");
     let batch = measure_backend_rate(false, Duration::from_millis(500));
     let scalar = measure_backend_rate(true, Duration::from_millis(500));
     println!(
@@ -673,16 +592,9 @@ fn main() {
             ((overhead_pct * 10.0).round() / 10.0).into(),
         )
         .with("fast_over_sim", ((fast / sim * 10.0).round() / 10.0).into())
-        // The reactor frontend serving the same 8-conn closed-loop
-        // workload as the threads rows above, plus the conns=5000 row:
-        // 5000 live connections each pipelining one 200-packet verify
-        // batch per round (1M packets per timed round, zero mismatches
-        // enforced in-measurement).
-        .with("reactor_packets_per_sec", (reactor.round() as u64).into())
-        .with(
-            "reactor_over_threads",
-            ((reactor / fast * 100.0).round() / 100.0).into(),
-        )
+        // The conns=5000 row: 5000 live connections each pipelining one
+        // 200-packet verify batch per round (1M packets per timed round,
+        // zero mismatches enforced in-measurement).
         .with("reactor5k_conns", 5_000u64.into())
         .with("reactor5k_batch", 200u64.into())
         .with("reactor5k_packets_per_round", 1_000_000u64.into())
@@ -705,10 +617,7 @@ fn main() {
         // measurement over 50 sequential add/withdraw pairs with two
         // closed-loop connections keeping the drain barrier contended.
         .with("swap_latency_p50_us", swap_p50.into())
-        .with("swap_latency_p99_us", swap_p99.into())
-        // Legacy key, kept pointing at the reference backend so older
-        // tooling reading `packets_per_sec` keeps working.
-        .with("packets_per_sec", (sim.round() as u64).into());
+        .with("swap_latency_p99_us", swap_p99.into());
     std::fs::write(&path, format!("{}\n", doc.pretty())).expect("write BENCH_serve.json");
     println!("  written to {path}");
 }

@@ -4,7 +4,7 @@
 //! serve [--addr 127.0.0.1:7171] [--shards 4] [--egress 4] [--routes 64]
 //!       [--queue-cap 64] [--batch-max 64] [--org arbitrated|event-driven]
 //!       [--backend sim|fast|differential] [--opt 0|1]
-//!       [--frontend threads|reactor] [--reactor-threads N] [--max-conns N]
+//!       [--reactor-threads N] [--max-conns N]
 //!       [--tracing] [--trace-spans FILE] [--trace-sample N] [--trace-slow-us N]
 //! ```
 //!
@@ -17,12 +17,12 @@
 //! socket is bound (the loopback CI job waits for that line), then blocks
 //! until a client sends a shutdown frame and exits 0.
 //!
-//! `--frontend` picks the connection plane: `threads` (default; one
-//! blocking thread per connection) or `reactor` (epoll event loop —
-//! thousands of connections on a few threads). `--reactor-threads N`
-//! sets the reactor thread count (0 = one per CPU); `--max-conns` caps
-//! open connections (default 10000, both frontends). The soft fd limit
-//! is raised to the hard limit at startup either way.
+//! Connections are served by a few epoll event loops (`poll(2)` on
+//! unix platforms without epoll; `serve` is unix-only), thousands of
+//! connections per thread. `--reactor-threads N` sets the event-loop
+//! thread count (0 = one per CPU); `--max-conns` caps open connections
+//! (default 10000). The soft fd limit is raised to the hard limit at
+//! startup.
 //!
 //! Tracing is off by default (the hot path stays allocation-free).
 //! `--tracing` turns on per-request stage timing; `--trace-spans FILE`
@@ -32,7 +32,7 @@
 //! in microseconds (default 5000).
 
 use memsync_core::{OptLevel, OrganizationKind};
-use memsync_serve::{BackendKind, FrontendKind, ServeConfig, Server, TracingConfig};
+use memsync_serve::{BackendKind, ServeConfig, Server, TracingConfig};
 
 fn arg_value(args: &[String], key: &str) -> Option<String> {
     args.iter()
@@ -96,12 +96,6 @@ fn main() {
                 .parse::<OptLevel>()
                 .unwrap_or_else(|e| panic!("--opt: {e}")),
         },
-        frontend: match arg_value(&args, "--frontend") {
-            None => defaults.frontend,
-            Some(v) => v
-                .parse::<FrontendKind>()
-                .unwrap_or_else(|e| panic!("--frontend: {e}")),
-        },
         reactor_threads: usize_arg(&args, "--reactor-threads", defaults.reactor_threads),
         max_conns: usize_arg(&args, "--max-conns", defaults.max_conns),
         ..defaults
@@ -110,7 +104,6 @@ fn main() {
     let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".into());
     let shards = config.shards;
     let backend = config.backend;
-    let frontend = config.frontend;
     let trace_note = if config.tracing.enabled {
         match &config.tracing.spans_path {
             Some(p) => format!("tracing on, spans -> {p}"),
@@ -121,7 +114,7 @@ fn main() {
     };
     let server = Server::start(addr.as_str(), config).expect("bind serve address");
     println!(
-        "listening on {} ({} shards, {backend} backend, {frontend} frontend)",
+        "listening on {} ({} shards, {backend} backend)",
         server.local_addr(),
         shards
     );

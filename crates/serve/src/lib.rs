@@ -32,16 +32,21 @@
 //!   [`memsync_netapp::Workload::reference_forward`]-style FIB oracle
 //!   behind the per-packet `verify` mode;
 //! * [`queue`] — bounded per-shard job queues with explicit backpressure:
-//!   queue-full means a `Busy` response, never unbounded buffering;
+//!   a full queue defers the submit, never buffers without bound;
 //! * [`router`] — dst-prefix flow hashing and all-or-nothing multi-shard
 //!   batch submission;
 //! * [`shard`] — shard threads batching up to K packets per simulator
 //!   activation to amortize per-`step()` overhead;
 //! * [`supervisor`] — restarts a panicked shard on its surviving queue
 //!   and counts `shard_restarts`;
-//! * [`server`] — the TCP acceptor loop, per-connection read/write
-//!   deadlines, graceful drain (in-flight packets complete, new submits
-//!   refused);
+//! * [`server`] — the service instance: the shard fleet, the control
+//!   worker, graceful drain (in-flight packets complete, new submits
+//!   refused) and shutdown;
+//! * `session` — one connection's protocol with no transport attached:
+//!   every request is dispatched there;
+//! * [`reactor`] — the transport: epoll (`poll(2)` off Linux) event
+//!   loops doing the socket I/O, backpressure and deadlines around each
+//!   connection's session. Serving is unix-only;
 //! * [`stats`] — per-shard [`memsync_trace::MetricsRegistry`] instances
 //!   merged into one stats frame (throughput, queue-depth high-water,
 //!   batch-size histogram, p50/p99 service latency);
@@ -72,6 +77,7 @@ pub mod queue;
 pub mod reactor;
 pub mod router;
 pub mod server;
+mod session;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
@@ -88,54 +94,12 @@ pub use tables::EpochTables;
 pub use tracing::{ServeTracer, TracingConfig};
 
 use memsync_core::{OptLevel, OrganizationKind};
-use std::fmt;
-use std::str::FromStr;
 use std::time::Duration;
-
-/// Which connection-handling frontend the server runs.
-///
-/// Both frontends speak the same protocol against the same
-/// router/shard/tracing plane; they differ only in how connections are
-/// multiplexed onto OS threads.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum FrontendKind {
-    /// One blocking OS thread per connection (the original frontend).
-    /// Simple and fine up to a few hundred connections.
-    #[default]
-    Threads,
-    /// Readiness-driven event loop ([`reactor`]): a few reactor threads
-    /// multiplex every connection via epoll (`poll(2)` on non-Linux
-    /// unix), sized for thousands of concurrent connections. Unix-only.
-    Reactor,
-}
-
-impl fmt::Display for FrontendKind {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.write_str(match self {
-            FrontendKind::Threads => "threads",
-            FrontendKind::Reactor => "reactor",
-        })
-    }
-}
-
-impl FromStr for FrontendKind {
-    type Err = String;
-
-    fn from_str(s: &str) -> Result<Self, Self::Err> {
-        match s {
-            "threads" => Ok(FrontendKind::Threads),
-            "reactor" => Ok(FrontendKind::Reactor),
-            other => Err(format!(
-                "unknown frontend '{other}' (expected threads|reactor)"
-            )),
-        }
-    }
-}
 
 /// Raises the process's soft open-file limit to the hard limit and
 /// returns the resulting soft limit (0 when the limit could not even be
-/// read). High-fan-in runs (`--frontend reactor`, `loadgen --conns`)
-/// call this so 5k+ sockets don't trip the default 1024-fd soft limit.
+/// read). High-fan-in runs (`serve`, `loadgen --conns`) call this so
+/// 5k+ sockets don't trip the default 1024-fd soft limit.
 /// No-op returning 0 on non-unix platforms.
 pub fn raise_fd_limit() -> u64 {
     #[cfg(unix)]
@@ -167,18 +131,19 @@ pub struct ServeConfig {
     pub opt: OptLevel,
     /// Route count of the synthetic FIB (must match the loadgen's).
     pub routes: usize,
-    /// Bounded shard queue capacity, in jobs. A full queue refuses the
-    /// whole submit with `Busy`.
+    /// Bounded shard queue capacity, in jobs. A full queue defers the
+    /// whole submit; one deferred past `job_timeout` is answered `Busy`.
     pub queue_cap: usize,
     /// Maximum packets coalesced into one simulator activation.
     pub batch_max: usize,
-    /// Per-connection idle read deadline; a connection that stays silent
-    /// this long is closed.
+    /// Per-connection idle deadline; a connection with nothing in flight
+    /// that stays silent this long is closed.
     pub read_timeout: Duration,
-    /// Per-connection write deadline.
+    /// Per-connection write deadline: a connection whose pending
+    /// responses make no progress this long is closed.
     pub write_timeout: Duration,
-    /// How long an acceptor waits for shard outcomes before reporting a
-    /// submit as failed.
+    /// How long a request waits for shard or control-worker outcomes
+    /// (or a deferred submit for queue room) before it fails.
     pub job_timeout: Duration,
     /// Test hook: artificial per-activation delay, to make backpressure
     /// observable deterministically in the loopback tests.
@@ -186,13 +151,9 @@ pub struct ServeConfig {
     /// Request tracing (spans, stage histograms, JSONL export). Disabled
     /// by default; disabled means zero instrumentation cost.
     pub tracing: TracingConfig,
-    /// Connection-handling frontend (blocking thread-per-connection or
-    /// the epoll reactor).
-    pub frontend: FrontendKind,
     /// Reactor event-loop thread count; 0 means one per available CPU.
-    /// Ignored by the `threads` frontend.
     pub reactor_threads: usize,
-    /// Maximum concurrently open client connections (both frontends).
+    /// Maximum concurrently open client connections.
     /// Connections over the cap receive a protocol `Error` frame and are
     /// closed, keeping fd headroom for the ones already being served.
     pub max_conns: usize,
@@ -214,7 +175,6 @@ impl Default for ServeConfig {
             job_timeout: Duration::from_secs(60),
             shard_throttle: None,
             tracing: TracingConfig::default(),
-            frontend: FrontendKind::default(),
             reactor_threads: 0,
             max_conns: 10_000,
         }

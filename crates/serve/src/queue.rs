@@ -1,10 +1,10 @@
 //! Bounded per-shard job queues with explicit backpressure.
 //!
-//! Each shard owns one [`ShardQueue`]: acceptor threads push whole jobs
-//! (`try`-only — a full queue is a [`crate::frame::Response::Busy`], never
-//! unbounded buffering), the shard thread pops them with a timeout so it
-//! can notice drain/stop flags. The queue outlives the shard thread: when
-//! the supervisor restarts a panicked shard, queued jobs survive and are
+//! Each shard owns one [`ShardQueue`]: sessions push whole jobs
+//! (`try`-only — a full queue defers the submit, never buffers without
+//! bound), the shard thread pops them with a timeout so it can notice
+//! drain/stop flags. The queue outlives the shard thread: when the
+//! supervisor restarts a panicked shard, queued jobs survive and are
 //! processed by the replacement.
 
 use crate::frame::SubmitOptions;
@@ -27,36 +27,33 @@ pub struct JobOutcome {
     /// Verify-mode mismatches between simulator egress and the model.
     pub mismatches: u32,
     /// Shard-side stage timings, present only when request tracing is
-    /// enabled (the acceptor folds these into the batch's span).
+    /// enabled (the session folds these into the batch's span).
     pub timings: Option<StageTimings>,
 }
 
-/// Wakes a frontend when a job outcome becomes observable.
+/// Wakes the transport when a job outcome becomes observable.
 ///
-/// The blocking frontend parks each connection thread on its outcome
-/// channel, so delivery alone unblocks it. A readiness-driven frontend
-/// (the reactor) multiplexes thousands of connections on one thread that
-/// parks in the poller — an mpsc send cannot interrupt that park. Shards
-/// are frontend-agnostic: they call [`Reply::send`], and the reply wakes
-/// whatever registered interest. The trait lives here (not in the
-/// reactor) so the queue layer carries no dependency on any particular
-/// frontend's poller type.
+/// The reactor multiplexes thousands of connections on one thread that
+/// parks in the poller, and an mpsc send cannot interrupt that park.
+/// Shards call [`Reply::send`], and the reply wakes whatever registered
+/// interest. The trait lives here (not in the reactor) so the queue
+/// layer carries no dependency on the poller type.
 pub trait ReplyWaker: Send + Sync + fmt::Debug {
-    /// Signal the owning frontend that an outcome (or a channel close)
+    /// Signal the owning transport that an outcome (or a channel close)
     /// is ready to collect. Must be nonblocking and safe to call from a
     /// shard thread; spurious calls are allowed.
     fn wake(&self);
 }
 
 /// The outcome path of one job: the mpsc sender the shard reports on,
-/// plus an optional waker for event-driven frontends.
+/// plus an optional waker for the reactor.
 ///
 /// The channel is kept (rather than replaced by the waker) because its
 /// disconnect semantics carry a signal a bare callback cannot: a shard
-/// that panics mid-batch *drops* its jobs, and the acceptor observes the
+/// that panics mid-batch *drops* its jobs, and the session observes the
 /// hung-up channel as a failed submit — never a silent loss. The waker
-/// only fires on delivery and on drop, so disconnect detection must also
-/// run from a periodic sweep on the frontend side.
+/// only fires on delivery and on drop, so the transport also polls
+/// outstanding submits on a periodic tick.
 #[derive(Clone)]
 pub struct Reply {
     tx: Sender<JobOutcome>,
@@ -64,7 +61,7 @@ pub struct Reply {
 }
 
 impl Reply {
-    /// A reply with no waker — for frontends that block on the receiver.
+    /// A reply with no waker — for callers that block on the receiver.
     pub fn new(tx: Sender<JobOutcome>) -> Reply {
         Reply { tx, waker: None }
     }
@@ -78,13 +75,13 @@ impl Reply {
         }
     }
 
-    /// Delivers one outcome, then wakes the frontend (if any waker is
+    /// Delivers one outcome, then wakes the transport (if any waker is
     /// attached). The send error is the receiver having hung up — the
-    /// acceptor gave up on the batch — which callers may ignore.
+    /// session gave up on the batch — which callers may ignore.
     ///
     /// # Errors
     ///
-    /// `SendError` when the receiving frontend already dropped the
+    /// `SendError` when the receiving session already dropped the
     /// channel (e.g. the job outlived its connection).
     pub fn send(&self, outcome: JobOutcome) -> Result<(), SendError<JobOutcome>> {
         let sent = self.tx.send(outcome);
@@ -93,12 +90,18 @@ impl Reply {
         }
         sent
     }
+
+    /// Drops this handle without the wake: for the submitter's own copy,
+    /// which never holds the channel open once the shards hold theirs.
+    pub fn drop_quietly(mut self) {
+        self.waker = None;
+    }
 }
 
 impl Drop for Reply {
     fn drop(&mut self) {
         // A dropped clone may be the channel's last sender (shard panic
-        // unwinding its queued jobs): wake so the frontend promptly sees
+        // unwinding its queued jobs): wake so the session promptly sees
         // the disconnect instead of waiting for its sweep tick. Spurious
         // wakes from ordinary drops are harmless.
         if let Some(w) = &self.waker {
@@ -123,9 +126,9 @@ pub struct Job {
     pub packets: Vec<Ipv4Packet>,
     /// Typed submit options (verify mode, future flags).
     pub options: SubmitOptions,
-    /// Outcome path back to the accepting connection. Dropping the job
+    /// Outcome path back to the submitting session. Dropping the job
     /// (e.g. a shard panic mid-batch) drops the reply, which the
-    /// acceptor observes as a failed submit — never a silent loss.
+    /// session observes as a failed submit — never a silent loss.
     pub reply: Reply,
     /// When the job entered the queue (service-latency attribution).
     pub enqueued: Instant,
@@ -145,7 +148,7 @@ pub struct ShardQueue {
 fn unpoison<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
-    // A shard panicking while the acceptor holds no job invariant worth
+    // A shard panicking while a session holds no job invariant worth
     // protecting: the queue content stays valid, so recover the guard.
     r.unwrap_or_else(PoisonError::into_inner)
 }
@@ -335,7 +338,7 @@ mod tests {
         assert!(reply.send(JobOutcome::default()).is_ok());
         assert_eq!(waker.0.load(Ordering::Relaxed), 1, "send wakes");
         assert!(rx.try_recv().is_ok());
-        // A dropped clone wakes too — that is how a frontend learns about
+        // A dropped clone wakes too — that is how a session learns about
         // shard death (the job's reply drops without ever sending).
         drop(reply.clone());
         assert_eq!(waker.0.load(Ordering::Relaxed), 2, "drop wakes");

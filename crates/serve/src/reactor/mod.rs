@@ -1,60 +1,49 @@
-//! The readiness-driven frontend: a few reactor threads multiplex every
-//! connection through an epoll (or `poll(2)`) event loop.
+//! The transport: a few reactor threads multiplex every connection
+//! through an epoll (or `poll(2)`) event loop around each connection's
+//! [`Session`].
 //!
-//! The blocking frontend burns one OS thread (and its stack) per
-//! connection; at thousands of connections the scheduler, not the
-//! forwarding backend, becomes the bottleneck. This module serves the
-//! same frame protocol against the same [`Router`]/shard/tracing plane
-//! from `config.reactor_threads` event loops. It is the process-level
-//! analogue of the paper's multi-port memory controller: many requesters
-//! multiplexed onto a fixed set of banked service ports, with per-
-//! requester flow control instead of unbounded buffering.
+//! The reactor does I/O and nothing else: it accepts and deals
+//! connections across `config.reactor_threads` event loops, reads and
+//! frames requests, queues and flushes responses, and enforces the idle
+//! and write deadlines. Every protocol decision is the session's. It is
+//! the process-level analogue of the paper's multi-port memory
+//! controller: many requesters multiplexed onto a fixed set of service
+//! ports, held back by flow control instead of unbounded buffering.
 //!
-//! Per connection the loop keeps a small state machine:
+//! Per connection:
 //!
-//! * **reads** go through the resumable [`FrameReader`] — its partial-
-//!   frame resume across `WouldBlock` (originally built for blocking-
-//!   read timeouts) is exactly the nonblocking-read contract;
+//! * **reads** fill one small read-ahead buffer per reactor thread with
+//!   a single `read(2)` and frame requests out of it through the
+//!   resumable [`FrameReader`]; a large payload remainder is read
+//!   straight into the frame buffer instead. Bytes the session cannot
+//!   take yet (it has a request in flight) wait in a per-connection
+//!   backlog that exists only while it holds bytes, and are framed as
+//!   soon as the session is idle again;
 //! * **writes** go through the [`FrameWriter`] egress queue, resuming
 //!   partial writes on writable events;
 //! * **backpressure** is by interest, not by buffering: a connection
-//!   with an in-flight submit, a saturated target shard, or more than
-//!   [`EGRESS_HIGH_WATER`] bytes of unread responses has its read
-//!   interest dropped — the bytes back up into the peer's socket, and
-//!   server-side memory stays bounded. Read interest re-arms when the
-//!   egress queue falls under [`EGRESS_LOW_WATER`] (hysteresis, so
-//!   interest doesn't flap around the threshold).
+//!   whose session is busy, or whose unread responses pass
+//!   [`EGRESS_HIGH_WATER`], is not read. Read interest is dropped only
+//!   when such a connection reports readable (a closed-loop peer never
+//!   does, so it costs no poller syscalls); the bytes then back up into
+//!   the peer's socket and server-side memory stays bounded. Reads
+//!   resume once the session is idle and egress is under
+//!   [`EGRESS_LOW_WATER`] (hysteresis, so interest doesn't flap).
 //!
-//! A submit that hits a full shard queue is *deferred* (at most one per
-//! connection — the packets stay in the connection's scratch) and
-//! retried when shard outcomes wake the loop; only a defer that outlives
-//! `job_timeout` becomes a `Busy` response. That converts the blocking
-//! frontend's Busy-storm under fan-in into flow control, while keeping
-//! the same all-or-nothing router semantics.
-//!
-//! Shard threads wake the loop through the [`Reply`] waker (a self-pipe
-//! registered at token 0), so outcome collection is event-driven; a
-//! periodic sweep catches what wakes cannot (deadlines, idle peers, and
-//! shard death noticed via channel disconnect).
+//! Shard threads and the control worker wake the loop through the
+//! [`crate::queue::Reply`] waker (a self-pipe registered at token 0); a
+//! periodic sweep covers what wakes cannot (work deadlines, idle and
+//! write deadlines, stats-stream pushes).
 
-use crate::frame::{
-    decode_submit_into, is_submit, settle_version, FrameError, FrameReader, FrameWriter, Request,
-    Response, SubmitOptions, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
-};
-use crate::queue::{JobOutcome, Reply, ReplyWaker};
-use crate::router::ShardSplitter;
-use crate::server::{
-    is_fd_exhaustion, reject_over_capacity, render_stats, server_hello, Shared, ACCEPT_BACKOFF_MAX,
-    ACCEPT_BACKOFF_MIN, POLL,
-};
-use crate::tables::{ControlOp, ControlOutcome, ControlReply};
-use crate::tracing::PendingSpan;
-use memsync_netapp::Ipv4Packet;
-use std::io;
+use crate::frame::{write_frame, FrameReader, FrameWriter, Response};
+use crate::queue::ReplyWaker;
+use crate::server::Shared;
+use crate::session::{Egress, Session};
+use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc::{channel, Receiver, Sender, TryRecvError};
+use std::sync::mpsc::{channel, Receiver, Sender};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
@@ -64,27 +53,64 @@ pub(crate) mod sys;
 
 use poller::{Event, Interest, WakeReceiver, Waker};
 
-/// Egress bytes at which a connection's read interest is dropped: the
-/// peer is not consuming responses, so the server stops consuming its
-/// requests rather than buffering without bound.
+/// Egress bytes at which a connection stops being read: the peer is not
+/// consuming responses, so the server stops consuming its requests
+/// rather than buffering without bound.
 pub const EGRESS_HIGH_WATER: usize = 256 * 1024;
 
-/// Egress bytes under which read interest re-arms after a high-water
-/// pause (must be well under [`EGRESS_HIGH_WATER`] so interest changes
-/// don't flap around a single threshold).
+/// Egress bytes under which reads resume after a high-water pause (well
+/// under [`EGRESS_HIGH_WATER`] so interest doesn't flap around a single
+/// threshold).
 pub const EGRESS_LOW_WATER: usize = EGRESS_HIGH_WATER / 4;
 
+/// Size of a reactor thread's read-ahead buffer: one `read(2)` takes a
+/// small request whole, prefix and payload.
+const READ_AHEAD: usize = 8 * 1024;
+
 /// Sweep cadence for everything wakes can't deliver: work deadlines,
-/// idle-peer deadlines, stats-stream pushes, and shard-death channel
-/// disconnects.
+/// idle and write deadlines, and stats-stream pushes.
 const TICK: Duration = Duration::from_millis(25);
+
+/// Longest poller park with no work outstanding: stop flags are
+/// observed at least this often.
+const POLL: Duration = Duration::from_millis(50);
+
+/// First pause after an fd-exhaustion accept failure; doubles up to
+/// [`ACCEPT_BACKOFF_MAX`] while the condition persists.
+const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
+/// Longest fd-exhaustion accept pause.
+const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
 
 /// Poller token of the wake pipe; connection tokens are `slot + 1`.
 const WAKE_TOKEN: u64 = 0;
 
-/// Spawns the reactor frontend: `config.reactor_threads` event loops
-/// (0 = one per available CPU) plus the sharding accept thread. Returns
-/// every spawned handle; they all exit once `shared.stop` is raised.
+/// Whether an accept failure means the process (`EMFILE`) or system
+/// (`ENFILE`) is out of file descriptors. Retrying immediately cannot
+/// succeed: the accept loop must pause and let connections close.
+fn is_fd_exhaustion(e: &io::Error) -> bool {
+    matches!(e.raw_os_error(), Some(23) | Some(24)) // ENFILE | EMFILE
+}
+
+/// Tells an over-cap client why it is being dropped: a best-effort
+/// blocking write of the `Error` response frame (decodable by every
+/// protocol version: `RSP_ERROR` has existed since v1) before close,
+/// so the peer sees a reason instead of a bare RST.
+fn reject_over_capacity(mut stream: TcpStream, shared: &Shared) {
+    shared.frontend.conn_rejects.fetch_add(1, Ordering::Relaxed);
+    let _ = stream.set_nonblocking(false);
+    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
+    let mut payload = Vec::new();
+    Response::Error(format!(
+        "connection limit reached ({} open); retry later",
+        shared.config.max_conns
+    ))
+    .encode_into(&mut payload);
+    let _ = write_frame(&mut stream, &payload);
+}
+
+/// Spawns the reactor: `config.reactor_threads` event loops (0 = one
+/// per available CPU) plus the sharding accept thread. Returns every
+/// spawned handle; they all exit once `shared.stop` is raised.
 pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Vec<JoinHandle<()>>> {
     let threads = match shared.config.reactor_threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
@@ -168,6 +194,8 @@ fn accept_loop(
                     if stream.set_nonblocking(true).is_err() {
                         continue;
                     }
+                    // Request/response over small frames: Nagle only
+                    // adds latency here (the client disables it too).
                     let _ = stream.set_nodelay(true);
                     shared.frontend.conn_opened();
                     let (tx, waker) = &inboxes[next % inboxes.len()];
@@ -197,145 +225,153 @@ fn accept_loop(
     }
 }
 
-/// Outstanding submit: outcomes still being collected from the shards.
+/// A connection's socket and egress queue: the [`Egress`] its session
+/// answers into. Each response is queued and flushed as far as the
+/// socket takes it.
 #[derive(Debug)]
-struct PendingSubmit {
-    rx: Receiver<JobOutcome>,
-    jobs_left: usize,
-    forwarded: u32,
-    dropped: u32,
-    mismatches: u32,
-    span: Option<PendingSpan>,
-    deadline: Instant,
+struct Link {
+    stream: TcpStream,
+    out: FrameWriter,
+    /// When egress last made progress or became non-empty: the write
+    /// deadline's clock.
+    wrote: Instant,
+    /// A write failed hard; the connection is dead.
+    failed: bool,
 }
 
-/// Submit parked on a full shard queue; the packets stay in the
-/// connection scratch and the submit retries on shard-completion wakes.
-#[derive(Debug)]
-struct DeferredSubmit {
-    options: SubmitOptions,
-    decode_ns: u64,
-    blocked_shard: u16,
-    deadline: Instant,
+impl Link {
+    fn flush(&mut self) {
+        if self.failed {
+            return;
+        }
+        let before = self.out.pending();
+        match self.out.write(&mut &self.stream) {
+            Ok(_) if self.out.pending() < before => self.wrote = Instant::now(),
+            Ok(_) => {}
+            Err(_) => self.failed = true,
+        }
+    }
 }
 
-/// Drain/shutdown response parked until the shard fleet is quiescent.
-#[derive(Debug)]
-struct PendingControl {
-    shutdown: bool,
-    deadline: Instant,
+impl Egress for Link {
+    fn send(&mut self, payload: &[u8]) {
+        if self.out.is_empty() {
+            self.wrote = Instant::now();
+        }
+        self.out.enqueue(payload);
+        self.flush();
+    }
 }
 
-/// Route mutation parked until the control worker has published the new
-/// table generation and run the shard drain barrier. The worker wakes
-/// the loop through the [`ControlReply`] waker, so the park costs no
-/// polling — and the event loop never computes a `Dir24_8` rebuild
-/// inline, so data connections on the same reactor thread keep flowing.
-#[derive(Debug)]
-struct PendingRoute {
-    rx: Receiver<ControlOutcome>,
-    deadline: Instant,
+/// What the frame decoder reads from: read-ahead bytes, then, for a
+/// payload remainder of at least [`READ_AHEAD`] bytes, the socket
+/// itself, so a large frame is not copied through the small buffer.
+struct Feed<'a> {
+    bytes: &'a [u8],
+    stream: &'a TcpStream,
 }
 
-/// What a connection is waiting on. While non-`Idle`, reads are paused:
-/// one request is in flight per connection at a time, which is what
-/// bounds server-side memory per connection.
-#[derive(Debug, Default)]
-enum Work {
-    #[default]
-    Idle,
-    Submit(PendingSubmit),
-    Deferred(DeferredSubmit),
-    Control(PendingControl),
-    Route(PendingRoute),
+impl Read for Feed<'_> {
+    fn read(&mut self, dst: &mut [u8]) -> io::Result<usize> {
+        if !self.bytes.is_empty() {
+            self.bytes.read(dst)
+        } else if dst.len() >= READ_AHEAD {
+            self.stream.read(dst)
+        } else {
+            Err(io::ErrorKind::WouldBlock.into())
+        }
+    }
 }
 
-/// Per-connection state machine.
+/// Per-connection I/O state around the connection's [`Session`].
 #[derive(Debug)]
 struct Conn {
-    stream: TcpStream,
+    link: Link,
     frames: FrameReader,
-    out: FrameWriter,
-    /// Decoded submit scratch (also the parked packets of a deferral).
-    packets: Vec<Ipv4Packet>,
-    splitter: ShardSplitter,
-    encoded: Vec<u8>,
-    /// Protocol version the Hello handshake settled (v3 gates the
-    /// control frames); `None` until greeted.
-    settled: Option<u16>,
-    work: Work,
+    /// Read-ahead bytes not framed yet: non-empty only while the session
+    /// cannot take the requests they hold (a pipelining peer).
+    backlog: Vec<u8>,
+    session: Session,
     /// In the reactor's work list (dedup flag).
     queued: bool,
-    /// Close once the egress queue drains.
-    closing: bool,
-    /// Raise the service stop flag once the egress queue drains (the
-    /// connection that requested shutdown gets its `Ok` first).
-    shutdown_after: bool,
-    /// Current registered interest (to skip no-op poller syscalls).
+    /// Registered poller interest (skips no-op poller syscalls).
     read_on: bool,
     write_on: bool,
-    /// Read interest dropped for egress high-water (hysteresis state).
-    read_paused_hw: bool,
-    /// Idle-deadline bookkeeping: last frame/progress/write activity.
-    last_activity: Instant,
-    last_seen_progress: usize,
-    stream_every: Option<Duration>,
-    last_push: Instant,
+    /// Reads paused at the egress high-water mark until egress falls
+    /// under the low-water mark.
+    paused_hw: bool,
+    /// Last time the connection was anything but idle: the idle
+    /// deadline's clock.
+    active: Instant,
 }
 
 impl Conn {
-    fn new(stream: TcpStream, shards: usize) -> Conn {
-        let now = Instant::now();
-        Conn {
-            stream,
-            frames: FrameReader::new(),
-            out: FrameWriter::new(),
-            packets: Vec::new(),
-            splitter: ShardSplitter::new(shards),
-            encoded: Vec::new(),
-            settled: None,
-            work: Work::Idle,
-            queued: false,
-            closing: false,
-            shutdown_after: false,
-            read_on: true,
-            write_on: false,
-            read_paused_hw: false,
-            last_activity: now,
-            last_seen_progress: 0,
-            stream_every: None,
-            last_push: now,
+    fn wants_read(&self) -> bool {
+        self.session.may_read() && !self.paused_hw && self.link.out.pending() < EGRESS_HIGH_WATER
+    }
+
+    /// Reads and serves requests until the socket has nothing more for
+    /// now or the session stops taking requests. `Err` means the
+    /// connection is finished: the peer closed, I/O failed, or a frame
+    /// broke the protocol.
+    fn pump(&mut self, rbuf: &mut [u8], now: Instant) -> io::Result<()> {
+        if !self.backlog.is_empty() {
+            let mut backlog = std::mem::take(&mut self.backlog);
+            let used = self.serve(&backlog, now)?;
+            if used < backlog.len() {
+                backlog.drain(..used);
+                self.backlog = backlog;
+                return Ok(());
+            }
         }
+        while self.wants_read() {
+            let n = match (&self.link.stream).read(rbuf) {
+                Ok(0) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Ok(n) => n,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => return Ok(()),
+                Err(e) => return Err(e),
+            };
+            self.active = now;
+            let used = self.serve(&rbuf[..n], now)?;
+            if used < n {
+                self.backlog.extend_from_slice(&rbuf[used..n]);
+                return Ok(());
+            }
+            if n < rbuf.len() {
+                // The socket is drained; the poller reports what comes
+                // next.
+                return Ok(());
+            }
+        }
+        Ok(())
     }
 
-    /// Encodes `rsp` onto the egress queue and opportunistically flushes.
-    ///
-    /// # Errors
-    ///
-    /// A hard write failure — the connection is dead.
-    fn send(&mut self, rsp: &Response) -> io::Result<()> {
-        rsp.encode_into(&mut self.encoded);
-        self.out.enqueue(&self.encoded);
-        self.flush().map(|_| ())
+    /// Frames and serves requests from `bytes` while the session takes
+    /// them; returns how many bytes were consumed.
+    fn serve(&mut self, bytes: &[u8], now: Instant) -> io::Result<usize> {
+        let mut used = 0;
+        while self.wants_read() {
+            let mut feed = Feed {
+                bytes: &bytes[used..],
+                stream: &self.link.stream,
+            };
+            let frame = self.frames.read(&mut feed);
+            used = bytes.len() - feed.bytes.len();
+            match frame {
+                Ok(Some(payload)) => self.session.on_frame(payload, now, &mut self.link),
+                // The feed only reports end of stream mid-payload, which
+                // the decoder turns into an error; treat any other as one.
+                Ok(None) => return Err(io::ErrorKind::UnexpectedEof.into()),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
+                Err(e) => return Err(e),
+            }
+            if self.link.failed {
+                return Err(io::ErrorKind::BrokenPipe.into());
+            }
+        }
+        Ok(used)
     }
-
-    /// Drives the egress queue; `Ok(drained)`.
-    fn flush(&mut self) -> io::Result<bool> {
-        self.out.write(&mut &self.stream)
-    }
-
-    fn idle(&self) -> bool {
-        matches!(self.work, Work::Idle)
-    }
-}
-
-/// How a read step ended (computed under the connection borrow, acted on
-/// after it is released).
-enum ReadStep {
-    Frame,
-    Closed,
-    Blocked,
-    Failed,
 }
 
 /// One event-loop thread: owns a poller, its deal of the connections,
@@ -348,16 +384,12 @@ struct Reactor {
     inbox: Receiver<TcpStream>,
     conns: Vec<Option<Conn>>,
     free: Vec<usize>,
-    /// Slots with outstanding work, deduplicated via `Conn::queued`.
+    /// Slots with a request in flight, deduplicated via `Conn::queued`.
     work: Vec<usize>,
-    /// Reactor-level copy of the frame being dispatched. One memcpy per
-    /// frame, so the borrow of the connection's `FrameReader` ends
-    /// before dispatch mutates the rest of the connection.
-    scratch: Vec<u8>,
+    /// The read-ahead buffer, shared by this thread's connections: an
+    /// idle connection holds no read buffer.
+    rbuf: Box<[u8]>,
     last_sweep: Instant,
-    /// Sweep scratch (avoid per-tick allocation).
-    due_push: Vec<usize>,
-    due_close: Vec<usize>,
 }
 
 impl Reactor {
@@ -385,19 +417,14 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             work: Vec::new(),
-            scratch: Vec::new(),
+            rbuf: vec![0; READ_AHEAD].into_boxed_slice(),
             last_sweep: Instant::now(),
-            due_push: Vec::new(),
-            due_close: Vec::new(),
         })
     }
 
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
-        loop {
-            if self.shared.stop.load(Ordering::Acquire) {
-                break;
-            }
+        while !self.shared.stop.load(Ordering::Acquire) {
             // With work outstanding, cap the park so deadlines and
             // missed wakes are still observed promptly.
             let timeout = if self.work.is_empty() { POLL } else { TICK };
@@ -413,6 +440,10 @@ impl Reactor {
                     continue;
                 }
                 let idx = (ev.token - 1) as usize;
+                if ev.hangup {
+                    self.close_conn(idx);
+                    continue;
+                }
                 if ev.writable {
                     self.drive_write(idx);
                 }
@@ -434,10 +465,9 @@ impl Reactor {
                 self.conns.push(None);
                 self.conns.len() - 1
             });
-            let token = idx as u64 + 1;
             let registered = self.poller.register(
                 stream.as_raw_fd(),
-                token,
+                idx as u64 + 1,
                 Interest {
                     readable: true,
                     writable: false,
@@ -448,793 +478,183 @@ impl Reactor {
                 self.shared.frontend.conn_closed();
                 continue;
             }
-            self.conns[idx] = Some(Conn::new(stream, self.shared.router.shards()));
+            let now = Instant::now();
+            let waker = Arc::clone(&self.waker) as Arc<dyn ReplyWaker>;
+            self.conns[idx] = Some(Conn {
+                link: Link {
+                    stream,
+                    out: FrameWriter::new(),
+                    wrote: now,
+                    failed: false,
+                },
+                frames: FrameReader::new(),
+                backlog: Vec::new(),
+                session: Session::new(Arc::clone(&self.shared), waker, now),
+                queued: false,
+                read_on: true,
+                write_on: false,
+                paused_hw: false,
+                active: now,
+            });
         }
     }
 
-    fn conn_mut(&mut self, idx: usize) -> Option<&mut Conn> {
-        self.conns.get_mut(idx).and_then(Option::as_mut)
-    }
-
-    /// Reads and dispatches frames until the connection blocks, closes,
-    /// pauses (in-flight work / egress high-water), or fails.
+    /// Serves a readable connection, or, when it cannot take requests
+    /// now, stops hearing about it until it can.
     fn drive_read(&mut self, idx: usize) {
-        loop {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            if conn.closing || !conn.idle() || conn.out.pending() >= EGRESS_HIGH_WATER {
-                break;
-            }
-            let step = {
-                let Conn { frames, stream, .. } = conn;
-                match frames.read(&mut &*stream) {
-                    Ok(Some(payload)) => {
-                        self.scratch.clear();
-                        self.scratch.extend_from_slice(payload);
-                        ReadStep::Frame
-                    }
-                    Ok(None) => ReadStep::Closed,
-                    Err(e)
-                        if e.kind() == io::ErrorKind::WouldBlock
-                            || e.kind() == io::ErrorKind::Interrupted =>
-                    {
-                        ReadStep::Blocked
-                    }
-                    Err(_) => ReadStep::Failed,
-                }
-            };
-            match step {
-                ReadStep::Frame => self.handle_frame(idx),
-                ReadStep::Blocked => break,
-                ReadStep::Closed | ReadStep::Failed => {
-                    self.close_conn(idx);
-                    return;
-                }
-            }
-        }
-        self.update_interest(idx);
-    }
-
-    /// Flushes pending egress on a writable event.
-    fn drive_write(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        if conn.out.is_empty() {
-            return;
-        }
-        match conn.flush() {
-            Ok(_) => {
-                conn.last_activity = Instant::now();
-                self.after_io(idx);
+        if conn.wants_read() {
+            if conn.pump(&mut self.rbuf, Instant::now()).is_err() {
+                return self.close_conn(idx);
             }
-            Err(_) => self.close_conn(idx),
-        }
-    }
-
-    /// Dispatches the frame sitting in `self.scratch`. Mirrors the
-    /// blocking `serve_connection` dispatch arm for arm, with the
-    /// blocking waits replaced by [`Work`] states.
-    fn handle_frame(&mut self, idx: usize) {
-        let shared = Arc::clone(&self.shared);
-        let decode_started = shared.tracer.enabled().then(Instant::now);
-        let settled = {
-            let Some(conn) = self.conn_mut(idx) else {
-                return;
-            };
-            conn.last_activity = Instant::now();
-            // Any complete client frame ends an active stats stream.
-            conn.stream_every = None;
-            conn.settled
-        };
-        // Submit fast path (same rationale as the blocking frontend:
-        // decode into the connection's packet scratch, no fresh Vec).
-        if settled.is_some() && is_submit(&self.scratch) {
-            let decoded = {
-                let (scratch, conns) = (&self.scratch, &mut self.conns);
-                let Some(conn) = conns.get_mut(idx).and_then(Option::as_mut) else {
-                    return;
-                };
-                decode_submit_into(scratch, &mut conn.packets)
-            };
-            match decoded {
-                Ok(options) => {
-                    let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.start_submit(idx, options, decode_ns);
-                }
-                Err(e) => self.respond(idx, &Response::Error(e.to_string())),
-            }
-            return;
-        }
-        match Request::decode(&self.scratch) {
-            Ok(Request::Hello {
-                min_version,
-                max_version,
-            }) => {
-                if let Some(version) = settle_version(min_version, max_version) {
-                    if let Some(conn) = self.conn_mut(idx) {
-                        conn.settled = Some(version);
-                    }
-                    self.respond(idx, &Response::Hello(server_hello(&shared, version)));
-                } else {
-                    self.respond_close(
-                        idx,
-                        &Response::Error(format!(
-                            "no common protocol version: client speaks \
-                             {min_version}..={max_version}, server speaks \
-                             {PROTOCOL_MIN_SUPPORTED}..={PROTOCOL_VERSION}"
-                        )),
-                    );
-                }
-            }
-            Ok(req) if settled.is_none() => {
-                self.respond_close(
-                    idx,
-                    &Response::Error(format!(
-                        "expected hello before {}: this server speaks protocol \
-                         v{PROTOCOL_VERSION}, which negotiates at connect time",
-                        req.name()
-                    )),
-                );
-            }
-            Ok(req) if req.is_control() && settled.unwrap_or(PROTOCOL_MIN_SUPPORTED) < 3 => {
-                // Same settled-version gate as the blocking frontend.
-                self.respond(
-                    idx,
-                    &Response::Error(format!(
-                        "{} is a protocol-v3 control frame; this connection settled v{}",
-                        req.name(),
-                        settled.unwrap_or(PROTOCOL_MIN_SUPPORTED)
-                    )),
-                );
-            }
-            Ok(req) if req.is_control() && shared.draining.load(Ordering::Acquire) => {
-                self.respond(
-                    idx,
-                    &Response::Error("draining: control plane refused".into()),
-                );
-            }
-            Ok(Request::RouteAdd(routes)) => self.start_route(idx, ControlOp::Add(routes)),
-            Ok(Request::RouteWithdraw(prefixes)) => {
-                self.start_route(idx, ControlOp::Withdraw(prefixes));
-            }
-            Ok(Request::SwapDefault { next_hop }) => {
-                self.start_route(idx, ControlOp::SwapDefault(next_hop));
-            }
-            Ok(Request::StatsStream { interval_ms }) => {
-                if interval_ms == 0 {
-                    self.respond(
-                        idx,
-                        &Response::Error("stats-stream interval must be nonzero".into()),
-                    );
-                } else {
-                    if let Some(conn) = self.conn_mut(idx) {
-                        conn.stream_every = Some(Duration::from_millis(u64::from(interval_ms)));
-                        conn.last_push = Instant::now();
-                    }
-                    self.respond(idx, &Response::StatsPush(render_stats(&shared)));
-                }
-            }
-            Ok(Request::Submit { .. }) => {
-                unreachable!("greeted submits take the fast path above")
-            }
-            Ok(Request::Stats) => {
-                self.respond(idx, &Response::Stats(render_stats(&shared)));
-            }
-            Ok(Request::Drain) => {
-                shared.draining.store(true, Ordering::Release);
-                shared.tracer.flush();
-                self.park_control(idx, false);
-            }
-            Ok(Request::Shutdown) => {
-                shared.draining.store(true, Ordering::Release);
-                self.park_control(idx, true);
-            }
-            Ok(Request::Kill(shard)) => {
-                let rsp = match shared.supervisor.shards().get(shard as usize) {
-                    Some(s) => {
-                        s.die.store(true, Ordering::Release);
-                        Response::Ok
-                    }
-                    None => Response::Error(format!("no shard {shard}")),
-                };
-                self.respond(idx, &rsp);
-            }
-            Err(e @ (FrameError::Malformed(_) | FrameError::BadPacket(_))) => {
-                self.respond(idx, &Response::Error(e.to_string()));
-            }
-        }
-    }
-
-    /// Parks a drain/shutdown until the shard fleet is quiescent; the
-    /// response goes out from `poll_control`.
-    fn park_control(&mut self, idx: usize, shutdown: bool) {
-        let deadline = Instant::now() + self.shared.config.job_timeout;
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Control(PendingControl { shutdown, deadline });
-        }
-        self.enqueue_work(idx);
-        // Resolve immediately when already quiescent.
-        self.poll_control(idx);
-    }
-
-    /// Submits a route mutation to the control worker and parks the
-    /// connection; the `RouteUpdated` response goes out from
-    /// `poll_route` once the worker's drain barrier completes.
-    fn start_route(&mut self, idx: usize, op: ControlOp) {
-        let shared = Arc::clone(&self.shared);
-        let (tx, rx) = channel();
-        let reply = ControlReply::with_waker(tx, Arc::clone(&self.waker) as Arc<dyn ReplyWaker>);
-        if !shared.control.submit(op, reply) {
-            self.respond(idx, &Response::Error("control plane stopped".into()));
-            return;
-        }
-        let deadline = Instant::now() + shared.config.job_timeout;
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Route(PendingRoute { rx, deadline });
-        }
-        self.enqueue_work(idx);
-        self.poll_route(idx);
-    }
-
-    /// Collects a parked route mutation's outcome.
-    fn poll_route(&mut self, idx: usize) {
-        enum Verdict {
-            Pending,
-            Done(ControlOutcome),
-            TimedOut,
-            WorkerDied,
-        }
-        let verdict = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Route(p) = &mut conn.work else {
-                return;
-            };
-            match p.rx.try_recv() {
-                Ok(out) => Verdict::Done(out),
-                Err(TryRecvError::Empty) => {
-                    if Instant::now() >= p.deadline {
-                        Verdict::TimedOut
-                    } else {
-                        Verdict::Pending
-                    }
-                }
-                Err(TryRecvError::Disconnected) => Verdict::WorkerDied,
-            }
-        };
-        match verdict {
-            Verdict::Pending => {}
-            Verdict::Done(out) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(
-                    idx,
-                    &Response::RouteUpdated {
-                        generation: out.generation,
-                        routes: out.routes,
-                        applied: out.applied,
-                    },
-                );
-            }
-            Verdict::TimedOut => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(idx, &Response::Error("control op timed out".into()));
-            }
-            Verdict::WorkerDied => {
-                self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Idle;
-                }
-                self.respond(idx, &Response::Error("control worker died; retry".into()));
-            }
-        }
-    }
-
-    /// Routes the decoded submit in the connection scratch, parking it
-    /// as deferred work when a target shard queue is full.
-    fn start_submit(&mut self, idx: usize, options: SubmitOptions, decode_ns: u64) {
-        let shared = Arc::clone(&self.shared);
-        if shared.draining.load(Ordering::Acquire) {
-            self.respond(
-                idx,
-                &Response::Error("draining: new submits refused".into()),
-            );
-            return;
-        }
-        let empty = match self.conn_mut(idx) {
-            Some(conn) => conn.packets.is_empty(),
-            None => return,
-        };
-        if empty {
-            self.respond(
-                idx,
-                &Response::Batch {
-                    forwarded: 0,
-                    dropped: 0,
-                    mismatches: 0,
-                },
-            );
-            return;
-        }
-        match self.try_submit(idx, options, decode_ns) {
-            Ok(()) => {}
-            Err(shard) => {
-                // Full target shard: defer instead of answering Busy.
-                // Reads stay paused (the Work state gates them), so the
-                // server holds exactly one parked batch per connection —
-                // backpressure, not a Busy-storm.
-                let deadline = Instant::now() + shared.config.job_timeout;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Deferred(DeferredSubmit {
-                        options,
-                        decode_ns,
-                        blocked_shard: shard,
-                        deadline,
-                    });
-                }
-                shared
-                    .frontend
-                    .deferred_submits
-                    .fetch_add(1, Ordering::Relaxed);
-                shared.frontend.deferred_now.fetch_add(1, Ordering::Relaxed);
-                shared.frontend.read_pauses.fetch_add(1, Ordering::Relaxed);
-                self.enqueue_work(idx);
-            }
-        }
-    }
-
-    /// Attempts the router submit for the packets parked in the
-    /// connection scratch. `Ok` means the connection is now in
-    /// `Work::Submit`; `Err(shard)` hands back the full shard.
-    fn try_submit(
-        &mut self,
-        idx: usize,
-        options: SubmitOptions,
-        decode_ns: u64,
-    ) -> Result<(), u16> {
-        let shared = Arc::clone(&self.shared);
-        let (tx, rx) = channel();
-        let reply = Reply::with_waker(tx, Arc::clone(&self.waker) as Arc<dyn ReplyWaker>);
-        let submitted = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return Ok(());
-            };
-            let Conn {
-                splitter, packets, ..
-            } = conn;
-            shared.router.submit(splitter, packets, options, &reply)
-        };
-        drop(reply); // the shard-held clones are now the only senders
-        match submitted {
-            Ok(jobs) => {
-                shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-                let span = if shared.tracer.enabled() {
-                    let (span_id, client_assigned) = shared.tracer.assign(options.span_id);
-                    Some(PendingSpan {
-                        span_id,
-                        client_assigned,
-                        decode_ns,
-                        timings: Vec::new(),
-                    })
-                } else {
-                    None
-                };
-                let deadline = Instant::now() + shared.config.job_timeout;
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.work = Work::Submit(PendingSubmit {
-                        rx,
-                        jobs_left: jobs,
-                        forwarded: 0,
-                        dropped: 0,
-                        mismatches: 0,
-                        span,
-                        deadline,
-                    });
-                }
-                self.enqueue_work(idx);
-                // An empty split (jobs == 0) resolves on the spot.
-                self.poll_submit(idx);
-                Ok(())
-            }
-            Err(shard) => Err(shard),
-        }
-    }
-
-    fn enqueue_work(&mut self, idx: usize) {
-        // Field-path access keeps the `conns` borrow disjoint from the
-        // `work` push below.
-        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-            if !conn.queued {
-                conn.queued = true;
-                self.work.push(idx);
-            }
-        }
-    }
-
-    /// Drives every parked connection one step; connections whose work
-    /// is still outstanding stay in the list.
-    fn process_work(&mut self) {
-        if self.work.is_empty() {
-            return;
-        }
-        let list = std::mem::take(&mut self.work);
-        for idx in list {
-            match self.conn_mut(idx) {
-                Some(conn) => conn.queued = false,
-                None => continue,
-            }
-            match self.conn_mut(idx).map(|c| match &c.work {
-                Work::Idle => 0u8,
-                Work::Submit(_) => 1,
-                Work::Deferred(_) => 2,
-                Work::Control(_) => 3,
-                Work::Route(_) => 4,
-            }) {
-                Some(1) => self.poll_submit(idx),
-                Some(2) => self.poll_deferred(idx),
-                Some(3) => self.poll_control(idx),
-                Some(4) => self.poll_route(idx),
-                _ => {}
-            }
-            if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
-                if !conn.idle() && !conn.queued {
-                    conn.queued = true;
-                    self.work.push(idx);
-                }
-            }
-        }
-    }
-
-    /// Collects available shard outcomes for an in-flight submit,
-    /// finishing (or failing) the batch when they are all in.
-    fn poll_submit(&mut self, idx: usize) {
-        enum Verdict {
-            Pending,
-            Finished,
-            TimedOut,
-            ShardDied,
-        }
-        let verdict = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Submit(p) = &mut conn.work else {
-                return;
-            };
-            loop {
-                if p.jobs_left == 0 {
-                    break Verdict::Finished;
-                }
-                match p.rx.try_recv() {
-                    Ok(out) => {
-                        p.jobs_left -= 1;
-                        p.forwarded += out.forwarded;
-                        p.dropped += out.dropped;
-                        p.mismatches += out.mismatches;
-                        if let (Some(span), Some(t)) = (p.span.as_mut(), out.timings) {
-                            span.timings.push(t);
-                        }
-                    }
-                    Err(TryRecvError::Empty) => {
-                        if Instant::now() >= p.deadline {
-                            break Verdict::TimedOut;
-                        }
-                        break Verdict::Pending;
-                    }
-                    Err(TryRecvError::Disconnected) => break Verdict::ShardDied,
-                }
-            }
-        };
-        match verdict {
-            Verdict::Pending => {}
-            Verdict::Finished => {
-                let Some(conn) = self.conn_mut(idx) else {
-                    return;
-                };
-                let Work::Submit(p) = std::mem::take(&mut conn.work) else {
-                    return;
-                };
-                let rsp = Response::Batch {
-                    forwarded: p.forwarded,
-                    dropped: p.dropped,
-                    mismatches: p.mismatches,
-                };
-                let write_started = p.span.as_ref().map(|_| Instant::now());
-                self.respond(idx, &rsp);
-                if let Some(span) = p.span {
-                    let write_ns = write_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    self.shared.tracer.finish(&span, write_ns);
-                }
-            }
-            Verdict::TimedOut => {
-                self.fail_submit(idx, "job timed out");
-            }
-            Verdict::ShardDied => {
-                self.fail_submit(idx, "shard failed mid-batch; resubmit");
-            }
-        }
-    }
-
-    fn fail_submit(&mut self, idx: usize, msg: &str) {
-        self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Idle;
-        }
-        self.respond(idx, &Response::Error(msg.into()));
-    }
-
-    /// Retries a deferred submit; past its deadline it becomes the
-    /// `Busy` the blocking frontend would have answered immediately.
-    fn poll_deferred(&mut self, idx: usize) {
-        let (options, decode_ns, blocked_shard, expired) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Deferred(d) = &conn.work else {
-                return;
-            };
-            (
-                d.options,
-                d.decode_ns,
-                d.blocked_shard,
-                Instant::now() >= d.deadline,
-            )
-        };
-        if expired {
-            self.shared
-                .frontend
-                .deferred_now
-                .fetch_sub(1, Ordering::Relaxed);
-            self.shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-            if let Some(conn) = self.conn_mut(idx) {
-                conn.work = Work::Idle;
-            }
-            self.respond(idx, &Response::Busy(blocked_shard));
-            return;
-        }
-        match self.try_submit(idx, options, decode_ns) {
-            Ok(()) => {
+        } else if conn.read_on {
+            // The peer keeps sending while a request is in flight (or
+            // egress is backed up): the bytes wait in its socket.
+            if !conn.session.closing() {
                 self.shared
                     .frontend
-                    .deferred_now
-                    .fetch_sub(1, Ordering::Relaxed);
+                    .read_pauses
+                    .fetch_add(1, Ordering::Relaxed);
             }
-            Err(shard) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    if let Work::Deferred(d) = &mut conn.work {
-                        d.blocked_shard = shard;
-                    }
-                }
-            }
-        }
-    }
-
-    /// Resolves a parked drain/shutdown once every shard queue is empty,
-    /// every shard idle, and no submit is deferred anywhere.
-    fn poll_control(&mut self, idx: usize) {
-        let (shutdown, deadline) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let Work::Control(c) = &conn.work else {
-                return;
-            };
-            (c.shutdown, c.deadline)
-        };
-        let quiesced = self.shared.supervisor.quiescent()
-            && self.shared.frontend.deferred_now.load(Ordering::Relaxed) == 0;
-        let expired = Instant::now() >= deadline;
-        if !quiesced && !expired {
-            return;
-        }
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.work = Work::Idle;
-        }
-        if shutdown {
-            // Mirrors the blocking frontend: shutdown answers Ok even on
-            // a drain timeout; the stop flag goes up once the response
-            // has left this connection's egress queue.
-            self.shared.tracer.flush();
-            if let Some(conn) = self.conn_mut(idx) {
-                conn.shutdown_after = true;
-            }
-            self.respond(idx, &Response::Ok);
-        } else if quiesced {
-            self.respond(idx, &Response::Drained);
-        } else {
-            self.respond(idx, &Response::Error("drain timed out".into()));
-        }
-    }
-
-    /// Enqueues a response, opportunistically flushes, and re-evaluates
-    /// interest. Write failures close the connection.
-    fn respond(&mut self, idx: usize, rsp: &Response) {
-        let (sent, high_water) = {
-            let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
-                return;
-            };
-            let sent = conn.send(rsp);
-            (sent, conn.out.high_water() as u64)
-        };
-        self.shared
-            .frontend
-            .egress_highwater
-            .fetch_max(high_water, Ordering::Relaxed);
-        if sent.is_err() {
-            self.close_conn(idx);
-            return;
+            let write_on = conn.write_on;
+            return self.set_interest(idx, false, write_on);
         }
         self.after_io(idx);
     }
 
-    /// `respond`, then close once the egress queue drains.
-    fn respond_close(&mut self, idx: usize, rsp: &Response) {
-        if let Some(conn) = self.conn_mut(idx) {
-            conn.closing = true;
+    /// Flushes pending egress on a writable event.
+    fn drive_write(&mut self, idx: usize) {
+        if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+            conn.link.flush();
+            self.after_io(idx);
         }
-        self.respond(idx, rsp);
     }
 
-    /// Post-I/O bookkeeping: finish closes/shutdowns whose egress has
-    /// drained, then recompute poller interest.
+    /// Polls every session with a request in flight.
+    fn process_work(&mut self) {
+        if self.work.is_empty() {
+            return;
+        }
+        let now = Instant::now();
+        let mut list = std::mem::take(&mut self.work);
+        for &idx in &list {
+            if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
+                conn.queued = false;
+                conn.session.poll(now, &mut conn.link);
+                self.after_io(idx);
+            }
+        }
+        list.clear();
+        if self.work.is_empty() {
+            self.work = list;
+        }
+    }
+
+    /// Settles a connection after any I/O or session step: closes it if
+    /// it is finished, frames backlog the session can take again (no
+    /// readiness event announces bytes already read), queues a busy
+    /// session for polling, and re-arms interest.
     fn after_io(&mut self, idx: usize) {
-        let Some(conn) = self.conn_mut(idx) else {
-            return;
-        };
-        let drained = conn.out.is_empty();
-        let closing = conn.closing;
-        let shutdown_after = conn.shutdown_after;
-        if drained && shutdown_after {
-            self.shared.stop.store(true, Ordering::Release);
-            self.shared.tracer.flush();
-            self.close_conn(idx);
-            return;
-        }
-        if drained && closing {
-            self.close_conn(idx);
-            return;
-        }
-        self.update_interest(idx);
-    }
-
-    /// Recomputes and applies this connection's poller interest.
-    ///
-    /// Read interest is the backpressure valve: off while a request is
-    /// in flight (or deferred), off while the peer lets `out` back up
-    /// past the high-water mark, back on under the low-water mark.
-    fn update_interest(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
             return;
         };
-        let pending = conn.out.pending();
+        let pending = conn.link.out.pending();
         if pending >= EGRESS_HIGH_WATER {
-            conn.read_paused_hw = true;
+            conn.paused_hw = true;
         } else if pending < EGRESS_LOW_WATER {
-            conn.read_paused_hw = false;
+            conn.paused_hw = false;
         }
-        let want_read = !conn.closing && conn.idle() && !conn.read_paused_hw;
-        let want_write = pending > 0;
-        if want_read == conn.read_on && want_write == conn.write_on {
-            return;
+        if conn.wants_read()
+            && !conn.backlog.is_empty()
+            && conn.pump(&mut self.rbuf, Instant::now()).is_err()
+        {
+            return self.close_conn(idx);
         }
-        if conn.read_on && !want_read && !conn.closing {
-            self.shared
-                .frontend
-                .read_pauses
-                .fetch_add(1, Ordering::Relaxed);
+        if conn.link.failed || (conn.session.closing() && conn.link.out.is_empty()) {
+            return self.close_conn(idx);
         }
-        let fd = conn.stream.as_raw_fd();
-        let token = idx as u64 + 1;
-        let applied = self.poller.modify(
-            fd,
-            token,
-            Interest {
-                readable: want_read,
-                writable: want_write,
-            },
-        );
-        match applied {
-            Ok(()) => {
-                if let Some(conn) = self.conn_mut(idx) {
-                    conn.read_on = want_read;
-                    conn.write_on = want_write;
-                }
-            }
-            Err(_) => self.close_conn(idx),
+        let high_water = conn.link.out.high_water() as u64;
+        let fe = &self.shared.frontend;
+        fe.egress_highwater.fetch_max(high_water, Ordering::Relaxed);
+        if conn.session.busy() && !conn.queued {
+            conn.queued = true;
+            self.work.push(idx);
+        }
+        // Read interest is only ever re-armed here; `drive_read` drops it.
+        let read = conn.read_on || conn.wants_read();
+        let write = !conn.link.out.is_empty();
+        if (read, write) != (conn.read_on, conn.write_on) {
+            self.set_interest(idx, read, write);
         }
     }
 
-    /// Time-driven duties wakes can't cover: stats-stream pushes, idle
-    /// deadlines, and (via `process_work` each loop) work deadlines.
+    fn set_interest(&mut self, idx: usize, readable: bool, writable: bool) {
+        let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) else {
+            return;
+        };
+        let fd = conn.link.stream.as_raw_fd();
+        let interest = Interest { readable, writable };
+        if self.poller.modify(fd, idx as u64 + 1, interest).is_err() {
+            return self.close_conn(idx);
+        }
+        conn.read_on = readable;
+        conn.write_on = writable;
+    }
+
+    /// Time-driven duties wakes can't cover: idle and write deadlines
+    /// and stats-stream pushes (work deadlines ride `process_work`).
     fn sweep(&mut self) {
-        if self.last_sweep.elapsed() < TICK {
+        let now = Instant::now();
+        if now.duration_since(self.last_sweep) < TICK {
             return;
         }
-        self.last_sweep = Instant::now();
-        let now = Instant::now();
+        self.last_sweep = now;
         let read_timeout = self.shared.config.read_timeout;
-        self.due_push.clear();
-        self.due_close.clear();
+        let write_timeout = self.shared.config.write_timeout;
+        let mut doc = None;
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
-            // Frame progress counts as activity, exactly like the
-            // blocking frontend's stall budget.
-            let progress = conn.frames.progress();
-            if progress != conn.last_seen_progress {
-                conn.last_seen_progress = progress;
-                conn.last_activity = now;
+            let pending = conn.link.out.pending();
+            // Idle means nothing in flight, nothing to write, and no
+            // stats stream (a subscriber is deliberately quiet; the
+            // pushes are its liveness signal).
+            if pending > 0 || conn.session.busy() || conn.session.streaming() {
+                conn.active = now;
             }
-            if let Some(every) = conn.stream_every {
-                // Streaming subscribers are deliberately quiet: pushes
-                // are the liveness signal (a dead peer surfaces as a
-                // write error), so the idle deadline does not apply.
-                conn.last_activity = now;
-                if now.duration_since(conn.last_push) >= every
-                    && conn.idle()
-                    && !conn.closing
-                    && conn.out.pending() < EGRESS_HIGH_WATER
-                {
-                    conn.last_push = now;
-                    self.due_push.push(idx);
-                }
-            } else if conn.idle()
-                && !conn.closing
-                && conn.out.is_empty()
-                && now.duration_since(conn.last_activity) >= read_timeout
-            {
-                self.due_close.push(idx);
+            let expired = if pending > 0 {
+                // Egress made no progress: the peer stopped reading.
+                now.duration_since(conn.link.wrote) >= write_timeout
+            } else {
+                now.duration_since(conn.active) >= read_timeout
+            };
+            if expired {
+                self.close_conn(idx);
+            } else if conn.session.streaming() && pending < EGRESS_HIGH_WATER {
+                conn.session.tick(now, &mut doc, &mut conn.link);
+                self.after_io(idx);
             }
         }
-        if !self.due_push.is_empty() {
-            let doc = render_stats(&self.shared);
-            let due = std::mem::take(&mut self.due_push);
-            for idx in &due {
-                self.respond(*idx, &Response::StatsPush(doc.clone()));
-            }
-            self.due_push = due;
-        }
-        let due = std::mem::take(&mut self.due_close);
-        for idx in &due {
-            self.close_conn(*idx);
-        }
-        self.due_close = due;
     }
 
     fn close_conn(&mut self, idx: usize) {
         let Some(conn) = self.conns.get_mut(idx).and_then(Option::take) else {
             return;
         };
-        let _ = self.poller.deregister(conn.stream.as_raw_fd());
-        if matches!(conn.work, Work::Deferred(_)) {
-            self.shared
-                .frontend
-                .deferred_now
-                .fetch_sub(1, Ordering::Relaxed);
-        }
-        if conn.shutdown_after {
-            // The shutdown requester vanished before its Ok drained;
-            // honor the shutdown anyway.
-            self.shared.stop.store(true, Ordering::Release);
-            self.shared.tracer.flush();
-        }
+        let _ = self.poller.deregister(conn.link.stream.as_raw_fd());
         self.shared.frontend.conn_closed();
         self.free.push(idx);
+        // Dropping the session settles its protocol state: a parked
+        // deferral leaves the gauge, an answered shutdown stops the
+        // server.
     }
 
     fn shutdown_all(&mut self) {
         for idx in 0..self.conns.len() {
-            if self.conns[idx].is_some() {
-                self.close_conn(idx);
-            }
+            self.close_conn(idx);
         }
     }
 }

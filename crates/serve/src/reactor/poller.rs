@@ -6,6 +6,8 @@ use crate::queue::ReplyWaker;
 use std::io::{self, Read, Write};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::os::unix::net::UnixStream;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 use super::sys;
@@ -24,12 +26,13 @@ pub(crate) struct Interest {
 pub(crate) struct Event {
     /// The token passed at registration time.
     pub(crate) token: u64,
-    /// The fd is readable — or errored/hung up, which is surfaced as
-    /// readable so the next read observes the failure.
+    /// The fd is readable, or the peer closed its sending half.
     pub(crate) readable: bool,
-    /// The fd is writable (errors surface here too, for conns that are
-    /// only waiting to flush).
+    /// The fd is writable.
     pub(crate) writable: bool,
+    /// The fd errored or both directions hung up: the connection is
+    /// dead. Reported whatever the registered interest.
+    pub(crate) hangup: bool,
 }
 
 fn timeout_ms(timeout: Duration) -> i32 {
@@ -61,9 +64,12 @@ mod linux {
         }
 
         fn mask(interest: Interest) -> u32 {
-            let mut m = epoll::EPOLLRDHUP;
+            let mut m = 0;
+            // Peer half-close only with read interest: level-triggered,
+            // it would otherwise report on every wait while a request is
+            // in flight.
             if interest.readable {
-                m |= epoll::EPOLLIN;
+                m |= epoll::EPOLLIN | epoll::EPOLLRDHUP;
             }
             if interest.writable {
                 m |= epoll::EPOLLOUT;
@@ -118,10 +124,9 @@ mod linux {
                 let token = { ev.data };
                 events.push(Event {
                     token,
-                    readable: bits
-                        & (epoll::EPOLLIN | epoll::EPOLLERR | epoll::EPOLLHUP | epoll::EPOLLRDHUP)
-                        != 0,
-                    writable: bits & (epoll::EPOLLOUT | epoll::EPOLLERR | epoll::EPOLLHUP) != 0,
+                    readable: bits & (epoll::EPOLLIN | epoll::EPOLLRDHUP) != 0,
+                    writable: bits & epoll::EPOLLOUT != 0,
+                    hangup: bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0,
                 });
             }
             Ok(())
@@ -237,8 +242,9 @@ mod fallback {
                 }
                 events.push(Event {
                     token,
-                    readable: r & (pollsys::POLLIN | pollsys::POLLERR | pollsys::POLLHUP) != 0,
-                    writable: r & (pollsys::POLLOUT | pollsys::POLLERR | pollsys::POLLHUP) != 0,
+                    readable: r & pollsys::POLLIN != 0,
+                    writable: r & pollsys::POLLOUT != 0,
+                    hangup: r & (pollsys::POLLERR | pollsys::POLLHUP) != 0,
                 });
             }
             Ok(())
@@ -254,13 +260,17 @@ mod fallback {
 #[derive(Debug)]
 pub(crate) struct Waker {
     tx: UnixStream,
+    /// A wake byte is in the pipe and not yet drained.
+    pending: Arc<AtomicBool>,
 }
 
 impl Waker {
-    /// Signals the reactor; coalesces naturally (a full pipe means a
-    /// wake is already pending, so `WouldBlock` is success).
+    /// Signals the reactor. Wakes coalesce: while one is pending, more
+    /// skip the syscall.
     pub(crate) fn wake(&self) {
-        let _ = (&self.tx).write(&[1u8]);
+        if !self.pending.swap(true, Ordering::AcqRel) {
+            let _ = (&self.tx).write(&[1u8]);
+        }
     }
 }
 
@@ -274,6 +284,7 @@ impl ReplyWaker for Waker {
 #[derive(Debug)]
 pub(crate) struct WakeReceiver {
     rx: UnixStream,
+    pending: Arc<AtomicBool>,
 }
 
 impl WakeReceiver {
@@ -281,17 +292,12 @@ impl WakeReceiver {
         self.rx.as_raw_fd()
     }
 
-    /// Drains every pending wake byte (level-triggered pollers would
-    /// otherwise re-report the pipe forever).
+    /// Consumes the pending wake. The byte is read before the gate
+    /// reopens, so a wake racing the drain either writes a fresh byte or
+    /// is observed by the work the drain precedes; none is lost.
     pub(crate) fn drain(&self) {
-        let mut buf = [0u8; 256];
-        loop {
-            match (&self.rx).read(&mut buf) {
-                Ok(0) => break,
-                Ok(_) => {}
-                Err(_) => break,
-            }
-        }
+        let _ = (&self.rx).read(&mut [0u8; 64]);
+        self.pending.swap(false, Ordering::AcqRel);
     }
 }
 
@@ -301,7 +307,12 @@ pub(crate) fn waker_pair() -> io::Result<(Waker, WakeReceiver)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;
     rx.set_nonblocking(true)?;
-    Ok((Waker { tx }, WakeReceiver { rx }))
+    let pending = Arc::new(AtomicBool::new(false));
+    let rx = WakeReceiver {
+        rx,
+        pending: Arc::clone(&pending),
+    };
+    Ok((Waker { tx, pending }, rx))
 }
 
 #[cfg(test)]

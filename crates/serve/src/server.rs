@@ -1,44 +1,31 @@
-//! The TCP front end: accept loop, per-connection acceptor threads,
-//! drain/shutdown choreography.
+//! The service instance: the shard fleet, its supervisor and the control
+//! worker (the [`Shared`] plane every connection sees), served over TCP
+//! by the [`crate::reactor`] event loops.
 //!
-//! Each connection gets its own acceptor thread speaking the frame
-//! protocol with read/write deadlines. The first frame on a connection
-//! must be a [`Request::Hello`]: the server settles the protocol version
-//! and answers with its capability block ([`crate::frame::ServerHello`]);
-//! any other first frame — including a v1 client's bare submit — gets a
-//! typed error and a clean close, never a frame desync. Submits are split
-//! by flow hash and enqueued all-or-nothing ([`Router::submit`]); a full
-//! shard queue turns into an immediate `Busy` response — the service
-//! never buffers beyond the bounded queues. Drain flips a flag (new
-//! submits refused), waits for every shard to go quiescent, and answers
-//! `Drained`; shutdown drains, stops the shard fleet and the accept loop,
-//! and unblocks [`Server::wait`] so the `serve` bin can exit 0.
+//! Every connection opens with a [`crate::frame::Request::Hello`]; the
+//! protocol from there on lives in [`crate::session`]. Drain flips a
+//! flag (new submits refused), waits for every shard to go quiescent,
+//! and answers `Drained`; shutdown drains, stops the shard fleet and the
+//! event loops, and unblocks [`Server::wait`] so the `serve` bin can
+//! exit 0. Serving is unix-only: epoll on Linux, `poll(2)` on other
+//! unix platforms.
 
-use crate::backend;
-use crate::frame::{
-    decode_submit_into, is_submit, settle_version, write_frame, FrameError, FrameReader, Request,
-    Response, ServerHello, SubmitOptions, CAP_CONTROL, CAP_TRACING, PROTOCOL_MIN_SUPPORTED,
-    PROTOCOL_VERSION,
-};
-use crate::queue::Reply;
-use crate::router::{Router, ShardSplitter};
+use crate::router::Router;
 use crate::shard::ShardTables;
-use crate::stats::{stats_json, FrontendStats, ServerCounters};
+use crate::stats::{FrontendStats, ServerCounters};
 use crate::supervisor::{Supervisor, SupervisorHandle};
-use crate::tables::{
-    spawn_control_worker, ControlHandle, ControlOp, ControlReply, EpochTables, ShardGate,
-};
-use crate::tracing::{PendingSpan, ServeTracer};
-use crate::{FrontendKind, ServeConfig};
+use crate::tables::{spawn_control_worker, ControlHandle, EpochTables, ShardGate};
+use crate::tracing::ServeTracer;
+use crate::ServeConfig;
 use std::io;
-use std::net::{TcpListener, TcpStream, ToSocketAddrs};
+use std::net::{TcpListener, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::mpsc::{channel, RecvTimeoutError};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
-/// Shared state every frontend (acceptor thread or reactor) sees.
+/// State every connection shares: the router onto the shard queues,
+/// the counters, the flags and the control plane.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) router: Router,
@@ -53,79 +40,16 @@ pub(crate) struct Shared {
     pub(crate) control: ControlHandle,
 }
 
-/// A running service instance.
-#[derive(Debug)]
-pub struct Server {
-    shared: Arc<Shared>,
-    local_addr: std::net::SocketAddr,
-    threads: Vec<JoinHandle<()>>,
-}
-
-/// Granularity of the accept/read polling loops: short enough that stop
-/// and drain flags are observed promptly, long enough to stay cheap.
-pub(crate) const POLL: Duration = Duration::from_millis(50);
-
-/// First pause after an fd-exhaustion accept failure; doubles up to
-/// [`ACCEPT_BACKOFF_MAX`] while the condition persists.
-pub(crate) const ACCEPT_BACKOFF_MIN: Duration = Duration::from_millis(10);
-/// Longest fd-exhaustion accept pause.
-pub(crate) const ACCEPT_BACKOFF_MAX: Duration = Duration::from_secs(1);
-
-/// Whether an accept failure means the process (`EMFILE`) or system
-/// (`ENFILE`) is out of file descriptors. Retrying immediately cannot
-/// succeed — the accept loop must pause and let connections close.
-pub(crate) fn is_fd_exhaustion(e: &io::Error) -> bool {
-    #[cfg(unix)]
-    {
-        matches!(e.raw_os_error(), Some(23) | Some(24)) // ENFILE | EMFILE
-    }
-    #[cfg(not(unix))]
-    {
-        let _ = e;
-        false
-    }
-}
-
-/// Tells an over-cap client why it is being dropped: a best-effort
-/// blocking write of the `Error` response frame (decodable by every
-/// protocol version — `RSP_ERROR` has existed since v1) before close,
-/// so the peer sees a reason instead of a bare RST.
-pub(crate) fn reject_over_capacity(stream: TcpStream, shared: &Shared) {
-    shared.frontend.conn_rejects.fetch_add(1, Ordering::Relaxed);
-    let _ = stream.set_nonblocking(false);
-    let _ = stream.set_write_timeout(Some(Duration::from_millis(100)));
-    let mut payload = Vec::new();
-    Response::Error(format!(
-        "connection limit reached ({} open); retry later",
-        shared.config.max_conns
-    ))
-    .encode_into(&mut payload);
-    let mut stream = stream;
-    let _ = write_frame(&mut stream, &payload);
-}
-
-/// Decrements the open-connection gauge when a connection ends, however
-/// it ends (including an acceptor thread unwinding).
-pub(crate) struct ConnGuard(pub(crate) Arc<Shared>);
-
-impl Drop for ConnGuard {
-    fn drop(&mut self) {
-        self.0.frontend.conn_closed();
-    }
-}
-
-impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), spawns the shard
-    /// fleet, the supervisor, and the accept loop.
+impl Shared {
+    /// Spawns the shard fleet, its supervisor and the control worker;
+    /// returns the plane and the control worker's handle. Everything
+    /// stops once `stop` is raised.
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and span-export file creation failures.
-    pub fn start(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Server> {
+    /// Span-export file creation failures.
+    pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, JoinHandle<()>)> {
         assert!(config.shards > 0, "at least one shard");
-        let listener = TcpListener::bind(addr)?;
-        let local_addr = listener.local_addr()?;
-        listener.set_nonblocking(true)?;
         let tracer = ServeTracer::new(config.tracing.clone(), config.shards)?;
         let stop = Arc::new(AtomicBool::new(false));
         let tables = Arc::new(EpochTables::new(ShardTables::build(config.routes)));
@@ -151,47 +75,61 @@ impl Server {
             })
             .collect();
         let (control, control_thread) = spawn_control_worker(tables, gates, Arc::clone(&stop));
-        let frontend = config.frontend;
         let shared = Arc::new(Shared {
             router,
             supervisor,
             counters: ServerCounters::default(),
             config,
-            stop: Arc::clone(&stop),
+            stop,
             draining: AtomicBool::new(false),
             started: Instant::now(),
             tracer,
             frontend: FrontendStats::default(),
             control,
         });
-        let mut threads = match frontend {
-            FrontendKind::Threads => {
-                let accept_shared = Arc::clone(&shared);
-                vec![std::thread::Builder::new()
-                    .name("memsync-accept".into())
-                    .spawn(move || accept_loop(&listener, &accept_shared))
-                    .expect("accept thread spawns")]
-            }
-            FrontendKind::Reactor => {
-                #[cfg(unix)]
-                {
-                    crate::reactor::spawn(listener, Arc::clone(&shared))?
-                }
-                #[cfg(not(unix))]
-                {
-                    return Err(io::Error::new(
-                        io::ErrorKind::Unsupported,
-                        "the reactor frontend requires a unix platform",
-                    ));
-                }
-            }
-        };
-        threads.push(control_thread);
-        Ok(Server {
-            shared,
-            local_addr,
-            threads,
-        })
+        Ok((shared, control_thread))
+    }
+}
+
+/// A running service instance.
+#[derive(Debug)]
+pub struct Server {
+    shared: Arc<Shared>,
+    local_addr: std::net::SocketAddr,
+    threads: Vec<JoinHandle<()>>,
+}
+
+impl Server {
+    /// Binds `addr` (use port 0 for an ephemeral port), spawns the shard
+    /// fleet, the supervisor, the control worker and the reactor.
+    ///
+    /// # Errors
+    ///
+    /// Propagates bind failures and span-export file creation failures;
+    /// `Unsupported` off unix.
+    pub fn start(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Server> {
+        #[cfg(not(unix))]
+        {
+            let _ = (addr, config);
+            Err(io::Error::new(
+                io::ErrorKind::Unsupported,
+                "serving requires a unix platform",
+            ))
+        }
+        #[cfg(unix)]
+        {
+            let listener = TcpListener::bind(addr)?;
+            let local_addr = listener.local_addr()?;
+            listener.set_nonblocking(true)?;
+            let (shared, control_thread) = Shared::start(config)?;
+            let mut threads = crate::reactor::spawn(listener, Arc::clone(&shared))?;
+            threads.push(control_thread);
+            Ok(Server {
+                shared,
+                local_addr,
+                threads,
+            })
+        }
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -238,487 +176,4 @@ impl Drop for Server {
             let _ = t.join();
         }
     }
-}
-
-fn accept_loop(listener: &TcpListener, shared: &Arc<Shared>) {
-    let mut conns: Vec<JoinHandle<()>> = Vec::new();
-    let mut backoff = ACCEPT_BACKOFF_MIN;
-    while !shared.stop.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                backoff = ACCEPT_BACKOFF_MIN;
-                if shared.frontend.conns_open.load(Ordering::Relaxed)
-                    >= shared.config.max_conns as u64
-                {
-                    reject_over_capacity(stream, shared);
-                    continue;
-                }
-                shared.frontend.conn_opened();
-                let conn_shared = Arc::clone(shared);
-                let spawned = std::thread::Builder::new()
-                    .name("memsync-conn".into())
-                    .spawn(move || {
-                        let _guard = ConnGuard(Arc::clone(&conn_shared));
-                        let _ = serve_connection(stream, &conn_shared);
-                    });
-                match spawned {
-                    Ok(h) => {
-                        conns.push(h);
-                        conns.retain(|c| !c.is_finished());
-                    }
-                    Err(_) => {
-                        // Thread exhaustion behaves like fd exhaustion:
-                        // undo the gauge (the closure never ran, so no
-                        // guard exists) and back off.
-                        shared.frontend.conn_closed();
-                        shared
-                            .frontend
-                            .accept_pauses
-                            .fetch_add(1, Ordering::Relaxed);
-                        std::thread::sleep(backoff);
-                        backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-                    }
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => std::thread::sleep(POLL),
-            Err(e) if is_fd_exhaustion(&e) => {
-                // Hot-spinning on EMFILE burns the CPU the open
-                // connections need to finish (and free fds). Pause with
-                // exponential backoff instead.
-                shared
-                    .frontend
-                    .accept_pauses
-                    .fetch_add(1, Ordering::Relaxed);
-                std::thread::sleep(backoff);
-                backoff = (backoff * 2).min(ACCEPT_BACKOFF_MAX);
-            }
-            Err(_) => std::thread::sleep(POLL),
-        }
-    }
-    for c in conns {
-        let _ = c.join();
-    }
-    // The supervisor joins the shard fleet once the stop flag is up.
-    // (SupervisorHandle::join consumes; the Arc keeps it alive here, so
-    // just give the monitor a beat to wind down its threads.)
-}
-
-/// Handles one connection until EOF, deadline expiry, or service stop.
-fn serve_connection(stream: TcpStream, shared: &Arc<Shared>) -> io::Result<()> {
-    // Short socket timeouts + an idle budget: reads poll so the stop flag
-    // is honored, but a silent peer is dropped once the configured read
-    // deadline accumulates.
-    stream.set_read_timeout(Some(POLL))?;
-    stream.set_write_timeout(Some(shared.config.write_timeout))?;
-    // Request/response over small frames: Nagle only adds latency here
-    // (the client side disables it too).
-    stream.set_nodelay(true)?;
-    let mut reader = io::BufReader::new(stream.try_clone()?);
-    let mut writer = io::BufWriter::new(stream);
-    // The decoder keeps partial-frame state across read timeouts, so the
-    // POLL-sized socket timeout never discards bytes of an in-flight
-    // frame — a client that pauses mid-frame resumes cleanly.
-    let mut frames = FrameReader::new();
-    // Per-connection scratch, reused across requests: the decoded submit
-    // packets, the submit splitter (per-shard group buffers), and the
-    // response encode buffer. Steady state serves a stream of batches
-    // with no per-request allocation in any of them.
-    let mut packets: Vec<memsync_netapp::Ipv4Packet> = Vec::new();
-    let mut splitter = ShardSplitter::new(shared.router.shards());
-    let mut encoded = Vec::new();
-    let mut idle = Duration::ZERO;
-    let mut last_progress = 0usize;
-    // Protocol v2+: nothing but Hello is served until the handshake
-    // settles a version. The settled version also gates the v3 control
-    // frames — a v2 client never reaches the control plane.
-    let mut settled: Option<u16> = None;
-    // StatsStream state: while `Some`, the poll branch below pushes a
-    // snapshot every interval. Any subsequent client frame ends the
-    // stream (and is served normally).
-    let mut stream_every: Option<Duration> = None;
-    let mut last_push = Instant::now();
-    loop {
-        if shared.stop.load(Ordering::Acquire) {
-            return Ok(());
-        }
-        let payload = match frames.read(&mut reader) {
-            Ok(Some(p)) => p,
-            Ok(None) => return Ok(()), // clean close
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                // The read deadline budgets *stalls*: any frame progress
-                // since the last timeout resets it, so only a peer that
-                // is idle (or frozen mid-frame) for the full deadline is
-                // dropped — and dropping closes the connection, never
-                // resyncing mid-stream.
-                if frames.progress() != last_progress {
-                    last_progress = frames.progress();
-                    idle = Duration::ZERO;
-                }
-                if let Some(every) = stream_every {
-                    // A streaming subscriber is deliberately quiet; the
-                    // pushes are the liveness signal, so the idle budget
-                    // does not accumulate (a dead peer still surfaces —
-                    // as a write error on the next push).
-                    idle = Duration::ZERO;
-                    if last_push.elapsed() >= every {
-                        Response::StatsPush(render_stats(shared)).encode_into(&mut encoded);
-                        write_frame(&mut writer, &encoded)?;
-                        last_push = Instant::now();
-                    }
-                } else {
-                    idle += POLL;
-                    if idle >= shared.config.read_timeout {
-                        return Ok(()); // read deadline: drop the stalled peer
-                    }
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        idle = Duration::ZERO;
-        last_progress = 0;
-        // Any complete client frame terminates an active stats stream;
-        // the StatsStream arm below re-arms it for a fresh subscription.
-        stream_every = None;
-        let trace = shared.tracer.enabled();
-        let decode_started = trace.then(Instant::now);
-        // Submit fast path: decode the batch straight into the
-        // connection's packet scratch. Going through `Request::decode`
-        // would build a fresh `Vec<Ipv4Packet>` per batch — at large
-        // batch sizes that is an mmap/munmap round trip per request.
-        if settled.is_some() && is_submit(payload) {
-            let (response, pending) = match decode_submit_into(payload, &mut packets) {
-                Ok(options) => {
-                    let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                    handle_submit(&packets, options, shared, &mut splitter, decode_ns)
-                }
-                Err(e) => (Response::Error(e.to_string()), None),
-            };
-            let write_started = pending.as_ref().map(|_| Instant::now());
-            response.encode_into(&mut encoded);
-            write_frame(&mut writer, &encoded)?;
-            if let Some(p) = pending {
-                let write_ns = write_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                shared.tracer.finish(&p, write_ns);
-            }
-            continue;
-        }
-        let (response, action, pending) = match Request::decode(payload) {
-            Ok(Request::Hello {
-                min_version,
-                max_version,
-            }) => {
-                // Idempotent: a repeated Hello after greeting just
-                // re-settles and re-states the capability block.
-                if let Some(version) = settle_version(min_version, max_version) {
-                    settled = Some(version);
-                    (
-                        Response::Hello(server_hello(shared, version)),
-                        Action::Continue,
-                        None,
-                    )
-                } else {
-                    (
-                        Response::Error(format!(
-                            "no common protocol version: client speaks \
-                             {min_version}..={max_version}, server speaks \
-                             {PROTOCOL_MIN_SUPPORTED}..={PROTOCOL_VERSION}"
-                        )),
-                        Action::Close,
-                        None,
-                    )
-                }
-            }
-            Ok(req) if settled.is_none() => (
-                // A pre-handshake request means the peer does not speak
-                // protocol v2 (or skipped the handshake). RSP_ERROR has
-                // existed since v1, so even an old client decodes this
-                // cleanly; closing keeps the stream at a frame boundary.
-                Response::Error(format!(
-                    "expected hello before {}: this server speaks protocol \
-                     v{PROTOCOL_VERSION}, which negotiates at connect time",
-                    req.name()
-                )),
-                Action::Close,
-                None,
-            ),
-            Ok(Request::StatsStream { interval_ms }) => {
-                if interval_ms == 0 {
-                    (
-                        Response::Error("stats-stream interval must be nonzero".into()),
-                        Action::Continue,
-                        None,
-                    )
-                } else {
-                    stream_every = Some(Duration::from_millis(u64::from(interval_ms)));
-                    last_push = Instant::now();
-                    // First push rides the response immediately; the
-                    // cadence continues from the poll branch above.
-                    (
-                        Response::StatsPush(render_stats(shared)),
-                        Action::Continue,
-                        None,
-                    )
-                }
-            }
-            Ok(req) => {
-                let action = if matches!(req, Request::Shutdown) {
-                    Action::Shutdown
-                } else {
-                    Action::Continue
-                };
-                let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-                let version = settled.unwrap_or(PROTOCOL_MIN_SUPPORTED);
-                let (response, pending) =
-                    handle_request(req, version, shared, &mut splitter, decode_ns);
-                (response, action, pending)
-            }
-            Err(e @ (FrameError::Malformed(_) | FrameError::BadPacket(_))) => {
-                (Response::Error(e.to_string()), Action::Continue, None)
-            }
-        };
-        let write_started = pending.as_ref().map(|_| Instant::now());
-        response.encode_into(&mut encoded);
-        write_frame(&mut writer, &encoded)?;
-        if let Some(p) = pending {
-            let write_ns = write_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-            shared.tracer.finish(&p, write_ns);
-        }
-        match action {
-            Action::Continue => {}
-            Action::Close => return Ok(()),
-            Action::Shutdown => {
-                shared.stop.store(true, Ordering::Release);
-                return Ok(());
-            }
-        }
-    }
-}
-
-/// What a connection does after answering a frame.
-enum Action {
-    Continue,
-    Close,
-    Shutdown,
-}
-
-pub(crate) fn server_hello(shared: &Shared, version: u16) -> ServerHello {
-    ServerHello {
-        // The settled version for *this* connection — a v2 client reads
-        // back v2 and never sends control frames.
-        version,
-        // Tracing (span-tagged submits, StatsStream) and the live
-        // control plane are protocol capabilities of this server build,
-        // advertised alongside the backend bits.
-        capabilities: backend::capability_bits() | CAP_TRACING | CAP_CONTROL,
-        backend: shared.config.backend,
-        shards: shared.config.shards as u16,
-        egress: shared.config.egress as u16,
-        routes: shared.config.routes as u32,
-    }
-}
-
-/// Renders the current stats document (the Stats response and every
-/// StatsPush share this, in both frontends).
-pub(crate) fn render_stats(shared: &Shared) -> String {
-    stats_json(
-        shared.supervisor.shards(),
-        &shared.counters,
-        shared.config.backend,
-        shared.supervisor.restarts(),
-        shared.draining.load(Ordering::Acquire),
-        shared.started,
-        Some(&shared.tracer),
-        Some((shared.config.frontend, &shared.frontend)),
-        Some(&shared.control.tables),
-    )
-}
-
-pub(crate) fn handle_request(
-    req: Request,
-    version: u16,
-    shared: &Arc<Shared>,
-    splitter: &mut ShardSplitter,
-    decode_ns: u64,
-) -> (Response, Option<PendingSpan>) {
-    match req {
-        Request::Hello { .. } => unreachable!("hello handled in the connection loop"),
-        Request::StatsStream { .. } => {
-            unreachable!("stats-stream handled in the connection loop")
-        }
-        req if req.is_control() && version < 3 => (
-            // The capability was advertised but the *settled* version
-            // gates it: a connection negotiated down to v2 must not send
-            // v3 frames. RSP_ERROR decodes under every version.
-            Response::Error(format!(
-                "{} is a protocol-v3 control frame; this connection settled v{version}",
-                req.name()
-            )),
-            None,
-        ),
-        req if req.is_control() && shared.draining.load(Ordering::Acquire) => (
-            Response::Error("draining: control plane refused".into()),
-            None,
-        ),
-        Request::RouteAdd(routes) => handle_control(ControlOp::Add(routes), shared),
-        Request::RouteWithdraw(prefixes) => handle_control(ControlOp::Withdraw(prefixes), shared),
-        Request::SwapDefault { next_hop } => {
-            handle_control(ControlOp::SwapDefault(next_hop), shared)
-        }
-        Request::Submit { packets, options } => {
-            handle_submit(&packets, options, shared, splitter, decode_ns)
-        }
-        Request::Stats => (Response::Stats(render_stats(shared)), None),
-        Request::Drain => {
-            shared.draining.store(true, Ordering::Release);
-            shared.tracer.flush();
-            if wait_quiescent(shared, shared.config.job_timeout) {
-                (Response::Drained, None)
-            } else {
-                (Response::Error("drain timed out".into()), None)
-            }
-        }
-        Request::Shutdown => {
-            shared.draining.store(true, Ordering::Release);
-            wait_quiescent(shared, shared.config.job_timeout);
-            shared.tracer.flush();
-            (Response::Ok, None)
-        }
-        Request::Kill(shard) => {
-            let Some(s) = shared.supervisor.shards().get(shard as usize) else {
-                return (Response::Error(format!("no shard {shard}")), None);
-            };
-            s.die.store(true, Ordering::Release);
-            (Response::Ok, None)
-        }
-    }
-}
-
-/// Submits one control op to the worker and blocks for its outcome (the
-/// threads frontend; the reactor parks the connection instead — see
-/// `reactor::park_control`). The outcome arrives only after the worker
-/// has published the new generation and run the shard drain barrier.
-fn handle_control(op: ControlOp, shared: &Arc<Shared>) -> (Response, Option<PendingSpan>) {
-    let (tx, rx) = channel();
-    if !shared.control.submit(op, ControlReply::new(tx)) {
-        return (Response::Error("control plane stopped".into()), None);
-    }
-    match rx.recv_timeout(shared.config.job_timeout) {
-        Ok(out) => (
-            Response::RouteUpdated {
-                generation: out.generation,
-                routes: out.routes,
-                applied: out.applied,
-            },
-            None,
-        ),
-        Err(RecvTimeoutError::Disconnected) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            (Response::Error("control worker died; retry".into()), None)
-        }
-        Err(RecvTimeoutError::Timeout) => {
-            shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-            (Response::Error("control op timed out".into()), None)
-        }
-    }
-}
-
-fn wait_quiescent(shared: &Arc<Shared>, timeout: Duration) -> bool {
-    let deadline = Instant::now() + timeout;
-    while Instant::now() < deadline {
-        if shared.supervisor.quiescent() {
-            return true;
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-    shared.supervisor.quiescent()
-}
-
-fn handle_submit(
-    packets: &[memsync_netapp::Ipv4Packet],
-    options: SubmitOptions,
-    shared: &Arc<Shared>,
-    splitter: &mut ShardSplitter,
-    decode_ns: u64,
-) -> (Response, Option<PendingSpan>) {
-    if shared.draining.load(Ordering::Acquire) {
-        return (
-            Response::Error("draining: new submits refused".into()),
-            None,
-        );
-    }
-    if packets.is_empty() {
-        return (
-            Response::Batch {
-                forwarded: 0,
-                dropped: 0,
-                mismatches: 0,
-            },
-            None,
-        );
-    }
-    // When tracing is off the span id a client may have tagged is simply
-    // ignored — the shard produced no timings, so there is no span to
-    // build and nothing to allocate.
-    let mut pending = if shared.tracer.enabled() {
-        let (span_id, client_assigned) = shared.tracer.assign(options.span_id);
-        Some(PendingSpan {
-            span_id,
-            client_assigned,
-            decode_ns,
-            timings: Vec::new(),
-        })
-    } else {
-        None
-    };
-    let (tx, rx) = channel();
-    let tx = Reply::new(tx);
-    let jobs = match shared.router.submit(splitter, packets, options, &tx) {
-        Ok(n) => n,
-        Err(shard) => {
-            shared.counters.busy.fetch_add(1, Ordering::Relaxed);
-            return (Response::Busy(shard), None);
-        }
-    };
-    drop(tx); // the shard-held clones are now the only senders
-    shared.counters.accepted.fetch_add(1, Ordering::Relaxed);
-    let mut forwarded = 0u32;
-    let mut dropped = 0u32;
-    let mut mismatches = 0u32;
-    for _ in 0..jobs {
-        match rx.recv_timeout(shared.config.job_timeout) {
-            Ok(out) => {
-                forwarded += out.forwarded;
-                dropped += out.dropped;
-                mismatches += out.mismatches;
-                if let (Some(p), Some(t)) = (pending.as_mut(), out.timings) {
-                    p.timings.push(t);
-                }
-            }
-            Err(RecvTimeoutError::Disconnected) => {
-                // A shard died mid-batch; the supervisor is restarting it.
-                // The submit is reported failed — the client retries; no
-                // silent loss, no double processing of the lost job.
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return (
-                    Response::Error("shard failed mid-batch; resubmit".into()),
-                    None,
-                );
-            }
-            Err(RecvTimeoutError::Timeout) => {
-                shared.counters.errors.fetch_add(1, Ordering::Relaxed);
-                return (Response::Error("job timed out".into()), None);
-            }
-        }
-    }
-    (
-        Response::Batch {
-            forwarded,
-            dropped,
-            mismatches,
-        },
-        pending,
-    )
 }

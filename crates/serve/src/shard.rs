@@ -320,8 +320,10 @@ fn process_batch(
     // the next activation.
     for (job, out) in jobs.drain(..).zip(scratch.outcomes.drain(..)) {
         // A receiver that went away (connection dropped mid-flight) is
-        // not the shard's problem.
+        // not the shard's problem. The send already woke the session, so
+        // the drop need not wake it again.
         let _ = job.reply.send(out);
+        job.reply.drop_quietly();
     }
 }
 

@@ -133,23 +133,20 @@ pub struct FibSnapshot {
     pub swap_latency_us: Option<SwapLatencySnapshot>,
 }
 
-/// The `frontend` section: connection-plane counters from whichever
-/// frontend (`threads` or `reactor`) is serving.
+/// The `frontend` section: the reactor's connection-plane counters.
 #[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct FrontendSnapshot {
-    /// Frontend name (`threads` or `reactor`).
-    pub kind: String,
     /// Connections currently open.
     pub conns_open: u64,
     /// Highest concurrently-open connection count ever observed.
     pub conns_peak: u64,
     /// Connections refused over the connection cap.
     pub conn_rejects: u64,
-    /// Accept-loop pauses forced by fd or thread exhaustion.
+    /// Accept-loop pauses forced by fd exhaustion.
     pub accept_pauses: u64,
-    /// Times a frontend stopped reading a connection for backpressure.
+    /// Times the reactor stopped reading a connection for backpressure.
     pub read_pauses: u64,
-    /// Submits deferred on a full shard queue (reactor only).
+    /// Submits deferred on a full shard queue.
     pub deferred_submits: u64,
     /// Deferred submits currently parked.
     pub deferred_now: u64,
@@ -352,11 +349,6 @@ impl StatsSnapshot {
         };
         let frontend = match j.get("frontend") {
             Some(f) => Some(FrontendSnapshot {
-                kind: f
-                    .get("kind")
-                    .and_then(Json::as_str)
-                    .ok_or_else(|| DecodeStatsError("missing field \"frontend.kind\"".into()))?
-                    .to_string(),
                 conns_open: req_u64(f, "conns_open")?,
                 conns_peak: req_u64(f, "conns_peak")?,
                 conn_rejects: req_u64(f, "conn_rejects")?,
@@ -408,7 +400,6 @@ mod tests {
     use crate::supervisor::PublicShard;
     use crate::tables::{ControlOp, EpochTables};
     use crate::tracing::{PendingSpan, ServeTracer, StageTimings, TracingConfig};
-    use crate::FrontendKind;
     use memsync_netapp::fib::Route;
     use memsync_trace::MetricsRegistry;
     use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -606,7 +597,7 @@ mod tests {
             false,
             Instant::now(),
             Some(&tracer),
-            Some((FrontendKind::Reactor, &frontend)),
+            Some(&frontend),
             Some(&tables),
         )
     }
@@ -689,7 +680,6 @@ mod tests {
         assert_eq!((lat.count, lat.max), (1, 350));
         assert!(lat.p50 <= lat.p99 && lat.p99 <= lat.max);
         let frontend = frontend.expect("frontend section present");
-        assert_eq!(frontend.kind, "reactor");
         assert_eq!((frontend.conns_open, frontend.conns_peak), (1, 1));
         let ShardSnapshot {
             shard: _,

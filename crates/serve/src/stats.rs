@@ -11,7 +11,6 @@ use crate::backend::BackendKind;
 use crate::supervisor::PublicShard;
 use crate::tables::EpochTables;
 use crate::tracing::ServeTracer;
-use crate::FrontendKind;
 use memsync_trace::{Json, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
@@ -43,20 +42,22 @@ fn stages_json(reg: &MetricsRegistry) -> Option<Json> {
     any.then_some(obj)
 }
 
-/// Server-global counters the acceptors maintain (everything per-shard
+/// Server-global counters the sessions maintain (everything per-shard
 /// lives in the shard registries).
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     /// Submit batches accepted (enqueued on every target shard).
     pub accepted: AtomicU64,
-    /// Submit batches refused with `Busy` (a shard queue was full).
+    /// Submit batches answered `Busy` (deferred on a full shard queue
+    /// past `job_timeout`).
     pub busy: AtomicU64,
-    /// Submits that failed after acceptance (shard died mid-batch).
+    /// Requests that failed after acceptance (a shard died mid-batch, a
+    /// job or control op timed out, the control worker died).
     pub errors: AtomicU64,
 }
 
-/// Connection-plane counters, maintained by whichever frontend is
-/// running; rendered as the stats document's `frontend` object.
+/// Connection-plane counters, maintained by the reactor and the
+/// sessions; rendered as the stats document's `frontend` object.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
     /// Connections currently open (post-cap-check).
@@ -65,13 +66,13 @@ pub struct FrontendStats {
     pub conns_peak: AtomicU64,
     /// Connections refused over [`crate::ServeConfig::max_conns`].
     pub conn_rejects: AtomicU64,
-    /// Accept-loop pauses forced by fd or thread exhaustion.
+    /// Accept-loop pauses forced by fd exhaustion.
     pub accept_pauses: AtomicU64,
-    /// Times a frontend stopped reading a connection for backpressure
-    /// (egress high-water, an in-flight submit, or saturated shards).
+    /// Times the reactor stopped reading a connection for backpressure:
+    /// its peer kept sending past the egress high-water mark, or while a
+    /// request (an in-flight or deferred submit) was outstanding.
     pub read_pauses: AtomicU64,
-    /// Submits deferred because a target shard queue was full (reactor
-    /// only; the blocking frontend answers `Busy` instead).
+    /// Submits deferred because a target shard queue was full.
     pub deferred_submits: AtomicU64,
     /// Deferred submits currently parked (gauge; drain waits on it).
     pub deferred_now: AtomicU64,
@@ -92,9 +93,8 @@ impl FrontendStats {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn to_json(&self, kind: FrontendKind) -> Json {
+    fn to_json(&self) -> Json {
         Json::obj()
-            .with("kind", Json::Str(kind.to_string()))
             .with("conns_open", self.conns_open.load(Ordering::Relaxed).into())
             .with("conns_peak", self.conns_peak.load(Ordering::Relaxed).into())
             .with(
@@ -144,7 +144,7 @@ pub fn stats_json(
     draining: bool,
     started: Instant,
     tracer: Option<&ServeTracer>,
-    frontend: Option<(FrontendKind, &FrontendStats)>,
+    frontend: Option<&FrontendStats>,
     fib: Option<&EpochTables>,
 ) -> String {
     let mut merged = MetricsRegistry::new();
@@ -249,8 +249,8 @@ pub fn stats_json(
         }
         doc.set("fib", obj);
     }
-    if let Some((kind, f)) = frontend {
-        doc.set("frontend", f.to_json(kind));
+    if let Some(f) = frontend {
+        doc.set("frontend", f.to_json());
     }
     doc.set("per_shard", Json::Arr(per_shard));
     doc.render()
@@ -310,12 +310,12 @@ mod tests {
             false,
             Instant::now(),
             None,
-            Some((FrontendKind::Threads, &frontend)),
+            Some(&frontend),
             None,
         );
         assert!(doc.contains("\"backend\":\"sim\""), "{doc}");
         assert!(
-            doc.contains("\"frontend\":{\"kind\":\"threads\""),
+            doc.contains("\"frontend\":{\"conns_open\":1"),
             "frontend object present: {doc}"
         );
         assert_eq!(json_u64(&doc, "conns_open"), Some(1));
@@ -383,7 +383,7 @@ mod tests {
             false,
             Instant::now(),
             Some(&tracer),
-            Some((FrontendKind::Reactor, &FrontendStats::default())),
+            Some(&FrontendStats::default()),
             None,
         );
         for key in ["\"stages\"", "\"decode_ns\"", "\"execute_ns\"", "\"spans\""] {

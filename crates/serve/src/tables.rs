@@ -75,10 +75,8 @@ pub struct ControlOutcome {
 }
 
 /// The outcome path of one control op: an mpsc sender plus an optional
-/// waker, mirroring [`crate::queue::Reply`] so both frontends service
-/// control frames the way they service submits — the blocking frontend
-/// parks on the receiver, the reactor parks the connection and gets
-/// woken.
+/// waker, mirroring [`crate::queue::Reply`] so a session parks a
+/// control frame the way it parks a submit and gets woken.
 #[derive(Clone)]
 pub struct ControlReply {
     tx: Sender<ControlOutcome>,
@@ -86,7 +84,7 @@ pub struct ControlReply {
 }
 
 impl ControlReply {
-    /// A reply with no waker — for frontends that block on the receiver.
+    /// A reply with no waker — for callers that block on the receiver.
     pub fn new(tx: Sender<ControlOutcome>) -> ControlReply {
         ControlReply { tx, waker: None }
     }
@@ -100,7 +98,7 @@ impl ControlReply {
         }
     }
 
-    /// Delivers the outcome, then wakes the frontend. A hung-up receiver
+    /// Delivers the outcome, then wakes the session. A hung-up receiver
     /// (the connection went away mid-op) is not the worker's problem.
     pub fn send(&self, outcome: ControlOutcome) {
         let _ = self.tx.send(outcome);

@@ -5,7 +5,7 @@
 //! backend-execute → egress encode → socket write`. The shard thread
 //! measures the four middle stages (recorded per job into
 //! [`StageTimings`], shipped back through
-//! [`crate::queue::JobOutcome::timings`]); the connection thread measures
+//! [`crate::queue::JobOutcome::timings`]); the connection's session measures
 //! decode and write and finalizes one [`SpanRecord`] per (job, shard)
 //! after the response hits the socket. Finished spans land three places:
 //!
@@ -92,7 +92,7 @@ pub struct StageTimings {
     pub frames: u64,
 }
 
-/// A span accumulating across `handle_submit`: the resolved id plus the
+/// A span accumulating across one submit: the resolved id plus the
 /// per-shard timings collected from job outcomes. Finalized by
 /// [`ServeTracer::finish`] once the response is on the wire.
 #[derive(Debug)]
@@ -102,7 +102,7 @@ pub struct PendingSpan {
     pub span_id: u64,
     /// Whether the id came from the client.
     pub client_assigned: bool,
-    /// Request frame decode duration (connection thread).
+    /// Request frame decode duration (the session, on a reactor thread).
     pub decode_ns: u64,
     /// One entry per job the submit fanned out to.
     pub timings: Vec<StageTimings>,

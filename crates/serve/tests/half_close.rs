@@ -1,0 +1,80 @@
+//! A peer that half-closes its connection while a request is in flight
+//! must not make a reactor thread spin: the reply still arrives, and the
+//! server burns no CPU to speak of while the request waits on a slow
+//! shard.
+//!
+//! Alone in its own test binary: it measures the whole process's CPU
+//! time, which parallel tests in the same binary would inflate.
+#![cfg(target_os = "linux")]
+
+use memsync_netapp::Workload;
+use memsync_serve::{
+    frame, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
+};
+use std::io::BufReader;
+use std::net::{Shutdown, TcpStream};
+use std::time::{Duration, Instant};
+
+/// User plus system CPU time of this process, from `/proc/self/stat`
+/// (fields 14 and 15, in clock ticks of 1/100 s).
+fn process_cpu() -> Duration {
+    let stat = std::fs::read_to_string("/proc/self/stat").expect("read /proc/self/stat");
+    // Fields after the parenthesised command name start at field 3.
+    let fields: Vec<&str> = stat[stat.rfind(')').expect("comm field") + 2..]
+        .split(' ')
+        .collect();
+    let ticks: u64 =
+        fields[11].parse::<u64>().expect("utime") + fields[12].parse::<u64>().expect("stime");
+    Duration::from_millis(ticks * 10)
+}
+
+#[test]
+fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
+    let config = ServeConfig {
+        shards: 1,
+        egress: 2,
+        routes: 16,
+        shard_throttle: Some(Duration::from_millis(1500)),
+        reactor_threads: 1,
+        ..ServeConfig::default()
+    };
+    let server = Server::start("127.0.0.1:0", config).expect("bind");
+    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().expect("clone"));
+    let hello = Request::Hello {
+        min_version: PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+    };
+    frame::write_frame(&mut stream, &hello.encode()).expect("hello");
+    frame::read_frame(&mut reader)
+        .expect("hello response")
+        .expect("hello frame");
+
+    let w = Workload::generate(8, 32, 16);
+    let submit = Request::Submit {
+        packets: w.packets.clone(),
+        options: SubmitOptions::new(),
+    };
+    frame::write_frame(&mut stream, &submit.encode()).expect("submit");
+    stream.shutdown(Shutdown::Write).expect("half-close");
+    let (cpu, started) = (process_cpu(), Instant::now());
+    let reply = frame::read_frame(&mut reader)
+        .expect("read the reply")
+        .expect("a reply, not a close");
+    let (burned, waited) = (process_cpu() - cpu, started.elapsed());
+    assert!(
+        matches!(Response::decode(&reply), Ok(Response::Batch { forwarded, dropped, .. }) if (forwarded + dropped) as usize == w.packets.len()),
+        "the half-closed peer still gets its Batch"
+    );
+    assert!(
+        burned < waited / 2,
+        "the server spun while the request was in flight: {burned:?} CPU over {waited:?}"
+    );
+    assert_eq!(
+        frame::read_frame(&mut reader).expect("clean close"),
+        None,
+        "the server closes after answering"
+    );
+    server.stop();
+    server.wait();
+}

@@ -69,6 +69,9 @@ fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
         400,
         "per-shard packets add up to the total"
     );
+    let fe = snap.frontend.expect("frontend section present");
+    assert!(fe.conns_open >= 1, "this connection is counted");
+    assert!(fe.conns_peak >= fe.conns_open);
     // The raw document stays available and carries the histograms the
     // typed snapshot does not model.
     let doc = client.stats_raw().expect("raw stats");
@@ -113,20 +116,25 @@ fn per_shard_counts_are_identical_across_same_seed_runs() {
 
 #[test]
 fn backpressure_is_observable_and_lossless() {
-    // One slow shard with a 1-deep queue: concurrent submits must see Busy
-    // (counted in stats), and every accepted packet must still be served.
+    // One slow shard behind a 1-deep queue and sixteen concurrent
+    // submitters: most submits are deferred. An accepted job waits at
+    // most two 20 ms activations, well inside the 150 ms job_timeout,
+    // but a deferral queued behind seven others outlives it and is
+    // answered Busy(0). Every Busy is counted, nothing stays parked, and
+    // the clients' retries still deliver every packet.
     let config = ServeConfig {
         shards: 1,
         egress: 2,
         routes: 16,
         queue_cap: 1,
-        shard_throttle: Some(Duration::from_millis(30)),
+        shard_throttle: Some(Duration::from_millis(20)),
+        job_timeout: Duration::from_millis(150),
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
-    let w = Workload::generate(9, 120, 16);
+    let w = Workload::generate(9, 320, 16);
     let (fwd, drop) = w.reference_forward();
     let handles: Vec<_> = w
         .packets
@@ -135,29 +143,49 @@ fn backpressure_is_observable_and_lossless() {
             let chunk = chunk.to_vec();
             std::thread::spawn(move || {
                 let mut c = connect(addr);
-                c.submit(&chunk, SubmitOptions::new()).expect("submit")
+                let mut busy = 0u64;
+                loop {
+                    match c.submit_once(&chunk, SubmitOptions::new()).expect("submit") {
+                        Response::Batch {
+                            forwarded, dropped, ..
+                        } => break (forwarded, dropped, busy),
+                        Response::Busy(shard) => {
+                            assert_eq!(shard, 0, "Busy names the full shard");
+                            busy += 1;
+                            std::thread::sleep(Duration::from_millis(5));
+                        }
+                        other => panic!("unexpected submit response: {other:?}"),
+                    }
+                }
             })
         })
         .collect();
-    let mut totals = BatchResult::default();
+    let (mut forwarded, mut dropped, mut busy) = (0u32, 0u32, 0u64);
     for h in handles {
-        let r = h.join().expect("client thread");
-        totals.forwarded += r.forwarded;
-        totals.dropped += r.dropped;
-        totals.busy_retries += r.busy_retries;
+        let (f, d, b) = h.join().expect("client thread");
+        forwarded += f;
+        dropped += d;
+        busy += b;
     }
     // Lossless: every packet classified despite the contention.
-    assert_eq!(totals.forwarded as usize, fwd);
-    assert_eq!(totals.dropped as usize, drop);
+    assert_eq!(forwarded as usize, fwd);
+    assert_eq!(dropped as usize, drop);
     assert!(
-        totals.busy_retries > 0,
-        "6 concurrent submits against a 1-deep throttled queue must hit Busy"
+        busy > 0,
+        "16 submitters against a 1-deep 20 ms queue must outlive a deferral"
     );
 
     let mut client = connect(addr);
     let snap = client.stats().expect("stats");
-    assert!(snap.busy > 0, "busy counted in stats");
-    assert_eq!(snap.packets, 120, "no silent drops");
+    assert_eq!(snap.busy, busy, "every Busy answer counted in stats");
+    assert_eq!(snap.packets, 320, "no silent drops");
+    assert_eq!(snap.errors, 0, "no accepted job timed out");
+    let fe = snap.frontend.expect("frontend section");
+    assert!(
+        fe.deferred_submits >= busy,
+        "every Busy was a deferral first: {fe:?}"
+    );
+    assert_eq!(fe.deferred_now, 0, "nothing still parked after the run");
     client.shutdown().expect("shutdown");
     server.wait();
 }

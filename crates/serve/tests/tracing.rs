@@ -154,12 +154,14 @@ fn stats_stream_pushes_typed_snapshots_and_stops_cleanly() {
         .stats_stream(Duration::from_millis(20), |snap| {
             assert_eq!(snap.packets, 640, "pushes carry the typed snapshot");
             assert!(snap.spans.expect("spans section").enabled);
+            assert!(snap.frontend.expect("frontend section").conns_open >= 2);
             pushes += 1;
             pushes < 3
         })
         .expect("stats stream");
     assert_eq!(pushes, 3, "callback saw exactly the requested pushes");
     assert_eq!(last.packets, 640, "final snapshot closes the stream");
+    assert_eq!(last.backend, Some(BackendKind::Fast));
 
     // The connection is back in plain request/response mode afterwards.
     let snap = watcher.stats().expect("stats after stream");

@@ -6,11 +6,8 @@
 //! memory operation is guarded blocks until the memory organization grants
 //! it (the multi-cycle behaviour the organizations of §3.1/§3.2 introduce).
 
-use crate::cdfg::lower_thread;
 use crate::ir::{DfOp, DfThread, MemBinding, OpKind, Terminator, Value};
 use crate::schedule::{list_schedule, Constraints};
-use memsync_hic::ast::{Program, Thread};
-use memsync_hic::error::Result;
 
 /// Control transfer out of a state.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -82,26 +79,6 @@ pub struct Fsm {
 }
 
 impl Fsm {
-    /// Synthesizes a thread: lowering, scheduling, state construction.
-    ///
-    /// # Errors
-    ///
-    /// Propagates lowering failures (see [`lower_thread`]).
-    #[deprecated(
-        since = "0.1.0",
-        note = "use the `Synthesis` builder: \
-                `Synthesis::of(program).constraints(c).binding(b).thread(name).run()`"
-    )]
-    pub fn synthesize(
-        program: &Program,
-        thread: &Thread,
-        binding: &MemBinding,
-        constraints: Constraints,
-    ) -> Result<Fsm> {
-        let df = lower_thread(program, thread, binding)?;
-        Ok(Self::from_dfthread(&df, constraints))
-    }
-
     /// Builds the FSM from an already lowered thread.
     pub fn from_dfthread(df: &DfThread, constraints: Constraints) -> Fsm {
         let schedules: Vec<_> = df

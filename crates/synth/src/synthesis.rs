@@ -2,8 +2,7 @@
 //!
 //! [`Synthesis`] is the one front door to thread synthesis: it owns the
 //! whole lowering → optimize → schedule → FSM pipeline and returns both
-//! the [`Fsm`] and the middle-end's [`PassReport`]. The positional
-//! four-argument [`Fsm::synthesize`] it replaces is deprecated.
+//! the [`Fsm`] and the middle-end's [`PassReport`].
 //!
 //! ```
 //! use memsync_synth::{OptLevel, Synthesis};
@@ -234,20 +233,5 @@ mod tests {
         let program = parse("thread c() { int w, v; w = v; send w; }").unwrap();
         let r = Synthesis::of(&program).binding(binding).run().unwrap();
         assert_eq!(r.fsm.dependencies(), vec![("m".to_owned(), false)]);
-    }
-
-    #[test]
-    fn deprecated_entry_point_matches_builder() {
-        let program = parse("thread t() { int a; a = 3; send a; }").unwrap();
-        #[allow(deprecated)]
-        let old = Fsm::synthesize(
-            &program,
-            &program.threads[0],
-            &MemBinding::new(),
-            Constraints::default(),
-        )
-        .unwrap();
-        let new = Synthesis::of(&program).run().unwrap().fsm;
-        assert_eq!(old, new);
     }
 }
