@@ -60,24 +60,17 @@ fn bench_path(args: &[String]) -> String {
         .unwrap_or_else(|| format!("{}/../../BENCH_sim.json", env!("CARGO_MANIFEST_DIR")))
 }
 
-/// Extracts the integer following `"key":` from a flat JSON document.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let path = bench_path(&args);
 
     if args.iter().any(|a| a == "--check") {
-        let doc = std::fs::read_to_string(&path).expect("BENCH_sim.json present at repo root");
-        let recorded = json_u64(&doc, "cycles_per_sec").expect("cycles_per_sec recorded");
+        let text = std::fs::read_to_string(&path).expect("BENCH_sim.json present at repo root");
+        let recorded = Json::parse(&text)
+            .expect("BENCH_sim.json is JSON")
+            .get("cycles_per_sec")
+            .and_then(Json::as_u64)
+            .expect("cycles_per_sec recorded");
         let current = measure(100_000, 10_000, 2);
         let floor = recorded as f64 / 3.0;
         println!(

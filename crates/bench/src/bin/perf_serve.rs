@@ -20,9 +20,7 @@
 //! overhead; the recorded overhead is additionally clamped at 0.
 //!
 //! Beyond the end-to-end rates, the batch kernels themselves are timed
-//! in isolation — `FastBackend` driven submit/drain with no TCP — in
-//! both batch (structure-of-arrays) and scalar (descriptor-at-a-time
-//! baseline) modes; `batch_over_scalar` records the speedup.
+//! in isolation — `FastBackend` driven submit/drain with no TCP.
 //!
 //! High fan-in is measured separately: a 5000-connection fan-in
 //! (`reactor5k_*` — 5000 live connections each pipelining one 200-packet
@@ -369,19 +367,14 @@ fn measure_swap_latency(pairs: usize) -> (u64, u64) {
 }
 
 /// Raw kernel rate: descriptors/sec through a [`FastBackend`] submit →
-/// drain loop with no service path around it. `scalar: true` measures
-/// the descriptor-at-a-time baseline the batch kernels replaced.
-fn measure_backend_rate(scalar: bool, window: Duration) -> f64 {
+/// drain loop with no service path around it.
+fn measure_backend_rate(window: Duration) -> f64 {
     let descriptors: Vec<u32> = Workload::generate(0xFA57, BATCH, ROUTES)
         .packets
         .iter()
         .map(|p| p.descriptor())
         .collect();
-    let mut backend = if scalar {
-        FastBackend::scalar(EGRESS)
-    } else {
-        FastBackend::new(EGRESS)
-    };
+    let mut backend = FastBackend::new(EGRESS);
     for _ in 0..16 {
         backend.submit_batch(&descriptors);
         let _ = backend.drain_egress();
@@ -409,35 +402,26 @@ fn bench_path(args: &[String]) -> String {
         .unwrap_or_else(|| format!("{}/../../BENCH_serve.json", env!("CARGO_MANIFEST_DIR")))
 }
 
-/// Extracts the integer following `"key":` from a flat JSON document.
-fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
-}
-
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let path = bench_path(&args);
 
     if args.iter().any(|a| a == "--check") {
-        let doc = std::fs::read_to_string(&path).expect("BENCH_serve.json present at repo root");
-        let recorded = json_u64(&doc, "sim_packets_per_sec").expect("sim_packets_per_sec recorded");
-        let recorded_fast = json_u64(&doc, "fast_packets_per_sec").unwrap_or(0);
-        let recorded_5k = json_u64(&doc, "reactor5k_packets_per_sec");
+        let text = std::fs::read_to_string(&path).expect("BENCH_serve.json present at repo root");
+        let doc = Json::parse(&text).expect("BENCH_serve.json is JSON");
+        let field = |key: &str| doc.get(key).and_then(Json::as_u64);
+        let recorded = field("sim_packets_per_sec").expect("sim_packets_per_sec recorded");
+        let recorded_fast = field("fast_packets_per_sec").unwrap_or(0);
+        let recorded_5k = field("reactor5k_packets_per_sec");
         let (sim, sim_opt) = measure_sim_pair(8, 2);
         // The fast backend finishes a jobs=8 rep in tens of milliseconds,
         // where connect/warmup costs dominate and understate the rate —
         // give it enough jobs for the steady state to show.
         let (fast, traced) = measure_traced_pair(24, 2);
         let reactor5k = measure_reactor_fanin(5_000, 200, 1);
-        let batch = measure_backend_rate(false, Duration::from_millis(200));
+        let batch = measure_backend_rate(Duration::from_millis(200));
         let (swap_p50, swap_p99) = measure_swap_latency(10);
-        let recorded_swap = json_u64(&doc, "swap_latency_p99_us");
+        let recorded_swap = field("swap_latency_p99_us");
         let floor = recorded as f64 / 3.0;
         println!(
             "serve perf check: sim {sim:.0} pkts/sec (recorded {recorded}, floor {floor:.0}), \
@@ -543,12 +527,8 @@ fn main() {
     println!("  fast backend: {traced:.0} packets/sec (tracing on, {overhead_pct:.1}% overhead)");
     let reactor5k = measure_reactor_fanin(5_000, 200, 2);
     println!("  fast backend: {reactor5k:.0} packets/sec (5000-conn verify fan-in)");
-    let batch = measure_backend_rate(false, Duration::from_millis(500));
-    let scalar = measure_backend_rate(true, Duration::from_millis(500));
-    println!(
-        "  batch kernels: {batch:.0} packets/sec raw ({:.1}x the scalar loop's {scalar:.0})",
-        batch / scalar
-    );
+    let batch = measure_backend_rate(Duration::from_millis(500));
+    println!("  batch kernels: {batch:.0} packets/sec raw");
     let (swap_p50, swap_p99) = measure_swap_latency(50);
     println!(
         "  control plane: table swap p50 {swap_p50}µs p99 {swap_p99}µs \
@@ -602,17 +582,8 @@ fn main() {
             "reactor5k_packets_per_sec",
             (reactor5k.round() as u64).into(),
         )
-        // Raw kernel rates: the batch fast path with no service around
-        // it, and the scalar descriptor-at-a-time baseline it replaced.
+        // Raw kernel rate: the batch fast path with no service around it.
         .with("fast_batch_packets_per_sec", (batch.round() as u64).into())
-        .with(
-            "fast_scalar_packets_per_sec",
-            (scalar.round() as u64).into(),
-        )
-        .with(
-            "batch_over_scalar",
-            ((batch / scalar * 10.0).round() / 10.0).into(),
-        )
         // Control-plane swap latency: the server's own dequeue-to-barrier
         // measurement over 50 sequential add/withdraw pairs with two
         // closed-loop connections keeping the drain barrier contended.

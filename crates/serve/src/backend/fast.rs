@@ -14,11 +14,6 @@
 //! backend is paced *by construction* and `lost_updates()` is
 //! structurally 0.
 //!
-//! [`FastBackend::scalar`] keeps the old descriptor-at-a-time loop
-//! (scalar `carrier()`/`scramble()` per packet) selectable as the
-//! measurable baseline the `batch_over_scalar` benchmark field compares
-//! against; both modes are byte-identical by the pipeline pin tests.
-//!
 //! [`PipelineModel::carrier_batch`]: crate::pipeline::PipelineModel::carrier_batch
 //! [`PipelineModel::scramble_batch`]: crate::pipeline::PipelineModel::scramble_batch
 
@@ -37,9 +32,6 @@ pub struct FastBackend {
     carriers: Vec<u32>,
     /// Set by `drain_egress`; the next submit clears the consumed lanes.
     drained: bool,
-    /// Run the descriptor-at-a-time scalar loop instead of the batch
-    /// kernels (benchmark baseline).
-    scalar: bool,
     descriptors: u64,
     frames: u64,
 }
@@ -52,19 +44,8 @@ impl FastBackend {
             lanes: vec![Vec::new(); egress],
             carriers: Vec::new(),
             drained: false,
-            scalar: false,
             descriptors: 0,
             frames: 0,
-        }
-    }
-
-    /// The same engine forced onto the scalar per-descriptor path — the
-    /// baseline the batch kernels are benchmarked against
-    /// (`batch_over_scalar` in `BENCH_serve.json`).
-    pub fn scalar(egress: usize) -> FastBackend {
-        FastBackend {
-            scalar: true,
-            ..FastBackend::new(egress)
         }
     }
 
@@ -87,28 +68,17 @@ impl ForwardingBackend for FastBackend {
     fn submit_batch(&mut self, descriptors: &[u32]) {
         self.recycle();
         let n = descriptors.len();
-        if self.scalar {
-            // Descriptor-outer baseline: carrier once per packet, scalar
-            // scramble per consumer.
-            for &d in descriptors {
-                let carrier = self.model.carrier(d);
-                for (i, lane) in self.lanes.iter_mut().enumerate() {
-                    lane.push(self.model.scramble(carrier, i));
-                }
-            }
-        } else {
-            // Structure-of-arrays: one branch-free pass fills the carrier
-            // scratch, then one pass per egress consumer writes frames in
-            // place into that consumer's lane.
-            self.carriers.clear();
-            self.carriers.resize(n, 0);
-            self.model.carrier_batch(descriptors, &mut self.carriers);
-            for (i, lane) in self.lanes.iter_mut().enumerate() {
-                let start = lane.len();
-                lane.resize(start + n, 0);
-                self.model
-                    .scramble_batch(&self.carriers, i, &mut lane[start..]);
-            }
+        // Structure-of-arrays: one branch-free pass fills the carrier
+        // scratch, then one pass per egress consumer writes frames in
+        // place into that consumer's lane.
+        self.carriers.clear();
+        self.carriers.resize(n, 0);
+        self.model.carrier_batch(descriptors, &mut self.carriers);
+        for (i, lane) in self.lanes.iter_mut().enumerate() {
+            let start = lane.len();
+            lane.resize(start + n, 0);
+            self.model
+                .scramble_batch(&self.carriers, i, &mut lane[start..]);
         }
         self.descriptors += n as u64;
         // Every descriptor filled one slot per egress lane.
@@ -159,20 +129,6 @@ mod tests {
         // batch.
         b.submit_batch(&descs[..2]);
         assert_eq!(b.drain_egress()[0].len(), 2);
-    }
-
-    #[test]
-    fn scalar_mode_is_byte_identical_to_batch_mode() {
-        let w = Workload::generate(77, 200, 16);
-        let descs: Vec<u32> = w.packets.iter().map(|p| p.descriptor()).collect();
-        let mut batch = FastBackend::new(4);
-        let mut scalar = FastBackend::scalar(4);
-        for chunk in descs.chunks(48) {
-            batch.submit_batch(chunk);
-            scalar.submit_batch(chunk);
-        }
-        assert_eq!(batch.metrics(), scalar.metrics());
-        assert_eq!(batch.drain_egress(), scalar.drain_egress());
     }
 
     #[test]

@@ -12,7 +12,7 @@
 //! p50–p99, lost-update and restart counters. On a terminal each frame
 //! redraws in place; piped output prints one block per push. `--frames N`
 //! stops after N pushes (0 = run until the stream ends); `--raw` prints
-//! the raw JSON stats documents instead of rendering.
+//! each decoded stats snapshot as its JSON document instead of rendering.
 //!
 //! Replay mode reads a `serve --trace-spans` JSONL file and reconstructs
 //! the run offline: per-stage percentiles over every span plus a
@@ -246,15 +246,16 @@ fn render(snap: &StatsSnapshot, prev: Option<&(StatsSnapshot, Instant)>, clear: 
 fn live(addr: &str, interval: Duration, frames: u64, raw: bool) {
     let mut client = Client::connect(addr).expect("connect to serve");
     if raw {
-        // Raw mode polls the plain stats frame: one JSON document per
-        // interval, no rendering — good for log pipelines. A closed pipe
-        // (e.g. `| head`) ends the loop instead of panicking.
+        // Raw mode polls the plain stats frame and prints the snapshot's
+        // document, one per interval, no rendering — good for log
+        // pipelines. A closed pipe (e.g. `| head`) ends the loop instead
+        // of panicking.
         use std::io::Write;
         let mut n = 0u64;
         let stdout = std::io::stdout();
         loop {
-            let doc = client.stats_raw().expect("stats frame");
-            if writeln!(stdout.lock(), "{doc}").is_err() {
+            let snap = client.stats().expect("stats frame");
+            if writeln!(stdout.lock(), "{}", snap.to_json().render()).is_err() {
                 return;
             }
             n += 1;

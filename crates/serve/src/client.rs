@@ -402,8 +402,12 @@ impl Client {
     /// I/O failures, a non-stats response, or a stats document that does
     /// not decode (both map to [`ClientError::Protocol`]).
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
-        let doc = self.stats_raw()?;
-        StatsSnapshot::decode(&doc).map_err(|e| ClientError::Protocol(e.to_string()))
+        match self.roundtrip(&Request::Stats)? {
+            Response::Stats(doc) => decode_stats(&doc),
+            other => Err(ClientError::Protocol(format!(
+                "unexpected response to stats: {other:?}"
+            ))),
+        }
     }
 
     /// Subscribes to the live stats stream: the server pushes a snapshot
@@ -449,17 +453,12 @@ impl Client {
                     if stopping {
                         continue; // a push that was already in flight
                     }
-                    let snap = StatsSnapshot::decode(&doc)
-                        .map_err(|e| ClientError::Protocol(e.to_string()))?;
-                    if !on_push(snap) {
+                    if !on_push(decode_stats(&doc)?) {
                         write_frame(&mut self.writer, &Request::Stats.encode())?;
                         stopping = true;
                     }
                 }
-                Response::Stats(doc) if stopping => {
-                    return StatsSnapshot::decode(&doc)
-                        .map_err(|e| ClientError::Protocol(e.to_string()));
-                }
+                Response::Stats(doc) if stopping => return decode_stats(&doc),
                 Response::Error(e) => return Err(ClientError::Server(e)),
                 other => {
                     return Err(ClientError::Protocol(format!(
@@ -467,21 +466,6 @@ impl Client {
                     )))
                 }
             }
-        }
-    }
-
-    /// Fetches the raw stats JSON document (for humans and log files;
-    /// typed callers want [`Client::stats`]).
-    ///
-    /// # Errors
-    ///
-    /// I/O failures or a non-stats response.
-    pub fn stats_raw(&mut self) -> Result<String, ClientError> {
-        match self.roundtrip(&Request::Stats)? {
-            Response::Stats(doc) => Ok(doc),
-            other => Err(ClientError::Protocol(format!(
-                "unexpected response to stats: {other:?}"
-            ))),
         }
     }
 
@@ -602,6 +586,13 @@ impl Client {
             ))),
         }
     }
+}
+
+/// A stats document as the typed snapshot; one that does not decode is a
+/// protocol error.
+fn decode_stats(doc: &str) -> Result<StatsSnapshot, ClientError> {
+    doc.parse::<StatsSnapshot>()
+        .map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]

@@ -47,11 +47,14 @@
 //! * [`reactor`] — the transport: epoll (`poll(2)` off Linux) event
 //!   loops doing the socket I/O, backpressure and deadlines around each
 //!   connection's session. Serving is unix-only;
-//! * [`stats`] — per-shard [`memsync_trace::MetricsRegistry`] instances
-//!   merged into one stats frame (throughput, queue-depth high-water,
-//!   batch-size histogram, p50/p99 service latency);
-//! * [`snapshot`] — the typed [`snapshot::StatsSnapshot`] decode of the
-//!   stats frame (a dependency-free JSON parser);
+//! * [`snapshot`] — [`snapshot::StatsSnapshot`], the stats frame's one
+//!   schema: each section type carries the one `to_json`/`from_json`
+//!   pair (over the dependency-free [`memsync_trace::Json`]) that the
+//!   server renders with and the client decodes with;
+//! * [`stats`] — the live sources that fill the snapshot: per-shard
+//!   [`memsync_trace::MetricsRegistry`] instances with bucketed
+//!   histograms (O(1) memory), merged into the totals next to each
+//!   shard's own section, plus the server and connection-plane counters;
 //! * [`tracing`] — request-scoped spans: per-stage timings from decode to
 //!   socket write, sampled span rings, live stage histograms, and JSONL
 //!   span export (`serve --trace-spans`); zero-cost when disabled;

@@ -32,7 +32,6 @@ use crate::frame::{
 use crate::queue::{JobOutcome, Reply, ReplyWaker};
 use crate::router::ShardSplitter;
 use crate::server::Shared;
-use crate::stats::stats_json;
 use crate::tables::{ControlOp, ControlOutcome, ControlReply};
 use crate::tracing::PendingSpan;
 use memsync_netapp::Ipv4Packet;
@@ -525,17 +524,7 @@ fn server_hello(shared: &Shared, version: u16) -> ServerHello {
 
 /// The stats document (the Stats response and every StatsPush).
 fn render_stats(shared: &Shared) -> String {
-    stats_json(
-        shared.supervisor.shards(),
-        &shared.counters,
-        shared.config.backend,
-        shared.supervisor.restarts(),
-        shared.draining.load(Ordering::Acquire),
-        shared.started,
-        Some(&shared.tracer),
-        Some(&shared.frontend),
-        Some(&shared.control.tables),
-    )
+    crate::stats::snapshot(shared).to_json().render()
 }
 
 #[cfg(test)]

@@ -69,80 +69,6 @@ impl ShardTables {
     }
 }
 
-/// A direct-mapped route-resolution cache in front of the [`Dir24_8`]
-/// classifier.
-///
-/// Flow routing sends every packet of a dst prefix to the same shard, so
-/// a shard's batches are dominated by repeat destinations; caching the
-/// "does this dst resolve?" verdict turns even the flat-table probe into
-/// a single array access. Classification stays exactly
-/// [`crate::pipeline::oracle_forwards`]: forward = TTL survives the
-/// decrement AND the dst resolves — the TTL decrement never changes the
-/// dst, so the resolution verdict is a pure function of the address, and
-/// `Dir24_8` agrees with the trie by the differential property test
-/// (pinned end to end by `classifier_agrees_with_the_oracle` below).
-///
-/// The cache is tagged with the table **generation** it was filled
-/// against: cached verdicts are pure functions of the address *for one
-/// table*, so once tables can swap underneath the shard, a withdrawn
-/// route's stale verdict must not survive. [`RouteCache::sync`] flushes
-/// every slot when the tag mismatches (pinned by
-/// `route_cache_flushes_when_the_generation_moves` below).
-struct RouteCache {
-    /// The table generation the cached verdicts were computed against.
-    generation: u64,
-    /// `dst << 1 | resolves`, or `u64::MAX` for an empty slot.
-    slots: Vec<u64>,
-}
-
-impl RouteCache {
-    const SLOTS: usize = 1024;
-
-    fn new(generation: u64) -> Self {
-        RouteCache {
-            generation,
-            slots: vec![u64::MAX; Self::SLOTS],
-        }
-    }
-
-    /// Re-tags the cache for `generation`, flushing every slot on a
-    /// mismatch. A no-op at steady state (same generation).
-    fn sync(&mut self, generation: u64) {
-        if self.generation != generation {
-            self.slots.fill(u64::MAX);
-            self.generation = generation;
-        }
-    }
-
-    /// Whether the oracle data path forwards this packet under `dir`
-    /// (which must belong to the generation the cache is synced to).
-    fn forwards(&mut self, dir: &Dir24_8, p: &Ipv4Packet) -> bool {
-        if p.ttl <= 1 {
-            return false;
-        }
-        let idx = (p.dst.wrapping_mul(0x9e37_79b9) >> 22) as usize;
-        let tag = u64::from(p.dst) << 1;
-        let slot = self.slots[idx];
-        if slot >> 1 == tag >> 1 && slot != u64::MAX {
-            return slot & 1 == 1;
-        }
-        let resolves = dir.lookup(p.dst).is_some();
-        self.slots[idx] = tag | u64::from(resolves);
-        resolves
-    }
-
-    /// Classifies a whole job's packets: `(forwarded, dropped)` counts.
-    /// One tight loop per job keeps classification on the batched path
-    /// next to the vectorized execute/egress stages.
-    fn classify_batch(&mut self, dir: &Dir24_8, packets: &[Ipv4Packet]) -> (u32, u32) {
-        let mut forwarded = 0u32;
-        for p in packets {
-            forwarded += u32::from(self.forwards(dir, p));
-        }
-        (forwarded, packets.len() as u32 - forwarded)
-    }
-}
-
 /// Reusable per-activation scratch: the concatenated descriptor batch and
 /// the per-job outcomes. Lives across activations so the steady-state
 /// batch path performs no allocation.
@@ -181,6 +107,19 @@ pub struct ShardCtx {
     pub config: ServeConfig,
 }
 
+/// Classifies a job's packets the way [`crate::pipeline::oracle_forwards`]
+/// does, against the flat table: a packet forwards when its TTL survives
+/// the decrement and its dst resolves. Returns `(forwarded, dropped)`.
+/// `Dir24_8` agrees with the trie by the differential property test;
+/// `classifier_agrees_with_the_oracle` below pins the two end to end.
+fn classify(dir: &Dir24_8, packets: &[Ipv4Packet]) -> (u32, u32) {
+    let forwarded = packets
+        .iter()
+        .filter(|p| p.ttl > 1 && dir.lookup(p.dst).is_some())
+        .count() as u32;
+    (forwarded, packets.len() as u32 - forwarded)
+}
+
 /// Processes one coalesced batch: execute, classify, verify, reply.
 ///
 /// `picked_at` is the instant the activation popped its first job —
@@ -192,7 +131,6 @@ fn process_batch(
     backend: &mut dyn ForwardingBackend,
     model: &PipelineModel,
     tables: &ShardTables,
-    classifier: &mut RouteCache,
     jobs: &mut Vec<Job>,
     scratch: &mut BatchScratch,
     shard_id: usize,
@@ -237,7 +175,7 @@ fn process_batch(
         }
         let mut offset = 0usize;
         for job in jobs.iter() {
-            let (forwarded, dropped) = classifier.classify_batch(&tables.dir, &job.packets);
+            let (forwarded, dropped) = classify(&tables.dir, &job.packets);
             let mut out = JobOutcome {
                 forwarded,
                 dropped,
@@ -297,9 +235,9 @@ fn process_batch(
         reg.add("serve.lost_updates", lost_updates);
         reg.add("serve.sim_cycles", sim_cycles);
         reg.inc("serve.batches");
-        reg.record("serve.batch_size", n as u64);
+        reg.record_bucket("serve.batch_size", n as u64);
         for job in jobs.iter() {
-            reg.record(
+            reg.record_bucket(
                 "serve.service_latency_us",
                 job.enqueued.elapsed().as_micros() as u64,
             );
@@ -335,7 +273,6 @@ pub fn run(ctx: &ShardCtx) {
     let mut backend = backend::build(&ctx.config);
     let model = PipelineModel::new();
     let (mut generation, mut tables) = ctx.tables.current();
-    let mut classifier = RouteCache::new(generation);
     // Acknowledge the generation this incarnation booted on: a shard
     // restarted mid-swap syncs here, so the control worker's drain
     // barrier never waits on a dead incarnation.
@@ -345,15 +282,14 @@ pub fn run(ctx: &ShardCtx) {
     while !ctx.stop.load(Ordering::Acquire) {
         // Table-swap check: one atomic load per iteration. When the
         // control worker publishes a new generation, re-clone the table
-        // Arc, flush the route cache, and acknowledge — after the store
-        // this shard provably never reads an older generation again,
-        // which is exactly what retirement needs. No lock is taken
-        // unless the counter actually moved.
+        // Arc and acknowledge — after the store this shard provably never
+        // reads an older generation again, which is exactly what
+        // retirement needs. No lock is taken unless the counter actually
+        // moved.
         if ctx.tables.generation() != generation {
             let (fresh_gen, fresh) = ctx.tables.current();
             generation = fresh_gen;
             tables = fresh;
-            classifier.sync(generation);
             ctx.gen_seen.store(generation, Ordering::Release);
         }
         // The busy pop clears the idle flag under the queue lock, so a
@@ -397,7 +333,6 @@ pub fn run(ctx: &ShardCtx) {
             backend.as_mut(),
             &model,
             &tables,
-            &mut classifier,
             &mut jobs,
             &mut scratch,
             ctx.id,
@@ -435,6 +370,45 @@ mod tests {
         }
     }
 
+    fn fast_config() -> ServeConfig {
+        ServeConfig {
+            egress: 2,
+            routes: 16,
+            backend: BackendKind::Fast,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// One manual activation of a single job carrying `packets`, instead
+    /// of the full thread loop; returns the job's outcome.
+    fn activate(
+        ctx: &ShardCtx,
+        backend: &mut dyn ForwardingBackend,
+        packets: &[Ipv4Packet],
+        options: SubmitOptions,
+        shard_id: usize,
+        picked_at: Option<Instant>,
+    ) -> JobOutcome {
+        let (tx, rx) = channel();
+        let (_, tables) = ctx.tables.current();
+        process_batch(
+            backend,
+            &PipelineModel::new(),
+            &tables,
+            &mut vec![Job {
+                packets: packets.to_vec(),
+                options,
+                reply: Reply::new(tx),
+                enqueued: Instant::now(),
+            }],
+            &mut BatchScratch::default(),
+            shard_id,
+            &ctx.stats,
+            picked_at,
+        );
+        rx.recv().expect("the activation answers its job")
+    }
+
     #[test]
     fn shard_processes_a_batch_matching_the_oracle_on_every_backend() {
         for kind in [
@@ -443,41 +417,15 @@ mod tests {
             BackendKind::Differential,
         ] {
             let config = ServeConfig {
-                egress: 2,
-                routes: 16,
                 backend: kind,
-                ..ServeConfig::default()
+                ..fast_config()
             };
             let ctx = ctx(config.clone());
             let w = Workload::generate(77, 40, config.routes);
             let (fwd, drop) = w.reference_forward();
-            let (tx, rx) = channel();
-            ctx.queue
-                .try_push(Job {
-                    packets: w.packets.clone(),
-                    options: SubmitOptions::new().verify(true),
-                    reply: Reply::new(tx),
-                    enqueued: Instant::now(),
-                })
-                .unwrap();
-            // One manual activation instead of the full thread loop.
             let mut backend = backend::build(&ctx.config);
-            let model = PipelineModel::new();
-            let (generation, tables) = ctx.tables.current();
-            let mut classifier = RouteCache::new(generation);
-            let job = ctx.queue.try_pop().unwrap();
-            process_batch(
-                backend.as_mut(),
-                &model,
-                &tables,
-                &mut classifier,
-                &mut vec![job],
-                &mut BatchScratch::default(),
-                0,
-                &ctx.stats,
-                None,
-            );
-            let out = rx.recv().unwrap();
+            let verify = SubmitOptions::new().verify(true);
+            let out = activate(&ctx, backend.as_mut(), &w.packets, verify, 0, None);
             assert_eq!(out.timings, None, "{kind}: tracing off, no timings");
             assert_eq!(out.forwarded as usize, fwd, "{kind}");
             assert_eq!(out.dropped as usize, drop, "{kind}");
@@ -490,18 +438,20 @@ mod tests {
                 0,
                 "{kind}: a conforming backend never overwrites an unconsumed value"
             );
-            assert_eq!(reg.histogram("serve.batch_size").unwrap().samples(), &[40]);
+            let sizes = reg.bucket_histogram("serve.batch_size").unwrap();
+            assert_eq!(
+                (sizes.count(), sizes.min(), sizes.max()),
+                (1, Some(40), Some(40))
+            );
             if kind == BackendKind::Fast {
                 assert_eq!(reg.counter("serve.sim_cycles"), 0, "no simulator ran");
             } else {
                 assert!(reg.counter("serve.sim_cycles") > 0);
             }
             assert_eq!(
-                reg.histogram("serve.service_latency_us")
+                reg.bucket_histogram("serve.service_latency_us")
                     .unwrap()
-                    .summary()
-                    .unwrap()
-                    .count,
+                    .count(),
                 1
             );
         }
@@ -509,37 +459,18 @@ mod tests {
 
     #[test]
     fn traced_batch_attaches_timings_and_stage_histograms() {
-        let config = ServeConfig {
-            egress: 2,
-            routes: 16,
-            backend: BackendKind::Fast,
-            ..ServeConfig::default()
-        };
-        let ctx = ctx(config.clone());
-        let w = Workload::generate(9, 24, config.routes);
+        let ctx = ctx(fast_config());
+        let w = Workload::generate(9, 24, ctx.config.routes);
         let mut backend = backend::build(&ctx.config);
-        let model = PipelineModel::new();
-        let (generation, tables) = ctx.tables.current();
-        let mut classifier = RouteCache::new(generation);
-        let (tx, rx) = channel();
-        let enqueued = Instant::now();
-        process_batch(
+        let picked_at = Some(Instant::now());
+        let out = activate(
+            &ctx,
             backend.as_mut(),
-            &model,
-            &tables,
-            &mut classifier,
-            &mut vec![Job {
-                packets: w.packets.clone(),
-                options: SubmitOptions::new(),
-                reply: Reply::new(tx),
-                enqueued,
-            }],
-            &mut BatchScratch::default(),
+            &w.packets,
+            SubmitOptions::new(),
             3,
-            &ctx.stats,
-            Some(Instant::now()),
+            picked_at,
         );
-        let out = rx.recv().unwrap();
         let t = out.timings.expect("tracing on attaches timings");
         assert_eq!(t.shard, 3);
         assert_eq!(t.packets, 24);
@@ -567,105 +498,80 @@ mod tests {
     }
 
     #[test]
+    fn shard_stats_stay_bucketed_over_many_activations() {
+        // A long-lived shard keeps O(1) stats: every histogram is a
+        // bucketed one, however many activations it served.
+        let ctx = ctx(fast_config());
+        let w = Workload::generate(5, 8, ctx.config.routes);
+        let mut backend = backend::build(&ctx.config);
+        const N: u64 = 200;
+        for _ in 0..N {
+            activate(
+                &ctx,
+                backend.as_mut(),
+                &w.packets,
+                SubmitOptions::new(),
+                0,
+                None,
+            );
+        }
+        let reg = ctx.stats.lock().unwrap();
+        assert_eq!(
+            reg.to_json().get("histograms"),
+            Some(&memsync_trace::Json::obj()),
+            "no raw-sample histogram"
+        );
+        let sizes = reg.bucket_histogram("serve.batch_size").unwrap();
+        assert_eq!((sizes.count(), sizes.max()), (N, Some(8)));
+        let latency = reg.bucket_histogram("serve.service_latency_us").unwrap();
+        assert_eq!(latency.count(), N, "one job per activation");
+    }
+
+    #[test]
     fn classifier_agrees_with_the_oracle() {
-        // The cached classifier — now probing the flat Dir24_8 table —
-        // must give the verdict oracle_forwards gives against the trie,
-        // including on repeat destinations (cache hits), TTL-dead packets
-        // sharing a dst with live ones, and colliding slots.
+        // The flat-table classifier must give the verdict oracle_forwards
+        // gives against the trie, TTL-dead packets sharing a dst with
+        // live ones included.
         let tables = ShardTables::build(64);
-        let mut cache = RouteCache::new(1);
         let mut w = Workload::generate(31, 500, 64);
         w.packets[5].ttl = 1;
         w.packets[6].ttl = 0;
         let mut dead_dup = w.packets[0];
         dead_dup.ttl = 1;
         w.packets.push(dead_dup);
-        // Two passes so the second is all cache hits.
-        for _ in 0..2 {
-            for p in &w.packets {
-                assert_eq!(
-                    cache.forwards(&tables.dir, p),
-                    crate::pipeline::oracle_forwards(p, &tables.fib),
-                    "classifier diverged from the oracle for {p:?}"
-                );
-            }
+        for p in &w.packets {
+            let forwards = crate::pipeline::oracle_forwards(p, &tables.fib);
+            assert_eq!(
+                classify(&tables.dir, std::slice::from_ref(p)),
+                (u32::from(forwards), u32::from(!forwards)),
+                "classifier diverged from the oracle for {p:?}"
+            );
         }
-        // classify_batch is just the loop above, batched.
         let want = w
             .packets
             .iter()
             .filter(|p| crate::pipeline::oracle_forwards(p, &tables.fib))
             .count() as u32;
-        let (forwarded, dropped) = cache.classify_batch(&tables.dir, &w.packets);
-        assert_eq!(forwarded, want);
-        assert_eq!(dropped, w.packets.len() as u32 - want);
-    }
-
-    #[test]
-    fn route_cache_flushes_when_the_generation_moves() {
-        // The stale-cache bug the generation tag fixes: withdraw a route
-        // after the cache has a positive verdict for a dst under it, swap
-        // tables, and the next lookup must say "no route" — not serve the
-        // withdrawn hop out of the direct-mapped cache.
-        use crate::tables::{ControlOp, EpochTables};
-        let epoch = EpochTables::new(ShardTables::from_routes(&[Route {
-            prefix: 0x0a00_0000,
-            len: 8,
-            next_hop: 3,
-        }]));
-        let (generation, tables) = epoch.current();
-        let mut cache = RouteCache::new(generation);
-        let p = Ipv4Packet::new(1, 0x0a00_0001, 10, 6, 40);
-        assert!(cache.forwards(&tables.dir, &p), "route present, cached");
-        let r = epoch.mutate(&[ControlOp::Withdraw(vec![(0x0a00_0000, 8)])]);
-        let (new_gen, new_tables) = epoch.current();
-        assert_eq!(new_gen, r.generation);
-        // Without the sync, the stale slot would still answer "resolves"
-        // — which is exactly what the old un-tagged cache did.
-        cache.sync(new_gen);
-        assert!(
-            !cache.forwards(&new_tables.dir, &p),
-            "withdrawn route must not survive in the cache"
+        assert_eq!(
+            classify(&tables.dir, &w.packets),
+            (want, w.packets.len() as u32 - want)
         );
-        // Same-generation sync is a no-op: the verdict stays cached.
-        cache.sync(new_gen);
-        assert!(!cache.forwards(&new_tables.dir, &p));
     }
 
     #[test]
     fn per_shard_counts_are_seed_deterministic() {
         // Same packets, two fresh shards: byte-identical counters.
         let config = ServeConfig {
-            egress: 2,
-            routes: 16,
-            ..ServeConfig::default()
+            backend: BackendKind::Sim,
+            ..fast_config()
         };
         let w = Workload::generate(123, 64, config.routes);
         let mut counts = Vec::new();
         for _ in 0..2 {
             let ctx = ctx(config.clone());
             let mut backend = backend::build(&ctx.config);
-            let model = PipelineModel::new();
-            let (generation, tables) = ctx.tables.current();
-            let mut classifier = RouteCache::new(generation);
-            let (tx, rx) = channel();
-            process_batch(
-                backend.as_mut(),
-                &model,
-                &tables,
-                &mut classifier,
-                &mut vec![Job {
-                    packets: w.packets.clone(),
-                    options: SubmitOptions::new().verify(true),
-                    reply: Reply::new(tx),
-                    enqueued: Instant::now(),
-                }],
-                &mut BatchScratch::default(),
-                0,
-                &ctx.stats,
-                None,
-            );
-            let out = rx.recv().unwrap();
+            let verify = SubmitOptions::new().verify(true);
+            let out = activate(&ctx, backend.as_mut(), &w.packets, verify, 0, None);
             let reg = ctx.stats.lock().unwrap();
             counts.push((
                 out,

@@ -1,24 +1,25 @@
-//! The stats frame: per-shard registries merged into one JSON document.
+//! The live side of the stats frame: every source fills its own section
+//! of the [`StatsSnapshot`] schema.
 //!
 //! Each shard records into its own [`MetricsRegistry`] (no cross-shard
-//! lock traffic on the hot path); a stats request snapshots every shard,
-//! merges them with [`MetricsRegistry::merge`], and renders one document:
-//! service totals, throughput, backpressure counters, queue-depth
-//! high-water marks, the batch-size histogram, and p50/p99 service
-//! latency.
+//! lock traffic on the hot path), histograms included as fixed-footprint
+//! [`memsync_trace::BucketHistogram`]s, so a shard's stats stay O(1) in
+//! memory however long the server runs. A stats request folds every
+//! shard's registry into one for the top-level totals and histograms,
+//! next to each shard's own section; the session renders the result.
 
-use crate::backend::BackendKind;
+use crate::server::Shared;
+use crate::snapshot::{FrontendSnapshot, ShardSnapshot, StageSummarySnapshot, StatsSnapshot};
 use crate::supervisor::PublicShard;
-use crate::tables::EpochTables;
 use crate::tracing::ServeTracer;
-use memsync_trace::{Json, MetricsRegistry};
+use memsync_trace::{BucketHistogram, BucketSummary, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::PoisonError;
-use std::time::Instant;
 
-/// The traced stages rendered into a registry's `stages` object, in
-/// pipeline order. The four shard stages live in the shard registries;
-/// decode/write come from the tracer's frontend registry.
+/// The traced stages of a `stages` section and the registry histograms
+/// they summarize, in pipeline order. The four shard stages live in the
+/// shard registries; decode/write come from the tracer's frontend
+/// registry.
 pub const STAGE_METRICS: [(&str, &str); 6] = [
     ("decode_ns", "serve.stage.decode_ns"),
     ("queue_ns", "serve.stage.queue_ns"),
@@ -27,20 +28,6 @@ pub const STAGE_METRICS: [(&str, &str); 6] = [
     ("egress_ns", "serve.stage.egress_ns"),
     ("write_ns", "serve.stage.write_ns"),
 ];
-
-/// Renders the non-empty stage histograms of `reg` as a `stages` object
-/// (stage name → bucket summary), or `None` when nothing was traced.
-fn stages_json(reg: &MetricsRegistry) -> Option<Json> {
-    let mut obj = Json::obj();
-    let mut any = false;
-    for (stage, metric) in STAGE_METRICS {
-        if let Some(s) = reg.bucket_histogram(metric).and_then(|h| h.summary()) {
-            obj.set(stage, s.to_json());
-            any = true;
-        }
-    }
-    any.then_some(obj)
-}
 
 /// Server-global counters the sessions maintain (everything per-shard
 /// lives in the shard registries).
@@ -57,7 +44,7 @@ pub struct ServerCounters {
 }
 
 /// Connection-plane counters, maintained by the reactor and the
-/// sessions; rendered as the stats document's `frontend` object.
+/// sessions; they fill the snapshot's `frontend` section.
 #[derive(Debug, Default)]
 pub struct FrontendStats {
     /// Connections currently open (post-cap-check).
@@ -93,179 +80,113 @@ impl FrontendStats {
         self.conns_open.fetch_sub(1, Ordering::Relaxed);
     }
 
-    fn to_json(&self) -> Json {
-        Json::obj()
-            .with("conns_open", self.conns_open.load(Ordering::Relaxed).into())
-            .with("conns_peak", self.conns_peak.load(Ordering::Relaxed).into())
-            .with(
-                "conn_rejects",
-                self.conn_rejects.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "accept_pauses",
-                self.accept_pauses.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "read_pauses",
-                self.read_pauses.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "deferred_submits",
-                self.deferred_submits.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "deferred_now",
-                self.deferred_now.load(Ordering::Relaxed).into(),
-            )
-            .with(
-                "egress_highwater_bytes",
-                self.egress_highwater.load(Ordering::Relaxed).into(),
-            )
+    /// The snapshot's `frontend` section.
+    pub(crate) fn snapshot(&self) -> FrontendSnapshot {
+        let load = |c: &AtomicU64| c.load(Ordering::Relaxed);
+        FrontendSnapshot {
+            conns_open: load(&self.conns_open),
+            conns_peak: load(&self.conns_peak),
+            conn_rejects: load(&self.conn_rejects),
+            accept_pauses: load(&self.accept_pauses),
+            read_pauses: load(&self.read_pauses),
+            deferred_submits: load(&self.deferred_submits),
+            deferred_now: load(&self.deferred_now),
+            egress_highwater_bytes: load(&self.egress_highwater),
+        }
     }
 }
 
-/// Renders the merged stats frame.
-///
-/// `draining` and `restarts` come from the server; `started` anchors the
-/// throughput computation (forwarded+dropped packets over uptime).
-/// `tracer` (when the caller has one — the server always does) adds the
-/// `spans` section and folds the connection-side decode/write stage
-/// histograms into the merged `stages` object. `frontend` (likewise
-/// always present on a live server) adds the connection-plane `frontend`
-/// object. `fib` adds the control plane's route-table section
-/// (generation, route count, swap/retirement counters, swap-latency
-/// percentiles) so the RCU retirement property is externally auditable.
-#[allow(clippy::too_many_arguments)]
-pub fn stats_json(
-    shards: &[PublicShard],
-    counters: &ServerCounters,
-    backend: BackendKind,
-    restarts: u64,
-    draining: bool,
-    started: Instant,
-    tracer: Option<&ServeTracer>,
-    frontend: Option<&FrontendStats>,
-    fib: Option<&EpochTables>,
-) -> String {
+fn summary(reg: &MetricsRegistry, metric: &str) -> Option<BucketSummary> {
+    reg.bucket_histogram(metric)
+        .and_then(BucketHistogram::summary)
+}
+
+/// The registry-fed part of a shard section: traffic counters and
+/// histograms. Applied to the merged registry, it gives the top-level
+/// totals.
+fn registry_section(reg: &MetricsRegistry) -> ShardSnapshot {
+    ShardSnapshot {
+        packets: reg.counter("serve.packets"),
+        forwarded: reg.counter("serve.forwarded"),
+        dropped: reg.counter("serve.dropped"),
+        mismatches: reg.counter("serve.mismatches"),
+        lost_updates: reg.counter("serve.lost_updates"),
+        batches: reg.counter("serve.batches"),
+        sim_cycles: reg.counter("serve.sim_cycles"),
+        batch_size: summary(reg, "serve.batch_size"),
+        service_latency_us: summary(reg, "serve.service_latency_us"),
+        stages: STAGE_METRICS
+            .iter()
+            .filter_map(|(stage, metric)| {
+                Some(StageSummarySnapshot::new(stage, summary(reg, metric)?))
+            })
+            .collect(),
+        ..ShardSnapshot::default()
+    }
+}
+
+/// The shard plane's part of a snapshot: one section per shard (its
+/// registry, queue and restart carryover), and their sums and merged
+/// histograms as the top-level totals, with the tracer's decode/write
+/// stages folded into the top-level `stages`. The server-level fields
+/// stay at their defaults for [`snapshot`] to fill.
+pub(crate) fn collect_shards(shards: &[PublicShard], tracer: &ServeTracer) -> StatsSnapshot {
     let mut merged = MetricsRegistry::new();
     let mut per_shard = Vec::with_capacity(shards.len());
-    let mut carryover_total = 0u64;
     for (i, s) in shards.iter().enumerate() {
-        let reg = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        let snapshot = reg.clone();
-        drop(reg);
-        merged.merge(&snapshot);
-        let carryover = s.carryover.load(Ordering::Relaxed);
-        carryover_total += carryover;
-        let mut obj = Json::obj()
-            .with("shard", i.into())
-            .with("packets", snapshot.counter("serve.packets").into())
-            .with("forwarded", snapshot.counter("serve.forwarded").into())
-            .with("dropped", snapshot.counter("serve.dropped").into())
-            .with("mismatches", snapshot.counter("serve.mismatches").into())
-            .with(
-                "lost_updates",
-                snapshot.counter("serve.lost_updates").into(),
-            )
-            .with("batches", snapshot.counter("serve.batches").into())
-            .with("sim_cycles", snapshot.counter("serve.sim_cycles").into())
-            .with("queue_depth_highwater", s.queue.high_water().into())
-            .with("queue_depth", s.queue.len().into())
-            .with("restart_carryover", carryover.into());
-        if let Some(h) = snapshot
-            .histogram("serve.batch_size")
-            .and_then(|h| h.summary())
-        {
-            obj.set("batch_size", h.to_json());
-        }
-        if let Some(h) = snapshot
-            .histogram("serve.service_latency_us")
-            .and_then(|h| h.summary())
-        {
-            obj.set("service_latency_us", h.to_json());
-        }
-        if let Some(stages) = stages_json(&snapshot) {
-            obj.set("stages", stages);
-        }
-        per_shard.push(obj);
+        let section = {
+            let reg = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
+            merged.merge(&reg);
+            registry_section(&reg)
+        };
+        per_shard.push(ShardSnapshot {
+            shard: i as u64,
+            queue_depth_highwater: s.queue.high_water() as u64,
+            queue_depth: s.queue.len() as u64,
+            restart_carryover: s.carryover.load(Ordering::Relaxed),
+            ..section
+        });
     }
-    if let Some(t) = tracer {
-        t.merge_frontend_into(&mut merged);
+    tracer.merge_frontend_into(&mut merged);
+    let totals = registry_section(&merged);
+    StatsSnapshot {
+        restart_carryover: per_shard.iter().map(|s| s.restart_carryover).sum(),
+        packets: totals.packets,
+        forwarded: totals.forwarded,
+        dropped: totals.dropped,
+        mismatches: totals.mismatches,
+        lost_updates: totals.lost_updates,
+        batches: totals.batches,
+        sim_cycles: totals.sim_cycles,
+        batch_size: totals.batch_size,
+        service_latency_us: totals.service_latency_us,
+        stages: totals.stages,
+        per_shard,
+        ..StatsSnapshot::default()
     }
-
-    let uptime = started.elapsed().as_secs_f64().max(1e-9);
-    let packets = merged.counter("serve.packets");
-    let mut doc = Json::obj()
-        .with("shards", shards.len().into())
-        .with("backend", Json::Str(backend.to_string()))
-        .with("uptime_secs", uptime.into())
-        .with("draining", draining.into())
-        .with("shard_restarts", restarts.into())
-        .with("restart_carryover", carryover_total.into())
-        .with("accepted", counters.accepted.load(Ordering::Relaxed).into())
-        .with("busy", counters.busy.load(Ordering::Relaxed).into())
-        .with("errors", counters.errors.load(Ordering::Relaxed).into())
-        .with("packets", packets.into())
-        .with("forwarded", merged.counter("serve.forwarded").into())
-        .with("dropped", merged.counter("serve.dropped").into())
-        .with("mismatches", merged.counter("serve.mismatches").into())
-        .with("lost_updates", merged.counter("serve.lost_updates").into())
-        .with("batches", merged.counter("serve.batches").into())
-        .with("sim_cycles", merged.counter("serve.sim_cycles").into())
-        .with("packets_per_sec", (packets as f64 / uptime).into());
-    if let Some(h) = merged
-        .histogram("serve.batch_size")
-        .and_then(|h| h.summary())
-    {
-        doc.set("batch_size", h.to_json());
-    }
-    if let Some(h) = merged
-        .histogram("serve.service_latency_us")
-        .and_then(|h| h.summary())
-    {
-        doc.set("service_latency_us", h.to_json());
-    }
-    if let Some(stages) = stages_json(&merged) {
-        doc.set("stages", stages);
-    }
-    if let Some(t) = tracer {
-        doc.set("spans", t.to_json());
-    }
-    if let Some(tables) = fib {
-        let mut obj = Json::obj()
-            .with("generation", tables.generation().into())
-            .with("routes", tables.routes().into())
-            .with("swaps", tables.swaps().into())
-            .with("retired", tables.retired().into());
-        if let Some(s) = tables.swap_latency_summary() {
-            obj.set(
-                "swap_latency_us",
-                Json::obj()
-                    .with("count", s.count.into())
-                    .with("p50", s.p50.into())
-                    .with("p99", s.p99.into())
-                    .with("max", s.max.into()),
-            );
-        }
-        doc.set("fib", obj);
-    }
-    if let Some(f) = frontend {
-        doc.set("frontend", f.to_json());
-    }
-    doc.set("per_shard", Json::Arr(per_shard));
-    doc.render()
 }
 
-/// Pulls an unsigned integer field out of a flat stats JSON document —
-/// good enough for the loadgen/tests to read totals without a parser.
-pub fn json_u64(doc: &str, key: &str) -> Option<u64> {
-    let needle = format!("\"{key}\":");
-    let at = doc.find(&needle)? + needle.len();
-    let rest = doc[at..].trim_start();
-    let end = rest
-        .find(|c: char| !c.is_ascii_digit())
-        .unwrap_or(rest.len());
-    rest[..end].parse().ok()
+/// The live stats snapshot: the shard plane, the server counters, and
+/// the tracer's, control plane's and frontend's own sections.
+pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
+    let shards = collect_shards(shared.supervisor.shards(), &shared.tracer);
+    let uptime = shared.started.elapsed().as_secs_f64().max(1e-9);
+    let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
+    StatsSnapshot {
+        shards: shards.per_shard.len() as u64,
+        backend: Some(shared.config.backend),
+        uptime_secs: uptime,
+        draining: shared.draining.load(Ordering::Acquire),
+        shard_restarts: shared.supervisor.restarts(),
+        accepted: counter(&shared.counters.accepted),
+        busy: counter(&shared.counters.busy),
+        errors: counter(&shared.counters.errors),
+        packets_per_sec: shards.packets as f64 / uptime,
+        spans: Some(shared.tracer.snapshot()),
+        fib: Some(shared.control.tables.snapshot()),
+        frontend: Some(shared.frontend.snapshot()),
+        ..shards
+    }
 }
 
 #[cfg(test)]
@@ -282,8 +203,8 @@ mod tests {
         r.add("serve.forwarded", forwarded);
         r.add("serve.dropped", dropped);
         r.add("serve.batches", 1);
-        r.record("serve.batch_size", forwarded + dropped);
-        r.record("serve.service_latency_us", 100);
+        r.record_bucket("serve.batch_size", forwarded + dropped);
+        r.record_bucket("serve.service_latency_us", 100);
         PublicShard {
             queue: Arc::new(ShardQueue::new(4)),
             stats: Arc::new(Mutex::new(r)),
@@ -294,69 +215,44 @@ mod tests {
         }
     }
 
-    #[test]
-    fn stats_json_merges_shards_and_is_parseable() {
-        let shards = vec![mk_shard(10, 2, 4), mk_shard(5, 3, 0)];
-        let counters = ServerCounters::default();
-        counters.accepted.store(2, Ordering::Relaxed);
-        counters.busy.store(1, Ordering::Relaxed);
-        let frontend = FrontendStats::default();
-        frontend.conn_opened();
-        let doc = stats_json(
-            &shards,
-            &counters,
-            BackendKind::Sim,
-            1,
-            false,
-            Instant::now(),
-            None,
-            Some(&frontend),
-            None,
-        );
-        assert!(doc.contains("\"backend\":\"sim\""), "{doc}");
-        assert!(
-            doc.contains("\"frontend\":{\"conns_open\":1"),
-            "frontend object present: {doc}"
-        );
-        assert_eq!(json_u64(&doc, "conns_open"), Some(1));
-        assert_eq!(json_u64(&doc, "conns_peak"), Some(1));
-        assert_eq!(json_u64(&doc, "forwarded"), Some(15));
-        assert_eq!(json_u64(&doc, "dropped"), Some(5));
-        assert_eq!(json_u64(&doc, "packets"), Some(20));
-        assert_eq!(json_u64(&doc, "lost_updates"), Some(0));
-        assert_eq!(json_u64(&doc, "busy"), Some(1));
-        assert_eq!(json_u64(&doc, "shard_restarts"), Some(1));
-        assert_eq!(
-            json_u64(&doc, "restart_carryover"),
-            Some(4),
-            "per-shard carryover sums to the top level"
-        );
-        assert!(doc.contains("\"per_shard\""));
-        assert!(doc.contains("\"p99\""), "latency percentiles present");
-        assert!(doc.contains("\"queue_depth_highwater\""));
-        assert!(
-            !doc.contains("\"stages\""),
-            "no tracing, no stage section: {doc}"
-        );
+    fn tracer(enabled: bool) -> ServeTracer {
+        let config = TracingConfig {
+            enabled,
+            ..TracingConfig::default()
+        };
+        ServeTracer::new(config, 2).expect("no span file to open")
     }
 
     #[test]
-    fn traced_stats_carry_stage_summaries_and_the_spans_section() {
-        let shards = vec![mk_shard(10, 2, 0)];
+    fn per_shard_sections_sum_to_the_top_level() {
+        let shards = vec![mk_shard(10, 2, 4), mk_shard(5, 3, 0)];
+        let snap = collect_shards(&shards, &tracer(false));
+        assert_eq!(snap.per_shard.len(), 2);
+        assert_eq!((snap.forwarded, snap.dropped, snap.packets), (15, 5, 20));
+        assert_eq!(snap.batches, 2);
+        assert_eq!(
+            snap.restart_carryover, 4,
+            "per-shard carryover sums to the top level"
+        );
+        assert_eq!(snap.per_shard[0].restart_carryover, 4);
+        assert_eq!(snap.per_shard[1].dropped, 3);
+        let sizes = snap.batch_size.expect("merged batch-size histogram");
+        assert_eq!((sizes.count, sizes.min, sizes.max), (2, 8, 12));
+        assert_eq!(snap.service_latency_us.map(|s| s.count), Some(2));
+        assert!(snap.stages.is_empty(), "no tracing, no stages");
+        assert!(snap.per_shard.iter().all(|s| s.stages.is_empty()));
+    }
+
+    #[test]
+    fn traced_shard_and_frontend_stages_merge_into_the_top_level() {
+        let shards = vec![mk_shard(10, 2, 0), mk_shard(1, 1, 0)];
         {
             let mut reg = shards[0].stats.lock().unwrap();
-            for (_, metric) in STAGE_METRICS.iter().skip(1).take(4) {
+            for (_, metric) in &STAGE_METRICS[1..5] {
                 reg.record_bucket(metric, 1500);
             }
         }
-        let tracer = ServeTracer::new(
-            TracingConfig {
-                enabled: true,
-                ..TracingConfig::default()
-            },
-            1,
-        )
-        .unwrap();
+        let tracer = tracer(true);
         tracer.finish(
             &PendingSpan {
                 span_id: 7,
@@ -375,29 +271,23 @@ mod tests {
             },
             300,
         );
-        let doc = stats_json(
-            &shards,
-            &ServerCounters::default(),
-            BackendKind::Fast,
-            0,
-            false,
-            Instant::now(),
-            Some(&tracer),
-            Some(&FrontendStats::default()),
-            None,
+        let snap = collect_shards(&shards, &tracer);
+        let names: Vec<&str> = snap.stages.iter().map(|s| s.stage.as_str()).collect();
+        let all: Vec<&str> = STAGE_METRICS.iter().map(|(stage, _)| *stage).collect();
+        assert_eq!(names, all, "shard stages plus decode/write, in order");
+        let decode = &snap.stages[0];
+        assert_eq!((decode.count, decode.min), (1, 800));
+        assert_eq!(snap.stages[5].max, 300, "write stage from the tracer");
+        let shard_stages: Vec<&str> = snap.per_shard[0]
+            .stages
+            .iter()
+            .map(|s| s.stage.as_str())
+            .collect();
+        assert_eq!(
+            shard_stages,
+            &all[1..5],
+            "a shard holds only its own stages"
         );
-        for key in ["\"stages\"", "\"decode_ns\"", "\"execute_ns\"", "\"spans\""] {
-            assert!(doc.contains(key), "missing {key} in {doc}");
-        }
-        assert_eq!(json_u64(&doc, "seen"), Some(1));
-        // The merged stage summary reflects the recorded sample.
-        let snap = crate::snapshot::StatsSnapshot::decode(&doc).expect("decodes");
-        let stages = snap.stages;
-        assert!(
-            stages
-                .iter()
-                .any(|s| s.stage == "execute_ns" && s.count == 1),
-            "{stages:?}"
-        );
+        assert!(snap.per_shard[1].stages.is_empty());
     }
 }

@@ -30,6 +30,7 @@
 
 use crate::queue::{ReplyWaker, ShardQueue};
 use crate::shard::ShardTables;
+use crate::snapshot::{FibSnapshot, SwapLatencySnapshot};
 use memsync_netapp::fib::Route;
 use memsync_netapp::Fib;
 use std::fmt;
@@ -162,20 +163,6 @@ pub struct MutateResult {
 struct SwapLatency {
     count: u64,
     samples: Vec<u64>,
-}
-
-/// Summary of recent swap latencies, rendered into the stats `fib`
-/// section.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct SwapLatencySummary {
-    /// Swaps measured since the server started.
-    pub count: u64,
-    /// Median over the recent-sample ring, microseconds.
-    pub p50: u64,
-    /// 99th percentile over the recent-sample ring, microseconds.
-    pub p99: u64,
-    /// Maximum over the recent-sample ring, microseconds.
-    pub max: u64,
 }
 
 const LATENCY_RING: usize = 1024;
@@ -321,22 +308,29 @@ impl EpochTables {
         l.count += 1;
     }
 
-    /// Percentiles over the recent swap-latency ring; `None` before the
-    /// first swap completes.
-    pub fn swap_latency_summary(&self) -> Option<SwapLatencySummary> {
-        let l = unpoison(self.latency.lock());
-        if l.samples.is_empty() {
-            return None;
+    /// The snapshot's `fib` section: generation, route and swap counters,
+    /// and percentiles over the recent swap-latency ring (absent before
+    /// the first swap completes).
+    pub fn snapshot(&self) -> FibSnapshot {
+        let swap_latency_us = {
+            let l = unpoison(self.latency.lock());
+            let mut sorted = l.samples.clone();
+            sorted.sort_unstable();
+            let pick = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
+            sorted.last().map(|&max| SwapLatencySnapshot {
+                count: l.count,
+                p50: pick(0.50),
+                p99: pick(0.99),
+                max,
+            })
+        };
+        FibSnapshot {
+            generation: self.generation(),
+            routes: self.routes(),
+            swaps: self.swaps(),
+            retired: self.retired(),
+            swap_latency_us,
         }
-        let mut sorted = l.samples.clone();
-        sorted.sort_unstable();
-        let pick = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
-        Some(SwapLatencySummary {
-            count: l.count,
-            p50: pick(0.50),
-            p99: pick(0.99),
-            max: *sorted.last().expect("nonempty"),
-        })
     }
 }
 
@@ -581,7 +575,9 @@ mod tests {
         assert_eq!(out.routes, 2);
         assert_eq!(out.applied, 1);
         assert_eq!(epoch.retired(), 1, "boot generation retired post-barrier");
-        let summary = epoch.swap_latency_summary().expect("one swap measured");
+        let fib = epoch.snapshot();
+        assert_eq!((fib.generation, fib.routes, fib.swaps), (2, 2, 1));
+        let summary = fib.swap_latency_us.expect("one swap measured");
         assert_eq!(summary.count, 1);
         stop.store(true, Ordering::Release);
         worker.join().unwrap();
@@ -594,7 +590,7 @@ mod tests {
         for i in 0..(LATENCY_RING as u64 + 10) {
             epoch.record_swap_latency(i);
         }
-        let s = epoch.swap_latency_summary().unwrap();
+        let s = epoch.snapshot().swap_latency_us.unwrap();
         assert_eq!(s.count, LATENCY_RING as u64 + 10);
         assert_eq!(s.max, LATENCY_RING as u64 + 9, "newest sample retained");
         assert!(s.p50 <= s.p99 && s.p99 <= s.max);

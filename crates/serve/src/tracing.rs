@@ -24,7 +24,8 @@
 //!
 //! [`BucketHistogram`]: memsync_trace::BucketHistogram
 
-use memsync_trace::{Json, JsonlSink, MetricsRegistry, SpanRecord};
+use crate::snapshot::{RingSnapshot, SpansSnapshot};
+use memsync_trace::{JsonlSink, MetricsRegistry, SpanRecord};
 use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter};
@@ -247,19 +248,6 @@ impl ServeTracer {
         }
     }
 
-    /// Spans finished so far, summed over shards.
-    pub fn spans_seen(&self) -> u64 {
-        self.rings
-            .iter()
-            .map(|r| r.lock().unwrap_or_else(PoisonError::into_inner).seen)
-            .sum()
-    }
-
-    /// JSONL lines exported so far.
-    pub fn spans_exported(&self) -> u64 {
-        self.exported.load(Ordering::Relaxed)
-    }
-
     /// Snapshot of one shard's sampled recent spans, oldest first.
     pub fn recent_spans(&self, shard: usize) -> Vec<SpanRecord> {
         self.rings.get(shard).map_or_else(Vec::new, |r| {
@@ -290,27 +278,31 @@ impl ServeTracer {
         reg.merge(&self.frontend.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
-    /// The tracing section of the stats document: totals plus per-shard
-    /// ring occupancy.
-    pub fn to_json(&self) -> Json {
-        let mut per_shard = Vec::new();
-        for (i, ring) in self.rings.iter().enumerate() {
-            let r = ring.lock().unwrap_or_else(PoisonError::into_inner);
-            per_shard.push(
-                Json::obj()
-                    .with("shard", i.into())
-                    .with("seen", r.seen.into())
-                    .with("recent", r.recent.len().into())
-                    .with("slow", r.slow.len().into()),
-            );
+    /// The snapshot's `spans` section: totals plus per-shard ring
+    /// occupancy.
+    pub fn snapshot(&self) -> SpansSnapshot {
+        let rings: Vec<RingSnapshot> = self
+            .rings
+            .iter()
+            .enumerate()
+            .map(|(i, ring)| {
+                let r = ring.lock().unwrap_or_else(PoisonError::into_inner);
+                RingSnapshot {
+                    shard: i as u64,
+                    seen: r.seen,
+                    recent: r.recent.len() as u64,
+                    slow: r.slow.len() as u64,
+                }
+            })
+            .collect();
+        SpansSnapshot {
+            enabled: self.config.enabled,
+            sample_every: u64::from(self.config.sample_every),
+            slow_ns: self.config.slow_ns,
+            seen: rings.iter().map(|r| r.seen).sum(),
+            exported: self.exported.load(Ordering::Relaxed),
+            rings,
         }
-        Json::obj()
-            .with("enabled", self.config.enabled.into())
-            .with("sample_every", u64::from(self.config.sample_every).into())
-            .with("slow_ns", self.config.slow_ns.into())
-            .with("seen", self.spans_seen().into())
-            .with("exported", self.spans_exported().into())
-            .with("rings", Json::Arr(per_shard))
     }
 }
 
@@ -376,7 +368,7 @@ mod tests {
             },
             5,
         );
-        assert_eq!(t.spans_seen(), 5);
+        assert_eq!(t.snapshot().seen, 5);
         assert_eq!(t.recent_spans(0).len(), 2);
         let slow = t.slow_spans(0);
         assert_eq!(slow.len(), 1);
@@ -417,7 +409,7 @@ mod tests {
             },
             5,
         );
-        assert_eq!(t.spans_seen(), 0);
+        assert_eq!(t.snapshot().seen, 0);
         assert!(t.recent_spans(0).is_empty());
     }
 
@@ -433,22 +425,37 @@ mod tests {
             },
             5,
         );
-        assert_eq!(t.spans_seen(), 0);
+        assert_eq!(t.snapshot().seen, 0);
     }
 
     #[test]
-    fn json_section_reports_rings() {
+    fn snapshot_reports_rings() {
         let t = ServeTracer::new(enabled_config(), 2).unwrap();
-        let s = t.to_json().render();
-        for key in [
-            "enabled",
-            "sample_every",
-            "slow_ns",
-            "seen",
-            "exported",
-            "rings",
-        ] {
-            assert!(s.contains(key), "missing {key} in {s}");
+        for (id, total_each) in [(1, 100), (2, 100), (3, 300_000)] {
+            t.finish(
+                &PendingSpan {
+                    span_id: id,
+                    client_assigned: true,
+                    decode_ns: 10,
+                    timings: vec![timings(1, total_each)],
+                },
+                5,
+            );
         }
+        let s = t.snapshot();
+        assert!(s.enabled);
+        assert_eq!((s.sample_every, s.slow_ns, s.seen), (2, 1_000_000, 3));
+        assert_eq!(
+            s.rings,
+            [
+                RingSnapshot::default(),
+                RingSnapshot {
+                    shard: 1,
+                    seen: 3,
+                    recent: 1,
+                    slow: 1
+                }
+            ]
+        );
     }
 }

@@ -2,7 +2,7 @@
 //! clients, the full frame protocol (including the protocol-v2 `Hello`
 //! handshake every connection now opens with).
 
-use memsync_netapp::Workload;
+use memsync_netapp::{Ipv4Packet, Workload};
 use memsync_serve::client::BatchResult;
 use memsync_serve::{
     BackendKind, Client, ClientError, Request, Response, ServeConfig, Server, SubmitOptions,
@@ -72,13 +72,65 @@ fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
     let fe = snap.frontend.expect("frontend section present");
     assert!(fe.conns_open >= 1, "this connection is counted");
     assert!(fe.conns_peak >= fe.conns_open);
-    // The raw document stays available and carries the histograms the
-    // typed snapshot does not model.
-    let doc = client.stats_raw().expect("raw stats");
-    assert!(doc.contains("\"service_latency_us\""));
+    // The histograms ride the same snapshot, merged and per shard.
+    let sizes = snap.batch_size.expect("merged batch-size histogram");
+    assert_eq!(sizes.count, snap.batches, "one sample per activation");
+    let jobs: u64 = snap
+        .per_shard
+        .iter()
+        .map(|s| s.service_latency_us.map_or(0, |h| h.count))
+        .sum();
+    assert_eq!(snap.service_latency_us.map(|h| h.count), Some(jobs));
 
     // Graceful drain, then shutdown; wait() returns (bin would exit 0).
     client.drain().expect("drain");
+    client.shutdown().expect("shutdown");
+    server.wait();
+}
+
+#[test]
+fn withdrawing_the_default_route_drops_its_traffic_until_one_is_swapped_back() {
+    // 198.18.0.1 resolves only through the default route, so each
+    // acked mutation flips the verdict of the very next submit.
+    let config = ServeConfig {
+        backend: BackendKind::Fast,
+        ..test_config()
+    };
+    let server = Server::start("127.0.0.1:0", config).expect("bind");
+    let mut client = connect(server.local_addr());
+    let packets: Vec<Ipv4Packet> = (0..32)
+        .map(|i| Ipv4Packet::new(0x0a00_0000 + i, 0xC612_0001, 64, 6, 40))
+        .collect();
+    // Submits, checks the verdicts and the retirement barrier, and
+    // returns the table generation the stats report.
+    let step = |client: &mut Client, forwarded: u32| {
+        let r = client
+            .submit(&packets, SubmitOptions::new().verify(true))
+            .expect("submit");
+        assert_eq!(
+            (r.forwarded, r.dropped, r.mismatches),
+            (forwarded, 32 - forwarded, 0)
+        );
+        let fib = client.stats().expect("stats").fib.expect("fib section");
+        assert_eq!(fib.retired, fib.generation - 1, "superseded tables retired");
+        fib.generation
+    };
+    assert_eq!(
+        step(&mut client, 32),
+        1,
+        "the boot table's default route forwards"
+    );
+    let up = client
+        .route_withdraw(&[(0, 0)])
+        .expect("withdraw the default");
+    assert_eq!(up.applied, 1);
+    assert_eq!(
+        step(&mut client, 0),
+        up.generation,
+        "no route: every packet drops"
+    );
+    let up = client.swap_default(9).expect("swap a default back in");
+    assert_eq!(step(&mut client, 32), up.generation, "forwarding again");
     client.shutdown().expect("shutdown");
     server.wait();
 }

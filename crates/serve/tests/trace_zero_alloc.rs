@@ -86,7 +86,7 @@ fn disabled_tracer_path_allocates_nothing() {
         1,
         "the disabled tracing path must not touch the heap"
     );
-    assert_eq!(tracer.spans_seen(), 0);
-    assert_eq!(tracer.spans_exported(), 0);
+    let spans = tracer.snapshot();
+    assert_eq!((spans.seen, spans.exported), (0, 0));
     tracer.flush();
 }

@@ -189,6 +189,22 @@ impl BucketSummary {
             .with("p90", self.p90.into())
             .with("p99", self.p99.into())
     }
+
+    /// Reads back a summary rendered by [`BucketSummary::to_json`];
+    /// `None` when a field is missing or mistyped. Unknown keys are
+    /// skipped.
+    pub fn from_json(j: &Json) -> Option<BucketSummary> {
+        let u = |key: &str| j.get(key).and_then(Json::as_u64);
+        Some(BucketSummary {
+            count: u("count")?,
+            min: u("min")?,
+            max: u("max")?,
+            mean: j.get("mean").and_then(Json::as_f64)?,
+            p50: u("p50")?,
+            p90: u("p90")?,
+            p99: u("p99")?,
+        })
+    }
 }
 
 #[cfg(test)]
@@ -304,5 +320,21 @@ mod tests {
         for key in ["count", "min", "max", "mean", "p50", "p90", "p99"] {
             assert!(s.contains(key), "missing {key} in {s}");
         }
+    }
+
+    #[test]
+    fn summary_json_round_trips_and_refuses_missing_fields() {
+        let mut h = BucketHistogram::new();
+        for v in [3u64, 900, 12_345] {
+            h.record(v);
+        }
+        let s = h.summary().unwrap();
+        let j = Json::parse(&s.to_json().render()).unwrap();
+        assert_eq!(BucketSummary::from_json(&j), Some(s));
+        let Json::Obj(mut fields) = j else {
+            panic!("summary renders an object")
+        };
+        fields.retain(|(k, _)| k != "p90");
+        assert_eq!(BucketSummary::from_json(&Json::Obj(fields)), None);
     }
 }
