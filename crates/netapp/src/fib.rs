@@ -1,6 +1,7 @@
 //! Longest-prefix-match forwarding table (binary trie).
 
-use std::collections::HashMap;
+use std::collections::{HashMap, HashSet};
+use std::fmt;
 
 /// A route entry.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -184,7 +185,7 @@ impl Fib {
 /// branches on prefix length — the shape the batched forwarding path
 /// wants. Build cost is O(routes × covered slots) into ~32 MiB of table,
 /// so compile once per route table and share (the serve layer builds one
-/// per supervisor, not per shard incarnation). Agreement with the trie
+/// per table generation, shared by every shard). Agreement with the trie
 /// oracle over random tables is pinned by `tests/dir24_8.rs`.
 #[derive(Debug, Clone)]
 pub struct Dir24_8 {
@@ -199,10 +200,54 @@ const MAX_HOPS: usize = 0x7fff;
 /// Top-level entries with this bit set index an overflow block.
 const OVERFLOW_BIT: u16 = 0x8000;
 
+/// A route set too large for the classifier's 15-bit codes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum CapacityError {
+    /// This many distinct next hops, over the 32767 direct-hit codes.
+    NextHops(usize),
+    /// This many /24 slots holding a /25 or longer route, over the 32767
+    /// overflow blocks.
+    OverflowBlocks(usize),
+}
+
+impl fmt::Display for CapacityError {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        let (count, what) = match self {
+            CapacityError::NextHops(n) => (n, "distinct next hops"),
+            CapacityError::OverflowBlocks(n) => (n, "overflow blocks (/24s holding a /25-/32)"),
+        };
+        write!(f, "{count} {what} exceed the DIR-24-8 limit of {MAX_HOPS}")
+    }
+}
+
 impl Dir24_8 {
     /// Compiles the classifier from a trie.
     pub fn from_fib(fib: &Fib) -> Self {
         Self::from_routes(&fib.routes())
+    }
+
+    /// Checks that [`Dir24_8::from_routes`] can compile `routes` without
+    /// running out of next-hop codes or overflow blocks, so a caller
+    /// holding untrusted routes can refuse them instead of panicking in
+    /// the build.
+    ///
+    /// # Errors
+    ///
+    /// The first limit `routes` exceeds.
+    pub fn check_capacity(routes: &[Route]) -> Result<(), CapacityError> {
+        let hops: HashSet<u32> = routes.iter().map(|r| r.next_hop).collect();
+        if hops.len() > MAX_HOPS {
+            return Err(CapacityError::NextHops(hops.len()));
+        }
+        let blocks: HashSet<u32> = routes
+            .iter()
+            .filter(|r| r.len > 24)
+            .map(|r| r.prefix >> 8)
+            .collect();
+        if blocks.len() > MAX_HOPS {
+            return Err(CapacityError::OverflowBlocks(blocks.len()));
+        }
+        Ok(())
     }
 
     /// Compiles the classifier from a route list. Routes are applied in
@@ -214,7 +259,8 @@ impl Dir24_8 {
     /// # Panics
     ///
     /// Panics on invalid routes (host bits set, `len > 32`), more than
-    /// 32767 distinct next hops, or more than 32767 overflow blocks.
+    /// 32767 distinct next hops, or more than 32767 overflow blocks
+    /// ([`Dir24_8::check_capacity`] tells the last two in advance).
     pub fn from_routes(routes: &[Route]) -> Self {
         let mut sorted: Vec<Route> = routes.to_vec();
         sorted.sort_by_key(|r| r.len);

@@ -11,7 +11,7 @@
 //! and the overflow-block path are exercised on both sides of every
 //! boundary.
 
-use memsync_netapp::fib::{Dir24_8, Fib, Route};
+use memsync_netapp::fib::{CapacityError, Dir24_8, Fib, Route};
 
 struct Rng(u64);
 
@@ -271,4 +271,45 @@ fn dir24_8_agrees_on_a_default_route_plus_host_routes_table() {
     }
     assert_eq!(dir.lookup(0x0a0b_0d00), Some(7), "past the block: default");
     assert_eq!(dir.lookup(0x0a0b_0bff), Some(7));
+}
+
+#[test]
+fn capacity_check_agrees_with_the_build_at_both_limits() {
+    // 15-bit codes: 32767 next hops and 32767 overflow blocks fit, one
+    // more of either does not. The check must refuse exactly the tables
+    // the build would panic on.
+    const LIMIT: u32 = 0x7fff;
+    let host = |prefix: u32, next_hop: u32| Route {
+        prefix,
+        len: 32,
+        next_hop,
+    };
+    // Distinct hops, packed 256 per /24 (few overflow blocks).
+    let hops = |n: u32| -> Vec<Route> { (0..n).map(|i| host(0xc612_0000 + i, i)).collect() };
+    // One /32 per /24 (one overflow block each), all on one hop.
+    let blocks = |n: u32| -> Vec<Route> { (0..n).map(|i| host(i << 8, 1)).collect() };
+    for (fits, over, err) in [
+        (
+            hops(LIMIT),
+            hops(LIMIT + 1),
+            CapacityError::NextHops(32_768),
+        ),
+        (
+            blocks(LIMIT),
+            blocks(LIMIT + 1),
+            CapacityError::OverflowBlocks(32_768),
+        ),
+    ] {
+        assert_eq!(Dir24_8::check_capacity(&fits), Ok(()));
+        let dir = Dir24_8::from_routes(&fits);
+        assert_eq!(
+            dir.lookup(fits[LIMIT as usize - 1].prefix),
+            Some(fits[LIMIT as usize - 1].next_hop)
+        );
+        assert_eq!(Dir24_8::check_capacity(&over), Err(err));
+        assert!(
+            std::panic::catch_unwind(|| Dir24_8::from_routes(&over)).is_err(),
+            "{err}: the build panics where the check refuses"
+        );
+    }
 }

@@ -6,9 +6,9 @@
 //! *candidate* (normally [`crate::backend::FastBackend`]), and panics on
 //! the first egress frame mismatch or lost-update divergence — frame
 //! index, egress consumer, and both values in the message. Inside a serve
-//! shard that panic unwinds into the supervisor: the shard restarts, the
-//! in-flight submit reports an error, and `shard_restarts` ticks — a
-//! semantic bug can never be served silently.
+//! shard that panic unwinds out of the shard loop: the shard restarts in
+//! place, the in-flight submit reports an error, and `shard_restarts`
+//! ticks — a semantic bug can never be served silently.
 
 use super::{BackendKind, BackendMetrics, ForwardingBackend};
 

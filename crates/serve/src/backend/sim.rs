@@ -16,9 +16,9 @@ use memsync_core::{OptLevel, OrganizationKind};
 use memsync_sim::{System, ThreadId};
 
 /// Upper bound on simulator cycles per descriptor — a stalled pipeline is
-/// a shard bug and must surface as a panic (the supervisor restarts the
-/// shard; the in-flight job's reply channel drops so the client sees an
-/// error, not silence).
+/// a shard bug and must surface as a panic (the shard restarts in place;
+/// the in-flight job's reply channel drops so the client sees an error,
+/// not silence).
 const CYCLES_PER_PACKET_BUDGET: u64 = 2_000;
 
 /// Cycle-accurate simulation of the compiled forwarding application.

@@ -8,7 +8,7 @@
 //! ```
 //!
 //! `--conns` connections each submit `--jobs` batches of `--batch`
-//! seeded [`Workload`](memsync_netapp::Workload) packets. Closed-loop
+//! seeded [`Workload`] packets. Closed-loop
 //! (default) retries `Busy` with backoff, so every generated packet is
 //! eventually served; `--open-loop` submits once and counts refused
 //! batches instead. `--routes` must match the server's FIB (checked
@@ -572,7 +572,7 @@ fn main() {
     // The server-side lost-update detector must stay at zero: paced
     // injection never overwrites an unconsumed guarded value, so any
     // count here is a pacing regression (see `memsync_hic::hazards`).
-    // The typed snapshot also exposes supervisor restarts — a shard that
+    // The typed snapshot also exposes shard restarts — a shard that
     // crashed under plain traffic is a failure even if totals added up.
     let (lost_updates, shard_restarts, churn_summary) = {
         let mut client = connect(addr.as_str());

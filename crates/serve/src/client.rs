@@ -537,7 +537,8 @@ impl Client {
     ///
     /// [`ClientError::Unsupported`] locally when the connection lacks
     /// the control capability or settled below v3; I/O failures;
-    /// [`ClientError::Server`] on malformed routes.
+    /// [`ClientError::Server`] on malformed routes, or a table the flat
+    /// classifier cannot encode (the message names the limit).
     pub fn route_add(&mut self, routes: &[Route]) -> Result<RouteUpdate, ClientError> {
         self.control_roundtrip(&Request::RouteAdd(routes.to_vec()))
     }
@@ -563,7 +564,7 @@ impl Client {
     }
 
     /// Fault injection: asks the service to crash shard `shard` on its
-    /// next activation (the supervisor restarts it). The index is
+    /// next activation (it restarts in place). The index is
     /// validated against the negotiated [`ServerHello::shards`] before
     /// anything hits the wire.
     ///

@@ -207,13 +207,16 @@ pub enum Request {
     /// Drain, then stop the whole service (the server process exits 0).
     Shutdown,
     /// Fault injection: make shard `shard` panic on its next activation
-    /// (exercises the supervisor restart path).
+    /// (exercises the in-place restart path).
     Kill(u16),
     /// Control plane (v3): insert (or replace) a batch of routes. The
     /// server applies the whole batch to the trie oracle, compiles a
     /// fresh flat classifier, publishes it as a new table generation,
     /// and answers [`Response::RouteUpdated`] only after every shard has
-    /// acknowledged the swap (the old generation is retired).
+    /// acknowledged the swap (the old generation is retired). A batch
+    /// the classifier cannot encode (over 32767 distinct next hops or
+    /// overflow blocks) is answered [`Response::Error`] and changes
+    /// nothing.
     RouteAdd(Vec<Route>),
     /// Control plane (v3): withdraw a batch of routes by exact
     /// `prefix/len`. Absent routes are skipped (reflected in the

@@ -36,12 +36,12 @@
 //! * [`router`] — dst-prefix flow hashing and all-or-nothing multi-shard
 //!   batch submission;
 //! * [`shard`] — shard threads batching up to K packets per simulator
-//!   activation to amortize per-`step()` overhead;
-//! * [`supervisor`] — restarts a panicked shard on its surviving queue
-//!   and counts `shard_restarts`;
+//!   activation to amortize per-`step()` overhead; a shard that panics
+//!   restarts in place on its surviving queue and stats, and counts
+//!   `shard_restarts`;
 //! * [`server`] — the service instance: the shard fleet, the control
 //!   worker, graceful drain (in-flight packets complete, new submits
-//!   refused) and shutdown;
+//!   refused) and shutdown, joining every thread it spawned;
 //! * `session` — one connection's protocol with no transport attached:
 //!   every request is dispatched there;
 //! * [`reactor`] — the transport: epoll (`poll(2)` off Linux) event
@@ -84,7 +84,6 @@ mod session;
 pub mod shard;
 pub mod snapshot;
 pub mod stats;
-pub mod supervisor;
 pub mod tables;
 pub mod tracing;
 

@@ -3,9 +3,9 @@
 //! Each shard owns one [`ShardQueue`]: sessions push whole jobs
 //! (`try`-only — a full queue defers the submit, never buffers without
 //! bound), the shard thread pops them with a timeout so it can notice
-//! drain/stop flags. The queue outlives the shard thread: when the
-//! supervisor restarts a panicked shard, queued jobs survive and are
-//! processed by the replacement.
+//! drain/stop flags. The queue outlives any one run of the shard loop:
+//! when a shard panics and restarts in place, queued jobs survive and are
+//! processed by the next incarnation.
 
 use crate::frame::SubmitOptions;
 use crate::tracing::StageTimings;
@@ -45,8 +45,9 @@ pub trait ReplyWaker: Send + Sync + fmt::Debug {
     fn wake(&self);
 }
 
-/// The outcome path of one job: the mpsc sender the shard reports on,
-/// plus an optional waker for the reactor.
+/// The outcome path of one job or control op: the mpsc sender a shard
+/// or the control worker reports on, plus an optional waker for the
+/// reactor.
 ///
 /// The channel is kept (rather than replaced by the waker) because its
 /// disconnect semantics carry a signal a bare callback cannot: a shard
@@ -55,20 +56,21 @@ pub trait ReplyWaker: Send + Sync + fmt::Debug {
 /// only fires on delivery and on drop, so the transport also polls
 /// outstanding submits on a periodic tick.
 #[derive(Clone)]
-pub struct Reply {
-    tx: Sender<JobOutcome>,
+pub struct Reply<T> {
+    tx: Sender<T>,
     waker: Option<Arc<dyn ReplyWaker>>,
 }
 
-impl Reply {
+impl<T> Reply<T> {
     /// A reply with no waker — for callers that block on the receiver.
-    pub fn new(tx: Sender<JobOutcome>) -> Reply {
+    pub fn new(tx: Sender<T>) -> Reply<T> {
         Reply { tx, waker: None }
     }
 
     /// A reply that calls `waker` after every outcome delivery (and when
-    /// the last clone drops, covering shard-death mid-batch).
-    pub fn with_waker(tx: Sender<JobOutcome>, waker: Arc<dyn ReplyWaker>) -> Reply {
+    /// the last clone drops, covering a shard or control worker that
+    /// dies holding it).
+    pub fn with_waker(tx: Sender<T>, waker: Arc<dyn ReplyWaker>) -> Reply<T> {
         Reply {
             tx,
             waker: Some(waker),
@@ -77,13 +79,13 @@ impl Reply {
 
     /// Delivers one outcome, then wakes the transport (if any waker is
     /// attached). The send error is the receiver having hung up — the
-    /// session gave up on the batch — which callers may ignore.
+    /// session gave up on the request — which callers may ignore.
     ///
     /// # Errors
     ///
     /// `SendError` when the receiving session already dropped the
     /// channel (e.g. the job outlived its connection).
-    pub fn send(&self, outcome: JobOutcome) -> Result<(), SendError<JobOutcome>> {
+    pub fn send(&self, outcome: T) -> Result<(), SendError<T>> {
         let sent = self.tx.send(outcome);
         if let Some(w) = &self.waker {
             w.wake();
@@ -98,7 +100,7 @@ impl Reply {
     }
 }
 
-impl Drop for Reply {
+impl<T> Drop for Reply<T> {
     fn drop(&mut self) {
         // A dropped clone may be the channel's last sender (shard panic
         // unwinding its queued jobs): wake so the session promptly sees
@@ -110,7 +112,7 @@ impl Drop for Reply {
     }
 }
 
-impl fmt::Debug for Reply {
+impl<T> fmt::Debug for Reply<T> {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.debug_struct("Reply")
             .field("waker", &self.waker.is_some())
@@ -129,7 +131,7 @@ pub struct Job {
     /// Outcome path back to the submitting session. Dropping the job
     /// (e.g. a shard panic mid-batch) drops the reply, which the
     /// session observes as a failed submit — never a silent loss.
-    pub reply: Reply,
+    pub reply: Reply<JobOutcome>,
     /// When the job entered the queue (service-latency attribution).
     pub enqueued: Instant,
 }
@@ -145,11 +147,13 @@ pub struct ShardQueue {
     high_water: AtomicUsize,
 }
 
-fn unpoison<'a, T>(
+/// Recovers the guard of a lock a panicking thread held. Every lock it
+/// is used on guards state that stays valid across a panic: queue
+/// contents, shard stats, and the control plane's trie and slots (ops
+/// commit whole, publishes are whole `Arc` stores).
+pub(crate) fn unpoison<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {
-    // A shard panicking while a session holds no job invariant worth
-    // protecting: the queue content stays valid, so recover the guard.
     r.unwrap_or_else(PoisonError::into_inner)
 }
 
@@ -212,27 +216,17 @@ impl ShardQueue {
     }
 
     /// Pops one job, waiting up to `timeout` — shards poll this so stop
-    /// and kill flags are observed between activations.
-    pub fn pop_timeout(&self, timeout: Duration) -> Option<Job> {
-        self.pop_timeout_inner(timeout, None)
-    }
-
-    /// Like [`ShardQueue::pop_timeout`], but clears `idle` **before the
-    /// queue lock is released** whenever a job comes out. Drain checks
-    /// `queue.is_empty() && idle` (in that order, and `is_empty` takes
-    /// this same lock), so it can never observe the window where the pop
-    /// emptied the queue but the shard has not yet marked itself busy.
+    /// and kill flags are observed between activations — and clears
+    /// `idle` **before the queue lock is released** whenever a job comes
+    /// out. Drain checks `queue.is_empty() && idle` (in that order, and
+    /// `is_empty` takes this same lock), so it can never observe the
+    /// window where the pop emptied the queue but the shard has not yet
+    /// marked itself busy.
     pub fn pop_timeout_busy(&self, timeout: Duration, idle: &AtomicBool) -> Option<Job> {
-        self.pop_timeout_inner(timeout, Some(idle))
-    }
-
-    fn pop_timeout_inner(&self, timeout: Duration, idle: Option<&AtomicBool>) -> Option<Job> {
         let take = |g: &mut VecDeque<Job>| {
             let job = g.pop_front();
             if job.is_some() {
-                if let Some(idle) = idle {
-                    idle.store(false, Ordering::Release);
-                }
+                idle.store(false, Ordering::Release);
             }
             job
         };
@@ -256,12 +250,12 @@ impl ShardQueue {
 
     /// Wakes the shard even though no job was pushed. The control plane
     /// uses this after publishing a new table generation: a shard parked
-    /// in [`ShardQueue::pop_timeout`] wakes, finds the queue empty, and
-    /// falls through to its per-iteration generation check — so the
+    /// in [`ShardQueue::pop_timeout_busy`] wakes, finds the queue empty,
+    /// and falls through to its per-iteration generation check — so the
     /// drain-barrier acknowledgement arrives in microseconds instead of
-    /// waiting out the poll timeout. (`pop_timeout_inner` waits on the
-    /// condvar at most once, so a wake with an empty queue returns `None`
-    /// promptly rather than re-parking.)
+    /// waiting out the poll timeout. (The pop waits on the condvar at
+    /// most once, so a wake with an empty queue returns `None` promptly
+    /// rather than re-parking.)
     pub fn notify(&self) {
         self.available.notify_all();
     }
@@ -344,16 +338,5 @@ mod tests {
         assert_eq!(waker.0.load(Ordering::Relaxed), 2, "drop wakes");
         drop(reply);
         assert!(rx.recv().is_err(), "channel disconnects after last drop");
-    }
-
-    #[test]
-    fn pop_timeout_sees_pushes_and_times_out_empty() {
-        let q = ShardQueue::new(4);
-        assert!(q.pop_timeout(Duration::from_millis(5)).is_none());
-        let (a, _ra) = job(3);
-        q.try_push(a).unwrap();
-        let got = q.pop_timeout(Duration::from_millis(100)).unwrap();
-        assert_eq!(got.packets.len(), 3);
-        assert!(q.is_empty());
     }
 }

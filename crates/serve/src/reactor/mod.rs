@@ -1,6 +1,6 @@
 //! The transport: a few reactor threads multiplex every connection
 //! through an epoll (or `poll(2)`) event loop around each connection's
-//! [`Session`].
+//! `Session`.
 //!
 //! The reactor does I/O and nothing else: it accepts and deals
 //! connections across `config.reactor_threads` event loops, reads and

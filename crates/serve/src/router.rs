@@ -9,7 +9,7 @@
 //! checking every capacity, and only then committing the pushes.
 
 use crate::frame::SubmitOptions;
-use crate::queue::{Job, Reply, ShardQueue};
+use crate::queue::{Job, JobOutcome, Reply, ShardQueue};
 use memsync_netapp::Ipv4Packet;
 use std::sync::Arc;
 use std::time::Instant;
@@ -147,7 +147,7 @@ impl Router {
         splitter: &mut ShardSplitter,
         packets: &[Ipv4Packet],
         options: SubmitOptions,
-        reply: &Reply,
+        reply: &Reply<JobOutcome>,
     ) -> Result<usize, u16> {
         assert_eq!(
             splitter.shards(),

@@ -1,20 +1,21 @@
-//! The service instance: the shard fleet, its supervisor and the control
-//! worker (the [`Shared`] plane every connection sees), served over TCP
-//! by the [`crate::reactor`] event loops.
+//! The service instance: the shard fleet and the control worker (the
+//! `Shared` plane every connection sees), served over TCP by the
+//! [`crate::reactor`] event loops.
 //!
 //! Every connection opens with a [`crate::frame::Request::Hello`]; the
-//! protocol from there on lives in [`crate::session`]. Drain flips a
+//! protocol from there on lives in the `session` module. Drain flips a
 //! flag (new submits refused), waits for every shard to go quiescent,
 //! and answers `Drained`; shutdown drains, stops the shard fleet and the
 //! event loops, and unblocks [`Server::wait`] so the `serve` bin can
-//! exit 0. Serving is unix-only: epoll on Linux, `poll(2)` on other
-//! unix platforms.
+//! exit 0. Each shard thread restarts itself after a panic
+//! ([`crate::shard`]); the server joins every thread it spawned, shards
+//! included, in [`Server::wait`] and on drop. Serving is unix-only:
+//! epoll on Linux, `poll(2)` on other unix platforms.
 
 use crate::router::Router;
-use crate::shard::ShardTables;
+use crate::shard::{self, Shard, ShardTables};
 use crate::stats::{FrontendStats, ServerCounters};
-use crate::supervisor::{Supervisor, SupervisorHandle};
-use crate::tables::{spawn_control_worker, ControlHandle, EpochTables, ShardGate};
+use crate::tables::{spawn_control_worker, ControlHandle, EpochTables};
 use crate::tracing::ServeTracer;
 use crate::ServeConfig;
 use std::io;
@@ -25,11 +26,11 @@ use std::thread::JoinHandle;
 use std::time::Instant;
 
 /// State every connection shares: the router onto the shard queues,
-/// the counters, the flags and the control plane.
+/// the shards themselves, the counters, the flags and the control plane.
 #[derive(Debug)]
 pub(crate) struct Shared {
     pub(crate) router: Router,
-    pub(crate) supervisor: SupervisorHandle,
+    pub(crate) shards: Vec<Arc<Shard>>,
     pub(crate) counters: ServerCounters,
     pub(crate) config: ServeConfig,
     pub(crate) stop: Arc<AtomicBool>,
@@ -41,43 +42,35 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Spawns the shard fleet, its supervisor and the control worker;
-    /// returns the plane and the control worker's handle. Everything
-    /// stops once `stop` is raised.
+    /// Spawns the shard threads and the control worker; returns the
+    /// plane and their join handles. Everything stops once `stop` is
+    /// raised.
     ///
     /// # Errors
     ///
     /// Span-export file creation failures.
-    pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, JoinHandle<()>)> {
+    pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
         assert!(config.shards > 0, "at least one shard");
         let tracer = ServeTracer::new(config.tracing.clone(), config.shards)?;
         let stop = Arc::new(AtomicBool::new(false));
         let tables = Arc::new(EpochTables::new(ShardTables::build(config.routes)));
-        let supervisor = Supervisor::start(&config, Arc::clone(&stop), Arc::clone(&tables))
-            .monitor_in_background();
-        let router = Router::new(
-            supervisor
-                .shards()
-                .iter()
-                .map(|s| Arc::clone(&s.queue))
-                .collect(),
-        );
-        // The control worker's drain barrier watches every shard's
-        // generation acknowledgement through these gates. The queue Arcs
-        // and gen_seen Arcs survive shard restarts, so the gates stay
-        // valid for the server's lifetime.
-        let gates: Vec<ShardGate> = supervisor
-            .shards()
+        let shards: Vec<Arc<Shard>> = (0..config.shards)
+            .map(|id| Arc::new(Shard::new(id, config.queue_cap)))
+            .collect();
+        let mut threads: Vec<JoinHandle<()>> = shards
             .iter()
-            .map(|s| ShardGate {
-                queue: Arc::clone(&s.queue),
-                gen_seen: Arc::clone(&s.gen_seen),
+            .map(|s| {
+                let (tables, stop) = (Arc::clone(&tables), Arc::clone(&stop));
+                shard::spawn(Arc::clone(s), tables, stop, config.clone())
             })
             .collect();
-        let (control, control_thread) = spawn_control_worker(tables, gates, Arc::clone(&stop));
+        let router = Router::new(shards.iter().map(|s| Arc::clone(&s.queue)).collect());
+        let (control, control_thread) =
+            spawn_control_worker(tables, shards.clone(), Arc::clone(&stop));
+        threads.push(control_thread);
         let shared = Arc::new(Shared {
             router,
-            supervisor,
+            shards,
             counters: ServerCounters::default(),
             config,
             stop,
@@ -87,7 +80,15 @@ impl Shared {
             frontend: FrontendStats::default(),
             control,
         });
-        Ok((shared, control_thread))
+        Ok((shared, threads))
+    }
+
+    /// Total shard restarts so far.
+    pub(crate) fn shard_restarts(&self) -> u64 {
+        self.shards
+            .iter()
+            .map(|s| s.restarts.load(Ordering::Acquire))
+            .sum()
     }
 }
 
@@ -101,7 +102,7 @@ pub struct Server {
 
 impl Server {
     /// Binds `addr` (use port 0 for an ephemeral port), spawns the shard
-    /// fleet, the supervisor, the control worker and the reactor.
+    /// fleet, the control worker and the reactor.
     ///
     /// # Errors
     ///
@@ -121,14 +122,17 @@ impl Server {
             let listener = TcpListener::bind(addr)?;
             let local_addr = listener.local_addr()?;
             listener.set_nonblocking(true)?;
-            let (shared, control_thread) = Shared::start(config)?;
-            let mut threads = crate::reactor::spawn(listener, Arc::clone(&shared))?;
-            threads.push(control_thread);
-            Ok(Server {
+            let (shared, threads) = Shared::start(config)?;
+            // Built before the reactor spawns, so a failed spawn drops the
+            // server, which stops and joins the threads already running.
+            let mut server = Server {
                 shared,
                 local_addr,
                 threads,
-            })
+            };
+            let reactor = crate::reactor::spawn(listener, Arc::clone(&server.shared))?;
+            server.threads.extend(reactor);
+            Ok(server)
         }
     }
 
@@ -139,7 +143,7 @@ impl Server {
 
     /// Total shard restarts so far.
     pub fn shard_restarts(&self) -> u64 {
-        self.shared.supervisor.restarts()
+        self.shared.shard_restarts()
     }
 
     /// Whether a shutdown has been requested (frame or [`Server::stop`]).

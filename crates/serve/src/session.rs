@@ -32,7 +32,7 @@ use crate::frame::{
 use crate::queue::{JobOutcome, Reply, ReplyWaker};
 use crate::router::ShardSplitter;
 use crate::server::Shared;
-use crate::tables::{ControlOp, ControlOutcome, ControlReply};
+use crate::tables::{ControlOp, ControlOutcome};
 use crate::tracing::PendingSpan;
 use memsync_netapp::Ipv4Packet;
 use std::sync::atomic::Ordering;
@@ -78,9 +78,9 @@ enum Work {
         deadline: Instant,
     },
     /// A route mutation waiting for the control worker to publish the
-    /// new generation and run the shard drain barrier.
+    /// new generation and run the shard drain barrier (or refuse it).
     Route {
-        rx: Receiver<ControlOutcome>,
+        rx: Receiver<Result<ControlOutcome, String>>,
         deadline: Instant,
     },
 }
@@ -241,7 +241,7 @@ impl Session {
                 };
                 return self.poll(now, out);
             }
-            Request::Kill(shard) => match self.shared.supervisor.shards().get(shard as usize) {
+            Request::Kill(shard) => match self.shared.shards.get(shard as usize) {
                 Some(s) => {
                     s.die.store(true, Ordering::Release);
                     Response::Ok
@@ -333,7 +333,7 @@ impl Session {
                 }
             }
             Work::Drain { shutdown, deadline } => {
-                let quiesced = self.shared.supervisor.quiescent()
+                let quiesced = self.shared.shards.iter().all(|s| s.quiescent())
                     && self.shared.frontend.deferred_now.load(Ordering::Relaxed) == 0;
                 if !quiesced && now < *deadline {
                     return;
@@ -353,11 +353,12 @@ impl Session {
                 }
             }
             Work::Route { rx, deadline } => match rx.try_recv() {
-                Ok(o) => Response::RouteUpdated {
+                Ok(Ok(o)) => Response::RouteUpdated {
                     generation: o.generation,
                     routes: o.routes,
                     applied: o.applied,
                 },
+                Ok(Err(refusal)) => Response::Error(refusal),
                 Err(TryRecvError::Empty) if now < *deadline => return,
                 Err(e) => {
                     self.shared.counters.errors.fetch_add(1, Ordering::Relaxed);
@@ -481,7 +482,7 @@ impl Session {
     /// transport's thread.
     fn start_route(&mut self, op: ControlOp, now: Instant, out: &mut impl Egress) {
         let (tx, rx) = channel();
-        let reply = ControlReply::with_waker(tx, Arc::clone(&self.waker));
+        let reply = Reply::with_waker(tx, Arc::clone(&self.waker));
         if !self.shared.control.submit(op, reply) {
             return self.send(&Response::Error("control plane stopped".into()), out);
         }
@@ -569,7 +570,7 @@ mod tests {
             backend: BackendKind::Fast,
             ..ServeConfig::default()
         };
-        let (shared, control) = Shared::start(config).expect("start the service plane");
+        let (shared, threads) = Shared::start(config).expect("start the service plane");
         let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
 
         let early = serve(&mut session, &Request::Stats);
@@ -631,6 +632,8 @@ mod tests {
             shared.stop.load(Ordering::Acquire),
             "the ended session stops the server"
         );
-        control.join().expect("control worker exits");
+        for t in threads {
+            t.join().expect("shard and control threads exit");
+        }
     }
 }

@@ -1,5 +1,5 @@
 //! Shard threads: each owns one forwarding backend and batches queued
-//! packets through it.
+//! packets through it, and each restarts itself in place when it panics.
 //!
 //! A shard activation pops as many jobs as fit under
 //! [`crate::ServeConfig::batch_max`] packets and runs them through the
@@ -15,18 +15,31 @@
 //! are classified with the FIB oracle; in verify mode every egress frame
 //! is additionally checked against the software pipeline model
 //! ([`crate::pipeline::expected_frame`]).
+//!
+//! Everything that must outlive a crash is one [`Shard`] record: the
+//! queue, the stats registry, the kill and idle flags, the restart
+//! carryover and the drain-barrier acknowledgement. [`spawn`] runs the
+//! shard loop under `catch_unwind`; a panic (the kill frame, a stalled
+//! simulator tripping its cycle budget, a differential divergence) drops
+//! only the batch in flight, whose reply channels close, and the same
+//! thread re-enters the loop with a fresh backend on the same record, so
+//! jobs queued behind the crash survive and the stats keep counting.
+//! The restart is counted in `shard_restarts`, and the packet total at
+//! that moment is latched as `restart_carryover`.
 
 use crate::backend::{self, ForwardingBackend};
 use crate::pipeline::PipelineModel;
-use crate::queue::{Job, JobOutcome, ShardQueue};
+use crate::queue::{unpoison, Job, JobOutcome, ShardQueue};
 use crate::tables::EpochTables;
 use crate::tracing::StageTimings;
 use crate::ServeConfig;
 use memsync_netapp::fib::{synthetic_table, Dir24_8, Route};
 use memsync_netapp::{Fib, Ipv4Packet};
 use memsync_trace::MetricsRegistry;
+use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// The route-lookup state every shard shares: the binary-trie [`Fib`]
@@ -57,8 +70,7 @@ impl ShardTables {
         ShardTables { fib, dir }
     }
 
-    /// Builds a table pair from an explicit route list (the control
-    /// worker compiles each published generation through this).
+    /// Builds a table pair from an explicit route list.
     pub fn from_routes(routes: &[Route]) -> ShardTables {
         let mut fib = Fib::new();
         for r in routes {
@@ -78,34 +90,73 @@ struct BatchScratch {
     outcomes: Vec<JobOutcome>,
 }
 
-/// Shared handles between a shard thread, the supervisor, and the stats
-/// collector. The queue and flags survive a shard panic; the backend
-/// does not (the replacement thread builds a fresh one).
+/// One shard's state that outlives a panic of its loop, shared with
+/// the router (the queue), the stats collector, the sessions (kill and
+/// drain) and the control worker's drain barrier.
 #[derive(Debug)]
-pub struct ShardCtx {
-    /// Shard index (stable across restarts).
+pub struct Shard {
+    /// Shard index.
     pub id: usize,
     /// The shard's bounded job queue.
     pub queue: Arc<ShardQueue>,
     /// Serve-level metrics for this shard (merged into stats frames).
-    pub stats: Arc<Mutex<MetricsRegistry>>,
-    /// Service-wide stop flag (set by shutdown).
-    pub stop: Arc<AtomicBool>,
+    pub stats: Mutex<MetricsRegistry>,
     /// Fault injection: when set, the shard panics on its next
-    /// activation (cleared by the replacement).
-    pub die: Arc<AtomicBool>,
+    /// activation (cleared on restart).
+    pub die: AtomicBool,
     /// False while the shard is mid-activation (drain waits on this).
-    pub idle: Arc<AtomicBool>,
-    /// The generation-swapped route tables shared across shards *and*
-    /// restarts. The shard clones the current generation's `Arc` and
-    /// re-clones only when the generation counter moves.
-    pub tables: Arc<EpochTables>,
+    pub idle: AtomicBool,
+    /// `serve.packets` total latched at the shard's most recent restart
+    /// (0 while it never restarted). The registry keeps counting across
+    /// restarts, so a nonzero value proves pre-restart traffic still
+    /// counts in the merged stats frame.
+    pub carryover: AtomicU64,
     /// Highest table generation this shard has synced to — the shard's
     /// acknowledgement in the control plane's drain barrier.
-    pub gen_seen: Arc<AtomicU64>,
-    /// Service configuration.
-    pub config: ServeConfig,
+    pub gen_seen: AtomicU64,
+    /// Times the shard's loop panicked and restarted in place.
+    pub restarts: AtomicU64,
 }
+
+impl Shard {
+    /// An idle shard with an empty queue of `queue_cap` jobs.
+    pub fn new(id: usize, queue_cap: usize) -> Shard {
+        Shard {
+            id,
+            queue: Arc::new(ShardQueue::new(queue_cap)),
+            stats: Mutex::new(MetricsRegistry::new()),
+            die: AtomicBool::new(false),
+            idle: AtomicBool::new(true),
+            carryover: AtomicU64::new(0),
+            gen_seen: AtomicU64::new(0),
+            restarts: AtomicU64::new(0),
+        }
+    }
+
+    /// Whether nothing is queued and nothing is in flight — the drain
+    /// completion condition. The queue is checked first: the busy pop
+    /// clears `idle` under the queue lock, so an empty queue seen here
+    /// means a popped job already shows as busy.
+    pub fn quiescent(&self) -> bool {
+        self.queue.is_empty() && self.idle.load(Ordering::Acquire)
+    }
+
+    /// Restarts the shard's loop after a panic: latches the packet
+    /// total, clears the kill flag, marks the shard idle, and counts the
+    /// restart.
+    fn restart(&self) {
+        let total = unpoison(self.stats.lock()).counter("serve.packets");
+        self.carryover.store(total, Ordering::Relaxed);
+        self.die.store(false, Ordering::Release);
+        self.idle.store(true, Ordering::Release);
+        // Release: whoever reads the new count also sees the carryover.
+        self.restarts.fetch_add(1, Ordering::Release);
+    }
+}
+
+/// Pause before a panicked shard re-enters its loop, so a shard that
+/// panics on boot cannot spin a core.
+const RESTART_PAUSE: Duration = Duration::from_millis(5);
 
 /// Classifies a job's packets the way [`crate::pipeline::oracle_forwards`]
 /// does, against the flat table: a packet forwards when its TTL survives
@@ -126,15 +177,13 @@ fn classify(dir: &Dir24_8, packets: &[Ipv4Packet]) -> (u32, u32) {
 /// `Some` only when request tracing is on. Everything timing-related
 /// hangs off it: `None` means not a single `Instant::now` call on this
 /// path.
-#[allow(clippy::too_many_arguments)]
 fn process_batch(
+    shard: &Shard,
     backend: &mut dyn ForwardingBackend,
     model: &PipelineModel,
     tables: &ShardTables,
     jobs: &mut Vec<Job>,
     scratch: &mut BatchScratch,
-    shard_id: usize,
-    stats: &Mutex<MetricsRegistry>,
     picked_at: Option<Instant>,
 ) {
     scratch.descriptors.clear();
@@ -169,7 +218,8 @@ fn process_batch(
             assert_eq!(
                 f.len(),
                 n,
-                "shard {shard_id}: egress e{i} returned {} frames for {n} descriptors",
+                "shard {}: egress e{i} returned {} frames for {n} descriptors",
+                shard.id,
                 f.len()
             );
         }
@@ -212,7 +262,7 @@ fn process_batch(
         let frames_emitted = after.frames - before.frames;
         for (job, out) in jobs.iter().zip(scratch.outcomes.iter_mut()) {
             out.timings = Some(StageTimings {
-                shard: shard_id as u16,
+                shard: shard.id as u16,
                 packets: job.packets.len() as u32,
                 queue_ns: pick.saturating_duration_since(job.enqueued).as_nanos() as u64,
                 coalesce_ns,
@@ -227,7 +277,7 @@ fn process_batch(
     // Record stats *before* replying: a client that queries stats right
     // after its submit response must already see this batch.
     {
-        let mut reg = stats.lock().unwrap_or_else(PoisonError::into_inner);
+        let mut reg = shard.stats.lock().unwrap_or_else(PoisonError::into_inner);
         reg.add("serve.packets", n as u64);
         reg.add("serve.forwarded", u64::from(totals.forwarded));
         reg.add("serve.dropped", u64::from(totals.dropped));
@@ -265,51 +315,88 @@ fn process_batch(
     }
 }
 
-/// The shard thread body: loops popping and processing batches until the
-/// stop flag rises. Panics (deliberate via the kill flag, real bugs, or a
-/// differential-backend divergence) unwind out of here into the
-/// supervisor's restart path.
-pub fn run(ctx: &ShardCtx) {
-    let mut backend = backend::build(&ctx.config);
+/// Spawns the thread serving `shard`. It runs the shard loop until
+/// `stop` rises, and restarts the loop in place after a panic (see the
+/// module docs); a panic once `stop` is up ends the thread uncounted.
+///
+/// # Panics
+///
+/// Panics if the OS refuses to spawn the thread.
+pub fn spawn(
+    shard: Arc<Shard>,
+    tables: Arc<EpochTables>,
+    stop: Arc<AtomicBool>,
+    config: ServeConfig,
+) -> JoinHandle<()> {
+    std::thread::Builder::new()
+        .name(format!("memsync-shard-{}", shard.id))
+        .spawn(move || loop {
+            // The record is built to survive a panic: its locks recover
+            // from poisoning and everything else is atomic.
+            let crashed = panic::catch_unwind(AssertUnwindSafe(|| {
+                run(&shard, &tables, &stop, &config);
+            }));
+            let Err(payload) = crashed else { return };
+            if stop.load(Ordering::Acquire) {
+                return;
+            }
+            let msg = payload
+                .downcast_ref::<String>()
+                .map(String::as_str)
+                .or_else(|| payload.downcast_ref::<&str>().copied())
+                .unwrap_or("unknown panic");
+            eprintln!("[shard {}] died: {msg}; restarting", shard.id);
+            shard.restart();
+            std::thread::sleep(RESTART_PAUSE);
+        })
+        .expect("shard thread spawns")
+}
+
+/// The shard loop: pops and processes batches until the stop flag
+/// rises. Panics (deliberate via the kill flag, real bugs, or a
+/// differential-backend divergence) unwind out of here into [`spawn`]'s
+/// restart path.
+fn run(shard: &Shard, epoch: &EpochTables, stop: &AtomicBool, config: &ServeConfig) {
+    let mut backend = backend::build(config);
     let model = PipelineModel::new();
-    let (mut generation, mut tables) = ctx.tables.current();
+    let (mut generation, mut tables) = epoch.current();
     // Acknowledge the generation this incarnation booted on: a shard
     // restarted mid-swap syncs here, so the control worker's drain
     // barrier never waits on a dead incarnation.
-    ctx.gen_seen.store(generation, Ordering::Release);
+    shard.gen_seen.store(generation, Ordering::Release);
     let mut jobs: Vec<Job> = Vec::new();
     let mut scratch = BatchScratch::default();
-    while !ctx.stop.load(Ordering::Acquire) {
+    while !stop.load(Ordering::Acquire) {
         // Table-swap check: one atomic load per iteration. When the
         // control worker publishes a new generation, re-clone the table
         // Arc and acknowledge — after the store this shard provably never
         // reads an older generation again, which is exactly what
         // retirement needs. No lock is taken unless the counter actually
         // moved.
-        if ctx.tables.generation() != generation {
-            let (fresh_gen, fresh) = ctx.tables.current();
+        if epoch.generation() != generation {
+            let (fresh_gen, fresh) = epoch.current();
             generation = fresh_gen;
             tables = fresh;
-            ctx.gen_seen.store(generation, Ordering::Release);
+            shard.gen_seen.store(generation, Ordering::Release);
         }
         // The busy pop clears the idle flag under the queue lock, so a
         // drain that sees the queue empty afterwards also sees the shard
         // busy — quiescent() can't fire mid-handoff. The control worker
         // nudges this condvar on publish ([`ShardQueue::notify`]), so a
         // parked shard acks a swap in microseconds, not a poll period.
-        let Some(first) = ctx
+        let Some(first) = shard
             .queue
-            .pop_timeout_busy(Duration::from_millis(20), &ctx.idle)
+            .pop_timeout_busy(Duration::from_millis(20), &shard.idle)
         else {
             continue;
         };
-        let picked_at = ctx.config.tracing.enabled.then(Instant::now);
-        if ctx.die.swap(false, Ordering::AcqRel) {
+        let picked_at = config.tracing.enabled.then(Instant::now);
+        if shard.die.swap(false, Ordering::AcqRel) {
             // Put the job back? No — the kill emulates a crash mid-batch:
             // the job is dropped, its reply channel closes, and the
             // acceptor reports the submit as failed. Lossy only in the
             // sense a real crash is; never silent.
-            panic!("shard {} killed by fault injection", ctx.id);
+            panic!("shard {} killed by fault injection", shard.id);
         }
         // Coalesce follow-on jobs up to the activation budget, into the
         // activation-scratch vec (drained by process_batch, capacity
@@ -317,8 +404,8 @@ pub fn run(ctx: &ShardCtx) {
         jobs.clear();
         jobs.push(first);
         let mut packets: usize = jobs[0].packets.len();
-        while packets < ctx.config.batch_max {
-            match ctx.queue.try_pop() {
+        while packets < config.batch_max {
+            match shard.queue.try_pop() {
                 Some(j) => {
                     packets += j.packets.len();
                     jobs.push(j);
@@ -326,24 +413,23 @@ pub fn run(ctx: &ShardCtx) {
                 None => break,
             }
         }
-        if let Some(throttle) = ctx.config.shard_throttle {
+        if let Some(throttle) = config.shard_throttle {
             std::thread::sleep(throttle);
         }
         process_batch(
+            shard,
             backend.as_mut(),
             &model,
             &tables,
             &mut jobs,
             &mut scratch,
-            ctx.id,
-            &ctx.stats,
             picked_at,
         );
-        if ctx.queue.is_empty() {
-            ctx.idle.store(true, Ordering::Release);
+        if shard.queue.is_empty() {
+            shard.idle.store(true, Ordering::Release);
         }
     }
-    ctx.idle.store(true, Ordering::Release);
+    shard.idle.store(true, Ordering::Release);
 }
 
 #[cfg(test)]
@@ -353,22 +439,8 @@ mod tests {
     use crate::frame::SubmitOptions;
     use crate::queue::Reply;
     use memsync_netapp::Workload;
-    use std::sync::mpsc::channel;
+    use std::sync::mpsc::{channel, Receiver};
     use std::time::Instant;
-
-    fn ctx(config: ServeConfig) -> ShardCtx {
-        ShardCtx {
-            id: 0,
-            queue: Arc::new(ShardQueue::new(config.queue_cap)),
-            stats: Arc::new(Mutex::new(MetricsRegistry::new())),
-            stop: Arc::new(AtomicBool::new(false)),
-            die: Arc::new(AtomicBool::new(false)),
-            idle: Arc::new(AtomicBool::new(true)),
-            tables: Arc::new(EpochTables::new(ShardTables::build(config.routes))),
-            gen_seen: Arc::new(AtomicU64::new(0)),
-            config,
-        }
-    }
 
     fn fast_config() -> ServeConfig {
         ServeConfig {
@@ -379,34 +451,59 @@ mod tests {
         }
     }
 
-    /// One manual activation of a single job carrying `packets`, instead
-    /// of the full thread loop; returns the job's outcome.
-    fn activate(
-        ctx: &ShardCtx,
-        backend: &mut dyn ForwardingBackend,
-        packets: &[Ipv4Packet],
-        options: SubmitOptions,
-        shard_id: usize,
-        picked_at: Option<Instant>,
-    ) -> JobOutcome {
+    /// A job carrying `packets`, and the receiver its outcome arrives on.
+    fn job(packets: &[Ipv4Packet], options: SubmitOptions) -> (Job, Receiver<JobOutcome>) {
         let (tx, rx) = channel();
-        let (_, tables) = ctx.tables.current();
-        process_batch(
-            backend,
-            &PipelineModel::new(),
-            &tables,
-            &mut vec![Job {
-                packets: packets.to_vec(),
-                options,
-                reply: Reply::new(tx),
-                enqueued: Instant::now(),
-            }],
-            &mut BatchScratch::default(),
-            shard_id,
-            &ctx.stats,
-            picked_at,
-        );
-        rx.recv().expect("the activation answers its job")
+        let job = Job {
+            packets: packets.to_vec(),
+            options,
+            reply: Reply::new(tx),
+            enqueued: Instant::now(),
+        };
+        (job, rx)
+    }
+
+    /// A shard record with its tables and backend, driven one manual
+    /// activation at a time instead of through the thread loop.
+    struct Rig {
+        shard: Shard,
+        tables: ShardTables,
+        backend: Box<dyn ForwardingBackend>,
+    }
+
+    impl Rig {
+        fn new(id: usize, config: &ServeConfig) -> Rig {
+            Rig {
+                shard: Shard::new(id, config.queue_cap),
+                tables: ShardTables::build(config.routes),
+                backend: backend::build(config),
+            }
+        }
+
+        /// One activation of a single job carrying `packets`; returns
+        /// the job's outcome.
+        fn activate(
+            &mut self,
+            packets: &[Ipv4Packet],
+            options: SubmitOptions,
+            picked_at: Option<Instant>,
+        ) -> JobOutcome {
+            let (job, rx) = job(packets, options);
+            process_batch(
+                &self.shard,
+                self.backend.as_mut(),
+                &PipelineModel::new(),
+                &self.tables,
+                &mut vec![job],
+                &mut BatchScratch::default(),
+                picked_at,
+            );
+            rx.recv().expect("the activation answers its job")
+        }
+
+        fn stats(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+            self.shard.stats.lock().unwrap()
+        }
     }
 
     #[test]
@@ -420,17 +517,15 @@ mod tests {
                 backend: kind,
                 ..fast_config()
             };
-            let ctx = ctx(config.clone());
+            let mut rig = Rig::new(0, &config);
             let w = Workload::generate(77, 40, config.routes);
             let (fwd, drop) = w.reference_forward();
-            let mut backend = backend::build(&ctx.config);
-            let verify = SubmitOptions::new().verify(true);
-            let out = activate(&ctx, backend.as_mut(), &w.packets, verify, 0, None);
+            let out = rig.activate(&w.packets, SubmitOptions::new().verify(true), None);
             assert_eq!(out.timings, None, "{kind}: tracing off, no timings");
             assert_eq!(out.forwarded as usize, fwd, "{kind}");
             assert_eq!(out.dropped as usize, drop, "{kind}");
             assert_eq!(out.mismatches, 0, "{kind}: backend matches the model");
-            let reg = ctx.stats.lock().unwrap();
+            let reg = rig.stats();
             assert_eq!(reg.counter("serve.packets"), 40);
             assert_eq!(reg.counter("serve.batches"), 1);
             assert_eq!(
@@ -459,24 +554,15 @@ mod tests {
 
     #[test]
     fn traced_batch_attaches_timings_and_stage_histograms() {
-        let ctx = ctx(fast_config());
-        let w = Workload::generate(9, 24, ctx.config.routes);
-        let mut backend = backend::build(&ctx.config);
-        let picked_at = Some(Instant::now());
-        let out = activate(
-            &ctx,
-            backend.as_mut(),
-            &w.packets,
-            SubmitOptions::new(),
-            3,
-            picked_at,
-        );
+        let mut rig = Rig::new(3, &fast_config());
+        let w = Workload::generate(9, 24, 16);
+        let out = rig.activate(&w.packets, SubmitOptions::new(), Some(Instant::now()));
         let t = out.timings.expect("tracing on attaches timings");
         assert_eq!(t.shard, 3);
         assert_eq!(t.packets, 24);
         assert_eq!(t.frames, 24 * 2, "one frame per egress lane");
         assert_eq!(t.sim_cycles, 0, "fast backend reports no cycles");
-        let reg = ctx.stats.lock().unwrap();
+        let reg = rig.stats();
         for stage in [
             "serve.stage.queue_ns",
             "serve.stage.coalesce_ns",
@@ -501,21 +587,13 @@ mod tests {
     fn shard_stats_stay_bucketed_over_many_activations() {
         // A long-lived shard keeps O(1) stats: every histogram is a
         // bucketed one, however many activations it served.
-        let ctx = ctx(fast_config());
-        let w = Workload::generate(5, 8, ctx.config.routes);
-        let mut backend = backend::build(&ctx.config);
+        let mut rig = Rig::new(0, &fast_config());
+        let w = Workload::generate(5, 8, 16);
         const N: u64 = 200;
         for _ in 0..N {
-            activate(
-                &ctx,
-                backend.as_mut(),
-                &w.packets,
-                SubmitOptions::new(),
-                0,
-                None,
-            );
+            rig.activate(&w.packets, SubmitOptions::new(), None);
         }
-        let reg = ctx.stats.lock().unwrap();
+        let reg = rig.stats();
         assert_eq!(
             reg.to_json().get("histograms"),
             Some(&memsync_trace::Json::obj()),
@@ -568,11 +646,9 @@ mod tests {
         let w = Workload::generate(123, 64, config.routes);
         let mut counts = Vec::new();
         for _ in 0..2 {
-            let ctx = ctx(config.clone());
-            let mut backend = backend::build(&ctx.config);
-            let verify = SubmitOptions::new().verify(true);
-            let out = activate(&ctx, backend.as_mut(), &w.packets, verify, 0, None);
-            let reg = ctx.stats.lock().unwrap();
+            let mut rig = Rig::new(0, &config);
+            let out = rig.activate(&w.packets, SubmitOptions::new().verify(true), None);
+            let reg = rig.stats();
             counts.push((
                 out,
                 reg.counter("serve.forwarded"),
@@ -581,5 +657,54 @@ mod tests {
             ));
         }
         assert_eq!(counts[0], counts[1]);
+    }
+
+    #[test]
+    fn a_killed_shard_restarts_in_place_and_serves_the_jobs_queued_behind_it() {
+        let config = fast_config();
+        let shard = Arc::new(Shard::new(0, config.queue_cap));
+        let epoch = Arc::new(EpochTables::new(ShardTables::build(config.routes)));
+        let stop = Arc::new(AtomicBool::new(false));
+        let thread = spawn(Arc::clone(&shard), epoch, Arc::clone(&stop), config);
+        let w = Workload::generate(6, 32, 16);
+        let queue = |packets: &[Ipv4Packet]| {
+            let (job, rx) = job(packets, SubmitOptions::new());
+            shard.queue.try_push(job).expect("the queue has room");
+            rx
+        };
+        queue(&w.packets)
+            .recv()
+            .expect("the first incarnation answers");
+
+        // The kill lands on the next job popped: A dies with the first
+        // incarnation, while B and C wait in the queue for the next.
+        shard.die.store(true, Ordering::Release);
+        let a = queue(&w.packets[..8]);
+        let b = queue(&w.packets[8..16]);
+        let c = queue(&w.packets[16..]);
+        assert!(a.recv().is_err(), "the killed activation drops its job");
+        let b = b.recv().expect("B survives the crash");
+        let c = c.recv().expect("C survives the crash");
+        assert_eq!((b.forwarded + b.dropped, c.forwarded + c.dropped), (8, 16));
+        assert_eq!(shard.restarts.load(Ordering::Relaxed), 1);
+        assert_eq!(
+            shard.carryover.load(Ordering::Relaxed),
+            w.packets.len() as u64,
+            "the carryover latches the packets served before the kill"
+        );
+        assert!(
+            !shard.die.load(Ordering::Acquire),
+            "the restart clears the kill"
+        );
+
+        stop.store(true, Ordering::Release);
+        thread
+            .join()
+            .expect("the shard thread exits cleanly on stop");
+        assert_eq!(
+            shard.restarts.load(Ordering::Relaxed),
+            1,
+            "stopping is not a restart"
+        );
     }
 }

@@ -270,8 +270,8 @@ section! {
         pub queue_depth_highwater: u64,
         /// Jobs currently queued.
         pub queue_depth: u64,
-        /// Packet total latched at this shard's most recent supervisor
-        /// restart (0 while the original incarnation lives). Nonzero
+        /// Packet total latched at this shard's most recent restart (0
+        /// while the original incarnation lives). Nonzero
         /// proves pre-restart traffic still counts in the totals above.
         pub restart_carryover: u64 = 0,
         /// Packets per activation; absent before the first batch.
@@ -391,7 +391,7 @@ section! {
         pub uptime_secs: f64,
         /// Whether a drain is in progress (new submits refused).
         pub draining: bool,
-        /// Shards restarted by the supervisor so far.
+        /// Shard restarts so far (each a panic of a shard's loop).
         pub shard_restarts: u64,
         /// Summed per-shard restart carryover (see
         /// [`ShardSnapshot::restart_carryover`]).

@@ -9,12 +9,12 @@
 //! next to each shard's own section; the session renders the result.
 
 use crate::server::Shared;
+use crate::shard::Shard;
 use crate::snapshot::{FrontendSnapshot, ShardSnapshot, StageSummarySnapshot, StatsSnapshot};
-use crate::supervisor::PublicShard;
 use crate::tracing::ServeTracer;
 use memsync_trace::{BucketHistogram, BucketSummary, MetricsRegistry};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::PoisonError;
+use std::sync::{Arc, PoisonError};
 
 /// The traced stages of a `stages` section and the registry histograms
 /// they summarize, in pipeline order. The four shard stages live in the
@@ -130,17 +130,17 @@ fn registry_section(reg: &MetricsRegistry) -> ShardSnapshot {
 /// histograms as the top-level totals, with the tracer's decode/write
 /// stages folded into the top-level `stages`. The server-level fields
 /// stay at their defaults for [`snapshot`] to fill.
-pub(crate) fn collect_shards(shards: &[PublicShard], tracer: &ServeTracer) -> StatsSnapshot {
+pub(crate) fn collect_shards(shards: &[Arc<Shard>], tracer: &ServeTracer) -> StatsSnapshot {
     let mut merged = MetricsRegistry::new();
     let mut per_shard = Vec::with_capacity(shards.len());
-    for (i, s) in shards.iter().enumerate() {
+    for s in shards {
         let section = {
             let reg = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
             merged.merge(&reg);
             registry_section(&reg)
         };
         per_shard.push(ShardSnapshot {
-            shard: i as u64,
+            shard: s.id as u64,
             queue_depth_highwater: s.queue.high_water() as u64,
             queue_depth: s.queue.len() as u64,
             restart_carryover: s.carryover.load(Ordering::Relaxed),
@@ -169,7 +169,7 @@ pub(crate) fn collect_shards(shards: &[PublicShard], tracer: &ServeTracer) -> St
 /// The live stats snapshot: the shard plane, the server counters, and
 /// the tracer's, control plane's and frontend's own sections.
 pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
-    let shards = collect_shards(shared.supervisor.shards(), &shared.tracer);
+    let shards = collect_shards(&shared.shards, &shared.tracer);
     let uptime = shared.started.elapsed().as_secs_f64().max(1e-9);
     let counter = |c: &AtomicU64| c.load(Ordering::Relaxed);
     StatsSnapshot {
@@ -177,7 +177,7 @@ pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
         backend: Some(shared.config.backend),
         uptime_secs: uptime,
         draining: shared.draining.load(Ordering::Acquire),
-        shard_restarts: shared.supervisor.restarts(),
+        shard_restarts: shared.shard_restarts(),
         accepted: counter(&shared.counters.accepted),
         busy: counter(&shared.counters.busy),
         errors: counter(&shared.counters.errors),
@@ -192,27 +192,21 @@ pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::queue::ShardQueue;
     use crate::tracing::{PendingSpan, StageTimings, TracingConfig};
-    use std::sync::atomic::AtomicBool;
-    use std::sync::{Arc, Mutex};
 
-    fn mk_shard(forwarded: u64, dropped: u64, carryover: u64) -> PublicShard {
-        let mut r = MetricsRegistry::new();
-        r.add("serve.packets", forwarded + dropped);
-        r.add("serve.forwarded", forwarded);
-        r.add("serve.dropped", dropped);
-        r.add("serve.batches", 1);
-        r.record_bucket("serve.batch_size", forwarded + dropped);
-        r.record_bucket("serve.service_latency_us", 100);
-        PublicShard {
-            queue: Arc::new(ShardQueue::new(4)),
-            stats: Arc::new(Mutex::new(r)),
-            die: Arc::new(AtomicBool::new(false)),
-            idle: Arc::new(AtomicBool::new(true)),
-            carryover: Arc::new(AtomicU64::new(carryover)),
-            gen_seen: Arc::new(AtomicU64::new(1)),
+    fn mk_shard(id: usize, forwarded: u64, dropped: u64, carryover: u64) -> Arc<Shard> {
+        let shard = Shard::new(id, 4);
+        {
+            let mut r = shard.stats.lock().unwrap();
+            r.add("serve.packets", forwarded + dropped);
+            r.add("serve.forwarded", forwarded);
+            r.add("serve.dropped", dropped);
+            r.add("serve.batches", 1);
+            r.record_bucket("serve.batch_size", forwarded + dropped);
+            r.record_bucket("serve.service_latency_us", 100);
         }
+        shard.carryover.store(carryover, Ordering::Relaxed);
+        Arc::new(shard)
     }
 
     fn tracer(enabled: bool) -> ServeTracer {
@@ -225,7 +219,7 @@ mod tests {
 
     #[test]
     fn per_shard_sections_sum_to_the_top_level() {
-        let shards = vec![mk_shard(10, 2, 4), mk_shard(5, 3, 0)];
+        let shards = vec![mk_shard(0, 10, 2, 4), mk_shard(1, 5, 3, 0)];
         let snap = collect_shards(&shards, &tracer(false));
         assert_eq!(snap.per_shard.len(), 2);
         assert_eq!((snap.forwarded, snap.dropped, snap.packets), (15, 5, 20));
@@ -245,7 +239,7 @@ mod tests {
 
     #[test]
     fn traced_shard_and_frontend_stages_merge_into_the_top_level() {
-        let shards = vec![mk_shard(10, 2, 0), mk_shard(1, 1, 0)];
+        let shards = vec![mk_shard(0, 10, 2, 0), mk_shard(1, 1, 1, 0)];
         {
             let mut reg = shards[0].stats.lock().unwrap();
             for (_, metric) in &STAGE_METRICS[1..5] {

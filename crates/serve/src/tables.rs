@@ -11,7 +11,10 @@
 //! **fresh** flat classifier, publishes it into the slot the readers are
 //! *not* watching, and only then bumps the generation — so a reader
 //! observes either the old table or the new one in full, never a torn
-//! intermediate state.
+//! intermediate state. An op whose result the flat classifier could not
+//! encode (too many distinct next hops or overflow blocks) is refused
+//! before it touches the trie, so no client frame can make the build
+//! panic.
 //!
 //! Retirement mirrors the drain barrier of the 1024-core shared-memory
 //! barrier literature: after publishing generation `N`, the worker waits
@@ -28,26 +31,16 @@
 //! has moved past it. The lock is held just long enough to clone an
 //! `Arc` — nanoseconds — and exists only to keep the crate `unsafe`-free.
 
-use crate::queue::{ReplyWaker, ShardQueue};
-use crate::shard::ShardTables;
+use crate::queue::{unpoison, Reply};
+use crate::shard::{Shard, ShardTables};
 use crate::snapshot::{FibSnapshot, SwapLatencySnapshot};
-use memsync_netapp::fib::Route;
+use memsync_netapp::fib::{CapacityError, Dir24_8, Route};
 use memsync_netapp::Fib;
-use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
-use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-
-fn unpoison<'a, T>(
-    r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
-) -> MutexGuard<'a, T> {
-    // A panicking control worker leaves the trie and slots in a valid
-    // state (mutations are applied route by route, publishes are whole
-    // Arc stores); recover the guard.
-    r.unwrap_or_else(PoisonError::into_inner)
-}
 
 /// One control-plane mutation, decoded from a v3 frame (or issued by a
 /// host-side test).
@@ -60,6 +53,33 @@ pub enum ControlOp {
     Withdraw(Vec<(u32, u8)>),
     /// Re-target the default route in one frame.
     SwapDefault(u32),
+}
+
+impl ControlOp {
+    /// Applies the op to `fib`; returns how many of its entries took
+    /// effect.
+    fn apply(&self, fib: &mut Fib) -> u32 {
+        match self {
+            ControlOp::Add(routes) => {
+                for r in routes {
+                    fib.insert(*r);
+                }
+                routes.len() as u32
+            }
+            ControlOp::Withdraw(prefixes) => prefixes
+                .iter()
+                .filter(|(prefix, len)| fib.remove(*prefix, *len).is_some())
+                .count() as u32,
+            ControlOp::SwapDefault(next_hop) => {
+                fib.insert(Route {
+                    prefix: 0,
+                    len: 0,
+                    next_hop: *next_hop,
+                });
+                1
+            }
+        }
+    }
 }
 
 /// The typed outcome of one control op: which generation made the
@@ -75,86 +95,14 @@ pub struct ControlOutcome {
     pub applied: u32,
 }
 
-/// The outcome path of one control op: an mpsc sender plus an optional
-/// waker, mirroring [`crate::queue::Reply`] so a session parks a
-/// control frame the way it parks a submit and gets woken.
-#[derive(Clone)]
-pub struct ControlReply {
-    tx: Sender<ControlOutcome>,
-    waker: Option<Arc<dyn ReplyWaker>>,
-}
-
-impl ControlReply {
-    /// A reply with no waker — for callers that block on the receiver.
-    pub fn new(tx: Sender<ControlOutcome>) -> ControlReply {
-        ControlReply { tx, waker: None }
-    }
-
-    /// A reply that wakes `waker` after delivery and on drop (covering a
-    /// control worker that dies with ops queued).
-    pub fn with_waker(tx: Sender<ControlOutcome>, waker: Arc<dyn ReplyWaker>) -> ControlReply {
-        ControlReply {
-            tx,
-            waker: Some(waker),
-        }
-    }
-
-    /// Delivers the outcome, then wakes the session. A hung-up receiver
-    /// (the connection went away mid-op) is not the worker's problem.
-    pub fn send(&self, outcome: ControlOutcome) {
-        let _ = self.tx.send(outcome);
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-    }
-}
-
-impl Drop for ControlReply {
-    fn drop(&mut self) {
-        if let Some(w) = &self.waker {
-            w.wake();
-        }
-    }
-}
-
-impl fmt::Debug for ControlReply {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        f.debug_struct("ControlReply")
-            .field("waker", &self.waker.is_some())
-            .finish_non_exhaustive()
-    }
-}
-
 /// One queued control op plus its outcome path.
 #[derive(Debug)]
 pub struct ControlJob {
     /// The mutation to apply.
     pub op: ControlOp,
-    /// Where the outcome goes.
-    pub reply: ControlReply,
-}
-
-/// What the control worker needs from one shard to run the drain
-/// barrier: its queue (to nudge it off the pop condvar) and its
-/// generation acknowledgement.
-#[derive(Debug, Clone)]
-pub struct ShardGate {
-    /// The shard's job queue ([`ShardQueue::notify`] wakes a parked
-    /// shard so it runs its generation check promptly).
-    pub queue: Arc<ShardQueue>,
-    /// Highest generation the shard has re-synced its tables to.
-    pub gen_seen: Arc<AtomicU64>,
-}
-
-/// Result of applying a batch of coalesced control ops.
-#[derive(Debug)]
-pub struct MutateResult {
-    /// The generation the batch published.
-    pub generation: u64,
-    /// Routes in the table after the batch.
-    pub routes: u32,
-    /// Per-op applied counts, in op order.
-    pub applied: Vec<u32>,
+    /// Where the outcome goes: the published change, or why the op was
+    /// refused.
+    pub reply: Reply<Result<ControlOutcome, String>>,
 }
 
 /// Swap-latency accounting: total count plus a ring of the most recent
@@ -193,7 +141,7 @@ impl EpochTables {
     /// Wraps the boot table as generation 1.
     pub fn new(initial: ShardTables) -> EpochTables {
         let routes = initial.fib.len() as u64;
-        let writer = fib_from_routes(&initial.fib.routes());
+        let writer = initial.fib.clone();
         let arc = Arc::new(initial);
         EpochTables {
             generation: AtomicU64::new(1),
@@ -242,7 +190,14 @@ impl EpochTables {
     /// one swap cover the whole batch — that coalescing is what makes
     /// 1k routes/sec of churn affordable when a single `Dir24_8` build
     /// fills 16M `tbl24` slots.
-    pub fn mutate<'a, I>(&self, ops: I) -> MutateResult
+    ///
+    /// Each op is staged on a copy of the trie and committed only if the
+    /// flat classifier can still encode the result
+    /// ([`Dir24_8::check_capacity`]). An op that cannot is refused with
+    /// the limit it hit and changes nothing; the rest of the batch still
+    /// applies. A batch refused whole publishes nothing. Returns one
+    /// outcome per op, in op order.
+    pub fn mutate<'a, I>(&self, ops: I) -> Vec<Result<ControlOutcome, String>>
     where
         I: IntoIterator<Item = &'a ControlOp>,
     {
@@ -250,45 +205,43 @@ impl EpochTables {
         // mutators (host tests; the server has a single worker) serialize
         // whole batches and generation numbers stay dense.
         let mut fib = unpoison(self.writer.lock());
-        let mut applied = Vec::new();
-        for op in ops {
-            let n = match op {
-                ControlOp::Add(routes) => {
-                    for r in routes {
-                        fib.insert(*r);
-                    }
-                    routes.len() as u32
-                }
-                ControlOp::Withdraw(prefixes) => prefixes
-                    .iter()
-                    .filter(|(prefix, len)| fib.remove(*prefix, *len).is_some())
-                    .count() as u32,
-                ControlOp::SwapDefault(next_hop) => {
-                    fib.insert(Route {
-                        prefix: 0,
-                        len: 0,
-                        next_hop: *next_hop,
-                    });
-                    1
-                }
+        let applied: Vec<Result<u32, CapacityError>> = ops
+            .into_iter()
+            .map(|op| {
+                let mut staged = Fib::clone(&fib);
+                let applied = op.apply(&mut staged);
+                Dir24_8::check_capacity(&staged.routes())?;
+                *fib = staged;
+                Ok(applied)
+            })
+            .collect();
+        let mut generation = self.generation.load(Ordering::Relaxed);
+        if applied.iter().any(Result::is_ok) {
+            generation += 1;
+            // Publish into the slot current-generation readers are not
+            // watching, then bump the generation: readers following the
+            // counter can only ever see a complete table.
+            let fresh = ShardTables {
+                dir: Dir24_8::from_fib(&fib),
+                fib: Fib::clone(&fib),
             };
-            applied.push(n);
+            *unpoison(self.slots[(generation & 1) as usize].lock()) = Arc::new(fresh);
+            self.routes.store(fib.len() as u64, Ordering::Relaxed);
+            self.generation.store(generation, Ordering::Release);
+            self.swaps.fetch_add(1, Ordering::Relaxed);
         }
-        let routes = fib.routes();
-        let fresh = ShardTables::from_routes(&routes);
-        let gen = self.generation.load(Ordering::Relaxed) + 1;
-        // Publish into the slot current-generation readers are not
-        // watching, then bump the generation: readers following the
-        // counter can only ever see a complete table.
-        *unpoison(self.slots[(gen & 1) as usize].lock()) = Arc::new(fresh);
-        self.routes.store(routes.len() as u64, Ordering::Relaxed);
-        self.generation.store(gen, Ordering::Release);
-        self.swaps.fetch_add(1, Ordering::Relaxed);
-        MutateResult {
-            generation: gen,
-            routes: routes.len() as u32,
-            applied,
-        }
+        let routes = fib.len() as u32;
+        applied
+            .into_iter()
+            .map(|applied| match applied {
+                Ok(applied) => Ok(ControlOutcome {
+                    generation,
+                    routes,
+                    applied,
+                }),
+                Err(e) => Err(format!("route table refused: {e}")),
+            })
+            .collect()
     }
 
     /// Marks every generation `<= gen` retired (monotonic).
@@ -334,14 +287,6 @@ impl EpochTables {
     }
 }
 
-fn fib_from_routes(routes: &[Route]) -> Fib {
-    let mut fib = Fib::new();
-    for r in routes {
-        fib.insert(*r);
-    }
-    fib
-}
-
 /// How long the worker waits for every shard to acknowledge a new
 /// generation before giving up on retiring the old one (a shard may be
 /// mid-restart; its replacement syncs on spawn, so retirement only
@@ -352,17 +297,17 @@ pub const BARRIER_DEADLINE: Duration = Duration::from_millis(250);
 const COALESCE_MAX: usize = 64;
 
 /// Waits until every shard's `gen_seen` reaches `gen`, nudging parked
-/// shards off their pop condvars. Returns whether the barrier completed
-/// inside `deadline`.
-pub fn await_generation(gates: &[ShardGate], gen: u64, deadline: Duration) -> bool {
+/// shards off their pop condvars so they run their generation check
+/// promptly. Returns whether the barrier completed inside `deadline`.
+pub fn await_generation(shards: &[Arc<Shard>], gen: u64, deadline: Duration) -> bool {
     let start = Instant::now();
     loop {
-        for g in gates {
-            g.queue.notify();
+        for s in shards {
+            s.queue.notify();
         }
-        if gates
+        if shards
             .iter()
-            .all(|g| g.gen_seen.load(Ordering::Acquire) >= gen)
+            .all(|s| s.gen_seen.load(Ordering::Acquire) >= gen)
         {
             return true;
         }
@@ -384,7 +329,7 @@ pub struct ControlHandle {
 
 impl ControlHandle {
     /// Enqueues one op; `false` means the worker is gone (shutdown).
-    pub fn submit(&self, op: ControlOp, reply: ControlReply) -> bool {
+    pub fn submit(&self, op: ControlOp, reply: Reply<Result<ControlOutcome, String>>) -> bool {
         self.tx.send(ControlJob { op, reply }).is_ok()
     }
 }
@@ -394,7 +339,7 @@ impl ControlHandle {
 /// and replies. Returns the submit handle and the join handle.
 pub fn spawn_control_worker(
     tables: Arc<EpochTables>,
-    gates: Vec<ShardGate>,
+    shards: Vec<Arc<Shard>>,
     stop: Arc<AtomicBool>,
 ) -> (ControlHandle, JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -404,14 +349,14 @@ pub fn spawn_control_worker(
     };
     let thread = std::thread::Builder::new()
         .name("memsync-control".into())
-        .spawn(move || control_worker(&tables, &gates, &rx, &stop))
+        .spawn(move || control_worker(&tables, &shards, &rx, &stop))
         .expect("control thread spawns");
     (handle, thread)
 }
 
 fn control_worker(
     tables: &EpochTables,
-    gates: &[ShardGate],
+    shards: &[Arc<Shard>],
     rx: &Receiver<ControlJob>,
     stop: &AtomicBool,
 ) {
@@ -429,21 +374,21 @@ fn control_worker(
                 Err(_) => break,
             }
         }
-        let result = tables.mutate(jobs.iter().map(|j| &j.op));
+        let outcomes = tables.mutate(jobs.iter().map(|j| &j.op));
         // The drain barrier: the previous generation is retired only
         // once every shard acknowledges the new one. On deadline (a
         // shard mid-restart) retirement lags until the next swap — the
         // stats pair generation/retired makes the lag observable.
-        if await_generation(gates, result.generation, BARRIER_DEADLINE) {
-            tables.retire_up_to(result.generation - 1);
+        if let Some(published) = outcomes.iter().find_map(|o| o.as_ref().ok()) {
+            if await_generation(shards, published.generation, BARRIER_DEADLINE) {
+                tables.retire_up_to(published.generation - 1);
+            }
+            tables.record_swap_latency(started.elapsed().as_micros() as u64);
         }
-        tables.record_swap_latency(started.elapsed().as_micros() as u64);
-        for (job, applied) in jobs.into_iter().zip(result.applied) {
-            job.reply.send(ControlOutcome {
-                generation: result.generation,
-                routes: result.routes,
-                applied,
-            });
+        for (job, outcome) in jobs.into_iter().zip(outcomes) {
+            // A hung-up receiver (the connection went away mid-op) is
+            // not the worker's problem.
+            let _ = job.reply.send(outcome);
         }
     }
 }
@@ -461,6 +406,14 @@ mod tests {
         }
     }
 
+    fn ok(generation: u64, routes: u32, applied: u32) -> Result<ControlOutcome, String> {
+        Ok(ControlOutcome {
+            generation,
+            routes,
+            applied,
+        })
+    }
+
     #[test]
     fn publish_bumps_the_generation_and_readers_see_whole_tables() {
         let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
@@ -468,9 +421,7 @@ mod tests {
         assert_eq!(gen, 1);
         assert_eq!(t.dir.lookup(0x0a00_0001), Some(7));
         let r = epoch.mutate(&[ControlOp::Add(vec![route(0x0a00_0000, 8, 42)])]);
-        assert_eq!(r.generation, 2);
-        assert_eq!(r.routes, 2);
-        assert_eq!(r.applied, [1]);
+        assert_eq!(r, [ok(2, 2, 1)]);
         // The old Arc keeps serving the old world; current() sees the new.
         assert_eq!(t.dir.lookup(0x0a00_0001), Some(7));
         let (gen2, t2) = epoch.current();
@@ -491,8 +442,7 @@ mod tests {
             (0x0a00_0000, 8),
             (0xdead_0000, 16), // never inserted
         ])]);
-        assert_eq!(r.applied, [1], "absent withdraw does not count");
-        assert_eq!(r.routes, 1);
+        assert_eq!(r, [ok(2, 1, 1)], "absent withdraw does not count");
         let (_, t) = epoch.current();
         assert_eq!(t.dir.lookup(0x0a00_0001), Some(7), "default shows through");
     }
@@ -501,8 +451,7 @@ mod tests {
     fn swap_default_retargets_in_one_op() {
         let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
         let r = epoch.mutate(&[ControlOp::SwapDefault(99)]);
-        assert_eq!(r.applied, [1]);
-        assert_eq!(r.routes, 1, "replaces, not adds");
+        assert_eq!(r, [ok(2, 1, 1)], "replaces, not adds");
         let (_, t) = epoch.current();
         assert_eq!(t.dir.lookup(0x1234_5678), Some(99));
     }
@@ -517,29 +466,26 @@ mod tests {
             ControlOp::Add(vec![route(0x0a00_0000, 8, 3)]),
         ];
         let r = epoch.mutate(&ops);
-        assert_eq!(r.generation, 2, "one swap for the whole batch");
-        assert_eq!(r.applied, [1, 1, 1, 1]);
+        assert_eq!(r, vec![ok(2, 1, 1); 4], "one swap for the whole batch");
         let (_, t) = epoch.current();
         assert_eq!(t.dir.lookup(0x0a00_0001), Some(3));
     }
 
     #[test]
     fn barrier_retires_only_after_every_shard_acks() {
-        let gates: Vec<ShardGate> = (0..3)
-            .map(|_| ShardGate {
-                queue: Arc::new(ShardQueue::new(4)),
-                gen_seen: Arc::new(AtomicU64::new(1)),
-            })
-            .collect();
-        assert!(!await_generation(&gates, 2, Duration::from_millis(10)));
-        gates[0].gen_seen.store(2, Ordering::Release);
-        gates[1].gen_seen.store(2, Ordering::Release);
+        let shards: Vec<Arc<Shard>> = (0..3).map(|id| Arc::new(Shard::new(id, 4))).collect();
+        for s in &shards {
+            s.gen_seen.store(1, Ordering::Release);
+        }
+        assert!(!await_generation(&shards, 2, Duration::from_millis(10)));
+        shards[0].gen_seen.store(2, Ordering::Release);
+        shards[1].gen_seen.store(2, Ordering::Release);
         assert!(
-            !await_generation(&gates, 2, Duration::from_millis(10)),
+            !await_generation(&shards, 2, Duration::from_millis(10)),
             "one laggard holds the barrier"
         );
-        gates[2].gen_seen.store(2, Ordering::Release);
-        assert!(await_generation(&gates, 2, Duration::from_millis(100)));
+        shards[2].gen_seen.store(2, Ordering::Release);
+        assert!(await_generation(&shards, 2, Duration::from_millis(100)));
     }
 
     #[test]
@@ -547,33 +493,29 @@ mod tests {
         let epoch = Arc::new(EpochTables::new(ShardTables::from_routes(&[route(
             0, 0, 7,
         )])));
-        // A fake "shard": echo every generation straight into gen_seen so
+        // A fake shard: echo every generation straight into gen_seen so
         // the barrier completes.
-        let gate = ShardGate {
-            queue: Arc::new(ShardQueue::new(4)),
-            gen_seen: Arc::new(AtomicU64::new(1)),
-        };
+        let shard = Arc::new(Shard::new(0, 4));
         let stop = Arc::new(AtomicBool::new(false));
         let echo_stop = Arc::clone(&stop);
         let echo_tables = Arc::clone(&epoch);
-        let echo_seen = Arc::clone(&gate.gen_seen);
+        let echo_shard = Arc::clone(&shard);
         let echo = std::thread::spawn(move || {
             while !echo_stop.load(Ordering::Acquire) {
-                echo_seen.store(echo_tables.generation(), Ordering::Release);
+                let gen = echo_tables.generation();
+                echo_shard.gen_seen.store(gen, Ordering::Release);
                 std::thread::sleep(Duration::from_micros(100));
             }
         });
         let (handle, worker) =
-            spawn_control_worker(Arc::clone(&epoch), vec![gate], Arc::clone(&stop));
+            spawn_control_worker(Arc::clone(&epoch), vec![shard], Arc::clone(&stop));
         let (tx, rx) = channel();
         assert!(handle.submit(
             ControlOp::Add(vec![route(0x0a00_0000, 8, 5)]),
-            ControlReply::new(tx),
+            Reply::new(tx),
         ));
         let out = rx.recv_timeout(Duration::from_secs(5)).expect("outcome");
-        assert_eq!(out.generation, 2);
-        assert_eq!(out.routes, 2);
-        assert_eq!(out.applied, 1);
+        assert_eq!(out, ok(2, 2, 1));
         assert_eq!(epoch.retired(), 1, "boot generation retired post-barrier");
         let fib = epoch.snapshot();
         assert_eq!((fib.generation, fib.routes, fib.swaps), (2, 2, 1));
@@ -582,6 +524,51 @@ mod tests {
         stop.store(true, Ordering::Release);
         worker.join().unwrap();
         echo.join().unwrap();
+    }
+
+    #[test]
+    fn an_op_the_classifier_cannot_encode_is_refused_and_its_batch_mates_apply() {
+        // 32768 /32s in 198.18.0.0/17, each with its own next hop, and
+        // 32768 /32s in distinct /24s on one hop: one over each limit.
+        let too_many_hops =
+            ControlOp::Add((0..32_768).map(|i| route(0xc612_0000 + i, 32, i)).collect());
+        let too_many_blocks = ControlOp::Add((0..32_768).map(|i| route(i << 8, 32, 1)).collect());
+        let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
+        let r = epoch.mutate(&[
+            too_many_hops.clone(),
+            ControlOp::Add(vec![route(0x0a00_0000, 8, 42)]),
+            too_many_blocks,
+        ]);
+        assert_eq!(
+            r[0],
+            Err("route table refused: 32768 distinct next hops exceed the \
+                 DIR-24-8 limit of 32767"
+                .into())
+        );
+        assert_eq!(r[1], ok(2, 2, 1), "the valid op still applies");
+        assert!(
+            matches!(&r[2], Err(e) if e.contains("32768 overflow blocks")),
+            "{:?}",
+            r[2]
+        );
+        let (gen, t) = epoch.current();
+        assert_eq!((gen, epoch.routes(), epoch.swaps()), (2, 2, 1));
+        assert_eq!(
+            t.dir.lookup(0xc612_0001),
+            Some(7),
+            "refused routes never land"
+        );
+        assert_eq!(t.dir.lookup(0x0a00_0001), Some(42));
+
+        // A batch refused whole publishes nothing, and leaves the writer
+        // trie as it was: the next op publishes exactly one generation
+        // over the same two routes.
+        assert!(epoch.mutate(&[too_many_hops])[0].is_err());
+        assert_eq!(
+            (epoch.generation(), epoch.routes(), epoch.swaps()),
+            (2, 2, 1)
+        );
+        assert_eq!(epoch.mutate(&[ControlOp::SwapDefault(9)]), [ok(3, 2, 1)]);
     }
 
     #[test]

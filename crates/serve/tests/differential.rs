@@ -125,7 +125,7 @@ fn differential_e2e_100k_packets_over_8_connections() {
     assert_eq!(snap.mismatches, 0, "model agreement across 100k packets");
     assert_eq!(snap.lost_updates, 0, "no unpaced overwrites");
     // A reference/candidate divergence panics the shard mid-activation;
-    // the supervisor would restart it and this counter would rise. Zero
+    // the shard would restart in place and this counter would rise. Zero
     // restarts over 100k packets is the frame-for-frame equality check.
     assert_eq!(snap.shard_restarts, 0, "no differential divergence");
     assert_eq!(snap.errors, 0, "no submit failed after acceptance");

@@ -2,6 +2,7 @@
 //! clients, the full frame protocol (including the protocol-v2 `Hello`
 //! handshake every connection now opens with).
 
+use memsync_netapp::fib::Route;
 use memsync_netapp::{Ipv4Packet, Workload};
 use memsync_serve::client::BatchResult;
 use memsync_serve::{
@@ -136,6 +137,55 @@ fn withdrawing_the_default_route_drops_its_traffic_until_one_is_swapped_back() {
 }
 
 #[test]
+fn a_route_add_the_classifier_cannot_encode_is_refused_and_changes_nothing() {
+    // 32768 /32s in 198.18.0.0/17, each on its own next hop: one more
+    // distinct hop than the flat classifier's 15-bit codes can name.
+    let config = ServeConfig {
+        backend: BackendKind::Fast,
+        ..test_config()
+    };
+    let server = Server::start("127.0.0.1:0", config).expect("bind");
+    let mut client = connect(server.local_addr());
+    let fib = |client: &mut Client| {
+        let fib = client.stats().expect("stats").fib.expect("fib section");
+        (fib.generation, fib.routes, fib.swaps)
+    };
+    let (generation, routes, swaps) = fib(&mut client);
+    let flood: Vec<Route> = (0..32_768)
+        .map(|i| Route {
+            prefix: 0xC612_0000 + i,
+            len: 32,
+            next_hop: i,
+        })
+        .collect();
+    match client.route_add(&flood) {
+        Err(ClientError::Server(msg)) => assert!(
+            msg.contains("32768 distinct next hops") && msg.contains("limit of 32767"),
+            "the refusal names the limit: {msg}"
+        ),
+        other => panic!("expected a refusal, got {other:?}"),
+    }
+    assert_eq!(
+        fib(&mut client),
+        (generation, routes, swaps),
+        "nothing changed"
+    );
+    let up = client
+        .route_add(&[Route {
+            prefix: 0xC612_0000,
+            len: 24,
+            next_hop: 9,
+        }])
+        .expect("the control plane still serves");
+    assert_eq!(
+        (up.generation, u64::from(up.routes), up.applied),
+        (generation + 1, routes + 1, 1)
+    );
+    client.shutdown().expect("shutdown");
+    server.wait();
+}
+
+#[test]
 fn per_shard_counts_are_identical_across_same_seed_runs() {
     let mut shard_counts = Vec::new();
     for _ in 0..2 {
@@ -255,7 +305,7 @@ fn killed_shard_restarts_and_service_keeps_serving() {
         .expect("warm");
     client.kill_shard(0).expect("kill accepted");
 
-    // Keep submitting until the supervisor has restarted the shard; the
+    // Keep submitting until the shard has restarted itself; the
     // submit that lands on the dying shard comes back as an error (the
     // crash is visible, not silent) and a retry succeeds.
     let mut saw_error = false;
@@ -263,7 +313,7 @@ fn killed_shard_restarts_and_service_keeps_serving() {
     loop {
         assert!(
             std::time::Instant::now() < deadline,
-            "supervisor never restarted the shard"
+            "the shard never restarted"
         );
         match client.submit(&w.packets[50..], SubmitOptions::new()) {
             Ok(_) if server.shard_restarts() >= 1 => break,

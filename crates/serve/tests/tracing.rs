@@ -189,9 +189,9 @@ fn zero_interval_stream_is_refused_without_dropping_the_connection() {
 
 #[test]
 fn restarted_shard_carries_its_pre_restart_totals() {
-    // Satellite pin: a supervisor-restarted shard keeps counting on the
-    // same registry, and the latched carryover proves how much of its
-    // total predates the restart.
+    // A shard restarted in place keeps counting on the same registry,
+    // and the latched carryover proves how much of its total predates
+    // the restart.
     let server = Server::start("127.0.0.1:0", traced_config(None)).expect("bind");
     let addr = server.local_addr();
     let mut client = connect(addr);
@@ -211,7 +211,7 @@ fn restarted_shard_carries_its_pre_restart_totals() {
     loop {
         assert!(
             std::time::Instant::now() < deadline,
-            "supervisor never restarted the shard"
+            "the shard never restarted"
         );
         match client.submit(&w.packets[200..], SubmitOptions::new()) {
             Ok(_) if server.shard_restarts() >= 1 => break,
