@@ -1,6 +1,6 @@
 //! Virtex-II Pro device database.
 //!
-//! Capacities follow the Virtex-II Pro Platform FPGA Handbook (reference [4]
+//! Capacities follow the Virtex-II Pro Platform FPGA Handbook (reference \[4\]
 //! of the paper). The paper's experiments target the XC2VP20.
 
 use std::fmt;

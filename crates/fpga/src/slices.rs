@@ -2,7 +2,7 @@
 //!
 //! Each slice holds two LUT4s and two flip-flops. After placement, a slice
 //! used for logic can also host unrelated flip-flops; the
-//! [`PackingModel`](crate::calibration::PackingModel) captures how often the
+//! [`PackingModel`] captures how often the
 //! map stage achieves that sharing.
 
 use crate::calibration::PackingModel;

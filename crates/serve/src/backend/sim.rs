@@ -26,6 +26,7 @@ const CYCLES_PER_PACKET_BUDGET: u64 = 2_000;
 pub struct SimBackend {
     sys: System,
     egress: Vec<ThreadId>,
+    /// The organization compiled in, named by the stall panic.
     organization: OrganizationKind,
     /// Accumulated frames, one lane per egress consumer; the zero-copy
     /// view `drain_egress` hands out. Pulled out of the simulator at
@@ -71,11 +72,6 @@ impl SimBackend {
             descriptors: 0,
             frames: 0,
         }
-    }
-
-    /// The memory organization this simulator runs.
-    pub fn organization(&self) -> OrganizationKind {
-        self.organization
     }
 }
 

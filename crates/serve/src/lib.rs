@@ -20,8 +20,8 @@
 //! * [`tables`] — the generation-swapped (RCU-style) route tables behind
 //!   the v3 control plane: a single writer compiles and publishes whole
 //!   fresh tables, shard readers follow one atomic generation counter
-//!   lock-free, and old generations retire only after every shard
-//!   acknowledges a drain barrier;
+//!   lock-free, and an old generation is retired, and freed, only after
+//!   every shard acknowledges a drain barrier;
 //! * [`backend`] — the pluggable [`backend::ForwardingBackend`] trait and
 //!   its three engines: cycle-accurate [`backend::SimBackend`] (the
 //!   reference), functional [`backend::FastBackend`] (the compiled fast

@@ -8,8 +8,8 @@
 //! processed by the next incarnation.
 
 use crate::frame::SubmitOptions;
-use crate::tracing::StageTimings;
 use memsync_netapp::Ipv4Packet;
+use memsync_trace::SpanRecord;
 use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
@@ -26,9 +26,11 @@ pub struct JobOutcome {
     pub dropped: u32,
     /// Verify-mode mismatches between simulator egress and the model.
     pub mismatches: u32,
-    /// Shard-side stage timings, present only when request tracing is
-    /// enabled (the session folds these into the batch's span).
-    pub timings: Option<StageTimings>,
+    /// The job's span record with its shard-side fields filled in (shard,
+    /// packets, the four shard stages, sim cycles and frames), present
+    /// only when request tracing is enabled; the session's tracer stamps
+    /// the rest.
+    pub timings: Option<SpanRecord>,
 }
 
 /// Wakes the transport when a job outcome becomes observable.
@@ -149,8 +151,8 @@ pub struct ShardQueue {
 
 /// Recovers the guard of a lock a panicking thread held. Every lock it
 /// is used on guards state that stays valid across a panic: queue
-/// contents, shard stats, and the control plane's trie and slots (ops
-/// commit whole, publishes are whole `Arc` stores).
+/// contents, shard stats, and the control plane's trie and published
+/// slot (ops commit whole, a publish is one whole-pair store).
 pub(crate) fn unpoison<'a, T>(
     r: Result<MutexGuard<'a, T>, PoisonError<MutexGuard<'a, T>>>,
 ) -> MutexGuard<'a, T> {

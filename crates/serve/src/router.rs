@@ -118,16 +118,6 @@ impl Router {
         self.queues.len()
     }
 
-    /// The queue of one shard.
-    pub fn queue(&self, shard: usize) -> &Arc<ShardQueue> {
-        &self.queues[shard]
-    }
-
-    /// Whether every shard queue is empty (drain progress check).
-    pub fn all_empty(&self) -> bool {
-        self.queues.iter().all(|q| q.is_empty())
-    }
-
     /// Atomically submits a batch: splits by dst-prefix hash (into
     /// `splitter`'s reusable scratch), locks the target queues in shard
     /// order, and commits only if every target has room. On failure

@@ -31,11 +31,10 @@ use crate::backend::{self, ForwardingBackend};
 use crate::pipeline::PipelineModel;
 use crate::queue::{unpoison, Job, JobOutcome, ShardQueue};
 use crate::tables::EpochTables;
-use crate::tracing::StageTimings;
 use crate::ServeConfig;
 use memsync_netapp::fib::{synthetic_table, Dir24_8, Route};
 use memsync_netapp::{Fib, Ipv4Packet};
-use memsync_trace::MetricsRegistry;
+use memsync_trace::{MetricsRegistry, SpanRecord};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, PoisonError};
@@ -47,12 +46,14 @@ use std::time::{Duration, Instant};
 /// from it (what the hot path probes — two dependent loads per address
 /// instead of a trie walk).
 ///
-/// The flat table costs ~32 MiB, so the server builds **one** generation
-/// of it at a time — the boot table at startup, and a fresh one per
-/// control-plane swap ([`crate::tables::EpochTables`]). Shards hold a
-/// clone of the current generation's `Arc` and re-clone only when the
-/// generation counter moves, so restarted incarnations and steady-state
-/// batches alike never pay a rebuild.
+/// The flat table costs ~32 MiB, so the server keeps **one** live
+/// generation of it — the boot table at startup, then a fresh one per
+/// control-plane swap ([`crate::tables::EpochTables`]) — and a replaced
+/// generation is freed once the drain barrier retires it, so two are
+/// resident only during a swap. Shards hold a clone of the live
+/// generation's `Arc` and re-clone only when the generation counter
+/// moves, so restarted incarnations and steady-state batches alike never
+/// pay a rebuild.
 #[derive(Debug)]
 pub struct ShardTables {
     /// The trie the table was compiled from (oracle / verify reference).
@@ -251,25 +252,26 @@ fn process_batch(
         }
     }
 
-    // Attach stage timings to every outcome. Queue residency is per job;
+    // Attach a span record to every outcome. Queue residency is per job;
     // coalesce/execute/egress are activation-level durations attributed
-    // whole to each job in the batch (documented on [`StageTimings`]), as
-    // are the backend-reported sim-cycle and frame deltas.
+    // whole to each job in the batch (documented on `SpanRecord`), as are
+    // the backend-reported sim-cycle and frame deltas.
     if let (Some(pick), Some(exec_s), Some(egress_s)) = (picked_at, exec_start, egress_start) {
         let coalesce_ns = exec_s.saturating_duration_since(pick).as_nanos() as u64;
         let execute_ns = egress_s.saturating_duration_since(exec_s).as_nanos() as u64;
         let egress_ns = egress_s.elapsed().as_nanos() as u64;
         let frames_emitted = after.frames - before.frames;
         for (job, out) in jobs.iter().zip(scratch.outcomes.iter_mut()) {
-            out.timings = Some(StageTimings {
+            out.timings = Some(SpanRecord {
                 shard: shard.id as u16,
-                packets: job.packets.len() as u32,
+                packets: job.packets.len() as u64,
                 queue_ns: pick.saturating_duration_since(job.enqueued).as_nanos() as u64,
                 coalesce_ns,
                 execute_ns,
                 egress_ns,
                 sim_cycles,
                 frames: frames_emitted,
+                ..SpanRecord::default()
             });
         }
     }

@@ -320,8 +320,9 @@ section! {
 }
 
 section! {
-    /// The `fib.swap_latency_us` object: publish-to-barrier latency of
-    /// recent table swaps, in microseconds.
+    /// The `fib.swap_latency_us` object: dequeue-to-barrier latency of
+    /// recent table swaps, in microseconds (from the control worker
+    /// dequeuing a batch's first op to the drain barrier).
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
     pub struct SwapLatencySnapshot {
         /// Swaps measured since the server started.

@@ -192,7 +192,8 @@ pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::tracing::{PendingSpan, StageTimings, TracingConfig};
+    use crate::tracing::{PendingSpan, TracingConfig};
+    use memsync_trace::SpanRecord;
 
     fn mk_shard(id: usize, forwarded: u64, dropped: u64, carryover: u64) -> Arc<Shard> {
         let shard = Shard::new(id, 4);
@@ -252,15 +253,15 @@ mod tests {
                 span_id: 7,
                 client_assigned: true,
                 decode_ns: 800,
-                timings: vec![StageTimings {
+                timings: vec![SpanRecord {
                     shard: 0,
                     packets: 12,
                     queue_ns: 1500,
                     coalesce_ns: 1500,
                     execute_ns: 1500,
                     egress_ns: 1500,
-                    sim_cycles: 0,
                     frames: 24,
+                    ..SpanRecord::default()
                 }],
             },
             300,

@@ -8,28 +8,31 @@
 //! per activation loop and keep classifying against their cached
 //! `Arc<ShardTables>` until the counter moves. The control worker (the
 //! single writer) applies mutations to its private trie, compiles a
-//! **fresh** flat classifier, publishes it into the slot the readers are
-//! *not* watching, and only then bumps the generation — so a reader
-//! observes either the old table or the new one in full, never a torn
-//! intermediate state. An op whose result the flat classifier could not
-//! encode (too many distinct next hops or overflow blocks) is refused
-//! before it touches the trie, so no client frame can make the build
-//! panic.
+//! **fresh** flat classifier, swaps it into the published slot, and only
+//! then bumps the generation — so a reader observes either the old table
+//! or the new one in full, never a torn intermediate state. An op whose
+//! result the flat classifier could not encode (too many distinct next
+//! hops or overflow blocks) is refused before it touches the trie, so no
+//! client frame can make the build panic.
+//!
+//! The slot holds the one live `(generation, Arc<ShardTables>)` pair and
+//! nothing else: like a guarded BRAM word, released when its dependency
+//! count reaches zero, a table lives exactly as long as someone holds its
+//! `Arc`. The slot's mutex is taken only when a reader re-syncs or the
+//! writer publishes, and only to clone or replace an `Arc` — never across
+//! a build or a free — so it exists to keep the crate `unsafe`-free, not
+//! to order anything.
 //!
 //! Retirement mirrors the drain barrier of the 1024-core shared-memory
 //! barrier literature: after publishing generation `N`, the worker waits
 //! until every shard has acknowledged (stored `gen_seen >= N`) before
-//! declaring generations `< N` retired. The acknowledgement is the proof
-//! that no shard still holds a reference to an older table when its slot
-//! is eventually reused — and the stats frame surfaces the
+//! declaring generations `< N` retired. A shard acknowledges only after
+//! dropping its older table, so once the barrier completes the last
+//! reference to the outgoing table is the one the worker took before
+//! mutating; it drops that after the replies are sent, and the 32 MiB
+//! free runs on the control thread — never on a shard's data path, inside
+//! the swap latency, or under the slot lock. The stats frame surfaces the
 //! `generation`/`retired` pair so the property is externally auditable.
-//!
-//! The two slots are `Mutex<Arc<ShardTables>>`, but the mutex is never
-//! contended in steady state: readers lock `slots[gen % 2]`, the writer
-//! only ever stores into `slots[(gen + 1) % 2]`, and by the time a slot
-//! is reused (two generations later) the barrier guarantees every shard
-//! has moved past it. The lock is held just long enough to clone an
-//! `Arc` — nanoseconds — and exists only to keep the crate `unsafe`-free.
 
 use crate::queue::{unpoison, Reply};
 use crate::shard::{Shard, ShardTables};
@@ -115,21 +118,20 @@ struct SwapLatency {
 
 const LATENCY_RING: usize = 1024;
 
-/// The generation-swapped table pair every shard reads through.
+/// The live route table every shard reads through, and the single
+/// writer's trie it is compiled from.
 #[derive(Debug)]
 pub struct EpochTables {
-    /// Current generation; starts at 1 (the boot table).
+    /// The generation in `live`, mirrored for the shard loop's lock-free
+    /// check; starts at 1 (the boot table). Stored after `live` changes,
+    /// so a reader that sees it move finds that table, or a newer one,
+    /// in the slot.
     generation: AtomicU64,
-    /// Two-slot publication scheme: the table for generation `g` lives
-    /// in `slots[g % 2]`; the writer only ever stores into the slot the
-    /// *next* generation will occupy.
-    slots: [Mutex<Arc<ShardTables>>; 2],
-    /// Routes in the current table (stats reads without locking).
-    routes: AtomicU64,
-    /// Swaps published so far (`generation - 1` in steady state).
-    swaps: AtomicU64,
+    /// The published `(generation, table)` pair: the only reference this
+    /// structure keeps to any table.
+    live: Mutex<(u64, Arc<ShardTables>)>,
     /// Highest generation proven drained: every shard acknowledged a
-    /// newer one, so no reader references it or anything older.
+    /// newer one, so no shard references it or anything older.
     retired: AtomicU64,
     /// The single writer's private trie — the authoritative mutable
     /// route set every published table is compiled from.
@@ -140,44 +142,44 @@ pub struct EpochTables {
 impl EpochTables {
     /// Wraps the boot table as generation 1.
     pub fn new(initial: ShardTables) -> EpochTables {
-        let routes = initial.fib.len() as u64;
         let writer = initial.fib.clone();
-        let arc = Arc::new(initial);
         EpochTables {
             generation: AtomicU64::new(1),
-            slots: [Mutex::new(Arc::clone(&arc)), Mutex::new(arc)],
-            routes: AtomicU64::new(routes),
-            swaps: AtomicU64::new(0),
+            live: Mutex::new((1, Arc::new(initial))),
             retired: AtomicU64::new(0),
             writer: Mutex::new(writer),
             latency: Mutex::new(SwapLatency::default()),
         }
     }
 
-    /// The current generation. One relaxed-ordering-free atomic load —
-    /// this is the only thing the shard hot loop touches per iteration.
+    /// The current generation: one `Acquire` load, the only thing the
+    /// shard hot loop touches per iteration.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
 
-    /// The current `(generation, tables)` pair. The slot lock is held
-    /// only to clone the `Arc`; the writer never stores into the slot a
-    /// current-generation reader is looking at (see the module docs), so
-    /// the lock is uncontended in steady state.
+    /// The published `(generation, tables)` pair, read under one lock
+    /// held only to clone the `Arc`.
     pub fn current(&self) -> (u64, Arc<ShardTables>) {
-        let gen = self.generation.load(Ordering::Acquire);
-        let tables = Arc::clone(&unpoison(self.slots[(gen & 1) as usize].lock()));
-        (gen, tables)
+        let live = unpoison(self.live.lock());
+        (live.0, Arc::clone(&live.1))
+    }
+
+    /// The published generation and its table's route count, from one
+    /// read of the slot.
+    fn published(&self) -> (u64, u64) {
+        let live = unpoison(self.live.lock());
+        (live.0, live.1.fib.len() as u64)
     }
 
     /// Routes in the current table.
     pub fn routes(&self) -> u64 {
-        self.routes.load(Ordering::Relaxed)
+        self.published().1
     }
 
-    /// Swaps published so far.
+    /// Swaps published so far: every generation after the boot table.
     pub fn swaps(&self) -> u64 {
-        self.swaps.load(Ordering::Relaxed)
+        self.published().0 - 1
     }
 
     /// Highest generation proven drained by the barrier.
@@ -218,17 +220,17 @@ impl EpochTables {
         let mut generation = self.generation.load(Ordering::Relaxed);
         if applied.iter().any(Result::is_ok) {
             generation += 1;
-            // Publish into the slot current-generation readers are not
-            // watching, then bump the generation: readers following the
-            // counter can only ever see a complete table.
-            let fresh = ShardTables {
+            let fresh = Arc::new(ShardTables {
                 dir: Dir24_8::from_fib(&fib),
                 fib: Fib::clone(&fib),
-            };
-            *unpoison(self.slots[(generation & 1) as usize].lock()) = Arc::new(fresh);
-            self.routes.store(fib.len() as u64, Ordering::Relaxed);
+            });
+            // Swap the complete table into the slot, then bump the
+            // counter the shard loop follows. The outgoing `Arc` is
+            // dropped after the slot lock is released: the table is freed
+            // here only when neither a shard nor the caller still holds it.
+            let outgoing = std::mem::replace(&mut *unpoison(self.live.lock()), (generation, fresh));
             self.generation.store(generation, Ordering::Release);
-            self.swaps.fetch_add(1, Ordering::Relaxed);
+            drop(outgoing);
         }
         let routes = fib.len() as u32;
         applied
@@ -249,7 +251,9 @@ impl EpochTables {
         self.retired.fetch_max(gen, Ordering::AcqRel);
     }
 
-    /// Records one swap's publish-to-barrier latency.
+    /// Records one swap's dequeue-to-barrier latency: from the worker
+    /// dequeuing the batch's first op, through coalescing, the rebuild
+    /// and the publish, to the drain barrier completing or timing out.
     pub fn record_swap_latency(&self, micros: u64) {
         let mut l = unpoison(self.latency.lock());
         if l.samples.len() == LATENCY_RING {
@@ -261,10 +265,12 @@ impl EpochTables {
         l.count += 1;
     }
 
-    /// The snapshot's `fib` section: generation, route and swap counters,
-    /// and percentiles over the recent swap-latency ring (absent before
-    /// the first swap completes).
+    /// The snapshot's `fib` section: the published generation with its
+    /// table's route count and the swaps before it, the retired
+    /// generation, and percentiles over the recent swap-latency ring
+    /// (absent before the first swap completes).
     pub fn snapshot(&self) -> FibSnapshot {
+        let (generation, routes) = self.published();
         let swap_latency_us = {
             let l = unpoison(self.latency.lock());
             let mut sorted = l.samples.clone();
@@ -278,9 +284,9 @@ impl EpochTables {
             })
         };
         FibSnapshot {
-            generation: self.generation(),
-            routes: self.routes(),
-            swaps: self.swaps(),
+            generation,
+            routes,
+            swaps: generation - 1,
             retired: self.retired(),
             swap_latency_us,
         }
@@ -374,6 +380,9 @@ fn control_worker(
                 Err(_) => break,
             }
         }
+        // Hold the outgoing table until the replies are out, so its free
+        // is not part of the swap latency or the clients' wait.
+        let (_, outgoing) = tables.current();
         let outcomes = tables.mutate(jobs.iter().map(|j| &j.op));
         // The drain barrier: the previous generation is retired only
         // once every shard acknowledges the new one. On deadline (a
@@ -390,6 +399,9 @@ fn control_worker(
             // not the worker's problem.
             let _ = job.reply.send(outcome);
         }
+        // Once the barrier completed no shard holds the outgoing table,
+        // so this frees it.
+        drop(outgoing);
     }
 }
 
@@ -430,6 +442,23 @@ mod tests {
         assert_eq!(t2.fib.lookup(0x0a00_0001), Some(42), "trie rides along");
         assert_eq!(epoch.swaps(), 1);
         assert_eq!(epoch.routes(), 2);
+    }
+
+    #[test]
+    fn a_replaced_table_is_freed_as_soon_as_its_last_reader_lets_go() {
+        let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
+        let boot = Arc::downgrade(&epoch.current().1);
+        epoch.mutate(&[ControlOp::SwapDefault(8)]);
+        assert!(boot.upgrade().is_none(), "nothing else held the boot table");
+
+        let (_, reader) = epoch.current();
+        let second = Arc::downgrade(&reader);
+        epoch.mutate(&[ControlOp::SwapDefault(9)]);
+        assert!(second.upgrade().is_some(), "a reader still holds it");
+        assert_eq!(reader.dir.lookup(1), Some(8), "and still classifies");
+        drop(reader);
+        assert!(second.upgrade().is_none());
+        assert_eq!(epoch.current().1.dir.lookup(1), Some(9));
     }
 
     #[test]
@@ -507,6 +536,7 @@ mod tests {
                 std::thread::sleep(Duration::from_micros(100));
             }
         });
+        let boot = Arc::downgrade(&epoch.current().1);
         let (handle, worker) =
             spawn_control_worker(Arc::clone(&epoch), vec![shard], Arc::clone(&stop));
         let (tx, rx) = channel();
@@ -524,6 +554,10 @@ mod tests {
         stop.store(true, Ordering::Release);
         worker.join().unwrap();
         echo.join().unwrap();
+        assert!(
+            boot.upgrade().is_none(),
+            "the worker freed the boot table once the barrier retired it"
+        );
     }
 
     #[test]

@@ -3,11 +3,12 @@
 //!
 //! A traced submit travels `decode → queue-wait → batch-coalesce →
 //! backend-execute → egress encode → socket write`. The shard thread
-//! measures the four middle stages (recorded per job into
-//! [`StageTimings`], shipped back through
-//! [`crate::queue::JobOutcome::timings`]); the connection's session measures
-//! decode and write and finalizes one [`SpanRecord`] per (job, shard)
-//! after the response hits the socket. Finished spans land three places:
+//! measures the four middle stages and fills them, with its own fields,
+//! into one [`SpanRecord`] per job, shipped back through
+//! [`crate::queue::JobOutcome::timings`]; the connection's session
+//! measures decode and write, and [`ServeTracer::finish`] stamps those and
+//! the span id on each record after the response hits the socket.
+//! Finished spans land three places:
 //!
 //! * per-shard stage [`BucketHistogram`]s (the shard records its four
 //!   stages under its own stats registry; the tracer records the two
@@ -69,32 +70,8 @@ impl Default for TracingConfig {
     }
 }
 
-/// The four shard-side stage durations of one job, measured by the shard
-/// thread and shipped back through the job's outcome. Batch-level stages
-/// (coalesce, execute, egress) are measured once per activation and
-/// attributed whole to every job in the batch.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct StageTimings {
-    /// Shard that executed the job.
-    pub shard: u16,
-    /// Packets in the job.
-    pub packets: u32,
-    /// Queue residency: enqueue to shard pickup.
-    pub queue_ns: u64,
-    /// Coalesce window: pickup to backend submit.
-    pub coalesce_ns: u64,
-    /// Backend execution: submit through egress drain.
-    pub execute_ns: u64,
-    /// Egress classification/verification after the drain.
-    pub egress_ns: u64,
-    /// Simulator cycles the activation consumed (backend-reported).
-    pub sim_cycles: u64,
-    /// Egress frames the activation emitted (backend-reported).
-    pub frames: u64,
-}
-
 /// A span accumulating across one submit: the resolved id plus the
-/// per-shard timings collected from job outcomes. Finalized by
+/// shard-filled span records collected from job outcomes. Finalized by
 /// [`ServeTracer::finish`] once the response is on the wire.
 #[derive(Debug)]
 pub struct PendingSpan {
@@ -105,8 +82,8 @@ pub struct PendingSpan {
     pub client_assigned: bool,
     /// Request frame decode duration (the session, on a reactor thread).
     pub decode_ns: u64,
-    /// One entry per job the submit fanned out to.
-    pub timings: Vec<StageTimings>,
+    /// One shard-filled record per job the submit fanned out to.
+    pub timings: Vec<SpanRecord>,
 }
 
 /// One shard's bounded span retention.
@@ -175,11 +152,6 @@ impl ServeTracer {
         self.config.enabled
     }
 
-    /// The active configuration.
-    pub fn config(&self) -> &TracingConfig {
-        &self.config
-    }
-
     /// Resolves a span id: the client's, or a fresh server-assigned id
     /// with [`SERVER_SPAN_BIT`] set. Returns `(id, client_assigned)`.
     pub fn assign(&self, client: Option<u64>) -> (u64, bool) {
@@ -192,9 +164,10 @@ impl ServeTracer {
         }
     }
 
-    /// Finalizes a span once the response left the socket: builds one
-    /// [`SpanRecord`] per (job, shard), feeds the rings, records the
-    /// connection-side stage histograms, and exports JSONL lines.
+    /// Finalizes a span once the response left the socket: stamps the
+    /// span id and the connection-side stages on each (job, shard)
+    /// record, feeds the rings, records the connection-side stage
+    /// histograms, and exports JSONL lines.
     pub fn finish(&self, pending: &PendingSpan, write_ns: u64) {
         if !self.enabled() || pending.timings.is_empty() {
             return;
@@ -208,16 +181,9 @@ impl ServeTracer {
             let rec = SpanRecord {
                 span: pending.span_id,
                 client_assigned: pending.client_assigned,
-                shard: t.shard,
-                packets: u64::from(t.packets),
                 decode_ns: pending.decode_ns,
-                queue_ns: t.queue_ns,
-                coalesce_ns: t.coalesce_ns,
-                execute_ns: t.execute_ns,
-                egress_ns: t.egress_ns,
                 write_ns,
-                sim_cycles: t.sim_cycles,
-                frames: t.frames,
+                ..*t
             };
             if let Some(ring) = self.rings.get(t.shard as usize) {
                 let mut r = ring.lock().unwrap_or_else(PoisonError::into_inner);
@@ -310,8 +276,8 @@ impl ServeTracer {
 mod tests {
     use super::*;
 
-    fn timings(shard: u16, total_each: u64) -> StageTimings {
-        StageTimings {
+    fn timings(shard: u16, total_each: u64) -> SpanRecord {
+        SpanRecord {
             shard,
             packets: 10,
             queue_ns: total_each,
@@ -320,6 +286,7 @@ mod tests {
             egress_ns: total_each,
             sim_cycles: 3,
             frames: 20,
+            ..SpanRecord::default()
         }
     }
 

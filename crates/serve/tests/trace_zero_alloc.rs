@@ -7,7 +7,8 @@
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide.
 
-use memsync_serve::tracing::{PendingSpan, ServeTracer, StageTimings, TracingConfig};
+use memsync_serve::tracing::{PendingSpan, ServeTracer, TracingConfig};
+use memsync_trace::SpanRecord;
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -75,7 +76,7 @@ fn disabled_tracer_path_allocates_nothing() {
             span_id: 2,
             client_assigned: true,
             decode_ns: 10,
-            timings: vec![StageTimings::default()],
+            timings: vec![SpanRecord::default()],
         },
         5,
     );

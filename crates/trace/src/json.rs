@@ -148,9 +148,17 @@ impl std::fmt::Display for JsonParseError {
 
 impl std::error::Error for JsonParseError {}
 
+/// Deepest array/object nesting [`Json::parse`] accepts. The deepest
+/// document the repo writes, the stats snapshot, nests 5 levels; the cap
+/// keeps a hostile document from overflowing the recursive parser's stack.
+const MAX_DEPTH: usize = 64;
+
 struct Parser<'a> {
+    src: &'a str,
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays and objects open around `pos`.
+    depth: usize,
 }
 
 impl<'a> Parser<'a> {
@@ -179,8 +187,8 @@ impl<'a> Parser<'a> {
     fn value(&mut self) -> Result<Json, JsonParseError> {
         self.skip_ws();
         match self.bytes.get(self.pos) {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(Json::Str(self.string()?)),
             Some(b't') => self.literal("true", Json::Bool(true)),
             Some(b'f') => self.literal("false", Json::Bool(false)),
@@ -189,6 +197,20 @@ impl<'a> Parser<'a> {
             Some(c) => self.err(format!("unexpected byte {:?}", *c as char)),
             None => self.err("unexpected end of input"),
         }
+    }
+
+    /// Parses one array or object, refusing it past [`MAX_DEPTH`].
+    fn nested(
+        &mut self,
+        parse: fn(&mut Self) -> Result<Json, JsonParseError>,
+    ) -> Result<Json, JsonParseError> {
+        if self.depth == MAX_DEPTH {
+            return self.err(format!("nesting deeper than {MAX_DEPTH} levels"));
+        }
+        self.depth += 1;
+        let value = parse(self);
+        self.depth -= 1;
+        value
     }
 
     fn literal(&mut self, word: &str, value: Json) -> Result<Json, JsonParseError> {
@@ -232,13 +254,22 @@ impl<'a> Parser<'a> {
         self.eat(b'"')?;
         let mut out = String::new();
         loop {
+            // Copy the run up to the next quote or escape in one go: both
+            // are ASCII, so the run ends on a char boundary of the source.
+            let run = self.bytes[self.pos..]
+                .iter()
+                .position(|&b| b == b'"' || b == b'\\')
+                .unwrap_or(self.bytes.len() - self.pos);
+            out.push_str(&self.src[self.pos..self.pos + run]);
+            self.pos += run;
             match self.bytes.get(self.pos) {
                 None => return self.err("unterminated string"),
                 Some(b'"') => {
                     self.pos += 1;
                     return Ok(out);
                 }
-                Some(b'\\') => {
+                Some(_) => {
+                    // The run stopped at a backslash: one escape.
                     self.pos += 1;
                     match self.bytes.get(self.pos) {
                         Some(b'"') => out.push('"'),
@@ -265,19 +296,6 @@ impl<'a> Parser<'a> {
                         _ => return self.err("bad escape"),
                     }
                     self.pos += 1;
-                }
-                Some(_) => {
-                    // Consume one UTF-8 scalar (the input came from a
-                    // &str, so boundaries are valid).
-                    let rest = std::str::from_utf8(&self.bytes[self.pos..]).map_err(|_| {
-                        JsonParseError {
-                            at: self.pos,
-                            message: "invalid utf-8".into(),
-                        }
-                    })?;
-                    let ch = rest.chars().next().expect("nonempty checked above");
-                    out.push(ch);
-                    self.pos += ch.len_utf8();
                 }
             }
         }
@@ -340,11 +358,14 @@ impl Json {
     /// # Errors
     ///
     /// Returns the byte offset and cause of the first syntax error,
-    /// including trailing garbage after the document.
+    /// including trailing garbage after the document and arrays or
+    /// objects nested more than 64 deep.
     pub fn parse(s: &str) -> Result<Json, JsonParseError> {
         let mut p = Parser {
+            src: s,
             bytes: s.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         let v = p.value()?;
         p.skip_ws();
@@ -543,5 +564,25 @@ mod tests {
     fn parse_handles_escapes_and_unicode() {
         let j = Json::parse(r#""a\"b\\c\ndAü""#).unwrap();
         assert_eq!(j.as_str(), Some("a\"b\\c\ndAü"));
+    }
+
+    #[test]
+    fn parse_refuses_nesting_past_the_cap() {
+        let arrays = "[".repeat(1_000_000);
+        let e = Json::parse(&arrays).unwrap_err();
+        assert_eq!(e.at, MAX_DEPTH, "{e}");
+        assert!(Json::parse(&"{\"a\":".repeat(1_000_000)).is_err());
+        let at_cap = "[".repeat(MAX_DEPTH) + &"]".repeat(MAX_DEPTH);
+        assert!(Json::parse(&at_cap).is_ok());
+        let objects = "{\"a\":".repeat(MAX_DEPTH) + "1" + &"}".repeat(MAX_DEPTH);
+        assert!(Json::parse(&objects).is_ok());
+    }
+
+    #[test]
+    fn a_one_mebibyte_multibyte_string_round_trips() {
+        let text: String = "aü€😀\"\\\n".chars().cycle().take(1 << 20).collect();
+        assert!(text.len() > 1 << 20);
+        let j = Json::Str(text);
+        assert_eq!(Json::parse(&j.render()).unwrap(), j);
     }
 }

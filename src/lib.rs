@@ -1,9 +1,8 @@
 //! Facade crate re-exporting the `memsync` workspace.
 //!
 //! See the individual crates for detail:
-//! [`hic`](memsync_hic), [`synth`](memsync_synth), [`rtl`](memsync_rtl),
-//! [`fpga`](memsync_fpga), [`core`](memsync_core), [`sim`](memsync_sim),
-//! [`netapp`](memsync_netapp), [`trace`](memsync_trace).
+//! [`hic`], [`synth`], [`rtl`], [`fpga`], [`core`], [`sim`], [`netapp`],
+//! [`trace`].
 pub use memsync_core as core;
 pub use memsync_fpga as fpga;
 pub use memsync_hic as hic;
