@@ -13,8 +13,8 @@
 //! count) are distinct variants, not stringly `io::Error`s.
 
 use crate::frame::{
-    encode_submit_into, read_frame, write_frame, Request, Response, ServerHello, SubmitOptions,
-    CAP_CONTROL, CAP_TRACING, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
+    write_frame, FrameReader, Request, Response, ServerHello, SubmitOptions, CAP_CONTROL,
+    CAP_TRACING, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
 };
 use crate::snapshot::StatsSnapshot;
 use memsync_netapp::fib::Route;
@@ -107,7 +107,10 @@ impl Default for ClientBuilder {
 }
 
 impl ClientBuilder {
-    /// Socket read deadline (default: none — block forever).
+    /// Socket read deadline (default: none — block forever). A receive
+    /// that times out fails with [`ClientError::Io`]; retrying it with
+    /// [`Client::submit_recv`] resumes the pending response where the
+    /// timeout cut it off.
     #[must_use]
     pub fn read_timeout(mut self, t: Duration) -> ClientBuilder {
         self.read_timeout = Some(t);
@@ -144,16 +147,10 @@ impl ClientBuilder {
         stream.set_write_timeout(self.write_timeout)?;
         let mut client = Client {
             reader: BufReader::new(stream.try_clone()?),
+            frames: FrameReader::new(),
             writer: BufWriter::new(stream),
             encode_buf: Vec::new(),
-            hello: ServerHello {
-                version: 0,
-                capabilities: 0,
-                backend: crate::backend::BackendKind::Sim,
-                shards: 0,
-                egress: 0,
-                routes: 0,
-            },
+            hello: ServerHello::default(),
             retries: self.retries,
         };
         match client.roundtrip(&Request::Hello {
@@ -171,7 +168,7 @@ impl ClientBuilder {
                 client.hello = h;
                 Ok(client)
             }
-            // A v1 server does not know REQ_HELLO and answers with its
+            // A v1 server does not know the hello request and answers with its
             // (v1-decodable) error frame; a v2 server outside our range
             // answers the same way. Both are "we could not agree".
             Response::Error(e) => Err(ClientError::Unsupported(e)),
@@ -187,8 +184,11 @@ impl ClientBuilder {
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
+    /// The connection's one frame reader: a response cut off by a read
+    /// timeout resumes on the next receive.
+    frames: FrameReader,
     writer: BufWriter<TcpStream>,
-    /// Reusable submit encode scratch: a stream of same-size batches
+    /// Reusable request encode scratch: a stream of same-size batches
     /// serializes with zero allocations per submit.
     encode_buf: Vec<u8>,
     hello: ServerHello,
@@ -267,15 +267,14 @@ impl Client {
     /// I/O failures, or [`ClientError::Protocol`] when the server closes
     /// mid-response or replies with garbage.
     pub fn roundtrip(&mut self, req: &Request) -> Result<Response, ClientError> {
-        write_frame(&mut self.writer, &req.encode())?;
-        match read_frame(&mut self.reader)? {
-            Some(payload) => {
-                Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
-            }
-            None => Err(ClientError::Protocol(
-                "server closed before responding".into(),
-            )),
-        }
+        self.send(req)?;
+        self.submit_recv()
+    }
+
+    /// Encodes `req` into the reusable scratch and writes it.
+    fn send(&mut self, req: &Request) -> Result<(), ClientError> {
+        req.encode_into(&mut self.encode_buf);
+        Ok(write_frame(&mut self.writer, &self.encode_buf)?)
     }
 
     /// Submits one batch without retrying `Busy` — the raw response, for
@@ -324,21 +323,24 @@ impl Client {
         }
         // Encode straight from the caller's slice into the reusable
         // scratch — no Vec<Ipv4Packet> clone, no per-submit allocation.
-        encode_submit_into(packets, options, &mut self.encode_buf);
-        write_frame(&mut self.writer, &self.encode_buf)?;
-        Ok(())
+        self.send(&Request::Submit { options, packets })
     }
 
-    /// Receives the response to an earlier [`Client::submit_send`].
+    /// Receives the next response: the answer to an earlier
+    /// [`Client::submit_send`]. Every response on the connection is read
+    /// here, through the connection's one [`FrameReader`], so a receive
+    /// that timed out (see [`ClientBuilder::read_timeout`]) can be
+    /// retried and resumes the pending response instead of re-entering
+    /// the stream mid-frame.
     ///
     /// # Errors
     ///
     /// I/O failures, or [`ClientError::Protocol`] when the server closes
     /// mid-response or replies with garbage.
     pub fn submit_recv(&mut self) -> Result<Response, ClientError> {
-        match read_frame(&mut self.reader)? {
+        match self.frames.read(&mut self.reader)? {
             Some(payload) => {
-                Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))
+                Response::decode(payload).map_err(|e| ClientError::Protocol(e.to_string()))
             }
             None => Err(ClientError::Protocol(
                 "server closed before responding".into(),
@@ -438,23 +440,16 @@ impl Client {
             ));
         }
         let interval_ms = u32::try_from(interval.as_millis()).unwrap_or(u32::MAX);
-        write_frame(
-            &mut self.writer,
-            &Request::StatsStream { interval_ms }.encode(),
-        )?;
+        self.send(&Request::StatsStream { interval_ms })?;
         let mut stopping = false;
         loop {
-            let payload = read_frame(&mut self.reader)?
-                .ok_or_else(|| ClientError::Protocol("server closed mid-stream".into()))?;
-            let rsp =
-                Response::decode(&payload).map_err(|e| ClientError::Protocol(e.to_string()))?;
-            match rsp {
+            match self.submit_recv()? {
                 Response::StatsPush(doc) => {
                     if stopping {
                         continue; // a push that was already in flight
                     }
                     if !on_push(decode_stats(&doc)?) {
-                        write_frame(&mut self.writer, &Request::Stats.encode())?;
+                        self.send(&Request::Stats)?;
                         stopping = true;
                     }
                 }

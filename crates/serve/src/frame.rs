@@ -2,30 +2,36 @@
 //!
 //! Every frame is a big-endian `u32` payload length followed by the
 //! payload; the first payload byte is the frame type. Request types live
-//! below `0x80`, response types at or above it. The full layout is
-//! documented in EXPERIMENTS.md ("Serving traffic").
+//! below `0x80`, response types at or above it. The `frames!`
+//! declarations below are the layout: each frame's type byte, wire name
+//! and fields in wire order, declared once, from which its one encoder
+//! and one decoder are derived. A field's type decides its bytes, and
+//! bytes after a frame's last field are malformed.
+//! `tests/data/frames.golden` pins every frame type's encoding.
 //!
 //! **Protocol v2 (this build)** is negotiated at connect time: the client
 //! speaks first with [`Request::Hello`] carrying the version range it
 //! supports, and the server answers [`Response::Hello`] with the settled
 //! version plus a [`ServerHello`] capability block (which forwarding
 //! backends the build supports, which one is serving, shard count, egress
-//! width, FIB routes). Any other first request is refused with a typed
-//! [`Response::Error`] and a clean close — never a frame desync. A v1
-//! client (pre-`Hello`) talking to a v2 server therefore gets an explicit
-//! error it already knows how to decode, and a v2 client talking to a v1
-//! server maps the v1 `unknown request` error onto a typed
-//! `Unsupported` connect failure.
+//! width, FIB routes). Any other first frame, even one that does not
+//! decode, is refused with a typed [`Response::Error`] and a clean close
+//! — never a frame desync. A v1 client (pre-`Hello`) talking to a v2
+//! server therefore gets an explicit error it already knows how to
+//! decode, and a v2 client talking to a v1 server maps the v1 `unknown
+//! request` error onto a typed `Unsupported` connect failure.
 //!
 //! Packets travel as the exact 20-byte header [`Ipv4Packet::to_bytes`]
 //! emits; the decode side uses the strict [`Ipv4Packet::from_bytes`]
 //! (IHL and checksum validated), so a corrupted header is rejected at the
-//! frame boundary instead of flowing into a shard.
+//! frame boundary instead of flowing into a shard. They are parsed once,
+//! straight into the decoding caller's packet scratch.
 
 use crate::backend::BackendKind;
 use memsync_netapp::fib::Route;
 use memsync_netapp::packet::ParsePacketError;
 use memsync_netapp::Ipv4Packet;
+use std::fmt::Display;
 use std::io::{self, Read, Write};
 
 /// The newest protocol version this build speaks. Version 1 was the PR 3
@@ -123,34 +129,11 @@ impl SubmitOptions {
         self.span_id = Some(id);
         self
     }
-
-    /// The wire flags byte.
-    pub fn to_flags(self) -> u8 {
-        let mut flags = 0;
-        if self.verify {
-            flags |= FLAG_VERIFY;
-        }
-        if self.span_id.is_some() {
-            flags |= FLAG_SPAN;
-        }
-        flags
-    }
-
-    /// Decodes a wire flags byte (unknown bits are ignored for forward
-    /// compatibility within a negotiated version). The span id itself
-    /// travels in the submit body, not the flags byte — the submit
-    /// decoder fills it in when [`FLAG_SPAN`] is set.
-    pub fn from_flags(flags: u8) -> SubmitOptions {
-        SubmitOptions {
-            verify: flags & FLAG_VERIFY != 0,
-            span_id: None,
-        }
-    }
 }
 
 /// What a server tells a client at connect time: the settled protocol
 /// version and the serving capabilities the client may rely on.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerHello {
     /// The protocol version the server settled on (currently always
     /// [`PROTOCOL_VERSION`]).
@@ -168,113 +151,6 @@ pub struct ServerHello {
     /// Route count of the server's synthetic FIB (the loadgen must
     /// generate against the same table).
     pub routes: u32,
-}
-
-/// A request frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Request {
-    /// Protocol negotiation — must be the first frame on a connection.
-    /// Carries the closed range of protocol versions the client speaks;
-    /// the server settles on one ([`Response::Hello`]) or refuses with a
-    /// typed error and closes.
-    Hello {
-        /// Lowest protocol version the client accepts.
-        min_version: u16,
-        /// Highest protocol version the client accepts.
-        max_version: u16,
-    },
-    /// Forward a batch of packets.
-    Submit {
-        /// Parsed packet headers, in submission order.
-        packets: Vec<Ipv4Packet>,
-        /// Typed per-submit options (verify mode, future flags).
-        options: SubmitOptions,
-    },
-    /// Ask for the merged stats frame (JSON).
-    Stats,
-    /// Subscribe to pushed stats: the server sends a
-    /// [`Response::StatsPush`] immediately and then roughly every
-    /// `interval_ms` until the client sends any other frame (which is
-    /// answered normally and ends the stream). Capability-gated behind
-    /// [`CAP_TRACING`].
-    StatsStream {
-        /// Push interval in milliseconds (must be nonzero).
-        interval_ms: u32,
-    },
-    /// Stop accepting new submits, let in-flight packets complete, reply
-    /// [`Response::Drained`] once every shard is idle.
-    Drain,
-    /// Drain, then stop the whole service (the server process exits 0).
-    Shutdown,
-    /// Fault injection: make shard `shard` panic on its next activation
-    /// (exercises the in-place restart path).
-    Kill(u16),
-    /// Control plane (v3): insert (or replace) a batch of routes. The
-    /// server applies the whole batch to the trie oracle, compiles a
-    /// fresh flat classifier, publishes it as a new table generation,
-    /// and answers [`Response::RouteUpdated`] only after every shard has
-    /// acknowledged the swap (the old generation is retired). A batch
-    /// the classifier cannot encode (over 32767 distinct next hops or
-    /// overflow blocks) is answered [`Response::Error`] and changes
-    /// nothing.
-    RouteAdd(Vec<Route>),
-    /// Control plane (v3): withdraw a batch of routes by exact
-    /// `prefix/len`. Absent routes are skipped (reflected in the
-    /// response's `applied` count), not errors — withdraw is idempotent.
-    RouteWithdraw(Vec<(u32, u8)>),
-    /// Control plane (v3): atomically swap the default route's next hop
-    /// (shorthand for a one-route `RouteAdd` of `0/0`).
-    SwapDefault {
-        /// The new next hop for the `0/0` route.
-        next_hop: u32,
-    },
-}
-
-/// A response frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub enum Response {
-    /// The settled protocol version and server capabilities (the answer
-    /// to [`Request::Hello`]).
-    Hello(ServerHello),
-    /// Generic acknowledgement (shutdown, kill).
-    Ok,
-    /// A submit batch completed.
-    Batch {
-        /// Packets the oracle classified as forwarded.
-        forwarded: u32,
-        /// Packets dropped (TTL expiry or no route).
-        dropped: u32,
-        /// Verify-mode mismatches (0 when verify was off).
-        mismatches: u32,
-    },
-    /// Backpressure: a target shard queue was full; *nothing* from the
-    /// submit was enqueued. The payload names the first full shard.
-    Busy(u16),
-    /// The merged stats frame as a JSON document.
-    Stats(String),
-    /// One pushed stats document of an active [`Request::StatsStream`].
-    /// Deliberately a distinct frame type from [`Response::Stats`]: a
-    /// client stopping a stream sends a plain [`Request::Stats`] and
-    /// discards pushes until the non-push `Stats` answer arrives, which
-    /// marks the stream cleanly ended with no frame ambiguity.
-    StatsPush(String),
-    /// Drain completed: queues empty, shards idle.
-    Drained,
-    /// A control-plane mutation was published and the swap barrier
-    /// completed (the answer to the v3 route frames).
-    RouteUpdated {
-        /// The table generation the mutation landed in. Strictly
-        /// monotonic; a client can order concurrent mutations by it.
-        generation: u64,
-        /// Total routes in the published table.
-        routes: u32,
-        /// Mutations actually effected (a withdraw of an absent route
-        /// does not count).
-        applied: u32,
-    },
-    /// The request failed; nothing was silently dropped — the message
-    /// says what happened.
-    Error(String),
 }
 
 /// Decode failures.
@@ -298,60 +174,441 @@ impl std::fmt::Display for FrameError {
 
 impl std::error::Error for FrameError {}
 
-// ---- request encode/decode -------------------------------------------
+/// A payload being decoded: the frame's wire name (messages), the bytes
+/// not yet taken, and the packet scratch a request's submit fills.
+struct Body<'p> {
+    frame: &'static str,
+    rest: &'p [u8],
+    packets: Option<&'p mut Vec<Ipv4Packet>>,
+}
 
-const REQ_SUBMIT: u8 = 0x01;
-const REQ_STATS: u8 = 0x02;
-const REQ_DRAIN: u8 = 0x03;
-const REQ_SHUTDOWN: u8 = 0x04;
-const REQ_KILL: u8 = 0x05;
-const REQ_HELLO: u8 = 0x06;
-const REQ_STATS_STREAM: u8 = 0x07;
-const REQ_ROUTE_ADD: u8 = 0x08;
-const REQ_ROUTE_WITHDRAW: u8 = 0x09;
-const REQ_SWAP_DEFAULT: u8 = 0x0a;
-const RSP_OK: u8 = 0x80;
-const RSP_BATCH: u8 = 0x81;
-const RSP_BUSY: u8 = 0x82;
-const RSP_STATS: u8 = 0x83;
-const RSP_DRAINED: u8 = 0x84;
-const RSP_ERROR: u8 = 0x85;
-const RSP_HELLO: u8 = 0x86;
-const RSP_STATS_PUSH: u8 = 0x87;
-const RSP_ROUTE_UPDATED: u8 = 0x88;
-
-/// Validates a route's shape at the frame boundary: length in range and
-/// no host bits, so a malformed control frame is rejected before it can
-/// reach (and panic) the trie.
-fn check_route(prefix: u32, len: u8) -> Result<(), FrameError> {
-    if len > 32 {
-        return Err(FrameError::Malformed(format!(
-            "route prefix length {len} out of range"
-        )));
+impl<'p> Body<'p> {
+    fn malformed(&self, what: impl Display) -> FrameError {
+        FrameError::Malformed(format!("{} {what}", self.frame))
     }
-    if len < 32 && prefix & ((1u64 << (32 - len)) - 1) as u32 != 0 {
-        return Err(FrameError::Malformed(format!(
-            "host bits set in route {prefix:#010x}/{len}"
-        )));
+
+    fn bytes(&mut self, n: usize) -> Result<&'p [u8], FrameError> {
+        if self.rest.len() < n {
+            return Err(self.malformed(format_args!("is {} bytes short", n - self.rest.len())));
+        }
+        let (head, rest) = self.rest.split_at(n);
+        self.rest = rest;
+        Ok(head)
+    }
+}
+
+/// How a value of this type is written into a frame and read back.
+trait Field<'p>: Sized {
+    fn put(&self, out: &mut Vec<u8>);
+    fn take(body: &mut Body<'p>) -> Result<Self, FrameError>;
+}
+
+/// Big-endian integers.
+macro_rules! int_field {
+    ($($int:ty),*) => {$(
+        impl<'p> Field<'p> for $int {
+            fn put(&self, out: &mut Vec<u8>) {
+                out.extend_from_slice(&self.to_be_bytes());
+            }
+
+            fn take(body: &mut Body<'p>) -> Result<$int, FrameError> {
+                let bytes = body.bytes(std::mem::size_of::<$int>())?.try_into();
+                Ok(<$int>::from_be_bytes(bytes.expect("sized above")))
+            }
+        }
+    )*};
+}
+
+int_field!(u8, u16, u32, u64);
+
+impl<'p> Field<'p> for BackendKind {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.push(self.wire_code());
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<BackendKind, FrameError> {
+        let code = u8::take(body)?;
+        BackendKind::from_wire(code)
+            .ok_or_else(|| body.malformed(format_args!("names unknown backend code {code:#04x}")))
+    }
+}
+
+/// Text: the rest of the payload.
+impl<'p> Field<'p> for String {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(self.as_bytes());
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<String, FrameError> {
+        let text = body.bytes(body.rest.len())?.to_vec();
+        String::from_utf8(text).map_err(|_| body.malformed("carries non-utf8 text"))
+    }
+}
+
+/// A struct carried as its fields, in declaration order.
+macro_rules! record_field {
+    ($ty:ident: $($field:ident),*) => {
+        impl<'p> Field<'p> for $ty {
+            fn put(&self, out: &mut Vec<u8>) {
+                $( self.$field.put(out); )*
+            }
+
+            fn take(body: &mut Body<'p>) -> Result<$ty, FrameError> {
+                Ok($ty { $( $field: Field::take(body)?, )* })
+            }
+        }
+    };
+}
+
+record_field!(ServerHello: version, capabilities, backend, shards, egress, routes);
+record_field!(Route: prefix, len, next_hop);
+
+impl<'p, A: Field<'p>, B: Field<'p>> Field<'p> for (A, B) {
+    fn put(&self, out: &mut Vec<u8>) {
+        self.0.put(out);
+        self.1.put(out);
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<(A, B), FrameError> {
+        Ok((A::take(body)?, B::take(body)?))
+    }
+}
+
+/// The flags byte, then the span id when [`FLAG_SPAN`] is set. Unknown
+/// flags are ignored, for forward compatibility within a version.
+impl<'p> Field<'p> for SubmitOptions {
+    fn put(&self, out: &mut Vec<u8>) {
+        let verify = if self.verify { FLAG_VERIFY } else { 0 };
+        out.push(verify | self.span_id.map_or(0, |_| FLAG_SPAN));
+        if let Some(id) = self.span_id {
+            id.put(out);
+        }
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<SubmitOptions, FrameError> {
+        let flags = u8::take(body)?;
+        Ok(SubmitOptions {
+            verify: flags & FLAG_VERIFY != 0,
+            span_id: (flags & FLAG_SPAN != 0)
+                .then(|| u64::take(body))
+                .transpose()?,
+        })
+    }
+}
+
+impl<'p> Field<'p> for Ipv4Packet {
+    fn put(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_bytes());
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<Ipv4Packet, FrameError> {
+        Ipv4Packet::from_bytes(body.bytes(20)?).map_err(FrameError::BadPacket)
+    }
+}
+
+/// Validates a route's `prefix/len` at the frame boundary: length in
+/// range and no host bits, so a malformed control frame is rejected
+/// before it can reach (and panic) the trie.
+fn check_route(body: &Body<'_>, prefix: u32, len: u8) -> Result<(), FrameError> {
+    match len {
+        33.. => Err(body.malformed(format_args!("has prefix length {len} out of range"))),
+        // The low `32 - len` bits are host bits.
+        ..=31 if prefix << len != 0 => Err(body.malformed(format_args!(
+            "has host bits set in route {prefix:#010x}/{len}"
+        ))),
+        _ => Ok(()),
+    }
+}
+
+/// An element of a `u16`-counted list: its wire size, the most elements
+/// one frame carries, and the check a decoded element must pass.
+trait Item<'p>: Field<'p> {
+    const SIZE: usize;
+    const CAP: usize;
+
+    fn check(&self, _body: &Body<'p>) -> Result<(), FrameError> {
+        Ok(())
+    }
+}
+
+impl Item<'_> for Ipv4Packet {
+    const SIZE: usize = 20;
+    const CAP: usize = MAX_SUBMIT_PACKETS;
+}
+
+impl<'p> Item<'p> for Route {
+    const SIZE: usize = 9;
+    const CAP: usize = MAX_CONTROL_ROUTES;
+
+    fn check(&self, body: &Body<'p>) -> Result<(), FrameError> {
+        check_route(body, self.prefix, self.len)
+    }
+}
+
+impl<'p> Item<'p> for (u32, u8) {
+    const SIZE: usize = 5;
+    const CAP: usize = MAX_CONTROL_ROUTES;
+
+    fn check(&self, body: &Body<'p>) -> Result<(), FrameError> {
+        check_route(body, self.0, self.1)
+    }
+}
+
+/// Writes the count, then each element. A list over its frame cap
+/// panics here instead of truncating the count on the wire.
+fn put_list<'p, T: Item<'p>>(items: &[T], out: &mut Vec<u8>) {
+    let n = items.len();
+    assert!(n <= T::CAP, "list of {n} exceeds the {}-entry cap", T::CAP);
+    out.reserve(2 + n * T::SIZE);
+    (n as u16).put(out);
+    for item in items {
+        item.put(out);
+    }
+}
+
+/// Reads the count, then each element into `items`. An inflated count
+/// is refused before anything is reserved for it.
+fn take_list<'p, T: Item<'p>>(body: &mut Body<'p>, items: &mut Vec<T>) -> Result<(), FrameError> {
+    let (count, left) = (usize::from(u16::take(body)?), body.rest.len());
+    if left < count * T::SIZE {
+        let what = format_args!("has {left} bytes for {count} entries x {}", T::SIZE);
+        return Err(body.malformed(what));
+    }
+    items.reserve(count);
+    for _ in 0..count {
+        let item = T::take(body)?;
+        item.check(body)?;
+        items.push(item);
     }
     Ok(())
 }
 
-impl Request {
-    /// The request's wire name (error messages).
-    pub fn name(&self) -> &'static str {
-        match self {
-            Request::Hello { .. } => "hello",
-            Request::Submit { .. } => "submit",
-            Request::Stats => "stats",
-            Request::StatsStream { .. } => "stats-stream",
-            Request::Drain => "drain",
-            Request::Shutdown => "shutdown",
-            Request::Kill(_) => "kill",
-            Request::RouteAdd(_) => "route-add",
-            Request::RouteWithdraw(_) => "route-withdraw",
-            Request::SwapDefault { .. } => "swap-default",
+impl<'p, T: Item<'p>> Field<'p> for Vec<T> {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_list(self, out);
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<Vec<T>, FrameError> {
+        let mut items = Vec::new();
+        take_list(body, &mut items).map(|()| items)
+    }
+}
+
+/// A request's packets decode into the caller's scratch and borrow it.
+impl<'p> Field<'p> for &'p [Ipv4Packet] {
+    fn put(&self, out: &mut Vec<u8>) {
+        put_list(self, out);
+    }
+
+    fn take(body: &mut Body<'p>) -> Result<&'p [Ipv4Packet], FrameError> {
+        let packets = body.packets.take().expect("a request's packet scratch");
+        take_list(body, packets)?;
+        Ok(packets)
+    }
+}
+
+/// Declares one direction's frames, and derives from that one
+/// declaration each frame's wire name, encoder and decoder. A variant
+/// lists its fields in wire order, then `= type byte, "wire name"`; a
+/// one-field tuple variant names its field, as in `Kill(shard: u16)`.
+/// An enum with a lifetime borrows its payload and packet scratch.
+macro_rules! frames {
+    (
+        $(#[$meta:meta])*
+        pub enum $enum:ident $(<$lt:lifetime>)? : $dir:literal {
+            $(
+                $(#[$vmeta:meta])*
+                $variant:ident
+                $( ( $bind:ident : $bty:ty ) )?
+                $( { $( $(#[$fmeta:meta])* $field:ident : $fty:ty, )* } )?
+                = $code:literal, $name:literal;
+            )*
         }
+    ) => {
+        $(#[$meta])*
+        pub enum $enum $(<$lt>)? {
+            $(
+                $(#[$vmeta])*
+                $variant $( ($bty) )? $( { $( $(#[$fmeta])* $field: $fty, )* } )?,
+            )*
+        }
+
+        impl $(<$lt>)? $enum $(<$lt>)? {
+            /// The frame's wire name (error messages).
+            pub fn name(&self) -> &'static str {
+                match self {
+                    $( $enum::$variant { .. } => $name, )*
+                }
+            }
+
+            /// Serializes the payload (without the length prefix) into
+            /// `out`, cleared first: a connection that reuses one buffer
+            /// allocates nothing once it has grown to the largest frame.
+            ///
+            /// # Panics
+            ///
+            /// A list over [`MAX_SUBMIT_PACKETS`] or
+            /// [`MAX_CONTROL_ROUTES`] fails here, never truncated.
+            pub fn encode_into(&self, out: &mut Vec<u8>) {
+                out.clear();
+                match self {
+                    $( $enum::$variant $( ($bind) )? $( { $($field),* } )? => {
+                        out.push($code);
+                        $( $bind.put(out); )?
+                        $( $( $field.put(out); )* )?
+                    } )*
+                }
+            }
+
+            /// Decodes the type byte, then that frame's fields, in full.
+            fn decode_with(
+                payload: &$($lt)? [u8],
+                packets: Option<&$($lt)? mut Vec<Ipv4Packet>>,
+            ) -> Result<Self, FrameError> {
+                let empty = || FrameError::Malformed(concat!("empty ", $dir, " payload").into());
+                let (&ty, rest) = payload.split_first().ok_or_else(empty)?;
+                let mut body = Body { frame: "", rest, packets };
+                let frame = match ty {
+                    $( $code => {
+                        body.frame = $name;
+                        $enum::$variant
+                        $( (<$bty as Field>::take(&mut body)?) )?
+                        $( { $( $field: Field::take(&mut body)?, )* } )?
+                    } )*
+                    ty => Err(FrameError::Malformed(format!(concat!("unknown ", $dir, " {:#04x}"), ty)))?,
+                };
+                match body.rest.len() {
+                    0 => Ok(frame),
+                    n => Err(body.malformed(format_args!("has {n} trailing bytes"))),
+                }
+            }
+        }
+    };
+}
+
+frames! {
+    /// A request frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Request<'a>: "request" {
+        /// Protocol negotiation — must be the first frame on a connection.
+        /// Carries the closed range of protocol versions the client speaks;
+        /// the server settles on one ([`Response::Hello`]) or refuses with a
+        /// typed error and closes.
+        Hello {
+            /// Lowest protocol version the client accepts.
+            min_version: u16,
+            /// Highest protocol version the client accepts.
+            max_version: u16,
+        } = 0x06, "hello";
+        /// Forward a batch of packets.
+        Submit {
+            /// Typed per-submit options (verify mode, span tag).
+            options: SubmitOptions,
+            /// Parsed packet headers, in submission order.
+            packets: &'a [Ipv4Packet],
+        } = 0x01, "submit";
+        /// Ask for the merged stats frame (JSON).
+        Stats = 0x02, "stats";
+        /// Subscribe to pushed stats: the server sends a
+        /// [`Response::StatsPush`] immediately and then roughly every
+        /// `interval_ms` until the client sends any other frame (which is
+        /// answered normally and ends the stream). Capability-gated behind
+        /// [`CAP_TRACING`].
+        StatsStream {
+            /// Push interval in milliseconds (must be nonzero).
+            interval_ms: u32,
+        } = 0x07, "stats-stream";
+        /// Stop accepting new submits, let in-flight packets complete, reply
+        /// [`Response::Drained`] once every shard is idle.
+        Drain = 0x03, "drain";
+        /// Drain, then stop the whole service (the server process exits 0).
+        Shutdown = 0x04, "shutdown";
+        /// Fault injection: make shard `shard` panic on its next activation
+        /// (exercises the in-place restart path).
+        Kill(shard: u16) = 0x05, "kill";
+        /// Control plane (v3): insert (or replace) a batch of routes. The
+        /// server applies the whole batch to the trie oracle, compiles a
+        /// fresh flat classifier, publishes it as a new table generation,
+        /// and answers [`Response::RouteUpdated`] only after every shard has
+        /// acknowledged the swap (the old generation is retired). A batch
+        /// the classifier cannot encode (over 32767 distinct next hops or
+        /// overflow blocks) is answered [`Response::Error`] and changes
+        /// nothing.
+        RouteAdd(routes: Vec<Route>) = 0x08, "route-add";
+        /// Control plane (v3): withdraw a batch of routes by exact
+        /// `prefix/len`. Absent routes are skipped (reflected in the
+        /// response's `applied` count), not errors — withdraw is idempotent.
+        RouteWithdraw(prefixes: Vec<(u32, u8)>) = 0x09, "route-withdraw";
+        /// Control plane (v3): atomically swap the default route's next hop
+        /// (shorthand for a one-route `RouteAdd` of `0/0`).
+        SwapDefault {
+            /// The new next hop for the `0/0` route.
+            next_hop: u32,
+        } = 0x0a, "swap-default";
+    }
+}
+
+frames! {
+    /// A response frame.
+    #[derive(Debug, Clone, PartialEq, Eq)]
+    pub enum Response: "response" {
+        /// The settled protocol version and server capabilities (the answer
+        /// to [`Request::Hello`]).
+        Hello(hello: ServerHello) = 0x86, "hello";
+        /// Generic acknowledgement (shutdown, kill).
+        Ok = 0x80, "ok";
+        /// A submit batch completed.
+        Batch {
+            /// Packets the oracle classified as forwarded.
+            forwarded: u32,
+            /// Packets dropped (TTL expiry or no route).
+            dropped: u32,
+            /// Verify-mode mismatches (0 when verify was off).
+            mismatches: u32,
+        } = 0x81, "batch";
+        /// Backpressure: a target shard queue was full; *nothing* from the
+        /// submit was enqueued. The payload names the first full shard.
+        Busy(shard: u16) = 0x82, "busy";
+        /// The merged stats frame as a JSON document.
+        Stats(json: String) = 0x83, "stats";
+        /// One pushed stats document of an active [`Request::StatsStream`].
+        /// Deliberately a distinct frame type from [`Response::Stats`]: a
+        /// client stopping a stream sends a plain [`Request::Stats`] and
+        /// discards pushes until the non-push `Stats` answer arrives, which
+        /// marks the stream cleanly ended with no frame ambiguity.
+        StatsPush(json: String) = 0x87, "stats-push";
+        /// Drain completed: queues empty, shards idle.
+        Drained = 0x84, "drained";
+        /// A control-plane mutation was published and the swap barrier
+        /// completed (the answer to the v3 route frames).
+        RouteUpdated {
+            /// The table generation the mutation landed in. Strictly
+            /// monotonic; a client can order concurrent mutations by it.
+            generation: u64,
+            /// Total routes in the published table.
+            routes: u32,
+            /// Mutations actually effected (a withdraw of an absent route
+            /// does not count).
+            applied: u32,
+        } = 0x88, "route-updated";
+        /// The request failed; nothing was silently dropped — the message
+        /// says what happened.
+        Error(message: String) = 0x85, "error";
+    }
+}
+
+impl<'a> Request<'a> {
+    /// Parses a request payload. A submit's packet headers are parsed
+    /// once, into `packets` (cleared first), which [`Request::Submit`]
+    /// borrows: one scratch per connection, no vector per batch.
+    ///
+    /// # Errors
+    ///
+    /// Unknown types, short payloads, trailing bytes, malformed routes,
+    /// and packet headers the strict parser rejects.
+    pub fn decode(payload: &'a [u8], packets: &'a mut Vec<Ipv4Packet>) -> Result<Self, FrameError> {
+        packets.clear();
+        Request::decode_with(payload, Some(packets))
     }
 
     /// Whether this request is a v3 control-plane frame (gated behind a
@@ -362,413 +619,48 @@ impl Request {
             Request::RouteAdd(_) | Request::RouteWithdraw(_) | Request::SwapDefault { .. }
         )
     }
-
-    /// Serializes the request payload (without the length prefix).
-    pub fn encode(&self) -> Vec<u8> {
-        match self {
-            Request::Hello {
-                min_version,
-                max_version,
-            } => {
-                let mut v = vec![REQ_HELLO];
-                v.extend_from_slice(&min_version.to_be_bytes());
-                v.extend_from_slice(&max_version.to_be_bytes());
-                v
-            }
-            Request::Submit { packets, options } => {
-                let mut v = Vec::new();
-                encode_submit_into(packets, *options, &mut v);
-                v
-            }
-            Request::Stats => vec![REQ_STATS],
-            Request::StatsStream { interval_ms } => {
-                let mut v = vec![REQ_STATS_STREAM];
-                v.extend_from_slice(&interval_ms.to_be_bytes());
-                v
-            }
-            Request::Drain => vec![REQ_DRAIN],
-            Request::Shutdown => vec![REQ_SHUTDOWN],
-            Request::Kill(shard) => {
-                let mut v = vec![REQ_KILL];
-                v.extend_from_slice(&shard.to_be_bytes());
-                v
-            }
-            Request::RouteAdd(routes) => {
-                assert!(
-                    routes.len() <= MAX_CONTROL_ROUTES,
-                    "route-add of {} routes exceeds the {MAX_CONTROL_ROUTES}-route frame cap",
-                    routes.len()
-                );
-                let mut v = Vec::with_capacity(3 + routes.len() * 9);
-                v.push(REQ_ROUTE_ADD);
-                v.extend_from_slice(&(routes.len() as u16).to_be_bytes());
-                for r in routes {
-                    v.extend_from_slice(&r.prefix.to_be_bytes());
-                    v.push(r.len);
-                    v.extend_from_slice(&r.next_hop.to_be_bytes());
-                }
-                v
-            }
-            Request::RouteWithdraw(prefixes) => {
-                assert!(
-                    prefixes.len() <= MAX_CONTROL_ROUTES,
-                    "route-withdraw of {} routes exceeds the {MAX_CONTROL_ROUTES}-route frame cap",
-                    prefixes.len()
-                );
-                let mut v = Vec::with_capacity(3 + prefixes.len() * 5);
-                v.push(REQ_ROUTE_WITHDRAW);
-                v.extend_from_slice(&(prefixes.len() as u16).to_be_bytes());
-                for (prefix, len) in prefixes {
-                    v.extend_from_slice(&prefix.to_be_bytes());
-                    v.push(*len);
-                }
-                v
-            }
-            Request::SwapDefault { next_hop } => {
-                let mut v = vec![REQ_SWAP_DEFAULT];
-                v.extend_from_slice(&next_hop.to_be_bytes());
-                v
-            }
-        }
-    }
-
-    /// Parses a request payload.
-    ///
-    /// # Errors
-    ///
-    /// Fails on unknown types, length mismatches, and (for submits) any
-    /// packet header the strict parser rejects.
-    pub fn decode(payload: &[u8]) -> Result<Request, FrameError> {
-        let (&ty, body) = payload
-            .split_first()
-            .ok_or_else(|| FrameError::Malformed("empty payload".into()))?;
-        match ty {
-            REQ_HELLO => {
-                if body.len() != 4 {
-                    return Err(FrameError::Malformed("hello wants 2 x u16".into()));
-                }
-                Ok(Request::Hello {
-                    min_version: u16::from_be_bytes([body[0], body[1]]),
-                    max_version: u16::from_be_bytes([body[2], body[3]]),
-                })
-            }
-            REQ_SUBMIT => {
-                let mut packets = Vec::new();
-                let options = decode_submit_into(payload, &mut packets)?;
-                Ok(Request::Submit { packets, options })
-            }
-            REQ_STATS => Ok(Request::Stats),
-            REQ_STATS_STREAM => {
-                if body.len() != 4 {
-                    return Err(FrameError::Malformed("stats-stream wants a u32".into()));
-                }
-                Ok(Request::StatsStream {
-                    interval_ms: u32::from_be_bytes(body.try_into().expect("checked")),
-                })
-            }
-            REQ_DRAIN => Ok(Request::Drain),
-            REQ_SHUTDOWN => Ok(Request::Shutdown),
-            REQ_KILL => {
-                if body.len() != 2 {
-                    return Err(FrameError::Malformed("kill wants a u16 shard".into()));
-                }
-                Ok(Request::Kill(u16::from_be_bytes([body[0], body[1]])))
-            }
-            REQ_ROUTE_ADD => {
-                if body.len() < 2 {
-                    return Err(FrameError::Malformed("short route-add header".into()));
-                }
-                let count = u16::from_be_bytes([body[0], body[1]]) as usize;
-                let bytes = &body[2..];
-                if bytes.len() != count * 9 {
-                    return Err(FrameError::Malformed(format!(
-                        "route-add length {} != {count} routes x 9",
-                        bytes.len()
-                    )));
-                }
-                let mut routes = Vec::with_capacity(count);
-                for chunk in bytes.chunks_exact(9) {
-                    let prefix = u32::from_be_bytes(chunk[0..4].try_into().expect("checked"));
-                    let len = chunk[4];
-                    check_route(prefix, len)?;
-                    routes.push(Route {
-                        prefix,
-                        len,
-                        next_hop: u32::from_be_bytes(chunk[5..9].try_into().expect("checked")),
-                    });
-                }
-                Ok(Request::RouteAdd(routes))
-            }
-            REQ_ROUTE_WITHDRAW => {
-                if body.len() < 2 {
-                    return Err(FrameError::Malformed("short route-withdraw header".into()));
-                }
-                let count = u16::from_be_bytes([body[0], body[1]]) as usize;
-                let bytes = &body[2..];
-                if bytes.len() != count * 5 {
-                    return Err(FrameError::Malformed(format!(
-                        "route-withdraw length {} != {count} routes x 5",
-                        bytes.len()
-                    )));
-                }
-                let mut prefixes = Vec::with_capacity(count);
-                for chunk in bytes.chunks_exact(5) {
-                    let prefix = u32::from_be_bytes(chunk[0..4].try_into().expect("checked"));
-                    let len = chunk[4];
-                    check_route(prefix, len)?;
-                    prefixes.push((prefix, len));
-                }
-                Ok(Request::RouteWithdraw(prefixes))
-            }
-            REQ_SWAP_DEFAULT => {
-                if body.len() != 4 {
-                    return Err(FrameError::Malformed("swap-default wants a u32".into()));
-                }
-                Ok(Request::SwapDefault {
-                    next_hop: u32::from_be_bytes(body.try_into().expect("checked")),
-                })
-            }
-            other => Err(FrameError::Malformed(format!(
-                "unknown request {other:#04x}"
-            ))),
-        }
-    }
 }
 
 impl Response {
-    /// Serializes the response payload (without the length prefix).
-    pub fn encode(&self) -> Vec<u8> {
-        let mut v = Vec::new();
-        self.encode_into(&mut v);
-        v
-    }
-
-    /// Serializes the response payload into `out`, which is cleared
-    /// first. A connection reuses one scratch buffer across responses so
-    /// steady-state encoding allocates nothing once the buffer has grown
-    /// to the largest response it has carried.
-    pub fn encode_into(&self, out: &mut Vec<u8>) {
-        out.clear();
-        match self {
-            Response::Hello(h) => {
-                out.reserve(13);
-                out.push(RSP_HELLO);
-                out.extend_from_slice(&h.version.to_be_bytes());
-                out.push(h.capabilities);
-                out.push(h.backend.wire_code());
-                out.extend_from_slice(&h.shards.to_be_bytes());
-                out.extend_from_slice(&h.egress.to_be_bytes());
-                out.extend_from_slice(&h.routes.to_be_bytes());
-            }
-            Response::Ok => out.push(RSP_OK),
-            Response::Batch {
-                forwarded,
-                dropped,
-                mismatches,
-            } => {
-                out.reserve(13);
-                out.push(RSP_BATCH);
-                out.extend_from_slice(&forwarded.to_be_bytes());
-                out.extend_from_slice(&dropped.to_be_bytes());
-                out.extend_from_slice(&mismatches.to_be_bytes());
-            }
-            Response::Busy(shard) => {
-                out.push(RSP_BUSY);
-                out.extend_from_slice(&shard.to_be_bytes());
-            }
-            Response::Stats(json) => {
-                out.reserve(1 + json.len());
-                out.push(RSP_STATS);
-                out.extend_from_slice(json.as_bytes());
-            }
-            Response::StatsPush(json) => {
-                out.reserve(1 + json.len());
-                out.push(RSP_STATS_PUSH);
-                out.extend_from_slice(json.as_bytes());
-            }
-            Response::Drained => out.push(RSP_DRAINED),
-            Response::RouteUpdated {
-                generation,
-                routes,
-                applied,
-            } => {
-                out.reserve(17);
-                out.push(RSP_ROUTE_UPDATED);
-                out.extend_from_slice(&generation.to_be_bytes());
-                out.extend_from_slice(&routes.to_be_bytes());
-                out.extend_from_slice(&applied.to_be_bytes());
-            }
-            Response::Error(msg) => {
-                out.reserve(1 + msg.len());
-                out.push(RSP_ERROR);
-                out.extend_from_slice(msg.as_bytes());
-            }
-        }
-    }
-
     /// Parses a response payload.
     ///
     /// # Errors
     ///
-    /// Fails on unknown types and length mismatches.
-    pub fn decode(payload: &[u8]) -> Result<Response, FrameError> {
-        let (&ty, body) = payload
-            .split_first()
-            .ok_or_else(|| FrameError::Malformed("empty payload".into()))?;
-        let utf8 = |b: &[u8]| {
-            String::from_utf8(b.to_vec()).map_err(|_| FrameError::Malformed("non-utf8 text".into()))
-        };
-        match ty {
-            RSP_HELLO => {
-                if body.len() != 12 {
-                    return Err(FrameError::Malformed("hello wants 12 bytes".into()));
-                }
-                let backend = BackendKind::from_wire(body[3]).ok_or_else(|| {
-                    FrameError::Malformed(format!("unknown backend code {:#04x}", body[3]))
-                })?;
-                Ok(Response::Hello(ServerHello {
-                    version: u16::from_be_bytes([body[0], body[1]]),
-                    capabilities: body[2],
-                    backend,
-                    shards: u16::from_be_bytes([body[4], body[5]]),
-                    egress: u16::from_be_bytes([body[6], body[7]]),
-                    routes: u32::from_be_bytes(body[8..12].try_into().expect("checked")),
-                }))
-            }
-            RSP_OK => Ok(Response::Ok),
-            RSP_BATCH => {
-                if body.len() != 12 {
-                    return Err(FrameError::Malformed("batch wants 3 x u32".into()));
-                }
-                let f = u32::from_be_bytes(body[0..4].try_into().expect("checked"));
-                let d = u32::from_be_bytes(body[4..8].try_into().expect("checked"));
-                let m = u32::from_be_bytes(body[8..12].try_into().expect("checked"));
-                Ok(Response::Batch {
-                    forwarded: f,
-                    dropped: d,
-                    mismatches: m,
-                })
-            }
-            RSP_BUSY => {
-                if body.len() != 2 {
-                    return Err(FrameError::Malformed("busy wants a u16 shard".into()));
-                }
-                Ok(Response::Busy(u16::from_be_bytes([body[0], body[1]])))
-            }
-            RSP_STATS => Ok(Response::Stats(utf8(body)?)),
-            RSP_STATS_PUSH => Ok(Response::StatsPush(utf8(body)?)),
-            RSP_DRAINED => Ok(Response::Drained),
-            RSP_ROUTE_UPDATED => {
-                if body.len() != 16 {
-                    return Err(FrameError::Malformed(
-                        "route-updated wants u64 + 2 x u32".into(),
-                    ));
-                }
-                Ok(Response::RouteUpdated {
-                    generation: u64::from_be_bytes(body[0..8].try_into().expect("checked")),
-                    routes: u32::from_be_bytes(body[8..12].try_into().expect("checked")),
-                    applied: u32::from_be_bytes(body[12..16].try_into().expect("checked")),
-                })
-            }
-            RSP_ERROR => Ok(Response::Error(utf8(body)?)),
-            other => Err(FrameError::Malformed(format!(
-                "unknown response {other:#04x}"
-            ))),
-        }
+    /// Unknown types, short payloads, trailing bytes, an unknown backend
+    /// code and non-UTF-8 text.
+    pub fn decode(payload: &[u8]) -> Result<Self, FrameError> {
+        Response::decode_with(payload, None)
     }
 }
 
 /// Encodes a submit payload straight from a packet slice into `out`
-/// (cleared first) — the allocation-free path [`crate::Client`] uses on
-/// its hot loop: no intermediate `Vec<Ipv4Packet>` clone and, once the
-/// buffer has grown to the working batch size, no allocation per submit.
-/// `Request::Submit`'s own `encode` delegates here, so both paths emit
-/// identical bytes.
+/// (cleared first), as [`Request::encode_into`] does.
 ///
 /// # Panics
 ///
-/// Panics when `packets` exceeds [`MAX_SUBMIT_PACKETS`] — the frame cap
-/// must fail on the sending side, never truncate the count on the wire.
+/// Panics when `packets` exceeds [`MAX_SUBMIT_PACKETS`].
 pub fn encode_submit_into(packets: &[Ipv4Packet], options: SubmitOptions, out: &mut Vec<u8>) {
-    assert!(
-        packets.len() <= MAX_SUBMIT_PACKETS,
-        "submit of {} packets exceeds the {MAX_SUBMIT_PACKETS}-packet frame cap",
-        packets.len()
-    );
-    out.clear();
-    out.reserve(12 + packets.len() * 20);
-    out.push(REQ_SUBMIT);
-    out.push(options.to_flags());
-    if let Some(span) = options.span_id {
-        out.extend_from_slice(&span.to_be_bytes());
-    }
-    out.extend_from_slice(&(packets.len() as u16).to_be_bytes());
-    for p in packets {
-        out.extend_from_slice(&p.to_bytes());
-    }
-}
-
-/// True when `payload` carries a submit request — the dispatch test the
-/// server uses to route a frame onto the scratch-buffer decode path
-/// ([`decode_submit_into`]) without constructing a [`Request`].
-pub fn is_submit(payload: &[u8]) -> bool {
-    payload.first() == Some(&REQ_SUBMIT)
+    Request::Submit { options, packets }.encode_into(out);
 }
 
 /// Decodes a submit payload's packets into a reusable buffer (cleared
-/// first) and returns the batch's options — the server-side twin of
-/// [`encode_submit_into`]. A connection keeps one packet scratch across
-/// submits, so the steady state performs no per-batch packet-vector
-/// allocation. [`Request::decode`] delegates its submit arm here, so both
-/// paths accept exactly the same frames.
+/// first) and returns the batch's options, as [`Request::decode`] does.
 ///
 /// # Errors
 ///
-/// Fails when the payload is not a submit frame, on length mismatches,
-/// and on any packet header the strict parser rejects.
+/// A payload that is not a submit frame, or that [`Request::decode`]
+/// refuses.
 pub fn decode_submit_into(
     payload: &[u8],
     packets: &mut Vec<Ipv4Packet>,
 ) -> Result<SubmitOptions, FrameError> {
-    packets.clear();
-    let (&ty, body) = payload
-        .split_first()
-        .ok_or_else(|| FrameError::Malformed("empty payload".into()))?;
-    if ty != REQ_SUBMIT {
-        return Err(FrameError::Malformed(format!(
-            "expected a submit frame, got {ty:#04x}"
-        )));
+    match Request::decode(payload, packets)? {
+        Request::Submit { options, .. } => Ok(options),
+        other => Err(FrameError::Malformed(format!(
+            "expected a submit frame, got {}",
+            other.name()
+        ))),
     }
-    if body.len() < 3 {
-        return Err(FrameError::Malformed("short submit header".into()));
-    }
-    let flags = body[0];
-    let mut options = SubmitOptions::from_flags(flags);
-    let mut rest = &body[1..];
-    if flags & FLAG_SPAN != 0 {
-        // An 8-byte big-endian span id precedes the count.
-        if rest.len() < 8 {
-            return Err(FrameError::Malformed("span flag without a span id".into()));
-        }
-        options.span_id = Some(u64::from_be_bytes(rest[..8].try_into().expect("checked")));
-        rest = &rest[8..];
-    }
-    if rest.len() < 2 {
-        return Err(FrameError::Malformed("short submit header".into()));
-    }
-    let count = u16::from_be_bytes([rest[0], rest[1]]) as usize;
-    let bytes = &rest[2..];
-    if bytes.len() != count * 20 {
-        return Err(FrameError::Malformed(format!(
-            "submit length {} != {count} packets x 20",
-            bytes.len()
-        )));
-    }
-    packets.reserve(count);
-    for chunk in bytes.chunks_exact(20) {
-        packets.push(Ipv4Packet::from_bytes(chunk).map_err(FrameError::BadPacket)?);
-    }
-    Ok(options)
 }
 
 // ---- framed I/O -------------------------------------------------------
@@ -788,8 +680,8 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> io::Result<()> {
 /// Incremental frame decoder that survives read timeouts.
 ///
 /// `read_exact` discards its progress on `WouldBlock`/`TimedOut`, so a
-/// socket with a short read timeout (the server polls so stop/drain flags
-/// are honored) would lose the bytes of a partially received frame and
+/// nonblocking socket (the reactor's) or one with a read timeout (a
+/// client's) would lose the bytes of a partially received frame and
 /// re-enter the stream mid-frame — permanently desyncing the connection.
 /// `FrameReader` instead keeps the partial length prefix and payload
 /// across calls: after a timeout error, calling [`FrameReader::read`]
@@ -907,9 +799,8 @@ impl FrameReader {
 /// Nonblocking write-side twin of [`FrameReader`]: a per-connection
 /// egress queue with `WouldBlock`-resumable partial writes.
 ///
-/// The blocking server writes responses with [`write_frame`], which
-/// blocks until the socket accepts every byte. A readiness-driven
-/// frontend cannot block: it enqueues the encoded payload here (the
+/// [`write_frame`] blocks until the socket accepts every byte. A
+/// readiness-driven frontend cannot block: it enqueues the encoded payload here (the
 /// length prefix is added by `enqueue`) and calls [`FrameWriter::write`]
 /// whenever the socket reports writable. A partial write leaves the
 /// cursor mid-frame; the next call resumes at the exact byte where the
@@ -1006,24 +897,21 @@ impl FrameWriter {
     }
 }
 
-/// Reads one length-prefixed frame from a blocking stream. `Ok(None)`
-/// means the peer closed the connection cleanly at a frame boundary; an
-/// EOF inside a frame (even inside the length prefix) is an
-/// `UnexpectedEof` error.
-///
-/// # Errors
-///
-/// Propagates I/O failures and rejects frames above [`MAX_PAYLOAD`] with
-/// [`io::ErrorKind::InvalidData`].
-pub fn read_frame(r: &mut impl Read) -> io::Result<Option<Vec<u8>>> {
-    let mut fr = FrameReader::new();
-    Ok(fr.read(r)?.map(<[u8]>::to_vec))
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use memsync_netapp::Workload;
+
+    fn encode(req: &Request<'_>) -> Vec<u8> {
+        let mut v = Vec::new();
+        req.encode_into(&mut v);
+        v
+    }
+
+    /// Whether `payload` decodes as a request.
+    fn decode(payload: &[u8]) -> Result<(), FrameError> {
+        Request::decode(payload, &mut Vec::new()).map(drop)
+    }
 
     #[test]
     fn request_round_trips() {
@@ -1034,15 +922,15 @@ mod tests {
                 max_version: PROTOCOL_VERSION,
             },
             Request::Submit {
-                packets: w.packets.clone(),
+                packets: &w.packets,
                 options: SubmitOptions::new().verify(true),
             },
             Request::Submit {
-                packets: Vec::new(),
+                packets: &[],
                 options: SubmitOptions::new(),
             },
             Request::Submit {
-                packets: w.packets.clone(),
+                packets: &w.packets,
                 options: SubmitOptions::new().verify(true).span(0xDEAD_BEEF_0042),
             },
             Request::Stats,
@@ -1071,8 +959,10 @@ mod tests {
             Request::RouteWithdraw(vec![(0x0a00_0000, 8), (0, 0)]),
             Request::SwapDefault { next_hop: 17 },
         ];
+        let mut scratch = Vec::new();
         for r in reqs {
-            assert_eq!(Request::decode(&r.encode()).unwrap(), r);
+            let bytes = encode(&r);
+            assert_eq!(Request::decode(&bytes, &mut scratch).unwrap(), r);
         }
     }
 
@@ -1104,13 +994,96 @@ mod tests {
             },
             Response::Error("nope".into()),
         ];
+        let mut bytes = Vec::new();
         for r in rsps {
-            assert_eq!(Response::decode(&r.encode()).unwrap(), r);
+            r.encode_into(&mut bytes);
+            assert_eq!(Response::decode(&bytes).unwrap(), r);
+        }
+    }
+
+    /// Every payload in the golden file, as `(direction, wire name, bytes)`.
+    fn golden() -> Vec<(&'static str, &'static str, Vec<u8>)> {
+        const GOLDEN: &str = include_str!("../tests/data/frames.golden");
+        GOLDEN
+            .lines()
+            .filter(|l| !l.starts_with('#'))
+            .map(|line| {
+                let mut cols = line.split(' ');
+                let (dir, name, hex) = (cols.next(), cols.next(), cols.next());
+                let hex = hex.unwrap_or_else(|| panic!("three columns: {line}"));
+                let bytes = (0..hex.len())
+                    .step_by(2)
+                    .map(|i| u8::from_str_radix(&hex[i..i + 2], 16).expect("hex"))
+                    .collect();
+                (dir.unwrap(), name.unwrap(), bytes)
+            })
+            .collect()
+    }
+
+    #[test]
+    fn golden_frames_decode_and_reencode_byte_for_byte() {
+        let mut names = std::collections::BTreeSet::new();
+        let mut scratch = Vec::new();
+        let mut out = Vec::new();
+        for (dir, name, bytes) in golden() {
+            let decoded_name = if dir == "request" {
+                let req = Request::decode(&bytes, &mut scratch).expect("golden request decodes");
+                req.encode_into(&mut out);
+                req.name()
+            } else {
+                let rsp = Response::decode(&bytes).expect("golden response decodes");
+                rsp.encode_into(&mut out);
+                rsp.name()
+            };
+            assert_eq!(decoded_name, name, "{dir} type byte {:#04x}", bytes[0]);
+            assert_eq!(out, bytes, "{dir} {name} re-encodes byte for byte");
+            names.insert((dir, name));
+        }
+        assert_eq!(names.len(), 19, "every frame type is pinned: {names:?}");
+    }
+
+    #[test]
+    fn bodiless_frames_refuse_trailing_bytes() {
+        for ty in [0x02, 0x03, 0x04] {
+            let err = decode(&[ty, 0x00]).unwrap_err();
+            assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+            assert!(decode(&[ty]).is_ok());
+        }
+        for ty in [0x80, 0x84] {
+            let err = Response::decode(&[ty, 0x00]).unwrap_err();
+            assert!(err.to_string().contains("1 trailing bytes"), "{err}");
+            assert!(Response::decode(&[ty]).is_ok());
         }
     }
 
     #[test]
-    fn encode_into_a_reused_buffer_matches_encode() {
+    fn malformed_frames_are_named_and_unknown_types_keep_their_text() {
+        assert_eq!(
+            decode(&[0x42]).unwrap_err().to_string(),
+            "malformed frame: unknown request 0x42"
+        );
+        assert_eq!(
+            Response::decode(&[0x7f]).unwrap_err().to_string(),
+            "malformed frame: unknown response 0x7f"
+        );
+        let short_hello = decode(&[0x06, 0x00]).unwrap_err().to_string();
+        assert!(
+            short_hello.starts_with("malformed frame: hello "),
+            "{short_hello}"
+        );
+        let batch = Response::decode(&[0x81, 0, 0]).unwrap_err().to_string();
+        assert!(batch.starts_with("malformed frame: batch "), "{batch}");
+        let err = Response::decode(&[0x85, 0xff]).unwrap_err().to_string();
+        assert!(err.starts_with("malformed frame: error "), "{err}");
+        let backend = Response::decode(&[0x86, 0, 3, 0, 9, 0, 1, 0, 1, 0, 0, 0, 1]);
+        assert!(backend
+            .unwrap_err()
+            .to_string()
+            .contains("backend code 0x09"));
+    }
+
+    #[test]
+    fn encode_into_a_reused_buffer_clears_it() {
         // One scratch buffer across differently-sized responses: each
         // encode must clear the previous payload, never append to it.
         let rsps = [
@@ -1122,23 +1095,24 @@ mod tests {
         let mut scratch = Vec::new();
         for r in &rsps {
             r.encode_into(&mut scratch);
-            assert_eq!(scratch, r.encode());
+            let mut fresh = Vec::new();
+            r.encode_into(&mut fresh);
+            assert_eq!(scratch, fresh);
         }
     }
 
     #[test]
     fn submit_rejects_corrupted_packet_bytes() {
         let w = Workload::generate(3, 2, 8);
-        let mut bytes = Request::Submit {
-            packets: w.packets.clone(),
+        let mut bytes = encode(&Request::Submit {
+            packets: &w.packets,
             options: SubmitOptions::new(),
-        }
-        .encode();
+        });
         // Flip a TTL byte inside the first packed header: the strict
         // parser must catch the checksum mismatch at the frame boundary.
         bytes[4 + 8] ^= 0xff;
         assert!(matches!(
-            Request::decode(&bytes),
+            decode(&bytes),
             Err(FrameError::BadPacket(ParsePacketError::BadChecksum { .. }))
         ));
     }
@@ -1146,11 +1120,24 @@ mod tests {
     #[test]
     fn span_flag_without_span_id_is_malformed() {
         // A frame claiming FLAG_SPAN but truncated before the 8-byte id.
-        let bytes = [REQ_SUBMIT, FLAG_SPAN, 0x00, 0x01, 0x02];
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(FrameError::Malformed(_))
-        ));
+        let bytes = [0x01, FLAG_SPAN, 0x00, 0x01, 0x02];
+        assert!(matches!(decode(&bytes), Err(FrameError::Malformed(_))));
+    }
+
+    #[test]
+    fn decode_submit_into_refuses_other_frames_and_clears_the_scratch() {
+        let w = Workload::generate(3, 4, 8);
+        let mut packets = Vec::new();
+        let mut bytes = Vec::new();
+        encode_submit_into(&w.packets, SubmitOptions::new().span(9), &mut bytes);
+        let options = decode_submit_into(&bytes, &mut packets).expect("a submit");
+        assert_eq!((options.span_id, packets.len()), (Some(9), 4));
+        let err = decode_submit_into(&[0x02], &mut packets).unwrap_err();
+        assert_eq!(
+            err.to_string(),
+            "malformed frame: expected a submit frame, got stats"
+        );
+        assert!(packets.is_empty());
     }
 
     #[test]
@@ -1190,59 +1177,44 @@ mod tests {
     #[test]
     fn control_frames_reject_malformed_routes_at_the_boundary() {
         // Host bits set: must be refused in decode, never reach the trie.
-        let bad_add = Request::RouteAdd(vec![Route {
+        let bad_add = encode(&Request::RouteAdd(vec![Route {
             prefix: 0x0a00_0001,
             len: 8,
             next_hop: 1,
-        }])
-        .encode();
+        }]));
+        assert!(matches!(decode(&bad_add), Err(FrameError::Malformed(_))));
+        let bad_withdraw = encode(&Request::RouteWithdraw(vec![(0x0a00_0001, 8)]));
         assert!(matches!(
-            Request::decode(&bad_add),
-            Err(FrameError::Malformed(_))
-        ));
-        let bad_withdraw = Request::RouteWithdraw(vec![(0x0a00_0001, 8)]).encode();
-        assert!(matches!(
-            Request::decode(&bad_withdraw),
+            decode(&bad_withdraw),
             Err(FrameError::Malformed(_))
         ));
         // Length out of range.
-        let mut long = Request::RouteAdd(vec![Route {
+        let mut long = encode(&Request::RouteAdd(vec![Route {
             prefix: 0,
             len: 0,
             next_hop: 1,
-        }])
-        .encode();
+        }]));
         long[7] = 33; // the route's len byte
-        assert!(matches!(
-            Request::decode(&long),
-            Err(FrameError::Malformed(_))
-        ));
+        assert!(matches!(decode(&long), Err(FrameError::Malformed(_))));
         // Count/length mismatch.
-        let mut short = Request::RouteAdd(vec![Route {
+        let mut short = encode(&Request::RouteAdd(vec![Route {
             prefix: 0,
             len: 0,
             next_hop: 1,
-        }])
-        .encode();
+        }]));
         short.truncate(short.len() - 1);
-        assert!(matches!(
-            Request::decode(&short),
-            Err(FrameError::Malformed(_))
-        ));
+        assert!(matches!(decode(&short), Err(FrameError::Malformed(_))));
     }
 
     #[test]
     fn submit_rejects_length_mismatch() {
-        let mut bytes = Request::Submit {
-            packets: Workload::generate(1, 2, 8).packets,
+        let w = Workload::generate(1, 2, 8);
+        let mut bytes = encode(&Request::Submit {
+            packets: &w.packets,
             options: SubmitOptions::new(),
-        }
-        .encode();
+        });
         bytes.truncate(bytes.len() - 1);
-        assert!(matches!(
-            Request::decode(&bytes),
-            Err(FrameError::Malformed(_))
-        ));
+        assert!(matches!(decode(&bytes), Err(FrameError::Malformed(_))));
     }
 
     #[test]
@@ -1251,9 +1223,10 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         write_frame(&mut buf, b"").unwrap();
         let mut r = &buf[..];
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"hello");
-        assert_eq!(read_frame(&mut r).unwrap().unwrap(), b"");
-        assert_eq!(read_frame(&mut r).unwrap(), None, "clean EOF");
+        let mut fr = FrameReader::new();
+        assert_eq!(fr.read(&mut r).unwrap().unwrap(), b"hello");
+        assert_eq!(fr.read(&mut r).unwrap().unwrap(), b"");
+        assert_eq!(fr.read(&mut r).unwrap(), None, "clean EOF");
     }
 
     #[test]
@@ -1262,7 +1235,7 @@ mod tests {
         buf.extend_from_slice(&(MAX_PAYLOAD as u32 + 1).to_be_bytes());
         let mut r = &buf[..];
         assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
+            FrameReader::new().read(&mut r).unwrap_err().kind(),
             io::ErrorKind::InvalidData
         );
     }
@@ -1271,11 +1244,10 @@ mod tests {
     #[should_panic(expected = "exceeds the")]
     fn oversize_submit_encode_panics_instead_of_truncating() {
         let p = Workload::generate(1, 1, 8).packets[0];
-        let _ = Request::Submit {
-            packets: vec![p; MAX_SUBMIT_PACKETS + 1],
+        let _ = encode(&Request::Submit {
+            packets: &vec![p; MAX_SUBMIT_PACKETS + 1],
             options: SubmitOptions::new(),
-        }
-        .encode();
+        });
     }
 
     #[test]
@@ -1285,7 +1257,7 @@ mod tests {
         for cut in 1..4 {
             let mut r = &buf[..cut];
             assert_eq!(
-                read_frame(&mut r).unwrap_err().kind(),
+                FrameReader::new().read(&mut r).unwrap_err().kind(),
                 io::ErrorKind::UnexpectedEof,
                 "peer died {cut} bytes into the prefix"
             );
@@ -1298,7 +1270,7 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         let mut r = &buf[..buf.len() - 2];
         assert_eq!(
-            read_frame(&mut r).unwrap_err().kind(),
+            FrameReader::new().read(&mut r).unwrap_err().kind(),
             io::ErrorKind::UnexpectedEof
         );
     }

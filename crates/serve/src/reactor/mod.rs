@@ -93,7 +93,7 @@ fn is_fd_exhaustion(e: &io::Error) -> bool {
 
 /// Tells an over-cap client why it is being dropped: a best-effort
 /// blocking write of the `Error` response frame (decodable by every
-/// protocol version: `RSP_ERROR` has existed since v1) before close,
+/// protocol version: the error frame has existed since v1) before close,
 /// so the peer sees a reason instead of a bare RST.
 fn reject_over_capacity(mut stream: TcpStream, shared: &Shared) {
     shared.frontend.conn_rejects.fetch_add(1, Ordering::Relaxed);

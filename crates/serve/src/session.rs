@@ -26,8 +26,8 @@
 
 use crate::backend;
 use crate::frame::{
-    decode_submit_into, is_submit, settle_version, Request, Response, ServerHello, SubmitOptions,
-    CAP_CONTROL, CAP_TRACING, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
+    settle_version, Request, Response, ServerHello, SubmitOptions, CAP_CONTROL, CAP_TRACING,
+    PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
 };
 use crate::queue::{JobOutcome, Reply, ReplyWaker};
 use crate::router::ShardSplitter;
@@ -151,22 +151,19 @@ impl Session {
     /// Serves one complete client frame.
     pub(crate) fn on_frame(&mut self, payload: &[u8], now: Instant, out: &mut impl Egress) {
         let decode_started = self.shared.tracer.enabled().then(Instant::now);
-        let decode_ns = || decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         // Any complete client frame ends an active stats stream.
         self.stream_every = None;
-        // Submit fast path: decode straight into the packet scratch;
-        // `Request::decode` would allocate a fresh Vec per batch.
-        if self.settled.is_some() && is_submit(payload) {
-            match decode_submit_into(payload, &mut self.packets) {
-                Ok(options) => self.start_submit(options, decode_ns(), now, out),
-                Err(e) => self.send(&Response::Error(e.to_string()), out),
-            }
-            return;
-        }
-        let req = match Request::decode(payload) {
+        // A submit decodes straight into the packet scratch.
+        let req = match Request::decode(payload, &mut self.packets) {
             Ok(req) => req,
-            Err(e) => return self.send(&Response::Error(e.to_string()), out),
+            Err(e) => {
+                // A first frame that does not even decode is refused and
+                // closed like any other pre-handshake frame.
+                self.closing |= self.settled.is_none();
+                return self.send(&Response::Error(e.to_string()), out);
+            }
         };
+        let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
         let version = self.settled.unwrap_or(PROTOCOL_MIN_SUPPORTED);
         let rsp = match req {
             // Idempotent: a repeated Hello re-settles and re-states the
@@ -189,7 +186,7 @@ impl Session {
                 }
             },
             // A pre-handshake request means the peer does not speak
-            // protocol v2+. RSP_ERROR has existed since v1, so even an
+            // protocol v2+. The error frame has existed since v1, so even an
             // old client decodes this; closing keeps the stream at a
             // frame boundary.
             req if self.settled.is_none() => {
@@ -217,9 +214,8 @@ impl Session {
             Request::SwapDefault { next_hop } => {
                 return self.start_route(ControlOp::SwapDefault(next_hop), now, out)
             }
-            Request::Submit { packets, options } => {
-                self.packets = packets;
-                return self.start_submit(options, decode_ns(), now, out);
+            Request::Submit { options, .. } => {
+                return self.start_submit(options, decode_ns, now, out)
             }
             Request::Stats => Response::Stats(render_stats(&self.shared)),
             Request::StatsStream { interval_ms: 0 } => {
@@ -550,8 +546,10 @@ mod tests {
 
     /// Feeds `req` and polls until the session answers it.
     fn serve(session: &mut Session, req: &Request) -> Response {
+        let mut payload = Vec::new();
+        req.encode_into(&mut payload);
         let mut out = Vec::new();
-        session.on_frame(&req.encode(), Instant::now(), &mut out);
+        session.on_frame(&payload, Instant::now(), &mut out);
         while out.is_empty() {
             std::thread::sleep(Duration::from_millis(1));
             session.poll(Instant::now(), &mut out);
@@ -559,6 +557,33 @@ mod tests {
         assert!(!session.busy());
         assert_eq!(out.len(), 1, "one response per request: {out:?}");
         out.remove(0)
+    }
+
+    #[test]
+    fn a_first_frame_that_does_not_decode_is_refused_and_closes() {
+        let config = ServeConfig {
+            shards: 1,
+            egress: 2,
+            routes: 16,
+            backend: BackendKind::Fast,
+            ..ServeConfig::default()
+        };
+        let (shared, threads) = Shared::start(config).expect("start the service plane");
+        // An unknown type byte, and a Hello cut short.
+        for garbage in [&[0x42][..], &[0x06, 0x00]] {
+            let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
+            let mut out = Vec::new();
+            session.on_frame(garbage, Instant::now(), &mut out);
+            assert!(
+                matches!(out[..], [Response::Error(_)]),
+                "{garbage:02x?}: one error, got {out:?}"
+            );
+            assert!(session.closing(), "{garbage:02x?} before hello closes");
+        }
+        shared.stop.store(true, Ordering::Release);
+        for t in threads {
+            t.join().expect("shard and control threads exit");
+        }
     }
 
     #[test]
@@ -589,7 +614,7 @@ mod tests {
         let w = Workload::generate(4, 64, 16);
         let (fwd, dropped_ref) = w.reference_forward();
         let submit = Request::Submit {
-            packets: w.packets.clone(),
+            packets: &w.packets,
             options: SubmitOptions::new().verify(true),
         };
         match serve(&mut session, &submit) {

@@ -4,50 +4,14 @@
 //! allocations. Every frame is written in place into a recycled lane;
 //! nothing is boxed, cloned, or collected per batch.
 //!
-//! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide — and runs without the libtest
-//! harness (`harness = false` in Cargo.toml): the harness's main thread
-//! waits for the test result in a channel `recv` whose park path
-//! occasionally allocates (thread-local context init), which this
-//! allocator would count against the measured window.
+//! Counts with the per-thread allocator in `common`: only the
+//! measuring thread's allocations inside its window count.
+
+mod common;
 
 use memsync_serve::backend::{FastBackend, ForwardingBackend};
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
 
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
-
-fn main() {
-    fast_backend_steady_state_allocates_nothing();
-    println!("fast_zero_alloc: ok");
-}
-
+#[test]
 fn fast_backend_steady_state_allocates_nothing() {
     const EGRESS: usize = 4;
     const BATCH: usize = 512;
@@ -73,20 +37,20 @@ fn fast_backend_steady_state_allocates_nothing() {
         assert_eq!(frames[0].len(), 2 * BATCH);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let mut checksum = 0u64;
-    for _ in 0..1_000 {
-        backend.submit_batch(&descriptors);
-        backend.submit_batch(&descriptors);
-        let frames = backend.drain_egress();
-        // Touch the borrowed view the way a shard does (classify +
-        // verify reads) so the drain cannot be optimized away.
-        checksum = checksum.wrapping_add(u64::from(frames[EGRESS - 1][2 * BATCH - 1]));
-    }
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+    let (checksum, allocated) = common::count(|| {
+        let mut checksum = 0u64;
+        for _ in 0..1_000 {
+            backend.submit_batch(&descriptors);
+            backend.submit_batch(&descriptors);
+            let frames = backend.drain_egress();
+            // Touch the borrowed view the way a shard does (classify +
+            // verify reads) so the drain cannot be optimized away.
+            checksum = checksum.wrapping_add(u64::from(frames[EGRESS - 1][2 * BATCH - 1]));
+        }
+        checksum
+    });
     assert_eq!(
-        after - before,
-        0,
+        allocated.calls, 0,
         "the warmed submit/drain steady state must not touch the heap"
     );
     assert_ne!(checksum, 0);

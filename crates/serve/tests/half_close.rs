@@ -45,25 +45,30 @@ fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
         min_version: PROTOCOL_VERSION,
         max_version: PROTOCOL_VERSION,
     };
-    frame::write_frame(&mut stream, &hello.encode()).expect("hello");
-    frame::read_frame(&mut reader)
+    let (mut frames, mut payload) = (frame::FrameReader::new(), Vec::new());
+    hello.encode_into(&mut payload);
+    frame::write_frame(&mut stream, &payload).expect("hello");
+    frames
+        .read(&mut reader)
         .expect("hello response")
         .expect("hello frame");
 
     let w = Workload::generate(8, 32, 16);
     let submit = Request::Submit {
-        packets: w.packets.clone(),
+        packets: &w.packets,
         options: SubmitOptions::new(),
     };
-    frame::write_frame(&mut stream, &submit.encode()).expect("submit");
+    submit.encode_into(&mut payload);
+    frame::write_frame(&mut stream, &payload).expect("submit");
     stream.shutdown(Shutdown::Write).expect("half-close");
     let (cpu, started) = (process_cpu(), Instant::now());
-    let reply = frame::read_frame(&mut reader)
+    let reply = frames
+        .read(&mut reader)
         .expect("read the reply")
         .expect("a reply, not a close");
     let (burned, waited) = (process_cpu() - cpu, started.elapsed());
     assert!(
-        matches!(Response::decode(&reply), Ok(Response::Batch { forwarded, dropped, .. }) if (forwarded + dropped) as usize == w.packets.len()),
+        matches!(Response::decode(reply), Ok(Response::Batch { forwarded, dropped, .. }) if (forwarded + dropped) as usize == w.packets.len()),
         "the half-closed peer still gets its Batch"
     );
     assert!(
@@ -71,7 +76,7 @@ fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
         "the server spun while the request was in flight: {burned:?} CPU over {waited:?}"
     );
     assert_eq!(
-        frame::read_frame(&mut reader).expect("clean close"),
+        frames.read(&mut reader).expect("clean close"),
         None,
         "the server closes after answering"
     );

@@ -2,19 +2,19 @@
 //! degrade into clean, typed rejections — never a frame desync.
 //!
 //! * old client → new server: the first frame is not a `Hello`, so the
-//!   server answers with `RSP_ERROR` (a frame type that has existed since
+//!   server answers with an `error` frame (a type that has existed since
 //!   v1, so the old client decodes it) and closes at a frame boundary;
 //! * new client → old server: the v1 server answers the unknown `Hello`
 //!   request with its error frame, which the client maps onto a typed
 //!   [`ClientError::Unsupported`].
 
-use memsync_serve::frame::{read_frame, write_frame};
+use memsync_serve::frame::{write_frame, FrameReader};
 use memsync_serve::{
     Client, ClientError, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
 };
-use std::io::BufReader;
+use std::io::{BufReader, Write};
 use std::net::{TcpListener, TcpStream};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 fn test_config() -> ServeConfig {
     ServeConfig {
@@ -25,16 +25,21 @@ fn test_config() -> ServeConfig {
     }
 }
 
-/// Raw-stream helper: one request frame out, one response frame back.
+/// Raw-stream helper: one request frame out, one response frame back,
+/// read through the connection's one frame reader.
 fn raw_roundtrip(
     stream: &mut TcpStream,
     reader: &mut BufReader<TcpStream>,
+    frames: &mut FrameReader,
     req: &Request,
 ) -> Option<Response> {
-    write_frame(stream, &req.encode()).expect("write");
-    read_frame(reader)
+    let mut payload = Vec::new();
+    req.encode_into(&mut payload);
+    write_frame(stream, &payload).expect("write");
+    frames
+        .read(reader)
         .expect("read")
-        .map(|p| Response::decode(&p).expect("decode"))
+        .map(|p| Response::decode(p).expect("decode"))
 }
 
 #[test]
@@ -73,9 +78,10 @@ fn span_tagged_submit_against_a_server_without_the_capability_is_refused_locally
     let old_server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut frames, mut packets, mut out) = (FrameReader::new(), Vec::new(), Vec::new());
         let mut served = 0usize;
-        while let Some(payload) = read_frame(&mut reader).expect("read") {
-            let rsp = match Request::decode(&payload).expect("decode") {
+        while let Some(payload) = frames.read(&mut reader).expect("read") {
+            let rsp = match Request::decode(payload, &mut packets).expect("decode") {
                 Request::Hello { .. } => {
                     Response::Hello(memsync_serve::ServerHello {
                         version: PROTOCOL_VERSION,
@@ -89,7 +95,8 @@ fn span_tagged_submit_against_a_server_without_the_capability_is_refused_locally
                 }
                 other => panic!("nothing but hello should arrive, got {other:?}"),
             };
-            write_frame(&mut stream, &rsp.encode()).expect("write");
+            rsp.encode_into(&mut out);
+            write_frame(&mut stream, &out).expect("write");
             served += 1;
         }
         served
@@ -124,19 +131,21 @@ fn submit_before_hello_is_refused_with_a_v1_decodable_error() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut frames = FrameReader::new();
 
     let w = memsync_netapp::Workload::generate(1, 4, 16);
     let rsp = raw_roundtrip(
         &mut stream,
         &mut reader,
+        &mut frames,
         &Request::Submit {
-            packets: w.packets,
+            packets: &w.packets,
             options: SubmitOptions::new(),
         },
     )
     .expect("a response frame, not a slammed connection");
     match rsp {
-        // RSP_ERROR is a v1 frame type: the old client can decode this.
+        // The error frame is a v1 type: the old client can decode this.
         Response::Error(msg) => {
             assert!(msg.contains("hello"), "error names the fix: {msg}");
             assert!(msg.contains("submit"), "error names the offense: {msg}");
@@ -146,7 +155,7 @@ fn submit_before_hello_is_refused_with_a_v1_decodable_error() {
     // The server closes cleanly at a frame boundary — the next read is a
     // clean EOF (Ok(None)), not a desynced byte stream or a reset.
     assert!(
-        read_frame(&mut reader).expect("clean close").is_none(),
+        frames.read(&mut reader).expect("clean close").is_none(),
         "connection closed at a frame boundary after the rejection"
     );
 }
@@ -160,7 +169,8 @@ fn stats_and_kill_before_hello_are_also_refused() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let rsp = raw_roundtrip(&mut stream, &mut reader, &req).expect("response");
+        let mut frames = FrameReader::new();
+        let rsp = raw_roundtrip(&mut stream, &mut reader, &mut frames, &req).expect("response");
         assert!(
             matches!(rsp, Response::Error(_)),
             "{req:?} before hello must be refused"
@@ -177,9 +187,11 @@ fn version_range_outside_the_server_is_rejected_with_both_sides_named() {
             .set_read_timeout(Some(Duration::from_secs(10)))
             .unwrap();
         let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let mut frames = FrameReader::new();
         let rsp = raw_roundtrip(
             &mut stream,
             &mut reader,
+            &mut frames,
             &Request::Hello {
                 min_version: min,
                 max_version: max,
@@ -200,7 +212,7 @@ fn version_range_outside_the_server_is_rejected_with_both_sides_named() {
             other => panic!("expected Error for {min}..={max}, got {other:?}"),
         }
         assert!(
-            read_frame(&mut reader).expect("clean close").is_none(),
+            frames.read(&mut reader).expect("clean close").is_none(),
             "closed at a frame boundary"
         );
     }
@@ -214,15 +226,17 @@ fn repeated_hello_is_idempotent() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut frames = FrameReader::new();
     let hello = Request::Hello {
         min_version: PROTOCOL_VERSION,
         max_version: PROTOCOL_VERSION,
     };
-    let first = raw_roundtrip(&mut stream, &mut reader, &hello).expect("first hello");
-    let second = raw_roundtrip(&mut stream, &mut reader, &hello).expect("second hello");
+    let first = raw_roundtrip(&mut stream, &mut reader, &mut frames, &hello).expect("first hello");
+    let second =
+        raw_roundtrip(&mut stream, &mut reader, &mut frames, &hello).expect("second hello");
     assert_eq!(first, second, "hello re-states the same capability block");
     // And the connection still serves.
-    let rsp = raw_roundtrip(&mut stream, &mut reader, &Request::Stats).expect("stats");
+    let rsp = raw_roundtrip(&mut stream, &mut reader, &mut frames, &Request::Stats).expect("stats");
     assert!(matches!(rsp, Response::Stats(_)));
 }
 
@@ -239,9 +253,11 @@ fn v2_client_settles_v2_and_control_frames_are_refused_on_that_connection() {
         .set_read_timeout(Some(Duration::from_secs(10)))
         .unwrap();
     let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut frames = FrameReader::new();
     let rsp = raw_roundtrip(
         &mut stream,
         &mut reader,
+        &mut frames,
         &Request::Hello {
             min_version: 2,
             max_version: 2,
@@ -263,8 +279,9 @@ fn v2_client_settles_v2_and_control_frames_are_refused_on_that_connection() {
     let rsp = raw_roundtrip(
         &mut stream,
         &mut reader,
+        &mut frames,
         &Request::Submit {
-            packets: w.packets,
+            packets: &w.packets,
             options: SubmitOptions::new(),
         },
     )
@@ -274,6 +291,7 @@ fn v2_client_settles_v2_and_control_frames_are_refused_on_that_connection() {
     let rsp = raw_roundtrip(
         &mut stream,
         &mut reader,
+        &mut frames,
         &Request::RouteAdd(vec![memsync_netapp::fib::Route {
             prefix: 0x0a00_0000,
             len: 8,
@@ -289,7 +307,7 @@ fn v2_client_settles_v2_and_control_frames_are_refused_on_that_connection() {
         other => panic!("expected Error for control on v2, got {other:?}"),
     }
     // The refusal is not a close: the connection keeps serving.
-    let rsp = raw_roundtrip(&mut stream, &mut reader, &Request::Stats).expect("stats");
+    let rsp = raw_roundtrip(&mut stream, &mut reader, &mut frames, &Request::Stats).expect("stats");
     assert!(matches!(rsp, Response::Stats(_)));
 }
 
@@ -338,13 +356,15 @@ fn new_client_against_an_old_server_maps_to_a_typed_unsupported_error() {
     let old_server = std::thread::spawn(move || {
         let (mut stream, _) = listener.accept().expect("accept");
         let mut reader = BufReader::new(stream.try_clone().unwrap());
-        if read_frame(&mut reader).expect("read").is_some() {
+        if FrameReader::new()
+            .read(&mut reader)
+            .expect("read")
+            .is_some()
+        {
             // v1 decode path: unknown request type 0x06.
-            write_frame(
-                &mut stream,
-                &Response::Error("malformed frame: unknown request 0x06".into()).encode(),
-            )
-            .expect("write error");
+            let mut out = Vec::new();
+            Response::Error("malformed frame: unknown request 0x06".into()).encode_into(&mut out);
+            write_frame(&mut stream, &out).expect("write error");
         }
     });
 
@@ -376,4 +396,86 @@ fn client_side_kill_validation_uses_the_negotiated_shard_count() {
         }) => {}
         other => panic!("expected ShardOutOfRange, got {other:?}"),
     }
+}
+
+#[test]
+fn a_receive_that_times_out_mid_response_resumes_on_retry() {
+    // A fake server answers the hello, then sends the first 6 of a Batch
+    // response's 17 bytes and pauses well past the client's read
+    // timeout before sending the rest. The timed-out receive must keep
+    // the partial frame, so a retry returns the Batch instead of reading
+    // payload bytes as a length prefix.
+    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+    let addr = listener.local_addr().unwrap();
+    let slow_server = std::thread::spawn(move || {
+        let (mut stream, _) = listener.accept().expect("accept");
+        let mut reader = BufReader::new(stream.try_clone().unwrap());
+        let (mut frames, mut packets, mut out) = (FrameReader::new(), Vec::new(), Vec::new());
+        let hello = frames.read(&mut reader).expect("read").expect("hello");
+        assert!(matches!(
+            Request::decode(hello, &mut packets),
+            Ok(Request::Hello { .. })
+        ));
+        Response::Hello(memsync_serve::ServerHello {
+            version: PROTOCOL_VERSION,
+            capabilities: memsync_serve::backend::capability_bits(),
+            backend: memsync_serve::BackendKind::Fast,
+            shards: 2,
+            egress: 2,
+            routes: 16,
+        })
+        .encode_into(&mut out);
+        write_frame(&mut stream, &out).expect("write hello");
+        let submit = frames.read(&mut reader).expect("read").expect("submit");
+        assert!(matches!(
+            Request::decode(submit, &mut packets),
+            Ok(Request::Submit { .. })
+        ));
+        let batch = Response::Batch {
+            forwarded: 7,
+            dropped: 0,
+            mismatches: 0,
+        };
+        batch.encode_into(&mut out);
+        let mut wire = Vec::new();
+        write_frame(&mut wire, &out).expect("frame");
+        assert_eq!(wire.len(), 17);
+        stream.write_all(&wire[..6]).expect("first 6 bytes");
+        std::thread::sleep(Duration::from_millis(400));
+        stream.write_all(&wire[6..]).expect("the rest");
+        // Hold the connection open until the client hangs up.
+        let _ = frames.read(&mut reader);
+    });
+
+    let mut client = Client::builder()
+        .read_timeout(Duration::from_millis(150))
+        .connect(addr)
+        .expect("connect");
+    let w = memsync_netapp::Workload::generate(1, 7, 16);
+    let timed_out = |e: &ClientError| {
+        matches!(e, ClientError::Io(e)
+            if matches!(e.kind(), std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut))
+    };
+    match client.submit_once(&w.packets, SubmitOptions::new()) {
+        Err(e) if timed_out(&e) => {}
+        other => panic!("expected a read timeout mid-response, got {other:?}"),
+    }
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let rsp = loop {
+        std::thread::sleep(Duration::from_millis(400));
+        match client.submit_recv() {
+            Err(e) if timed_out(&e) && Instant::now() < deadline => {}
+            other => break other.expect("the retried receive resumes the response"),
+        }
+    };
+    assert_eq!(
+        rsp,
+        Response::Batch {
+            forwarded: 7,
+            dropped: 0,
+            mismatches: 0
+        }
+    );
+    drop(client);
+    slow_server.join().unwrap();
 }

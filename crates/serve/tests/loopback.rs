@@ -351,37 +351,36 @@ fn slow_writer_pausing_mid_frame_does_not_desync_the_stream() {
     let mut stream = std::net::TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut reader = std::io::BufReader::new(stream.try_clone().unwrap());
-    memsync_serve::frame::write_frame(
-        &mut stream,
-        &Request::Hello {
-            min_version: PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-        }
-        .encode(),
-    )
-    .expect("hello");
-    let hello_rsp = memsync_serve::frame::read_frame(&mut reader)
+    let (mut frames, mut payload) = (memsync_serve::frame::FrameReader::new(), Vec::new());
+    Request::Hello {
+        min_version: PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+    }
+    .encode_into(&mut payload);
+    memsync_serve::frame::write_frame(&mut stream, &payload).expect("hello");
+    let hello_rsp = frames
+        .read(&mut reader)
         .expect("read hello response")
         .expect("hello response frame");
     assert!(matches!(
-        Response::decode(&hello_rsp).expect("decode hello"),
+        Response::decode(hello_rsp).expect("decode hello"),
         Response::Hello(_)
     ));
 
     let w = Workload::generate(5, 40, 16);
     let (fwd, drop) = w.reference_forward();
-    let payload = Request::Submit {
-        packets: w.packets.clone(),
+    Request::Submit {
+        packets: &w.packets,
         options: SubmitOptions::new().verify(true),
     }
-    .encode();
+    .encode_into(&mut payload);
     let mut framed = (payload.len() as u32).to_be_bytes().to_vec();
     framed.extend_from_slice(&payload);
 
-    // Dribble the frame with pauses well past the server's 50ms read
-    // poll — one cut inside the 4-byte length prefix, two inside the
-    // payload. The server's read timeouts must resume the partial frame,
-    // not discard it and re-enter the stream mid-frame.
+    // Dribble the frame with pauses well past the reactor's 50ms poll —
+    // one cut inside the 4-byte length prefix, two inside the payload.
+    // The server's frame reader must resume the partial frame, not
+    // discard it and re-enter the stream mid-frame.
     let mut pos = 0usize;
     for &n in &[2usize, 7, 300] {
         stream.write_all(&framed[pos..pos + n]).unwrap();
@@ -392,10 +391,11 @@ fn slow_writer_pausing_mid_frame_does_not_desync_the_stream() {
     stream.write_all(&framed[pos..]).unwrap();
     stream.flush().unwrap();
 
-    let rsp = memsync_serve::frame::read_frame(&mut reader)
+    let rsp = frames
+        .read(&mut reader)
         .expect("read response")
         .expect("response frame, not a close");
-    match Response::decode(&rsp).expect("decode response") {
+    match Response::decode(rsp).expect("decode response") {
         Response::Batch {
             forwarded,
             dropped,

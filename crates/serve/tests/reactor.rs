@@ -6,9 +6,10 @@
 
 use memsync_netapp::Workload;
 use memsync_serve::client::BatchResult;
+use memsync_serve::frame::{self, FrameReader};
 use memsync_serve::reactor::{EGRESS_HIGH_WATER, EGRESS_LOW_WATER};
 use memsync_serve::{
-    frame, Client, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
+    Client, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
 };
 use std::io::{BufReader, Write};
 use std::net::{SocketAddr, TcpStream};
@@ -35,31 +36,36 @@ fn connect(addr: SocketAddr) -> Client {
         .expect("connect")
 }
 
+/// One request's payload.
+fn payload(req: &Request) -> Vec<u8> {
+    let mut v = Vec::new();
+    req.encode_into(&mut v);
+    v
+}
+
 /// Opens a raw stream and settles the protocol handshake, returning the
-/// write half and a buffered read half — for tests that need to pipeline
-/// frames or stop reading in ways `Client` won't.
-fn raw_handshake(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>) {
+/// write half, a buffered read half and its frame reader — for tests that
+/// need to pipeline frames or stop reading in ways `Client` won't.
+fn raw_handshake(addr: SocketAddr) -> (TcpStream, BufReader<TcpStream>, FrameReader) {
     let stream = TcpStream::connect(addr).expect("connect");
     stream.set_nodelay(true).unwrap();
     let mut writer = stream.try_clone().unwrap();
     let mut reader = BufReader::new(stream);
-    frame::write_frame(
-        &mut writer,
-        &Request::Hello {
-            min_version: PROTOCOL_VERSION,
-            max_version: PROTOCOL_VERSION,
-        }
-        .encode(),
-    )
-    .expect("hello");
-    let rsp = frame::read_frame(&mut reader)
+    let mut frames = FrameReader::new();
+    let hello = Request::Hello {
+        min_version: PROTOCOL_VERSION,
+        max_version: PROTOCOL_VERSION,
+    };
+    frame::write_frame(&mut writer, &payload(&hello)).expect("hello");
+    let rsp = frames
+        .read(&mut reader)
         .expect("read hello response")
         .expect("hello response frame");
     assert!(matches!(
-        Response::decode(&rsp).expect("decode hello"),
+        Response::decode(rsp).expect("decode hello"),
         Response::Hello(_)
     ));
-    (writer, reader)
+    (writer, reader, frames)
 }
 
 #[test]
@@ -133,14 +139,14 @@ fn reactor_stops_reading_a_slow_client_at_the_egress_high_water() {
     // everything drains and every response arrives in order.
     let server = Server::start("127.0.0.1:0", reactor_config()).expect("bind");
     let addr = server.local_addr();
-    let (mut writer, mut reader) = raw_handshake(addr);
+    let (mut writer, mut reader, mut frames) = raw_handshake(addr);
 
     // The kernel absorbs several MB on loopback (sndbuf + rcvbuf
     // autotuning) before the server-side egress queue grows at all, so
     // the burst must comfortably exceed that: ~30k one-KB stats
     // responses ≈ 30 MB against a 256 KiB queue bound.
     const REQUESTS: usize = 30_000;
-    let stats_req = Request::Stats.encode();
+    let stats_req = payload(&Request::Stats);
     for _ in 0..REQUESTS {
         frame::write_frame(&mut writer, &stats_req).expect("pipelined stats request");
     }
@@ -174,10 +180,11 @@ fn reactor_stops_reading_a_slow_client_at_the_egress_high_water() {
     // arrive, in order, as a well-formed Stats frame — the pause/resume
     // cycle loses and corrupts nothing.
     for i in 0..REQUESTS {
-        let payload = frame::read_frame(&mut reader)
+        let payload = frames
+            .read(&mut reader)
             .unwrap_or_else(|e| panic!("response {i}: {e}"))
             .unwrap_or_else(|| panic!("server closed before response {i}"));
-        match Response::decode(&payload) {
+        match Response::decode(payload) {
             Ok(Response::Stats(doc)) => assert!(doc.contains("\"frontend\""), "response {i}"),
             other => panic!("response {i}: expected Stats, got {other:?}"),
         }
@@ -207,10 +214,12 @@ fn reactor_conn_cap_rejection_is_a_decodable_error_frame() {
     let third = TcpStream::connect(addr).expect("tcp connect still accepted");
     third.set_nodelay(true).unwrap();
     let mut reader = BufReader::new(third.try_clone().unwrap());
-    let payload = frame::read_frame(&mut reader)
+    let mut frames = FrameReader::new();
+    let payload = frames
+        .read(&mut reader)
         .expect("read rejection")
         .expect("an error frame, not an instant close");
-    match Response::decode(&payload).expect("rejection frame decodes") {
+    match Response::decode(payload).expect("rejection frame decodes") {
         Response::Error(msg) => {
             assert!(
                 msg.contains("connection limit"),
@@ -221,7 +230,7 @@ fn reactor_conn_cap_rejection_is_a_decodable_error_frame() {
     }
     // After the frame, the server closes its side.
     assert_eq!(
-        frame::read_frame(&mut reader).expect("clean close"),
+        frames.read(&mut reader).expect("clean close"),
         None,
         "rejected connection is closed after the error frame"
     );
@@ -256,9 +265,9 @@ fn reactor_drops_a_peer_that_stops_reading_at_the_write_deadline() {
         .frontend
         .expect("frontend section");
 
-    let (mut writer, reader) = raw_handshake(addr);
+    let (mut writer, reader, _) = raw_handshake(addr);
     let flood = std::thread::spawn(move || {
-        let stats_req = Request::Stats.encode();
+        let stats_req = payload(&Request::Stats);
         for _ in 0..30_000 {
             // The server may close mid-flood; that is the point.
             if frame::write_frame(&mut writer, &stats_req).is_err() {

@@ -4,41 +4,14 @@
 //! `ServeTracer::enabled()` — and the disabled branch must not touch the
 //! heap: no `PendingSpan`, no ring locks, no registry writes, no sink.
 //!
-//! Lives in its own integration-test binary because the counting
-//! `#[global_allocator]` is process-wide.
+//! Counts with the per-thread allocator in `common`: only the
+//! measuring thread's allocations inside its window count, so the test
+//! harness's own bookkeeping on other threads cannot land in it.
+
+mod common;
 
 use memsync_serve::tracing::{PendingSpan, ServeTracer, TracingConfig};
 use memsync_trace::SpanRecord;
-use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
-use std::sync::atomic::{AtomicU64, Ordering};
-
-struct CountingAlloc;
-
-static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
-
-unsafe impl GlobalAlloc for CountingAlloc {
-    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc(layout) }
-    }
-
-    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.alloc_zeroed(layout) }
-    }
-
-    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
-        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
-        unsafe { SystemAlloc.realloc(ptr, layout, new_size) }
-    }
-
-    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
-        unsafe { SystemAlloc.dealloc(ptr, layout) }
-    }
-}
-
-#[global_allocator]
-static ALLOC: CountingAlloc = CountingAlloc;
 
 #[test]
 fn disabled_tracer_path_allocates_nothing() {
@@ -61,28 +34,28 @@ fn disabled_tracer_path_allocates_nothing() {
         tracer.finish(&pending, 0);
     }
 
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    for _ in 0..100_000 {
-        // The two calls the hot path makes per request when disabled.
-        if tracer.enabled() {
-            unreachable!("tracing is off");
+    let ((), allocated) = common::count(|| {
+        for _ in 0..100_000 {
+            // The two calls the hot path makes per request when disabled.
+            if tracer.enabled() {
+                unreachable!("tracing is off");
+            }
+            tracer.finish(&pending, 0);
         }
-        tracer.finish(&pending, 0);
-    }
-    // A disabled tracer also swallows real timings (e.g. a stale config
-    // race) without touching rings or the sink.
-    tracer.finish(
-        &PendingSpan {
-            span_id: 2,
-            client_assigned: true,
-            decode_ns: 10,
-            timings: vec![SpanRecord::default()],
-        },
-        5,
-    );
-    let after = ALLOCATIONS.load(Ordering::Relaxed);
+        // A disabled tracer also swallows real timings (e.g. a stale
+        // config race) without touching rings or the sink.
+        tracer.finish(
+            &PendingSpan {
+                span_id: 2,
+                client_assigned: true,
+                decode_ns: 10,
+                timings: vec![SpanRecord::default()],
+            },
+            5,
+        );
+    });
     assert_eq!(
-        after - before,
+        allocated.calls,
         // The one deliberate `vec!` above is the only allocation.
         1,
         "the disabled tracing path must not touch the heap"
