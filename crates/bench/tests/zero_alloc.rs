@@ -5,9 +5,10 @@
 //! Lives in its own integration-test binary because the counting
 //! `#[global_allocator]` is process-wide. The workload is fully
 //! deterministic (fixed-seed Bernoulli traffic), so the allocation pattern
-//! is identical on every run: the latency recorders' amortized `Vec`
-//! growth lands entirely in warmup, and the measured window sees zero
-//! allocations — not just "few".
+//! is identical on every run. The latency recorder keeps running sums per
+//! stream: warmup inserts every stream's key, later recordings update it
+//! in place, and the measured window sees zero allocations — not just
+//! "few".
 
 use std::alloc::{GlobalAlloc, Layout, System as SystemAlloc};
 use std::sync::atomic::{AtomicU64, Ordering};

@@ -35,6 +35,9 @@ pub struct SimBackend {
     lanes: Vec<Vec<u32>>,
     /// Set by `drain_egress`; the next submit clears the consumed lanes.
     drained: bool,
+    /// The batch's descriptors widened for the simulator's rx queue,
+    /// reused across submits.
+    values: Vec<i64>,
     descriptors: u64,
     frames: u64,
 }
@@ -69,6 +72,7 @@ impl SimBackend {
             organization,
             lanes: vec![Vec::new(); egress],
             drained: false,
+            values: Vec::new(),
             descriptors: 0,
             frames: 0,
         }
@@ -87,22 +91,29 @@ impl ForwardingBackend for SimBackend {
             }
             self.drained = false;
         }
-        let values: Vec<i64> = descriptors.iter().map(|&d| i64::from(d)).collect();
+        self.values.clear();
+        self.values
+            .extend(descriptors.iter().map(|&d| i64::from(d)));
         assert!(
-            self.sys
-                .submit_paced("rx", &self.egress, &values, 0, CYCLES_PER_PACKET_BUDGET),
+            self.sys.submit_paced(
+                "rx",
+                &self.egress,
+                &self.values,
+                0,
+                CYCLES_PER_PACKET_BUDGET
+            ),
             "simulator ({}) stalled inside a {}-descriptor batch",
             self.organization,
             descriptors.len()
         );
         // Pull the batch's frames into the egress lanes now: the
         // simulator's sent queues go back to empty (pacing base 0) and
-        // the frame counter advances with the submit, per the trait
-        // contract.
+        // keep their capacity, and the frame counter advances with the
+        // submit, per the trait contract.
         for (lane, &id) in self.lanes.iter_mut().zip(&self.egress) {
-            let sent = self.sys.drain_sent(id);
-            self.frames += sent.len() as u64;
-            lane.extend(sent.into_iter().map(|f| f as u32));
+            let before = lane.len();
+            lane.extend(self.sys.drain_sent_in_place(id).map(|f| f as u32));
+            self.frames += (lane.len() - before) as u64;
         }
         self.descriptors += descriptors.len() as u64;
     }

@@ -5,8 +5,14 @@
 //! names are resolved to dense [`ThreadId`]/[`BankId`] indices once at
 //! [`System::new`] time, per-bank routing tables map pseudo-port slots to
 //! thread ids and back, and every per-cycle buffer (requests, wrapper
-//! inputs/outputs) is preallocated — an uninstrumented [`System::step`]
-//! performs no `String` clones, no map lookups, and no heap allocation.
+//! inputs/outputs) is preallocated. A warmed uninstrumented
+//! [`System::step`] performs no `String` clones and no heap allocation.
+//! Its one map work is latency recording: each write and delivery looks
+//! its key up in the [`memsync_trace::LatencyRecorder`]'s ordered maps,
+//! which allocate only when a key is first inserted. Two tests pin the
+//! allocation count at zero: `crates/bench/tests/zero_alloc.rs` counts a
+//! stepped reference system, and `crates/serve/tests/sim_zero_alloc.rs`
+//! counts a warmed sim-backend batch, from submit to drain.
 
 use crate::arb_model::{ArbInputs, ArbOutputs, ArbitratedModel};
 use crate::bram_model::BramModel;
@@ -304,10 +310,19 @@ impl System {
     }
 
     /// Takes (and clears) everything a thread has sent on its tx
-    /// interface. Long-running drivers (the serve shards) drain egress
-    /// output batch by batch so `sent` never grows without bound.
+    /// interface. The returned `Vec` takes the queue's buffer with it, so
+    /// the next send allocates a fresh one; a driver that drains batch by
+    /// batch uses [`System::drain_sent_in_place`] instead.
     pub fn drain_sent(&mut self, id: ThreadId) -> Vec<i64> {
         std::mem::take(&mut self.threads[id.idx()].sent)
+    }
+
+    /// Drains everything a thread has sent on its tx interface, in order,
+    /// while the queue keeps its capacity: once warmed, a long-running
+    /// driver (a serve shard) drains each batch without touching the heap,
+    /// and `sent` never grows without bound.
+    pub fn drain_sent_in_place(&mut self, id: ThreadId) -> std::vec::Drain<'_, i64> {
+        self.threads[id.idx()].sent.drain(..)
     }
 
     /// Steps until every thread in `ids` has sent at least `target`

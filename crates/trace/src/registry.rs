@@ -28,7 +28,9 @@ use crate::latency::{LatencyRecorder, LatencyStats};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 
-/// Linear-interpolation percentile of an *unsorted* sample slice.
+/// Nearest-rank percentile of an *unsorted* sample slice: the sample at
+/// rank `round(q * (n - 1))` in sorted order, with no interpolation
+/// between neighbours.
 ///
 /// `q` is in `[0, 1]`; returns `None` on an empty slice. Single samples
 /// answer every percentile with themselves.
@@ -43,7 +45,9 @@ pub fn percentile(samples: &[u64], q: f64) -> Option<u64> {
     Some(sorted[idx.round() as usize])
 }
 
-/// A recorded sample distribution.
+/// A recorded sample distribution. It keeps every raw sample, so use it
+/// only in bounded runs; a long-lived process records into a
+/// [`BucketHistogram`] instead.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<u64>,
@@ -81,12 +85,15 @@ impl Histogram {
 
     /// Percentile summary; `None` when empty.
     pub fn summary(&self) -> Option<HistSummary> {
-        let s = LatencyStats::of(&self.samples)?;
+        let count = self.samples.len();
+        let min = *self.samples.iter().min()?;
+        let max = *self.samples.iter().max()?;
+        let sum: u128 = self.samples.iter().map(|&v| u128::from(v)).sum();
         Some(HistSummary {
-            count: s.count,
-            min: s.min,
-            max: s.max,
-            mean: s.mean,
+            count,
+            min,
+            max,
+            mean: sum as f64 / count as f64,
             p50: percentile(&self.samples, 0.50).expect("non-empty"),
             p90: percentile(&self.samples, 0.90).expect("non-empty"),
             p99: percentile(&self.samples, 0.99).expect("non-empty"),
@@ -299,10 +306,11 @@ impl MetricsRegistry {
     /// concatenate their samples (percentile summaries of the merged
     /// histogram equal those of recording every sample into one registry —
     /// `percentile` is order-independent), high-water marks keep the
-    /// maximum, latency streams concatenate, and the utilization span
-    /// covers both. In-flight grant-wait state (`wait_since`) is *not*
-    /// merged: merge operates on closed measurement windows, e.g. the
-    /// per-shard registries a serve stats frame aggregates.
+    /// maximum, latency streams add their running sums, and the
+    /// utilization span covers both. In-flight grant-wait state
+    /// (`wait_since`) and open produce rounds are *not* merged: merge
+    /// operates on closed measurement windows, e.g. the per-shard
+    /// registries a serve stats frame aggregates.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
             *self.counters.entry(k.clone()).or_insert(0) += v;
@@ -457,9 +465,13 @@ mod tests {
     }
 
     #[test]
-    fn percentile_interpolates_and_handles_edges() {
+    fn percentile_takes_the_rounded_rank_and_handles_edges() {
         assert_eq!(percentile(&[], 0.5), None);
         assert_eq!(percentile(&[7], 0.99), Some(7));
+        // Every percentile of a single sample is that sample.
+        for q in [0.0, 0.5, 0.9, 0.99, 1.0] {
+            assert_eq!(percentile(&[5], q), Some(5));
+        }
         let s = [1, 2, 3, 4, 5, 6, 7, 8, 9, 10];
         assert_eq!(percentile(&s, 0.0), Some(1));
         assert_eq!(percentile(&s, 1.0), Some(10));
@@ -513,7 +525,8 @@ mod tests {
                 data: 9,
             },
         ));
-        assert_eq!(r.latency.samples(4, 0), &[3]);
+        let s = r.stats(4, 0).expect("the delivery closed a round");
+        assert_eq!((s.count, s.min, s.max, s.mean), (1, 3, 3, 3.0));
         assert_eq!(r.counter("bank0.writes"), 1);
         assert_eq!(r.counter("bank0.deliveries.c0"), 1);
     }

@@ -4,7 +4,7 @@
 //! high-water marks) from recording every sample into one registry.
 
 use memsync_trace::bucket::{bucket_index, BUCKETS};
-use memsync_trace::{BucketHistogram, LatencyRecorder, MetricsRegistry, Pcg32};
+use memsync_trace::{BucketHistogram, LatencyRecorder, LatencyStats, MetricsRegistry, Pcg32};
 
 #[test]
 fn merge_sums_counters_and_maxes_highwater() {
@@ -51,7 +51,7 @@ fn merge_concatenates_histograms_preserving_percentiles() {
 }
 
 #[test]
-fn merge_concatenates_latency_streams() {
+fn merge_adds_latency_streams() {
     let mut a = MetricsRegistry::new();
     let mut b = MetricsRegistry::new();
     a.record_write(4, 10);
@@ -61,8 +61,16 @@ fn merge_concatenates_latency_streams() {
     b.record_write(8, 0);
     b.record_delivery(8, 1, 2);
     a.merge(&b);
-    assert_eq!(a.latency.samples(4, 0), &[3, 5]);
-    assert_eq!(a.latency.samples(8, 1), &[2]);
+    let shared = a.stats(4, 0).expect("both sides recorded (4, 0)");
+    assert_eq!(
+        (shared.count, shared.min, shared.max, shared.mean),
+        (2, 3, 5, 4.0)
+    );
+    let disjoint = a.stats(8, 1).expect("b recorded (8, 1)");
+    assert_eq!(
+        (disjoint.count, disjoint.min, disjoint.max, disjoint.mean),
+        (1, 2, 2, 2.0)
+    );
     assert_eq!(a.streams().len(), 2);
 }
 
@@ -272,14 +280,23 @@ fn latency_merge_with_empty_is_identity() {
     let mut full = LatencyRecorder::new();
     full.record_write(4, 10);
     full.record_delivery(4, 0, 13);
-    let reference_samples = full.samples(4, 0).to_vec();
+    let reference = full.stats(4, 0).expect("one sample");
+    assert_eq!(
+        (
+            reference.count,
+            reference.min,
+            reference.max,
+            reference.mean
+        ),
+        (1, 3, 3, 3.0)
+    );
 
     full.merge(&LatencyRecorder::new());
-    assert_eq!(full.samples(4, 0), reference_samples.as_slice());
+    assert_eq!(full.stats(4, 0), Some(reference));
 
     let mut empty = LatencyRecorder::new();
     empty.merge(&full);
-    assert_eq!(empty.samples(4, 0), reference_samples.as_slice());
+    assert_eq!(empty.stats(4, 0), Some(reference));
     assert_eq!(empty.streams(), full.streams());
     assert_eq!(empty.pooled_stats(), full.pooled_stats());
 }
@@ -297,8 +314,16 @@ fn latency_merge_unions_disjoint_streams_and_pools_shared_ones() {
     b.record_write(8, 0);
     b.record_delivery(8, 1, 7);
     a.merge(&b);
-    assert_eq!(a.samples(4, 0), &[3, 5]);
-    assert_eq!(a.samples(8, 1), &[7]);
+    let shared = a.stats(4, 0).expect("pooled stream");
+    assert_eq!(
+        (shared.count, shared.min, shared.max, shared.mean),
+        (2, 3, 5, 4.0)
+    );
+    let disjoint = a.stats(8, 1).expect("b's stream");
+    assert_eq!(
+        (disjoint.count, disjoint.min, disjoint.max, disjoint.mean),
+        (1, 7, 7, 7.0)
+    );
     assert_eq!(a.streams().len(), 2);
     let pooled = a.pooled_stats().unwrap();
     assert_eq!(pooled.count, 3);
@@ -316,10 +341,116 @@ fn latency_merge_does_not_leak_open_produce_rounds() {
     let mut dst = LatencyRecorder::new();
     dst.merge(&open);
     dst.record_delivery(4, 0, 1003);
-    assert!(
-        dst.samples(4, 0).is_empty(),
+    assert_eq!(
+        dst.stats(4, 0),
+        None,
         "the open write must not cross the merge"
     );
     assert!(dst.streams().is_empty());
     assert_eq!(dst.pooled_stats(), None);
+}
+
+/// The two-pass reference the recorder's running sums must reproduce:
+/// the mean from the sample sum, the variance from each sample's squared
+/// distance to that mean.
+fn two_pass_stats(samples: &[u64]) -> Option<LatencyStats> {
+    if samples.is_empty() {
+        return None;
+    }
+    let count = samples.len();
+    let min = *samples.iter().min().expect("non-empty");
+    let max = *samples.iter().max().expect("non-empty");
+    let mean = samples.iter().sum::<u64>() as f64 / count as f64;
+    let variance = samples
+        .iter()
+        .map(|&s| {
+            let d = s as f64 - mean;
+            d * d
+        })
+        .sum::<f64>()
+        / count as f64;
+    Some(LatencyStats {
+        count,
+        min,
+        max,
+        mean,
+        variance,
+    })
+}
+
+fn assert_matches_oracle(got: Option<LatencyStats>, samples: &[u64], what: &str, seed: u64) {
+    let want = two_pass_stats(samples);
+    let (Some(g), Some(w)) = (got, want) else {
+        assert_eq!(got, want, "{what}: seed {seed:#x}");
+        return;
+    };
+    assert_eq!(
+        (g.count, g.min, g.max, g.mean.to_bits()),
+        (w.count, w.min, w.max, w.mean.to_bits()),
+        "{what}: count, min, max and mean must be exact (seed {seed:#x})"
+    );
+    let tolerance = 1e-9 * w.variance.abs().max(f64::MIN_POSITIVE);
+    assert!(
+        (g.variance - w.variance).abs() <= tolerance,
+        "{what}: variance {} vs two-pass {} (seed {seed:#x})",
+        g.variance,
+        w.variance
+    );
+}
+
+/// Seeded property: random streams recorded into one recorder, and the
+/// same streams split across shard recorders that are then merged, both
+/// match the two-pass oracle over the samples the test keeps, per stream
+/// and pooled.
+#[test]
+fn property_running_sums_match_the_two_pass_oracle() {
+    for case in 0..40u64 {
+        let seed = 0x5EED_0000 ^ case;
+        let mut rng = Pcg32::seed_from_u64(seed);
+        let shards = 1 + rng.gen_range_usize(0..4);
+        let mut one = LatencyRecorder::new();
+        let mut parts: Vec<LatencyRecorder> = (0..shards).map(|_| LatencyRecorder::new()).collect();
+        let mut kept: std::collections::BTreeMap<(u32, usize), Vec<u64>> = Default::default();
+        // Per-address latency ranges from one cycle to 2^40, so the sums
+        // cover both tiny and wide spreads while every sample stays exact
+        // in the oracle's f64.
+        let ranges: Vec<(u64, u64)> = (0..4)
+            .map(|_| {
+                let (base_bits, spread_bits) = (rng.gen_range(1..40), rng.gen_range(0..20));
+                let base = rng.gen_range(0..1 << base_bits);
+                (base, 1 + rng.gen_range(0..1 << spread_bits))
+            })
+            .collect();
+        let mut cycle = 0u64;
+        for _ in 0..rng.gen_range(1..600) {
+            let a = rng.gen_range_usize(0..ranges.len());
+            let addr = 4 * a as u32;
+            let shard = rng.gen_range_usize(0..shards);
+            cycle += 1 + rng.gen_range(0..8);
+            // One closed produce round on one shard: a write, then one
+            // delivery per consumer picked.
+            one.record_write(addr, cycle);
+            parts[shard].record_write(addr, cycle);
+            let (base, spread) = ranges[a];
+            for consumer in 0..1 + rng.gen_range_usize(0..3) {
+                let latency = base + rng.gen_range(0..spread);
+                one.record_delivery(addr, consumer, cycle + latency);
+                parts[shard].record_delivery(addr, consumer, cycle + latency);
+                kept.entry((addr, consumer)).or_default().push(latency);
+            }
+        }
+        let mut merged = LatencyRecorder::new();
+        for p in &parts {
+            merged.merge(p);
+        }
+        let keys: Vec<(u32, usize)> = kept.keys().copied().collect();
+        let all: Vec<u64> = kept.values().flatten().copied().collect();
+        for (what, r) in [("one recorder", &one), ("merged shards", &merged)] {
+            assert_eq!(r.streams(), keys, "{what}: stream order (seed {seed:#x})");
+            for (&(addr, consumer), samples) in &kept {
+                assert_matches_oracle(r.stats(addr, consumer), samples, what, seed);
+            }
+            assert_matches_oracle(r.pooled_stats(), &all, what, seed);
+        }
+    }
 }
