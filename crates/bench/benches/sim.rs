@@ -1,8 +1,12 @@
 //! Timing harness: cycle throughput of the behavioral wrapper models and
 //! the full-system simulator (E6 substrate), plus the cost of turning the
-//! metrics registry on. The uninstrumented baseline already runs through
-//! `step_traced` with a `NullSink` whose `enabled()` gate skips all event
-//! construction, so it doubles as the zero-overhead-tracing check.
+//! metrics registry on. The uninstrumented baseline steps the wrapper
+//! models with a `NullSink`; the models are generic over the sink, so its
+//! `enabled()` gate is resolved at compile time and no event is built.
+//! The overhead printed is not the cost of events alone: with metrics on,
+//! the engine steps every bank every cycle, while the baseline skips the
+//! settled ones, and the mostly idle 1000-cycle run below is where that
+//! skip saves most.
 //!
 //! Criterion is unavailable offline; plain `main()` timing loops instead.
 //! Run with `cargo bench --bench sim`.

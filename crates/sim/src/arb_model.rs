@@ -56,6 +56,10 @@ pub struct ArbitratedModel {
     /// Producer writes that overwrote a guarded value with unconsumed
     /// reads outstanding (the sampling-semantics lost-update detector).
     lost_updates: u64,
+    /// Whether the last step left a fixed point: nothing in flight, no
+    /// producer write and no eligible consumer, so stepping again with the
+    /// same inputs would change nothing but the cycle count.
+    settled: bool,
 }
 
 impl ArbitratedModel {
@@ -79,6 +83,7 @@ impl ArbitratedModel {
             cycle: 0,
             eligible: vec![false; consumers],
             lost_updates: 0,
+            settled: false,
         }
     }
 
@@ -88,6 +93,7 @@ impl ArbitratedModel {
     ///
     /// Propagates [`DependencyList::configure`] failures.
     pub fn configure(&mut self, base_addr: u32, dep_number: u8) -> Result<(), String> {
+        self.settled = false;
         self.deplist.configure(base_addr, dep_number)
     }
 
@@ -109,6 +115,21 @@ impl ArbitratedModel {
         self.lost_updates
     }
 
+    /// Whether the last step left a fixed point: stepping again with the
+    /// same inputs would change nothing but the cycle count. Inputs with
+    /// fewer requests keep it a fixed point: they cannot make a consumer
+    /// eligible or start a write.
+    pub(crate) fn settled(&self) -> bool {
+        self.settled
+    }
+
+    /// Advances the cycle count alone, in place of a step that
+    /// [`ArbitratedModel::settled`] says would change nothing else.
+    pub(crate) fn skip_cycle(&mut self) {
+        debug_assert!(self.settled, "only a settled model skips its step");
+        self.cycle += 1;
+    }
+
     /// Advances one clock cycle.
     ///
     /// # Panics
@@ -120,16 +141,17 @@ impl ArbitratedModel {
 
     /// Advances one clock cycle, emitting cycle events to `sink` with
     /// `bank` attribution. [`ArbitratedModel::step`] is this with a
-    /// [`NullSink`], which optimizes instrumentation away.
+    /// [`NullSink`]: the method is generic over the sink, so that step
+    /// compiles with the instrumentation removed.
     ///
     /// # Panics
     ///
     /// Panics if the request vectors do not match the pseudo-port counts.
-    pub fn step_traced(
+    pub fn step_traced<S: TraceSink + ?Sized>(
         &mut self,
         inputs: &ArbInputs,
         bank: u16,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> ArbOutputs {
         let mut out = ArbOutputs::default();
         self.step_traced_into(inputs, bank, sink, &mut out);
@@ -145,11 +167,11 @@ impl ArbitratedModel {
     /// # Panics
     ///
     /// Panics if the request vectors do not match the pseudo-port counts.
-    pub fn step_traced_into(
+    pub fn step_traced_into<S: TraceSink + ?Sized>(
         &mut self,
         inputs: &ArbInputs,
         bank: u16,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
         out: &mut ArbOutputs,
     ) {
         assert_eq!(inputs.c_req.len(), self.consumers, "c_req length");
@@ -305,6 +327,14 @@ impl ArbitratedModel {
             }
         }
 
+        // With no producer requesting, a read that issued is now in flight,
+        // and otherwise the decision stage ran: an empty pipe then means no
+        // consumer was eligible.
+        self.settled = !any_d
+            && self.pipe.is_none()
+            && self.inflight.is_none()
+            && self.a_inflight.is_none()
+            && inputs.a_req.is_none();
         self.cycle += 1;
     }
 }

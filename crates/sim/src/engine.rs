@@ -5,14 +5,31 @@
 //! names are resolved to dense [`ThreadId`]/[`BankId`] indices once at
 //! [`System::new`] time, per-bank routing tables map pseudo-port slots to
 //! thread ids and back, and every per-cycle buffer (requests, wrapper
-//! inputs/outputs) is preallocated. A warmed uninstrumented
-//! [`System::step`] performs no `String` clones and no heap allocation.
-//! Its one map work is latency recording: each write and delivery looks
-//! its key up in the [`memsync_trace::LatencyRecorder`]'s ordered maps,
-//! which allocate only when a key is first inserted. Two tests pin the
-//! allocation count at zero: `crates/bench/tests/zero_alloc.rs` counts a
-//! stepped reference system, and `crates/serve/tests/sim_zero_alloc.rs`
-//! counts a warmed sim-backend batch, from submit to drain.
+//! inputs/outputs) is preallocated.
+//!
+//! A step does work only where state can change. It ticks the threads that
+//! can progress: a thread waiting on memory, or on `recv` with an empty
+//! queue, is parked, and the step only counts the cycle in its `cycles` and
+//! `blocked_cycles`. A posted request goes into its bank's input slot once
+//! and is held there until the thread stops holding it, normally at the
+//! bank's grant. A bank whose last step left it settled (a fixed point of
+//! its inputs) skips its step, and only advances its cycle count, until a
+//! request is posted to it. The private port-A delivery pass runs only
+//! while a private read is in flight. An instrumented step still steps every bank, because the
+//! per-cycle stall events and the occupancy gauge are the trace; parked
+//! threads emit no events either way. Every observable (cycle counts,
+//! per-thread counters, sent messages, latency sums, lost updates, trace
+//! bytes) is what ticking every thread and stepping every bank on every
+//! cycle produces: `crates/sim/tests/golden_metrics.rs` pins it.
+//!
+//! A warmed uninstrumented [`System::step`] performs no `String` clones
+//! and no heap allocation. Its one map work is latency recording: each
+//! write and delivery looks its key up in the
+//! [`memsync_trace::LatencyRecorder`]'s ordered maps, which allocate only
+//! when a key is first inserted. Two tests pin the allocation count at
+//! zero: `crates/bench/tests/zero_alloc.rs` counts a stepped reference
+//! system, and `crates/serve/tests/sim_zero_alloc.rs` counts a warmed
+//! sim-backend batch, from submit to drain.
 
 use crate::arb_model::{ArbInputs, ArbOutputs, ArbitratedModel};
 use crate::bram_model::BramModel;
@@ -42,6 +59,58 @@ enum BankModel {
         inp: EvtInputs,
         out: EvtOutputs,
     },
+}
+
+impl BankModel {
+    /// Whether the last step left a fixed point (see the models' `settled`).
+    fn settled(&self) -> bool {
+        match self {
+            BankModel::Arbitrated { model, .. } => model.settled(),
+            BankModel::EventDriven { model, .. } => model.settled(),
+        }
+    }
+
+    /// Advances the cycle count of a settled model in place of its step.
+    fn skip_cycle(&mut self) {
+        match self {
+            BankModel::Arbitrated { model, .. } => model.skip_cycle(),
+            BankModel::EventDriven { model, .. } => model.skip_cycle(),
+        }
+    }
+
+    /// Sets an input slot: a posted request is held there until its thread
+    /// stops holding it and the slot is set back to `None`.
+    fn set_slot(&mut self, at: Slot, req: Option<&MemRequest>) {
+        match (self, at) {
+            (BankModel::Arbitrated { inp, .. }, Slot::Consumer(c)) => {
+                inp.c_req[usize::from(c)] = req.map(|r| r.addr);
+            }
+            (BankModel::Arbitrated { inp, .. }, Slot::Producer(p)) => {
+                inp.d_req[usize::from(p)] =
+                    req.map(|r| (r.addr, r.write.unwrap_or(0), r.dep_number));
+            }
+            (BankModel::EventDriven { inp, .. }, Slot::Consumer(c)) => {
+                inp.c_addr[usize::from(c)] = req.map(|r| r.addr);
+            }
+            (BankModel::EventDriven { inp, .. }, Slot::Producer(p)) => {
+                inp.p_req[usize::from(p)] = req.map(|r| (r.addr, r.write.unwrap_or(0)));
+            }
+        }
+    }
+}
+
+/// A pseudo-port input slot of a sync bank.
+#[derive(Debug, Clone, Copy)]
+enum Slot {
+    Consumer(u16),
+    Producer(u16),
+}
+
+/// Where a thread's posted request is held: a slot of a sync bank.
+#[derive(Debug, Clone, Copy)]
+struct Held {
+    bank: u32,
+    slot: Slot,
 }
 
 /// Per-thread private port-A bank with the one-cycle read latency.
@@ -75,6 +144,8 @@ struct SimBank {
     /// Precomputed `bank{b}.deplist_occupancy` gauge name (instrumented
     /// stepping must not format strings per cycle either).
     gauge_name: String,
+    /// Whether a request was posted since the model's last step.
+    posted: bool,
 }
 
 /// A full system simulation.
@@ -86,13 +157,22 @@ pub struct System {
     private: Vec<PrivateBank>,
     /// Rx message queues, indexed by [`ThreadId`].
     rx_queues: Vec<VecDeque<i64>>,
-    /// Arrival processes, indexed by [`ThreadId`].
-    sources: Vec<Option<Box<dyn ArrivalProcess>>>,
+    /// Attached arrival processes as `(thread index, source)`, in thread
+    /// order.
+    sources: Vec<(usize, Box<dyn ArrivalProcess>)>,
     /// `(guarded base addr, bank index)` sorted by address: requests route
     /// by binary search instead of scanning every bank's guarded list.
     addr_route: Vec<(u32, u32)>,
-    /// Reusable per-cycle request buffer, indexed by [`ThreadId`].
-    requests: Vec<Option<MemRequest>>,
+    /// Requests posted this cycle as `(thread index, request)`, in thread
+    /// order (reused every cycle).
+    requests: Vec<(usize, MemRequest)>,
+    /// Per thread, the bank slot holding its posted request.
+    held: Vec<Option<Held>>,
+    /// Slots whose threads stopped holding their requests this cycle,
+    /// emptied at the end of the cycle (reused every cycle).
+    released: Vec<Held>,
+    /// Whether a private port-A read awaits delivery next cycle.
+    private_read_pending: bool,
     /// Name tables for threads and banks (IDs are dense indices).
     interner: Interner,
     cycle: u64,
@@ -199,14 +279,18 @@ impl System {
                 producer_slot,
                 last_issue,
                 gauge_name: format!("bank{bi}.deplist_occupancy"),
+                posted: false,
             });
         }
         addr_route.sort_unstable();
         System {
             private: vec![PrivateBank::default(); n_threads],
             rx_queues: vec![VecDeque::new(); n_threads],
-            sources: (0..n_threads).map(|_| None).collect(),
+            sources: Vec::new(),
             requests: Vec::with_capacity(n_threads),
+            held: vec![None; n_threads],
+            released: Vec::with_capacity(n_threads),
+            private_read_pending: false,
             threads,
             banks,
             addr_route,
@@ -393,7 +477,10 @@ impl System {
             .interner
             .thread_id(thread)
             .expect("source attached to a known thread");
-        self.sources[id.idx()] = Some(source);
+        match self.sources.binary_search_by_key(&id.idx(), |(t, _)| *t) {
+            Ok(i) => self.sources[i].1 = source,
+            Err(i) => self.sources.insert(i, (id.idx(), source)),
+        }
     }
 
     /// Advances the system one clock cycle.
@@ -408,6 +495,9 @@ impl System {
             sources,
             addr_route,
             requests,
+            held,
+            released,
+            private_read_pending,
             cycle,
             metrics,
             sink,
@@ -421,8 +511,8 @@ impl System {
         let n_sync = banks.len() as u16;
 
         // Traffic arrivals.
-        for (ti, src) in sources.iter_mut().enumerate() {
-            let Some(src) = src.as_mut() else { continue };
+        for (ti, src) in sources.iter_mut() {
+            let ti = *ti;
             if let Some(v) = src.poll(now) {
                 let q = &mut rx_queues[ti];
                 q.push_back(v);
@@ -445,9 +535,14 @@ impl System {
             }
         }
 
-        // 1. Tick threads; collect held memory requests.
+        // 1. Tick the threads that can progress and collect the requests
+        //    they post. A parked thread only counts the cycle.
         requests.clear();
         for (ti, (t, q)) in threads.iter_mut().zip(rx_queues.iter_mut()).enumerate() {
+            if !t.can_progress(!q.is_empty()) {
+                t.skip_cycle();
+                continue;
+            }
             let mut rx = q.front().copied();
             let had = rx.is_some();
             let req = t.tick(&mut rx, true);
@@ -470,12 +565,14 @@ impl System {
                     });
                 }
             }
-            requests.push(req);
+            if let Some(r) = req {
+                requests.push((ti, r));
+            }
         }
 
         // 2. Private port-A banks: resolve immediately (never arbitrated).
-        for (ti, req) in requests.iter().enumerate() {
-            let Some(r) = req else { continue };
+        let mut private_read_issued = false;
+        for &(ti, r) in requests.iter() {
             if r.port != PortClass::A {
                 continue;
             }
@@ -488,6 +585,7 @@ impl System {
                 }
                 None => {
                     bank.inflight = Some((r.addr, bank.bram.read(r.addr)));
+                    private_read_issued = true;
                     threads[ti].deliver(MemResponse::Granted);
                     EventKind::ReadIssue { consumer: ti }
                 }
@@ -506,27 +604,10 @@ impl System {
                 });
             }
         }
-        // Deliver last-cycle private reads (before this cycle's reads land).
-        // NOTE: inflight was set this cycle for new reads; the delivery pass
-        // below uses a snapshot taken before, handled by delivering first.
 
-        // 3a. Route sync requests into the per-bank input buffers.
-        for bank in banks.iter_mut() {
-            match &mut bank.model {
-                BankModel::Arbitrated { inp, .. } => {
-                    inp.c_req.fill(None);
-                    inp.d_req.fill(None);
-                    inp.a_req = None;
-                }
-                BankModel::EventDriven { inp, .. } => {
-                    inp.p_req.fill(None);
-                    inp.c_addr.fill(None);
-                    inp.a_req = None;
-                }
-            }
-        }
-        for (ti, req) in requests.iter().enumerate() {
-            let Some(r) = req else { continue };
+        // 3a. Post this cycle's sync requests into their bank's input
+        //     slots, where they stay until released.
+        for &(ti, r) in requests.iter() {
             if r.port == PortClass::A {
                 continue;
             }
@@ -535,39 +616,29 @@ impl System {
             let Ok(pos) = addr_route.binary_search_by_key(&r.addr, |&(a, _)| a) else {
                 continue;
             };
-            let bank = &mut banks[addr_route[pos].1 as usize];
-            match r.port {
-                PortClass::C | PortClass::B => {
-                    if let Some(slot) = bank.consumer_slot[ti] {
-                        match &mut bank.model {
-                            BankModel::Arbitrated { inp, .. } => {
-                                inp.c_req[slot as usize] = Some(r.addr);
-                            }
-                            BankModel::EventDriven { inp, .. } => {
-                                inp.c_addr[slot as usize] = Some(r.addr);
-                            }
-                        }
-                    }
-                }
-                PortClass::D => {
-                    if let Some(slot) = bank.producer_slot[ti] {
-                        match &mut bank.model {
-                            BankModel::Arbitrated { inp, .. } => {
-                                inp.d_req[slot as usize] =
-                                    Some((r.addr, r.write.unwrap_or(0), r.dep_number));
-                            }
-                            BankModel::EventDriven { inp, .. } => {
-                                inp.p_req[slot as usize] = Some((r.addr, r.write.unwrap_or(0)));
-                            }
-                        }
-                    }
-                }
-                PortClass::A => {}
-            }
+            let bi = addr_route[pos].1;
+            let bank = &mut banks[bi as usize];
+            let slot = match r.port {
+                PortClass::C | PortClass::B => bank.consumer_slot[ti].map(Slot::Consumer),
+                PortClass::D => bank.producer_slot[ti].map(Slot::Producer),
+                PortClass::A => None,
+            };
+            let Some(slot) = slot else { continue };
+            bank.model.set_slot(slot, Some(&r));
+            bank.posted = true;
+            held[ti] = Some(Held { bank: bi, slot });
         }
 
-        // 3b. Step each sync bank and feed grants/data back to threads.
+        // 3b. Step each sync bank and feed grants/data back to threads. A
+        //     settled bank with no new request would change nothing but
+        //     its cycle count; an instrumented run steps it anyway for its
+        //     per-cycle stall events and occupancy gauge.
         for (bi, bank) in banks.iter_mut().enumerate() {
+            if !instrumented && !bank.posted && bank.model.settled() {
+                bank.model.skip_cycle();
+                continue;
+            }
+            bank.posted = false;
             let bid = bi as u16;
             let SimBank {
                 model,
@@ -577,6 +648,7 @@ impl System {
                 gauge_name,
                 ..
             } = bank;
+            let mut feed = |tid: ThreadId, resp| deliver(threads, held, released, tid.idx(), resp);
             match model {
                 BankModel::Arbitrated { model: m, inp, out } => {
                     if instrumented {
@@ -597,7 +669,7 @@ impl System {
                     // already fed the latency recorder via the registry.)
                     if let Some((c, data)) = out.c_data {
                         if let Some(tid) = consumer_thread[c] {
-                            threads[tid.idx()].deliver(MemResponse::Data(data));
+                            feed(tid, MemResponse::Data(data));
                         }
                         if !instrumented {
                             if let Some(addr) = last_issue[c] {
@@ -612,28 +684,24 @@ impl System {
                         }
                         if let Some(tid) = producer_thread[p] {
                             if !instrumented {
-                                if let Some(r) = requests[tid.idx()] {
-                                    metrics.record_write(r.addr, now);
+                                if let Some((addr, _, _)) = inp.d_req[p] {
+                                    metrics.record_write(addr, now);
                                 }
                             }
-                            threads[tid.idx()].deliver(MemResponse::Granted);
+                            feed(tid, MemResponse::Granted);
                         }
                     }
-                    // Consumer grants (read issued).
+                    // Consumer grants (read issued); remember the address
+                    // for delivery attribution.
                     for (c, granted) in out.c_grant.iter().enumerate() {
                         if !granted {
                             continue;
                         }
                         if let Some(tid) = consumer_thread[c] {
-                            threads[tid.idx()].deliver(MemResponse::Granted);
+                            feed(tid, MemResponse::Granted);
                         }
-                    }
-                    // Remember addresses at issue for delivery attribution.
-                    for (c, granted) in out.c_grant.iter().enumerate() {
-                        if *granted {
-                            if let Some(addr) = inp.c_req[c] {
-                                last_issue[c] = Some(addr);
-                            }
+                        if let Some(addr) = inp.c_req[c] {
+                            last_issue[c] = Some(addr);
                         }
                     }
                 }
@@ -652,8 +720,8 @@ impl System {
                         if let Some(tid) = consumer_thread[c] {
                             // The consumer is mid-read: grant + data in one
                             // delivery (the event releases the blocked read).
-                            threads[tid.idx()].deliver(MemResponse::Granted);
-                            threads[tid.idx()].deliver(MemResponse::Data(data));
+                            feed(tid, MemResponse::Granted);
+                            feed(tid, MemResponse::Data(data));
                         }
                         if !instrumented {
                             if let Some(addr) = inp.c_addr[c] {
@@ -667,37 +735,51 @@ impl System {
                         }
                         if let Some(tid) = producer_thread[p] {
                             if !instrumented {
-                                if let Some(r) = requests[tid.idx()] {
-                                    metrics.record_write(r.addr, now);
+                                if let Some((addr, _)) = inp.p_req[p] {
+                                    metrics.record_write(addr, now);
                                 }
                             }
-                            threads[tid.idx()].deliver(MemResponse::Granted);
+                            feed(tid, MemResponse::Granted);
                         }
                     }
                 }
             }
         }
 
-        // 4. Deliver private-bank read data scheduled last cycle.
-        for (ti, (t, bank)) in threads.iter_mut().zip(private.iter_mut()).enumerate() {
-            if let Some((addr, data)) = bank.pending_delivery.take() {
-                t.deliver(MemResponse::Data(data));
-                if instrumented {
-                    let mut tee = RecordingSink {
-                        sink: &mut **sink,
-                        registry: metrics,
-                    };
-                    tee.emit(&TraceEvent {
-                        cycle: now,
-                        bank: n_sync + ti as u16,
-                        port: Port::A,
-                        addr,
-                        kind: EventKind::Deliver { consumer: ti, data },
-                    });
+        // 4. Deliver private-bank read data scheduled last cycle, and
+        //    promote this cycle's issues to next cycle's deliveries.
+        if *private_read_pending || private_read_issued {
+            let mut pending = false;
+            for (ti, bank) in private.iter_mut().enumerate() {
+                if let Some((addr, data)) = bank.pending_delivery.take() {
+                    deliver(threads, held, released, ti, MemResponse::Data(data));
+                    if instrumented {
+                        let mut tee = RecordingSink {
+                            sink: &mut **sink,
+                            registry: metrics,
+                        };
+                        tee.emit(&TraceEvent {
+                            cycle: now,
+                            bank: n_sync + ti as u16,
+                            port: Port::A,
+                            addr,
+                            kind: EventKind::Deliver { consumer: ti, data },
+                        });
+                    }
                 }
+                bank.pending_delivery = bank.inflight.take();
+                pending |= bank.pending_delivery.is_some();
             }
-            // Promote this cycle's issue to next cycle's delivery.
-            bank.pending_delivery = bank.inflight.take();
+            *private_read_pending = pending;
+        }
+
+        // 5. Empty the slots of requests no longer held. A bank's inputs
+        //    for a cycle are what its threads held after their ticks, so a
+        //    slot a delivery released empties only once every bank has
+        //    stepped. A settled bank stays settled when a request leaves
+        //    (see the models' `settled`), so a release does not wake it.
+        for h in released.drain(..) {
+            banks[h.bank as usize].model.set_slot(h.slot, None);
         }
 
         *cycle += 1;
@@ -715,6 +797,27 @@ impl System {
             self.step();
         }
         self.threads.iter().all(|t| t.iterations >= iterations)
+    }
+}
+
+/// Feeds `resp` to thread `ti`. A thread that thereby stops holding a
+/// request posted to a bank slot queues that slot for release at the end
+/// of the cycle. Normally this is the bank's own grant, but a delivery can
+/// reach a thread waiting elsewhere: an event-driven slot served before its
+/// consumer waits (see `EventDrivenModel::step_traced_into`).
+fn deliver(
+    threads: &mut [ThreadExec],
+    held: &mut [Option<Held>],
+    released: &mut Vec<Held>,
+    ti: usize,
+    resp: MemResponse,
+) {
+    let t = &mut threads[ti];
+    t.deliver(resp);
+    if t.held_request().is_none() {
+        if let Some(h) = held[ti].take() {
+            released.push(h);
+        }
     }
 }
 
@@ -865,6 +968,71 @@ mod tests {
             pooled.max > pooled.min,
             "contended arbitration should spread latencies: {pooled:?}"
         );
+    }
+
+    /// The invariant held requests rest on: after every step, each bank's
+    /// inputs are what rebuilding them from the threads' held requests
+    /// gives, as the engine once did every cycle.
+    fn assert_slots_hold_the_threads_requests(sys: &System) {
+        let inputs = |m: &BankModel| match m {
+            BankModel::Arbitrated { inp, .. } => format!("{inp:?}"),
+            BankModel::EventDriven { inp, .. } => format!("{inp:?}"),
+        };
+        for (bi, bank) in sys.banks.iter().enumerate() {
+            let mut want = bank.model.clone();
+            for c in 0..bank.consumer_thread.len() {
+                want.set_slot(Slot::Consumer(c as u16), None);
+            }
+            for p in 0..bank.producer_thread.len() {
+                want.set_slot(Slot::Producer(p as u16), None);
+            }
+            for (ti, t) in sys.threads.iter().enumerate() {
+                let Some(r) = t.held_request() else { continue };
+                let Ok(pos) = sys.addr_route.binary_search_by_key(&r.addr, |&(a, _)| a) else {
+                    continue;
+                };
+                if sys.addr_route[pos].1 as usize != bi {
+                    continue;
+                }
+                let slot = match r.port {
+                    PortClass::C | PortClass::B => bank.consumer_slot[ti].map(Slot::Consumer),
+                    PortClass::D => bank.producer_slot[ti].map(Slot::Producer),
+                    PortClass::A => None,
+                };
+                if let Some(slot) = slot {
+                    want.set_slot(slot, Some(&r));
+                }
+            }
+            assert_eq!(
+                inputs(&bank.model),
+                inputs(&want),
+                "bank {bi} after cycle {}",
+                sys.cycle
+            );
+        }
+    }
+
+    #[test]
+    fn held_slots_match_the_threads_every_cycle() {
+        let forwarding = memsync_netapp::forwarding::app_source(4);
+        for (src, rx) in [(FIGURE1_PACED, "t1"), (forwarding.as_str(), "rx")] {
+            for kind in [OrganizationKind::Arbitrated, OrganizationKind::EventDriven] {
+                let mut c = Compiler::new(src);
+                c.organization(kind).skip_validation();
+                let mut sys = System::new(&c.compile().unwrap());
+                // Heavy unpaced traffic: overwrites, late consumers and
+                // every stall path.
+                sys.attach_source(rx, Box::new(crate::traffic::BernoulliSource::new(7, 0.3)));
+                for _ in 0..3_000 {
+                    sys.step();
+                    assert_slots_hold_the_threads_requests(&sys);
+                }
+                assert!(
+                    sys.thread(rx).unwrap().iterations > 50,
+                    "{kind}: traffic flowed"
+                );
+            }
+        }
     }
 
     #[test]

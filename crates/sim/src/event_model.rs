@@ -59,6 +59,10 @@ pub struct EventDrivenModel {
     /// structurally impossible here (see `outstanding`), counted anyway so
     /// both organizations expose the same detector.
     lost_updates: u64,
+    /// Whether the last step left a fixed point: nothing in flight, no open
+    /// window and no write from the window producer, so stepping again with
+    /// the same inputs would change nothing but the cycle count.
+    settled: bool,
 }
 
 impl EventDrivenModel {
@@ -90,6 +94,7 @@ impl EventDrivenModel {
             outstanding: 0,
             burst_len,
             lost_updates: 0,
+            settled: false,
         }
     }
 
@@ -111,6 +116,20 @@ impl EventDrivenModel {
         self.lost_updates
     }
 
+    /// Whether the last step left a fixed point: stepping again with the
+    /// same inputs would change nothing but the cycle count. Inputs with
+    /// fewer requests keep it a fixed point: they cannot open a window.
+    pub(crate) fn settled(&self) -> bool {
+        self.settled
+    }
+
+    /// Advances the cycle count alone, in place of a step that
+    /// [`EventDrivenModel::settled`] says would change nothing else.
+    pub(crate) fn skip_cycle(&mut self) {
+        debug_assert!(self.settled, "only a settled model skips its step");
+        self.cycle += 1;
+    }
+
     /// Advances one clock cycle.
     ///
     /// # Panics
@@ -122,16 +141,17 @@ impl EventDrivenModel {
 
     /// Advances one clock cycle, emitting cycle events to `sink` with
     /// `bank` attribution. [`EventDrivenModel::step`] is this with a
-    /// [`NullSink`], which optimizes instrumentation away.
+    /// [`NullSink`]: the method is generic over the sink, so that step
+    /// compiles with the instrumentation removed.
     ///
     /// # Panics
     ///
     /// Panics if the request vectors do not match the pseudo-port counts.
-    pub fn step_traced(
+    pub fn step_traced<S: TraceSink + ?Sized>(
         &mut self,
         inputs: &EvtInputs,
         bank: u16,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
     ) -> EvtOutputs {
         let mut out = EvtOutputs::default();
         self.step_traced_into(inputs, bank, sink, &mut out);
@@ -147,11 +167,11 @@ impl EventDrivenModel {
     /// # Panics
     ///
     /// Panics if the request vectors do not match the pseudo-port counts.
-    pub fn step_traced_into(
+    pub fn step_traced_into<S: TraceSink + ?Sized>(
         &mut self,
         inputs: &EvtInputs,
         bank: u16,
-        sink: &mut dyn TraceSink,
+        sink: &mut S,
         out: &mut EvtOutputs,
     ) {
         assert_eq!(inputs.p_req.len(), self.producers, "p_req length");
@@ -237,12 +257,17 @@ impl EventDrivenModel {
         match self.selection.step(producer_writes) {
             SelectionOutput::AwaitingProducer { .. } => {}
             SelectionOutput::Serve { consumer, .. } => {
-                // The served consumer initiates its read (presents its
-                // address); if it is not waiting yet, the slot holds — but
-                // the SelectionLogic already advanced, so consumers must be
-                // waiting, which the engine guarantees by only letting
-                // producers write when all consumers of the window are
-                // blocked. For robustness, an absent address reads 0.
+                // The served consumer's read issues at the address it
+                // presents. The selection logic has already advanced, so the
+                // slot is served whether or not that consumer is waiting:
+                // nothing holds the producer until its window's consumers
+                // wait. An absent consumer gets a read of address 0,
+                // delivered with its event pulse next cycle. If it posts its
+                // read in that delivery cycle, it takes the word read at
+                // address 0, which is its value only when its guarded
+                // location sits there. If it posts later, it waits for the
+                // next window and this value is lost. No counter records
+                // either case.
                 let addr = inputs.c_addr[consumer].unwrap_or(0);
                 self.inflight = Some((consumer, addr, self.bram.read(addr)));
                 self.outstanding = self.outstanding.saturating_sub(1);
@@ -271,6 +296,11 @@ impl EventDrivenModel {
             }
         }
 
+        self.settled = self.inflight.is_none()
+            && self.a_inflight.is_none()
+            && inputs.a_req.is_none()
+            && !self.selection.is_serving()
+            && inputs.p_req[self.selection.window_producer()].is_none();
         self.cycle += 1;
     }
 }

@@ -4,8 +4,9 @@
 //! would: one state per cycle, pure (chained) operations free within their
 //! state, memory operations issuing requests that may block the state until
 //! the memory organization grants them, `recv`/`send` blocking on the
-//! network interface. The engine drives `tick` once per cycle and feeds
-//! back grants/data through [`ThreadExec::deliver`].
+//! network interface. The engine drives `tick` once per cycle, except while
+//! the thread is parked on a wait no tick can resolve, and feeds back
+//! grants/data through [`ThreadExec::deliver`].
 
 use memsync_synth::eval::{
     call_function, eval_binary_datapath, eval_unary_datapath, mask_to_width,
@@ -72,14 +73,15 @@ pub struct ThreadExec {
     waiting: Waiting,
     /// Completed run-to-completion iterations.
     pub iterations: u64,
-    /// Cycles executed.
+    /// Cycles executed. This includes the cycles in which the engine parks
+    /// the thread instead of ticking it (see [`crate::engine`]).
     pub cycles: u64,
     /// Cycles that ended with the thread blocked on memory or I/O — the
-    /// per-thread stall attribution the trace layer reports.
+    /// per-thread stall attribution the trace layer reports. This includes
+    /// every cycle the engine parks the thread.
     pub blocked_cycles: u64,
     /// Messages sent on the tx interface.
     pub sent: Vec<i64>,
-    halted: bool,
 }
 
 impl ThreadExec {
@@ -123,7 +125,6 @@ impl ThreadExec {
             cycles: 0,
             blocked_cycles: 0,
             sent: Vec::new(),
-            halted: false,
         }
     }
 
@@ -142,10 +143,24 @@ impl ThreadExec {
         !matches!(self.waiting, Waiting::None)
     }
 
-    /// Stops the thread at the end of the current iteration (used to bound
-    /// simulations).
-    pub fn halt_after_iteration(&mut self) {
-        self.halted = true;
+    /// Whether a tick can change anything. A thread waiting on memory, or
+    /// on `recv` while `rx_ready` is false, would only count the cycle as
+    /// blocked: the engine parks it and calls [`ThreadExec::skip_cycle`]
+    /// instead. (`send` never waits: the engine's tx side is always ready.)
+    pub(crate) fn can_progress(&self, rx_ready: bool) -> bool {
+        match self.waiting {
+            Waiting::None | Waiting::Send { .. } => true,
+            Waiting::Recv { .. } => rx_ready,
+            Waiting::Mem { .. } => false,
+        }
+    }
+
+    /// Counts one cycle in which the thread was parked: exactly what a tick
+    /// of a blocked thread does.
+    pub(crate) fn skip_cycle(&mut self) {
+        debug_assert!(self.is_blocked(), "only a blocked thread parks");
+        self.cycles += 1;
+        self.blocked_cycles += 1;
     }
 
     fn store_var(&mut self, id: u32, value: i64) {
@@ -230,7 +245,8 @@ impl ThreadExec {
         }
     }
 
-    fn held_request(&self) -> Option<MemRequest> {
+    /// The memory request the thread holds, not yet granted.
+    pub(crate) fn held_request(&self) -> Option<MemRequest> {
         match &self.waiting {
             Waiting::Mem { req, granted, .. } if !*granted => Some(*req),
             _ => None,
@@ -386,12 +402,6 @@ impl ThreadExec {
                 0
             }
         };
-    }
-
-    /// Whether the thread has been asked to halt and is at an iteration
-    /// boundary.
-    pub fn is_done(&self) -> bool {
-        self.halted && self.state == 0 && self.op_pos == 0 && !self.is_blocked()
     }
 }
 
