@@ -77,9 +77,8 @@ const TRACED_OVER_OFF_FLOOR: f64 = 0.5;
 /// batch path has regressed to where the service path would notice.
 const BATCH_OVER_E2E_FLOOR: f64 = 2.0;
 
-/// Tracing configuration for the instrumented measurement: enabled with
-/// default sampling, no span export (file IO is not part of the hot-path
-/// contract).
+/// Tracing configuration for the instrumented measurement: enabled, no
+/// span export (file IO is not part of the hot-path contract).
 fn traced_config() -> TracingConfig {
     TracingConfig {
         enabled: true,

@@ -2,28 +2,27 @@
 //!
 //! ```text
 //! loadgen --addr 127.0.0.1:7171 [--conns 8] [--jobs 100] [--batch 32]
-//!         [--seed 42] [--routes 64] [--verify] [--open-loop] [--ramp MS]
+//!         [--seed 42] [--routes 64] [--verify] [--ramp MS]
 //!         [--backend sim|fast|differential] [--drain] [--shutdown]
-//!         [--spans] [--stats-interval MS]
+//!         [--spans] [--stats-interval MS] [--churn RATE]
 //! ```
 //!
 //! `--conns` connections each submit `--jobs` batches of `--batch`
-//! seeded [`Workload`] packets. Closed-loop
-//! (default) retries `Busy` with backoff, so every generated packet is
-//! eventually served; `--open-loop` submits once and counts refused
-//! batches instead. `--routes` must match the server's FIB (checked
-//! against the negotiated [`ServerHello`](memsync_serve::ServerHello));
-//! `--backend` asserts which engine the server is running.
+//! seeded [`Workload`] packets, closed-loop: `Busy` is resent after a
+//! pause, so every generated packet is eventually served. `--routes`
+//! must match the server's FIB (checked against the negotiated
+//! [`ServerHello`](memsync_serve::ServerHello)); `--backend` asserts which
+//! engine the server is running.
 //!
-//! `--ramp MS` switches to fan-in mode for high connection counts: a
-//! small pool of worker threads (at most 8) multiplexes all `--conns`
-//! connections instead of one thread each, opens are paced evenly across
-//! the `MS`-millisecond ramp window, and each worker pipelines submits —
-//! send on every connection first, then collect every response — so all
-//! connections stay in flight at once. Connections that fail to open are
-//! counted (`open_failures` in the summary) and skipped, not fatal. The
-//! ramp/open phase is excluded from the timed throughput window.
-//! Fan-in mode is closed-loop only (`Busy` is resent after a pause).
+//! A pool of `min(conns, 8)` worker threads drives the connections. Each
+//! worker opens its share of them at paced deadlines, spread evenly over
+//! the `--ramp MS` window (default 0), then pipelines its submits: it
+//! sends on every connection first, then collects every response, so all
+//! connections stay in flight at once. With one connection per worker
+//! that is a plain closed loop. A connection that fails to open is
+//! counted (`open_failures` in the summary) and fails the run. The clock
+//! starts once every connection is open and its packets generated, so
+//! the reported rate covers the submits alone.
 //!
 //! `--churn RATE` exercises the protocol-v3 control plane while the
 //! load runs: a dedicated control connection alternates add/withdraw
@@ -46,10 +45,10 @@
 //! stats stream and prints one machine-readable `STATS` line per push.
 //!
 //! Every batch round trip is timed client-side; the summary reports the
-//! nearest-rank p50/p99 in microseconds (`rtt_p50_us`/`rtt_p99_us`). In
-//! fan-in mode the clock runs from a lane's pipelined send to its
-//! response being collected, so it is completion latency under full
-//! fan-in, not an isolated ping.
+//! nearest-rank p50/p99 in microseconds (`rtt_p50_us`/`rtt_p99_us`). The
+//! clock runs from a batch's pipelined send to its response being
+//! collected, so with several connections per worker it is completion
+//! latency under fan-in, not an isolated ping.
 //!
 //! Every run ends with one `SUMMARY key=value ...` line for scripts.
 //! Exits non-zero on any verify mismatch, on a forwarded+dropped total
@@ -83,85 +82,20 @@ fn num_arg(args: &[String], key: &str, default: u64) -> u64 {
 }
 
 fn connect(addr: &str) -> Client {
-    Client::builder()
-        .retries(10_000)
-        .connect(addr)
-        .expect("connect to serve")
+    Client::connect(addr).expect("connect to serve")
 }
 
-/// One connection's closed- or open-loop run. With `spans`, each submit
-/// carries the client-assigned span id `conn << 32 | batch_index`.
-#[allow(clippy::too_many_arguments)]
-fn run_conn(
-    addr: &str,
-    conn: u64,
-    seed: u64,
-    jobs: usize,
-    batch: usize,
-    routes: usize,
-    base_options: SubmitOptions,
-    open_loop: bool,
-    spans: bool,
-) -> (BatchResult, u64, u64, Vec<u64>) {
-    let mut client = connect(addr);
-    assert_eq!(
-        client.server().routes as usize,
-        routes,
-        "--routes disagrees with the server's FIB"
-    );
-    let w = Workload::generate(seed, jobs * batch, routes);
-    let mut totals = BatchResult::default();
-    let mut submitted = 0u64;
-    let mut refused = 0u64;
-    let mut rtts = Vec::with_capacity(jobs);
-    for (i, chunk) in w.packets.chunks(batch).enumerate() {
-        let options = if spans {
-            base_options.span(conn << 32 | i as u64)
-        } else {
-            base_options
-        };
-        let sent = Instant::now();
-        if open_loop {
-            match client.submit_once(chunk, options).expect("submit") {
-                Response::Batch {
-                    forwarded,
-                    dropped,
-                    mismatches,
-                } => {
-                    totals.forwarded += forwarded;
-                    totals.dropped += dropped;
-                    totals.mismatches += mismatches;
-                    submitted += chunk.len() as u64;
-                    rtts.push(sent.elapsed().as_nanos() as u64);
-                }
-                Response::Busy(_) => refused += 1,
-                other => panic!("unexpected submit response: {other:?}"),
-            }
-        } else {
-            let r = client.submit(chunk, options).expect("closed-loop submit");
-            totals.forwarded += r.forwarded;
-            totals.dropped += r.dropped;
-            totals.mismatches += r.mismatches;
-            totals.busy_retries += r.busy_retries;
-            submitted += chunk.len() as u64;
-            rtts.push(sent.elapsed().as_nanos() as u64);
-        }
-    }
-    (totals, submitted, refused, rtts)
-}
-
-/// One fan-in worker: owns every `workers`-th connection (interleaved so
-/// each worker's open deadlines are evenly spaced across the ramp), opens
+/// One worker: owns every `workers`-th connection (interleaved so each
+/// worker's open deadlines are evenly spaced across the ramp), opens
 /// each at its paced deadline, then drives all of them through `jobs`
 /// pipelined rounds — send one batch on every connection first, then
 /// collect every response — so the worker keeps all its connections in
-/// flight instead of serializing round trips. Returns the aggregated
-/// batch totals, packets submitted, the open-failure count, and one
-/// send-to-collected latency sample per completed batch (the pipelined
-/// completion time a real client would observe at this fan-in, not an
-/// isolated ping).
+/// flight instead of serializing round trips. With `spans`, each submit
+/// carries the span id `conn << 32 | batch_index`. Returns the
+/// aggregated batch totals, packets submitted, the open-failure count,
+/// and one send-to-collected latency sample per completed batch.
 #[allow(clippy::too_many_arguments)]
-fn run_fanin_worker(
+fn run_worker(
     addr: &str,
     worker: usize,
     workers: usize,
@@ -181,6 +115,13 @@ fn run_fanin_worker(
         packets: Vec<memsync_netapp::Ipv4Packet>,
         span_base: u64,
     }
+    let options = |lane: &Lane, round: usize| {
+        if spans {
+            base_options.span(lane.span_base | round as u64)
+        } else {
+            base_options
+        }
+    };
     let mut lanes: Vec<Lane> = Vec::new();
     let mut open_failures = 0u64;
     for g in (worker..conns).step_by(workers) {
@@ -188,13 +129,8 @@ fn run_fanin_worker(
         if let Some(wait) = due.checked_duration_since(Instant::now()) {
             std::thread::sleep(wait);
         }
-        match Client::builder().connect(addr) {
+        match Client::connect(addr) {
             Ok(client) => {
-                assert_eq!(
-                    client.server().routes as usize,
-                    routes,
-                    "--routes disagrees with the server's FIB"
-                );
                 let w = Workload::generate(seed.wrapping_add(g as u64), jobs * batch, routes);
                 lanes.push(Lane {
                     client,
@@ -219,14 +155,9 @@ fn run_fanin_worker(
         sent_at.clear();
         for lane in &mut lanes {
             let chunk = &lane.packets[round * batch..(round + 1) * batch];
-            let options = if spans {
-                base_options.span(lane.span_base | round as u64)
-            } else {
-                base_options
-            };
             sent_at.push(Instant::now());
             lane.client
-                .submit_send(chunk, options)
+                .submit_send(chunk, options(lane, round))
                 .expect("pipelined submit send");
         }
         for (i, lane) in lanes.iter_mut().enumerate() {
@@ -248,13 +179,8 @@ fn run_fanin_worker(
                         totals.busy_retries += 1;
                         std::thread::sleep(Duration::from_millis(1));
                         let chunk = &lane.packets[round * batch..(round + 1) * batch];
-                        let options = if spans {
-                            base_options.span(lane.span_base | round as u64)
-                        } else {
-                            base_options
-                        };
                         lane.client
-                            .submit_send(chunk, options)
+                            .submit_send(chunk, options(lane, round))
                             .expect("busy resend");
                     }
                     other => panic!("unexpected submit response: {other:?}"),
@@ -350,8 +276,8 @@ fn run_churn(addr: &str, rate: u64, stop: &AtomicBool) -> ChurnReport {
     report
 }
 
-/// Nearest-rank percentile over an unsorted sample set, in microseconds.
-/// Returns 0 when no batches completed (pure open-loop refusal runs).
+/// Nearest-rank percentile over a sorted sample set, in microseconds.
+/// Returns 0 when no batch completed.
 fn percentile_us(sorted_ns: &[u64], p: f64) -> u64 {
     if sorted_ns.is_empty() {
         return 0;
@@ -374,13 +300,7 @@ fn main() {
     let seed = num_arg(&args, "--seed", 42);
     let routes = num_arg(&args, "--routes", 64) as usize;
     let options = SubmitOptions::new().verify(args.iter().any(|a| a == "--verify"));
-    let open_loop = args.iter().any(|a| a == "--open-loop");
-    let ramp = arg_value(&args, "--ramp").map(|v| {
-        let ms: u64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--ramp wants milliseconds, got {v}"));
-        Duration::from_millis(ms)
-    });
+    let ramp = Duration::from_millis(num_arg(&args, "--ramp", 0));
     memsync_serve::raise_fd_limit();
     let spans = args.iter().any(|a| a == "--spans");
     let stats_interval = arg_value(&args, "--stats-interval").map(|v| {
@@ -409,6 +329,10 @@ fn main() {
         println!(
             "negotiated protocol v{} with {} backend ({} shards, {} egress, {} routes)",
             hello.version, hello.backend, hello.shards, hello.egress, hello.routes
+        );
+        assert_eq!(
+            hello.routes as usize, routes,
+            "--routes disagrees with the server's FIB"
         );
         if let Some(expected) = expect_backend {
             assert_eq!(
@@ -463,26 +387,18 @@ fn main() {
 
     let mut totals = BatchResult::default();
     let mut submitted = 0u64;
-    let mut refused = 0u64;
     let mut open_failures = 0u64;
     let mut rtts: Vec<u64> = Vec::new();
-    let elapsed = if let Some(ramp) = ramp {
-        // Fan-in mode: a bounded worker pool multiplexes all connections
-        // with pipelined submits; the paced open phase is untimed.
-        assert!(
-            !open_loop,
-            "--open-loop is not supported with --ramp (fan-in is closed-loop)"
-        );
-        let workers = conns.clamp(1, 8);
-        let start = Arc::new(Barrier::new(workers + 1));
-        let epoch = Instant::now();
+    let workers = conns.clamp(1, 8);
+    let start = Barrier::new(workers + 1);
+    let epoch = Instant::now();
+    let elapsed = std::thread::scope(|scope| {
         let handles: Vec<_> = (0..workers)
             .map(|k| {
-                let addr = addr.clone();
-                let start = Arc::clone(&start);
-                std::thread::spawn(move || {
-                    run_fanin_worker(
-                        &addr, k, workers, conns, epoch, ramp, &start, seed, jobs, batch, routes,
+                let (addr, start) = (addr.as_str(), &start);
+                scope.spawn(move || {
+                    run_worker(
+                        addr, k, workers, conns, epoch, ramp, start, seed, jobs, batch, routes,
                         options, spans,
                     )
                 })
@@ -491,7 +407,7 @@ fn main() {
         start.wait();
         let t0 = Instant::now();
         for h in handles {
-            let (t, s, o, r) = h.join().expect("fan-in worker thread");
+            let (t, s, o, r) = h.join().expect("loadgen worker thread");
             totals.forwarded += t.forwarded;
             totals.dropped += t.dropped;
             totals.mismatches += t.mismatches;
@@ -501,38 +417,7 @@ fn main() {
             rtts.extend(r);
         }
         t0.elapsed().as_secs_f64()
-    } else {
-        let t0 = Instant::now();
-        let handles: Vec<_> = (0..conns)
-            .map(|c| {
-                let addr = addr.clone();
-                std::thread::spawn(move || {
-                    run_conn(
-                        &addr,
-                        c as u64,
-                        seed.wrapping_add(c as u64),
-                        jobs,
-                        batch,
-                        routes,
-                        options,
-                        open_loop,
-                        spans,
-                    )
-                })
-            })
-            .collect();
-        for h in handles {
-            let (t, s, r, l) = h.join().expect("loadgen connection thread");
-            totals.forwarded += t.forwarded;
-            totals.dropped += t.dropped;
-            totals.mismatches += t.mismatches;
-            totals.busy_retries += t.busy_retries;
-            submitted += s;
-            refused += r;
-            rtts.extend(l);
-        }
-        t0.elapsed().as_secs_f64()
-    };
+    });
     stop.store(true, Ordering::Relaxed);
     if let Some(m) = monitor {
         m.join().expect("stats monitor thread");
@@ -545,7 +430,7 @@ fn main() {
         submitted as f64 / elapsed
     );
     println!(
-        "forwarded {} dropped {} mismatches {} busy_retries {} refused_batches {refused}",
+        "forwarded {} dropped {} mismatches {} busy_retries {}",
         totals.forwarded, totals.dropped, totals.mismatches, totals.busy_retries
     );
     rtts.sort_unstable();
@@ -645,11 +530,12 @@ fn main() {
         (snap.lost_updates, snap.shard_restarts, churn_summary)
     };
 
-    // One machine-readable line for scripts (CI greps this).
+    // One machine-readable line for scripts (CI greps this). Closed-loop
+    // submits are never refused; `refused=0` keeps the line's format.
     println!(
         "SUMMARY submitted={submitted} conns={conns} open_failures={open_failures} \
          forwarded={} dropped={} mismatches={} \
-         busy_retries={} refused={refused} elapsed_s={elapsed:.3} pps={:.0} \
+         busy_retries={} refused=0 elapsed_s={elapsed:.3} pps={:.0} \
          rtt_p50_us={rtt_p50_us} rtt_p99_us={rtt_p99_us} \
          lost_updates={lost_updates} shard_restarts={shard_restarts}{}",
         totals.forwarded,

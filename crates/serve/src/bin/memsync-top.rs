@@ -181,12 +181,10 @@ fn render(snap: &StatsSnapshot, prev: Option<&(StatsSnapshot, Instant)>, clear: 
     );
     if let Some(spans) = &snap.spans {
         println!(
-            "tracing {} — {} spans seen, {} exported, sample 1/{}, slow ≥ {}",
+            "tracing {} — {} spans seen, {} exported",
             if spans.enabled { "on" } else { "off" },
             spans.seen,
             spans.exported,
-            spans.sample_every,
-            fmt_ns(spans.slow_ns),
         );
     }
     if !snap.stages.is_empty() {

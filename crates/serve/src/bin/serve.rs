@@ -5,7 +5,7 @@
 //!       [--queue-cap 64] [--batch-max 64] [--org arbitrated|event-driven]
 //!       [--backend sim|fast|differential] [--opt 0|1]
 //!       [--reactor-threads N] [--max-conns N]
-//!       [--tracing] [--trace-spans FILE] [--trace-sample N] [--trace-slow-us N]
+//!       [--tracing] [--trace-spans FILE]
 //! ```
 //!
 //! `--backend` picks the forwarding engine each shard runs: `sim` (the
@@ -17,19 +17,16 @@
 //! socket is bound (the loopback CI job waits for that line), then blocks
 //! until a client sends a shutdown frame and exits 0.
 //!
-//! Connections are served by a few epoll event loops (`poll(2)` on
-//! unix platforms without epoll; `serve` is unix-only), thousands of
-//! connections per thread. `--reactor-threads N` sets the event-loop
-//! thread count (0 = one per CPU); `--max-conns` caps open connections
-//! (default 10000). The soft fd limit is raised to the hard limit at
-//! startup.
+//! Connections are served by a few epoll event loops, thousands of
+//! connections per thread; `serve` is Linux-only. `--reactor-threads N`
+//! sets the event-loop thread count (0 = one per CPU); `--max-conns`
+//! caps open connections (default 10000). The soft fd limit is raised
+//! to the hard limit at startup.
 //!
 //! Tracing is off by default (the hot path stays allocation-free).
 //! `--tracing` turns on per-request stage timing; `--trace-spans FILE`
 //! additionally exports every span as JSONL to `FILE` (and implies
-//! `--tracing`). `--trace-sample N` keeps 1-in-N spans in the live rings
-//! (default 16); `--trace-slow-us N` sets the always-keep slow threshold
-//! in microseconds (default 5000).
+//! `--tracing`).
 
 use memsync_core::{OptLevel, OrganizationKind};
 use memsync_serve::{BackendKind, ServeConfig, Server, TracingConfig};
@@ -53,23 +50,9 @@ fn usize_arg(args: &[String], key: &str, default: usize) -> usize {
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let defaults = ServeConfig::default();
-    let trace_defaults = TracingConfig::default();
     let spans_path = arg_value(&args, "--trace-spans");
     let tracing = TracingConfig {
         enabled: args.iter().any(|a| a == "--tracing") || spans_path.is_some(),
-        sample_every: usize_arg(
-            &args,
-            "--trace-sample",
-            trace_defaults.sample_every as usize,
-        ) as u32,
-        slow_ns: arg_value(&args, "--trace-slow-us")
-            .map(|v| {
-                let us: u64 = v
-                    .parse()
-                    .unwrap_or_else(|_| panic!("--trace-slow-us wants a number, got {v}"));
-                us.saturating_mul(1_000)
-            })
-            .unwrap_or(trace_defaults.slow_ns),
         spans_path,
     };
     let config = ServeConfig {

@@ -44,9 +44,8 @@
 //!   refused) and shutdown, joining every thread it spawned;
 //! * `session` — one connection's protocol with no transport attached:
 //!   every request is dispatched there;
-//! * [`reactor`] — the transport: epoll (`poll(2)` off Linux) event
-//!   loops doing the socket I/O, backpressure and deadlines around each
-//!   connection's session. Serving is unix-only;
+//! * [`reactor`] — the transport: epoll event loops doing the socket
+//!   I/O, backpressure and deadlines around each connection's session;
 //! * [`snapshot`] — [`snapshot::StatsSnapshot`], the stats frame's one
 //!   schema: each section type carries the one `to_json`/`from_json`
 //!   pair (over the dependency-free [`memsync_trace::Json`]) that the
@@ -56,12 +55,14 @@
 //!   histograms (O(1) memory), merged into the totals next to each
 //!   shard's own section, plus the server and connection-plane counters;
 //! * [`tracing`] — request-scoped spans: per-stage timings from decode to
-//!   socket write, sampled span rings, live stage histograms, and JSONL
-//!   span export (`serve --trace-spans`); zero-cost when disabled;
+//!   socket write, live stage histograms, and JSONL span export
+//!   (`serve --trace-spans`); zero-cost when disabled;
 //! * [`client`] — a blocking client used by the `loadgen` bin, the
 //!   loopback tests, and the self-timing harness; built via
 //!   [`Client::builder`], it negotiates the protocol version and backend
 //!   capabilities at connect time.
+//!
+//! The crate is Linux-only: the reactor calls epoll directly.
 //!
 //! The wire protocol, backpressure semantics, and `BENCH_serve.json`
 //! schema are documented in `EXPERIMENTS.md` ("Serving traffic").
@@ -71,12 +72,14 @@
 // `#![allow(unsafe_code)]` island — everything else stays safe Rust.
 #![deny(unsafe_code)]
 
+#[cfg(not(target_os = "linux"))]
+compile_error!("memsync-serve is Linux-only: its reactor is built on epoll");
+
 pub mod backend;
 pub mod client;
 pub mod frame;
 pub mod pipeline;
 pub mod queue;
-#[cfg(unix)]
 pub mod reactor;
 pub mod router;
 pub mod server;
@@ -102,16 +105,8 @@ use std::time::Duration;
 /// returns the resulting soft limit (0 when the limit could not even be
 /// read). High-fan-in runs (`serve`, `loadgen --conns`) call this so
 /// 5k+ sockets don't trip the default 1024-fd soft limit.
-/// No-op returning 0 on non-unix platforms.
 pub fn raise_fd_limit() -> u64 {
-    #[cfg(unix)]
-    {
-        reactor::sys::raise_nofile_limit()
-    }
-    #[cfg(not(unix))]
-    {
-        0
-    }
+    reactor::sys::raise_nofile_limit()
 }
 
 /// Service configuration. `Default` matches the acceptance setup:

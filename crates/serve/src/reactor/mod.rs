@@ -1,6 +1,5 @@
 //! The transport: a few reactor threads multiplex every connection
-//! through an epoll (or `poll(2)`) event loop around each connection's
-//! `Session`.
+//! through an epoll event loop around each connection's `Session`.
 //!
 //! The reactor does I/O and nothing else: it accepts and deals
 //! connections across `config.reactor_threads` event loops, reads and
@@ -109,36 +108,61 @@ fn reject_over_capacity(mut stream: TcpStream, shared: &Shared) {
 }
 
 /// Spawns the reactor: `config.reactor_threads` event loops (0 = one
-/// per available CPU) plus the sharding accept thread. Returns every
-/// spawned handle; they all exit once `shared.stop` is raised.
-pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Vec<JoinHandle<()>>> {
-    let threads = match shared.config.reactor_threads {
+/// per available CPU) plus the sharding accept thread. Every poller and
+/// wake pipe is built before the first thread starts, and each handle
+/// goes onto `threads` as its thread starts, so on a failed spawn
+/// `threads` still holds everything running. They all exit once
+/// `shared.stop` is raised.
+pub(crate) fn spawn(
+    listener: TcpListener,
+    shared: &Arc<Shared>,
+    threads: &mut Vec<JoinHandle<()>>,
+) -> io::Result<()> {
+    let count = match shared.config.reactor_threads {
         0 => std::thread::available_parallelism().map_or(1, usize::from),
         n => n,
     };
-    let mut handles = Vec::with_capacity(threads + 1);
-    let mut inboxes = Vec::with_capacity(threads);
-    for i in 0..threads {
+    let mut reactors = Vec::with_capacity(count);
+    let mut inboxes = Vec::with_capacity(count);
+    for _ in 0..count {
         let (tx, rx) = channel::<TcpStream>();
         let (waker, wake_rx) = poller::waker_pair()?;
         let waker = Arc::new(waker);
-        let mut reactor = Reactor::new(Arc::clone(&shared), rx, Arc::clone(&waker), wake_rx)?;
+        reactors.push(Reactor::new(
+            Arc::clone(shared),
+            rx,
+            Arc::clone(&waker),
+            wake_rx,
+        )?);
         inboxes.push((tx, waker));
-        handles.push(
+    }
+    // The listener gets its own poller so accept wakes on demand but
+    // still observes the stop flag every POLL.
+    let mut accept_poller = poller::Poller::new()?;
+    accept_poller.register(
+        listener.as_raw_fd(),
+        0,
+        Interest {
+            readable: true,
+            writable: false,
+        },
+    )?;
+    for (i, mut reactor) in reactors.into_iter().enumerate() {
+        threads.push(
             std::thread::Builder::new()
                 .name(format!("memsync-reactor-{i}"))
                 .spawn(move || reactor.run())
                 .map_err(|e| io::Error::new(e.kind(), "reactor thread spawn failed"))?,
         );
     }
-    let accept_shared = Arc::clone(&shared);
-    handles.push(
+    let shared = Arc::clone(shared);
+    threads.push(
         std::thread::Builder::new()
             .name("memsync-accept".into())
-            .spawn(move || accept_loop(&listener, &accept_shared, &inboxes))
+            .spawn(move || accept_loop(&listener, accept_poller, &shared, &inboxes))
             .map_err(|e| io::Error::new(e.kind(), "accept thread spawn failed"))?,
     );
-    Ok(handles)
+    Ok(())
 }
 
 /// Accepts connections and deals them round-robin across the reactor
@@ -146,38 +170,16 @@ pub(crate) fn spawn(listener: TcpListener, shared: Arc<Shared>) -> io::Result<Ve
 /// under fd exhaustion instead of hot-spinning.
 fn accept_loop(
     listener: &TcpListener,
-    shared: &Arc<Shared>,
+    mut poller: poller::Poller,
+    shared: &Shared,
     inboxes: &[(Sender<TcpStream>, Arc<Waker>)],
 ) {
-    // The listener gets its own tiny poller so accept wakes on demand
-    // but still observes the stop flag every POLL.
-    let mut accept_poller = poller::Poller::new().ok();
-    if let Some(p) = accept_poller.as_mut() {
-        if p.register(
-            listener.as_raw_fd(),
-            0,
-            Interest {
-                readable: true,
-                writable: false,
-            },
-        )
-        .is_err()
-        {
-            accept_poller = None;
-        }
-    }
     let mut events = Vec::new();
     let mut next = 0usize;
     let mut backoff = ACCEPT_BACKOFF_MIN;
     while !shared.stop.load(Ordering::Acquire) {
-        match accept_poller.as_mut() {
-            Some(p) => {
-                events.clear();
-                let _ = p.wait(&mut events, POLL);
-            }
-            // Degraded mode (poller construction failed): plain polling.
-            None => std::thread::sleep(POLL),
-        }
+        events.clear();
+        let _ = poller.wait(&mut events, POLL);
         loop {
             match listener.accept() {
                 Ok((stream, _)) => {

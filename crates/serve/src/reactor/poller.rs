@@ -1,5 +1,4 @@
-//! Safe readiness-polling facade over the platform backend: epoll on
-//! Linux, `poll(2)` elsewhere on unix, plus the self-pipe [`Waker`] that
+//! Safe readiness polling over epoll, plus the self-pipe [`Waker`] that
 //! lets shard threads interrupt a parked reactor.
 
 use crate::queue::ReplyWaker;
@@ -10,7 +9,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use super::sys;
+use super::sys::{self, epoll};
 
 /// What a registration wants to hear about.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -40,215 +39,80 @@ fn timeout_ms(timeout: Duration) -> i32 {
     i32::try_from(timeout.as_millis().max(1)).unwrap_or(i32::MAX)
 }
 
-#[cfg(target_os = "linux")]
-pub(crate) use linux::Poller;
+/// Epoll-backed poller (level-triggered).
+#[derive(Debug)]
+pub(crate) struct Poller {
+    epfd: RawFd,
+    buf: Vec<epoll::EpollEvent>,
+}
 
-#[cfg(target_os = "linux")]
-mod linux {
-    use super::*;
-    use sys::epoll;
-
-    /// Epoll-backed poller (level-triggered).
-    #[derive(Debug)]
-    pub(crate) struct Poller {
-        epfd: RawFd,
-        buf: Vec<epoll::EpollEvent>,
+impl Poller {
+    pub(crate) fn new() -> io::Result<Poller> {
+        Ok(Poller {
+            epfd: epoll::create()?,
+            buf: vec![epoll::EpollEvent { events: 0, data: 0 }; 1024],
+        })
     }
 
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                epfd: epoll::create()?,
-                buf: vec![epoll::EpollEvent { events: 0, data: 0 }; 1024],
-            })
+    fn mask(interest: Interest) -> u32 {
+        let mut m = 0;
+        // Peer half-close only with read interest: level-triggered, it
+        // would otherwise report on every wait while a request is in
+        // flight.
+        if interest.readable {
+            m |= epoll::EPOLLIN | epoll::EPOLLRDHUP;
         }
-
-        fn mask(interest: Interest) -> u32 {
-            let mut m = 0;
-            // Peer half-close only with read interest: level-triggered,
-            // it would otherwise report on every wait while a request is
-            // in flight.
-            if interest.readable {
-                m |= epoll::EPOLLIN | epoll::EPOLLRDHUP;
-            }
-            if interest.writable {
-                m |= epoll::EPOLLOUT;
-            }
-            m
+        if interest.writable {
+            m |= epoll::EPOLLOUT;
         }
-
-        pub(crate) fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            epoll::ctl(
-                self.epfd,
-                epoll::EPOLL_CTL_ADD,
-                fd,
-                Self::mask(interest),
-                token,
-            )
-        }
-
-        pub(crate) fn modify(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            epoll::ctl(
-                self.epfd,
-                epoll::EPOLL_CTL_MOD,
-                fd,
-                Self::mask(interest),
-                token,
-            )
-        }
-
-        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            epoll::ctl(self.epfd, epoll::EPOLL_CTL_DEL, fd, 0, 0)
-        }
-
-        /// Waits up to `timeout`, appending readiness to `events`.
-        pub(crate) fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Duration,
-        ) -> io::Result<()> {
-            let n = epoll::wait(self.epfd, &mut self.buf, timeout_ms(timeout))?;
-            for ev in &self.buf[..n] {
-                // Copy fields out of the (packed) event before use.
-                let bits = { ev.events };
-                let token = { ev.data };
-                events.push(Event {
-                    token,
-                    readable: bits & (epoll::EPOLLIN | epoll::EPOLLRDHUP) != 0,
-                    writable: bits & epoll::EPOLLOUT != 0,
-                    hangup: bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
+        m
     }
 
-    impl Drop for Poller {
-        fn drop(&mut self) {
-            sys::close_fd(self.epfd);
+    pub(crate) fn register(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        epoll::ctl(
+            self.epfd,
+            epoll::EPOLL_CTL_ADD,
+            fd,
+            Self::mask(interest),
+            token,
+        )
+    }
+
+    pub(crate) fn modify(&mut self, fd: RawFd, token: u64, interest: Interest) -> io::Result<()> {
+        epoll::ctl(
+            self.epfd,
+            epoll::EPOLL_CTL_MOD,
+            fd,
+            Self::mask(interest),
+            token,
+        )
+    }
+
+    pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+        epoll::ctl(self.epfd, epoll::EPOLL_CTL_DEL, fd, 0, 0)
+    }
+
+    /// Waits up to `timeout`, appending readiness to `events`.
+    pub(crate) fn wait(&mut self, events: &mut Vec<Event>, timeout: Duration) -> io::Result<()> {
+        let n = epoll::wait(self.epfd, &mut self.buf, timeout_ms(timeout))?;
+        for ev in &self.buf[..n] {
+            // Copy fields out of the (packed) event before use.
+            let bits = { ev.events };
+            let token = { ev.data };
+            events.push(Event {
+                token,
+                readable: bits & (epoll::EPOLLIN | epoll::EPOLLRDHUP) != 0,
+                writable: bits & epoll::EPOLLOUT != 0,
+                hangup: bits & (epoll::EPOLLERR | epoll::EPOLLHUP) != 0,
+            });
         }
+        Ok(())
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-pub(crate) use fallback::Poller;
-
-#[cfg(all(unix, not(target_os = "linux")))]
-mod fallback {
-    use super::*;
-    use sys::pollsys;
-
-    /// `poll(2)`-backed poller: a flat pollfd array plus a parallel token
-    /// array, scanned linearly per wait.
-    #[derive(Debug)]
-    pub(crate) struct Poller {
-        fds: Vec<pollsys::PollFd>,
-        tokens: Vec<u64>,
-    }
-
-    impl Poller {
-        pub(crate) fn new() -> io::Result<Poller> {
-            Ok(Poller {
-                fds: Vec::new(),
-                tokens: Vec::new(),
-            })
-        }
-
-        fn mask(interest: Interest) -> i16 {
-            let mut m = 0i16;
-            if interest.readable {
-                m |= pollsys::POLLIN;
-            }
-            if interest.writable {
-                m |= pollsys::POLLOUT;
-            }
-            m
-        }
-
-        fn position(&self, fd: RawFd) -> io::Result<usize> {
-            self.fds
-                .iter()
-                .position(|p| p.fd == fd)
-                .ok_or_else(|| io::Error::new(io::ErrorKind::NotFound, "fd not registered"))
-        }
-
-        pub(crate) fn register(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            if self.position(fd).is_ok() {
-                return Err(io::Error::new(
-                    io::ErrorKind::AlreadyExists,
-                    "fd already registered",
-                ));
-            }
-            self.fds.push(pollsys::PollFd {
-                fd,
-                events: Self::mask(interest),
-                revents: 0,
-            });
-            self.tokens.push(token);
-            Ok(())
-        }
-
-        pub(crate) fn modify(
-            &mut self,
-            fd: RawFd,
-            token: u64,
-            interest: Interest,
-        ) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.fds[i].events = Self::mask(interest);
-            self.tokens[i] = token;
-            Ok(())
-        }
-
-        pub(crate) fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-            let i = self.position(fd)?;
-            self.fds.swap_remove(i);
-            self.tokens.swap_remove(i);
-            Ok(())
-        }
-
-        pub(crate) fn wait(
-            &mut self,
-            events: &mut Vec<Event>,
-            timeout: Duration,
-        ) -> io::Result<()> {
-            if self.fds.is_empty() {
-                std::thread::sleep(timeout);
-                return Ok(());
-            }
-            let n = pollsys::wait(&mut self.fds, timeout_ms(timeout))?;
-            if n == 0 {
-                return Ok(());
-            }
-            for (p, &token) in self.fds.iter().zip(&self.tokens) {
-                let r = p.revents;
-                if r == 0 {
-                    continue;
-                }
-                events.push(Event {
-                    token,
-                    readable: r & pollsys::POLLIN != 0,
-                    writable: r & pollsys::POLLOUT != 0,
-                    hangup: r & (pollsys::POLLERR | pollsys::POLLHUP) != 0,
-                });
-            }
-            Ok(())
-        }
+impl Drop for Poller {
+    fn drop(&mut self) {
+        sys::close_fd(self.epfd);
     }
 }
 

@@ -1,5 +1,4 @@
-//! Raw syscall shim for the reactor: epoll on Linux, `poll(2)` on other
-//! unix platforms, plus `RLIMIT_NOFILE` raising.
+//! Raw syscall shim for the reactor: epoll, plus `RLIMIT_NOFILE` raising.
 //!
 //! This module is the crate's single `unsafe` island (the crate root is
 //! `#![deny(unsafe_code)]`; this file opts back in). It declares the
@@ -20,7 +19,6 @@ pub(crate) fn close_fd(fd: i32) {
     let _ = unsafe { close(fd) };
 }
 
-#[cfg(target_os = "linux")]
 pub(crate) mod epoll {
     //! Minimal epoll bindings (level-triggered; the reactor re-computes
     //! interest after every I/O step, so edge-triggering buys nothing).
@@ -91,62 +89,14 @@ pub(crate) mod epoll {
     }
 }
 
-#[cfg(all(unix, not(target_os = "linux")))]
-pub(crate) mod pollsys {
-    //! `poll(2)` fallback for unix platforms without epoll. O(n) per
-    //! wait, which is fine for the fallback's scale; Linux (the measured
-    //! platform) always uses epoll.
-
-    use std::io;
-
-    pub(crate) const POLLIN: i16 = 0x001;
-    pub(crate) const POLLOUT: i16 = 0x004;
-    pub(crate) const POLLERR: i16 = 0x008;
-    pub(crate) const POLLHUP: i16 = 0x010;
-
-    #[derive(Clone, Copy)]
-    #[repr(C)]
-    pub(crate) struct PollFd {
-        pub(crate) fd: i32,
-        pub(crate) events: i16,
-        pub(crate) revents: i16,
-    }
-
-    extern "C" {
-        // `nfds_t` is platform-varying (u32 on macOS, u64 on most BSDs);
-        // usize matches the register-width convention either way for the
-        // fd counts involved here.
-        fn poll(fds: *mut PollFd, nfds: usize, timeout_ms: i32) -> i32;
-    }
-
-    /// Polls `fds` in place; `Ok(0)` on timeout or `EINTR`, otherwise
-    /// the number of entries with non-zero `revents`.
-    pub(crate) fn wait(fds: &mut [PollFd], timeout_ms: i32) -> io::Result<usize> {
-        let rc = unsafe { poll(fds.as_mut_ptr(), fds.len(), timeout_ms) };
-        if rc < 0 {
-            let e = io::Error::last_os_error();
-            if e.kind() == io::ErrorKind::Interrupted {
-                Ok(0)
-            } else {
-                Err(e)
-            }
-        } else {
-            Ok(rc as usize)
-        }
-    }
-}
-
-/// `struct rlimit` — `rlim_t` is 64-bit on every supported unix.
+/// `struct rlimit`: `rlim_t` is 64-bit on Linux.
 #[repr(C)]
 struct RLimit {
     cur: u64,
     max: u64,
 }
 
-#[cfg(target_os = "linux")]
 const RLIMIT_NOFILE: i32 = 7;
-#[cfg(all(unix, not(target_os = "linux")))]
-const RLIMIT_NOFILE: i32 = 8;
 
 /// Raises the soft `RLIMIT_NOFILE` to the hard limit; returns the
 /// resulting soft limit (0 if the limit could not be read at all).

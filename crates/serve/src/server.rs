@@ -9,8 +9,7 @@
 //! event loops, and unblocks [`Server::wait`] so the `serve` bin can
 //! exit 0. Each shard thread restarts itself after a panic
 //! ([`crate::shard`]); the server joins every thread it spawned, shards
-//! included, in [`Server::wait`] and on drop. Serving is unix-only:
-//! epoll on Linux, `poll(2)` on other unix platforms.
+//! included, in [`Server::wait`] and on drop.
 
 use crate::router::Router;
 use crate::shard::{self, Shard, ShardTables};
@@ -51,7 +50,7 @@ impl Shared {
     /// Span-export file creation failures.
     pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
         assert!(config.shards > 0, "at least one shard");
-        let tracer = ServeTracer::new(config.tracing.clone(), config.shards)?;
+        let tracer = ServeTracer::new(&config.tracing)?;
         let stop = Arc::new(AtomicBool::new(false));
         let tables = Arc::new(EpochTables::new(ShardTables::build(config.routes)));
         let shards: Vec<Arc<Shard>> = (0..config.shards)
@@ -106,34 +105,23 @@ impl Server {
     ///
     /// # Errors
     ///
-    /// Propagates bind failures and span-export file creation failures;
-    /// `Unsupported` off unix.
+    /// Propagates bind failures, span-export file creation failures and
+    /// reactor poller, wake-pipe and thread-spawn failures.
     pub fn start(addr: impl ToSocketAddrs, config: ServeConfig) -> io::Result<Server> {
-        #[cfg(not(unix))]
-        {
-            let _ = (addr, config);
-            Err(io::Error::new(
-                io::ErrorKind::Unsupported,
-                "serving requires a unix platform",
-            ))
-        }
-        #[cfg(unix)]
-        {
-            let listener = TcpListener::bind(addr)?;
-            let local_addr = listener.local_addr()?;
-            listener.set_nonblocking(true)?;
-            let (shared, threads) = Shared::start(config)?;
-            // Built before the reactor spawns, so a failed spawn drops the
-            // server, which stops and joins the threads already running.
-            let mut server = Server {
-                shared,
-                local_addr,
-                threads,
-            };
-            let reactor = crate::reactor::spawn(listener, Arc::clone(&server.shared))?;
-            server.threads.extend(reactor);
-            Ok(server)
-        }
+        let listener = TcpListener::bind(addr)?;
+        let local_addr = listener.local_addr()?;
+        listener.set_nonblocking(true)?;
+        let (shared, threads) = Shared::start(config)?;
+        // Built before the reactor spawns, which hands the server each
+        // reactor thread as it starts: a failed spawn drops the server,
+        // which stops and joins every thread already running.
+        let mut server = Server {
+            shared,
+            local_addr,
+            threads,
+        };
+        crate::reactor::spawn(listener, &server.shared, &mut server.threads)?;
+        Ok(server)
     }
 
     /// The bound address (resolves ephemeral ports).
@@ -166,8 +154,9 @@ impl Server {
         self.shared.tracer.flush();
     }
 
-    /// The request tracer (span rings, live stage histograms). Always
-    /// present; disabled unless [`crate::TracingConfig::enabled`] was set.
+    /// The request tracer (span counts, live stage histograms, span
+    /// export). Always present; disabled unless
+    /// [`crate::TracingConfig::enabled`] was set.
     pub fn tracer(&self) -> &ServeTracer {
         &self.shared.tracer
     }

@@ -286,36 +286,15 @@ section! {
 }
 
 section! {
-    /// One shard's span retention, from the `spans.rings` array.
+    /// The `spans` section: request-tracing status and span totals.
     #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
-    pub struct RingSnapshot {
-        /// Shard index.
-        pub shard: u64,
-        /// Spans finished against this shard.
-        pub seen: u64,
-        /// Spans held in the sampled recent ring.
-        pub recent: u64,
-        /// Spans held in the always-keep slow ring.
-        pub slow: u64,
-    }
-}
-
-section! {
-    /// The `spans` section: request-tracing status and ring totals.
-    #[derive(Debug, Clone, Default, PartialEq, Eq)]
     pub struct SpansSnapshot {
         /// Whether request tracing is on.
         pub enabled: bool,
-        /// Recent-ring sampling stride.
-        pub sample_every: u64,
-        /// Slow-span threshold in nanoseconds.
-        pub slow_ns: u64,
-        /// Spans finished so far, summed over shards.
+        /// Span records finished so far, one per (request, shard).
         pub seen: u64,
         /// JSONL span lines exported so far.
         pub exported: u64,
-        /// Per-shard ring occupancy.
-        pub rings: Vec<RingSnapshot>,
     }
 }
 
@@ -460,12 +439,12 @@ mod tests {
     use memsync_trace::Pcg32;
 
     /// A stats document as the server rendered it before
-    /// `StatsSnapshot` became the schema, with every section present:
-    /// two shards with traffic, traced stages at the top level and per
-    /// shard, spans with rings, a fib with one swap, and the frontend
-    /// counters. Decoding it and rendering it back must reproduce it
-    /// byte for byte, so clients of either side see the same wire
-    /// format.
+    /// `StatsSnapshot` became the schema, less the span-ring keys the
+    /// `spans` section no longer has, with every section present: two
+    /// shards with traffic, traced stages at the top level and per
+    /// shard, spans, a fib with one swap, and the frontend counters.
+    /// Decoding it and rendering it back must reproduce it byte for
+    /// byte, so clients of either side see the same wire format.
     const GOLDEN: &str = include_str!("../tests/data/stats_document.json");
 
     fn decode(doc: &str) -> StatsSnapshot {
@@ -485,7 +464,7 @@ mod tests {
             && s.stages.len() == 4));
         assert_eq!(snap.stages.len(), STAGE_METRICS.len());
         assert!(snap.batch_size.is_some() && snap.service_latency_us.is_some());
-        assert_eq!(snap.spans.as_ref().map(|s| s.rings.len()), Some(2));
+        assert_eq!(snap.spans.map(|s| s.seen), Some(5));
         let fib = snap.fib.expect("fib section");
         assert_eq!(fib.swap_latency_us.map(|l| l.count), Some(1));
         assert!(snap.frontend.is_some());
@@ -553,18 +532,8 @@ mod tests {
             .collect();
         let spans = rng.gen_bool(0.5).then(|| SpansSnapshot {
             enabled: rng.gen_bool(0.5),
-            sample_every: counter(rng),
-            slow_ns: counter(rng),
             seen: counter(rng),
             exported: counter(rng),
-            rings: (0..rng.gen_range(0..3))
-                .map(|_| RingSnapshot {
-                    shard: counter(rng),
-                    seen: counter(rng),
-                    recent: counter(rng),
-                    slow: counter(rng),
-                })
-                .collect(),
         });
         let fib = rng.gen_bool(0.5).then(|| FibSnapshot {
             generation: counter(rng),
@@ -626,14 +595,12 @@ mod tests {
     fn seeded_snapshots_round_trip_through_the_document() {
         // Each optional section, and each list both empty and not, must
         // be present in some documents and absent from others.
-        const EITHER_WAY: [&str; 12] = [
+        const EITHER_WAY: [&str; 10] = [
             "\"backend\":",
             "\"batch_size\":",
             "\"service_latency_us\":",
             "\"stages\":",
             "\"spans\":",
-            "\"rings\":[]",
-            "\"rings\":[{",
             "\"fib\":",
             "\"swap_latency_us\":",
             "\"frontend\":",

@@ -215,7 +215,7 @@ mod tests {
             enabled,
             ..TracingConfig::default()
         };
-        ServeTracer::new(config, 2).expect("no span file to open")
+        ServeTracer::new(&config).expect("no span file to open")
     }
 
     #[test]

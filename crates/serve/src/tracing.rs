@@ -1,5 +1,5 @@
-//! Request-scoped tracing: per-stage span records, sampled span rings,
-//! and JSONL span export.
+//! Request-scoped tracing: per-stage span records, live stage
+//! histograms, and JSONL span export.
 //!
 //! A traced submit travels `decode → queue-wait → batch-coalesce →
 //! backend-execute → egress encode → socket write`. The shard thread
@@ -8,16 +8,17 @@
 //! [`crate::queue::JobOutcome::timings`]; the connection's session
 //! measures decode and write, and [`ServeTracer::finish`] stamps those and
 //! the span id on each record after the response hits the socket.
-//! Finished spans land three places:
+//! Finished spans land two places:
 //!
 //! * per-shard stage [`BucketHistogram`]s (the shard records its four
 //!   stages under its own stats registry; the tracer records the two
 //!   connection-side stages in a server-global frontend registry) —
 //!   merged into the stats frame for live p50/p99;
-//! * a bounded per-shard ring of recent spans (every `sample_every`-th)
-//!   plus an always-keep slow ring above [`TracingConfig::slow_ns`];
 //! * the optional JSONL span sink (`serve --trace-spans FILE`), one line
 //!   per span, reusing [`memsync_trace::JsonlSink`].
+//!
+//! The tracer keeps no span itself: the stats frame reports how many
+//! span records finished (`spans.seen`) and how many were exported.
 //!
 //! **Cost when disabled** (the default): a single `bool` load gates every
 //! instrumentation site — no `Instant::now`, no locks, no allocations.
@@ -25,49 +26,25 @@
 //!
 //! [`BucketHistogram`]: memsync_trace::BucketHistogram
 
-use crate::snapshot::{RingSnapshot, SpansSnapshot};
+use crate::snapshot::SpansSnapshot;
 use memsync_trace::{JsonlSink, MetricsRegistry, SpanRecord};
-use std::collections::VecDeque;
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Mutex, PoisonError};
-use std::time::Duration;
-
-/// Spans kept in each shard's sampled recent ring.
-const RECENT_CAP: usize = 256;
-/// Spans kept in each shard's always-keep slow ring.
-const SLOW_CAP: usize = 64;
 
 /// Bit marking a server-assigned span id (the client did not tag the
 /// batch).
 pub const SERVER_SPAN_BIT: u64 = 1 << 63;
 
 /// Request-tracing configuration (disabled by default).
-#[derive(Debug, Clone, PartialEq, Eq)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct TracingConfig {
     /// Master switch. Off means zero instrumentation cost.
     pub enabled: bool,
-    /// Keep every N-th span in the recent ring (1 = all). Slow spans are
-    /// always kept regardless.
-    pub sample_every: u32,
-    /// Spans whose stage total meets this threshold (nanoseconds) go to
-    /// the always-keep slow ring.
-    pub slow_ns: u64,
     /// JSONL span export path (`serve --trace-spans FILE`); every span
-    /// is written, not just sampled ones.
+    /// is written.
     pub spans_path: Option<String>,
-}
-
-impl Default for TracingConfig {
-    fn default() -> Self {
-        TracingConfig {
-            enabled: false,
-            sample_every: 16,
-            slow_ns: Duration::from_millis(5).as_nanos() as u64,
-            spans_path: None,
-        }
-    }
 }
 
 /// A span accumulating across one submit: the resolved id plus the
@@ -86,31 +63,15 @@ pub struct PendingSpan {
     pub timings: Vec<SpanRecord>,
 }
 
-/// One shard's bounded span retention.
-#[derive(Debug, Default)]
-struct SpanRings {
-    /// Every `sample_every`-th finished span, newest last.
-    recent: VecDeque<SpanRecord>,
-    /// Spans above the slow threshold, newest last, kept unconditionally.
-    slow: VecDeque<SpanRecord>,
-    /// Spans finished against this shard (sampled or not).
-    seen: u64,
-}
-
-fn push_capped(ring: &mut VecDeque<SpanRecord>, cap: usize, rec: SpanRecord) {
-    if ring.len() == cap {
-        ring.pop_front();
-    }
-    ring.push_back(rec);
-}
-
-/// The server-global tracing state: span-id assignment, per-shard rings,
-/// the frontend (connection-side) stage registry, and the JSONL sink.
+/// The server-global tracing state: span-id assignment, the finished
+/// span count, the frontend (connection-side) stage registry, and the
+/// JSONL sink.
 #[derive(Debug)]
 pub struct ServeTracer {
-    config: TracingConfig,
+    enabled: bool,
     next_span: AtomicU64,
-    rings: Vec<Mutex<SpanRings>>,
+    /// Span records finished so far, one per (request, shard).
+    seen: AtomicU64,
     /// Decode/write stage histograms (connection-thread stages; the four
     /// shard stages live in the per-shard stats registries).
     frontend: Mutex<MetricsRegistry>,
@@ -119,13 +80,12 @@ pub struct ServeTracer {
 }
 
 impl ServeTracer {
-    /// Builds the tracer for `shards` shards, opening the span export
-    /// file when configured.
+    /// Builds the tracer, opening the span export file when configured.
     ///
     /// # Errors
     ///
     /// Propagates span-file creation failures.
-    pub fn new(config: TracingConfig, shards: usize) -> io::Result<ServeTracer> {
+    pub fn new(config: &TracingConfig) -> io::Result<ServeTracer> {
         let sink = match (&config.spans_path, config.enabled) {
             (Some(path), true) => Some(Mutex::new(JsonlSink::new(BufWriter::new(File::create(
                 path,
@@ -133,11 +93,9 @@ impl ServeTracer {
             _ => None,
         };
         Ok(ServeTracer {
-            config,
+            enabled: config.enabled,
             next_span: AtomicU64::new(1),
-            rings: (0..shards)
-                .map(|_| Mutex::new(SpanRings::default()))
-                .collect(),
+            seen: AtomicU64::new(0),
             frontend: Mutex::new(MetricsRegistry::new()),
             sink,
             exported: AtomicU64::new(0),
@@ -149,7 +107,7 @@ impl ServeTracer {
     /// runs.
     #[inline]
     pub fn enabled(&self) -> bool {
-        self.config.enabled
+        self.enabled
     }
 
     /// Resolves a span id: the client's, or a fresh server-assigned id
@@ -164,10 +122,10 @@ impl ServeTracer {
         }
     }
 
-    /// Finalizes a span once the response left the socket: stamps the
-    /// span id and the connection-side stages on each (job, shard)
-    /// record, feeds the rings, records the connection-side stage
-    /// histograms, and exports JSONL lines.
+    /// Finalizes a span once the response left the socket: records the
+    /// connection-side stage histograms, counts the (job, shard) records,
+    /// and exports each as a JSONL line stamped with the span id and the
+    /// connection-side stages.
     pub fn finish(&self, pending: &PendingSpan, write_ns: u64) {
         if !self.enabled() || pending.timings.is_empty() {
             return;
@@ -177,31 +135,21 @@ impl ServeTracer {
             reg.record_bucket("serve.stage.decode_ns", pending.decode_ns);
             reg.record_bucket("serve.stage.write_ns", write_ns);
         }
-        for t in &pending.timings {
-            let rec = SpanRecord {
-                span: pending.span_id,
-                client_assigned: pending.client_assigned,
-                decode_ns: pending.decode_ns,
-                write_ns,
-                ..*t
-            };
-            if let Some(ring) = self.rings.get(t.shard as usize) {
-                let mut r = ring.lock().unwrap_or_else(PoisonError::into_inner);
-                r.seen += 1;
-                if rec.total_ns() >= self.config.slow_ns {
-                    push_capped(&mut r.slow, SLOW_CAP, rec);
-                } else if self.config.sample_every <= 1
-                    || r.seen % u64::from(self.config.sample_every) == 0
-                {
-                    push_capped(&mut r.recent, RECENT_CAP, rec);
-                }
+        let records = pending.timings.len() as u64;
+        self.seen.fetch_add(records, Ordering::Relaxed);
+        if let Some(sink) = &self.sink {
+            let mut sink = sink.lock().unwrap_or_else(PoisonError::into_inner);
+            for t in &pending.timings {
+                let rec = SpanRecord {
+                    span: pending.span_id,
+                    client_assigned: pending.client_assigned,
+                    decode_ns: pending.decode_ns,
+                    write_ns,
+                    ..*t
+                };
+                sink.write_meta(&rec.to_jsonl());
             }
-            if let Some(sink) = &self.sink {
-                sink.lock()
-                    .unwrap_or_else(PoisonError::into_inner)
-                    .write_meta(&rec.to_jsonl());
-                self.exported.fetch_add(1, Ordering::Relaxed);
-            }
+            self.exported.fetch_add(records, Ordering::Relaxed);
         }
     }
 
@@ -214,60 +162,18 @@ impl ServeTracer {
         }
     }
 
-    /// Snapshot of one shard's sampled recent spans, oldest first.
-    pub fn recent_spans(&self, shard: usize) -> Vec<SpanRecord> {
-        self.rings.get(shard).map_or_else(Vec::new, |r| {
-            r.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .recent
-                .iter()
-                .copied()
-                .collect()
-        })
-    }
-
-    /// Snapshot of one shard's slow spans, oldest first.
-    pub fn slow_spans(&self, shard: usize) -> Vec<SpanRecord> {
-        self.rings.get(shard).map_or_else(Vec::new, |r| {
-            r.lock()
-                .unwrap_or_else(PoisonError::into_inner)
-                .slow
-                .iter()
-                .copied()
-                .collect()
-        })
-    }
-
     /// Folds the connection-side stage histograms (decode/write) into a
     /// registry being assembled for a stats frame.
     pub fn merge_frontend_into(&self, reg: &mut MetricsRegistry) {
         reg.merge(&self.frontend.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
-    /// The snapshot's `spans` section: totals plus per-shard ring
-    /// occupancy.
+    /// The snapshot's `spans` section.
     pub fn snapshot(&self) -> SpansSnapshot {
-        let rings: Vec<RingSnapshot> = self
-            .rings
-            .iter()
-            .enumerate()
-            .map(|(i, ring)| {
-                let r = ring.lock().unwrap_or_else(PoisonError::into_inner);
-                RingSnapshot {
-                    shard: i as u64,
-                    seen: r.seen,
-                    recent: r.recent.len() as u64,
-                    slow: r.slow.len() as u64,
-                }
-            })
-            .collect();
         SpansSnapshot {
-            enabled: self.config.enabled,
-            sample_every: u64::from(self.config.sample_every),
-            slow_ns: self.config.slow_ns,
-            seen: rings.iter().map(|r| r.seen).sum(),
+            enabled: self.enabled,
+            seen: self.seen.load(Ordering::Relaxed),
             exported: self.exported.load(Ordering::Relaxed),
-            rings,
         }
     }
 }
@@ -293,15 +199,13 @@ mod tests {
     fn enabled_config() -> TracingConfig {
         TracingConfig {
             enabled: true,
-            sample_every: 2,
-            slow_ns: 1_000_000,
             spans_path: None,
         }
     }
 
     #[test]
     fn assign_marks_server_ids_with_the_high_bit() {
-        let t = ServeTracer::new(enabled_config(), 2).unwrap();
+        let t = ServeTracer::new(&enabled_config()).unwrap();
         assert_eq!(t.assign(Some(7)), (7, true));
         let (id, client) = t.assign(None);
         assert!(!client);
@@ -311,41 +215,8 @@ mod tests {
     }
 
     #[test]
-    fn finish_samples_recent_and_always_keeps_slow() {
-        let t = ServeTracer::new(enabled_config(), 1).unwrap();
-        // 4 fast spans at sample_every=2 -> 2 sampled.
-        for i in 0..4 {
-            t.finish(
-                &PendingSpan {
-                    span_id: i,
-                    client_assigned: true,
-                    decode_ns: 10,
-                    timings: vec![timings(0, 100)],
-                },
-                5,
-            );
-        }
-        // 1 slow span (stage total over the 1ms threshold).
-        t.finish(
-            &PendingSpan {
-                span_id: 99,
-                client_assigned: true,
-                decode_ns: 10,
-                timings: vec![timings(0, 300_000)],
-            },
-            5,
-        );
-        assert_eq!(t.snapshot().seen, 5);
-        assert_eq!(t.recent_spans(0).len(), 2);
-        let slow = t.slow_spans(0);
-        assert_eq!(slow.len(), 1);
-        assert_eq!(slow[0].span, 99);
-        assert!(slow[0].total_ns() >= 1_000_000);
-    }
-
-    #[test]
     fn finish_records_frontend_stage_histograms() {
-        let t = ServeTracer::new(enabled_config(), 1).unwrap();
+        let t = ServeTracer::new(&enabled_config()).unwrap();
         t.finish(
             &PendingSpan {
                 span_id: 1,
@@ -365,7 +236,7 @@ mod tests {
 
     #[test]
     fn disabled_tracer_ignores_everything() {
-        let t = ServeTracer::new(TracingConfig::default(), 2).unwrap();
+        let t = ServeTracer::new(&TracingConfig::default()).unwrap();
         assert!(!t.enabled());
         t.finish(
             &PendingSpan {
@@ -377,52 +248,35 @@ mod tests {
             5,
         );
         assert_eq!(t.snapshot().seen, 0);
-        assert!(t.recent_spans(0).is_empty());
     }
 
     #[test]
-    fn out_of_range_shard_is_dropped_not_panicking() {
-        let t = ServeTracer::new(enabled_config(), 1).unwrap();
-        t.finish(
-            &PendingSpan {
-                span_id: 1,
-                client_assigned: true,
-                decode_ns: 10,
-                timings: vec![timings(9, 10)],
-            },
-            5,
-        );
-        assert_eq!(t.snapshot().seen, 0);
-    }
-
-    #[test]
-    fn snapshot_reports_rings() {
-        let t = ServeTracer::new(enabled_config(), 2).unwrap();
-        for (id, total_each) in [(1, 100), (2, 100), (3, 300_000)] {
+    fn snapshot_counts_every_finished_span_record() {
+        let t = ServeTracer::new(&enabled_config()).unwrap();
+        // One record per (request, shard): a submit spread over two
+        // shards finishes two, on any shard, fast or slow.
+        for (id, records) in [
+            (1, vec![timings(0, 100)]),
+            (2, vec![timings(0, 100), timings(1, 300_000)]),
+            (3, vec![timings(9, 10)]),
+        ] {
             t.finish(
                 &PendingSpan {
                     span_id: id,
                     client_assigned: true,
                     decode_ns: 10,
-                    timings: vec![timings(1, total_each)],
+                    timings: records,
                 },
                 5,
             );
         }
-        let s = t.snapshot();
-        assert!(s.enabled);
-        assert_eq!((s.sample_every, s.slow_ns, s.seen), (2, 1_000_000, 3));
         assert_eq!(
-            s.rings,
-            [
-                RingSnapshot::default(),
-                RingSnapshot {
-                    shard: 1,
-                    seen: 3,
-                    recent: 1,
-                    slow: 1
-                }
-            ]
+            t.snapshot(),
+            SpansSnapshot {
+                enabled: true,
+                seen: 4,
+                exported: 0,
+            }
         );
     }
 }

@@ -5,7 +5,6 @@
 //!
 //! Alone in its own test binary: it measures the whole process's CPU
 //! time, which parallel tests in the same binary would inflate.
-#![cfg(target_os = "linux")]
 
 use memsync_netapp::Workload;
 use memsync_serve::{

@@ -2,7 +2,6 @@
 //! 127.0.0.1, real TCP clients, and the backpressure machinery these
 //! tests pin (deferred submits, egress high-water read pausing, the
 //! write deadline, conn-cap rejection).
-#![cfg(unix)]
 
 use memsync_netapp::Workload;
 use memsync_serve::client::BatchResult;

@@ -3,7 +3,6 @@
 //!
 //! Alone in its own test binary: it lists the whole process's threads,
 //! which parallel tests in the same binary would add to.
-#![cfg(target_os = "linux")]
 
 use memsync_netapp::Workload;
 use memsync_serve::{BackendKind, Client, ServeConfig, Server, SubmitOptions};

@@ -2,7 +2,7 @@
 //! (the default), the tracing machinery on the serve hot path performs
 //! zero heap allocations. Every instrumentation site gates on one bool —
 //! `ServeTracer::enabled()` — and the disabled branch must not touch the
-//! heap: no `PendingSpan`, no ring locks, no registry writes, no sink.
+//! heap: no `PendingSpan`, no locks, no registry writes, no sink.
 //!
 //! Counts with the per-thread allocator in `common`: only the
 //! measuring thread's allocations inside its window count, so the test
@@ -15,7 +15,7 @@ use memsync_trace::SpanRecord;
 
 #[test]
 fn disabled_tracer_path_allocates_nothing() {
-    let tracer = ServeTracer::new(TracingConfig::default(), 4).expect("build tracer");
+    let tracer = ServeTracer::new(&TracingConfig::default()).expect("build tracer");
     assert!(!tracer.enabled());
     // The connection loop's per-request state when tracing is off: an
     // empty pending span (`Vec::new` is allocation-free) that `finish`
@@ -43,7 +43,7 @@ fn disabled_tracer_path_allocates_nothing() {
             tracer.finish(&pending, 0);
         }
         // A disabled tracer also swallows real timings (e.g. a stale
-        // config race) without touching rings or the sink.
+        // config race) without counting them or touching the sink.
         tracer.finish(
             &PendingSpan {
                 span_id: 2,

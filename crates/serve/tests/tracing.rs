@@ -33,9 +33,7 @@ fn traced_config(spans_path: Option<String>) -> ServeConfig {
         backend: BackendKind::Fast,
         tracing: TracingConfig {
             enabled: true,
-            sample_every: 4,
             spans_path,
-            ..TracingConfig::default()
         },
         ..ServeConfig::default()
     }
