@@ -298,27 +298,21 @@ pub fn latency_experiment_traced(
     }
 }
 
-/// Builds the uninstrumented reference workload the self-timing harness
-/// (`perf` bin) and the perf regression tests measure: the egress-4
-/// forwarding application compiled for the arbitrated organization, under
-/// Bernoulli rx traffic — the same full-system configuration the overhead
-/// experiment simulates, so hot-path regressions in the thread executor,
-/// wrapper models, and engine all show up.
-pub fn reference_system() -> memsync_sim::System {
-    reference_system_at(OptLevel::O0)
-}
-
-/// [`reference_system`] compiled at an explicit middle-end level.
+/// Builds the uninstrumented reference workload the zero-allocation
+/// test steps: the egress-4 forwarding application compiled (at
+/// [`OptLevel::O0`]) for the arbitrated organization, under Bernoulli rx
+/// traffic — the same full-system configuration the overhead experiment
+/// simulates, so hot-path regressions in the thread executor, wrapper
+/// models, and engine all show up.
 ///
 /// # Panics
 ///
 /// Panics if the generated application fails to compile (a harness bug).
-pub fn reference_system_at(opt: OptLevel) -> memsync_sim::System {
+pub fn reference_system() -> memsync_sim::System {
     let src = memsync_netapp::forwarding::app_source(4);
     let mut compiler = memsync_core::Compiler::new(&src);
     compiler
         .organization(OrganizationKind::Arbitrated)
-        .opt(opt)
         .skip_validation();
     let compiled = compiler.compile().expect("forwarding app compiles");
     let mut sys = memsync_sim::System::new(&compiled);

@@ -163,11 +163,12 @@ mod tests {
             Box::new(FastBackend::new(2)),
         );
         let d = descs(11, 60);
-        b.submit_batch(&d[..30]);
-        b.submit_batch(&d[30..]);
-        let frames = b.drain_egress();
-        assert_eq!(frames.len(), 2);
-        assert_eq!(frames[0].len(), 60);
+        for batch in d.chunks(30) {
+            b.submit_batch(batch);
+            let frames = b.drain_egress();
+            assert_eq!(frames.len(), 2);
+            assert_eq!(frames[0].len(), 30);
+        }
         assert_eq!(b.lost_updates(), 0);
         assert!(b.metrics().sim_cycles > 0, "reference cycles attributed");
         assert_eq!(b.metrics().descriptors, 60);

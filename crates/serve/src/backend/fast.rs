@@ -7,8 +7,8 @@
 //! egress consumer scrambles the carriers straight into that consumer's
 //! arena lane ([`PipelineModel::scramble_batch`]). The lanes double as
 //! the zero-copy egress buffers: [`ForwardingBackend::drain_egress`]
-//! hands them out as a borrowed view and the next submit recycles their
-//! storage, so the steady state allocates nothing (pinned by
+//! hands them out as a borrowed view and the next submit overwrites them
+//! in place, so the steady state allocates nothing (pinned by
 //! `tests/fast_zero_alloc.rs`). Because execution is a pure function of
 //! each descriptor there is no shared guarded state to overwrite — the
 //! backend is paced *by construction* and `lost_updates()` is
@@ -24,14 +24,11 @@ use crate::pipeline::PipelineModel;
 #[derive(Debug)]
 pub struct FastBackend {
     model: PipelineModel,
-    /// Arena frame buffers, one lane per egress consumer. Accumulate
-    /// across submits; recycled (capacity kept) on the first submit after
-    /// a drain.
+    /// Arena frame buffers, one lane per egress consumer, holding the
+    /// last batch's frames; each submit refills them (capacity kept).
     lanes: Vec<Vec<u32>>,
     /// Per-batch carrier scratch shared by every egress pass.
     carriers: Vec<u32>,
-    /// Set by `drain_egress`; the next submit clears the consumed lanes.
-    drained: bool,
     descriptors: u64,
     frames: u64,
 }
@@ -43,19 +40,8 @@ impl FastBackend {
             model: PipelineModel::new(),
             lanes: vec![Vec::new(); egress],
             carriers: Vec::new(),
-            drained: false,
             descriptors: 0,
             frames: 0,
-        }
-    }
-
-    /// Recycles lanes consumed by the previous drain.
-    fn recycle(&mut self) {
-        if self.drained {
-            for lane in &mut self.lanes {
-                lane.clear();
-            }
-            self.drained = false;
         }
     }
 }
@@ -66,7 +52,6 @@ impl ForwardingBackend for FastBackend {
     }
 
     fn submit_batch(&mut self, descriptors: &[u32]) {
-        self.recycle();
         let n = descriptors.len();
         // Structure-of-arrays: one branch-free pass fills the carrier
         // scratch, then one pass per egress consumer writes frames in
@@ -75,10 +60,9 @@ impl ForwardingBackend for FastBackend {
         self.carriers.resize(n, 0);
         self.model.carrier_batch(descriptors, &mut self.carriers);
         for (i, lane) in self.lanes.iter_mut().enumerate() {
-            let start = lane.len();
-            lane.resize(start + n, 0);
-            self.model
-                .scramble_batch(&self.carriers, i, &mut lane[start..]);
+            lane.clear();
+            lane.resize(n, 0);
+            self.model.scramble_batch(&self.carriers, i, lane);
         }
         self.descriptors += n as u64;
         // Every descriptor filled one slot per egress lane.
@@ -86,7 +70,6 @@ impl ForwardingBackend for FastBackend {
     }
 
     fn drain_egress(&mut self) -> &[Vec<u32>] {
-        self.drained = true;
         &self.lanes
     }
 
@@ -114,21 +97,18 @@ mod tests {
         let w = Workload::generate(21, 64, 16);
         let descs: Vec<u32> = w.packets.iter().map(|p| p.descriptor()).collect();
         let mut b = FastBackend::new(3);
-        b.submit_batch(&descs[..40]);
-        b.submit_batch(&descs[40..]);
-        let frames = b.drain_egress();
-        assert_eq!(frames.len(), 3);
-        for (i, per_egress) in frames.iter().enumerate() {
-            assert_eq!(per_egress.len(), descs.len());
-            for (d, f) in descs.iter().zip(per_egress) {
-                assert_eq!(*f, expected_frame(*d, i));
+        for batch in descs.chunks(40) {
+            b.submit_batch(batch);
+            let frames = b.drain_egress();
+            assert_eq!(frames.len(), 3);
+            for (i, per_egress) in frames.iter().enumerate() {
+                assert_eq!(per_egress.len(), batch.len(), "only this batch's frames");
+                for (d, f) in batch.iter().zip(per_egress) {
+                    assert_eq!(*f, expected_frame(*d, i));
+                }
             }
         }
         assert_eq!(b.metrics().descriptors, 64);
-        // The drained lanes are recycled; nothing lingers into the next
-        // batch.
-        b.submit_batch(&descs[..2]);
-        assert_eq!(b.drain_egress()[0].len(), 2);
     }
 
     #[test]
@@ -139,7 +119,7 @@ mod tests {
         let first: Vec<Vec<u32>> = b.drain_egress().to_vec();
         // A second drain with no intervening submit sees the same frames.
         assert_eq!(b.drain_egress(), &first[..]);
-        // The next submit recycles the storage for the new batch only.
+        // The next submit replaces the view with the new batch only.
         b.submit_batch(&descs[..1]);
         let second = b.drain_egress();
         assert_eq!(second[0].len(), 1);

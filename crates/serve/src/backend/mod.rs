@@ -145,22 +145,21 @@ pub trait ForwardingBackend: Send {
     /// Which implementation this is (stats attribution, `Hello` frames).
     fn kind(&self) -> BackendKind;
 
-    /// Executes a batch of packet descriptors. Frames accumulate until
-    /// the next [`ForwardingBackend::drain_egress`]; multiple submits may
-    /// precede one drain. Execution counters (including `frames`) advance
-    /// at submit time, so a caller can read [`ForwardingBackend::metrics`]
-    /// for the batch *before* draining.
+    /// Executes a batch of packet descriptors. Its frames replace the
+    /// previous batch's, drained or not. Execution counters (including
+    /// `frames`) advance at submit time, so a caller can read
+    /// [`ForwardingBackend::metrics`] for the batch *before* draining.
     fn submit_batch(&mut self, descriptors: &[u32]);
 
-    /// Every accumulated egress frame as a borrowed view: one lane per
-    /// egress consumer, each holding one frame per undrained descriptor,
+    /// The last submitted batch's egress frames as a borrowed view: one
+    /// lane per egress consumer, each holding one frame per descriptor,
     /// in submission order.
     ///
     /// Zero-copy contract: the lanes are the backend's own arena buffers,
     /// handed out in place — no per-batch clone. The view stays valid (and
     /// repeated drains return the same frames) until the next
-    /// [`ForwardingBackend::submit_batch`], which recycles the drained
-    /// lanes' storage for the next batch.
+    /// [`ForwardingBackend::submit_batch`], which reuses the lanes'
+    /// storage for its own batch.
     fn drain_egress(&mut self) -> &[Vec<u32>];
 
     /// Cumulative guarded-location overwrites of unconsumed values — the

@@ -28,13 +28,11 @@ pub struct SimBackend {
     egress: Vec<ThreadId>,
     /// The organization compiled in, named by the stall panic.
     organization: OrganizationKind,
-    /// Accumulated frames, one lane per egress consumer; the zero-copy
-    /// view `drain_egress` hands out. Pulled out of the simulator at
-    /// submit time (so the pacing base stays 0 and metrics advance with
-    /// the submit), recycled on the first submit after a drain.
+    /// The last batch's frames, one lane per egress consumer; the
+    /// zero-copy view `drain_egress` hands out. Pulled out of the
+    /// simulator at submit time (so the pacing base stays 0 and metrics
+    /// advance with the submit); each submit refills them.
     lanes: Vec<Vec<u32>>,
-    /// Set by `drain_egress`; the next submit clears the consumed lanes.
-    drained: bool,
     /// The batch's descriptors widened for the simulator's rx queue,
     /// reused across submits.
     values: Vec<i64>,
@@ -71,7 +69,6 @@ impl SimBackend {
             egress: ids,
             organization,
             lanes: vec![Vec::new(); egress],
-            drained: false,
             values: Vec::new(),
             descriptors: 0,
             frames: 0,
@@ -85,12 +82,6 @@ impl ForwardingBackend for SimBackend {
     }
 
     fn submit_batch(&mut self, descriptors: &[u32]) {
-        if self.drained {
-            for lane in &mut self.lanes {
-                lane.clear();
-            }
-            self.drained = false;
-        }
         self.values.clear();
         self.values
             .extend(descriptors.iter().map(|&d| i64::from(d)));
@@ -111,15 +102,14 @@ impl ForwardingBackend for SimBackend {
         // keep their capacity, and the frame counter advances with the
         // submit, per the trait contract.
         for (lane, &id) in self.lanes.iter_mut().zip(&self.egress) {
-            let before = lane.len();
+            lane.clear();
             lane.extend(self.sys.drain_sent_in_place(id).map(|f| f as u32));
-            self.frames += (lane.len() - before) as u64;
+            self.frames += lane.len() as u64;
         }
         self.descriptors += descriptors.len() as u64;
     }
 
     fn drain_egress(&mut self) -> &[Vec<u32>] {
-        self.drained = true;
         &self.lanes
     }
 
@@ -177,19 +167,21 @@ mod tests {
     }
 
     #[test]
-    fn multiple_submits_accumulate_until_one_drain() {
+    fn each_submit_replaces_the_previous_batch() {
         let w = Workload::generate(3, 20, 16);
         let descs: Vec<u32> = w.packets.iter().map(|p| p.descriptor()).collect();
         let mut b = SimBackend::new(2, OrganizationKind::EventDriven);
         b.submit_batch(&descs[..8]);
         b.submit_batch(&descs[8..]);
-        let frames = b.drain_egress();
-        for per_egress in frames {
-            assert_eq!(per_egress.len(), 20, "both submits drained together");
+        // Undrained frames of the first submit are gone: the view holds
+        // the second batch only.
+        for (i, per_egress) in b.drain_egress().iter().enumerate() {
+            let want: Vec<u32> = descs[8..].iter().map(|&d| expected_frame(d, i)).collect();
+            assert_eq!(per_egress, &want);
         }
-        // Drained: the next round starts from an empty egress buffer.
         b.submit_batch(&descs[..4]);
         assert_eq!(b.drain_egress()[0].len(), 4);
         assert_eq!(b.metrics().descriptors, 24);
+        assert_eq!(b.metrics().frames, 24 * 2, "every batch's frames counted");
     }
 }

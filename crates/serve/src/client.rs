@@ -1,6 +1,6 @@
 //! A thin blocking client for the frame protocol.
 //!
-//! Used by `loadgen`, the loopback e2e tests, and the `perf_serve` bench.
+//! Used by `loadgen`, the loopback e2e tests, and `memsync-benchmark`.
 //! Connections are built through [`Client::builder`]: the builder carries
 //! socket deadlines and the busy-retry budget, and `connect` performs the
 //! protocol-v2 `Hello` negotiation before handing the connection over —

@@ -58,14 +58,15 @@
 //!   socket write, live stage histograms, and JSONL span export
 //!   (`serve --trace-spans`); zero-cost when disabled;
 //! * [`client`] — a blocking client used by the `loadgen` bin, the
-//!   loopback tests, and the self-timing harness; built via
+//!   loopback tests, and `memsync-benchmark`; built via
 //!   [`Client::builder`], it negotiates the protocol version and backend
 //!   capabilities at connect time.
 //!
 //! The crate is Linux-only: the reactor calls epoll directly.
 //!
-//! The wire protocol, backpressure semantics, and `BENCH_serve.json`
-//! schema are documented in `EXPERIMENTS.md` ("Serving traffic").
+//! The wire protocol and backpressure semantics are documented in
+//! `EXPERIMENTS.md` ("Serving traffic"); the per-request work counts
+//! that `tests/request_counts.rs` pins, in its "Work counts" section.
 
 #![warn(missing_docs)]
 // `deny` (not `forbid`): the reactor's syscall shim is the one audited

@@ -388,6 +388,10 @@ struct Reactor {
     free: Vec<usize>,
     /// Slots with a request in flight, deduplicated via `Conn::queued`.
     work: Vec<usize>,
+    /// The list `process_work` swaps in for `work` while it walks the
+    /// old one, so re-queueing a busy session reuses capacity instead
+    /// of allocating.
+    spare_work: Vec<usize>,
     /// The read-ahead buffer, shared by this thread's connections: an
     /// idle connection holds no read buffer.
     rbuf: Box<[u8]>,
@@ -419,6 +423,7 @@ impl Reactor {
             conns: Vec::new(),
             free: Vec::new(),
             work: Vec::new(),
+            spare_work: Vec::new(),
             rbuf: vec![0; READ_AHEAD].into_boxed_slice(),
             last_sweep: Instant::now(),
         })
@@ -540,7 +545,8 @@ impl Reactor {
             return;
         }
         let now = Instant::now();
-        let mut list = std::mem::take(&mut self.work);
+        let spare = std::mem::take(&mut self.spare_work);
+        let mut list = std::mem::replace(&mut self.work, spare);
         for &idx in &list {
             if let Some(conn) = self.conns.get_mut(idx).and_then(Option::as_mut) {
                 conn.queued = false;
@@ -549,9 +555,7 @@ impl Reactor {
             }
         }
         list.clear();
-        if self.work.is_empty() {
-            self.work = list;
-        }
+        self.spare_work = list;
     }
 
     /// Settles a connection after any I/O or session step: closes it if

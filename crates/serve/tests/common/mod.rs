@@ -7,11 +7,16 @@
 //! allocates and registers no destructor, so the allocator cannot
 //! recurse into itself.
 //!
+//! Beside the windows it keeps one process-wide count of allocation
+//! calls on every thread ([`process_calls`]), for tests that measure a
+//! server and its client together.
+//!
 //! Including this module installs the allocator for the whole test
 //! binary.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::cell::Cell;
+use std::sync::atomic::{AtomicU64, Ordering};
 
 /// What one measuring window counted.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -27,8 +32,19 @@ thread_local! {
     static WINDOW: Cell<Option<Counts>> = const { Cell::new(None) };
 }
 
+/// Calls to `alloc`, `alloc_zeroed` and `realloc` on every thread.
+static PROCESS_CALLS: AtomicU64 = AtomicU64::new(0);
+
+/// Allocation calls made so far by every thread of the process,
+/// windows or not.
+#[allow(dead_code)] // the binaries that count one thread use `count`
+pub fn process_calls() -> u64 {
+    PROCESS_CALLS.load(Ordering::Relaxed)
+}
+
 /// Runs `f` in a measuring window on the calling thread and returns its
 /// result with what it allocated.
+#[allow(dead_code)] // the binaries that count whole requests use `process_calls`
 pub fn count<R>(f: impl FnOnce() -> R) -> (R, Counts) {
     WINDOW.with(|w| w.set(Some(Counts::default())));
     let r = f();
@@ -37,6 +53,7 @@ pub fn count<R>(f: impl FnOnce() -> R) -> (R, Counts) {
 }
 
 fn record(bytes: usize) {
+    PROCESS_CALLS.fetch_add(1, Ordering::Relaxed);
     // `try_with`: a thread whose locals are being torn down is not
     // measuring anything.
     let _ = WINDOW.try_with(|w| {

@@ -32,13 +32,24 @@ fn dropping_the_server_joins_every_thread_it_spawned() {
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
-    assert!(
-        server_threads()
+    // A spawned thread names itself only once it first runs, so the
+    // names can lag `Server::start`: wait for both shards' names.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let threads = server_threads();
+        let shards = threads
             .iter()
-            .any(|t| t.starts_with("memsync-shard")),
-        "shard threads are running: {:?}",
-        server_threads()
-    );
+            .filter(|t| t.starts_with("memsync-shard"))
+            .count();
+        if shards == 2 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "shard threads are running: {threads:?}"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
 
     let mut submitter = Client::connect(addr).expect("connect");
     let w = Workload::generate(8, 64, 16);

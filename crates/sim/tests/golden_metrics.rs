@@ -154,10 +154,10 @@ fn instrumented_and_uninstrumented_latency_paths_agree() {
 
 const FORWARDING_THREADS: [&str; 7] = ["rx", "lkp", "fwd", "e0", "e1", "e2", "e3"];
 
-fn forwarding(kind: OrganizationKind) -> CompiledSystem {
+fn forwarding(kind: OrganizationKind, opt: OptLevel) -> CompiledSystem {
     let src = memsync_netapp::forwarding::app_source(4);
     let mut c = Compiler::new(&src);
-    c.organization(kind).opt(OptLevel::O0).skip_validation();
+    c.organization(kind).opt(opt).skip_validation();
     c.compile().expect("forwarding app compiles")
 }
 
@@ -185,7 +185,7 @@ fn thread_counters(sys: &System, threads: &[&str]) -> Vec<(u64, u64, u64, usize)
 /// Bernoulli arrivals (seed 5, p = 0.1) on `rx` for 20,000 cycles. Nothing
 /// paces them, so the run reaches every stall path and loses updates.
 fn forwarding_bernoulli(kind: OrganizationKind, sink: Option<&SharedSink<VecSink>>) -> System {
-    let mut sys = System::new(&forwarding(kind));
+    let mut sys = System::new(&forwarding(kind, OptLevel::O0));
     if let Some(sink) = sink {
         sys.set_sink(Box::new(sink.clone()));
     }
@@ -201,9 +201,10 @@ fn forwarding_bernoulli(kind: OrganizationKind, sink: Option<&SharedSink<VecSink
 /// every egress thread's frames.
 fn forwarding_paced(
     kind: OrganizationKind,
+    opt: OptLevel,
     late_sink: Option<&SharedSink<VecSink>>,
 ) -> (System, u64) {
-    let mut sys = System::new(&forwarding(kind));
+    let mut sys = System::new(&forwarding(kind, opt));
     let egress: Vec<_> = (0..4)
         .map(|i| sys.thread_id(&format!("e{i}")).expect("egress thread"))
         .collect();
@@ -338,7 +339,7 @@ fn forwarding_bernoulli_trace_matches_the_polling_engine() {
 #[test]
 fn forwarding_paced_run_matches_the_polling_engine() {
     for pin in &FORWARDING_PINS {
-        let (sys, frames) = forwarding_paced(pin.kind, None);
+        let (sys, frames) = forwarding_paced(pin.kind, OptLevel::O0, None);
         // 35 cycles per packet arbitrated and 29 event-driven, plus one.
         assert_eq!(sys.cycle(), pin.paced_cycles, "{}", pin.kind);
         assert_eq!(sys.lost_updates(), 0, "{}", pin.kind);
@@ -352,11 +353,24 @@ fn forwarding_paced_run_matches_the_polling_engine() {
     }
 }
 
+/// The O1 middle-end shrinks the thread FSMs but not the paced run: the
+/// same cycle count (8,961 arbitrated, 7,425 event-driven) and the same
+/// frames as O0.
+#[test]
+fn forwarding_paced_run_at_o1_takes_the_o0_cycles() {
+    for pin in &FORWARDING_PINS {
+        let (sys, frames) = forwarding_paced(pin.kind, OptLevel::O1, None);
+        assert_eq!(sys.cycle(), pin.paced_cycles, "{} at O1", pin.kind);
+        assert_eq!(sys.lost_updates(), 0, "{} at O1", pin.kind);
+        assert_eq!(frames, PACED_FRAMES, "{} at O1", pin.kind);
+    }
+}
+
 #[test]
 fn forwarding_paced_trace_with_a_late_sink_matches_the_polling_engine() {
     for pin in &FORWARDING_PINS {
         let sink = SharedSink::new(VecSink::new());
-        let (sys, frames) = forwarding_paced(pin.kind, Some(&sink));
+        let (sys, frames) = forwarding_paced(pin.kind, OptLevel::O0, Some(&sink));
         assert_eq!(sys.cycle(), pin.paced_cycles, "{}", pin.kind);
         assert_eq!(frames, PACED_FRAMES, "{}", pin.kind);
         let (events, trace) = sink.with(|s| (s.events.len(), trace_hash(&s.events)));

@@ -115,6 +115,16 @@ impl HistSummary {
     }
 }
 
+/// The value under `name`, inserted as its default first if absent. The
+/// key `String` is allocated only on that first insert, so updating an
+/// existing key allocates nothing.
+fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_owned(), V::default());
+    }
+    map.get_mut(name).expect("inserted above")
+}
+
 /// The registry: counters, histograms, high-water marks, and the folded-in
 /// latency recorder.
 #[derive(Debug, Clone, Default)]
@@ -145,7 +155,7 @@ impl MetricsRegistry {
 
     /// Increments a counter by `n`.
     pub fn add(&mut self, name: &str, n: u64) {
-        *self.counters.entry(name.to_owned()).or_insert(0) += n;
+        *slot(&mut self.counters, name) += n;
     }
 
     /// Current counter value (0 when never touched).
@@ -164,10 +174,7 @@ impl MetricsRegistry {
 
     /// Records a histogram sample.
     pub fn record(&mut self, name: &str, v: u64) {
-        self.histograms
-            .entry(name.to_owned())
-            .or_default()
-            .record(v);
+        slot(&mut self.histograms, name).record(v);
     }
 
     /// A histogram by name.
@@ -179,7 +186,7 @@ impl MetricsRegistry {
     /// (the long-lived-process counterpart of [`MetricsRegistry::record`]:
     /// O(1) memory, exact min/max, bucket-resolution percentiles).
     pub fn record_bucket(&mut self, name: &str, v: u64) {
-        self.buckets.entry(name.to_owned()).or_default().record(v);
+        slot(&mut self.buckets, name).record(v);
     }
 
     /// A bucketed histogram by name.
@@ -194,8 +201,8 @@ impl MetricsRegistry {
 
     /// Raises a high-water mark (keeps the maximum ever observed).
     pub fn observe_gauge(&mut self, name: &str, v: u64) {
-        let slot = self.highwater.entry(name.to_owned()).or_insert(0);
-        *slot = (*slot).max(v);
+        let mark = slot(&mut self.highwater, name);
+        *mark = (*mark).max(v);
     }
 
     /// A high-water mark by name.
@@ -313,21 +320,17 @@ impl MetricsRegistry {
     /// registries a serve stats frame aggregates.
     pub fn merge(&mut self, other: &MetricsRegistry) {
         for (k, v) in &other.counters {
-            *self.counters.entry(k.clone()).or_insert(0) += v;
+            *slot(&mut self.counters, k) += v;
         }
         for (k, h) in &other.histograms {
-            self.histograms
-                .entry(k.clone())
-                .or_default()
-                .samples
-                .extend(&h.samples);
+            slot(&mut self.histograms, k).samples.extend(&h.samples);
         }
         for (k, h) in &other.buckets {
-            self.buckets.entry(k.clone()).or_default().merge(h);
+            slot(&mut self.buckets, k).merge(h);
         }
         for (k, v) in &other.highwater {
-            let slot = self.highwater.entry(k.clone()).or_insert(0);
-            *slot = (*slot).max(*v);
+            let mark = slot(&mut self.highwater, k);
+            *mark = (*mark).max(*v);
         }
         self.latency.merge(&other.latency);
         self.last_cycle = self.last_cycle.max(other.last_cycle);
