@@ -1,233 +1,71 @@
 //! Runs every experiment and emits the measured section of EXPERIMENTS.md
 //! (markdown on stdout; `--json` for machine-readable output).
 //!
-//! `--jobs N` fans the independent experiment cells (area tables,
-//! overhead builds, latency runs, ablation bases) across worker threads
-//! (default: available parallelism); output is byte-identical for any job
-//! count. `--trace <path>` streams the latency experiment's cycle events
-//! as JSONL; `--metrics <path>` writes its per-run counter/histogram
-//! registries.
+//! `--trace <path>` streams the latency experiment's cycle events as
+//! JSONL (one `{"meta":"run",...}` header per run); `--metrics <path>`
+//! writes its per-run counter/histogram registries.
 //!
 //! `--opt {0,1}` sets the middle-end level the overhead builds compile
 //! at (default 0; the middle-end comparison section always reports both
 //! levels). `--dump-passes` additionally prints every per-thread pass
 //! report of the middle-end comparison builds.
+//!
+//! An unknown argument, a flag without its value or an unknown level
+//! prints the usage line on stderr and exits with status 2.
 
-use memsync_bench::sweep::{jobs_arg, parallel_map_slice};
-use memsync_bench::*;
-use memsync_core::OrganizationKind;
-use memsync_trace::Json;
-use std::io::Write;
+use memsync_bench::{latency_metrics_json, Report};
+use memsync_core::OptLevel;
+use memsync_trace::JsonlSink;
+use std::fs::File;
+use std::io::BufWriter;
 
-fn area_rows_json(rows: &[AreaRow]) -> Json {
-    Json::Arr(
-        rows.iter()
-            .map(|r| {
-                Json::obj()
-                    .with("pc", r.pc.as_str().into())
-                    .with("luts", u64::from(r.luts).into())
-                    .with("ffs", u64::from(r.ffs).into())
-                    .with("slices", u64::from(r.slices).into())
-                    .with("fmax_mhz", r.fmax_mhz.into())
-            })
-            .collect(),
-    )
+const USAGE: &str =
+    "usage: report [--json] [--opt {0,1}] [--dump-passes] [--trace PATH] [--metrics PATH]";
+
+fn usage(problem: &str) -> ! {
+    eprintln!("report: {problem}\n{USAGE}");
+    std::process::exit(2)
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let json = args.iter().any(|a| a == "--json");
-    let trace_path = arg_value(&args, "--trace");
-    let metrics_path = arg_value(&args, "--metrics");
-    let jobs = jobs_arg(&args);
-    let opt = opt_arg(&args);
-    let dump_passes = args.iter().any(|a| a == "--dump-passes");
-
-    let kinds = [OrganizationKind::Arbitrated, OrganizationKind::EventDriven];
-    let mut tables = parallel_map_slice(&kinds, jobs, |&k| table_area(k));
-    let t2 = tables.pop().expect("two tables");
-    let t1 = tables.pop().expect("two tables");
-    let overhead_grid: Vec<(OrganizationKind, usize)> = kinds
-        .iter()
-        .flat_map(|&k| SCENARIOS.iter().map(move |&n| (k, n)))
-        .collect();
-    let overhead: Vec<_> = parallel_map_slice(&overhead_grid, jobs, |&(k, n)| {
-        (k.to_string(), overhead_experiment_at(k, n, opt))
-    });
-    let me_grid = middle_end_grid();
-    let middle_end = parallel_map_slice(&me_grid, jobs, |&(e, l)| middle_end_row(e, l));
-    let grid = latency_grid();
-    let capture = trace_path.is_some();
-    let runs = parallel_map_slice(&grid, jobs, |&(kind, n)| {
-        latency_run(kind, n, 200, 0xC0FFEE, capture)
-    });
-    let latency: Vec<_> = runs
-        .iter()
-        .map(|run| (run.kind.to_string(), run.result.clone()))
-        .collect();
-    if let Some(p) = &trace_path {
-        // Deterministic merge: buffered per-run traces concatenated in
-        // grid order, independent of worker completion order.
-        let mut f = std::io::BufWriter::new(std::fs::File::create(p).expect("create trace file"));
-        for run in &runs {
-            let (bytes, _) = run.trace.as_ref().expect("capture was requested");
-            f.write_all(bytes).expect("write trace file");
+    let mut json = false;
+    let mut dump_passes = false;
+    let mut opt = OptLevel::O0;
+    let mut trace_path = None;
+    let mut metrics_path = None;
+    let mut args = std::env::args().skip(1);
+    while let Some(arg) = args.next() {
+        let mut value = || match args.next() {
+            Some(v) if !v.starts_with("--") => v,
+            _ => usage(&format!("{arg} needs a value")),
+        };
+        match arg.as_str() {
+            "--json" => json = true,
+            "--dump-passes" => dump_passes = true,
+            "--opt" => {
+                opt = value()
+                    .parse()
+                    .unwrap_or_else(|e| usage(&format!("--opt: {e}")))
+            }
+            "--trace" => trace_path = Some(value()),
+            "--metrics" => metrics_path = Some(value()),
+            _ => usage(&format!("unknown argument {arg:?}")),
         }
-        f.flush().expect("flush trace file");
+    }
+
+    let mut trace = trace_path
+        .map(|p| JsonlSink::new(BufWriter::new(File::create(p).expect("create trace file"))));
+    let report = Report::measure(opt, trace.as_mut());
+    if let Some(sink) = trace {
+        sink.into_inner().expect("write trace file");
     }
     if let Some(p) = &metrics_path {
-        let metric_runs: Vec<Json> = runs
-            .iter()
-            .map(|run| {
-                Json::obj()
-                    .with("org", run.kind.to_string().as_str().into())
-                    .with("consumers", run.consumers.into())
-                    .with("metrics", run.registry.to_json())
-            })
-            .collect();
-        let doc = Json::obj().with("runs", Json::Arr(metric_runs));
-        std::fs::write(p, doc.pretty()).expect("write metrics file");
+        std::fs::write(p, latency_metrics_json(&report.latency).pretty())
+            .expect("write metrics file");
     }
-    let bases = [2usize, 4, 7];
-    let ablation: Vec<_> = parallel_map_slice(&bases, jobs, |&b| ablation_scalability(b))
-        .into_iter()
-        .flatten()
-        .collect();
-
     if json {
-        let overhead_json = Json::Arr(
-            overhead
-                .iter()
-                .map(|(org, r)| {
-                    Json::obj()
-                        .with("org", org.as_str().into())
-                        .with("egress", r.egress.into())
-                        .with("core_slices", u64::from(r.core_slices).into())
-                        .with("sync_slices", u64::from(r.sync_slices).into())
-                        .with("total_slices", u64::from(r.total_slices).into())
-                        .with("overhead_fraction", r.overhead_fraction.into())
-                        .with("fmax_mhz", r.fmax_mhz.into())
-                })
-                .collect(),
-        );
-        let latency_json = Json::Arr(
-            latency
-                .iter()
-                .map(|(org, r)| {
-                    Json::obj()
-                        .with("org", org.as_str().into())
-                        .with("consumers", r.consumers.into())
-                        .with("min", r.pooled.min.into())
-                        .with("mean", r.pooled.mean.into())
-                        .with("max", r.pooled.max.into())
-                        .with("deterministic", r.all_deterministic.into())
-                })
-                .collect(),
-        );
-        let ablation_json = Json::Arr(
-            ablation
-                .iter()
-                .map(|a| {
-                    Json::obj()
-                        .with("organization", a.organization.as_str().into())
-                        .with("lut_delta", a.lut_delta.into())
-                        .with("ff_delta", a.ff_delta.into())
-                        .with("state_changed", a.state_changed.into())
-                })
-                .collect(),
-        );
-        let middle_end_json = Json::Arr(
-            middle_end
-                .iter()
-                .map(|r| {
-                    let mut row = Json::obj()
-                        .with("egress", r.egress.into())
-                        .with("level", r.level.to_string().as_str().into())
-                        .with("fsm_states", r.fsm_states.into())
-                        .with("memory_ops", r.memory_ops.into())
-                        .with("guarded_ops", r.guarded_ops.into())
-                        .with("alu_units", r.alu_units.into())
-                        .with("reads_forwarded", r.reads_forwarded.into())
-                        .with("cycles_per_packet", r.cycles_per_packet.into());
-                    if dump_passes {
-                        row = row.with(
-                            "passes",
-                            Json::Arr(r.pass_reports.iter().map(|p| p.to_json()).collect()),
-                        );
-                    }
-                    row
-                })
-                .collect(),
-        );
-        let blob = Json::obj()
-            .with("table1", area_rows_json(&t1))
-            .with("table2", area_rows_json(&t2))
-            .with("overhead", overhead_json)
-            .with("latency", latency_json)
-            .with("middle_end", middle_end_json)
-            .with("ablation", ablation_json);
-        println!("{}", blob.pretty());
-        return;
-    }
-
-    println!("## Measured results\n");
-    println!("{}", render_area_table(OrganizationKind::Arbitrated, &t1));
-    println!("{}", render_area_table(OrganizationKind::EventDriven, &t2));
-    println!("### Overhead (E5)\n");
-    println!("| org | egress | core | sync | overhead |");
-    println!("|-----|--------|------|------|----------|");
-    for (org, r) in &overhead {
-        println!(
-            "| {org} | {} | {} | {} | {:.1}% |",
-            r.egress,
-            r.core_slices,
-            r.sync_slices,
-            r.overhead_fraction * 100.0
-        );
-    }
-    println!("\n### Latency (E6)\n");
-    println!("| org | consumers | min | mean | max | deterministic |");
-    println!("|-----|-----------|-----|------|-----|---------------|");
-    for (org, r) in &latency {
-        println!(
-            "| {org} | {} | {} | {:.2} | {} | {} |",
-            r.consumers, r.pooled.min, r.pooled.mean, r.pooled.max, r.all_deterministic
-        );
-    }
-    println!("\n### Optimizing middle-end (E10)\n");
-    println!("| app | level | FSM states | mem ops | guarded | FUs | cycles/packet |");
-    println!("|-----|-------|------------|---------|---------|-----|---------------|");
-    for r in &middle_end {
-        println!(
-            "| forwarding_{} | {} | {} | {} | {} | {} | {:.1} |",
-            r.egress,
-            r.level,
-            r.fsm_states,
-            r.memory_ops,
-            r.guarded_ops,
-            r.alu_units,
-            r.cycles_per_packet
-        );
-    }
-    if dump_passes {
-        println!();
-        for r in &middle_end {
-            for p in &r.pass_reports {
-                println!(
-                    "forwarding_{} thread `{}` [{}]: {} -> {} ops ({} guarded -> {}), \
-                     {} -> {} states{}",
-                    r.egress,
-                    p.thread,
-                    p.level,
-                    p.ops_before,
-                    p.ops_after,
-                    p.guarded_ops_before,
-                    p.guarded_ops_after,
-                    p.states_before,
-                    p.states_after,
-                    if p.gated { " (gated)" } else { "" }
-                );
-            }
-        }
+        println!("{}", report.json(dump_passes).pretty());
+    } else {
+        print!("{}", report.markdown(dump_passes));
     }
 }

@@ -1,14 +1,13 @@
 //! # memsync-bench — experiment harness
 //!
-//! One function per table/figure of the paper (see DESIGN.md §4); the
-//! binaries in `src/bin/` print the same rows the paper reports, and the
-//! integration tests assert the shape criteria. Everything here is driven
-//! by the same generators/models the library ships — nothing is hard-coded
+//! One function per table/figure of the paper (see DESIGN.md §4), and
+//! [`Report`], which runs them all; the `report` binary prints it as the
+//! measured section of EXPERIMENTS.md or as JSON, and the workspace's
+//! `tests/report_golden.rs` pins that JSON. Everything here is driven by
+//! the same generators/models the library ships — nothing is hard-coded
 //! except the paper's published anchors.
 
 #![warn(missing_docs)]
-
-pub mod sweep;
 
 use memsync_core::{arbitrated, event_driven, spec::WrapperSpec, OptLevel, OrganizationKind};
 use memsync_fpga::calibration::PAPER_ANCHORS;
@@ -16,32 +15,14 @@ use memsync_fpga::report::{implement, ImplReport};
 use memsync_sim::arb_model::{ArbInputs, ArbitratedModel};
 use memsync_sim::event_model::{EventDrivenModel, EvtInputs};
 use memsync_sim::metrics::LatencyStats;
-use memsync_trace::{JsonlSink, MetricsRegistry, NullSink, Pcg32, RecordingSink, TraceSink};
+use memsync_trace::{Json, JsonlSink, MetricsRegistry, NullSink, Pcg32, RecordingSink, TraceSink};
+use std::fmt::Write as _;
 
 /// The paper's three scenarios: one producer with 2, 4, 8 consumers.
 pub const SCENARIOS: [usize; 3] = [2, 4, 8];
 
-/// Looks up the value following `flag` in argv (`--trace out.jsonl`).
-pub fn arg_value(args: &[String], flag: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == flag)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-/// Parses the `--opt {0,1}` flag (default [`OptLevel::O0`]).
-///
-/// # Panics
-///
-/// Panics on an unparseable level, mirroring the other flag helpers.
-pub fn opt_arg(args: &[String]) -> OptLevel {
-    arg_value(args, "--opt")
-        .map(|v| {
-            v.parse::<OptLevel>()
-                .unwrap_or_else(|e| panic!("--opt: {e}"))
-        })
-        .unwrap_or(OptLevel::O0)
-}
+/// The two memory organizations, in the order every table lists them.
+const KINDS: [OrganizationKind; 2] = [OrganizationKind::Arbitrated, OrganizationKind::EventDriven];
 
 /// One row of Table 1 / Table 2.
 #[derive(Debug, Clone, PartialEq)]
@@ -115,17 +96,9 @@ pub struct OverheadResult {
     pub fmax_mhz: f64,
 }
 
-/// Builds the forwarding application and measures the synchronization
-/// overhead relative to the core (paper band: 5–20 %).
-///
-/// # Panics
-///
-/// Panics if the generated application fails to compile (a harness bug).
-pub fn overhead_experiment(kind: OrganizationKind, egress: usize) -> OverheadResult {
-    overhead_experiment_at(kind, egress, OptLevel::O0)
-}
-
-/// [`overhead_experiment`] with an explicit middle-end optimization level.
+/// Builds the forwarding application at middle-end level `opt` and
+/// measures the synchronization overhead relative to the core (paper band:
+/// 5–20 %).
 ///
 /// # Panics
 ///
@@ -301,9 +274,9 @@ pub fn latency_experiment_traced(
 /// Builds the uninstrumented reference workload the zero-allocation
 /// test steps: the egress-4 forwarding application compiled (at
 /// [`OptLevel::O0`]) for the arbitrated organization, under Bernoulli rx
-/// traffic — the same full-system configuration the overhead experiment
-/// simulates, so hot-path regressions in the thread executor, wrapper
-/// models, and engine all show up.
+/// traffic — a full system, so hot-path regressions in the thread
+/// executor, wrapper models, and engine all show up. Attach a sink with
+/// `System::set_sink` to trace it.
 ///
 /// # Panics
 ///
@@ -424,9 +397,7 @@ pub fn middle_end_grid() -> Vec<(usize, OptLevel)> {
         .collect()
 }
 
-/// One (organization × consumer-count) cell of the latency sweep, run as
-/// an independent unit of work so [`sweep::parallel_map`] can fan the
-/// cells across threads.
+/// One (organization × consumer-count) cell of the latency sweep.
 #[derive(Debug)]
 pub struct LatencyRun {
     /// Organization simulated.
@@ -437,59 +408,73 @@ pub struct LatencyRun {
     pub result: LatencyResult,
     /// The run's private metrics registry.
     pub registry: MetricsRegistry,
-    /// When trace capture was requested: the run's JSONL bytes (meta
-    /// header + every cycle event) and line count, buffered so the caller
-    /// can concatenate runs in deterministic config order.
-    pub trace: Option<(Vec<u8>, u64)>,
 }
 
-/// Runs one latency cell with a private registry and (optionally) a
-/// private in-memory trace buffer. Buffering the JSONL bytes per run —
-/// instead of streaming into a shared file sink — is what lets the sweep
-/// run cells on worker threads while keeping the merged trace file
-/// byte-identical to a serial run.
-pub fn latency_run(
-    kind: OrganizationKind,
-    consumers: usize,
-    writes: usize,
-    seed: u64,
-    capture_trace: bool,
-) -> LatencyRun {
-    let mut registry = MetricsRegistry::new();
-    let (result, trace) = if capture_trace {
-        let mut sink = JsonlSink::new(Vec::<u8>::new());
-        sink.write_meta(&format!(
-            "{{\"meta\":\"run\",\"org\":\"{kind}\",\"consumers\":{consumers}}}"
-        ));
-        let result =
-            latency_experiment_traced(kind, consumers, writes, seed, &mut sink, &mut registry);
-        let lines = sink.lines;
-        (result, Some((sink.into_inner(), lines)))
-    } else {
-        let result =
-            latency_experiment_traced(kind, consumers, writes, seed, &mut NullSink, &mut registry);
-        (result, None)
-    };
-    LatencyRun {
-        kind,
-        consumers,
-        result,
-        registry,
-        trace,
-    }
-}
-
-/// The (organization × consumer-count) grid both latency bins sweep.
-pub fn latency_grid() -> Vec<(OrganizationKind, usize)> {
-    [OrganizationKind::Arbitrated, OrganizationKind::EventDriven]
+/// The (organization × consumer-count) grid of the latency sweep and the
+/// overhead builds.
+pub fn scenario_grid() -> Vec<(OrganizationKind, usize)> {
+    KINDS
         .iter()
         .flat_map(|&k| SCENARIOS.iter().map(move |&n| (k, n)))
         .collect()
 }
 
+/// Runs the E6 latency sweep (200 writes per cell, one fixed seed) in
+/// [`scenario_grid`] order, each cell with a fresh registry. With `trace`,
+/// each cell writes a `{"meta":"run",...}` header line and then streams
+/// every cycle event into it.
+pub fn latency_sweep<W>(mut trace: Option<&mut JsonlSink<W>>) -> Vec<LatencyRun>
+where
+    W: std::io::Write + std::fmt::Debug + Send,
+{
+    const WRITES: usize = 200;
+    const SEED: u64 = 0xC0FFEE;
+    scenario_grid()
+        .into_iter()
+        .map(|(kind, consumers)| {
+            let mut registry = MetricsRegistry::new();
+            let mut untraced = NullSink;
+            let sink: &mut dyn TraceSink = match trace.as_deref_mut() {
+                Some(sink) => {
+                    sink.write_meta(&format!(
+                        "{{\"meta\":\"run\",\"org\":\"{kind}\",\"consumers\":{consumers}}}"
+                    ));
+                    sink
+                }
+                None => &mut untraced,
+            };
+            let result =
+                latency_experiment_traced(kind, consumers, WRITES, SEED, sink, &mut registry);
+            LatencyRun {
+                kind,
+                consumers,
+                result,
+                registry,
+            }
+        })
+        .collect()
+}
+
+/// Every run's counter and histogram registry as one JSON document
+/// (`{"runs":[{"org","consumers","metrics"},...]}`, `report --metrics`).
+pub fn latency_metrics_json(runs: &[LatencyRun]) -> Json {
+    let runs = runs
+        .iter()
+        .map(|run| {
+            Json::obj()
+                .with("org", run.kind.to_string().as_str().into())
+                .with("consumers", run.consumers.into())
+                .with("metrics", run.registry.to_json())
+        })
+        .collect();
+    Json::obj().with("runs", Json::Arr(runs))
+}
+
 /// Scalability ablation (E9): the netlist delta of adding one consumer.
 #[derive(Debug, Clone, PartialEq)]
 pub struct AblationResult {
+    /// Consumer count the consumer is added to.
+    pub base: usize,
     /// Organization measured.
     pub organization: String,
     /// LUT delta going from n to n+1 consumers.
@@ -503,12 +488,13 @@ pub struct AblationResult {
 
 /// Measures what adding a consumer costs for both organizations.
 pub fn ablation_scalability(base_consumers: usize) -> Vec<AblationResult> {
-    [OrganizationKind::Arbitrated, OrganizationKind::EventDriven]
+    KINDS
         .iter()
         .map(|&kind| {
             let a = implement_wrapper(kind, base_consumers);
             let b = implement_wrapper(kind, base_consumers + 1);
             AblationResult {
+                base: base_consumers,
                 organization: kind.to_string(),
                 lut_delta: i64::from(b.luts) - i64::from(a.luts),
                 ff_delta: i64::from(b.ffs) - i64::from(a.ffs),
@@ -518,20 +504,295 @@ pub fn ablation_scalability(base_consumers: usize) -> Vec<AblationResult> {
         .collect()
 }
 
-/// Renders an area table as markdown.
-pub fn render_area_table(kind: OrganizationKind, rows: &[AreaRow]) -> String {
-    let mut out = String::new();
-    out.push_str(&format!("### {kind} memory organization\n\n"));
-    out.push_str("| P/C | LUT | FF | Slices | Fmax (MHz) | paper Fmax (MHz) |\n");
-    out.push_str("|-----|-----|----|--------|------------|------------------|\n");
-    let anchors = fmax_anchors(kind);
-    for (row, anchor) in rows.iter().zip(anchors.iter()) {
-        out.push_str(&format!(
-            "| {} | {} | {} | {} | {:.1} | {:.0} |\n",
-            row.pc, row.luts, row.ffs, row.slices, row.fmax_mhz, anchor
-        ));
+/// Everything the paper's evaluation measures (E1–E6, E9, E10): what
+/// the `report` binary prints, as markdown or as JSON.
+#[derive(Debug)]
+pub struct Report {
+    /// Table 1 (E1, E3): arbitrated wrapper area and Fmax.
+    pub table1: Vec<AreaRow>,
+    /// Table 2 (E2, E4): event-driven wrapper area and Fmax.
+    pub table2: Vec<AreaRow>,
+    /// E5, one forwarding build per [`scenario_grid`] cell.
+    pub overhead: Vec<(OrganizationKind, OverheadResult)>,
+    /// E6, one run per [`scenario_grid`] cell.
+    pub latency: Vec<LatencyRun>,
+    /// E10, one row per [`middle_end_grid`] cell.
+    pub middle_end: Vec<MiddleEndRow>,
+    /// E9, adding a consumer to 2, 4 and 7.
+    pub ablation: Vec<AblationResult>,
+}
+
+impl Report {
+    /// Runs every experiment. The overhead builds compile at middle-end
+    /// level `opt` (E10 always compares both levels); the latency sweep
+    /// streams into `trace` as [`latency_sweep`] does.
+    pub fn measure<W>(opt: OptLevel, trace: Option<&mut JsonlSink<W>>) -> Report
+    where
+        W: std::io::Write + std::fmt::Debug + Send,
+    {
+        Report {
+            table1: table_area(OrganizationKind::Arbitrated),
+            table2: table_area(OrganizationKind::EventDriven),
+            overhead: scenario_grid()
+                .into_iter()
+                .map(|(kind, n)| (kind, overhead_experiment_at(kind, n, opt)))
+                .collect(),
+            latency: latency_sweep(trace),
+            middle_end: middle_end_grid()
+                .into_iter()
+                .map(|(egress, level)| middle_end_row(egress, level))
+                .collect(),
+            ablation: [2, 4, 7]
+                .into_iter()
+                .flat_map(ablation_scalability)
+                .collect(),
+        }
     }
-    out
+
+    /// The machine-readable report (`report --json`); `dump_passes` adds
+    /// every per-thread pass report to the E10 rows.
+    pub fn json(&self, dump_passes: bool) -> Json {
+        let area = |rows: &[AreaRow]| {
+            Json::Arr(
+                rows.iter()
+                    .map(|r| {
+                        Json::obj()
+                            .with("pc", r.pc.as_str().into())
+                            .with("luts", u64::from(r.luts).into())
+                            .with("ffs", u64::from(r.ffs).into())
+                            .with("slices", u64::from(r.slices).into())
+                            .with("fmax_mhz", r.fmax_mhz.into())
+                    })
+                    .collect(),
+            )
+        };
+        let overhead = self
+            .overhead
+            .iter()
+            .map(|(kind, r)| {
+                Json::obj()
+                    .with("org", kind.to_string().as_str().into())
+                    .with("egress", r.egress.into())
+                    .with("core_slices", u64::from(r.core_slices).into())
+                    .with("sync_slices", u64::from(r.sync_slices).into())
+                    .with("total_slices", u64::from(r.total_slices).into())
+                    .with("overhead_fraction", r.overhead_fraction.into())
+                    .with("fmax_mhz", r.fmax_mhz.into())
+            })
+            .collect();
+        let latency = self
+            .latency
+            .iter()
+            .map(|run| {
+                let r = &run.result;
+                Json::obj()
+                    .with("org", run.kind.to_string().as_str().into())
+                    .with("consumers", r.consumers.into())
+                    .with("min", r.pooled.min.into())
+                    .with("mean", r.pooled.mean.into())
+                    .with("max", r.pooled.max.into())
+                    .with("deterministic", r.all_deterministic.into())
+            })
+            .collect();
+        let middle_end = self
+            .middle_end
+            .iter()
+            .map(|r| {
+                let row = Json::obj()
+                    .with("egress", r.egress.into())
+                    .with("level", r.level.to_string().as_str().into())
+                    .with("fsm_states", r.fsm_states.into())
+                    .with("memory_ops", r.memory_ops.into())
+                    .with("guarded_ops", r.guarded_ops.into())
+                    .with("alu_units", r.alu_units.into())
+                    .with("reads_forwarded", r.reads_forwarded.into())
+                    .with("cycles_per_packet", r.cycles_per_packet.into());
+                if dump_passes {
+                    let passes = r.pass_reports.iter().map(|p| p.to_json()).collect();
+                    row.with("passes", Json::Arr(passes))
+                } else {
+                    row
+                }
+            })
+            .collect();
+        let ablation = self
+            .ablation
+            .iter()
+            .map(|a| {
+                Json::obj()
+                    .with("organization", a.organization.as_str().into())
+                    .with("lut_delta", a.lut_delta.into())
+                    .with("ff_delta", a.ff_delta.into())
+                    .with("state_changed", a.state_changed.into())
+            })
+            .collect();
+        Json::obj()
+            .with("table1", area(&self.table1))
+            .with("table2", area(&self.table2))
+            .with("overhead", Json::Arr(overhead))
+            .with("latency", Json::Arr(latency))
+            .with("middle_end", Json::Arr(middle_end))
+            .with("ablation", Json::Arr(ablation))
+    }
+
+    /// The measured section of EXPERIMENTS.md (`report`); `dump_passes`
+    /// appends every per-thread pass report of the E10 builds.
+    pub fn markdown(&self, dump_passes: bool) -> String {
+        let mut out = String::new();
+        self.write_markdown(&mut out, dump_passes)
+            .expect("writing to a String cannot fail");
+        out
+    }
+
+    fn write_markdown(&self, out: &mut String, dump_passes: bool) -> std::fmt::Result {
+        writeln!(out, "## Measured results\n")?;
+        write_area_table(out, OrganizationKind::Arbitrated, &self.table1)?;
+        write_area_table(out, OrganizationKind::EventDriven, &self.table2)?;
+
+        writeln!(out, "### Overhead (E5)\n")?;
+        table_head(out, "org | egress | core | sync | overhead")?;
+        for (kind, r) in &self.overhead {
+            writeln!(
+                out,
+                "| {kind} | {} | {} | {} | {:.1}% |",
+                r.egress,
+                r.core_slices,
+                r.sync_slices,
+                r.overhead_fraction * 100.0
+            )?;
+        }
+
+        writeln!(out, "\n### Latency (E6)\n")?;
+        table_head(
+            out,
+            "org | consumers | min | mean | max | variance | deterministic",
+        )?;
+        for run in &self.latency {
+            let p = &run.result.pooled;
+            writeln!(
+                out,
+                "| {} | {} | {} | {:.2} | {} | {:.2} | {} |",
+                run.kind,
+                run.consumers,
+                p.min,
+                p.mean,
+                p.max,
+                p.variance,
+                run.result.all_deterministic
+            )?;
+        }
+        let widest = SCENARIOS[SCENARIOS.len() - 1];
+        let detail: Vec<&LatencyRun> = self
+            .latency
+            .iter()
+            .filter(|run| run.consumers == widest)
+            .collect();
+        writeln!(out, "\nPer consumer, {widest} consumers:\n")?;
+        let columns: String = detail
+            .iter()
+            .map(|run| format!(" | {0} min | {0} max", run.kind))
+            .collect();
+        table_head(out, &format!("consumer{columns}"))?;
+        for c in 0..widest {
+            write!(out, "| {c} |")?;
+            for run in &detail {
+                let s = &run.result.per_consumer[c];
+                write!(out, " {} | {} |", s.min, s.max)?;
+            }
+            writeln!(out)?;
+        }
+
+        writeln!(out, "\n### Scalability ablation (E9)\n")?;
+        table_head(
+            out,
+            "base n | org | LUT delta | FF delta | state machine changed",
+        )?;
+        for a in &self.ablation {
+            writeln!(
+                out,
+                "| {} | {} | {:+} | {:+} | {} |",
+                a.base,
+                a.organization,
+                a.lut_delta,
+                a.ff_delta,
+                if a.state_changed { "yes" } else { "no" }
+            )?;
+        }
+
+        writeln!(out, "\n### Optimizing middle-end (E10)\n")?;
+        table_head(
+            out,
+            "app | level | FSM states | mem ops | guarded | FUs | cycles/packet",
+        )?;
+        for r in &self.middle_end {
+            writeln!(
+                out,
+                "| forwarding_{} | {} | {} | {} | {} | {} | {:.1} |",
+                r.egress,
+                r.level,
+                r.fsm_states,
+                r.memory_ops,
+                r.guarded_ops,
+                r.alu_units,
+                r.cycles_per_packet
+            )?;
+        }
+        if dump_passes {
+            writeln!(out)?;
+            for r in &self.middle_end {
+                for p in &r.pass_reports {
+                    writeln!(
+                        out,
+                        "forwarding_{} thread `{}` [{}]: {} -> {} ops ({} guarded -> {}), \
+                         {} -> {} states{}",
+                        r.egress,
+                        p.thread,
+                        p.level,
+                        p.ops_before,
+                        p.ops_after,
+                        p.guarded_ops_before,
+                        p.guarded_ops_after,
+                        p.states_before,
+                        p.states_after,
+                        if p.gated { " (gated)" } else { "" }
+                    )?;
+                }
+            }
+        }
+        Ok(())
+    }
+}
+
+/// Writes a markdown table's header row (`columns`, separated by " | ")
+/// and the separator under it.
+fn table_head(out: &mut String, columns: &str) -> std::fmt::Result {
+    let n = columns.split(" | ").count();
+    writeln!(out, "| {columns} |\n{}|", "|---".repeat(n))
+}
+
+/// Writes Table 1 or Table 2, with each Fmax beside its paper anchor.
+fn write_area_table(
+    out: &mut String,
+    kind: OrganizationKind,
+    rows: &[AreaRow],
+) -> std::fmt::Result {
+    let table = match kind {
+        OrganizationKind::Arbitrated => "Table 1 (E1, E3)",
+        OrganizationKind::EventDriven => "Table 2 (E2, E4)",
+    };
+    writeln!(out, "### {table}: {kind} memory organization\n")?;
+    table_head(
+        out,
+        "P/C | LUT | FF | Slices | Fmax (MHz) | paper Fmax (MHz)",
+    )?;
+    for (row, anchor) in rows.iter().zip(fmax_anchors(kind)) {
+        writeln!(
+            out,
+            "| {} | {} | {} | {} | {:.1} | {:.0} |",
+            row.pc, row.luts, row.ffs, row.slices, row.fmax_mhz, anchor
+        )?;
+    }
+    writeln!(out)
 }
 
 #[cfg(test)]
@@ -587,7 +848,7 @@ mod tests {
     #[test]
     fn overhead_in_paper_band() {
         for &n in &SCENARIOS {
-            let r = overhead_experiment(OrganizationKind::Arbitrated, n);
+            let r = overhead_experiment_at(OrganizationKind::Arbitrated, n, OptLevel::O0);
             let (lo, hi) = PAPER_ANCHORS.overhead_band;
             assert!(
                 r.overhead_fraction >= lo && r.overhead_fraction <= hi,
@@ -659,7 +920,8 @@ mod tests {
     #[test]
     fn render_table_includes_anchors() {
         let rows = table_area(OrganizationKind::Arbitrated);
-        let md = render_area_table(OrganizationKind::Arbitrated, &rows);
+        let mut md = String::new();
+        write_area_table(&mut md, OrganizationKind::Arbitrated, &rows).unwrap();
         assert!(md.contains("| 1/4 |"));
         assert!(md.contains("158"));
     }

@@ -76,11 +76,6 @@ impl SyncBank {
     pub fn producer_port(&self, thread: &str) -> Option<usize> {
         self.producers.iter().position(|t| t == thread)
     }
-
-    /// Whether a guarded address belongs to this bank.
-    pub fn owns_addr(&self, addr: u32) -> bool {
-        self.guarded.iter().any(|g| g.base_addr == addr)
-    }
 }
 
 /// A private (port A) bank.

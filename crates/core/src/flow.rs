@@ -252,16 +252,6 @@ impl CompiledSystem {
             .join("\n")
     }
 
-    /// Emits the whole system as VHDL.
-    pub fn vhdl(&self) -> String {
-        self.thread_modules
-            .iter()
-            .chain(self.wrapper_modules.iter())
-            .map(memsync_rtl::vhdl::emit)
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
     /// Implements every module (area + timing) and assembles the system
     /// report.
     ///
@@ -323,14 +313,6 @@ mod tests {
         assert!(v.contains("module thread_t2"));
         assert!(v.contains("module thread_t3"));
         assert!(v.contains("module memsync_arb_p1c2"));
-    }
-
-    #[test]
-    fn vhdl_emission_works() {
-        let system = Compiler::new(FIGURE1).compile().unwrap();
-        let v = system.vhdl();
-        assert!(v.contains("entity thread_t1"));
-        assert!(v.contains("entity memsync_arb_p1c2"));
     }
 
     #[test]

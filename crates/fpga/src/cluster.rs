@@ -57,23 +57,6 @@ impl Cluster {
 }
 
 impl Clustering {
-    /// Whether `net` is internal to the cluster containing instance `inst`
-    /// (i.e. driven by another member).
-    pub fn is_internal_input(&self, module: &Module, inst_idx: usize, net: NetId) -> bool {
-        let Some(cid) = self.cluster_of[inst_idx] else {
-            return false;
-        };
-        self.driver_of(module, net)
-            .is_some_and(|d| self.cluster_of[d] == Some(cid))
-    }
-
-    fn driver_of(&self, module: &Module, net: NetId) -> Option<usize> {
-        module
-            .instances
-            .iter()
-            .position(|i| i.outputs.contains(&net))
-    }
-
     /// Whether the instance is the root of its cluster.
     pub fn is_root(&self, inst_idx: usize) -> bool {
         self.cluster_of[inst_idx].is_some_and(|cid| self.clusters[cid].root == inst_idx)

@@ -482,14 +482,6 @@ pub enum Pragma {
 }
 
 impl Pragma {
-    /// The dependency identifier for producer/consumer pragmas.
-    pub fn dep_id(&self) -> Option<&str> {
-        match self {
-            Pragma::Producer { dep, .. } | Pragma::Consumer { dep, .. } => Some(dep),
-            _ => None,
-        }
-    }
-
     /// Source location of the pragma.
     pub fn span(&self) -> Span {
         match self {

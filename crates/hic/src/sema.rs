@@ -88,20 +88,6 @@ impl Analysis {
     pub fn dependency(&self, id: &str) -> Option<&Dependency> {
         self.dependencies.iter().find(|d| d.id == id)
     }
-
-    /// All dependencies in which `thread` participates as producer.
-    pub fn produced_by<'a>(&'a self, thread: &'a str) -> impl Iterator<Item = &'a Dependency> {
-        self.dependencies
-            .iter()
-            .filter(move |d| d.producer.thread == thread)
-    }
-
-    /// All dependencies in which `thread` participates as a consumer.
-    pub fn consumed_by<'a>(&'a self, thread: &'a str) -> impl Iterator<Item = &'a Dependency> {
-        self.dependencies
-            .iter()
-            .filter(move |d| d.consumers.iter().any(|c| c.thread == thread))
-    }
 }
 
 /// Runs semantic analysis on a parsed program.

@@ -349,29 +349,6 @@ impl ModuleBuilder {
         );
     }
 
-    /// D register with clock enable and synchronous reset to `init`.
-    pub fn register_en_rst(
-        &mut self,
-        d: NetId,
-        en: NetId,
-        rst: NetId,
-        init: u64,
-        name: &str,
-    ) -> NetId {
-        let out = self.net(name, self.width(d));
-        self.inst(
-            "reg",
-            PrimOp::Register {
-                init,
-                has_enable: true,
-                has_reset: true,
-            },
-            vec![d, en, rst],
-            vec![out],
-        );
-        out
-    }
-
     /// True-dual-port BRAM; returns `(dout_a, dout_b)`.
     #[allow(clippy::too_many_arguments)]
     pub fn bram(

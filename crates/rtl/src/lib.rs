@@ -3,8 +3,8 @@
 //! The RTL substrate of the memsync reproduction: generators in
 //! `memsync-core` and `memsync-synth` build [`netlist::Module`]s through
 //! [`builder::ModuleBuilder`]; [`validate::validate`] checks structural
-//! well-formedness; [`verilog::emit`] / [`vhdl::emit`] print synthesizable
-//! HDL; [`stats::NetlistStats`] feeds the area model in `memsync-fpga`.
+//! well-formedness; [`verilog::emit`] prints synthesizable Verilog;
+//! [`stats::NetlistStats`] feeds the area model in `memsync-fpga`.
 //!
 //! # Examples
 //!
@@ -36,7 +36,6 @@ pub mod netlist;
 pub mod stats;
 pub mod validate;
 pub mod verilog;
-pub mod vhdl;
 
 pub use builder::ModuleBuilder;
 pub use netlist::{InstId, Instance, Module, Net, NetId, Port, PortDir, PrimOp};

@@ -5,7 +5,7 @@
 //! blocks the paper's organizations are built from (true-dual-port BRAM and
 //! a CAM for the dependency list). The downstream `memsync-fpga` crate maps
 //! this IR onto 4-input LUTs, flip-flops, slices, and block RAMs; the
-//! emitters in [`crate::verilog`] and [`crate::vhdl`] print it as HDL.
+//! emitter in [`crate::verilog`] prints it as HDL.
 
 use std::fmt;
 

@@ -293,11 +293,6 @@ impl DfThread {
             .map(|i| VarId(i as u32))
     }
 
-    /// Name of a variable.
-    pub fn var_name(&self, id: VarId) -> &str {
-        &self.vars[id.0 as usize]
-    }
-
     /// Total number of ops across all blocks.
     pub fn op_count(&self) -> usize {
         self.blocks.iter().map(|b| b.ops.len()).sum()

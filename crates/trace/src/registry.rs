@@ -194,11 +194,6 @@ impl MetricsRegistry {
         self.buckets.get(name)
     }
 
-    /// Every bucketed histogram, in name order.
-    pub fn bucket_histograms(&self) -> impl Iterator<Item = (&str, &BucketHistogram)> {
-        self.buckets.iter().map(|(k, v)| (k.as_str(), v))
-    }
-
     /// Raises a high-water mark (keeps the maximum ever observed).
     pub fn observe_gauge(&mut self, name: &str, v: u64) {
         let mark = slot(&mut self.highwater, name);

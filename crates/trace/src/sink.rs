@@ -123,41 +123,63 @@ impl TraceSink for RingBufferSink {
 }
 
 /// Streams events as JSON Lines to any writer.
+///
+/// Emitting cannot fail, so the first write error is kept and
+/// [`JsonlSink::into_inner`] returns it.
 #[derive(Debug)]
 pub struct JsonlSink<W: Write + std::fmt::Debug> {
     w: W,
     /// Lines written so far.
     pub lines: u64,
+    error: Option<std::io::Error>,
 }
 
 impl<W: Write + std::fmt::Debug> JsonlSink<W> {
     /// Wraps a writer. Callers wanting buffering pass a `BufWriter`.
     pub fn new(w: W) -> Self {
-        JsonlSink { w, lines: 0 }
+        JsonlSink {
+            w,
+            lines: 0,
+            error: None,
+        }
     }
 
     /// Writes a raw metadata line (e.g. run headers between experiment
     /// phases); `obj` must already be a complete JSON object.
     pub fn write_meta(&mut self, obj: &str) {
-        let _ = writeln!(self.w, "{obj}");
+        let written = writeln!(self.w, "{obj}");
+        self.keep_error(written);
         self.lines += 1;
     }
 
-    /// Consumes the sink, returning the writer after flushing.
-    pub fn into_inner(mut self) -> W {
-        let _ = self.w.flush();
-        self.w
+    /// Consumes the sink, returning the writer after flushing it, or the
+    /// first error a write or the flush met.
+    pub fn into_inner(mut self) -> std::io::Result<W> {
+        let flushed = self.w.flush();
+        self.keep_error(flushed);
+        match self.error {
+            Some(e) => Err(e),
+            None => Ok(self.w),
+        }
+    }
+
+    fn keep_error(&mut self, result: std::io::Result<()>) {
+        if let Err(e) = result {
+            self.error.get_or_insert(e);
+        }
     }
 }
 
 impl<W: Write + std::fmt::Debug + Send> TraceSink for JsonlSink<W> {
     fn emit(&mut self, ev: &TraceEvent) {
-        let _ = writeln!(self.w, "{}", ev.to_jsonl());
+        let written = writeln!(self.w, "{}", ev.to_jsonl());
+        self.keep_error(written);
         self.lines += 1;
     }
 
     fn flush(&mut self) {
-        let _ = self.w.flush();
+        let flushed = self.w.flush();
+        self.keep_error(flushed);
     }
 }
 
@@ -245,9 +267,37 @@ mod tests {
         s.emit(&ev(7));
         s.emit(&ev(8));
         s.write_meta("{\"meta\":1}");
-        let out = String::from_utf8(s.into_inner()).unwrap();
+        let out = String::from_utf8(s.into_inner().unwrap()).unwrap();
         assert_eq!(out.lines().count(), 3);
         assert!(out.lines().next().unwrap().contains("\"c\":7"));
+    }
+
+    #[test]
+    fn jsonl_sink_returns_the_first_write_error() {
+        /// Accepts `room` bytes, then fails every write.
+        #[derive(Debug)]
+        struct Full {
+            room: usize,
+        }
+        impl Write for Full {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                if buf.len() > self.room {
+                    return Err(std::io::ErrorKind::WriteZero.into());
+                }
+                self.room -= buf.len();
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut s = JsonlSink::new(Full { room: 40 });
+        s.emit(&ev(1));
+        s.emit(&ev(2));
+        s.emit(&ev(3));
+        assert_eq!(s.lines, 3);
+        let err = s.into_inner().expect_err("the writer ran out of room");
+        assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }
 
     #[test]

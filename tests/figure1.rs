@@ -76,15 +76,10 @@ fn both_organizations_implement_figure1() {
 fn hdl_emission_is_complete() {
     let system = Compiler::new(FIGURE1).compile().expect("compiles");
     let verilog = system.verilog();
-    let vhdl = system.vhdl();
     for name in ["thread_t1", "thread_t2", "thread_t3", "memsync_arb_p1c2"] {
         assert!(
             verilog.contains(&format!("module {name}")),
             "verilog missing {name}"
-        );
-        assert!(
-            vhdl.contains(&format!("entity {name}")),
-            "vhdl missing {name}"
         );
     }
     // The wrapper instantiates the BRAM and the dependency-list registers.
