@@ -1,5 +1,9 @@
 //! One-off calibration fit: finds delay-model constants that reproduce the
 //! paper's six Fmax anchors, then prints them for `fpga::calibration`.
+//!
+//! `--path` fits nothing: it prints each wrapper's worst path, from the
+//! same timing pass that sets its Fmax. Any other argument prints the
+//! usage line on stderr and exits with status 2.
 
 use memsync_core::{arbitrated, event_driven, spec::WrapperSpec};
 use memsync_fpga::calibration::{DelayModel, PAPER_ANCHORS};
@@ -31,8 +35,20 @@ fn loss(ms: &[(Module, f64)], m: DelayModel) -> f64 {
         .sum()
 }
 
+const USAGE: &str = "usage: calib [--path]";
+
 fn main() {
-    if std::env::args().any(|a| a == "--path") {
+    let mut path = false;
+    for arg in std::env::args().skip(1) {
+        match arg.as_str() {
+            "--path" => path = true,
+            _ => {
+                eprintln!("calib: unknown argument {arg:?}\n{USAGE}");
+                std::process::exit(2)
+            }
+        }
+    }
+    if path {
         for n in [2usize, 8] {
             let s = WrapperSpec::single_producer(n);
             for (label, m) in [

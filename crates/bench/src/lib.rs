@@ -14,8 +14,9 @@ use memsync_fpga::calibration::PAPER_ANCHORS;
 use memsync_fpga::report::{implement, ImplReport};
 use memsync_sim::arb_model::{ArbInputs, ArbitratedModel};
 use memsync_sim::event_model::{EventDrivenModel, EvtInputs};
-use memsync_sim::metrics::LatencyStats;
-use memsync_trace::{Json, JsonlSink, MetricsRegistry, NullSink, Pcg32, RecordingSink, TraceSink};
+use memsync_trace::{
+    Json, JsonlSink, LatencyStats, MetricsRegistry, NullSink, Pcg32, RecordingSink, TraceSink,
+};
 use std::fmt::Write as _;
 
 /// The paper's three scenarios: one producer with 2, 4, 8 consumers.

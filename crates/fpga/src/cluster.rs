@@ -9,7 +9,7 @@
 //! levels) derive their numbers. Both models consume the same clustering so
 //! area and delay stay consistent.
 
-use memsync_rtl::netlist::{Module, NetId, PortDir, PrimOp};
+use memsync_rtl::netlist::{Module, NetId, PrimOp};
 use std::collections::BTreeSet;
 
 /// Whether an instance is a 1-bit logic gate that synthesis can absorb
@@ -77,23 +77,8 @@ pub fn clusters(module: &Module) -> Clustering {
         .map(|i| is_mergeable(module, i))
         .collect();
 
-    // Fanout per net (instance consumers + output ports).
-    let mut fanout = vec![0u32; module.nets.len()];
-    for inst in &module.instances {
-        for &i in &inst.inputs {
-            fanout[i.0] += 1;
-        }
-    }
-    for p in module.ports_in(PortDir::Output) {
-        fanout[p.net.0] += 1;
-    }
-    // Driver per net.
-    let mut driver: Vec<Option<usize>> = vec![None; module.nets.len()];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver[o.0] = Some(idx);
-        }
-    }
+    let fanout = module.fanout();
+    let driver = module.drivers();
 
     // Union-find over instances.
     let mut parent: Vec<usize> = (0..n).collect();

@@ -4,12 +4,13 @@
 //! calibrated [`DelayModel`]: every primitive contributes its mapped LUT
 //! levels, carry chains contribute per-bit delay, and every traversed net
 //! contributes a fanout-dependent routing delay — the same decomposition
-//! vendor timing reports use.
+//! vendor timing reports use. One arrival pass serves both the period
+//! ([`analyze_with`]) and the path that sets it ([`critical_path`]).
 
 use crate::calibration::DelayModel;
+use crate::cluster::clusters;
 use crate::techmap::{gate_tree_levels, mux_levels};
-use memsync_rtl::netlist::{Module, NetId, PortDir, PrimOp};
-use std::collections::VecDeque;
+use memsync_rtl::netlist::{Instance, Module, NetId, PortDir, PrimOp};
 use std::fmt;
 
 /// Result of timing analysis.
@@ -55,8 +56,18 @@ pub fn analyze(module: &Module) -> Result<TimingReport, TimingError> {
     analyze_with(module, DelayModel::default())
 }
 
+/// Analyzes a module with an explicit delay model.
+///
+/// # Errors
+///
+/// Returns [`TimingError`] if the netlist contains a combinational loop.
+pub fn analyze_with(module: &Module, model: DelayModel) -> Result<TimingReport, TimingError> {
+    Ok(Timing::of(module, model)?.report)
+}
+
 /// Like [`analyze_with`], but also returns the instance names along the
-/// critical path (endpoint last), for debugging and reports.
+/// critical path (endpoint last), for debugging and reports. The endpoint
+/// is the one whose setup check sets the period.
 ///
 /// # Errors
 ///
@@ -65,449 +76,187 @@ pub fn critical_path(
     module: &Module,
     model: DelayModel,
 ) -> Result<(TimingReport, Vec<String>), TimingError> {
-    let report = analyze_with(module, model)?;
-    // Re-run arrival computation tracking predecessors.
-    let mut best_pred: Vec<Option<usize>> = vec![None; module.nets.len()];
-    let arrivals = arrivals_with_preds(module, model, &mut best_pred)?;
-    // Find worst endpoint net.
-    let mut worst_net: Option<NetId> = None;
-    let mut worst: f64 = f64::MIN;
-    for inst in &module.instances {
-        let seq = matches!(
-            inst.op,
-            PrimOp::Register { .. } | PrimOp::Bram { .. } | PrimOp::Cam { .. }
-        );
-        if seq {
-            for &i in &inst.inputs {
-                if arrivals[i.0] > worst {
-                    worst = arrivals[i.0];
-                    worst_net = Some(i);
-                }
-            }
-        }
-    }
-    for p in module.ports_in(PortDir::Output) {
-        if arrivals[p.net.0] > worst {
-            worst = arrivals[p.net.0];
-            worst_net = Some(p.net);
-        }
-    }
+    let timing = Timing::of(module, model)?;
+    let drivers = module.drivers();
     let mut path = Vec::new();
-    let mut cur = worst_net;
-    let mut driver_of: Vec<Option<usize>> = vec![None; module.nets.len()];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver_of[o.0] = Some(idx);
-        }
-    }
+    let mut cur = timing.worst;
     while let Some(n) = cur {
-        if let Some(d) = driver_of[n.0] {
-            let inst = &module.instances[d];
-            path.push(format!(
-                "{} ({}) @ {:.2}ns",
-                inst.name,
-                inst.op.mnemonic(),
-                arrivals[n.0]
-            ));
-            if matches!(inst.op, PrimOp::Register { .. } | PrimOp::Bram { .. }) {
-                break;
-            }
-            cur = best_pred[n.0].map(NetId);
-        } else {
-            path.push(format!(
-                "port net {} @ {:.2}ns",
-                module.nets[n.0].name, arrivals[n.0]
-            ));
+        let at = timing.arrival[n.0];
+        let Some(d) = drivers[n.0] else {
+            path.push(format!("port net {} @ {at:.2}ns", module.nets[n.0].name));
+            break;
+        };
+        let inst = &module.instances[d];
+        path.push(format!(
+            "{} ({}) @ {at:.2}ns",
+            inst.name,
+            inst.op.mnemonic()
+        ));
+        if matches!(inst.op, PrimOp::Register { .. } | PrimOp::Bram { .. }) {
             break;
         }
+        cur = timing.from[n.0];
     }
     path.reverse();
-    Ok((report, path))
+    Ok((timing.report, path))
 }
 
-fn arrivals_with_preds(
-    module: &Module,
-    model: DelayModel,
-    best_pred: &mut [Option<usize>],
-) -> Result<Vec<f64>, TimingError> {
-    // Duplicate of the pass-1 arrival computation, additionally recording
-    // for every net the input net that determined its arrival.
-    let n_nets = module.nets.len();
-    let clustering = crate::cluster::clusters(module);
-    let mut driver: Vec<Option<usize>> = vec![None; n_nets];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver[o.0] = Some(idx);
-        }
-    }
-    let mut fanout = vec![0u32; n_nets];
-    for inst in &module.instances {
-        for &i in &inst.inputs {
-            fanout[i.0] += 1;
-        }
-    }
-    for p in module.ports_in(PortDir::Output) {
-        fanout[p.net.0] += 1;
-    }
-    let route = |net: NetId| -> f64 {
-        model.t_net_base + model.t_net_fanout * f64::from(1 + fanout[net.0]).log2()
-    };
-    let order = topo_order(module)?;
-    let mut arrival = vec![0.0f64; n_nets];
-    for inst in &module.instances {
-        let launch = match inst.op {
-            PrimOp::Register { .. } => Some(model.t_cko),
-            PrimOp::Bram { .. } => Some(model.t_bram_cko),
-            _ => None,
-        };
-        if let Some(t) = launch {
-            for &o in &inst.outputs {
-                arrival[o.0] = t;
-            }
-        }
-    }
-    for &idx in &order {
-        let inst = &module.instances[idx];
-        match &inst.op {
-            PrimOp::Register { .. } | PrimOp::Bram { .. } => {}
-            PrimOp::Cam {
-                entries, key_width, ..
-            } => {
-                let key = inst.inputs[0];
-                let cmp_levels = 1 + gate_tree_levels(key_width.div_ceil(2));
-                let delay = f64::from(cmp_levels) * model.t_lut
-                    + f64::from(*entries) * model.t_cam_prio
-                    + f64::from(mux_levels(*entries)) * model.t_lut;
-                let launch = arrival[key.0] + route(key) + delay;
-                let from_storage = model.t_cko + delay;
-                for &o in &inst.outputs {
-                    arrival[o.0] = launch.max(from_storage);
-                    best_pred[o.0] = Some(key.0);
-                }
-            }
-            comb => {
-                let in_cluster = clustering.cluster_of[idx];
-                let wiring = matches!(
-                    comb,
-                    PrimOp::Const { .. }
-                        | PrimOp::Not
-                        | PrimOp::Shl { .. }
-                        | PrimOp::Shr { .. }
-                        | PrimOp::Concat
-                        | PrimOp::Slice { .. }
-                );
-                let delay = match in_cluster {
-                    Some(cid) if clustering.is_root(idx) => {
-                        let levels = crate::techmap::gate_tree_levels(
-                            clustering.clusters[cid].input_count().max(2),
-                        );
-                        f64::from(levels) * model.t_lut
-                            + f64::from(levels.saturating_sub(1)) * model.t_net_base
-                    }
-                    Some(_) => 0.0,
-                    None => comb_delay(module, inst, comb, model),
-                };
-                let mut max_in: f64 = 0.0;
-                let mut pred = None;
-                for &i in &inst.inputs {
-                    let internal = in_cluster.is_some()
-                        && driver[i.0].is_some_and(|d| clustering.cluster_of[d] == in_cluster);
-                    let hop = if wiring || internal { 0.0 } else { route(i) };
-                    if arrival[i.0] + hop >= max_in {
-                        max_in = arrival[i.0] + hop;
-                        pred = Some(i.0);
-                    }
-                }
-                for &o in &inst.outputs {
-                    arrival[o.0] = max_in + delay;
-                    best_pred[o.0] = pred;
-                }
-            }
-        }
-    }
-    Ok(arrival)
+/// The one arrival pass and the setup checks over it.
+struct Timing {
+    /// Arrival time per net, in nanoseconds.
+    arrival: Vec<f64>,
+    /// Per net, the input net that set its arrival (`None` where a path
+    /// launches).
+    from: Vec<Option<NetId>>,
+    /// The endpoint net whose setup check sets the period.
+    worst: Option<NetId>,
+    /// The period that endpoint sets, and its Fmax.
+    report: TimingReport,
 }
 
-fn topo_order(module: &Module) -> Result<Vec<usize>, TimingError> {
-    let n_nets = module.nets.len();
-    let n_inst = module.instances.len();
-    let prop_inputs = |op: &PrimOp, n_inputs: usize| -> Vec<usize> {
-        match op {
-            PrimOp::Register { .. } | PrimOp::Bram { .. } => Vec::new(),
-            PrimOp::Cam { .. } => vec![0],
-            _ => (0..n_inputs).collect(),
-        }
-    };
-    let mut driver_of: Vec<Option<usize>> = vec![None; n_nets];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver_of[o.0] = Some(idx);
-        }
-    }
-    let mut indegree = vec![0u32; n_inst];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &pi in &prop_inputs(&inst.op, inst.inputs.len()) {
-            if let Some(d) = driver_of[inst.inputs[pi].0] {
-                if !matches!(
-                    module.instances[d].op,
-                    PrimOp::Register { .. } | PrimOp::Bram { .. }
-                ) {
-                    indegree[idx] += 1;
-                    dependents[d].push(idx);
-                }
-            }
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n_inst).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n_inst);
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for &d in &dependents[i] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                queue.push_back(d);
-            }
-        }
-    }
-    if order.len() != n_inst {
-        return Err(TimingError {
+impl Timing {
+    fn of(module: &Module, model: DelayModel) -> Result<Self, TimingError> {
+        let order = module.comb_order().ok_or_else(|| TimingError {
             message: "combinational loop detected".into(),
-        });
-    }
-    Ok(order)
-}
-
-/// Analyzes a module with an explicit delay model.
-///
-/// # Errors
-///
-/// Returns [`TimingError`] if the netlist contains a combinational loop.
-pub fn analyze_with(module: &Module, model: DelayModel) -> Result<TimingReport, TimingError> {
-    let n_nets = module.nets.len();
-    let n_inst = module.instances.len();
-
-    // Fanout per net.
-    let mut fanout = vec![0u32; n_nets];
-    for inst in &module.instances {
-        for &i in &inst.inputs {
-            fanout[i.0] += 1;
-        }
-    }
-    for p in module.ports_in(PortDir::Output) {
-        fanout[p.net.0] += 1;
-    }
-    let route = |net: NetId| -> f64 {
-        model.t_net_base + model.t_net_fanout * f64::from(1 + fanout[net.0]).log2()
-    };
-
-    // Combinational propagation edges: for each instance, which inputs
-    // propagate to outputs (sequential elements launch fresh paths instead).
-    let prop_inputs = |op: &PrimOp, n_inputs: usize| -> Vec<usize> {
-        match op {
-            PrimOp::Register { .. } | PrimOp::Bram { .. } => Vec::new(),
-            // The CAM search path is combinational; writes are clocked.
-            PrimOp::Cam { .. } => vec![0],
-            _ => (0..n_inputs).collect(),
-        }
-    };
-
-    // Kahn topological order over instances via combinational edges.
-    let mut driver_of: Vec<Option<usize>> = vec![None; n_nets];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver_of[o.0] = Some(idx);
-        }
-    }
-    let mut indegree = vec![0u32; n_inst];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &pi in &prop_inputs(&inst.op, inst.inputs.len()) {
-            if let Some(d) = driver_of[inst.inputs[pi].0] {
-                if !matches!(
-                    module.instances[d].op,
-                    PrimOp::Register { .. } | PrimOp::Bram { .. }
-                ) {
-                    indegree[idx] += 1;
-                    dependents[d].push(idx);
-                }
-            }
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n_inst).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n_inst);
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for &d in &dependents[i] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                queue.push_back(d);
-            }
-        }
-    }
-    if order.len() != n_inst {
-        return Err(TimingError {
-            message: "combinational loop detected".into(),
-        });
-    }
-    let clustering = crate::cluster::clusters(module);
-
-    // Arrival times per net. Input ports launch at t=0; register and BRAM
-    // outputs launch at clock-to-out and do not depend on anything, so they
-    // are initialized up front (their edges are excluded from the
-    // topological graph, which otherwise would not order them before their
-    // combinational consumers).
-    let mut arrival = vec![0.0f64; n_nets];
-    for p in module.ports_in(PortDir::Input) {
-        arrival[p.net.0] = 0.0;
-    }
-    for inst in &module.instances {
-        let launch = match inst.op {
-            PrimOp::Register { .. } => Some(model.t_cko),
-            PrimOp::Bram { .. } => Some(model.t_bram_cko),
-            _ => None,
+        })?;
+        let drivers = module.drivers();
+        let fanout = module.fanout();
+        let clustering = clusters(module);
+        let route = |net: NetId| -> f64 {
+            model.t_net_base + model.t_net_fanout * f64::from(1 + fanout[net.0]).log2()
         };
-        if let Some(t) = launch {
+
+        // Input ports launch at t=0; register and BRAM outputs launch at
+        // clock-to-out and depend on nothing, so they are set before the
+        // pass (the combinational order does not place them ahead of their
+        // readers).
+        let mut arrival = vec![0.0f64; module.nets.len()];
+        let mut from: Vec<Option<NetId>> = vec![None; module.nets.len()];
+        for inst in &module.instances {
+            let launch = match inst.op {
+                PrimOp::Register { .. } => model.t_cko,
+                PrimOp::Bram { .. } => model.t_bram_cko,
+                _ => continue,
+            };
             for &o in &inst.outputs {
-                arrival[o.0] = t;
+                arrival[o.0] = launch;
             }
         }
-    }
-    // Pass 1: arrival times in topological order. Sequential elements only
-    // launch (set their outputs); their setup checks happen in pass 2, once
-    // every arrival is final — registers sort first in the topological
-    // order, so their D inputs are not yet computed here.
-    for &idx in &order {
-        let inst = &module.instances[idx];
-        match &inst.op {
-            PrimOp::Register { .. } => {
-                for &o in &inst.outputs {
-                    arrival[o.0] = model.t_cko;
+        for idx in order {
+            let inst = &module.instances[idx];
+            let (at, pred) = match &inst.op {
+                PrimOp::Register { .. } | PrimOp::Bram { .. } => continue,
+                PrimOp::Cam {
+                    entries, key_width, ..
+                } => {
+                    // Search side is combinational through the compare
+                    // array, the priority chain, and the output select
+                    // network.
+                    let key = inst.inputs[0];
+                    let cmp_levels = 1 + gate_tree_levels(key_width.div_ceil(2));
+                    let delay = f64::from(cmp_levels) * model.t_lut
+                        + f64::from(*entries) * model.t_cam_prio
+                        + f64::from(mux_levels(*entries)) * model.t_lut;
+                    // Entry storage is registered, so the search also
+                    // launches from the stored keys at t_cko.
+                    let at = (arrival[key.0] + route(key) + delay).max(model.t_cko + delay);
+                    (at, Some(key))
                 }
-            }
-            PrimOp::Bram { .. } => {
-                for &o in &inst.outputs {
-                    arrival[o.0] = model.t_bram_cko;
-                }
-            }
-            PrimOp::Cam {
-                entries, key_width, ..
-            } => {
-                // Search side is combinational through the compare array,
-                // the priority chain, and the output select network.
-                let key = inst.inputs[0];
-                let cmp_levels = 1 + gate_tree_levels(key_width.div_ceil(2));
-                let delay = f64::from(cmp_levels) * model.t_lut
-                    + f64::from(*entries) * model.t_cam_prio
-                    + f64::from(mux_levels(*entries)) * model.t_lut;
-                let launch = arrival[key.0] + route(key) + delay;
-                // Entry storage is registered, so the search also launches
-                // from the stored keys at t_cko.
-                let from_storage = model.t_cko + delay;
-                for &o in &inst.outputs {
-                    arrival[o.0] = launch.max(from_storage);
-                }
-            }
-            comb => {
-                if let Some(cid) = clustering.cluster_of[idx] {
-                    // Member of a packed LUT tree: external inputs pay one
-                    // routing hop into the cluster; internal nets are free;
-                    // the whole tree's LUT levels are charged at the root.
-                    let mut max_in: f64 = 0.0;
-                    for &i in &inst.inputs {
-                        let internal =
-                            driver_of[i.0].is_some_and(|d| clustering.cluster_of[d] == Some(cid));
-                        let hop = if internal { 0.0 } else { route(i) };
-                        max_in = max_in.max(arrival[i.0] + hop);
-                    }
-                    let delay = if clustering.is_root(idx) {
-                        let levels = crate::techmap::gate_tree_levels(
-                            clustering.clusters[cid].input_count().max(2),
-                        );
-                        f64::from(levels) * model.t_lut
-                            + f64::from(levels.saturating_sub(1)) * model.t_net_base
-                    } else {
-                        0.0
+                _ => {
+                    // A member of a packed LUT tree pays one routing hop
+                    // per external input, none for nets inside the tree,
+                    // and the whole tree's LUT levels are charged at its
+                    // root. Outside a tree, wiring is a net alias: no
+                    // logic delay and no hop.
+                    let cluster = clustering.cluster_of[idx];
+                    let (delay, wiring) = match cluster {
+                        Some(cid) if clustering.is_root(idx) => {
+                            let levels =
+                                gate_tree_levels(clustering.clusters[cid].input_count().max(2));
+                            let delay = f64::from(levels) * model.t_lut
+                                + f64::from(levels.saturating_sub(1)) * model.t_net_base;
+                            (delay, false)
+                        }
+                        Some(_) => (0.0, false),
+                        None => match logic_delay(module, inst, model) {
+                            Some(delay) => (delay, false),
+                            None => (0.0, true),
+                        },
                     };
-                    for &o in &inst.outputs {
-                        arrival[o.0] = max_in + delay;
-                    }
-                } else {
-                    // Wiring pseudo-ops (constants, slices, concatenations,
-                    // fixed shifts, lone inverters absorbed into LUT inputs)
-                    // are net aliases: no logic delay, no extra routing hop.
-                    let wiring = matches!(
-                        comb,
-                        PrimOp::Const { .. }
-                            | PrimOp::Not
-                            | PrimOp::Shl { .. }
-                            | PrimOp::Shr { .. }
-                            | PrimOp::Concat
-                            | PrimOp::Slice { .. }
-                    );
-                    let delay = comb_delay(module, inst, comb, model);
                     let mut max_in: f64 = 0.0;
+                    let mut pred = None;
                     for &i in &inst.inputs {
-                        let hop = if wiring { 0.0 } else { route(i) };
-                        max_in = max_in.max(arrival[i.0] + hop);
+                        let internal = cluster.is_some()
+                            && drivers[i.0].is_some_and(|d| clustering.cluster_of[d] == cluster);
+                        let hop = if wiring || internal { 0.0 } else { route(i) };
+                        if arrival[i.0] + hop >= max_in {
+                            max_in = arrival[i.0] + hop;
+                            pred = Some(i);
+                        }
                     }
-                    for &o in &inst.outputs {
-                        arrival[o.0] = max_in + delay;
-                    }
+                    (max_in + delay, pred)
                 }
+            };
+            for &o in &inst.outputs {
+                arrival[o.0] = at;
+                from[o.0] = pred;
             }
         }
-    }
 
-    // Pass 2: setup checks at every sequential endpoint and output port.
-    let mut worst: f64 = 0.0;
-    for inst in &module.instances {
-        match &inst.op {
-            PrimOp::Register { .. } => {
-                for &i in &inst.inputs {
-                    worst = worst.max(arrival[i.0] + route(i) + model.t_su);
-                }
+        // Setup checks at every sequential endpoint and output port; the
+        // first endpoint with the largest requirement sets the period.
+        let mut worst: Option<(NetId, f64)> = None;
+        let mut check = |net: NetId, setup: f64| {
+            let need = arrival[net.0] + route(net) + setup;
+            if worst.is_none_or(|(_, w)| need > w) {
+                worst = Some((net, need));
             }
-            PrimOp::Bram { .. } => {
-                for &i in &inst.inputs {
-                    worst = worst.max(arrival[i.0] + route(i) + model.t_bram_su);
-                }
-            }
-            PrimOp::Cam { .. } => {
+        };
+        for inst in &module.instances {
+            let (inputs, setup) = match inst.op {
+                PrimOp::Register { .. } => (&inst.inputs[..], model.t_su),
+                PrimOp::Bram { .. } => (&inst.inputs[..], model.t_bram_su),
                 // Write side is clocked (endpoint); the search key flows
                 // through combinationally and is checked wherever the CAM
                 // outputs terminate.
-                for &i in &inst.inputs[1..] {
-                    worst = worst.max(arrival[i.0] + route(i) + model.t_su);
-                }
+                PrimOp::Cam { .. } => (&inst.inputs[1..], model.t_su),
+                _ => continue,
+            };
+            for &i in inputs {
+                check(i, setup);
             }
-            _ => {}
         }
+        for p in module.ports_in(PortDir::Output) {
+            check(p.net, 0.0);
+        }
+        // A purely wired module still needs one routing hop.
+        let critical = worst
+            .map_or(0.0, |(_, need)| need)
+            .max(model.t_cko + model.t_su);
+        Ok(Timing {
+            arrival,
+            from,
+            worst: worst.map(|(net, _)| net),
+            report: TimingReport {
+                critical_path_ns: critical,
+                fmax_mhz: 1000.0 / critical,
+            },
+        })
     }
-    for p in module.ports_in(PortDir::Output) {
-        worst = worst.max(arrival[p.net.0] + route(p.net));
-    }
-    // A purely wired module still needs one routing hop.
-    let critical = worst.max(model.t_cko + model.t_su);
-    Ok(TimingReport {
-        critical_path_ns: critical,
-        fmax_mhz: 1000.0 / critical,
-    })
 }
 
-fn comb_delay(
-    module: &Module,
-    inst: &memsync_rtl::netlist::Instance,
-    op: &PrimOp,
-    model: DelayModel,
-) -> f64 {
-    match op {
+/// Logic delay of a combinational instance outside any LUT tree; `None`
+/// for the wiring pseudo-ops (constants, slices, concatenations, fixed
+/// shifts, lone inverters absorbed into LUT inputs).
+fn logic_delay(module: &Module, inst: &Instance, model: DelayModel) -> Option<f64> {
+    let width = || f64::from(module.width(inst.inputs[0]));
+    Some(match inst.op {
         PrimOp::Const { .. }
         | PrimOp::Not
         | PrimOp::Shl { .. }
         | PrimOp::Shr { .. }
         | PrimOp::Concat
-        | PrimOp::Slice { .. } => 0.0,
+        | PrimOp::Slice { .. } => return None,
         PrimOp::And | PrimOp::Or | PrimOp::Xor => {
             f64::from(gate_tree_levels(inst.inputs.len() as u32)) * model.t_lut
         }
@@ -515,29 +264,20 @@ fn comb_delay(
             let n = (inst.inputs.len() - 1) as u32;
             f64::from(mux_levels(n)) * model.t_lut
         }
-        PrimOp::Add | PrimOp::Sub | PrimOp::Lt => {
-            let w = module.width(inst.inputs[0]);
-            model.t_lut + f64::from(w) * model.t_carry
+        // Wide equality maps onto the dedicated carry chain (MUXCY
+        // compare), like the magnitude comparator.
+        PrimOp::Add | PrimOp::Sub | PrimOp::Lt | PrimOp::Eq | PrimOp::Ne => {
+            model.t_lut + width() * model.t_carry
         }
-        PrimOp::Mul => {
-            // Embedded multiplier: roughly three LUT delays plus carry.
-            let w = module.width(inst.inputs[0]);
-            3.0 * model.t_lut + f64::from(w) * model.t_carry * 0.5
-        }
-        PrimOp::Eq | PrimOp::Ne => {
-            // Wide equality maps onto the dedicated carry chain (MUXCY
-            // compare), like the magnitude comparator.
-            let w = module.width(inst.inputs[0]);
-            model.t_lut + f64::from(w) * model.t_carry
-        }
+        // Embedded multiplier: roughly three LUT delays plus carry.
+        PrimOp::Mul => 3.0 * model.t_lut + width() * model.t_carry * 0.5,
         PrimOp::ReduceOr | PrimOp::ReduceAnd => {
-            let w = module.width(inst.inputs[0]);
-            f64::from(gate_tree_levels(w)) * model.t_lut
+            f64::from(gate_tree_levels(module.width(inst.inputs[0]))) * model.t_lut
         }
         PrimOp::Register { .. } | PrimOp::Bram { .. } | PrimOp::Cam { .. } => {
             unreachable!("sequential ops handled by caller")
         }
-    }
+    })
 }
 
 #[cfg(test)]
@@ -645,6 +385,30 @@ mod tests {
             analyze(&b.finish()).unwrap()
         };
         assert!(staged.fmax_mhz > flat.fmax_mhz);
+    }
+
+    #[test]
+    fn critical_path_ends_where_the_period_is_set() {
+        // register -> 1-bit NOT clustered with a 1-bit AND -> register: the
+        // NOT's input enters the LUT tree, so it pays a routing hop.
+        let mut b = ModuleBuilder::new("m");
+        let d = b.input("d", 1);
+        let en = b.input("en", 1);
+        let q1 = b.register(d, 0, "q1");
+        let n = b.not(q1, "n");
+        let a = b.and(&[n, en], "a");
+        let q2 = b.register(a, 0, "q2");
+        b.output("q", q2);
+        let m = b.finish();
+        let model = DelayModel::VIRTEX2PRO;
+        let report = analyze_with(&m, model).unwrap();
+        assert!((report.critical_path_ns - 2.844).abs() < 1e-9, "{report}");
+        let (same, path) = critical_path(&m, model).unwrap();
+        assert_eq!(same, report);
+        // The AND arrives at 1.644 ns; with the 0.20 ns hop into q2 and the
+        // 1.0 ns setup it sets the 2.844 ns period.
+        assert_eq!(path.last().map(String::as_str), Some("and (and) @ 1.64ns"));
+        assert_eq!(path.len(), 3, "{path:?}");
     }
 
     #[test]

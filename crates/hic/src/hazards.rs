@@ -38,7 +38,7 @@ use crate::error::{Diagnostic, Result, Span};
 use crate::sema::{self, Analysis, Dependency};
 use crate::usedef::{self, Cfg, CfgNode};
 use memsync_trace::Json;
-use std::collections::{BTreeMap, BTreeSet};
+use std::collections::BTreeSet;
 use std::fmt;
 
 /// What the analysis may assume about message arrivals.
@@ -354,68 +354,16 @@ fn check_consume_before_produce(program: &Program, analysis: &Analysis, hazards:
 }
 
 fn check_deadlock_cycles(analysis: &Analysis, hazards: &mut Vec<Hazard>) {
-    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-    for d in &analysis.dependencies {
-        for c in &d.consumers {
-            edges
-                .entry(d.producer.thread.as_str())
-                .or_default()
-                .insert(c.thread.as_str());
-        }
-    }
-    let nodes: BTreeSet<&str> = edges
-        .iter()
-        .flat_map(|(k, vs)| std::iter::once(*k).chain(vs.iter().copied()))
-        .collect();
-    // Iterative gray/black DFS; any back edge to a gray node marks both
-    // ends as cycle participants.
-    let mut state: BTreeMap<&str, u8> = BTreeMap::new(); // 0 white, 1 gray, 2 black
-    let mut in_cycle: BTreeSet<&str> = BTreeSet::new();
-    for &root in &nodes {
-        if state.get(root).copied().unwrap_or(0) != 0 {
-            continue;
-        }
-        // (node, next-successor-index) explicit stack.
-        let mut stack: Vec<(&str, usize)> = vec![(root, 0)];
-        state.insert(root, 1);
-        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
-            let succs = edges.get(node);
-            let next = succs.and_then(|s| s.iter().nth(*idx).copied());
-            *idx += 1;
-            match next {
-                None => {
-                    state.insert(node, 2);
-                    stack.pop();
-                }
-                Some(s) => match state.get(s).copied().unwrap_or(0) {
-                    0 => {
-                        state.insert(s, 1);
-                        stack.push((s, 0));
-                    }
-                    1 => {
-                        in_cycle.insert(node);
-                        in_cycle.insert(s);
-                    }
-                    _ => {}
-                },
-            }
-        }
-    }
-    if !in_cycle.is_empty() {
-        let involved: Vec<&str> = in_cycle.iter().copied().collect();
-        let anchor = analysis
-            .dependencies
-            .iter()
-            .find(|d| involved.contains(&d.producer.thread.as_str()));
+    if let Some(cycle) = sema::deadlock_cycle(&analysis.dependencies) {
         hazards.push(Hazard {
             code: HazardCode::DeadlockCycle,
-            dep: anchor.map(|d| d.id.clone()),
+            dep: Some(cycle.anchor.id.clone()),
             message: format!(
                 "producer/consumer cycle through threads {} — every thread in the \
                  cycle blocks on a value another member has not yet produced",
-                involved.join(", "),
+                cycle.threads.join(", "),
             ),
-            span: anchor.map_or_else(Span::dummy, |d| d.span),
+            span: cycle.anchor.span,
         });
     }
 }
@@ -585,6 +533,11 @@ mod tests {
             .find(|h| h.code == HazardCode::DeadlockCycle)
             .unwrap();
         assert!(h.message.contains("a, b"), "got: {}", h.message);
+        let err = sema::analyze(&crate::parser::parse(src).unwrap()).unwrap_err();
+        assert!(
+            err.to_string().contains("cycle through threads a, b"),
+            "got: {err}"
+        );
     }
 
     #[test]

@@ -137,9 +137,17 @@ pub fn analyze_lossy(program: &Program) -> (Analysis, Vec<Diagnostic>) {
     ctx.check_threads(program);
     ctx.collect_pragmas(program);
     ctx.resolve_dependencies(program);
-    ctx.check_deadlock();
-    let mut dependencies: Vec<Dependency> = ctx.dependencies.into_values().collect();
-    dependencies.sort_by(|a, b| a.id.cmp(&b.id));
+    // Keyed by id, so the list comes out sorted by id.
+    let dependencies: Vec<Dependency> = ctx.dependencies.into_values().collect();
+    if let Some(cycle) = deadlock_cycle(&dependencies) {
+        ctx.errors.push(Diagnostic::error(
+            format!(
+                "static deadlock: producer/consumer cycle through threads {}",
+                cycle.threads.join(", ")
+            ),
+            cycle.anchor.span,
+        ));
+    }
     let analysis = Analysis {
         dependencies,
         constants: ctx.constants,
@@ -593,80 +601,77 @@ impl Context {
             }
         }
     }
+}
 
-    /// Static deadlock detection: a cycle in the thread-level
-    /// producer→consumer graph means a set of threads that can all block
-    /// waiting on each other.
-    fn check_deadlock(&mut self) {
-        let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
-        for d in self.dependencies.values() {
-            for c in &d.consumers {
-                edges
-                    .entry(d.producer.thread.as_str())
-                    .or_default()
-                    .insert(c.thread.as_str());
-            }
-        }
-        // Iterative DFS cycle detection with colors.
-        #[derive(Clone, Copy, PartialEq)]
-        enum Color {
-            White,
-            Gray,
-            Black,
-        }
-        let nodes: Vec<&str> = edges
-            .iter()
-            .flat_map(|(k, vs)| std::iter::once(*k).chain(vs.iter().copied()))
-            .collect::<BTreeSet<_>>()
-            .into_iter()
-            .collect();
-        let mut color: BTreeMap<&str, Color> = nodes.iter().map(|n| (*n, Color::White)).collect();
-        let mut cycle_nodes: BTreeSet<String> = BTreeSet::new();
+/// A cycle in the thread-level producer→consumer graph: a set of threads
+/// that can all block waiting on each other.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct DeadlockCycle<'a> {
+    /// The threads at either end of a back edge the search found, sorted.
+    pub threads: Vec<&'a str>,
+    /// The first dependency, by id, whose producer is one of `threads`:
+    /// where both the compile error and the hazard point.
+    pub anchor: &'a Dependency,
+}
 
-        fn dfs<'a>(
-            node: &'a str,
-            edges: &BTreeMap<&'a str, BTreeSet<&'a str>>,
-            color: &mut BTreeMap<&'a str, Color>,
-            cycle: &mut BTreeSet<String>,
-        ) {
-            color.insert(node, Color::Gray);
-            if let Some(next) = edges.get(node) {
-                for &n in next {
-                    match color.get(n).copied().unwrap_or(Color::White) {
-                        Color::White => dfs(n, edges, color, cycle),
-                        Color::Gray => {
-                            cycle.insert(node.to_owned());
-                            cycle.insert(n.to_owned());
-                        }
-                        Color::Black => {}
-                    }
-                }
-            }
-            color.insert(node, Color::Black);
-        }
-
-        for n in &nodes {
-            if color[n] == Color::White {
-                dfs(n, &edges, &mut color, &mut cycle_nodes);
-            }
-        }
-        if !cycle_nodes.is_empty() {
-            let involved: Vec<String> = cycle_nodes.into_iter().collect();
-            let span = self
-                .dependencies
-                .values()
-                .find(|d| involved.contains(&d.producer.thread))
-                .map(|d| d.span)
-                .unwrap_or_else(Span::dummy);
-            self.error(
-                format!(
-                    "static deadlock: producer/consumer cycle through threads {}",
-                    involved.join(", ")
-                ),
-                span,
-            );
+/// Searches the producer→consumer graph of `dependencies` (sorted by id,
+/// as [`Analysis::dependencies`] is) for a cycle. This one search feeds
+/// both the static-deadlock compile error and the `deadlock_cycle` hazard.
+pub fn deadlock_cycle(dependencies: &[Dependency]) -> Option<DeadlockCycle<'_>> {
+    let mut edges: BTreeMap<&str, BTreeSet<&str>> = BTreeMap::new();
+    for d in dependencies {
+        for c in &d.consumers {
+            edges
+                .entry(d.producer.thread.as_str())
+                .or_default()
+                .insert(c.thread.as_str());
         }
     }
+    let nodes: BTreeSet<&str> = edges
+        .iter()
+        .flat_map(|(k, vs)| std::iter::once(*k).chain(vs.iter().copied()))
+        .collect();
+    // Gray/black depth-first search with an explicit stack of (node,
+    // next-successor index); a back edge to a gray node marks both ends.
+    enum Color {
+        Gray,
+        Black,
+    }
+    let mut color: BTreeMap<&str, Color> = BTreeMap::new();
+    let mut in_cycle: BTreeSet<&str> = BTreeSet::new();
+    for &root in &nodes {
+        if color.contains_key(root) {
+            continue;
+        }
+        color.insert(root, Color::Gray);
+        let mut stack: Vec<(&str, usize)> = vec![(root, 0)];
+        while let Some(&mut (node, ref mut idx)) = stack.last_mut() {
+            let next = edges.get(node).and_then(|s| s.iter().nth(*idx).copied());
+            *idx += 1;
+            let Some(succ) = next else {
+                color.insert(node, Color::Black);
+                stack.pop();
+                continue;
+            };
+            match color.get(succ) {
+                None => {
+                    color.insert(succ, Color::Gray);
+                    stack.push((succ, 0));
+                }
+                Some(Color::Gray) => {
+                    in_cycle.insert(node);
+                    in_cycle.insert(succ);
+                }
+                Some(Color::Black) => {}
+            }
+        }
+    }
+    let threads: Vec<&str> = in_cycle.into_iter().collect();
+    // A back edge leaves a producer's thread, so an anchor always exists.
+    let anchor = dependencies
+        .iter()
+        .find(|d| threads.contains(&d.producer.thread.as_str()))?;
+    Some(DeadlockCycle { threads, anchor })
 }
 
 #[cfg(test)]

@@ -10,7 +10,7 @@
 //! 64 bits are rejected at construction.
 
 use crate::netlist::{addr_width, Module, NetId, PortDir, PrimOp};
-use std::collections::{BTreeMap, VecDeque};
+use std::collections::BTreeMap;
 use std::fmt;
 
 /// Interpreter construction/execution failure.
@@ -67,7 +67,9 @@ impl Interp {
                 });
             }
         }
-        let order = topo_order(module)?;
+        let order = module.comb_order().ok_or_else(|| InterpError {
+            message: "combinational loop".into(),
+        })?;
         let mut regs = BTreeMap::new();
         let mut mems = BTreeMap::new();
         let mut cams = BTreeMap::new();
@@ -327,57 +329,6 @@ fn mask(v: u64, width: u32) -> u64 {
     } else {
         v & ((1u64 << width) - 1)
     }
-}
-
-/// Topological order over combinational evaluation (registers/BRAMs break
-/// cycles; the CAM's search path is combinational in its key input).
-fn topo_order(module: &Module) -> Result<Vec<usize>, InterpError> {
-    let n_inst = module.instances.len();
-    let mut driver: Vec<Option<usize>> = vec![None; module.nets.len()];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &o in &inst.outputs {
-            driver[o.0] = Some(idx);
-        }
-    }
-    let comb_inputs = |op: &PrimOp, n: usize| -> Vec<usize> {
-        match op {
-            PrimOp::Register { .. } | PrimOp::Bram { .. } => Vec::new(),
-            PrimOp::Cam { .. } => vec![0],
-            _ => (0..n).collect(),
-        }
-    };
-    let mut indegree = vec![0u32; n_inst];
-    let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n_inst];
-    for (idx, inst) in module.instances.iter().enumerate() {
-        for &pi in &comb_inputs(&inst.op, inst.inputs.len()) {
-            if let Some(d) = driver[inst.inputs[pi].0] {
-                if !matches!(
-                    module.instances[d].op,
-                    PrimOp::Register { .. } | PrimOp::Bram { .. }
-                ) {
-                    indegree[idx] += 1;
-                    dependents[d].push(idx);
-                }
-            }
-        }
-    }
-    let mut queue: VecDeque<usize> = (0..n_inst).filter(|&i| indegree[i] == 0).collect();
-    let mut order = Vec::with_capacity(n_inst);
-    while let Some(i) = queue.pop_front() {
-        order.push(i);
-        for &d in &dependents[i] {
-            indegree[d] -= 1;
-            if indegree[d] == 0 {
-                queue.push_back(d);
-            }
-        }
-    }
-    if order.len() != n_inst {
-        return Err(InterpError {
-            message: "combinational loop".into(),
-        });
-    }
-    Ok(order)
 }
 
 #[cfg(test)]

@@ -4,7 +4,10 @@
 //! `memsync-core` and `memsync-synth` build [`netlist::Module`]s through
 //! [`builder::ModuleBuilder`]; [`validate::validate`] checks structural
 //! well-formedness; [`verilog::emit`] prints synthesizable Verilog;
-//! [`stats::NetlistStats`] feeds the area model in `memsync-fpga`.
+//! [`interp::Interp`] runs a module cycle by cycle. [`netlist::Module`]
+//! owns the graph passes its readers share: its drivers, its fanout and
+//! its combinational order, which the interpreter evaluates in and
+//! `memsync-fpga` clusters and times with.
 //!
 //! # Examples
 //!
@@ -33,10 +36,8 @@
 pub mod builder;
 pub mod interp;
 pub mod netlist;
-pub mod stats;
 pub mod validate;
 pub mod verilog;
 
 pub use builder::ModuleBuilder;
-pub use netlist::{InstId, Instance, Module, Net, NetId, Port, PortDir, PrimOp};
-pub use stats::NetlistStats;
+pub use netlist::{Instance, Module, Net, NetId, Port, PortDir, PrimOp};

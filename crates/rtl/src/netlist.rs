@@ -7,6 +7,7 @@
 //! this IR onto 4-input LUTs, flip-flops, slices, and block RAMs; the
 //! emitter in [`crate::verilog`] prints it as HDL.
 
+use std::collections::VecDeque;
 use std::fmt;
 
 /// Index of a net within its [`Module`].
@@ -18,10 +19,6 @@ impl fmt::Display for NetId {
         write!(f, "n{}", self.0)
     }
 }
-
-/// Index of an instance within its [`Module`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct InstId(pub usize);
 
 /// Direction of a module port.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -243,6 +240,73 @@ impl Module {
     pub fn port(&self, name: &str) -> Option<&Port> {
         self.ports.iter().find(|p| p.name == name)
     }
+
+    /// The instance driving each net, indexed by [`NetId`]; `None` for a net
+    /// driven by an input port (or by nothing).
+    pub fn drivers(&self) -> Vec<Option<usize>> {
+        let mut driver = vec![None; self.nets.len()];
+        for (idx, inst) in self.instances.iter().enumerate() {
+            for &o in &inst.outputs {
+                driver[o.0] = Some(idx);
+            }
+        }
+        driver
+    }
+
+    /// Readers of each net, indexed by [`NetId`]: instance inputs plus
+    /// output ports.
+    pub fn fanout(&self) -> Vec<u32> {
+        let mut fanout = vec![0u32; self.nets.len()];
+        for inst in &self.instances {
+            for &i in &inst.inputs {
+                fanout[i.0] += 1;
+            }
+        }
+        for p in self.ports_in(PortDir::Output) {
+            fanout[p.net.0] += 1;
+        }
+        fanout
+    }
+
+    /// Instance indices in combinational evaluation order: every instance
+    /// comes after the instances whose outputs it reads combinationally.
+    /// Registers and BRAMs cut paths (their inputs are clocked and their
+    /// outputs launch fresh ones); a CAM passes only its search key
+    /// through, since its writes are clocked.
+    ///
+    /// Returns `None` when combinational logic forms a loop.
+    pub fn comb_order(&self) -> Option<Vec<usize>> {
+        let cuts = |op: &PrimOp| matches!(op, PrimOp::Register { .. } | PrimOp::Bram { .. });
+        let driver = self.drivers();
+        let n = self.instances.len();
+        let mut indegree = vec![0u32; n];
+        let mut dependents: Vec<Vec<usize>> = vec![Vec::new(); n];
+        for (idx, inst) in self.instances.iter().enumerate() {
+            let through: &[NetId] = match inst.op {
+                PrimOp::Register { .. } | PrimOp::Bram { .. } => &[],
+                PrimOp::Cam { .. } => &inst.inputs[..1],
+                _ => &inst.inputs,
+            };
+            for net in through {
+                if let Some(d) = driver[net.0].filter(|&d| !cuts(&self.instances[d].op)) {
+                    indegree[idx] += 1;
+                    dependents[d].push(idx);
+                }
+            }
+        }
+        let mut queue: VecDeque<usize> = (0..n).filter(|&i| indegree[i] == 0).collect();
+        let mut order = Vec::with_capacity(n);
+        while let Some(i) = queue.pop_front() {
+            order.push(i);
+            for &d in &dependents[i] {
+                indegree[d] -= 1;
+                if indegree[d] == 0 {
+                    queue.push_back(d);
+                }
+            }
+        }
+        (order.len() == n).then_some(order)
+    }
 }
 
 /// Ceiling of log2, with `clog2(0) == 0` and `clog2(1) == 0`.
@@ -295,6 +359,37 @@ mod tests {
         }
         .is_sequential());
         assert!(!PrimOp::Add.is_sequential());
+    }
+
+    #[test]
+    fn comb_order_passes_only_a_cams_search_key() {
+        // A loop from the CAM's match data back to its key is combinational;
+        // one back to its write data closes through a clocked write.
+        let build = |through_key: bool| {
+            let mut b = crate::builder::ModuleBuilder::new("m");
+            let fed = b.net("fed", 4);
+            let other = b.input("other", 4);
+            let (key, wdata) = if through_key {
+                (fed, other)
+            } else {
+                (other, fed)
+            };
+            let widx = b.input("widx", 2);
+            let we = b.input("we", 1);
+            let (_, _, data) = b.cam(4, 4, 4, key, key, wdata, widx, we, "cam");
+            b.slice_into(data, 3, 0, fed);
+            b.finish()
+        };
+        assert_eq!(build(true).comb_order(), None);
+        let m = build(false);
+        let order = m.comb_order().expect("no combinational loop");
+        let at = |op: &str| {
+            let at = order
+                .iter()
+                .position(|&i| m.instances[i].op.mnemonic() == op);
+            at.expect("instance in the order")
+        };
+        assert!(at("cam") < at("slice"), "{order:?}");
     }
 
     #[test]

@@ -35,14 +35,15 @@ use crate::arb_model::{ArbInputs, ArbOutputs, ArbitratedModel};
 use crate::bram_model::BramModel;
 use crate::event_model::{EventDrivenModel, EvtInputs, EvtOutputs};
 use crate::intern::{BankId, Interner, ThreadId};
-use crate::metrics::MetricsRegistry;
 use crate::thread_model::{MemRequest, MemResponse, ThreadExec};
 use crate::traffic::ArrivalProcess;
 use memsync_core::alloc::SyncBank;
 use memsync_core::modulo::ModuloSchedule;
 use memsync_core::{CompiledSystem, OrganizationKind};
 use memsync_synth::ir::PortClass;
-use memsync_trace::{EventKind, NullSink, Port, RecordingSink, TraceEvent, TraceSink};
+use memsync_trace::{
+    EventKind, MetricsRegistry, NullSink, Port, RecordingSink, TraceEvent, TraceSink,
+};
 use std::collections::VecDeque;
 
 /// One synchronization bank under simulation, with its per-cycle input and

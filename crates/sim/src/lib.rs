@@ -15,9 +15,7 @@
 //!   wrappers with blocking semantics;
 //! * [`engine`] — wires a [`memsync_core::CompiledSystem`] into a steppable
 //!   [`engine::System`];
-//! * [`traffic`] — Bernoulli/periodic arrival processes;
-//! * [`metrics`] — latency distributions, counters, and determinism checks
-//!   (re-exported from [`memsync_trace`], where the apparatus now lives).
+//! * [`traffic`] — Bernoulli/periodic arrival processes.
 //!
 //! Cycle-level observability: both wrapper models expose `step_traced`,
 //! and [`engine::System::set_sink`] routes every grant, stall, and
@@ -32,11 +30,9 @@ pub mod bram_model;
 pub mod engine;
 pub mod event_model;
 pub mod intern;
-pub mod metrics;
 pub mod thread_model;
 pub mod traffic;
 
 pub use engine::System;
 pub use intern::{BankId, Interner, ThreadId};
-pub use metrics::{LatencyRecorder, LatencyStats, MetricsRegistry};
 pub use thread_model::{MemRequest, MemResponse, ThreadExec};

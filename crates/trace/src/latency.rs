@@ -4,10 +4,8 @@
 //! A stream keeps five running integer sums, not its samples: count, Σx,
 //! Σx², min and max determine every field of [`LatencyStats`] exactly, so
 //! a recorder's memory follows its number of streams, not the number of
-//! deliveries it has seen.
-//!
-//! Previously `memsync_sim::metrics`; folded into this crate so the
-//! recorder lives next to the counter registry that embeds it.
+//! deliveries it has seen. It lives next to the counter registry that
+//! embeds it.
 
 use std::collections::BTreeMap;
 

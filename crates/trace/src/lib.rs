@@ -11,13 +11,13 @@
 //!   `DepListHit`/`Miss`, `Deliver`, `QueuePush`/`Pop`, …) with
 //!   `(cycle, bank, port, addr)` attribution;
 //! * [`sink`] — the near-zero-cost [`TraceSink`] trait with [`NullSink`],
-//!   [`RingBufferSink`], [`VecSink`], [`JsonlSink`], and [`SharedSink`];
+//!   [`VecSink`], [`JsonlSink`], and [`SharedSink`];
 //! * [`registry`] — the counter/histogram registry: arbitration stalls per
 //!   consumer, grant-wait histograms with percentile summaries,
 //!   dependency-list occupancy high-water marks, rx-queue depths, per-bank
 //!   utilization;
 //! * [`latency`] — the produce-to-consume [`LatencyRecorder`] (folded into
-//!   the registry, previously `memsync_sim::metrics`);
+//!   the registry);
 //! * [`vcd`] — exports event streams as VCD so traces open in waveform
 //!   viewers;
 //! * [`bucket`] — fixed-footprint log2 [`BucketHistogram`]s for long-lived
@@ -48,5 +48,5 @@ pub use json::Json;
 pub use latency::{LatencyRecorder, LatencyStats};
 pub use prng::Pcg32;
 pub use registry::{HistSummary, Histogram, MetricsRegistry, RecordingSink};
-pub use sink::{JsonlSink, NullSink, RingBufferSink, SharedSink, TraceSink, VecSink};
+pub use sink::{JsonlSink, NullSink, SharedSink, TraceSink, VecSink};
 pub use span::SpanRecord;

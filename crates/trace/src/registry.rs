@@ -133,8 +133,7 @@ pub struct MetricsRegistry {
     histograms: BTreeMap<String, Histogram>,
     buckets: BTreeMap<String, BucketHistogram>,
     highwater: BTreeMap<String, u64>,
-    /// Produce-to-consume latency streams (the former
-    /// `memsync_sim::metrics::LatencyRecorder`).
+    /// Produce-to-consume latency streams.
     pub latency: LatencyRecorder,
     /// Grant-wait tracking: first stalled cycle per (bank, role, index).
     wait_since: BTreeMap<(u16, char, usize), u64>,

@@ -7,7 +7,6 @@
 //! within noise of the pre-instrumentation simulator.
 
 use crate::event::TraceEvent;
-use std::collections::VecDeque;
 use std::io::Write;
 use std::sync::{Arc, Mutex, PoisonError};
 
@@ -60,65 +59,6 @@ impl VecSink {
 impl TraceSink for VecSink {
     fn emit(&mut self, ev: &TraceEvent) {
         self.events.push(*ev);
-    }
-}
-
-/// Keeps the last `capacity` events; older ones are dropped (and counted).
-#[derive(Debug, Clone)]
-pub struct RingBufferSink {
-    buf: VecDeque<TraceEvent>,
-    capacity: usize,
-    dropped: u64,
-}
-
-impl RingBufferSink {
-    /// Creates a ring holding at most `capacity` events.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `capacity` is zero.
-    pub fn new(capacity: usize) -> Self {
-        assert!(capacity > 0, "ring capacity must be positive");
-        RingBufferSink {
-            buf: VecDeque::with_capacity(capacity),
-            capacity,
-            dropped: 0,
-        }
-    }
-
-    /// The retained events, oldest first.
-    pub fn events(&self) -> impl Iterator<Item = &TraceEvent> {
-        self.buf.iter()
-    }
-
-    /// Retained event count.
-    pub fn len(&self) -> usize {
-        self.buf.len()
-    }
-
-    /// Whether nothing is retained.
-    pub fn is_empty(&self) -> bool {
-        self.buf.is_empty()
-    }
-
-    /// Events evicted because the ring was full.
-    pub fn dropped(&self) -> u64 {
-        self.dropped
-    }
-
-    /// Drains the retained events into a `Vec` (e.g. for VCD export).
-    pub fn take(&mut self) -> Vec<TraceEvent> {
-        self.buf.drain(..).collect()
-    }
-}
-
-impl TraceSink for RingBufferSink {
-    fn emit(&mut self, ev: &TraceEvent) {
-        if self.buf.len() == self.capacity {
-            self.buf.pop_front();
-            self.dropped += 1;
-        }
-        self.buf.push_back(*ev);
     }
 }
 
@@ -247,18 +187,6 @@ mod tests {
         let mut s = NullSink;
         assert!(!s.enabled());
         s.emit(&ev(0));
-    }
-
-    #[test]
-    fn ring_buffer_keeps_newest_and_counts_drops() {
-        let mut s = RingBufferSink::new(3);
-        for c in 0..5 {
-            s.emit(&ev(c));
-        }
-        assert_eq!(s.len(), 3);
-        assert_eq!(s.dropped(), 2);
-        let cycles: Vec<u64> = s.events().map(|e| e.cycle).collect();
-        assert_eq!(cycles, vec![2, 3, 4]);
     }
 
     #[test]
