@@ -6,28 +6,19 @@
 //! *candidate* (normally [`crate::backend::FastBackend`]), and panics on
 //! the first egress frame mismatch or lost-update divergence — frame
 //! index, egress consumer, and both values in the message. Inside a serve
-//! shard that panic unwinds out of the shard loop: the shard restarts in
-//! place, the in-flight submit reports an error, and `shard_restarts`
-//! ticks — a semantic bug can never be served silently.
+//! shard that panic unwinds out of the activation: the shard rebuilds its
+//! engine in place, the in-flight submit reports an error, and
+//! `shard_restarts` ticks — a semantic bug can never be served silently.
 
 use super::{BackendKind, BackendMetrics, ForwardingBackend};
 
 /// A reference and a candidate backend cross-checked on every drain.
+#[derive(Debug)]
 pub struct DifferentialBackend {
     reference: Box<dyn ForwardingBackend>,
     candidate: Box<dyn ForwardingBackend>,
     /// Descriptors cross-checked so far (divergence reporting).
     checked: u64,
-}
-
-impl std::fmt::Debug for DifferentialBackend {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("DifferentialBackend")
-            .field("reference", &self.reference.kind())
-            .field("candidate", &self.candidate.kind())
-            .field("checked", &self.checked)
-            .finish()
-    }
 }
 
 impl DifferentialBackend {
@@ -120,6 +111,7 @@ mod tests {
 
     /// A backend that forwards to an inner engine but corrupts one frame —
     /// the divergence the differential backend must catch.
+    #[derive(Debug)]
     struct LyingBackend {
         inner: FastBackend,
         corrupt_at: usize,
@@ -192,6 +184,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "frame count diverged")]
     fn a_missing_frame_fails_loudly() {
+        #[derive(Debug)]
         struct Swallow(FastBackend);
         impl ForwardingBackend for Swallow {
             fn kind(&self) -> BackendKind {

@@ -1,8 +1,8 @@
 //! Pluggable forwarding backends.
 //!
-//! A shard thread does not care *how* a batch of packet descriptors turns
-//! into egress frames — only that the semantics match the compiled hic
-//! forwarding application. [`ForwardingBackend`] captures exactly that
+//! A shard activation does not care *how* a batch of packet descriptors
+//! turns into egress frames — only that the semantics match the compiled
+//! hic forwarding application. [`ForwardingBackend`] captures exactly that
 //! contract, and three implementations plug into it:
 //!
 //! * [`SimBackend`] — the cycle-accurate [`memsync_sim::System`] under
@@ -141,7 +141,7 @@ pub struct BackendMetrics {
 /// [`submit_batch`]: ForwardingBackend::submit_batch
 /// [`drain_egress`]: ForwardingBackend::drain_egress
 /// [`lost_updates`]: ForwardingBackend::lost_updates
-pub trait ForwardingBackend: Send {
+pub trait ForwardingBackend: Send + std::fmt::Debug {
     /// Which implementation this is (stats attribution, `Hello` frames).
     fn kind(&self) -> BackendKind;
 

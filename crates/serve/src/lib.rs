@@ -21,7 +21,7 @@
 //!   the v3 control plane: a single writer compiles and publishes whole
 //!   fresh tables, shard readers follow one atomic generation counter
 //!   lock-free, and an old generation is retired, and freed, only after
-//!   every shard acknowledges a drain barrier;
+//!   a drain barrier has moved every shard's engine off it;
 //! * [`backend`] — the pluggable [`backend::ForwardingBackend`] trait and
 //!   its three engines: cycle-accurate [`backend::SimBackend`] (the
 //!   reference), functional [`backend::FastBackend`] (the compiled fast
@@ -35,17 +35,17 @@
 //!   a full queue defers the submit, never buffers without bound;
 //! * [`router`] — dst-prefix flow hashing and all-or-nothing multi-shard
 //!   batch submission;
-//! * [`shard`] — shard threads batching up to K packets per simulator
-//!   activation to amortize per-`step()` overhead; a shard that panics
-//!   restarts in place on its surviving queue and stats, and counts
-//!   `shard_restarts`;
-//! * [`server`] — the service instance: the shard fleet, the control
-//!   worker, graceful drain (in-flight packets complete, new submits
-//!   refused) and shutdown, joining every thread it spawned;
+//! * [`shard`] — shards without threads, run by whichever thread finds
+//!   one free (flat combining), up to K packets per activation; a panic
+//!   drops its batch and engine, and `shard_restarts` counts the rebuild;
+//! * [`server`] — the service instance: the shards, the control worker,
+//!   graceful drain (in-flight packets complete, new submits refused)
+//!   and shutdown, joining every thread it spawned;
 //! * `session` — one connection's protocol with no transport attached:
 //!   every request is dispatched there;
 //! * [`reactor`] — the transport: epoll event loops doing the socket
-//!   I/O, backpressure and deadlines around each connection's session;
+//!   I/O, backpressure and deadlines around each connection's session,
+//!   and running the shard activations their requests enqueue;
 //! * [`snapshot`] — [`snapshot::StatsSnapshot`], the stats frame's one
 //!   schema: each section type carries the one `to_json`/`from_json`
 //!   pair (over the dependency-free [`memsync_trace::Json`]) that the
@@ -115,7 +115,8 @@ pub fn raise_fd_limit() -> u64 {
 /// organization, 64-route synthetic FIB.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
-    /// Number of shard simulator instances (each its own thread).
+    /// Number of shards, each with its own backend (the reactor threads
+    /// run their activations).
     pub shards: usize,
     /// Egress consumer count of the compiled forwarding application.
     pub egress: usize,
@@ -144,7 +145,8 @@ pub struct ServeConfig {
     /// (or a deferred submit for queue room) before it fails.
     pub job_timeout: Duration,
     /// Test hook: artificial per-activation delay, to make backpressure
-    /// observable deterministically in the loopback tests.
+    /// observable deterministically in the loopback tests. It sleeps on
+    /// whichever thread runs the activation, holding the shard.
     pub shard_throttle: Option<Duration>,
     /// Request tracing (spans, stage histograms, JSONL export). Disabled
     /// by default; disabled means zero instrumentation cost.

@@ -2,10 +2,11 @@
 //!
 //! Each shard owns one [`ShardQueue`]: sessions push whole jobs
 //! (`try`-only — a full queue defers the submit, never buffers without
-//! bound), the shard thread pops them with a timeout so it can notice
-//! drain/stop flags. The queue outlives any one run of the shard loop:
-//! when a shard panics and restarts in place, queued jobs survive and are
-//! processed by the next incarnation.
+//! bound), and whichever thread holds the shard's engine pops them
+//! ([`crate::shard::Shard::step`]). Nothing waits on the queue: a
+//! pusher's thread runs the shard itself or leaves the job to the thread
+//! that does. The queue outlives the engine: when an activation panics,
+//! queued jobs survive and are processed by the rebuilt engine.
 
 use crate::frame::SubmitOptions;
 use memsync_netapp::Ipv4Packet;
@@ -14,8 +15,8 @@ use std::collections::VecDeque;
 use std::fmt;
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::mpsc::{SendError, Sender};
-use std::sync::{Arc, Condvar, Mutex, MutexGuard, PoisonError};
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
+use std::time::Instant;
 
 /// The result a shard reports for one job.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
@@ -37,26 +38,30 @@ pub struct JobOutcome {
 ///
 /// The reactor multiplexes thousands of connections on one thread that
 /// parks in the poller, and an mpsc send cannot interrupt that park.
-/// Shards call [`Reply::send`], and the reply wakes whatever registered
-/// interest. The trait lives here (not in the reactor) so the queue
-/// layer carries no dependency on the poller type.
+/// An activation, on whichever thread runs it, calls [`Reply::send`],
+/// and the reply wakes whatever registered interest. The trait lives
+/// here (not in the reactor) so the queue layer carries no dependency on
+/// the poller type.
 pub trait ReplyWaker: Send + Sync + fmt::Debug {
     /// Signal the owning transport that an outcome (or a channel close)
-    /// is ready to collect. Must be nonblocking and safe to call from a
-    /// shard thread; spurious calls are allowed.
+    /// is ready to collect. Must be nonblocking and safe to call from
+    /// any thread, another reactor's included; spurious calls are
+    /// allowed.
     fn wake(&self);
 }
 
 /// The outcome path of one job or control op: the mpsc sender a shard
-/// or the control worker reports on, plus an optional waker for the
-/// reactor.
+/// activation or the control worker reports on, plus an optional waker
+/// for the reactor.
 ///
-/// The channel is kept (rather than replaced by the waker) because its
-/// disconnect semantics carry a signal a bare callback cannot: a shard
-/// that panics mid-batch *drops* its jobs, and the session observes the
-/// hung-up channel as a failed submit — never a silent loss. The waker
-/// only fires on delivery and on drop, so the transport also polls
-/// outstanding submits on a periodic tick.
+/// The data path keeps the channel although the submitting reactor often
+/// runs the activation itself: an activation answers every job it
+/// coalesced, other reactors' included, and those must be woken. The
+/// channel (rather than the waker alone) carries a signal a bare callback
+/// cannot: an activation that panics *drops* its jobs, and the session
+/// observes the hung-up channel as a failed submit — never a silent
+/// loss. The waker only fires on delivery and on drop, so the transport
+/// also polls outstanding submits on a periodic tick.
 #[derive(Clone)]
 pub struct Reply<T> {
     tx: Sender<T>,
@@ -70,8 +75,8 @@ impl<T> Reply<T> {
     }
 
     /// A reply that calls `waker` after every outcome delivery (and when
-    /// the last clone drops, covering a shard or control worker that
-    /// dies holding it).
+    /// the last clone drops, covering an activation or control worker
+    /// that dies holding it).
     pub fn with_waker(tx: Sender<T>, waker: Arc<dyn ReplyWaker>) -> Reply<T> {
         Reply {
             tx,
@@ -96,7 +101,8 @@ impl<T> Reply<T> {
     }
 
     /// Drops this handle without the wake: for the submitter's own copy,
-    /// which never holds the channel open once the shards hold theirs.
+    /// which never holds the channel open once the queued jobs hold
+    /// theirs.
     pub fn drop_quietly(mut self) {
         self.waker = None;
     }
@@ -104,8 +110,8 @@ impl<T> Reply<T> {
 
 impl<T> Drop for Reply<T> {
     fn drop(&mut self) {
-        // A dropped clone may be the channel's last sender (shard panic
-        // unwinding its queued jobs): wake so the session promptly sees
+        // A dropped clone may be the channel's last sender (a panicked
+        // activation dropping its jobs): wake so the session promptly sees
         // the disconnect instead of waiting for its sweep tick. Spurious
         // wakes from ordinary drops are harmless.
         if let Some(w) = &self.waker {
@@ -131,19 +137,19 @@ pub struct Job {
     /// Typed submit options (verify mode, future flags).
     pub options: SubmitOptions,
     /// Outcome path back to the submitting session. Dropping the job
-    /// (e.g. a shard panic mid-batch) drops the reply, which the
-    /// session observes as a failed submit — never a silent loss.
+    /// (e.g. a panic mid-batch) drops the reply, which the session
+    /// observes as a failed submit — never a silent loss.
     pub reply: Reply<JobOutcome>,
     /// When the job entered the queue (service-latency attribution).
     pub enqueued: Instant,
 }
 
-/// A bounded MPSC job queue (mutex + condvar; the push side is `try`-only
-/// so producers never block on a full queue).
+/// A bounded job queue behind one mutex. Both sides are `try`-only:
+/// producers never block on a full queue, and nobody waits on an empty
+/// one.
 #[derive(Debug)]
 pub struct ShardQueue {
     inner: Mutex<VecDeque<Job>>,
-    available: Condvar,
     cap: usize,
     /// Highest depth ever observed at push time (stats frame).
     high_water: AtomicUsize,
@@ -164,7 +170,6 @@ impl ShardQueue {
     pub fn new(cap: usize) -> Self {
         ShardQueue {
             inner: Mutex::new(VecDeque::with_capacity(cap)),
-            available: Condvar::new(),
             cap,
             high_water: AtomicUsize::new(0),
         }
@@ -197,13 +202,11 @@ impl ShardQueue {
         unpoison(self.inner.lock())
     }
 
-    /// Pushes under an already-held guard, updating the high-water mark
-    /// and waking the shard.
+    /// Pushes under an already-held guard, updating the high-water mark.
     pub(crate) fn push_locked(&self, guard: &mut MutexGuard<'_, VecDeque<Job>>, job: Job) {
         guard.push_back(job);
         let depth = guard.len();
         self.high_water.fetch_max(depth, Ordering::Relaxed);
-        self.available.notify_one();
     }
 
     /// Tries to push one job; `Err(job)` hands it back when the queue is
@@ -217,49 +220,24 @@ impl ShardQueue {
         Ok(())
     }
 
-    /// Pops one job, waiting up to `timeout` — shards poll this so stop
-    /// and kill flags are observed between activations — and clears
-    /// `idle` **before the queue lock is released** whenever a job comes
-    /// out. Drain checks `queue.is_empty() && idle` (in that order, and
-    /// `is_empty` takes this same lock), so it can never observe the
-    /// window where the pop emptied the queue but the shard has not yet
-    /// marked itself busy.
-    pub fn pop_timeout_busy(&self, timeout: Duration, idle: &AtomicBool) -> Option<Job> {
-        let take = |g: &mut VecDeque<Job>| {
-            let job = g.pop_front();
-            if job.is_some() {
-                idle.store(false, Ordering::Release);
-            }
-            job
-        };
-        let mut g = unpoison(self.inner.lock());
-        if let Some(job) = take(&mut g) {
-            return Some(job);
+    /// Pops one job and, when one comes out, clears `idle` **before the
+    /// queue lock is released**. Drain checks `queue.is_empty() && idle`
+    /// (in that order, and `is_empty` takes this same lock), so it can
+    /// never observe the window where the pop emptied the queue but the
+    /// activation has not yet marked the shard busy.
+    pub fn pop_busy(&self, idle: &AtomicBool) -> Option<Job> {
+        let mut g = self.lock();
+        let job = g.pop_front();
+        if job.is_some() {
+            idle.store(false, Ordering::Release);
         }
-        // One lock held into the wait: a push between the check and the
-        // wait cannot slip its notification past us.
-        let (mut g, _) = self
-            .available
-            .wait_timeout(g, timeout)
-            .unwrap_or_else(PoisonError::into_inner);
-        take(&mut g)
+        job
     }
 
-    /// Pops without waiting (batch coalescing inside one activation).
+    /// Pops one job and leaves `idle` alone (coalescing follow-on jobs
+    /// into an activation that [`ShardQueue::pop_busy`] started).
     pub fn try_pop(&self) -> Option<Job> {
         unpoison(self.inner.lock()).pop_front()
-    }
-
-    /// Wakes the shard even though no job was pushed. The control plane
-    /// uses this after publishing a new table generation: a shard parked
-    /// in [`ShardQueue::pop_timeout_busy`] wakes, finds the queue empty,
-    /// and falls through to its per-iteration generation check — so the
-    /// drain-barrier acknowledgement arrives in microseconds instead of
-    /// waiting out the poll timeout. (The pop waits on the condvar at
-    /// most once, so a wake with an empty queue returns `None` promptly
-    /// rather than re-parking.)
-    pub fn notify(&self) {
-        self.available.notify_all();
     }
 }
 
@@ -302,19 +280,15 @@ mod tests {
     fn busy_pop_clears_idle_with_the_job_never_without() {
         let q = ShardQueue::new(4);
         let idle = AtomicBool::new(true);
-        // Timing out empty must leave the idle flag alone.
-        assert!(q
-            .pop_timeout_busy(Duration::from_millis(5), &idle)
-            .is_none());
+        // Popping an empty queue must leave the idle flag alone.
+        assert!(q.pop_busy(&idle).is_none());
         assert!(idle.load(Ordering::Acquire));
         let (a, _ra) = job(1);
         q.try_push(a).unwrap();
         // Popping a job marks the shard busy before the caller even sees
         // it — so an observer that finds the queue empty afterwards is
         // guaranteed to also find idle == false.
-        assert!(q
-            .pop_timeout_busy(Duration::from_millis(100), &idle)
-            .is_some());
+        assert!(q.pop_busy(&idle).is_some());
         assert!(q.is_empty());
         assert!(!idle.load(Ordering::Acquire));
     }
@@ -335,7 +309,7 @@ mod tests {
         assert_eq!(waker.0.load(Ordering::Relaxed), 1, "send wakes");
         assert!(rx.try_recv().is_ok());
         // A dropped clone wakes too — that is how a session learns about
-        // shard death (the job's reply drops without ever sending).
+        // a panicked activation (the job's reply drops without sending).
         drop(reply.clone());
         assert_eq!(waker.0.load(Ordering::Relaxed), 2, "drop wakes");
         drop(reply);

@@ -1,13 +1,19 @@
 //! The transport: a few reactor threads multiplex every connection
 //! through an epoll event loop around each connection's `Session`.
 //!
-//! The reactor does I/O and nothing else: it accepts and deals
+//! The reactor does I/O and runs the shards: it accepts and deals
 //! connections across `config.reactor_threads` event loops, reads and
 //! frames requests, queues and flushes responses, and enforces the idle
 //! and write deadlines. Every protocol decision is the session's. It is
 //! the process-level analogue of the paper's multi-port memory
 //! controller: many requesters multiplexed onto a fixed set of service
 //! ports, held back by flow control instead of unbounded buffering.
+//!
+//! Each pass reads every ready request, then steps every shard once
+//! ([`crate::shard::Shard::step`]), running an activation here when jobs
+//! are queued and the engine is free, and answers what completed. A pass
+//! that ran one steps again without parking, reading in between. While
+//! an activation runs, this thread's connections wait.
 //!
 //! Per connection:
 //!
@@ -29,9 +35,10 @@
 //!   resume once the session is idle and egress is under
 //!   [`EGRESS_LOW_WATER`] (hysteresis, so interest doesn't flap).
 //!
-//! Shard threads and the control worker wake the loop through the
-//! [`crate::queue::Reply`] waker (a self-pipe registered at token 0); a
-//! periodic sweep covers what wakes cannot (work deadlines, idle and
+//! An activation on another thread (another reactor, or the control
+//! worker's drain barrier) and the control worker wake the loop through
+//! the [`crate::queue::Reply`] waker (a self-pipe registered at token 0);
+//! a periodic sweep covers what wakes cannot (work deadlines, idle and
 //! write deadlines, stats-stream pushes).
 
 use crate::frame::{write_frame, FrameReader, FrameWriter, Response};
@@ -377,7 +384,7 @@ impl Conn {
 }
 
 /// One event-loop thread: owns a poller, its deal of the connections,
-/// and the wake pipe shard threads signal through.
+/// and the wake pipe that outcomes from other threads signal through.
 struct Reactor {
     shared: Arc<Shared>,
     poller: poller::Poller,
@@ -431,10 +438,15 @@ impl Reactor {
 
     fn run(&mut self) {
         let mut events: Vec<Event> = Vec::new();
+        // Whether the last pass ran an activation: its outcomes wait to
+        // be collected, and the shard is owed another step.
+        let mut owed = false;
         while !self.shared.stop.load(Ordering::Acquire) {
             // With work outstanding, cap the park so deadlines and
-            // missed wakes are still observed promptly.
+            // missed wakes are still observed promptly; owing a shard a
+            // step, do not park.
             let timeout = if self.work.is_empty() { POLL } else { TICK };
+            let timeout = if owed { Duration::ZERO } else { timeout };
             events.clear();
             if self.poller.wait(&mut events, timeout).is_err() {
                 // A broken poller is unrecoverable for this thread; back
@@ -461,6 +473,15 @@ impl Reactor {
             self.adopt_new_conns();
             self.process_work();
             self.sweep();
+            // Every push of this pass so far precedes these steps; one
+            // the answers below make goes to the next pass's steps.
+            let shared = &self.shared;
+            owed = shared.shards.iter().fold(false, |ran, s| {
+                s.step(&shared.control.tables, &shared.config) | ran
+            });
+            if owed {
+                self.process_work();
+            }
         }
         self.shutdown_all();
     }

@@ -1,5 +1,5 @@
 //! Safe readiness polling over epoll, plus the self-pipe [`Waker`] that
-//! lets shard threads interrupt a parked reactor.
+//! lets other threads interrupt a parked reactor.
 
 use crate::queue::ReplyWaker;
 use std::io::{self, Read, Write};
@@ -35,8 +35,9 @@ pub(crate) struct Event {
 }
 
 fn timeout_ms(timeout: Duration) -> i32 {
-    // Round up so sub-millisecond timeouts don't become busy-spins.
-    i32::try_from(timeout.as_millis().max(1)).unwrap_or(i32::MAX)
+    // Round up so sub-millisecond timeouts don't become busy-spins; only
+    // zero polls without waiting.
+    i32::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(i32::MAX)
 }
 
 /// Epoll-backed poller (level-triggered).
@@ -118,9 +119,10 @@ impl Drop for Poller {
 
 /// Self-pipe waker: writing one byte to the send half makes the read
 /// half (registered in the poller at [`super::WAKE_TOKEN`]) readable,
-/// un-parking the reactor. Shard threads hold this through
-/// [`Reply`](crate::queue::Reply), so outcome delivery interrupts the
-/// poller park instead of waiting out the timeout.
+/// un-parking the reactor. Activations on other threads and the control
+/// worker hold this through [`Reply`](crate::queue::Reply), so outcome
+/// delivery interrupts the poller park instead of waiting out the
+/// timeout.
 #[derive(Debug)]
 pub(crate) struct Waker {
     tx: UnixStream,
@@ -165,8 +167,9 @@ impl WakeReceiver {
     }
 }
 
-/// A connected waker pair: the `Waker` is shared with shard threads and
-/// the accept loop; the receiver is registered in the owning poller.
+/// A connected waker pair: the `Waker` is shared through replies and
+/// with the accept loop; the receiver is registered in the owning
+/// poller.
 pub(crate) fn waker_pair() -> io::Result<(Waker, WakeReceiver)> {
     let (tx, rx) = UnixStream::pair()?;
     tx.set_nonblocking(true)?;

@@ -6,7 +6,9 @@
 //! or *none* is and the client gets `Busy` (it retries the whole batch).
 //! The router guarantees that by locking the target queues in ascending
 //! shard order (a total order, so concurrent acceptors cannot deadlock),
-//! checking every capacity, and only then committing the pushes.
+//! checking every capacity, and only then committing the pushes. Each
+//! lock lives in its own frame of a recursion over the targets, so no
+//! guard list is allocated.
 
 use crate::frame::SubmitOptions;
 use crate::queue::{Job, JobOutcome, Reply, ShardQueue};
@@ -145,38 +147,41 @@ impl Router {
             "splitter shard count must match the router"
         );
         splitter.split(packets);
-        if splitter.active.is_empty() {
-            return Ok(0);
+        self.commit(splitter, &splitter.active, options, reply)?;
+        Ok(splitter.active.len())
+    }
+
+    /// Locks `targets[0]`'s queue (targets ascend), refuses if it is
+    /// full, commits the rest under it, then pushes while every lock is
+    /// held; a refusal returns before any push. Returns the instant the
+    /// last lock was taken: every job's enqueue time.
+    fn commit(
+        &self,
+        splitter: &ShardSplitter,
+        targets: &[usize],
+        options: SubmitOptions,
+        reply: &Reply<JobOutcome>,
+    ) -> Result<Instant, u16> {
+        let Some((&shard, rest)) = targets.split_first() else {
+            return Ok(Instant::now());
+        };
+        let queue = &self.queues[shard];
+        let mut guard = queue.lock();
+        if guard.len() >= queue.capacity() {
+            return Err(shard as u16);
         }
-        // Phase 1: acquire the target locks in ascending shard order
-        // (`active` is sorted — a total order, so concurrent acceptors
-        // cannot deadlock) and verify capacity under all of them.
-        let mut guards = Vec::with_capacity(splitter.active.len());
-        for &shard in &splitter.active {
-            guards.push((shard, self.queues[shard].lock()));
-        }
-        for (shard, guard) in &guards {
-            if guard.len() >= self.queues[*shard].capacity() {
-                return Err(*shard as u16); // guards drop; nothing enqueued
-            }
-        }
-        // Phase 2: commit while still holding every lock. The job owns
-        // its packets, so each group is copied out of the scratch here —
-        // one exact-size allocation per sub-job, nothing per shard count.
-        let now = Instant::now();
-        let n = guards.len();
-        for (shard, guard) in guards.iter_mut() {
-            self.queues[*shard].push_locked(
-                guard,
-                Job {
-                    packets: splitter.groups[*shard].to_vec(),
-                    options,
-                    reply: reply.clone(),
-                    enqueued: now,
-                },
-            );
-        }
-        Ok(n)
+        let now = self.commit(splitter, rest, options, reply)?;
+        // One exact-size allocation per sub-job: the job owns its packets.
+        queue.push_locked(
+            &mut guard,
+            Job {
+                packets: splitter.groups[shard].to_vec(),
+                options,
+                reply: reply.clone(),
+                enqueued: now,
+            },
+        );
+        Ok(now)
     }
 }
 

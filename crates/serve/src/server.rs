@@ -1,18 +1,20 @@
-//! The service instance: the shard fleet and the control worker (the
+//! The service instance: the shards and the control worker (the
 //! `Shared` plane every connection sees), served over TCP by the
 //! [`crate::reactor`] event loops.
+//!
+//! Its threads are the reactors, the accept loop and the control worker;
+//! the reactors run the shards' activations ([`crate::shard`]).
 //!
 //! Every connection opens with a [`crate::frame::Request::Hello`]; the
 //! protocol from there on lives in the `session` module. Drain flips a
 //! flag (new submits refused), waits for every shard to go quiescent,
-//! and answers `Drained`; shutdown drains, stops the shard fleet and the
-//! event loops, and unblocks [`Server::wait`] so the `serve` bin can
-//! exit 0. Each shard thread restarts itself after a panic
-//! ([`crate::shard`]); the server joins every thread it spawned, shards
-//! included, in [`Server::wait`] and on drop.
+//! and answers `Drained`; shutdown drains, stops the control worker and
+//! the event loops, and unblocks [`Server::wait`] so the `serve` bin can
+//! exit 0. The server joins every thread it spawned in [`Server::wait`]
+//! and on drop.
 
 use crate::router::Router;
-use crate::shard::{self, Shard, ShardTables};
+use crate::shard::{Shard, ShardTables};
 use crate::stats::{FrontendStats, ServerCounters};
 use crate::tables::{spawn_control_worker, ControlHandle, EpochTables};
 use crate::tracing::ServeTracer;
@@ -41,14 +43,14 @@ pub(crate) struct Shared {
 }
 
 impl Shared {
-    /// Spawns the shard threads and the control worker; returns the
-    /// plane and their join handles. Everything stops once `stop` is
-    /// raised.
+    /// Builds the shards (each builds its engine on its first job) and
+    /// spawns the control worker; returns the plane and the worker's
+    /// join handle. The worker stops once `stop` is raised.
     ///
     /// # Errors
     ///
     /// Span-export file creation failures.
-    pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, Vec<JoinHandle<()>>)> {
+    pub(crate) fn start(config: ServeConfig) -> io::Result<(Arc<Shared>, JoinHandle<()>)> {
         assert!(config.shards > 0, "at least one shard");
         let tracer = ServeTracer::new(&config.tracing)?;
         let stop = Arc::new(AtomicBool::new(false));
@@ -56,17 +58,9 @@ impl Shared {
         let shards: Vec<Arc<Shard>> = (0..config.shards)
             .map(|id| Arc::new(Shard::new(id, config.queue_cap)))
             .collect();
-        let mut threads: Vec<JoinHandle<()>> = shards
-            .iter()
-            .map(|s| {
-                let (tables, stop) = (Arc::clone(&tables), Arc::clone(&stop));
-                shard::spawn(Arc::clone(s), tables, stop, config.clone())
-            })
-            .collect();
         let router = Router::new(shards.iter().map(|s| Arc::clone(&s.queue)).collect());
         let (control, control_thread) =
-            spawn_control_worker(tables, shards.clone(), Arc::clone(&stop));
-        threads.push(control_thread);
+            spawn_control_worker(tables, shards.clone(), config.clone(), Arc::clone(&stop));
         let shared = Arc::new(Shared {
             router,
             shards,
@@ -79,7 +73,7 @@ impl Shared {
             frontend: FrontendStats::default(),
             control,
         });
-        Ok((shared, threads))
+        Ok((shared, control_thread))
     }
 
     /// Total shard restarts so far.
@@ -100,8 +94,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Binds `addr` (use port 0 for an ephemeral port), spawns the shard
-    /// fleet, the control worker and the reactor.
+    /// Binds `addr` (use port 0 for an ephemeral port), builds the
+    /// shards, and spawns the control worker and the reactor.
     ///
     /// # Errors
     ///
@@ -111,14 +105,14 @@ impl Server {
         let listener = TcpListener::bind(addr)?;
         let local_addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
-        let (shared, threads) = Shared::start(config)?;
+        let (shared, control) = Shared::start(config)?;
         // Built before the reactor spawns, which hands the server each
         // reactor thread as it starts: a failed spawn drops the server,
         // which stops and joins every thread already running.
         let mut server = Server {
             shared,
             local_addr,
-            threads,
+            threads: vec![control],
         };
         crate::reactor::spawn(listener, &server.shared, &mut server.threads)?;
         Ok(server)

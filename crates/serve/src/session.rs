@@ -6,7 +6,8 @@
 //! shard queue), drain and shutdown parked until the shard fleet is
 //! quiescent, route mutations parked on the control worker, kill, stats
 //! and the stats stream, and the `busy`/`errors` bookkeeping. `Request`
-//! is dispatched here and nowhere else.
+//! is dispatched here and nowhere else. It enqueues jobs; the transport
+//! runs the shards ([`crate::shard::Shard::step`]).
 //!
 //! Inputs are a decoded frame ([`Session::on_frame`]), a completion poll
 //! ([`Session::poll`]: shard outcomes, control-worker outcomes, drain
@@ -544,13 +545,18 @@ mod tests {
         }
     }
 
-    /// Feeds `req` and polls until the session answers it.
+    /// Feeds `req` and, running the shards as a transport would, polls
+    /// until the session answers it.
     fn serve(session: &mut Session, req: &Request) -> Response {
         let mut payload = Vec::new();
         req.encode_into(&mut payload);
         let mut out = Vec::new();
         session.on_frame(&payload, Instant::now(), &mut out);
         while out.is_empty() {
+            let shared = &session.shared;
+            for shard in &shared.shards {
+                shard.combine(&shared.control.tables, &shared.config);
+            }
             std::thread::sleep(Duration::from_millis(1));
             session.poll(Instant::now(), &mut out);
         }
@@ -568,7 +574,7 @@ mod tests {
             backend: BackendKind::Fast,
             ..ServeConfig::default()
         };
-        let (shared, threads) = Shared::start(config).expect("start the service plane");
+        let (shared, control) = Shared::start(config).expect("start the service plane");
         // An unknown type byte, and a Hello cut short.
         for garbage in [&[0x42][..], &[0x06, 0x00]] {
             let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
@@ -581,9 +587,7 @@ mod tests {
             assert!(session.closing(), "{garbage:02x?} before hello closes");
         }
         shared.stop.store(true, Ordering::Release);
-        for t in threads {
-            t.join().expect("shard and control threads exit");
-        }
+        control.join().expect("the control worker exits");
     }
 
     #[test]
@@ -595,7 +599,7 @@ mod tests {
             backend: BackendKind::Fast,
             ..ServeConfig::default()
         };
-        let (shared, threads) = Shared::start(config).expect("start the service plane");
+        let (shared, control) = Shared::start(config).expect("start the service plane");
         let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
 
         let early = serve(&mut session, &Request::Stats);
@@ -657,8 +661,6 @@ mod tests {
             shared.stop.load(Ordering::Acquire),
             "the ended session stops the server"
         );
-        for t in threads {
-            t.join().expect("shard and control threads exit");
-        }
+        control.join().expect("the control worker exits");
     }
 }

@@ -1,7 +1,21 @@
-//! Shard threads: each owns one forwarding backend and batches queued
-//! packets through it, and each restarts itself in place when it panics.
+//! Shards without threads: each shard's forwarding engine runs on
+//! whichever thread finds it free.
 //!
-//! A shard activation pops as many jobs as fit under
+//! A [`Shard`] keeps its execution state (backend, pipeline model, cached
+//! table generation, batch scratch) in one engine behind a mutex. Once a
+//! reactor thread has enqueued the jobs of every request it read, it
+//! calls [`Shard::step`]: if jobs are queued and the engine is free, the
+//! reactor runs one activation itself, and otherwise leaves the jobs to
+//! the holder. This is flat combining (Hendler et al., SPAA 2010):
+//! whoever finds the shard free serves every queued request, as one
+//! arbiter serves all of a memory's requesters, with no handoff to a
+//! server thread. A holder owes the shard another step after each
+//! activation, and that step checks the queue after the release, so a
+//! job whose submitter lost the `try_lock` (to a reactor or to the drain
+//! barrier, [`Shard::adopt`]) is never stranded. [`Shard::combine`] takes
+//! those steps back to back.
+//!
+//! An activation pops as many jobs as fit under
 //! [`crate::ServeConfig::batch_max`] packets and runs them through the
 //! configured [`ForwardingBackend`] in one go — amortizing queue locking,
 //! stats updates, and egress draining over up to K packets. The backend
@@ -16,16 +30,14 @@
 //! is additionally checked against the software pipeline model
 //! ([`crate::pipeline::expected_frame`]).
 //!
-//! Everything that must outlive a crash is one [`Shard`] record: the
-//! queue, the stats registry, the kill and idle flags, the restart
-//! carryover and the drain-barrier acknowledgement. [`spawn`] runs the
-//! shard loop under `catch_unwind`; a panic (the kill frame, a stalled
-//! simulator tripping its cycle budget, a differential divergence) drops
-//! only the batch in flight, whose reply channels close, and the same
-//! thread re-enters the loop with a fresh backend on the same record, so
-//! jobs queued behind the crash survive and the stats keep counting.
-//! The restart is counted in `shard_restarts`, and the packet total at
-//! that moment is latched as `restart_carryover`.
+//! Everything that must outlive a crash is the [`Shard`] record: queue,
+//! stats, kill and idle flags, restart carryover. Each activation runs
+//! under `catch_unwind`; a panic (the kill frame, a stalled simulator
+//! tripping its cycle budget, a differential divergence) drops only the
+//! batch in flight, whose reply channels close, and the engine with it.
+//! The next job builds a fresh engine; queued jobs survive and the stats
+//! keep counting. The restart is counted in `shard_restarts`, and the
+//! packet total at that moment is latched as `restart_carryover`.
 
 use crate::backend::{self, ForwardingBackend};
 use crate::pipeline::PipelineModel;
@@ -37,9 +49,8 @@ use memsync_netapp::{Fib, Ipv4Packet};
 use memsync_trace::{MetricsRegistry, SpanRecord};
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Mutex, PoisonError};
-use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
+use std::sync::{Arc, Mutex, TryLockError};
+use std::time::Instant;
 
 /// The route-lookup state every shard shares: the binary-trie [`Fib`]
 /// (the semantic reference) and the flat [`Dir24_8`] classifier compiled
@@ -50,10 +61,10 @@ use std::time::{Duration, Instant};
 /// generation of it — the boot table at startup, then a fresh one per
 /// control-plane swap ([`crate::tables::EpochTables`]) — and a replaced
 /// generation is freed once the drain barrier retires it, so two are
-/// resident only during a swap. Shards hold a clone of the live
+/// resident only during a swap. Shard engines hold a clone of the live
 /// generation's `Arc` and re-clone only when the generation counter
-/// moves, so restarted incarnations and steady-state batches alike never
-/// pay a rebuild.
+/// moves, so rebuilt engines and steady-state batches alike never pay a
+/// table rebuild.
 #[derive(Debug)]
 pub struct ShardTables {
     /// The trie the table was compiled from (oracle / verify reference).
@@ -82,18 +93,186 @@ impl ShardTables {
     }
 }
 
-/// Reusable per-activation scratch: the concatenated descriptor batch and
-/// the per-job outcomes. Lives across activations so the steady-state
-/// batch path performs no allocation.
-#[derive(Debug, Default)]
-struct BatchScratch {
+/// A shard's execution state, held by whichever thread runs the shard's
+/// activation (or by the drain barrier). Its scratch lives across
+/// activations, so the steady-state batch path performs no allocation.
+#[derive(Debug)]
+struct Engine {
+    backend: Box<dyn ForwardingBackend>,
+    model: PipelineModel,
+    /// The generation `tables` was published as.
+    generation: u64,
+    tables: Arc<ShardTables>,
+    /// The activation's coalesced jobs, their concatenated descriptors
+    /// and their outcomes (drained, capacity kept).
+    jobs: Vec<Job>,
     descriptors: Vec<u32>,
     outcomes: Vec<JobOutcome>,
 }
 
-/// One shard's state that outlives a panic of its loop, shared with
+impl Engine {
+    fn new(config: &ServeConfig, epoch: &EpochTables) -> Engine {
+        let (generation, tables) = epoch.current();
+        Engine {
+            backend: backend::build(config),
+            model: PipelineModel::new(),
+            generation,
+            tables,
+            jobs: Vec::new(),
+            descriptors: Vec::new(),
+            outcomes: Vec::new(),
+        }
+    }
+
+    /// Moves onto the published table if the generation moved, dropping
+    /// the reference to the older one: one atomic load when it did not.
+    fn sync(&mut self, epoch: &EpochTables) {
+        if epoch.generation() != self.generation {
+            (self.generation, self.tables) = epoch.current();
+        }
+    }
+
+    /// Processes the coalesced `jobs`: execute, classify, verify, reply.
+    ///
+    /// `picked_at` is the instant the activation popped its first job —
+    /// `Some` only when request tracing is on. Everything timing-related
+    /// hangs off it: `None` means not a single `Instant::now` call on this
+    /// path.
+    fn process_batch(&mut self, shard: &Shard, picked_at: Option<Instant>) {
+        self.descriptors.clear();
+        for j in &self.jobs {
+            self.descriptors
+                .extend(j.packets.iter().map(Ipv4Packet::descriptor));
+        }
+        let n = self.descriptors.len();
+        let before = self.backend.metrics();
+        let lost_before = self.backend.lost_updates();
+        let exec_start = picked_at.map(|_| Instant::now());
+        self.backend.submit_batch(&self.descriptors);
+        // Counters advance at submit time (the backend contract), so the
+        // batch's deltas are read *before* the zero-copy drain borrows the
+        // backend for the rest of the activation.
+        let after = self.backend.metrics();
+        let sim_cycles = after.sim_cycles - before.sim_cycles;
+        // A conforming backend never overwrites an unconsumed guarded value;
+        // a nonzero delta here is the lost-update bug the static pass
+        // (`memsync-lint`) guards against, resurfacing at runtime.
+        let lost_updates = self.backend.lost_updates() - lost_before;
+        let egress_start = picked_at.map(|_| Instant::now());
+
+        // Walk the concatenated batch job by job against the borrowed egress
+        // lanes — the backend's own arena buffers, never copied out.
+        self.outcomes.clear();
+        let mut totals = JobOutcome::default();
+        {
+            let frames = self.backend.drain_egress();
+            for (i, f) in frames.iter().enumerate() {
+                assert_eq!(
+                    f.len(),
+                    n,
+                    "shard {}: egress e{i} returned {} frames for {n} descriptors",
+                    shard.id,
+                    f.len()
+                );
+            }
+            let mut offset = 0usize;
+            for job in self.jobs.iter() {
+                let (forwarded, dropped) = classify(&self.tables.dir, &job.packets);
+                let mut out = JobOutcome {
+                    forwarded,
+                    dropped,
+                    ..JobOutcome::default()
+                };
+                if job.options.verify {
+                    for (k, p) in job.packets.iter().enumerate() {
+                        let desc = p.descriptor();
+                        let bad = frames
+                            .iter()
+                            .enumerate()
+                            .any(|(i, f)| f[offset + k] != self.model.frame(desc, i));
+                        if bad {
+                            out.mismatches += 1;
+                        }
+                    }
+                }
+                offset += job.packets.len();
+                totals.forwarded += out.forwarded;
+                totals.dropped += out.dropped;
+                totals.mismatches += out.mismatches;
+                self.outcomes.push(out);
+            }
+        }
+
+        // Attach a span record to every outcome. Queue residency is per job;
+        // coalesce/execute/egress are activation-level durations attributed
+        // whole to each job in the batch (documented on `SpanRecord`), as are
+        // the backend-reported sim-cycle and frame deltas.
+        if let (Some(pick), Some(exec_s), Some(egress_s)) = (picked_at, exec_start, egress_start) {
+            let coalesce_ns = exec_s.saturating_duration_since(pick).as_nanos() as u64;
+            let execute_ns = egress_s.saturating_duration_since(exec_s).as_nanos() as u64;
+            let egress_ns = egress_s.elapsed().as_nanos() as u64;
+            let frames_emitted = after.frames - before.frames;
+            for (job, out) in self.jobs.iter().zip(self.outcomes.iter_mut()) {
+                out.timings = Some(SpanRecord {
+                    shard: shard.id as u16,
+                    packets: job.packets.len() as u64,
+                    queue_ns: pick.saturating_duration_since(job.enqueued).as_nanos() as u64,
+                    coalesce_ns,
+                    execute_ns,
+                    egress_ns,
+                    sim_cycles,
+                    frames: frames_emitted,
+                    ..SpanRecord::default()
+                });
+            }
+        }
+
+        // Record stats *before* replying: a client that queries stats right
+        // after its submit response must already see this batch.
+        {
+            let mut reg = unpoison(shard.stats.lock());
+            reg.add("serve.packets", n as u64);
+            reg.add("serve.forwarded", u64::from(totals.forwarded));
+            reg.add("serve.dropped", u64::from(totals.dropped));
+            reg.add("serve.mismatches", u64::from(totals.mismatches));
+            reg.add("serve.lost_updates", lost_updates);
+            reg.add("serve.sim_cycles", sim_cycles);
+            reg.inc("serve.batches");
+            reg.record_bucket("serve.batch_size", n as u64);
+            for job in self.jobs.iter() {
+                reg.record_bucket(
+                    "serve.service_latency_us",
+                    job.enqueued.elapsed().as_micros() as u64,
+                );
+            }
+            // Shard-side stage histograms feed the live tracing views; the
+            // identical numbers ride the outcomes into span records, so the
+            // offline JSONL and the stats frame agree bucket for bucket.
+            for out in &self.outcomes {
+                if let Some(t) = out.timings {
+                    reg.record_bucket("serve.stage.queue_ns", t.queue_ns);
+                    reg.record_bucket("serve.stage.coalesce_ns", t.coalesce_ns);
+                    reg.record_bucket("serve.stage.execute_ns", t.execute_ns);
+                    reg.record_bucket("serve.stage.egress_ns", t.egress_ns);
+                }
+            }
+        }
+        // Drain (not consume) both vectors so their capacity survives into
+        // the next activation.
+        for (job, out) in self.jobs.drain(..).zip(self.outcomes.drain(..)) {
+            // A receiver that went away (connection dropped mid-flight) is
+            // not the shard's problem. The send already woke the session, so
+            // the drop need not wake it again.
+            let _ = job.reply.send(out);
+            job.reply.drop_quietly();
+        }
+    }
+}
+
+/// One shard: the state that outlives a panicked activation, shared with
 /// the router (the queue), the stats collector, the sessions (kill and
-/// drain) and the control worker's drain barrier.
+/// drain), the reactors that run its activations and the control
+/// worker's drain barrier, plus the engine.
 #[derive(Debug)]
 pub struct Shard {
     /// Shard index.
@@ -112,15 +291,16 @@ pub struct Shard {
     /// restarts, so a nonzero value proves pre-restart traffic still
     /// counts in the merged stats frame.
     pub carryover: AtomicU64,
-    /// Highest table generation this shard has synced to — the shard's
-    /// acknowledgement in the control plane's drain barrier.
-    pub gen_seen: AtomicU64,
-    /// Times the shard's loop panicked and restarted in place.
+    /// Times an activation panicked and the engine was rebuilt.
     pub restarts: AtomicU64,
+    /// `None` until the first job, and after a panic until the next. Lock
+    /// order: this, then the queue, the published table slot, the stats.
+    engine: Mutex<Option<Engine>>,
 }
 
 impl Shard {
-    /// An idle shard with an empty queue of `queue_cap` jobs.
+    /// An idle shard with an empty queue of `queue_cap` jobs. Its first
+    /// job builds its engine.
     pub fn new(id: usize, queue_cap: usize) -> Shard {
         Shard {
             id,
@@ -129,8 +309,8 @@ impl Shard {
             die: AtomicBool::new(false),
             idle: AtomicBool::new(true),
             carryover: AtomicU64::new(0),
-            gen_seen: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
+            engine: Mutex::new(None),
         }
     }
 
@@ -142,22 +322,102 @@ impl Shard {
         self.queue.is_empty() && self.idle.load(Ordering::Acquire)
     }
 
-    /// Restarts the shard's loop after a panic: latches the packet
-    /// total, clears the kill flag, marks the shard idle, and counts the
-    /// restart.
-    fn restart(&self) {
-        let total = unpoison(self.stats.lock()).counter("serve.packets");
-        self.carryover.store(total, Ordering::Relaxed);
-        self.die.store(false, Ordering::Release);
-        self.idle.store(true, Ordering::Release);
-        // Release: whoever reads the new count also sees the carryover.
-        self.restarts.fetch_add(1, Ordering::Release);
+    /// Runs one activation on the calling thread if a job is queued and
+    /// no other thread holds the engine. Returns whether it ran one; if
+    /// so the caller owes the shard another step (a submitter whose
+    /// `try_lock` lost meanwhile left its job queued). A caller that
+    /// loses the `try_lock` owes nothing: the holder does.
+    pub fn step(&self, epoch: &EpochTables, config: &ServeConfig) -> bool {
+        if self.queue.is_empty() {
+            return false;
+        }
+        let mut engine = match self.engine.try_lock() {
+            Ok(engine) => engine,
+            Err(TryLockError::Poisoned(e)) => e.into_inner(),
+            Err(TryLockError::WouldBlock) => return false,
+        };
+        self.activate(&mut engine, epoch, config);
+        true
+    }
+
+    /// Steps the shard until nothing is owed: runs the queue dry on the
+    /// calling thread, unless another thread holds the engine.
+    pub fn combine(&self, epoch: &EpochTables, config: &ServeConfig) {
+        while self.step(epoch, config) {}
+    }
+
+    /// The drain barrier's part for this shard: waits out an activation
+    /// in progress, moves the engine onto the published table, then
+    /// serves what queued while the barrier held the engine.
+    pub fn adopt(&self, epoch: &EpochTables, config: &ServeConfig) {
+        if let Some(engine) = unpoison(self.engine.lock()).as_mut() {
+            engine.sync(epoch);
+        }
+        self.combine(epoch, config);
+    }
+
+    /// One activation under `catch_unwind`. A panic drops the engine and
+    /// its popped jobs, clears the kill flag, latches the carryover and
+    /// counts the restart.
+    fn activate(&self, slot: &mut Option<Engine>, epoch: &EpochTables, config: &ServeConfig) {
+        // The engine's guard stays outside the unwind, so its lock is not
+        // poisoned; the record's other locks recover from poisoning and
+        // everything else is atomic.
+        let ran = panic::catch_unwind(AssertUnwindSafe(|| {
+            self.run_batch(slot, epoch, config);
+        }));
+        if ran.is_err() {
+            *slot = None;
+            eprintln!("[shard {}] died; restarting", self.id);
+            let total = unpoison(self.stats.lock()).counter("serve.packets");
+            self.carryover.store(total, Ordering::Relaxed);
+            self.die.store(false, Ordering::Release);
+            self.idle.store(true, Ordering::Release);
+            // Release: whoever reads the new count also sees the carryover.
+            self.restarts.fetch_add(1, Ordering::Release);
+        }
+    }
+
+    /// Pops a batch of up to `batch_max` packets and processes it.
+    fn run_batch(&self, slot: &mut Option<Engine>, epoch: &EpochTables, config: &ServeConfig) {
+        // The busy pop clears the idle flag under the queue lock, so a
+        // drain that sees the queue empty afterwards also sees the shard
+        // busy — quiescent() can't fire mid-handoff.
+        let Some(first) = self.queue.pop_busy(&self.idle) else {
+            return;
+        };
+        let picked_at = config.tracing.enabled.then(Instant::now);
+        if self.die.swap(false, Ordering::AcqRel) {
+            // The kill emulates a crash mid-batch: the job is dropped, its
+            // reply channel closes, and the session reports the submit as
+            // failed. Lossy only in the sense a real crash is; never
+            // silent.
+            panic!("shard {} killed by fault injection", self.id);
+        }
+        let engine = slot.get_or_insert_with(|| Engine::new(config, epoch));
+        // Table-swap check: one atomic load per activation.
+        engine.sync(epoch);
+        // Coalesce follow-on jobs up to the activation budget.
+        let mut packets = first.packets.len();
+        engine.jobs.push(first);
+        while packets < config.batch_max {
+            match self.queue.try_pop() {
+                Some(j) => {
+                    packets += j.packets.len();
+                    engine.jobs.push(j);
+                }
+                None => break,
+            }
+        }
+        if let Some(throttle) = config.shard_throttle {
+            std::thread::sleep(throttle);
+        }
+        engine.process_batch(self, picked_at);
+        if self.queue.is_empty() {
+            self.idle.store(true, Ordering::Release);
+        }
     }
 }
-
-/// Pause before a panicked shard re-enters its loop, so a shard that
-/// panics on boot cannot spin a core.
-const RESTART_PAUSE: Duration = Duration::from_millis(5);
 
 /// Classifies a job's packets the way [`crate::pipeline::oracle_forwards`]
 /// does, against the flat table: a packet forwards when its TTL survives
@@ -172,268 +432,6 @@ fn classify(dir: &Dir24_8, packets: &[Ipv4Packet]) -> (u32, u32) {
     (forwarded, packets.len() as u32 - forwarded)
 }
 
-/// Processes one coalesced batch: execute, classify, verify, reply.
-///
-/// `picked_at` is the instant the activation popped its first job —
-/// `Some` only when request tracing is on. Everything timing-related
-/// hangs off it: `None` means not a single `Instant::now` call on this
-/// path.
-fn process_batch(
-    shard: &Shard,
-    backend: &mut dyn ForwardingBackend,
-    model: &PipelineModel,
-    tables: &ShardTables,
-    jobs: &mut Vec<Job>,
-    scratch: &mut BatchScratch,
-    picked_at: Option<Instant>,
-) {
-    scratch.descriptors.clear();
-    for j in jobs.iter() {
-        scratch
-            .descriptors
-            .extend(j.packets.iter().map(Ipv4Packet::descriptor));
-    }
-    let n = scratch.descriptors.len();
-    let before = backend.metrics();
-    let lost_before = backend.lost_updates();
-    let exec_start = picked_at.map(|_| Instant::now());
-    backend.submit_batch(&scratch.descriptors);
-    // Counters advance at submit time (the backend contract), so the
-    // batch's deltas are read *before* the zero-copy drain borrows the
-    // backend for the rest of the activation.
-    let after = backend.metrics();
-    let sim_cycles = after.sim_cycles - before.sim_cycles;
-    // A conforming backend never overwrites an unconsumed guarded value;
-    // a nonzero delta here is the lost-update bug the static pass
-    // (`memsync-lint`) guards against, resurfacing at runtime.
-    let lost_updates = backend.lost_updates() - lost_before;
-    let egress_start = picked_at.map(|_| Instant::now());
-
-    // Walk the concatenated batch job by job against the borrowed egress
-    // lanes — the backend's own arena buffers, never copied out.
-    scratch.outcomes.clear();
-    let mut totals = JobOutcome::default();
-    {
-        let frames = backend.drain_egress();
-        for (i, f) in frames.iter().enumerate() {
-            assert_eq!(
-                f.len(),
-                n,
-                "shard {}: egress e{i} returned {} frames for {n} descriptors",
-                shard.id,
-                f.len()
-            );
-        }
-        let mut offset = 0usize;
-        for job in jobs.iter() {
-            let (forwarded, dropped) = classify(&tables.dir, &job.packets);
-            let mut out = JobOutcome {
-                forwarded,
-                dropped,
-                ..JobOutcome::default()
-            };
-            if job.options.verify {
-                for (k, p) in job.packets.iter().enumerate() {
-                    let desc = p.descriptor();
-                    let bad = frames
-                        .iter()
-                        .enumerate()
-                        .any(|(i, f)| f[offset + k] != model.frame(desc, i));
-                    if bad {
-                        out.mismatches += 1;
-                    }
-                }
-            }
-            offset += job.packets.len();
-            totals.forwarded += out.forwarded;
-            totals.dropped += out.dropped;
-            totals.mismatches += out.mismatches;
-            scratch.outcomes.push(out);
-        }
-    }
-
-    // Attach a span record to every outcome. Queue residency is per job;
-    // coalesce/execute/egress are activation-level durations attributed
-    // whole to each job in the batch (documented on `SpanRecord`), as are
-    // the backend-reported sim-cycle and frame deltas.
-    if let (Some(pick), Some(exec_s), Some(egress_s)) = (picked_at, exec_start, egress_start) {
-        let coalesce_ns = exec_s.saturating_duration_since(pick).as_nanos() as u64;
-        let execute_ns = egress_s.saturating_duration_since(exec_s).as_nanos() as u64;
-        let egress_ns = egress_s.elapsed().as_nanos() as u64;
-        let frames_emitted = after.frames - before.frames;
-        for (job, out) in jobs.iter().zip(scratch.outcomes.iter_mut()) {
-            out.timings = Some(SpanRecord {
-                shard: shard.id as u16,
-                packets: job.packets.len() as u64,
-                queue_ns: pick.saturating_duration_since(job.enqueued).as_nanos() as u64,
-                coalesce_ns,
-                execute_ns,
-                egress_ns,
-                sim_cycles,
-                frames: frames_emitted,
-                ..SpanRecord::default()
-            });
-        }
-    }
-
-    // Record stats *before* replying: a client that queries stats right
-    // after its submit response must already see this batch.
-    {
-        let mut reg = shard.stats.lock().unwrap_or_else(PoisonError::into_inner);
-        reg.add("serve.packets", n as u64);
-        reg.add("serve.forwarded", u64::from(totals.forwarded));
-        reg.add("serve.dropped", u64::from(totals.dropped));
-        reg.add("serve.mismatches", u64::from(totals.mismatches));
-        reg.add("serve.lost_updates", lost_updates);
-        reg.add("serve.sim_cycles", sim_cycles);
-        reg.inc("serve.batches");
-        reg.record_bucket("serve.batch_size", n as u64);
-        for job in jobs.iter() {
-            reg.record_bucket(
-                "serve.service_latency_us",
-                job.enqueued.elapsed().as_micros() as u64,
-            );
-        }
-        // Shard-side stage histograms feed the live tracing views; the
-        // identical numbers ride the outcomes into span records, so the
-        // offline JSONL and the stats frame agree bucket for bucket.
-        for out in &scratch.outcomes {
-            if let Some(t) = out.timings {
-                reg.record_bucket("serve.stage.queue_ns", t.queue_ns);
-                reg.record_bucket("serve.stage.coalesce_ns", t.coalesce_ns);
-                reg.record_bucket("serve.stage.execute_ns", t.execute_ns);
-                reg.record_bucket("serve.stage.egress_ns", t.egress_ns);
-            }
-        }
-    }
-    // Drain (not consume) both vectors so their capacity survives into
-    // the next activation.
-    for (job, out) in jobs.drain(..).zip(scratch.outcomes.drain(..)) {
-        // A receiver that went away (connection dropped mid-flight) is
-        // not the shard's problem. The send already woke the session, so
-        // the drop need not wake it again.
-        let _ = job.reply.send(out);
-        job.reply.drop_quietly();
-    }
-}
-
-/// Spawns the thread serving `shard`. It runs the shard loop until
-/// `stop` rises, and restarts the loop in place after a panic (see the
-/// module docs); a panic once `stop` is up ends the thread uncounted.
-///
-/// # Panics
-///
-/// Panics if the OS refuses to spawn the thread.
-pub fn spawn(
-    shard: Arc<Shard>,
-    tables: Arc<EpochTables>,
-    stop: Arc<AtomicBool>,
-    config: ServeConfig,
-) -> JoinHandle<()> {
-    std::thread::Builder::new()
-        .name(format!("memsync-shard-{}", shard.id))
-        .spawn(move || loop {
-            // The record is built to survive a panic: its locks recover
-            // from poisoning and everything else is atomic.
-            let crashed = panic::catch_unwind(AssertUnwindSafe(|| {
-                run(&shard, &tables, &stop, &config);
-            }));
-            let Err(payload) = crashed else { return };
-            if stop.load(Ordering::Acquire) {
-                return;
-            }
-            let msg = payload
-                .downcast_ref::<String>()
-                .map(String::as_str)
-                .or_else(|| payload.downcast_ref::<&str>().copied())
-                .unwrap_or("unknown panic");
-            eprintln!("[shard {}] died: {msg}; restarting", shard.id);
-            shard.restart();
-            std::thread::sleep(RESTART_PAUSE);
-        })
-        .expect("shard thread spawns")
-}
-
-/// The shard loop: pops and processes batches until the stop flag
-/// rises. Panics (deliberate via the kill flag, real bugs, or a
-/// differential-backend divergence) unwind out of here into [`spawn`]'s
-/// restart path.
-fn run(shard: &Shard, epoch: &EpochTables, stop: &AtomicBool, config: &ServeConfig) {
-    let mut backend = backend::build(config);
-    let model = PipelineModel::new();
-    let (mut generation, mut tables) = epoch.current();
-    // Acknowledge the generation this incarnation booted on: a shard
-    // restarted mid-swap syncs here, so the control worker's drain
-    // barrier never waits on a dead incarnation.
-    shard.gen_seen.store(generation, Ordering::Release);
-    let mut jobs: Vec<Job> = Vec::new();
-    let mut scratch = BatchScratch::default();
-    while !stop.load(Ordering::Acquire) {
-        // Table-swap check: one atomic load per iteration. When the
-        // control worker publishes a new generation, re-clone the table
-        // Arc and acknowledge — after the store this shard provably never
-        // reads an older generation again, which is exactly what
-        // retirement needs. No lock is taken unless the counter actually
-        // moved.
-        if epoch.generation() != generation {
-            let (fresh_gen, fresh) = epoch.current();
-            generation = fresh_gen;
-            tables = fresh;
-            shard.gen_seen.store(generation, Ordering::Release);
-        }
-        // The busy pop clears the idle flag under the queue lock, so a
-        // drain that sees the queue empty afterwards also sees the shard
-        // busy — quiescent() can't fire mid-handoff. The control worker
-        // nudges this condvar on publish ([`ShardQueue::notify`]), so a
-        // parked shard acks a swap in microseconds, not a poll period.
-        let Some(first) = shard
-            .queue
-            .pop_timeout_busy(Duration::from_millis(20), &shard.idle)
-        else {
-            continue;
-        };
-        let picked_at = config.tracing.enabled.then(Instant::now);
-        if shard.die.swap(false, Ordering::AcqRel) {
-            // Put the job back? No — the kill emulates a crash mid-batch:
-            // the job is dropped, its reply channel closes, and the
-            // acceptor reports the submit as failed. Lossy only in the
-            // sense a real crash is; never silent.
-            panic!("shard {} killed by fault injection", shard.id);
-        }
-        // Coalesce follow-on jobs up to the activation budget, into the
-        // activation-scratch vec (drained by process_batch, capacity
-        // kept).
-        jobs.clear();
-        jobs.push(first);
-        let mut packets: usize = jobs[0].packets.len();
-        while packets < config.batch_max {
-            match shard.queue.try_pop() {
-                Some(j) => {
-                    packets += j.packets.len();
-                    jobs.push(j);
-                }
-                None => break,
-            }
-        }
-        if let Some(throttle) = config.shard_throttle {
-            std::thread::sleep(throttle);
-        }
-        process_batch(
-            shard,
-            backend.as_mut(),
-            &model,
-            &tables,
-            &mut jobs,
-            &mut scratch,
-            picked_at,
-        );
-        if shard.queue.is_empty() {
-            shard.idle.store(true, Ordering::Release);
-        }
-    }
-    shard.idle.store(true, Ordering::Release);
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -441,8 +439,16 @@ mod tests {
     use crate::frame::SubmitOptions;
     use crate::queue::Reply;
     use memsync_netapp::Workload;
-    use std::sync::mpsc::{channel, Receiver};
-    use std::time::Instant;
+    use std::sync::mpsc::{channel, Receiver, TryRecvError};
+    use std::time::{Duration, Instant};
+
+    impl Shard {
+        /// Whether another thread holds the engine (for tests that must
+        /// act while it does).
+        pub(crate) fn engine_busy(&self) -> bool {
+            matches!(self.engine.try_lock(), Err(TryLockError::WouldBlock))
+        }
+    }
 
     fn fast_config() -> ServeConfig {
         ServeConfig {
@@ -465,20 +471,19 @@ mod tests {
         (job, rx)
     }
 
-    /// A shard record with its tables and backend, driven one manual
-    /// activation at a time instead of through the thread loop.
+    /// A shard record with its engine, driven one manual activation at a
+    /// time.
     struct Rig {
         shard: Shard,
-        tables: ShardTables,
-        backend: Box<dyn ForwardingBackend>,
+        engine: Engine,
     }
 
     impl Rig {
         fn new(id: usize, config: &ServeConfig) -> Rig {
+            let epoch = EpochTables::new(ShardTables::build(config.routes));
             Rig {
                 shard: Shard::new(id, config.queue_cap),
-                tables: ShardTables::build(config.routes),
-                backend: backend::build(config),
+                engine: Engine::new(config, &epoch),
             }
         }
 
@@ -491,15 +496,8 @@ mod tests {
             picked_at: Option<Instant>,
         ) -> JobOutcome {
             let (job, rx) = job(packets, options);
-            process_batch(
-                &self.shard,
-                self.backend.as_mut(),
-                &PipelineModel::new(),
-                &self.tables,
-                &mut vec![job],
-                &mut BatchScratch::default(),
-                picked_at,
-            );
+            self.engine.jobs.push(job);
+            self.engine.process_batch(&self.shard, picked_at);
             rx.recv().expect("the activation answers its job")
         }
 
@@ -664,29 +662,35 @@ mod tests {
     #[test]
     fn a_killed_shard_restarts_in_place_and_serves_the_jobs_queued_behind_it() {
         let config = fast_config();
-        let shard = Arc::new(Shard::new(0, config.queue_cap));
-        let epoch = Arc::new(EpochTables::new(ShardTables::build(config.routes)));
-        let stop = Arc::new(AtomicBool::new(false));
-        let thread = spawn(Arc::clone(&shard), epoch, Arc::clone(&stop), config);
+        let epoch = EpochTables::new(ShardTables::build(config.routes));
+        let shard = Shard::new(0, config.queue_cap);
         let w = Workload::generate(6, 32, 16);
         let queue = |packets: &[Ipv4Packet]| {
             let (job, rx) = job(packets, SubmitOptions::new());
             shard.queue.try_push(job).expect("the queue has room");
             rx
         };
-        queue(&w.packets)
-            .recv()
-            .expect("the first incarnation answers");
+        let first = queue(&w.packets);
+        shard.combine(&epoch, &config);
+        first
+            .try_recv()
+            .expect("the combining caller answers inline");
 
-        // The kill lands on the next job popped: A dies with the first
-        // incarnation, while B and C wait in the queue for the next.
+        // The kill lands on the next job popped: A dies with the engine,
+        // while B and C wait in the queue for the rebuilt one. One call
+        // serves them all.
         shard.die.store(true, Ordering::Release);
         let a = queue(&w.packets[..8]);
         let b = queue(&w.packets[8..16]);
         let c = queue(&w.packets[16..]);
-        assert!(a.recv().is_err(), "the killed activation drops its job");
-        let b = b.recv().expect("B survives the crash");
-        let c = c.recv().expect("C survives the crash");
+        shard.combine(&epoch, &config);
+        assert_eq!(
+            a.try_recv(),
+            Err(TryRecvError::Disconnected),
+            "the killed activation drops its job"
+        );
+        let b = b.try_recv().expect("B survives the crash");
+        let c = c.try_recv().expect("C survives the crash");
         assert_eq!((b.forwarded + b.dropped, c.forwarded + c.dropped), (8, 16));
         assert_eq!(shard.restarts.load(Ordering::Relaxed), 1);
         assert_eq!(
@@ -698,15 +702,44 @@ mod tests {
             !shard.die.load(Ordering::Acquire),
             "the restart clears the kill"
         );
+        assert!(shard.quiescent(), "nothing queued, nothing in flight");
+    }
 
-        stop.store(true, Ordering::Release);
-        thread
-            .join()
-            .expect("the shard thread exits cleanly on stop");
-        assert_eq!(
-            shard.restarts.load(Ordering::Relaxed),
-            1,
-            "stopping is not a restart"
-        );
+    #[test]
+    fn a_job_pushed_during_a_throttled_activation_is_answered_by_the_holder() {
+        let config = ServeConfig {
+            shard_throttle: Some(Duration::from_millis(200)),
+            ..fast_config()
+        };
+        let epoch = EpochTables::new(ShardTables::build(config.routes));
+        let shard = Shard::new(0, config.queue_cap);
+        let w = Workload::generate(7, 32, 16);
+        let (a, a_rx) = job(&w.packets[..16], SubmitOptions::new());
+        let (b, b_rx) = job(&w.packets[16..], SubmitOptions::new());
+        shard.queue.try_push(a).expect("the queue has room");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| shard.combine(&epoch, &config));
+            // A is popped (only a holder pops, and the pop clears
+            // `idle`): the holder sleeps in A's activation with the
+            // engine locked.
+            while shard.idle.load(Ordering::Acquire) || !shard.queue.is_empty() {
+                assert!(!holder.is_finished(), "A's activation ended unobserved");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            shard.queue.try_push(b).expect("the queue has room");
+            shard.combine(&epoch, &config);
+            assert_eq!(
+                b_rx.try_recv(),
+                Err(TryRecvError::Empty),
+                "the lost try_lock leaves B to the holder"
+            );
+            holder.join().expect("the holder returns");
+        });
+        // No further push or call: the holder's re-check after letting go
+        // of A's activation found B.
+        assert_eq!(a_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
+        assert_eq!(b_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
+        assert!(shard.quiescent());
+        assert_eq!(unpoison(shard.stats.lock()).counter("serve.batches"), 2);
     }
 }

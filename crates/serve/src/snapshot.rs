@@ -371,7 +371,7 @@ section! {
         pub uptime_secs: f64,
         /// Whether a drain is in progress (new submits refused).
         pub draining: bool,
-        /// Shard restarts so far (each a panic of a shard's loop).
+        /// Shard restarts so far (each a panicked shard activation).
         pub shard_restarts: u64,
         /// Summed per-shard restart carryover (see
         /// [`ShardSnapshot::restart_carryover`]).

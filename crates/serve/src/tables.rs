@@ -3,10 +3,10 @@
 //!
 //! The paper's thesis is that synchronization should ride on the memory
 //! system's visibility guarantees rather than explicit locks, and the
-//! control plane applies it to the route tables: shards (readers) never
-//! take a lock on the hot path — they load one atomic generation counter
-//! per activation loop and keep classifying against their cached
-//! `Arc<ShardTables>` until the counter moves. The control worker (the
+//! control plane applies it to the route tables: shard engines (readers)
+//! never take the table lock on the hot path — they load one atomic
+//! generation counter per activation and keep classifying against their
+//! cached `Arc<ShardTables>` until the counter moves. The control worker (the
 //! single writer) applies mutations to its private trie, compiles a
 //! **fresh** flat classifier, swaps it into the published slot, and only
 //! then bumps the generation — so a reader observes either the old table
@@ -24,19 +24,23 @@
 //! to order anything.
 //!
 //! Retirement mirrors the drain barrier of the 1024-core shared-memory
-//! barrier literature: after publishing generation `N`, the worker waits
-//! until every shard has acknowledged (stored `gen_seen >= N`) before
-//! declaring generations `< N` retired. A shard acknowledges only after
-//! dropping its older table, so once the barrier completes the last
-//! reference to the outgoing table is the one the worker took before
-//! mutating; it drops that after the replies are sent, and the 32 MiB
-//! free runs on the control thread — never on a shard's data path, inside
-//! the swap latency, or under the slot lock. The stats frame surfaces the
-//! `generation`/`retired` pair so the property is externally auditable.
+//! barrier literature: after publishing generation `N`, the worker takes
+//! each shard's engine lock once ([`Shard::adopt`]), which waits out an
+//! activation in progress, and moves the engine onto generation `N`,
+//! dropping its reference to the older table. Once every shard is
+//! through, generations `< N` are retired. There is nothing to wait for
+//! beyond those locks, so the barrier neither polls nor times out. The
+//! last reference to the outgoing table is then the one the worker took
+//! before mutating; it drops that after the replies are sent, and the
+//! 32 MiB free runs on the control thread — never on a shard's data
+//! path, inside the swap latency, or under the slot lock. The stats frame
+//! surfaces the `generation`/`retired` pair so the property is externally
+//! auditable.
 
 use crate::queue::{unpoison, Reply};
 use crate::shard::{Shard, ShardTables};
 use crate::snapshot::{FibSnapshot, SwapLatencySnapshot};
+use crate::ServeConfig;
 use memsync_netapp::fib::{CapacityError, Dir24_8, Route};
 use memsync_netapp::Fib;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -122,7 +126,7 @@ const LATENCY_RING: usize = 1024;
 /// writer's trie it is compiled from.
 #[derive(Debug)]
 pub struct EpochTables {
-    /// The generation in `live`, mirrored for the shard loop's lock-free
+    /// The generation in `live`, mirrored for the activations' lock-free
     /// check; starts at 1 (the boot table). Stored after `live` changes,
     /// so a reader that sees it move finds that table, or a newer one,
     /// in the slot.
@@ -130,8 +134,9 @@ pub struct EpochTables {
     /// The published `(generation, table)` pair: the only reference this
     /// structure keeps to any table.
     live: Mutex<(u64, Arc<ShardTables>)>,
-    /// Highest generation proven drained: every shard acknowledged a
-    /// newer one, so no shard references it or anything older.
+    /// Highest generation proven drained: the barrier moved every shard's
+    /// engine onto a newer one, so no engine references it or anything
+    /// older.
     retired: AtomicU64,
     /// The single writer's private trie — the authoritative mutable
     /// route set every published table is compiled from.
@@ -152,8 +157,8 @@ impl EpochTables {
         }
     }
 
-    /// The current generation: one `Acquire` load, the only thing the
-    /// shard hot loop touches per iteration.
+    /// The current generation: one `Acquire` load, the only thing an
+    /// activation touches here.
     pub fn generation(&self) -> u64 {
         self.generation.load(Ordering::Acquire)
     }
@@ -225,9 +230,9 @@ impl EpochTables {
                 fib: Fib::clone(&fib),
             });
             // Swap the complete table into the slot, then bump the
-            // counter the shard loop follows. The outgoing `Arc` is
+            // counter the activations follow. The outgoing `Arc` is
             // dropped after the slot lock is released: the table is freed
-            // here only when neither a shard nor the caller still holds it.
+            // here only when neither an engine nor the caller holds it.
             let outgoing = std::mem::replace(&mut *unpoison(self.live.lock()), (generation, fresh));
             self.generation.store(generation, Ordering::Release);
             drop(outgoing);
@@ -253,7 +258,7 @@ impl EpochTables {
 
     /// Records one swap's dequeue-to-barrier latency: from the worker
     /// dequeuing the batch's first op, through coalescing, the rebuild
-    /// and the publish, to the drain barrier completing or timing out.
+    /// and the publish, to the drain barrier completing.
     pub fn record_swap_latency(&self, micros: u64) {
         let mut l = unpoison(self.latency.lock());
         if l.samples.len() == LATENCY_RING {
@@ -293,36 +298,8 @@ impl EpochTables {
     }
 }
 
-/// How long the worker waits for every shard to acknowledge a new
-/// generation before giving up on retiring the old one (a shard may be
-/// mid-restart; its replacement syncs on spawn, so retirement only
-/// lags — it is never wrong).
-pub const BARRIER_DEADLINE: Duration = Duration::from_millis(250);
-
 /// Most ops folded into one rebuild+swap.
 const COALESCE_MAX: usize = 64;
-
-/// Waits until every shard's `gen_seen` reaches `gen`, nudging parked
-/// shards off their pop condvars so they run their generation check
-/// promptly. Returns whether the barrier completed inside `deadline`.
-pub fn await_generation(shards: &[Arc<Shard>], gen: u64, deadline: Duration) -> bool {
-    let start = Instant::now();
-    loop {
-        for s in shards {
-            s.queue.notify();
-        }
-        if shards
-            .iter()
-            .all(|s| s.gen_seen.load(Ordering::Acquire) >= gen)
-        {
-            return true;
-        }
-        if start.elapsed() >= deadline {
-            return false;
-        }
-        std::thread::sleep(Duration::from_micros(200));
-    }
-}
 
 /// A clonable handle for enqueueing control ops on the worker.
 #[derive(Debug, Clone)]
@@ -342,10 +319,12 @@ impl ControlHandle {
 
 /// Spawns the control worker: a single thread that drains queued ops,
 /// folds them into one rebuild+publish, runs the shard drain barrier,
-/// and replies. Returns the submit handle and the join handle.
+/// and replies. Returns the submit handle and the join handle. `config`
+/// is what the barrier needs to run jobs queued behind it.
 pub fn spawn_control_worker(
     tables: Arc<EpochTables>,
     shards: Vec<Arc<Shard>>,
+    config: ServeConfig,
     stop: Arc<AtomicBool>,
 ) -> (ControlHandle, JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -355,7 +334,7 @@ pub fn spawn_control_worker(
     };
     let thread = std::thread::Builder::new()
         .name("memsync-control".into())
-        .spawn(move || control_worker(&tables, &shards, &rx, &stop))
+        .spawn(move || control_worker(&tables, &shards, &config, &rx, &stop))
         .expect("control thread spawns");
     (handle, thread)
 }
@@ -363,6 +342,7 @@ pub fn spawn_control_worker(
 fn control_worker(
     tables: &EpochTables,
     shards: &[Arc<Shard>],
+    config: &ServeConfig,
     rx: &Receiver<ControlJob>,
     stop: &AtomicBool,
 ) {
@@ -384,14 +364,15 @@ fn control_worker(
         // is not part of the swap latency or the clients' wait.
         let (_, outgoing) = tables.current();
         let outcomes = tables.mutate(jobs.iter().map(|j| &j.op));
-        // The drain barrier: the previous generation is retired only
-        // once every shard acknowledges the new one. On deadline (a
-        // shard mid-restart) retirement lags until the next swap — the
-        // stats pair generation/retired makes the lag observable.
+        // The drain barrier: the previous generation is retired once
+        // every shard's engine has moved onto the new one. The worker
+        // holds neither `writer` nor `live` here (lock order: engine
+        // first).
         if let Some(published) = outcomes.iter().find_map(|o| o.as_ref().ok()) {
-            if await_generation(shards, published.generation, BARRIER_DEADLINE) {
-                tables.retire_up_to(published.generation - 1);
+            for s in shards {
+                s.adopt(tables, config);
             }
+            tables.retire_up_to(published.generation - 1);
             tables.record_swap_latency(started.elapsed().as_micros() as u64);
         }
         for (job, outcome) in jobs.into_iter().zip(outcomes) {
@@ -399,7 +380,7 @@ fn control_worker(
             // not the worker's problem.
             let _ = job.reply.send(outcome);
         }
-        // Once the barrier completed no shard holds the outgoing table,
+        // Once the barrier completed no engine holds the outgoing table,
         // so this frees it.
         drop(outgoing);
     }
@@ -408,7 +389,42 @@ fn control_worker(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::mpsc::channel;
+    use crate::backend::BackendKind;
+    use crate::frame::SubmitOptions;
+    use crate::queue::{Job, JobOutcome};
+    use memsync_netapp::Ipv4Packet;
+    use std::sync::mpsc::{channel, TryRecvError};
+
+    fn fast_config(shard_throttle: Option<Duration>) -> ServeConfig {
+        ServeConfig {
+            egress: 2,
+            routes: 16,
+            backend: BackendKind::Fast,
+            shard_throttle,
+            ..ServeConfig::default()
+        }
+    }
+
+    /// A one-packet job, and the receiver its outcome arrives on.
+    fn job() -> (Job, std::sync::mpsc::Receiver<JobOutcome>) {
+        let (tx, rx) = channel();
+        let job = Job {
+            packets: vec![Ipv4Packet::new(0x0a00_0001, 0x0b00_0001, 64, 6, 40)],
+            options: SubmitOptions::new(),
+            reply: Reply::new(tx),
+            enqueued: Instant::now(),
+        };
+        (job, rx)
+    }
+
+    /// Serves one job, which builds the shard's engine on the published
+    /// table.
+    fn serve_one(shard: &Shard, epoch: &EpochTables, config: &ServeConfig) {
+        let (job, rx) = job();
+        shard.queue.try_push(job).expect("the queue has room");
+        shard.combine(epoch, config);
+        rx.try_recv().expect("the combining caller answers inline");
+    }
 
     fn route(prefix: u32, len: u8, next_hop: u32) -> Route {
         Route {
@@ -501,20 +517,70 @@ mod tests {
     }
 
     #[test]
-    fn barrier_retires_only_after_every_shard_acks() {
-        let shards: Vec<Arc<Shard>> = (0..3).map(|id| Arc::new(Shard::new(id, 4))).collect();
-        for s in &shards {
-            s.gen_seen.store(1, Ordering::Release);
-        }
-        assert!(!await_generation(&shards, 2, Duration::from_millis(10)));
-        shards[0].gen_seen.store(2, Ordering::Release);
-        shards[1].gen_seen.store(2, Ordering::Release);
-        assert!(
-            !await_generation(&shards, 2, Duration::from_millis(10)),
-            "one laggard holds the barrier"
-        );
-        shards[2].gen_seen.store(2, Ordering::Release);
-        assert!(await_generation(&shards, 2, Duration::from_millis(100)));
+    fn barrier_waits_out_an_activation_and_leaves_no_engine_on_the_old_table() {
+        let config = fast_config(Some(Duration::from_millis(200)));
+        let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
+        let shard = Shard::new(0, config.queue_cap);
+        let (job, rx) = job();
+        shard.queue.try_push(job).expect("the queue has room");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| shard.combine(&epoch, &config));
+            // The job is popped: its activation built the engine on the
+            // boot table and sleeps.
+            while shard.idle.load(Ordering::Acquire) || !shard.queue.is_empty() {
+                assert!(!holder.is_finished(), "the activation ended unobserved");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            // The worker's part: keep the outgoing table, publish, run
+            // the barrier.
+            let outgoing = epoch.current().1;
+            let boot = Arc::downgrade(&outgoing);
+            epoch.mutate(&[ControlOp::SwapDefault(8)]);
+            shard.adopt(&epoch, &config);
+            assert!(
+                rx.try_recv().is_ok(),
+                "the barrier returned only after the activation answered"
+            );
+            drop(outgoing);
+            assert!(
+                boot.upgrade().is_none(),
+                "once the worker lets go, no engine holds the old table"
+            );
+            holder.join().expect("the holder returns");
+        });
+    }
+
+    #[test]
+    fn a_job_whose_try_lock_loses_to_the_barrier_is_served_when_it_lets_go() {
+        let config = fast_config(None);
+        let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
+        let shard = Shard::new(0, config.queue_cap);
+        serve_one(&shard, &epoch, &config);
+        // The engine lags one generation, so the barrier reads the slot.
+        epoch.mutate(&[ControlOp::SwapDefault(8)]);
+        let (job, rx) = job();
+        std::thread::scope(|s| {
+            // Holding the slot parks the barrier inside the engine lock.
+            let live = unpoison(epoch.live.lock());
+            let barrier = s.spawn(|| shard.adopt(&epoch, &config));
+            while !shard.engine_busy() {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            shard.queue.try_push(job).expect("the queue has room");
+            shard.combine(&epoch, &config);
+            assert_eq!(
+                rx.try_recv(),
+                Err(TryRecvError::Empty),
+                "the lost try_lock leaves the job to the barrier"
+            );
+            drop(live);
+            barrier.join().expect("the barrier returns");
+        });
+        let out = rx
+            .try_recv()
+            .expect("the barrier served the job after letting go");
+        assert_eq!(out.forwarded, 1);
+        assert!(shard.quiescent());
     }
 
     #[test]
@@ -522,23 +588,13 @@ mod tests {
         let epoch = Arc::new(EpochTables::new(ShardTables::from_routes(&[route(
             0, 0, 7,
         )])));
-        // A fake shard: echo every generation straight into gen_seen so
-        // the barrier completes.
+        let config = fast_config(None);
         let shard = Arc::new(Shard::new(0, 4));
+        serve_one(&shard, &epoch, &config);
         let stop = Arc::new(AtomicBool::new(false));
-        let echo_stop = Arc::clone(&stop);
-        let echo_tables = Arc::clone(&epoch);
-        let echo_shard = Arc::clone(&shard);
-        let echo = std::thread::spawn(move || {
-            while !echo_stop.load(Ordering::Acquire) {
-                let gen = echo_tables.generation();
-                echo_shard.gen_seen.store(gen, Ordering::Release);
-                std::thread::sleep(Duration::from_micros(100));
-            }
-        });
         let boot = Arc::downgrade(&epoch.current().1);
         let (handle, worker) =
-            spawn_control_worker(Arc::clone(&epoch), vec![shard], Arc::clone(&stop));
+            spawn_control_worker(Arc::clone(&epoch), vec![shard], config, Arc::clone(&stop));
         let (tx, rx) = channel();
         assert!(handle.submit(
             ControlOp::Add(vec![route(0x0a00_0000, 8, 5)]),
@@ -553,7 +609,6 @@ mod tests {
         assert_eq!(summary.count, 1);
         stop.store(true, Ordering::Release);
         worker.join().unwrap();
-        echo.join().unwrap();
         assert!(
             boot.upgrade().is_none(),
             "the worker freed the boot table once the barrier retired it"

@@ -2,9 +2,10 @@
 //! histograms, and JSONL span export.
 //!
 //! A traced submit travels `decode → queue-wait → batch-coalesce →
-//! backend-execute → egress encode → socket write`. The shard thread
-//! measures the four middle stages and fills them, with its own fields,
-//! into one [`SpanRecord`] per job, shipped back through
+//! backend-execute → egress encode → socket write`. The shard activation,
+//! on whichever thread runs it, measures the four middle stages and fills
+//! them, with its own fields, into one [`SpanRecord`] per job, shipped
+//! back through
 //! [`crate::queue::JobOutcome::timings`]; the connection's session
 //! measures decode and write, and [`ServeTracer::finish`] stamps those and
 //! the span id on each record after the response hits the socket.

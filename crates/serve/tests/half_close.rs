@@ -1,14 +1,16 @@
 //! A peer that half-closes its connection while a request is in flight
 //! must not make a reactor thread spin: the reply still arrives, and the
 //! server burns no CPU to speak of while the request waits on a slow
-//! shard.
+//! shard. The shard is busy with another connection's throttled
+//! activation on the other reactor, so the half-closed connection's
+//! request waits in the queue while its own reactor keeps polling.
 //!
 //! Alone in its own test binary: it measures the whole process's CPU
 //! time, which parallel tests in the same binary would inflate.
 
 use memsync_netapp::Workload;
 use memsync_serve::{
-    frame, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
+    frame, Client, Request, Response, ServeConfig, Server, SubmitOptions, PROTOCOL_VERSION,
 };
 use std::io::BufReader;
 use std::net::{Shutdown, TcpStream};
@@ -34,10 +36,15 @@ fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
         egress: 2,
         routes: 16,
         shard_throttle: Some(Duration::from_millis(1500)),
-        reactor_threads: 1,
+        reactor_threads: 2,
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");
+    // Connections are dealt round-robin in accept order: the observer
+    // and the half-closing peer land on one reactor, the occupier on the
+    // other.
+    let mut observer = Client::connect(server.local_addr()).expect("connect");
+    let mut occupier = Client::connect(server.local_addr()).expect("connect");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().expect("clone"));
     let hello = Request::Hello {
@@ -53,6 +60,24 @@ fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
         .expect("hello frame");
 
     let w = Workload::generate(8, 32, 16);
+    occupier
+        .submit_send(&w.packets, SubmitOptions::new())
+        .expect("occupy the shard");
+    // Accepted and popped: the occupier's reactor sleeps in its
+    // activation, holding the shard.
+    let deadline = Instant::now() + Duration::from_secs(10);
+    loop {
+        let snap = observer.stats().expect("stats");
+        if snap.accepted == 1 && snap.per_shard[0].queue_depth == 0 {
+            break;
+        }
+        assert!(
+            Instant::now() < deadline,
+            "the occupier never got picked up"
+        );
+        std::thread::sleep(Duration::from_millis(1));
+    }
+
     let submit = Request::Submit {
         packets: &w.packets,
         options: SubmitOptions::new(),
@@ -79,6 +104,7 @@ fn half_closed_peer_gets_its_reply_without_a_busy_loop() {
         None,
         "the server closes after answering"
     );
+    assert!(matches!(occupier.submit_recv(), Ok(Response::Batch { .. })));
     server.stop();
     server.wait();
 }

@@ -72,7 +72,9 @@ fn reactor_saturated_shard_defers_submits_instead_of_busy_storms() {
     // One throttled shard behind a 2-deep queue, hammered by 8 concurrent
     // closed-loop connections. A submit that meets the full queue is
     // parked and retried internally, so clients see zero Busy responses
-    // and zero retries: flow control replaces the storm.
+    // and zero retries: flow control replaces the storm. Two reactors:
+    // the thread running an activation reads no requests meanwhile, so
+    // only the other can fill the queue behind it.
     let config = ServeConfig {
         shards: 1,
         egress: 2,
@@ -80,7 +82,7 @@ fn reactor_saturated_shard_defers_submits_instead_of_busy_storms() {
         queue_cap: 2,
         shard_throttle: Some(Duration::from_millis(10)),
         job_timeout: Duration::from_secs(30),
-        reactor_threads: 1,
+        reactor_threads: 2,
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");

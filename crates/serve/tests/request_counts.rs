@@ -6,21 +6,20 @@
 //! counts do not depend on the host's speed. Each shape runs a warm-up
 //! and then three reps, and the lowest rep is compared with its pin plus
 //! a fixed slack, so only increases fail. A change that lowers a count
-//! lowers its pin. Each pin's comment gives the band its reps read over
-//! 40 runs (debug and release, idle and beside two busy loops), and in
-//! brackets over 12 runs of the code before the pins, which allocated a
-//! registry key per stats update and re-allocated the reactor's work
-//! list.
+//! lowers its pin. Each pin's comment gives the band read over 40 runs
+//! (10 each in debug and release, idle and beside two busy loops): every
+//! rep's allocations, and the lowest rep's context switches. In brackets
+//! is what the same runs read when each shard had its own thread.
 //!
-//! Context switches are pinned only for the one-shard shape, where they
-//! repeat. Elsewhere how requests batch in a shard, and so how often a
-//! thread parks, is a matter of timing. Even there the process-wide sum
-//! moves with timing: when an activation takes longer, the reactor can
-//! find the next request without parking, so a shard that parks once
-//! more per activation (a 50 µs sleep in each) left the sum at 4.17–5.06
-//! in release, within its pin's slack in 15 of 20 runs. The shard
-//! threads' own count, pinned beside the sum, read 2.01–2.54 in every rep
-//! of the 10 of those runs that measured it.
+//! Context switches are pinned only for the one-shard shape, at 2 per
+//! request. The reactor runs the shards' activations itself, so a
+//! closed-loop request parks the client once and, when the reactor finds
+//! the next request already there, nothing else (1.00–1.01 per request);
+//! when the reactor parks before it arrives, twice (2.00). Which one a
+//! run reads is a matter of timing, on an idle host too, and the pin
+//! sits at 2. Every other shape's lowest rep moves with the host's load
+//! as well, from one band idle to another beside busy loops (bulk up to
+//! 2.83), so it is printed, not pinned.
 //!
 //! Every shape runs one reactor thread, so the set of threads does not
 //! depend on the host's CPU count.
@@ -56,22 +55,16 @@ struct Shape {
     rounds: usize,
     /// Heap allocations per request.
     allocs: f64,
-    /// Voluntary context switches per request, where they repeat.
-    switches: Option<Switches>,
-}
-
-/// Voluntary context switches: every thread's, and the shard threads'.
-#[derive(Debug, Clone, Copy)]
-struct Switches {
-    all: f64,
-    shards: f64,
+    /// Voluntary context switches per request, summed over every
+    /// thread, where pinned.
+    switches: Option<f64>,
 }
 
 /// Per-request counts of one rep.
 #[derive(Debug, Clone, Copy)]
 struct Counts {
     allocs: f64,
-    switches: Switches,
+    switches: f64,
 }
 
 /// The two-shard fast-backend server the benchmark's `small` and `bulk`
@@ -112,16 +105,13 @@ fn shapes() -> Vec<Shape> {
             options: verify,
             warmup_rounds: 200,
             rounds: 1_000,
-            // Measured 4.000 in every rep [13.70–14.00]: the reply
-            // channel's `Arc` and its first block, the guards `Vec` and
-            // one packet `Vec`.
-            allocs: 4.0,
-            // Measured 3.25–4.04 [3.40–4.02], and 0.78–1.65 on the shard
-            // threads.
-            switches: Some(Switches {
-                all: 4.0,
-                shards: 1.0,
-            }),
+            // Measured 3.000 [4.000, the fourth the router's guard
+            // `Vec`]: the reply channel's `Arc` and its first block, and
+            // one packet `Vec`. Switches 1.00–1.01 idle, 1.00–1.80
+            // beside busy loops, 1.995 in two later idle release runs
+            // [3.25–4.04].
+            allocs: 3.0,
+            switches: Some(2.0),
         },
         Shape {
             name: "64 verified packets, both shards (small)",
@@ -130,9 +120,10 @@ fn shapes() -> Vec<Shape> {
             options: verify,
             warmup_rounds: 200,
             rounds: 1_000,
-            // Measured 5.000–5.141 [23.53–25.00]: one packet `Vec` per
-            // shard.
-            allocs: 5.0,
+            // Measured 4.000 [5.000–5.141]: one packet `Vec` per shard.
+            // Switches 1.00–1.01 idle, 1.00–2.00 beside busy loops
+            // [4.84–7.04].
+            allocs: 4.0,
             switches: None,
         },
         Shape {
@@ -148,9 +139,10 @@ fn shapes() -> Vec<Shape> {
             options: verify,
             warmup_rounds: 200,
             rounds: 1_000,
-            // Measured 5.000 in every rep [20.83–21.00]: the fifth is
-            // the span's `timings` `Vec`.
-            allocs: 5.0,
+            // Measured 4.000 [5.000]: the fourth is the span's `timings`
+            // `Vec`. Switches 1.00–1.01 idle, 1.01–2.00 beside busy loops
+            // [3.11–4.11].
+            allocs: 4.0,
             switches: None,
         },
         Shape {
@@ -160,8 +152,9 @@ fn shapes() -> Vec<Shape> {
             options: SubmitOptions::new(),
             warmup_rounds: 50,
             rounds: 300,
-            // Measured 5.000–5.053 [24.46–25.00].
-            allocs: 5.0,
+            // Measured 4.000 [5.000–5.053]. Switches 1.04–1.70 idle,
+            // 1.04–2.83 beside busy loops [5.54–8.11].
+            allocs: 4.0,
             switches: None,
         },
         Shape {
@@ -176,41 +169,34 @@ fn shapes() -> Vec<Shape> {
             options: verify,
             warmup_rounds: 3,
             rounds: 10,
-            // Measured 7.000–7.072 [16.57–27.24]: one packet `Vec` per
+            // Measured 6.000–6.008 [7.000–7.072]: one packet `Vec` per
             // shard. The count barely grows with the connections: 7.02–7.10
-            // at 1,000 and 7.03–7.06 at 5,000 (3 release runs each).
-            allocs: 7.0,
+            // at 1,000 and 7.03–7.06 at 5,000 (3 release runs each, with
+            // shard threads). Switches 0.16–0.70 idle, 0.12–0.42
+            // beside busy loops [0.31–4.04].
+            allocs: 6.0,
             switches: None,
         },
     ]
 }
 
-/// Voluntary context switches so far, summed over the process's threads
-/// and over its shard threads alone. Reading the files allocates, so
-/// call it outside a counted span.
-fn voluntary_switches() -> (u64, u64) {
-    let (mut all, mut shards) = (0, 0);
+/// Voluntary context switches so far, summed over the process's
+/// threads. Reading the files allocates, so call it outside a counted
+/// span.
+fn voluntary_switches() -> u64 {
     let tasks = std::fs::read_dir("/proc/self/task").expect("list /proc/self/task");
-    for task in tasks.flatten() {
-        let path = task.path();
-        // A thread can exit between the listing and the reads; skip it.
-        let (Ok(comm), Ok(status)) = (
-            std::fs::read_to_string(path.join("comm")),
-            std::fs::read_to_string(path.join("status")),
-        ) else {
-            continue;
-        };
-        let n = status
-            .lines()
-            .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
-            .and_then(|v| v.trim().parse::<u64>().ok())
-            .expect("status lists voluntary_ctxt_switches");
-        all += n;
-        if comm.starts_with("memsync-shard") {
-            shards += n;
-        }
-    }
-    (all, shards)
+    tasks
+        .flatten()
+        // A thread can exit between the listing and the read; skip it.
+        .filter_map(|task| std::fs::read_to_string(task.path().join("status")).ok())
+        .map(|status| {
+            status
+                .lines()
+                .find_map(|l| l.strip_prefix("voluntary_ctxt_switches:"))
+                .and_then(|v| v.trim().parse::<u64>().ok())
+                .expect("status lists voluntary_ctxt_switches")
+        })
+        .sum()
 }
 
 /// `rounds` rounds of one submit per connection: every connection sends,
@@ -255,17 +241,14 @@ fn measure(shape: &Shape) -> Vec<Counts> {
     let per_request = |n: u64| n as f64 / requests;
     let reps = (0..REPS)
         .map(|_| {
-            let (all, shards) = voluntary_switches();
+            let switches = voluntary_switches();
             let allocs = common::process_calls();
             run_rounds(&mut clients, shape, shape.rounds);
             let allocs = common::process_calls() - allocs;
-            let (all_after, shards_after) = voluntary_switches();
+            let switches = voluntary_switches() - switches;
             Counts {
                 allocs: per_request(allocs),
-                switches: Switches {
-                    all: per_request(all_after - all),
-                    shards: per_request(shards_after - shards),
-                },
+                switches: per_request(switches),
             }
         })
         .collect();
@@ -291,15 +274,9 @@ fn each_request_shape_does_its_pinned_work() {
         };
         check("allocations", shape.allocs, ALLOC_SLACK, |c| c.allocs);
         if let Some(pin) = shape.switches {
-            check("voluntary context switches", pin.all, SWITCH_SLACK, |c| {
-                c.switches.all
+            check("voluntary context switches", pin, SWITCH_SLACK, |c| {
+                c.switches
             });
-            check(
-                "shard-thread voluntary context switches",
-                pin.shards,
-                SWITCH_SLACK,
-                |c| c.switches.shards,
-            );
         }
     }
     assert!(

@@ -1,6 +1,6 @@
 //! A server whose reactor cannot be built leaves no thread running: the
 //! start fails before any reactor thread starts, and dropping the
-//! half-built server joins the shard and control threads.
+//! half-built server joins the control thread.
 //!
 //! Alone in its own test binary: it lowers the process's open-file limit
 //! and lists the process's threads, which parallel tests in the same

@@ -1,5 +1,5 @@
-//! Dropping a server joins every thread it spawned, shard threads
-//! included, even while a shard is mid-activation.
+//! Dropping a server joins every thread it spawned, even while a reactor
+//! thread is running a shard's activation.
 //!
 //! Alone in its own test binary: it lists the whole process's threads,
 //! which parallel tests in the same binary would add to.
@@ -27,38 +27,45 @@ fn dropping_the_server_joins_every_thread_it_spawned() {
         routes: 16,
         backend: BackendKind::Fast,
         shard_throttle: Some(Duration::from_millis(300)),
-        reactor_threads: 1,
+        reactor_threads: 2,
         ..ServeConfig::default()
     };
     let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
     // A spawned thread names itself only once it first runs, so the
-    // names can lag `Server::start`: wait for both shards' names.
+    // names can lag `Server::start`: wait for every thread's name (the
+    // kernel cuts `memsync-reactor-N` to 15 bytes).
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
-        let threads = server_threads();
-        let shards = threads
-            .iter()
-            .filter(|t| t.starts_with("memsync-shard"))
-            .count();
-        if shards == 2 {
+        let mut threads = server_threads();
+        threads.sort();
+        if threads
+            == [
+                "memsync-accept",
+                "memsync-control",
+                "memsync-reactor",
+                "memsync-reactor",
+            ]
+        {
             break;
         }
         assert!(
             Instant::now() < deadline,
-            "shard threads are running: {threads:?}"
+            "the server's threads are running: {threads:?}"
         );
         std::thread::sleep(Duration::from_millis(1));
     }
 
+    // The submitter's reactor runs its activations; the observer lands
+    // on the other reactor, which stays free to answer stats.
     let mut submitter = Client::connect(addr).expect("connect");
+    let mut observer = Client::connect(addr).expect("connect");
     let w = Workload::generate(8, 64, 16);
     submitter
         .submit_send(&w.packets, SubmitOptions::new())
         .expect("submit");
-    // Once the batch is accepted and every queue is empty again, each
-    // of its jobs has been popped and sits in a throttled activation.
-    let mut observer = Client::connect(addr).expect("connect");
+    // Once the batch is accepted and every queue is empty again, its
+    // last job has been popped and sits in a throttled activation.
     let deadline = Instant::now() + Duration::from_secs(10);
     loop {
         let snap = observer.stats().expect("stats");

@@ -11,7 +11,8 @@ use memsync_trace::Pcg32;
 /// A source of message arrivals, polled once per cycle.
 ///
 /// `Send` so a [`crate::System`] owning attached sources can move onto a
-/// worker thread (the serve crate builds backends per shard thread).
+/// worker thread (the serve crate's shard backends run on whichever
+/// thread runs the shard's activation).
 pub trait ArrivalProcess: Send {
     /// Returns the message payload if one arrives this cycle.
     fn poll(&mut self, cycle: u64) -> Option<i64>;

@@ -13,7 +13,8 @@ use std::sync::{Arc, Mutex, PoisonError};
 /// Destination of a cycle-event stream.
 ///
 /// `Send` so a simulator owning its sink can move whole onto a worker
-/// thread (the serve crate runs one `System` per shard thread).
+/// thread (the serve crate runs one `System` per shard, on whichever
+/// thread runs the shard's activation).
 pub trait TraceSink: std::fmt::Debug + Send {
     /// Records one event.
     fn emit(&mut self, ev: &TraceEvent);
