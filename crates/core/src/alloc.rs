@@ -7,10 +7,15 @@
 //! dependencies are packed into *sync banks* fronted by one of the two
 //! memory organizations; thread-private arrays and large variables are
 //! packed into private banks reached through port A.
+//!
+//! [`allocate`] reads the dependency list sema resolved from the pragmas
+//! (one guarded word each) and each thread's declarations (arrays go to
+//! private banks). §3's partial order of memory accesses is kept by the
+//! scheduler's program-order memory constraint
+//! ([`memsync_synth::schedule::list_schedule`]).
 
 use crate::deplist::COUNTER_WIDTH;
 use crate::spec::WrapperSpec;
-use memsync_hic::depgraph::MemoryAccessGraph;
 use memsync_hic::sema::Analysis;
 use memsync_hic::Program;
 use memsync_synth::ir::{MemBinding, PortClass};
@@ -101,11 +106,6 @@ pub struct AllocationPlan {
 }
 
 impl AllocationPlan {
-    /// Total 18 Kb BRAMs the plan occupies.
-    pub fn bram_count(&self) -> u32 {
-        (self.sync_banks.len() + self.private_banks.len()) as u32
-    }
-
     /// Binding for one thread (empty all-register binding if absent).
     pub fn binding_for(&self, thread: &str) -> MemBinding {
         self.bindings.get(thread).cloned().unwrap_or_default()
@@ -119,7 +119,6 @@ impl AllocationPlan {
 /// Fails when a dependency has more consumers than the counter supports,
 /// or a single thread's private data exceeds the bank capacity budget.
 pub fn allocate(program: &Program, analysis: &Analysis) -> Result<AllocationPlan, String> {
-    let mag = MemoryAccessGraph::build(program, analysis);
     let mut bindings: BTreeMap<String, MemBinding> = BTreeMap::new();
     let mut sync_banks: Vec<SyncBank> = Vec::new();
 
@@ -283,7 +282,6 @@ pub fn allocate(program: &Program, analysis: &Analysis) -> Result<AllocationPlan
         }
     }
 
-    let _ = mag;
     Ok(AllocationPlan {
         sync_banks,
         private_banks,

@@ -10,10 +10,8 @@
 //! * [`lexer`] / [`parser`] — source text to [`ast::Program`];
 //! * [`sema`] — name/type checking, producer/consumer pragma resolution into
 //!   [`sema::Dependency`] records, and static deadlock detection;
-//! * [`usedef`] — CFG construction, reaching definitions, def-use chains,
-//!   lifetimes, and pragma-free dependency *inference*;
-//! * [`depgraph`] — the memory-access graph and operation-order graph that
-//!   drive BRAM allocation downstream;
+//! * [`usedef`] — the statement-level CFG the hazard pass walks, and
+//!   pragma-free dependency *inference* from the reads and writes on it;
 //! * [`hazards`] — static hazard analysis over the compiled program: the
 //!   lost-update bug class (a producer re-firing before every consumer has
 //!   read, silently overwritten under the paper's sampling semantics),
@@ -46,7 +44,6 @@
 #![forbid(unsafe_code)]
 
 pub mod ast;
-pub mod depgraph;
 pub mod error;
 pub mod hazards;
 pub mod lexer;

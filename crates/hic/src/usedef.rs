@@ -3,10 +3,10 @@
 //! The paper notes (§2) that the pragma syntax "is not central to our
 //! techniques … in practice, one can use standard compiler use-def analysis
 //! and other lifetime analysis methods to extract producers and consumers".
-//! This module provides that alternative path: a statement-level control-flow
-//! graph, iterative reaching-definitions dataflow, def-use chains, lifetime
-//! intervals, and inter-thread producer/consumer inference for programs
-//! without pragmas.
+//! This module provides that alternative path: a statement-level
+//! control-flow graph of each statement's reads and writes, which the
+//! hazard pass also walks, and inter-thread producer/consumer inference
+//! for programs without pragmas.
 
 use crate::ast::{Expr, LValue, Program, Stmt, StmtKind, Thread};
 use crate::error::Span;
@@ -68,78 +68,6 @@ impl Cfg {
         }
     }
 
-    /// Runs reaching-definitions dataflow and returns, for every node, the
-    /// set of `(def_node, var)` pairs reaching its entry.
-    pub fn reaching_definitions(&self) -> Vec<BTreeSet<(usize, String)>> {
-        let n = self.nodes.len();
-        let mut in_sets: Vec<BTreeSet<(usize, String)>> = vec![BTreeSet::new(); n];
-        let mut out_sets: Vec<BTreeSet<(usize, String)>> = vec![BTreeSet::new(); n];
-        let preds = self.predecessors();
-        let mut changed = true;
-        while changed {
-            changed = false;
-            for id in 0..n {
-                let mut new_in = BTreeSet::new();
-                for &p in &preds[id] {
-                    new_in.extend(out_sets[p].iter().cloned());
-                }
-                let node = &self.nodes[id];
-                let mut new_out: BTreeSet<(usize, String)> = new_in
-                    .iter()
-                    .filter(|(_, v)| !node.defs.contains(v))
-                    .cloned()
-                    .collect();
-                for d in &node.defs {
-                    new_out.insert((id, d.clone()));
-                }
-                if new_in != in_sets[id] || new_out != out_sets[id] {
-                    in_sets[id] = new_in;
-                    out_sets[id] = new_out;
-                    changed = true;
-                }
-            }
-        }
-        in_sets
-    }
-
-    /// Def-use chains: for every defining node, which nodes use the value.
-    pub fn def_use_chains(&self) -> BTreeMap<(usize, String), BTreeSet<usize>> {
-        let reaching = self.reaching_definitions();
-        let mut chains: BTreeMap<(usize, String), BTreeSet<usize>> = BTreeMap::new();
-        for node in &self.nodes {
-            for var in &node.uses {
-                for (def_node, def_var) in &reaching[node.id] {
-                    if def_var == var {
-                        chains
-                            .entry((*def_node, var.clone()))
-                            .or_default()
-                            .insert(node.id);
-                    }
-                }
-            }
-        }
-        chains
-    }
-
-    /// Lifetime interval of every variable: `(first node touching it, last
-    /// node touching it)` in node-id order — the paper's memory-size
-    /// analysis uses these to overlap storage.
-    pub fn lifetimes(&self) -> BTreeMap<String, (usize, usize)> {
-        let mut intervals: BTreeMap<String, (usize, usize)> = BTreeMap::new();
-        for node in &self.nodes {
-            for var in node.defs.iter().chain(node.uses.iter()) {
-                intervals
-                    .entry(var.clone())
-                    .and_modify(|(lo, hi)| {
-                        *lo = (*lo).min(node.id);
-                        *hi = (*hi).max(node.id);
-                    })
-                    .or_insert((node.id, node.id));
-            }
-        }
-        intervals
-    }
-
     /// Variables read somewhere in the thread but never defined in it —
     /// candidates for inter-thread consumption.
     pub fn external_reads(&self) -> BTreeSet<String> {
@@ -150,16 +78,6 @@ impl Cfg {
             all_uses.extend(node.uses.iter().cloned());
         }
         all_uses.difference(&all_defs).cloned().collect()
-    }
-
-    fn predecessors(&self) -> Vec<Vec<usize>> {
-        let mut preds = vec![Vec::new(); self.nodes.len()];
-        for node in &self.nodes {
-            for &s in &node.succs {
-                preds[s].push(node.id);
-            }
-        }
-        preds
     }
 }
 
@@ -411,34 +329,6 @@ mod tests {
         let cond = &cfg.nodes[0];
         assert!(cond.succs.contains(&1));
         assert!(cfg.nodes[1].succs.contains(&0), "back edge expected");
-    }
-
-    #[test]
-    fn reaching_definitions_flow_through_branches() {
-        let cfg = cfg_of("thread t() { int a, b; a = 1; if (a) { a = 2; } b = a; }");
-        let reaching = cfg.reaching_definitions();
-        let use_node = cfg.nodes.iter().find(|n| n.defs.contains("b")).unwrap();
-        let defs_of_a: Vec<usize> = reaching[use_node.id]
-            .iter()
-            .filter(|(_, v)| v == "a")
-            .map(|(n, _)| *n)
-            .collect();
-        assert_eq!(defs_of_a.len(), 2, "both a=1 and a=2 must reach the read");
-    }
-
-    #[test]
-    fn def_use_chains_connect_writer_to_reader() {
-        let cfg = cfg_of("thread t() { int a, b; a = 1; b = a; }");
-        let chains = cfg.def_use_chains();
-        assert_eq!(chains[&(0, "a".to_owned())], BTreeSet::from([1usize]));
-    }
-
-    #[test]
-    fn lifetimes_span_first_to_last_touch() {
-        let cfg = cfg_of("thread t() { int a, b, c; a = 1; b = a; c = b; c = a; }");
-        let lifetimes = cfg.lifetimes();
-        assert_eq!(lifetimes["a"], (0, 3));
-        assert_eq!(lifetimes["b"], (1, 2));
     }
 
     #[test]

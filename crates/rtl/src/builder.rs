@@ -406,11 +406,6 @@ impl ModuleBuilder {
         (m, idx, data)
     }
 
-    /// Number of instances created so far.
-    pub fn instance_count(&self) -> usize {
-        self.instances.len()
-    }
-
     /// Finishes the module.
     pub fn finish(self) -> Module {
         Module {

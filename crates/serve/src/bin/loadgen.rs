@@ -1,11 +1,8 @@
 //! The `loadgen` bin: seeded traffic against a memsync-serve instance.
 //!
-//! ```text
-//! loadgen --addr 127.0.0.1:7171 [--conns 8] [--jobs 100] [--batch 32]
-//!         [--seed 42] [--routes 64] [--verify] [--ramp MS]
-//!         [--backend sim|fast|differential] [--drain] [--shutdown]
-//!         [--spans] [--stats-interval MS] [--churn RATE]
-//! ```
+//! Its flags, with their defaults, are the `USAGE` line below. An unknown
+//! flag, a missing value or one that does not parse or is out of range
+//! prints it and exits 2 before anything connects.
 //!
 //! `--conns` connections each submit `--jobs` batches of `--batch`
 //! seeded [`Workload`] packets, closed-loop: `Busy` is resent after a
@@ -60,26 +57,17 @@
 use memsync_netapp::fib::Route;
 use memsync_netapp::Workload;
 use memsync_serve::client::BatchResult;
+use memsync_serve::flags::Flags;
 use memsync_serve::{BackendKind, Client, Response, SubmitOptions};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num_arg(args: &[String], key: &str, default: u64) -> u64 {
-    arg_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} wants a number, got {v}"))
-        })
-        .unwrap_or(default)
-}
+const USAGE: &str = "\
+usage: loadgen [--addr 127.0.0.1:7171] [--conns 8] [--jobs 100] [--batch 32]
+               [--seed 42] [--routes 64] [--verify] [--ramp MS]
+               [--backend sim|fast|differential] [--drain] [--shutdown]
+               [--spans] [--stats-interval MS] [--churn RATE]";
 
 fn connect(addr: &str) -> Client {
     Client::connect(addr).expect("connect to serve")
@@ -287,40 +275,30 @@ fn percentile_us(sorted_ns: &[u64], p: f64) -> u64 {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".into());
-    let conns = num_arg(&args, "--conns", 8) as usize;
-    let jobs = num_arg(&args, "--jobs", 100) as usize;
-    let batch = num_arg(&args, "--batch", 32) as usize;
+    let flags = Flags::parse(USAGE);
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171").to_owned();
+    let conns: usize = flags.or("--conns", 8);
+    let jobs: usize = flags.or("--jobs", 100);
+    let batch: usize = flags.or("--batch", 32);
     let max_batch = memsync_serve::frame::MAX_SUBMIT_PACKETS;
-    assert!(
-        batch >= 1 && batch <= max_batch,
-        "--batch must be 1..={max_batch} (one submit frame), got {batch}"
-    );
-    let seed = num_arg(&args, "--seed", 42);
-    let routes = num_arg(&args, "--routes", 64) as usize;
-    let options = SubmitOptions::new().verify(args.iter().any(|a| a == "--verify"));
-    let ramp = Duration::from_millis(num_arg(&args, "--ramp", 0));
+    if !(1..=max_batch).contains(&batch) {
+        flags.fail(&format!(
+            "--batch must be 1..={max_batch} (one submit frame), got {batch}"
+        ));
+    }
+    let seed: u64 = flags.or("--seed", 42);
+    let routes: usize = flags.or("--routes", 64);
+    let options = SubmitOptions::new().verify(flags.has("--verify"));
+    let ramp = Duration::from_millis(flags.or("--ramp", 0));
+    let spans = flags.has("--spans");
+    let nonzero = |flag: &str| match flags.parsed::<u64>(flag) {
+        Some(0) => flags.fail(&format!("{flag} must be nonzero")),
+        v => v,
+    };
+    let stats_interval = nonzero("--stats-interval").map(Duration::from_millis);
+    let expect_backend: Option<BackendKind> = flags.parsed("--backend");
+    let churn = nonzero("--churn");
     memsync_serve::raise_fd_limit();
-    let spans = args.iter().any(|a| a == "--spans");
-    let stats_interval = arg_value(&args, "--stats-interval").map(|v| {
-        let ms: u64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--stats-interval wants milliseconds, got {v}"));
-        assert!(ms > 0, "--stats-interval must be nonzero");
-        Duration::from_millis(ms)
-    });
-    let expect_backend = arg_value(&args, "--backend").map(|v| {
-        v.parse::<BackendKind>()
-            .unwrap_or_else(|e| panic!("--backend: {e}"))
-    });
-    let churn = arg_value(&args, "--churn").map(|v| {
-        let rate: u64 = v
-            .parse()
-            .unwrap_or_else(|_| panic!("--churn wants route mutations per second, got {v}"));
-        assert!(rate > 0, "--churn must be nonzero");
-        rate
-    });
 
     // One connection up front to report (and check) what we negotiated.
     {
@@ -546,7 +524,7 @@ fn main() {
         churn_summary.as_deref().unwrap_or("")
     );
 
-    if args.iter().any(|a| a == "--drain" || a == "--shutdown") {
+    if flags.has("--drain") || flags.has("--shutdown") {
         let mut client = connect(addr.as_str());
         match client.drain() {
             Ok(()) => println!("drain complete"),
@@ -555,7 +533,7 @@ fn main() {
                 failed = true;
             }
         }
-        if args.iter().any(|a| a == "--shutdown") {
+        if flags.has("--shutdown") {
             client.shutdown().expect("shutdown frame");
             println!("shutdown sent");
         }

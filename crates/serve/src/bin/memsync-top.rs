@@ -1,11 +1,9 @@
 //! The `memsync-top` bin: live per-shard telemetry, plus offline span
 //! waterfalls.
 //!
-//! ```text
-//! memsync-top [--addr 127.0.0.1:7171] [--interval-ms 1000] [--frames N]
-//!             [--raw]
-//! memsync-top --replay SPANS.jsonl [--slowest N]
-//! ```
+//! Its flags, with their defaults, are the `USAGE` lines below. An
+//! unknown flag, a missing value or one that does not parse prints them
+//! and exits 2 before anything connects or reads.
 //!
 //! Live mode subscribes to the server's stats stream (one push per
 //! `--interval-ms`) and renders per-shard throughput, queue depth, stage
@@ -19,27 +17,16 @@
 //! waterfall of the `--slowest N` (default 5) spans. Exits non-zero when
 //! the file is unreadable or contains no spans.
 
+use memsync_serve::flags::Flags;
 use memsync_serve::snapshot::{StageSummarySnapshot, StatsSnapshot};
 use memsync_serve::Client;
 use memsync_trace::SpanRecord;
 use std::io::IsTerminal;
 use std::time::{Duration, Instant};
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn num_arg(args: &[String], key: &str, default: u64) -> u64 {
-    arg_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} wants a number, got {v}"))
-        })
-        .unwrap_or(default)
-}
+const USAGE: &str = "\
+usage: memsync-top [--addr 127.0.0.1:7171] [--interval-ms 1000] [--frames N] [--raw]
+       memsync-top [--replay SPANS.jsonl] [--slowest 5]";
 
 /// Nanoseconds, human-scaled.
 fn fmt_ns(ns: u64) -> String {
@@ -281,18 +268,15 @@ fn live(addr: &str, interval: Duration, frames: u64, raw: bool) {
 }
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
-    if let Some(path) = arg_value(&args, "--replay") {
-        let slowest = num_arg(&args, "--slowest", 5) as usize;
-        if let Err(e) = replay(&path, slowest) {
+    let flags = Flags::parse(USAGE);
+    if let Some(path) = flags.value("--replay") {
+        if let Err(e) = replay(path, flags.or("--slowest", 5)) {
             eprintln!("FAIL: {e}");
             std::process::exit(1);
         }
         return;
     }
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".into());
-    let interval = Duration::from_millis(num_arg(&args, "--interval-ms", 1000).max(1));
-    let frames = num_arg(&args, "--frames", 0);
-    let raw = args.iter().any(|a| a == "--raw");
-    live(&addr, interval, frames, raw);
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");
+    let interval = Duration::from_millis(flags.or("--interval-ms", 1000u64).max(1));
+    live(addr, interval, flags.or("--frames", 0), flags.has("--raw"));
 }

@@ -1,12 +1,8 @@
 //! The `serve` bin: run a memsync-serve instance until a shutdown frame.
 //!
-//! ```text
-//! serve [--addr 127.0.0.1:7171] [--shards 4] [--egress 4] [--routes 64]
-//!       [--queue-cap 64] [--batch-max 64] [--org arbitrated|event-driven]
-//!       [--backend sim|fast|differential] [--opt 0|1]
-//!       [--reactor-threads N] [--max-conns N]
-//!       [--tracing] [--trace-spans FILE]
-//! ```
+//! Its flags, with their defaults, are the `USAGE` line below. An unknown
+//! flag, a missing value or one that does not parse prints it and exits 2
+//! before anything binds.
 //!
 //! `--backend` picks the forwarding engine each shard runs: `sim` (the
 //! cycle-accurate reference), `fast` (the compiled functional fast path),
@@ -28,82 +24,54 @@
 //! additionally exports every span as JSONL to `FILE` (and implies
 //! `--tracing`).
 
-use memsync_core::{OptLevel, OrganizationKind};
-use memsync_serve::{BackendKind, ServeConfig, Server, TracingConfig};
+use memsync_core::OrganizationKind;
+use memsync_serve::flags::Flags;
+use memsync_serve::{ServeConfig, Server, TracingConfig};
 
-fn arg_value(args: &[String], key: &str) -> Option<String> {
-    args.iter()
-        .position(|a| a == key)
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-}
-
-fn usize_arg(args: &[String], key: &str, default: usize) -> usize {
-    arg_value(args, key)
-        .map(|v| {
-            v.parse()
-                .unwrap_or_else(|_| panic!("{key} wants a number, got {v}"))
-        })
-        .unwrap_or(default)
-}
+const USAGE: &str = "\
+usage: serve [--addr 127.0.0.1:7171] [--shards 4] [--egress 4] [--routes 64]
+             [--queue-cap 64] [--batch-max 64] [--org arbitrated|event-driven]
+             [--backend sim|fast|differential] [--opt 0|1]
+             [--reactor-threads N] [--max-conns N]
+             [--tracing] [--trace-spans FILE]";
 
 fn main() {
-    let args: Vec<String> = std::env::args().collect();
+    let flags = Flags::parse(USAGE);
     let defaults = ServeConfig::default();
-    let spans_path = arg_value(&args, "--trace-spans");
+    let spans_path = flags.value("--trace-spans").map(String::from);
     let tracing = TracingConfig {
-        enabled: args.iter().any(|a| a == "--tracing") || spans_path.is_some(),
+        enabled: flags.has("--tracing") || spans_path.is_some(),
         spans_path,
     };
     let config = ServeConfig {
         tracing,
-        shards: usize_arg(&args, "--shards", defaults.shards),
-        egress: usize_arg(&args, "--egress", defaults.egress),
-        routes: usize_arg(&args, "--routes", defaults.routes),
-        queue_cap: usize_arg(&args, "--queue-cap", defaults.queue_cap),
-        batch_max: usize_arg(&args, "--batch-max", defaults.batch_max),
-        organization: match arg_value(&args, "--org").as_deref() {
+        shards: flags.or("--shards", defaults.shards),
+        egress: flags.or("--egress", defaults.egress),
+        routes: flags.or("--routes", defaults.routes),
+        queue_cap: flags.or("--queue-cap", defaults.queue_cap),
+        batch_max: flags.or("--batch-max", defaults.batch_max),
+        organization: match flags.value("--org") {
             None | Some("arbitrated") => OrganizationKind::Arbitrated,
             Some("event-driven") => OrganizationKind::EventDriven,
-            Some(other) => panic!("unknown organization {other}"),
+            Some(other) => flags.fail(&format!("--org: unknown organization {other:?}")),
         },
-        backend: match arg_value(&args, "--backend") {
-            None => defaults.backend,
-            Some(v) => v
-                .parse::<BackendKind>()
-                .unwrap_or_else(|e| panic!("--backend: {e}")),
-        },
-        opt: match arg_value(&args, "--opt") {
-            None => defaults.opt,
-            Some(v) => v
-                .parse::<OptLevel>()
-                .unwrap_or_else(|e| panic!("--opt: {e}")),
-        },
-        reactor_threads: usize_arg(&args, "--reactor-threads", defaults.reactor_threads),
-        max_conns: usize_arg(&args, "--max-conns", defaults.max_conns),
+        backend: flags.or("--backend", defaults.backend),
+        opt: flags.or("--opt", defaults.opt),
+        reactor_threads: flags.or("--reactor-threads", defaults.reactor_threads),
+        max_conns: flags.or("--max-conns", defaults.max_conns),
         ..defaults
     };
+    let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");
     memsync_serve::raise_fd_limit();
-    let addr = arg_value(&args, "--addr").unwrap_or_else(|| "127.0.0.1:7171".into());
-    let shards = config.shards;
-    let backend = config.backend;
-    let trace_note = if config.tracing.enabled {
-        match &config.tracing.spans_path {
-            Some(p) => format!("tracing on, spans -> {p}"),
-            None => "tracing on".into(),
-        }
-    } else {
-        String::new()
+    let shape = format!("({} shards, {} backend)", config.shards, config.backend);
+    let trace_note = match (&config.tracing.spans_path, config.tracing.enabled) {
+        (Some(p), _) => format!("tracing on, spans -> {p}\n"),
+        (None, true) => "tracing on\n".into(),
+        (None, false) => String::new(),
     };
-    let server = Server::start(addr.as_str(), config).expect("bind serve address");
-    println!(
-        "listening on {} ({} shards, {backend} backend)",
-        server.local_addr(),
-        shards
-    );
-    if !trace_note.is_empty() {
-        println!("{trace_note}");
-    }
+    let server = Server::start(addr, config).expect("bind serve address");
+    println!("listening on {} {shape}", server.local_addr());
+    print!("{trace_note}");
     server.wait();
     println!("shutdown complete");
 }

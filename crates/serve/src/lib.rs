@@ -35,7 +35,7 @@
 //!   a full queue defers the submit, never buffers without bound;
 //! * [`router`] — dst-prefix flow hashing and all-or-nothing multi-shard
 //!   batch submission;
-//! * [`shard`] — shards without threads, run by whichever thread finds
+//! * [`shard`] — shards without threads, run by whichever reactor finds
 //!   one free (flat combining), up to K packets per activation; a panic
 //!   drops its batch and engine, and `shard_restarts` counts the rebuild;
 //! * [`server`] — the service instance: the shards, the control worker,
@@ -60,7 +60,8 @@
 //! * [`client`] — a blocking client used by the `loadgen` bin, the
 //!   loopback tests, and `memsync-benchmark`; built via
 //!   [`Client::builder`], it negotiates the protocol version and backend
-//!   capabilities at connect time.
+//!   capabilities at connect time;
+//! * [`flags`] — the strict flag parser the crate's three bins share.
 //!
 //! The crate is Linux-only: the reactor calls epoll directly.
 //!
@@ -78,6 +79,7 @@ compile_error!("memsync-serve is Linux-only: its reactor is built on epoll");
 
 pub mod backend;
 pub mod client;
+pub mod flags;
 pub mod frame;
 pub mod pipeline;
 pub mod queue;
@@ -146,7 +148,7 @@ pub struct ServeConfig {
     pub job_timeout: Duration,
     /// Test hook: artificial per-activation delay, to make backpressure
     /// observable deterministically in the loopback tests. It sleeps on
-    /// whichever thread runs the activation, holding the shard.
+    /// the reactor thread that runs the activation, holding the shard.
     pub shard_throttle: Option<Duration>,
     /// Request tracing (spans, stage histograms, JSONL export). Disabled
     /// by default; disabled means zero instrumentation cost.

@@ -2,18 +2,18 @@
 //!
 //! Each shard owns one [`ShardQueue`]: sessions push whole jobs
 //! (`try`-only — a full queue defers the submit, never buffers without
-//! bound), and whichever thread holds the shard's engine pops them
+//! bound), and the reactor holding the shard's engine pops them
 //! ([`crate::shard::Shard::step`]). Nothing waits on the queue: a
-//! pusher's thread runs the shard itself or leaves the job to the thread
-//! that does. The queue outlives the engine: when an activation panics,
-//! queued jobs survive and are processed by the rebuilt engine.
+//! pusher's reactor runs the shard itself or leaves the job to the
+//! engine's holder, which steps again or wakes the job's reactor. When an
+//! activation panics, queued jobs survive for the rebuilt engine.
 
 use crate::frame::SubmitOptions;
 use memsync_netapp::Ipv4Packet;
 use memsync_trace::SpanRecord;
 use std::collections::VecDeque;
 use std::fmt;
-use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::mpsc::{SendError, Sender};
 use std::sync::{Arc, Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
@@ -34,18 +34,17 @@ pub struct JobOutcome {
     pub timings: Option<SpanRecord>,
 }
 
-/// Wakes the transport when a job outcome becomes observable.
+/// Wakes the transport when a job outcome is observable or its job wants a step.
 ///
 /// The reactor multiplexes thousands of connections on one thread that
 /// parks in the poller, and an mpsc send cannot interrupt that park.
-/// An activation, on whichever thread runs it, calls [`Reply::send`],
-/// and the reply wakes whatever registered interest. The trait lives
-/// here (not in the reactor) so the queue layer carries no dependency on
-/// the poller type.
+/// An activation calls [`Reply::send`], and the reply wakes whatever
+/// registered interest. The trait lives here (not in the reactor) so
+/// the queue layer carries no dependency on the poller type.
 pub trait ReplyWaker: Send + Sync + fmt::Debug {
     /// Signal the owning transport that an outcome (or a channel close)
-    /// is ready to collect. Must be nonblocking and safe to call from
-    /// any thread, another reactor's included; spurious calls are
+    /// is ready to collect, or a queued job wants a step. Must be
+    /// nonblocking and safe to call from any thread; spurious calls are
     /// allowed.
     fn wake(&self);
 }
@@ -60,8 +59,9 @@ pub trait ReplyWaker: Send + Sync + fmt::Debug {
 /// channel (rather than the waker alone) carries a signal a bare callback
 /// cannot: an activation that panics *drops* its jobs, and the session
 /// observes the hung-up channel as a failed submit — never a silent
-/// loss. The waker only fires on delivery and on drop, so the transport
-/// also polls outstanding submits on a periodic tick.
+/// loss. The waker fires on delivery, on drop and when a queued job is
+/// handed back to its owner; the transport also polls outstanding
+/// submits on a periodic tick.
 #[derive(Clone)]
 pub struct Reply<T> {
     tx: Sender<T>,
@@ -220,24 +220,30 @@ impl ShardQueue {
         Ok(())
     }
 
-    /// Pops one job and, when one comes out, clears `idle` **before the
-    /// queue lock is released**. Drain checks `queue.is_empty() && idle`
-    /// (in that order, and `is_empty` takes this same lock), so it can
-    /// never observe the window where the pop emptied the queue but the
-    /// activation has not yet marked the shard busy.
-    pub fn pop_busy(&self, idle: &AtomicBool) -> Option<Job> {
-        let mut g = self.lock();
-        let job = g.pop_front();
-        if job.is_some() {
-            idle.store(false, Ordering::Release);
-        }
-        job
-    }
-
-    /// Pops one job and leaves `idle` alone (coalescing follow-on jobs
-    /// into an activation that [`ShardQueue::pop_busy`] started).
+    /// Pops one job; only the holder of the shard's engine pops.
     pub fn try_pop(&self) -> Option<Job> {
         unpoison(self.inner.lock()).pop_front()
+    }
+
+    /// Wakes the owner of the front job, if any, after the queue lock is
+    /// released: for a thread that let go of the engine without stepping.
+    pub(crate) fn wake_front(&self) {
+        let waker = self.lock().front().and_then(|j| j.reply.waker.clone());
+        if let Some(w) = waker {
+            w.wake();
+        }
+    }
+}
+
+#[cfg(test)]
+/// A waker that counts its calls (for tests that check who was woken).
+#[derive(Debug, Default)]
+pub(crate) struct CountWaker(pub(crate) AtomicUsize);
+
+#[cfg(test)]
+impl ReplyWaker for CountWaker {
+    fn wake(&self) {
+        self.0.fetch_add(1, Ordering::Relaxed);
     }
 }
 
@@ -277,31 +283,7 @@ mod tests {
     }
 
     #[test]
-    fn busy_pop_clears_idle_with_the_job_never_without() {
-        let q = ShardQueue::new(4);
-        let idle = AtomicBool::new(true);
-        // Popping an empty queue must leave the idle flag alone.
-        assert!(q.pop_busy(&idle).is_none());
-        assert!(idle.load(Ordering::Acquire));
-        let (a, _ra) = job(1);
-        q.try_push(a).unwrap();
-        // Popping a job marks the shard busy before the caller even sees
-        // it — so an observer that finds the queue empty afterwards is
-        // guaranteed to also find idle == false.
-        assert!(q.pop_busy(&idle).is_some());
-        assert!(q.is_empty());
-        assert!(!idle.load(Ordering::Acquire));
-    }
-
-    #[test]
     fn reply_wakes_on_send_and_on_drop() {
-        #[derive(Debug, Default)]
-        struct CountWaker(std::sync::atomic::AtomicUsize);
-        impl ReplyWaker for CountWaker {
-            fn wake(&self) {
-                self.0.fetch_add(1, Ordering::Relaxed);
-            }
-        }
         let waker = Arc::new(CountWaker::default());
         let (tx, rx) = channel();
         let reply = Reply::with_waker(tx, Arc::clone(&waker) as Arc<dyn ReplyWaker>);

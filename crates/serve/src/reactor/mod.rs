@@ -35,11 +35,11 @@
 //!   resume once the session is idle and egress is under
 //!   [`EGRESS_LOW_WATER`] (hysteresis, so interest doesn't flap).
 //!
-//! An activation on another thread (another reactor, or the control
-//! worker's drain barrier) and the control worker wake the loop through
+//! An activation on another reactor, the control worker, and a barrier
+//! or quiescence probe handing back a queued job wake the loop through
 //! the [`crate::queue::Reply`] waker (a self-pipe registered at token 0);
-//! a periodic sweep covers what wakes cannot (work deadlines, idle and
-//! write deadlines, stats-stream pushes).
+//! the next pass steps every shard. A periodic sweep covers what wakes
+//! cannot (work deadlines, idle and write deadlines, stats-stream pushes).
 
 use crate::frame::{write_frame, FrameReader, FrameWriter, Response};
 use crate::queue::ReplyWaker;

@@ -60,7 +60,7 @@ impl Shared {
             .collect();
         let router = Router::new(shards.iter().map(|s| Arc::clone(&s.queue)).collect());
         let (control, control_thread) =
-            spawn_control_worker(tables, shards.clone(), config.clone(), Arc::clone(&stop));
+            spawn_control_worker(tables, shards.clone(), Arc::clone(&stop));
         let shared = Arc::new(Shared {
             router,
             shards,

@@ -555,7 +555,7 @@ mod tests {
         while out.is_empty() {
             let shared = &session.shared;
             for shard in &shared.shards {
-                shard.combine(&shared.control.tables, &shared.config);
+                while shard.step(&shared.control.tables, &shared.config) {}
             }
             std::thread::sleep(Duration::from_millis(1));
             session.poll(Instant::now(), &mut out);

@@ -1,5 +1,5 @@
 //! Shards without threads: each shard's forwarding engine runs on
-//! whichever thread finds it free.
+//! whichever reactor thread finds it free.
 //!
 //! A [`Shard`] keeps its execution state (backend, pipeline model, cached
 //! table generation, batch scratch) in one engine behind a mutex. Once a
@@ -9,11 +9,12 @@
 //! the holder. This is flat combining (Hendler et al., SPAA 2010):
 //! whoever finds the shard free serves every queued request, as one
 //! arbiter serves all of a memory's requesters, with no handoff to a
-//! server thread. A holder owes the shard another step after each
-//! activation, and that step checks the queue after the release, so a
-//! job whose submitter lost the `try_lock` (to a reactor or to the drain
-//! barrier, [`Shard::adopt`]) is never stranded. [`Shard::combine`] takes
-//! those steps back to back.
+//! server thread. Whoever lets go of the engine re-checks the queue, so
+//! a job whose submitter lost the `try_lock` is never stranded: a reactor
+//! owes the shard another step after each activation, and the drain
+//! barrier ([`Shard::adopt`]) and the quiescence probe wake the front
+//! job's reactor instead, so only reactors run activations. The engine
+//! lock is the shard's only busy flag: jobs are popped only under it.
 //!
 //! An activation pops as many jobs as fit under
 //! [`crate::ServeConfig::batch_max`] packets and runs them through the
@@ -31,7 +32,7 @@
 //! ([`crate::pipeline::expected_frame`]).
 //!
 //! Everything that must outlive a crash is the [`Shard`] record: queue,
-//! stats, kill and idle flags, restart carryover. Each activation runs
+//! stats, kill flag, restart carryover. Each activation runs
 //! under `catch_unwind`; a panic (the kill frame, a stalled simulator
 //! tripping its cycle budget, a differential divergence) drops only the
 //! batch in flight, whose reply channels close, and the engine with it.
@@ -93,8 +94,8 @@ impl ShardTables {
     }
 }
 
-/// A shard's execution state, held by whichever thread runs the shard's
-/// activation (or by the drain barrier). Its scratch lives across
+/// A shard's execution state, held by the reactor running an activation
+/// (or the drain barrier, or a quiescence probe). Its scratch lives across
 /// activations, so the steady-state batch path performs no allocation.
 #[derive(Debug)]
 struct Engine {
@@ -284,8 +285,6 @@ pub struct Shard {
     /// Fault injection: when set, the shard panics on its next
     /// activation (cleared on restart).
     pub die: AtomicBool,
-    /// False while the shard is mid-activation (drain waits on this).
-    pub idle: AtomicBool,
     /// `serve.packets` total latched at the shard's most recent restart
     /// (0 while it never restarted). The registry keeps counting across
     /// restarts, so a nonzero value proves pre-restart traffic still
@@ -299,7 +298,7 @@ pub struct Shard {
 }
 
 impl Shard {
-    /// An idle shard with an empty queue of `queue_cap` jobs. Its first
+    /// A new shard with an empty queue of `queue_cap` jobs. Its first
     /// job builds its engine.
     pub fn new(id: usize, queue_cap: usize) -> Shard {
         Shard {
@@ -307,7 +306,6 @@ impl Shard {
             queue: Arc::new(ShardQueue::new(queue_cap)),
             stats: Mutex::new(MetricsRegistry::new()),
             die: AtomicBool::new(false),
-            idle: AtomicBool::new(true),
             carryover: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
             engine: Mutex::new(None),
@@ -315,11 +313,16 @@ impl Shard {
     }
 
     /// Whether nothing is queued and nothing is in flight — the drain
-    /// completion condition. The queue is checked first: the busy pop
-    /// clears `idle` under the queue lock, so an empty queue seen here
-    /// means a popped job already shows as busy.
+    /// completion condition: the queue is empty under the engine lock. A
+    /// probe that takes the lock lets go without stepping, so it hands a
+    /// job queued meanwhile to its owner.
     pub fn quiescent(&self) -> bool {
-        self.queue.is_empty() && self.idle.load(Ordering::Acquire)
+        let quiet = match self.engine.try_lock() {
+            Err(TryLockError::WouldBlock) => return false,
+            Ok(_) | Err(TryLockError::Poisoned(_)) => self.queue.is_empty(),
+        };
+        self.queue.wake_front();
+        quiet
     }
 
     /// Runs one activation on the calling thread if a job is queued and
@@ -340,20 +343,14 @@ impl Shard {
         true
     }
 
-    /// Steps the shard until nothing is owed: runs the queue dry on the
-    /// calling thread, unless another thread holds the engine.
-    pub fn combine(&self, epoch: &EpochTables, config: &ServeConfig) {
-        while self.step(epoch, config) {}
-    }
-
     /// The drain barrier's part for this shard: waits out an activation
-    /// in progress, moves the engine onto the published table, then
-    /// serves what queued while the barrier held the engine.
-    pub fn adopt(&self, epoch: &EpochTables, config: &ServeConfig) {
+    /// in progress, moves the engine onto the published table, and hands
+    /// what queued meanwhile to its owner. It never runs an activation.
+    pub fn adopt(&self, epoch: &EpochTables) {
         if let Some(engine) = unpoison(self.engine.lock()).as_mut() {
             engine.sync(epoch);
         }
-        self.combine(epoch, config);
+        self.queue.wake_front();
     }
 
     /// One activation under `catch_unwind`. A panic drops the engine and
@@ -372,7 +369,6 @@ impl Shard {
             let total = unpoison(self.stats.lock()).counter("serve.packets");
             self.carryover.store(total, Ordering::Relaxed);
             self.die.store(false, Ordering::Release);
-            self.idle.store(true, Ordering::Release);
             // Release: whoever reads the new count also sees the carryover.
             self.restarts.fetch_add(1, Ordering::Release);
         }
@@ -380,10 +376,7 @@ impl Shard {
 
     /// Pops a batch of up to `batch_max` packets and processes it.
     fn run_batch(&self, slot: &mut Option<Engine>, epoch: &EpochTables, config: &ServeConfig) {
-        // The busy pop clears the idle flag under the queue lock, so a
-        // drain that sees the queue empty afterwards also sees the shard
-        // busy — quiescent() can't fire mid-handoff.
-        let Some(first) = self.queue.pop_busy(&self.idle) else {
+        let Some(first) = self.queue.try_pop() else {
             return;
         };
         let picked_at = config.tracing.enabled.then(Instant::now);
@@ -413,9 +406,6 @@ impl Shard {
             std::thread::sleep(throttle);
         }
         engine.process_batch(self, picked_at);
-        if self.queue.is_empty() {
-            self.idle.store(true, Ordering::Release);
-        }
     }
 }
 
@@ -671,19 +661,19 @@ mod tests {
             rx
         };
         let first = queue(&w.packets);
-        shard.combine(&epoch, &config);
+        while shard.step(&epoch, &config) {}
         first
             .try_recv()
-            .expect("the combining caller answers inline");
+            .expect("the stepping caller answers inline");
 
         // The kill lands on the next job popped: A dies with the engine,
-        // while B and C wait in the queue for the rebuilt one. One call
-        // serves them all.
+        // while B and C wait in the queue for the rebuilt one. Stepping
+        // until nothing is owed serves them all.
         shard.die.store(true, Ordering::Release);
         let a = queue(&w.packets[..8]);
         let b = queue(&w.packets[8..16]);
         let c = queue(&w.packets[16..]);
-        shard.combine(&epoch, &config);
+        while shard.step(&epoch, &config) {}
         assert_eq!(
             a.try_recv(),
             Err(TryRecvError::Disconnected),
@@ -718,21 +708,19 @@ mod tests {
         let (b, b_rx) = job(&w.packets[16..], SubmitOptions::new());
         shard.queue.try_push(a).expect("the queue has room");
         std::thread::scope(|s| {
-            let holder = s.spawn(|| shard.combine(&epoch, &config));
-            // A is popped (only a holder pops, and the pop clears
-            // `idle`): the holder sleeps in A's activation with the
-            // engine locked.
-            while shard.idle.load(Ordering::Acquire) || !shard.queue.is_empty() {
+            let holder = s.spawn(|| while shard.step(&epoch, &config) {});
+            // A is popped (only the engine's holder pops): the holder
+            // sleeps in A's activation with the engine locked.
+            while !shard.queue.is_empty() || !shard.engine_busy() {
                 assert!(!holder.is_finished(), "A's activation ended unobserved");
                 std::thread::sleep(Duration::from_millis(1));
             }
             shard.queue.try_push(b).expect("the queue has room");
-            shard.combine(&epoch, &config);
-            assert_eq!(
-                b_rx.try_recv(),
-                Err(TryRecvError::Empty),
+            assert!(
+                !shard.step(&epoch, &config),
                 "the lost try_lock leaves B to the holder"
             );
+            assert_eq!(b_rx.try_recv(), Err(TryRecvError::Empty));
             holder.join().expect("the holder returns");
         });
         // No further push or call: the holder's re-check after letting go
@@ -741,5 +729,34 @@ mod tests {
         assert_eq!(b_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
         assert!(shard.quiescent());
         assert_eq!(unpoison(shard.stats.lock()).counter("serve.batches"), 2);
+    }
+
+    #[test]
+    fn a_shard_mid_activation_is_not_quiescent_with_its_queue_empty() {
+        let config = ServeConfig {
+            shard_throttle: Some(Duration::from_millis(200)),
+            ..fast_config()
+        };
+        let epoch = EpochTables::new(ShardTables::build(config.routes));
+        let shard = Shard::new(0, config.queue_cap);
+        let w = Workload::generate(8, 16, 16);
+        let (a, a_rx) = job(&w.packets, SubmitOptions::new());
+        shard.queue.try_push(a).expect("the queue has room");
+        std::thread::scope(|s| {
+            let holder = s.spawn(|| while shard.step(&epoch, &config) {});
+            // Only the engine's holder pops: once the queue is empty, A
+            // is in flight.
+            while !shard.queue.is_empty() {
+                assert!(!holder.is_finished(), "A's activation ended unobserved");
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            assert!(
+                !shard.quiescent(),
+                "the engine is held, so A is in flight although nothing is queued"
+            );
+            holder.join().expect("the holder returns");
+        });
+        assert_eq!(a_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
+        assert!(shard.quiescent(), "answered, and the engine is free");
     }
 }

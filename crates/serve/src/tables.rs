@@ -26,21 +26,21 @@
 //! Retirement mirrors the drain barrier of the 1024-core shared-memory
 //! barrier literature: after publishing generation `N`, the worker takes
 //! each shard's engine lock once ([`Shard::adopt`]), which waits out an
-//! activation in progress, and moves the engine onto generation `N`,
-//! dropping its reference to the older table. Once every shard is
-//! through, generations `< N` are retired. There is nothing to wait for
-//! beyond those locks, so the barrier neither polls nor times out. The
-//! last reference to the outgoing table is then the one the worker took
-//! before mutating; it drops that after the replies are sent, and the
-//! 32 MiB free runs on the control thread — never on a shard's data
-//! path, inside the swap latency, or under the slot lock. The stats frame
+//! activation in progress, moves the engine onto generation `N` (dropping
+//! its reference to the older table) and wakes the reactor owning any job
+//! queued behind it; it runs no activation. Once every shard is through,
+//! generations `< N` are retired. There is nothing to wait for beyond
+//! those locks, so the barrier neither polls nor times out. The last
+//! reference to the outgoing table is then the one the worker took before
+//! mutating; it drops that after the replies are sent, and the 32 MiB
+//! free runs on the control thread — never on a shard's data path,
+//! inside the swap latency, or under the slot lock. The stats frame
 //! surfaces the `generation`/`retired` pair so the property is externally
 //! auditable.
 
 use crate::queue::{unpoison, Reply};
 use crate::shard::{Shard, ShardTables};
 use crate::snapshot::{FibSnapshot, SwapLatencySnapshot};
-use crate::ServeConfig;
 use memsync_netapp::fib::{CapacityError, Dir24_8, Route};
 use memsync_netapp::Fib;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
@@ -319,12 +319,11 @@ impl ControlHandle {
 
 /// Spawns the control worker: a single thread that drains queued ops,
 /// folds them into one rebuild+publish, runs the shard drain barrier,
-/// and replies. Returns the submit handle and the join handle. `config`
-/// is what the barrier needs to run jobs queued behind it.
+/// and replies. Returns the submit handle and the join handle. The
+/// worker never runs a shard activation.
 pub fn spawn_control_worker(
     tables: Arc<EpochTables>,
     shards: Vec<Arc<Shard>>,
-    config: ServeConfig,
     stop: Arc<AtomicBool>,
 ) -> (ControlHandle, JoinHandle<()>) {
     let (tx, rx) = std::sync::mpsc::channel();
@@ -334,7 +333,7 @@ pub fn spawn_control_worker(
     };
     let thread = std::thread::Builder::new()
         .name("memsync-control".into())
-        .spawn(move || control_worker(&tables, &shards, &config, &rx, &stop))
+        .spawn(move || control_worker(&tables, &shards, &rx, &stop))
         .expect("control thread spawns");
     (handle, thread)
 }
@@ -342,7 +341,6 @@ pub fn spawn_control_worker(
 fn control_worker(
     tables: &EpochTables,
     shards: &[Arc<Shard>],
-    config: &ServeConfig,
     rx: &Receiver<ControlJob>,
     stop: &AtomicBool,
 ) {
@@ -370,7 +368,7 @@ fn control_worker(
         // first).
         if let Some(published) = outcomes.iter().find_map(|o| o.as_ref().ok()) {
             for s in shards {
-                s.adopt(tables, config);
+                s.adopt(tables);
             }
             tables.retire_up_to(published.generation - 1);
             tables.record_swap_latency(started.elapsed().as_micros() as u64);
@@ -391,7 +389,8 @@ mod tests {
     use super::*;
     use crate::backend::BackendKind;
     use crate::frame::SubmitOptions;
-    use crate::queue::{Job, JobOutcome};
+    use crate::queue::{CountWaker, Job, JobOutcome};
+    use crate::ServeConfig;
     use memsync_netapp::Ipv4Packet;
     use std::sync::mpsc::{channel, TryRecvError};
 
@@ -408,13 +407,16 @@ mod tests {
     /// A one-packet job, and the receiver its outcome arrives on.
     fn job() -> (Job, std::sync::mpsc::Receiver<JobOutcome>) {
         let (tx, rx) = channel();
-        let job = Job {
+        (job_replying_on(Reply::new(tx)), rx)
+    }
+
+    fn job_replying_on(reply: Reply<JobOutcome>) -> Job {
+        Job {
             packets: vec![Ipv4Packet::new(0x0a00_0001, 0x0b00_0001, 64, 6, 40)],
             options: SubmitOptions::new(),
-            reply: Reply::new(tx),
+            reply,
             enqueued: Instant::now(),
-        };
-        (job, rx)
+        }
     }
 
     /// Serves one job, which builds the shard's engine on the published
@@ -422,8 +424,8 @@ mod tests {
     fn serve_one(shard: &Shard, epoch: &EpochTables, config: &ServeConfig) {
         let (job, rx) = job();
         shard.queue.try_push(job).expect("the queue has room");
-        shard.combine(epoch, config);
-        rx.try_recv().expect("the combining caller answers inline");
+        while shard.step(epoch, config) {}
+        rx.try_recv().expect("the stepping caller answers inline");
     }
 
     fn route(prefix: u32, len: u8, next_hop: u32) -> Route {
@@ -524,10 +526,10 @@ mod tests {
         let (job, rx) = job();
         shard.queue.try_push(job).expect("the queue has room");
         std::thread::scope(|s| {
-            let holder = s.spawn(|| shard.combine(&epoch, &config));
-            // The job is popped: its activation built the engine on the
-            // boot table and sleeps.
-            while shard.idle.load(Ordering::Acquire) || !shard.queue.is_empty() {
+            let holder = s.spawn(|| while shard.step(&epoch, &config) {});
+            // The job is popped (only the engine's holder pops): its
+            // activation built the engine on the boot table and sleeps.
+            while !shard.queue.is_empty() || !shard.engine_busy() {
                 assert!(!holder.is_finished(), "the activation ended unobserved");
                 std::thread::sleep(Duration::from_millis(1));
             }
@@ -536,7 +538,7 @@ mod tests {
             let outgoing = epoch.current().1;
             let boot = Arc::downgrade(&outgoing);
             epoch.mutate(&[ControlOp::SwapDefault(8)]);
-            shard.adopt(&epoch, &config);
+            shard.adopt(&epoch);
             assert!(
                 rx.try_recv().is_ok(),
                 "the barrier returned only after the activation answered"
@@ -551,35 +553,45 @@ mod tests {
     }
 
     #[test]
-    fn a_job_whose_try_lock_loses_to_the_barrier_is_served_when_it_lets_go() {
+    fn a_job_whose_try_lock_loses_to_the_barrier_is_handed_to_its_owner() {
         let config = fast_config(None);
         let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
         let shard = Shard::new(0, config.queue_cap);
         serve_one(&shard, &epoch, &config);
         // The engine lags one generation, so the barrier reads the slot.
         epoch.mutate(&[ControlOp::SwapDefault(8)]);
-        let (job, rx) = job();
+        let owner = Arc::new(CountWaker::default());
+        let (tx, rx) = channel();
+        let job = job_replying_on(Reply::with_waker(tx, Arc::clone(&owner) as _));
+        let batches = || unpoison(shard.stats.lock()).counter("serve.batches");
         std::thread::scope(|s| {
             // Holding the slot parks the barrier inside the engine lock.
             let live = unpoison(epoch.live.lock());
-            let barrier = s.spawn(|| shard.adopt(&epoch, &config));
+            let barrier = s.spawn(|| shard.adopt(&epoch));
             while !shard.engine_busy() {
                 std::thread::sleep(Duration::from_millis(1));
             }
             shard.queue.try_push(job).expect("the queue has room");
-            shard.combine(&epoch, &config);
-            assert_eq!(
-                rx.try_recv(),
-                Err(TryRecvError::Empty),
+            assert!(
+                !shard.step(&epoch, &config),
                 "the lost try_lock leaves the job to the barrier"
             );
             drop(live);
             barrier.join().expect("the barrier returns");
         });
-        let out = rx
-            .try_recv()
-            .expect("the barrier served the job after letting go");
-        assert_eq!(out.forwarded, 1);
+        assert_eq!(
+            owner.0.load(Ordering::Relaxed),
+            1,
+            "letting go, the barrier woke the job's owner"
+        );
+        assert_eq!(shard.queue.len(), 1, "the barrier ran no activation");
+        assert_eq!(rx.try_recv(), Err(TryRecvError::Empty));
+        assert_eq!(batches(), 1, "only serve_one's batch");
+        // The owner's next pass steps the shard.
+        assert!(shard.step(&epoch, &config));
+        assert_eq!(rx.try_recv().map(|o| o.forwarded), Ok(1));
+        assert_eq!(batches(), 2);
+        assert!(!shard.step(&epoch, &config), "nothing is owed");
         assert!(shard.quiescent());
     }
 
@@ -594,7 +606,7 @@ mod tests {
         let stop = Arc::new(AtomicBool::new(false));
         let boot = Arc::downgrade(&epoch.current().1);
         let (handle, worker) =
-            spawn_control_worker(Arc::clone(&epoch), vec![shard], config, Arc::clone(&stop));
+            spawn_control_worker(Arc::clone(&epoch), vec![shard], Arc::clone(&stop));
         let (tx, rx) = channel();
         assert!(handle.submit(
             ControlOp::Add(vec![route(0x0a00_0000, 8, 5)]),

@@ -1,9 +1,12 @@
 //! The `loadgen` bin end to end, against an in-process fast-backend
 //! server: its exit status and the `SUMMARY` fields the CI serve steps
-//! grep for.
+//! grep for. Also the strict flags `serve`, `loadgen` and `memsync-top`
+//! share.
 
 use memsync_serve::{BackendKind, ServeConfig, Server};
-use std::process::{Command, ExitStatus};
+use std::io::Read;
+use std::process::{Command, ExitStatus, Stdio};
+use std::time::{Duration, Instant};
 
 fn fast_server() -> Server {
     let config = ServeConfig {
@@ -114,5 +117,52 @@ fn a_server_mismatch_fails_the_run() {
             !status.success(),
             "loadgen {args} passed against a fast 64-route server"
         );
+    }
+}
+
+#[test]
+fn every_bin_refuses_a_flag_it_does_not_know_with_exit_2() {
+    // Unreachable or ephemeral addresses: a bin that ignored the bad flag
+    // would serve forever or fail to connect, never exit 2.
+    let serve = env!("CARGO_BIN_EXE_serve");
+    let loadgen = env!("CARGO_BIN_EXE_loadgen");
+    let top = env!("CARGO_BIN_EXE_memsync-top");
+    for (bin, args) in [
+        (serve, "--addr 127.0.0.1:0 --shard 8"),
+        (serve, "--addr 127.0.0.1:0 --shards"),
+        (serve, "--addr 127.0.0.1:0 --shards eight"),
+        (loadgen, "--addr 127.0.0.1:1 --conn 100"),
+        (loadgen, "--addr 127.0.0.1:1 --conns 8 --jobs"),
+        (loadgen, "--addr 127.0.0.1:1 --batch 0"),
+        (top, "--addr 127.0.0.1:1 --frame 1"),
+        (top, "--addr 127.0.0.1:1 --frames -1"),
+    ] {
+        let mut child = Command::new(bin)
+            .args(args.split_whitespace())
+            .stdout(Stdio::null())
+            .stderr(Stdio::piped())
+            .spawn()
+            .expect("spawn the bin");
+        let deadline = Instant::now() + Duration::from_secs(10);
+        let status = loop {
+            if let Some(status) = child.try_wait().expect("poll the child") {
+                break status;
+            }
+            if Instant::now() > deadline {
+                let _ = child.kill();
+                let _ = child.wait();
+                panic!("{bin} {args} still running after 10 s");
+            }
+            std::thread::sleep(Duration::from_millis(10));
+        };
+        let mut stderr = String::new();
+        child
+            .stderr
+            .take()
+            .expect("piped stderr")
+            .read_to_string(&mut stderr)
+            .expect("read stderr");
+        assert_eq!(status.code(), Some(2), "{bin} {args}: {stderr}");
+        assert!(stderr.contains("usage: "), "{bin} {args}: {stderr}");
     }
 }

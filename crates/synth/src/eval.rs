@@ -1,61 +1,17 @@
-//! Shared evaluation semantics for hic operators and user functions.
+//! The one evaluation semantics of hic operators and user functions: the
+//! 32-bit datapath's. Operands truncate to [`DATAPATH_WIDTH`] bits;
+//! comparisons, division, remainder and right shifts are unsigned; shift
+//! amounts are masked to 5 bits; division or remainder by zero yields 0.
+//! The simulator (`memsync-sim`), constant folding and the serve pipeline
+//! model compute these values, and so does the RTL [`crate::codegen`]
+//! emits, for every operator it synthesizes (all but `/` and `%`).
 //!
-//! Both the cycle-accurate simulator (`memsync-sim`) and any constant
-//! folding use these definitions, so hardware and software behaviour agree.
 //! User combinational functions (`f`, `g`, `h` in Figure 1) have no bodies
 //! in hic — they stand for library combinational logic — so they are given a
 //! fixed deterministic definition: a mix network over the arguments seeded
 //! by the function name. The RTL codegen instantiates the same network.
 
 use memsync_hic::ast::{BinaryOp, UnaryOp};
-
-/// Evaluates a binary operator on 64-bit two's-complement values.
-///
-/// Comparison and logical operators yield 0/1. Division and remainder by
-/// zero yield 0 (hardware divide-by-zero convention used throughout).
-pub fn eval_binary(op: BinaryOp, a: i64, b: i64) -> i64 {
-    match op {
-        BinaryOp::Or => i64::from(a != 0 || b != 0),
-        BinaryOp::And => i64::from(a != 0 && b != 0),
-        BinaryOp::BitOr => a | b,
-        BinaryOp::BitXor => a ^ b,
-        BinaryOp::BitAnd => a & b,
-        BinaryOp::Eq => i64::from(a == b),
-        BinaryOp::Ne => i64::from(a != b),
-        BinaryOp::Lt => i64::from(a < b),
-        BinaryOp::Le => i64::from(a <= b),
-        BinaryOp::Gt => i64::from(a > b),
-        BinaryOp::Ge => i64::from(a >= b),
-        BinaryOp::Shl => a.wrapping_shl((b & 63) as u32),
-        BinaryOp::Shr => ((a as u64).wrapping_shr((b & 63) as u32)) as i64,
-        BinaryOp::Add => a.wrapping_add(b),
-        BinaryOp::Sub => a.wrapping_sub(b),
-        BinaryOp::Mul => a.wrapping_mul(b),
-        BinaryOp::Div => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_div(b)
-            }
-        }
-        BinaryOp::Rem => {
-            if b == 0 {
-                0
-            } else {
-                a.wrapping_rem(b)
-            }
-        }
-    }
-}
-
-/// Evaluates a unary operator.
-pub fn eval_unary(op: UnaryOp, a: i64) -> i64 {
-    match op {
-        UnaryOp::Neg => a.wrapping_neg(),
-        UnaryOp::Not => i64::from(a == 0),
-        UnaryOp::BitNot => !a,
-    }
-}
 
 /// FNV-1a hash of a function name, used as the seed of its mix network.
 pub fn name_seed(name: &str) -> u64 {
@@ -154,35 +110,49 @@ mod tests {
 
     #[test]
     fn arithmetic_wraps() {
-        assert_eq!(eval_binary(BinaryOp::Add, i64::MAX, 1), i64::MIN);
-        assert_eq!(eval_binary(BinaryOp::Mul, 1 << 62, 4), 0);
+        assert_eq!(
+            eval_binary_datapath(BinaryOp::Add, 0x7fff_ffff, 1),
+            0x8000_0000
+        );
+        assert_eq!(eval_binary_datapath(BinaryOp::Mul, 1 << 30, 4), 0);
+        assert_eq!(eval_binary_datapath(BinaryOp::Sub, 0, 1), 0xffff_ffff);
     }
 
     #[test]
     fn division_by_zero_is_zero() {
-        assert_eq!(eval_binary(BinaryOp::Div, 42, 0), 0);
-        assert_eq!(eval_binary(BinaryOp::Rem, 42, 0), 0);
+        assert_eq!(eval_binary_datapath(BinaryOp::Div, 42, 0), 0);
+        assert_eq!(eval_binary_datapath(BinaryOp::Rem, 42, 0), 0);
+        // Only the low 32 bits of the divisor count: 2^32 is zero.
+        assert_eq!(eval_binary_datapath(BinaryOp::Div, 42, 1 << 32), 0);
     }
 
     #[test]
     fn comparisons_are_boolean() {
-        assert_eq!(eval_binary(BinaryOp::Lt, 1, 2), 1);
-        assert_eq!(eval_binary(BinaryOp::Ge, 1, 2), 0);
-        assert_eq!(eval_binary(BinaryOp::And, 5, 0), 0);
-        assert_eq!(eval_binary(BinaryOp::Or, 5, 0), 1);
+        assert_eq!(eval_binary_datapath(BinaryOp::Lt, 1, 2), 1);
+        assert_eq!(eval_binary_datapath(BinaryOp::Ge, 1, 2), 0);
+        assert_eq!(eval_binary_datapath(BinaryOp::And, 5, 0), 0);
+        assert_eq!(eval_binary_datapath(BinaryOp::Or, 5, 0), 1);
+        // 0/1 however wide the operands: -1 is 0xffff_ffff, not below 0.
+        assert_eq!(eval_binary_datapath(BinaryOp::Gt, -1, 0), 1);
+        assert_eq!(eval_binary_datapath(BinaryOp::Eq, -1, 0xffff_ffff), 1);
     }
 
     #[test]
     fn shift_is_logical_right() {
-        assert_eq!(eval_binary(BinaryOp::Shr, -1, 60), 15);
+        assert_eq!(eval_binary_datapath(BinaryOp::Shr, -1, 28), 15);
+        // Shift amounts are masked to 5 bits: 33 shifts by 1.
+        assert_eq!(eval_binary_datapath(BinaryOp::Shr, 8, 33), 4);
+        assert_eq!(eval_binary_datapath(BinaryOp::Shl, 1, 31), 0x8000_0000);
     }
 
     #[test]
     fn unary_ops() {
-        assert_eq!(eval_unary(UnaryOp::Neg, 5), -5);
-        assert_eq!(eval_unary(UnaryOp::Not, 0), 1);
-        assert_eq!(eval_unary(UnaryOp::Not, 7), 0);
-        assert_eq!(eval_unary(UnaryOp::BitNot, 0), -1);
+        assert_eq!(eval_unary_datapath(UnaryOp::Neg, 5), 0xffff_fffb);
+        assert_eq!(eval_unary_datapath(UnaryOp::Not, 0), 1);
+        assert_eq!(eval_unary_datapath(UnaryOp::Not, 7), 0);
+        // Only the low 32 bits are tested for zero.
+        assert_eq!(eval_unary_datapath(UnaryOp::Not, 1 << 32), 1);
+        assert_eq!(eval_unary_datapath(UnaryOp::BitNot, 0), 0xffff_ffff);
     }
 
     #[test]

@@ -10,12 +10,14 @@
 //! * [`cdfg`] — AST lowering;
 //! * [`opt`] — the optimizing middle-end (folding, propagation, CSE, DCE,
 //!   guarded-read forwarding, CFG simplification) behind [`opt::OptLevel`];
-//! * [`schedule`] — ASAP/ALAP bounds and resource-constrained list
-//!   scheduling;
+//! * [`schedule`] — resource-constrained list scheduling, which keeps
+//!   memory operations in program order (§3's partial order of memory
+//!   accesses);
 //! * [`binding`] — left-edge register allocation and FU counting;
 //! * [`fsm`] — the executable FSM the simulator runs;
 //! * [`codegen`] — FSM → RTL netlist with wrapper-port interfaces;
-//! * [`eval`] — operator semantics shared with the simulator;
+//! * [`eval`] — the one operator semantics (the 32-bit datapath's),
+//!   shared with the simulator, constant folding and the RTL;
 //! * [`synthesis`] — the [`Synthesis`] builder tying the pipeline together.
 //!
 //! # Examples

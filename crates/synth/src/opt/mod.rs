@@ -38,16 +38,6 @@ pub enum OptLevel {
     O1,
 }
 
-impl OptLevel {
-    /// The numeric spelling used by `--opt {0,1}` flags.
-    pub fn as_u8(self) -> u8 {
-        match self {
-            OptLevel::O0 => 0,
-            OptLevel::O1 => 1,
-        }
-    }
-}
-
 impl fmt::Display for OptLevel {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         f.write_str(match self {
@@ -268,7 +258,6 @@ mod tests {
         assert_eq!("O1".parse::<OptLevel>(), Ok(OptLevel::O1));
         assert!("2".parse::<OptLevel>().is_err());
         assert_eq!(OptLevel::O1.to_string(), "O1");
-        assert_eq!(OptLevel::O0.as_u8(), 0);
     }
 
     #[test]

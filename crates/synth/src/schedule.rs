@@ -1,11 +1,11 @@
 //! Operation scheduling: three-address blocks → cycle-assigned blocks.
 //!
-//! Implements the classic behavioral-synthesis trio the paper leans on
-//! ("these steps are well researched in the behavioral synthesis
-//! community"): ASAP and ALAP for bounds, and resource-constrained list
-//! scheduling for the final assignment. Memory operations occupy a port for
-//! their cycle and deliver read data one cycle later; ALU operations may
-//! chain up to a configurable depth within one cycle.
+//! [`list_schedule`] is the one scheduler: resource-constrained list
+//! scheduling in program order, the step the paper leaves to standard
+//! behavioral synthesis. Memory operations occupy a port for their cycle
+//! and deliver read data one cycle later; ALU operations may chain up to a
+//! configurable depth within one cycle. Memory operations keep program
+//! order, which is where §3's partial order of memory accesses lives.
 
 use crate::ir::{Block, DfOp, OpKind, Temp, Value};
 use std::collections::BTreeMap;
@@ -59,55 +59,6 @@ fn is_alu(kind: &OpKind) -> bool {
         kind,
         OpKind::Unary(_) | OpKind::Binary(_) | OpKind::Call(_) | OpKind::Copy | OpKind::Select
     )
-}
-
-/// ASAP schedule: every op at the earliest cycle its data allows (no
-/// resource limits, unit chaining).
-pub fn asap(block: &Block) -> Vec<u32> {
-    let mut avail: BTreeMap<Temp, u32> = BTreeMap::new();
-    let mut cycles = Vec::with_capacity(block.ops.len());
-    for op in &block.ops {
-        let ready = op
-            .args
-            .iter()
-            .filter_map(|a| match a {
-                Value::Temp(t) => avail.get(t).copied(),
-                _ => Some(0),
-            })
-            .max()
-            .unwrap_or(0);
-        cycles.push(ready);
-        if let Some(t) = op.result {
-            let latency = u32::from(matches!(op.kind, OpKind::MemRead { .. }));
-            avail.insert(t, ready + latency);
-        }
-    }
-    cycles
-}
-
-/// ALAP schedule for a given block length (cycles counted from 0).
-pub fn alap(block: &Block, length: u32) -> Vec<u32> {
-    // Walk backwards: an op must complete before the earliest consumer of
-    // its result.
-    let mut deadline: BTreeMap<Temp, u32> = BTreeMap::new();
-    let mut cycles = vec![length.saturating_sub(1); block.ops.len()];
-    for (idx, op) in block.ops.iter().enumerate().rev() {
-        let mut latest = length.saturating_sub(1);
-        if let Some(t) = op.result {
-            if let Some(&d) = deadline.get(&t) {
-                let latency = u32::from(matches!(op.kind, OpKind::MemRead { .. }));
-                latest = d.saturating_sub(latency);
-            }
-        }
-        cycles[idx] = latest;
-        for a in &op.args {
-            if let Value::Temp(t) = a {
-                let cur = deadline.get(t).copied().unwrap_or(latest);
-                deadline.insert(*t, cur.min(latest));
-            }
-        }
-    }
-    cycles
 }
 
 /// Resource-constrained list scheduling.
@@ -269,32 +220,23 @@ mod tests {
     }
 
     #[test]
-    fn asap_respects_dependencies() {
-        let b = block_of("thread t() { int a, b; a = 1; b = ((a + 1) * 2) + 3; }");
-        let cycles = asap(&b);
-        // Dependent ops never scheduled before their producers.
-        for (i, op) in b.ops.iter().enumerate() {
+    fn dependent_ops_issue_once_their_operands_are_ready() {
+        let b = block_of("thread t() { int tbl[8], a, b; a = 1; b = ((tbl[a] + 1) * 2) + a; }");
+        let s = list_schedule(&b, Constraints::default());
+        // An operand is ready in its producer's cycle, or one later when
+        // the producer is a memory read.
+        for (cycle, op) in &s.ops {
             for a in &op.args {
                 if let Value::Temp(t) = a {
-                    let def = b
+                    let (def_cycle, def) = s
                         .ops
                         .iter()
-                        .position(|o| o.result == Some(*t))
+                        .find(|(_, o)| o.result == Some(*t))
                         .expect("def exists");
-                    assert!(cycles[def] <= cycles[i]);
+                    let latency = u32::from(matches!(def.kind, OpKind::MemRead { .. }));
+                    assert!(def_cycle + latency <= *cycle, "{op:?} before {def:?}");
                 }
             }
-        }
-    }
-
-    #[test]
-    fn alap_fits_within_asap_length() {
-        let b = block_of("thread t() { int a, b; a = 1; b = ((a + 1) * 2) + 3; }");
-        let asap_cycles = asap(&b);
-        let len = asap_cycles.iter().max().copied().unwrap_or(0) + 1;
-        let alap_cycles = alap(&b, len);
-        for (s, l) in asap_cycles.iter().zip(alap_cycles.iter()) {
-            assert!(s <= l, "asap {s} must not exceed alap {l} (mobility >= 0)");
         }
     }
 
