@@ -18,9 +18,8 @@
 //!   divergence. The honesty backstop: serve traffic at fast-path speed
 //!   while the simulator cross-checks every frame.
 //!
-//! The active backend is negotiated into clients via the protocol v2
-//! `Hello` frame ([`crate::frame::ServerHello`]): servers advertise which
-//! backends they support as capability bits and which one is serving.
+//! The serving backend is reported to clients in the `Hello` frame
+//! ([`crate::frame::ServerHello`]).
 
 mod differential;
 mod fast;
@@ -31,13 +30,6 @@ pub use fast::FastBackend;
 pub use sim::SimBackend;
 
 use crate::ServeConfig;
-
-/// Capability bit: the server can run [`SimBackend`].
-pub const CAP_SIM: u8 = 0x01;
-/// Capability bit: the server can run [`FastBackend`].
-pub const CAP_FAST: u8 = 0x02;
-/// Capability bit: the server can run [`DifferentialBackend`].
-pub const CAP_DIFFERENTIAL: u8 = 0x04;
 
 /// Which forwarding backend a shard runs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -52,15 +44,6 @@ pub enum BackendKind {
 }
 
 impl BackendKind {
-    /// The capability bit advertising this backend in a `Hello` frame.
-    pub fn cap_bit(self) -> u8 {
-        match self {
-            BackendKind::Sim => CAP_SIM,
-            BackendKind::Fast => CAP_FAST,
-            BackendKind::Differential => CAP_DIFFERENTIAL,
-        }
-    }
-
     /// The wire encoding of this kind (one byte in the `Hello` frame).
     pub fn wire_code(self) -> u8 {
         match self {
@@ -104,11 +87,6 @@ impl std::str::FromStr for BackendKind {
             )),
         }
     }
-}
-
-/// Every backend this build supports, as `Hello` capability bits.
-pub fn capability_bits() -> u8 {
-    CAP_SIM | CAP_FAST | CAP_DIFFERENTIAL
 }
 
 /// Cumulative execution counters a backend exposes for the stats frame.
@@ -242,7 +220,6 @@ mod tests {
         ] {
             assert_eq!(BackendKind::from_wire(kind.wire_code()), Some(kind));
             assert_eq!(kind.to_string().parse::<BackendKind>(), Ok(kind));
-            assert_ne!(capability_bits() & kind.cap_bit(), 0);
         }
         assert_eq!(BackendKind::from_wire(9), None);
         assert!("gpu".parse::<BackendKind>().is_err());

@@ -7,7 +7,7 @@
 //! `--conns` connections each submit `--jobs` batches of `--batch`
 //! seeded [`Workload`] packets, closed-loop: `Busy` is resent after a
 //! pause, so every generated packet is eventually served. `--routes`
-//! must match the server's FIB (checked against the negotiated
+//! must match the server's FIB (checked against the server's
 //! [`ServerHello`](memsync_serve::ServerHello)); `--backend` asserts which
 //! engine the server is running.
 //!
@@ -31,15 +31,15 @@
 //! apply 32 — so a single lost update fails the run. After the load
 //! window the final stats snapshot must show the route count back at
 //! its pre-churn baseline and `fib.retired == fib.generation - 1` (no
-//! shard still references a pre-swap table). Requires a server that
-//! advertises the control capability.
+//! shard still references a pre-swap table).
 //!
 //! `--spans` tags every submit with a client-assigned span id
 //! (`conn << 32 | batch_index`), so a `--trace-spans` server exports
-//! spans the offline waterfall can correlate back to this run. It
-//! requires the server to advertise the tracing capability.
-//! `--stats-interval MS` subscribes a side connection to the server's
-//! stats stream and prints one machine-readable `STATS` line per push.
+//! spans the offline waterfall can correlate back to this run; a server
+//! without tracing ignores them. `--stats-interval MS` polls the stats
+//! frame on a side connection every `MS` milliseconds and prints one
+//! machine-readable `STATS` line per poll. `MS` must stay under 25 000:
+//! the server closes a connection that stays quiet for 30 s.
 //!
 //! Every batch round trip is timed client-side; the summary reports the
 //! nearest-rank p50/p99 in microseconds (`rtt_p50_us`/`rtt_p99_us`). The
@@ -67,7 +67,8 @@ const USAGE: &str = "\
 usage: loadgen [--addr 127.0.0.1:7171] [--conns 8] [--jobs 100] [--batch 32]
                [--seed 42] [--routes 64] [--verify] [--ramp MS]
                [--backend sim|fast|differential] [--drain] [--shutdown]
-               [--spans] [--stats-interval MS] [--churn RATE]";
+               [--spans] [--stats-interval MS] [--churn RATE]
+--stats-interval is under 25000: the server closes a connection quiet for 30 s";
 
 fn connect(addr: &str) -> Client {
     Client::connect(addr).expect("connect to serve")
@@ -291,45 +292,34 @@ fn main() {
     let options = SubmitOptions::new().verify(flags.has("--verify"));
     let ramp = Duration::from_millis(flags.or("--ramp", 0));
     let spans = flags.has("--spans");
-    let nonzero = |flag: &str| match flags.parsed::<u64>(flag) {
-        Some(0) => flags.fail(&format!("{flag} must be nonzero")),
+    let stats_interval = flags.poll_ms("--stats-interval").map(Duration::from_millis);
+    let expect_backend: Option<BackendKind> = flags.parsed("--backend");
+    let churn = match flags.parsed::<u64>("--churn") {
+        Some(0) => flags.fail("--churn must be nonzero"),
         v => v,
     };
-    let stats_interval = nonzero("--stats-interval").map(Duration::from_millis);
-    let expect_backend: Option<BackendKind> = flags.parsed("--backend");
-    let churn = nonzero("--churn");
     memsync_serve::raise_fd_limit();
 
-    // One connection up front to report (and check) what we negotiated.
-    {
-        let probe = connect(addr.as_str());
-        let hello = *probe.server();
-        println!(
-            "negotiated protocol v{} with {} backend ({} shards, {} egress, {} routes)",
-            hello.version, hello.backend, hello.shards, hello.egress, hello.routes
-        );
+    // One connection up front to report (and check) what the server runs.
+    let hello = *connect(addr.as_str()).server();
+    println!(
+        "server speaks protocol v{} with {} backend ({} shards, {} egress, {} routes)",
+        hello.version, hello.backend, hello.shards, hello.egress, hello.routes
+    );
+    assert_eq!(
+        hello.routes as usize, routes,
+        "--routes disagrees with the server's FIB"
+    );
+    if let Some(expected) = expect_backend {
         assert_eq!(
-            hello.routes as usize, routes,
-            "--routes disagrees with the server's FIB"
+            hello.backend, expected,
+            "server runs the {} backend, --backend asked for {expected}",
+            hello.backend
         );
-        if let Some(expected) = expect_backend {
-            assert_eq!(
-                hello.backend, expected,
-                "server runs the {} backend, --backend asked for {expected}",
-                hello.backend
-            );
-        }
-        if (spans || stats_interval.is_some()) && !probe.supports_tracing() {
-            panic!("--spans/--stats-interval need a server that advertises the tracing capability");
-        }
-        if churn.is_some() && !probe.supports_control() {
-            panic!("--churn needs a server that advertises the control capability (protocol v3)");
-        }
-        drop(probe);
     }
 
-    // The stats-stream monitor rides a dedicated connection so its pushes
-    // never interleave with submit traffic. It stops at the first push
+    // The stats monitor polls on a dedicated connection so its requests
+    // never interleave with submit traffic. It stops at the first poll
     // after the load threads finish.
     let stop = Arc::new(AtomicBool::new(false));
     let monitor = stats_interval.map(|every| {
@@ -338,19 +328,21 @@ fn main() {
         let run_start = Instant::now();
         std::thread::spawn(move || {
             let mut client = connect(addr.as_str());
-            client
-                .stats_stream(every, |snap| {
-                    println!(
-                        "STATS t={:.2} packets={} pps={:.0} queue_restarts={} lost_updates={}",
-                        run_start.elapsed().as_secs_f64(),
-                        snap.packets,
-                        snap.packets_per_sec,
-                        snap.shard_restarts,
-                        snap.lost_updates
-                    );
-                    !stop.load(Ordering::Relaxed)
-                })
-                .expect("stats stream");
+            loop {
+                let snap = client.stats().expect("stats frame");
+                println!(
+                    "STATS t={:.2} packets={} pps={:.0} queue_restarts={} lost_updates={}",
+                    run_start.elapsed().as_secs_f64(),
+                    snap.packets,
+                    snap.packets_per_sec,
+                    snap.shard_restarts,
+                    snap.lost_updates
+                );
+                if stop.load(Ordering::Relaxed) {
+                    break;
+                }
+                std::thread::sleep(every);
+            }
         })
     });
 

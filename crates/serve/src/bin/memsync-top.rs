@@ -5,12 +5,13 @@
 //! unknown flag, a missing value or one that does not parse prints them
 //! and exits 2 before anything connects or reads.
 //!
-//! Live mode subscribes to the server's stats stream (one push per
-//! `--interval-ms`) and renders per-shard throughput, queue depth, stage
-//! p50–p99, lost-update and restart counters. On a terminal each frame
-//! redraws in place; piped output prints one block per push. `--frames N`
-//! stops after N pushes (0 = run until the stream ends); `--raw` prints
-//! each decoded stats snapshot as its JSON document instead of rendering.
+//! Live mode polls the server's stats frame once per `--interval-ms` and
+//! renders per-shard throughput, queue depth, stage p50–p99, lost-update
+//! and restart counters. On a terminal each frame redraws in place; piped
+//! output prints one block per poll. `--frames N` stops after N polls (0 =
+//! run until killed); `--raw` prints each decoded stats snapshot as its
+//! JSON document instead of rendering. The interval must stay under 25 s:
+//! the server closes a connection that stays quiet for 30 s.
 //!
 //! Replay mode reads a `serve --trace-spans` JSONL file and reconstructs
 //! the run offline: per-stage percentiles over every span plus a
@@ -26,7 +27,8 @@ use std::time::{Duration, Instant};
 
 const USAGE: &str = "\
 usage: memsync-top [--addr 127.0.0.1:7171] [--interval-ms 1000] [--frames N] [--raw]
-       memsync-top [--replay SPANS.jsonl] [--slowest 5]";
+       memsync-top [--replay SPANS.jsonl] [--slowest 5]
+--interval-ms is under 25000: the server closes a connection quiet for 30 s";
 
 /// Nanoseconds, human-scaled.
 fn fmt_ns(ns: u64) -> String {
@@ -75,7 +77,7 @@ fn replay(path: &str, slowest: usize) -> Result<(), String> {
     );
 
     // Per-stage percentiles over every span — the same numbers the live
-    // stats stream reports as bucketized summaries.
+    // stats frame reports as bucketized summaries.
     println!();
     println!(
         "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
@@ -226,45 +228,28 @@ fn render(snap: &StatsSnapshot, prev: Option<&(StatsSnapshot, Instant)>, clear: 
     }
 }
 
-/// Live dashboard over the stats stream. Returns once `frames` pushes
-/// rendered (or the stream ends).
+/// Live dashboard: polls the stats frame once per `interval` and renders
+/// each snapshot, or with `raw` prints its document, no rendering — good
+/// for log pipelines, where a closed pipe (e.g. `| head`) ends the loop
+/// instead of panicking. Returns after `frames` polls (0 = never).
 fn live(addr: &str, interval: Duration, frames: u64, raw: bool) {
+    use std::io::Write;
     let mut client = Client::connect(addr).expect("connect to serve");
-    if raw {
-        // Raw mode polls the plain stats frame and prints the snapshot's
-        // document, one per interval, no rendering — good for log
-        // pipelines. A closed pipe (e.g. `| head`) ends the loop instead
-        // of panicking.
-        use std::io::Write;
-        let mut n = 0u64;
-        let stdout = std::io::stdout();
-        loop {
-            let snap = client.stats().expect("stats frame");
-            if writeln!(stdout.lock(), "{}", snap.to_json().render()).is_err() {
-                return;
-            }
-            n += 1;
-            if frames > 0 && n >= frames {
-                return;
-            }
-            std::thread::sleep(interval);
-        }
-    }
-    if !client.supports_tracing() {
-        eprintln!("server does not advertise the tracing capability; no stats stream");
-        std::process::exit(1);
-    }
-    let clear = std::io::stdout().is_terminal();
+    let clear = !raw && std::io::stdout().is_terminal();
     let mut prev: Option<(StatsSnapshot, Instant)> = None;
-    let mut n = 0u64;
-    client
-        .stats_stream(interval, |snap| {
+    for n in 1.. {
+        let snap = client.stats().expect("stats frame");
+        if !raw {
             render(&snap, prev.as_ref(), clear);
             prev = Some((snap, Instant::now()));
-            n += 1;
-            frames == 0 || n < frames
-        })
-        .expect("stats stream");
+        } else if writeln!(std::io::stdout().lock(), "{}", snap.to_json().render()).is_err() {
+            return;
+        }
+        if n == frames {
+            return;
+        }
+        std::thread::sleep(interval);
+    }
 }
 
 fn main() {
@@ -277,6 +262,6 @@ fn main() {
         return;
     }
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");
-    let interval = Duration::from_millis(flags.or("--interval-ms", 1000u64).max(1));
+    let interval = Duration::from_millis(flags.poll_ms("--interval-ms").unwrap_or(1000));
     live(addr, interval, flags.or("--frames", 0), flags.has("--raw"));
 }

@@ -1,7 +1,8 @@
 //! The `serve` bin: run a memsync-serve instance until a shutdown frame.
 //!
 //! Its flags, with their defaults, are the `USAGE` line below. An unknown
-//! flag, a missing value or one that does not parse prints it and exits 2
+//! flag, a missing value, one that does not parse, or a zero `--shards`,
+//! `--egress`, `--queue-cap` or `--max-conns` prints it and exits 2
 //! before anything binds.
 //!
 //! `--backend` picks the forwarding engine each shard runs: `sim` (the
@@ -38,6 +39,12 @@ usage: serve [--addr 127.0.0.1:7171] [--shards 4] [--egress 4] [--routes 64]
 fn main() {
     let flags = Flags::parse(USAGE);
     let defaults = ServeConfig::default();
+    // No shard, egress lane, queue slot or connection slot leaves a
+    // server that binds but cannot serve.
+    let at_least_one = |flag: &str, default: usize| match flags.or(flag, default) {
+        0 => flags.fail(&format!("{flag} must be at least 1")),
+        n => n,
+    };
     let spans_path = flags.value("--trace-spans").map(String::from);
     let tracing = TracingConfig {
         enabled: flags.has("--tracing") || spans_path.is_some(),
@@ -45,10 +52,10 @@ fn main() {
     };
     let config = ServeConfig {
         tracing,
-        shards: flags.or("--shards", defaults.shards),
-        egress: flags.or("--egress", defaults.egress),
+        shards: at_least_one("--shards", defaults.shards),
+        egress: at_least_one("--egress", defaults.egress),
         routes: flags.or("--routes", defaults.routes),
-        queue_cap: flags.or("--queue-cap", defaults.queue_cap),
+        queue_cap: at_least_one("--queue-cap", defaults.queue_cap),
         batch_max: flags.or("--batch-max", defaults.batch_max),
         organization: match flags.value("--org") {
             None | Some("arbitrated") => OrganizationKind::Arbitrated,
@@ -58,7 +65,7 @@ fn main() {
         backend: flags.or("--backend", defaults.backend),
         opt: flags.or("--opt", defaults.opt),
         reactor_threads: flags.or("--reactor-threads", defaults.reactor_threads),
-        max_conns: flags.or("--max-conns", defaults.max_conns),
+        max_conns: at_least_one("--max-conns", defaults.max_conns),
         ..defaults
     };
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171");

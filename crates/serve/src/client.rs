@@ -1,20 +1,20 @@
 //! A thin blocking client for the frame protocol.
 //!
-//! Used by `loadgen`, the loopback e2e tests, and `memsync-benchmark`.
-//! Connections are built through [`Client::builder`]: the builder carries
-//! socket deadlines and the busy-retry budget, and `connect` performs the
-//! protocol-v2 `Hello` negotiation before handing the connection over —
-//! so a [`Client`] in your hands has always already agreed on a version
-//! and knows the server's capabilities ([`Client::server`]).
+//! Used by `loadgen`, `memsync-top`, the loopback e2e tests, and
+//! `memsync-benchmark`. Connections are built through [`Client::builder`]:
+//! the builder carries socket deadlines and the busy-retry budget, and
+//! `connect` performs the `Hello` handshake before handing the connection
+//! over — so a [`Client`] in your hands talks to a server of its own
+//! [`PROTOCOL_VERSION`] and knows its serving geometry
+//! ([`Client::server`]).
 //!
 //! Failures are typed ([`ClientError`]): protocol violations, server-side
 //! errors, exhausted backpressure retries, and locally validated misuse
-//! (e.g. a [`Client::kill_shard`] index outside the negotiated shard
+//! (e.g. a [`Client::kill_shard`] index outside the server's shard
 //! count) are distinct variants, not stringly `io::Error`s.
 
 use crate::frame::{
-    write_frame, FrameReader, Request, Response, ServerHello, SubmitOptions, CAP_CONTROL,
-    CAP_TRACING, PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
+    write_frame, FrameReader, Request, Response, ServerHello, SubmitOptions, PROTOCOL_VERSION,
 };
 use crate::snapshot::StatsSnapshot;
 use memsync_netapp::fib::Route;
@@ -33,8 +33,8 @@ pub enum ClientError {
     Protocol(String),
     /// The server refused the request with a typed error frame.
     Server(String),
-    /// Version negotiation failed — the peer does not speak a protocol
-    /// version in our supported range (e.g. a pre-`Hello` v1 server).
+    /// The handshake failed: the peer refused this client's protocol
+    /// version or answered with another one.
     Unsupported(String),
     /// The server answered `Busy` more times than the configured retry
     /// budget allows; nothing from the last attempt was enqueued.
@@ -45,11 +45,11 @@ pub enum ClientError {
         attempts: u32,
     },
     /// Local validation: the shard index does not exist on the server
-    /// this connection negotiated with. Nothing was sent.
+    /// this connection talks to. Nothing was sent.
     ShardOutOfRange {
         /// The requested shard index.
         shard: u16,
-        /// The negotiated shard count ([`ServerHello::shards`]).
+        /// The server's shard count ([`ServerHello::shards`]).
         shards: u16,
     },
 }
@@ -60,7 +60,7 @@ impl std::fmt::Display for ClientError {
             ClientError::Io(e) => write!(f, "i/o: {e}"),
             ClientError::Protocol(m) => write!(f, "protocol violation: {m}"),
             ClientError::Server(m) => write!(f, "server error: {m}"),
-            ClientError::Unsupported(m) => write!(f, "version negotiation failed: {m}"),
+            ClientError::Unsupported(m) => write!(f, "handshake failed: {m}"),
             ClientError::Busy { shard, attempts } => write!(
                 f,
                 "server busy (shard {shard} full) after {attempts} attempts"
@@ -132,14 +132,15 @@ impl ClientBuilder {
         self
     }
 
-    /// Connects and negotiates the protocol version.
+    /// Connects and performs the `Hello` handshake.
     ///
     /// # Errors
     ///
     /// [`ClientError::Io`] on socket failures; [`ClientError::Unsupported`]
-    /// when the peer refuses our version range or does not speak `Hello`
-    /// at all (a v1 server answers the unknown request with an error
-    /// frame, which maps here); [`ClientError::Protocol`] on garbage.
+    /// when the peer refuses this client's version with an error frame (as
+    /// a server of another version, or one that does not know `Hello`,
+    /// does) or answers with another version; [`ClientError::Protocol`] on
+    /// garbage.
     pub fn connect(self, addr: impl ToSocketAddrs) -> Result<Client, ClientError> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
@@ -154,23 +155,17 @@ impl ClientBuilder {
             retries: self.retries,
         };
         match client.roundtrip(&Request::Hello {
-            min_version: PROTOCOL_MIN_SUPPORTED,
+            min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
         })? {
-            Response::Hello(h) => {
-                if h.version < PROTOCOL_MIN_SUPPORTED || h.version > PROTOCOL_VERSION {
-                    return Err(ClientError::Unsupported(format!(
-                        "server settled on protocol v{} but this client speaks \
-                         v{PROTOCOL_MIN_SUPPORTED}..=v{PROTOCOL_VERSION}",
-                        h.version
-                    )));
-                }
+            Response::Hello(h) if h.version == PROTOCOL_VERSION => {
                 client.hello = h;
                 Ok(client)
             }
-            // A v1 server does not know the hello request and answers with its
-            // (v1-decodable) error frame; a v2 server outside our range
-            // answers the same way. Both are "we could not agree".
+            Response::Hello(h) => Err(ClientError::Unsupported(format!(
+                "server answered protocol v{} but this client speaks v{PROTOCOL_VERSION}",
+                h.version
+            ))),
             Response::Error(e) => Err(ClientError::Unsupported(e)),
             other => Err(ClientError::Protocol(format!(
                 "unexpected response to hello: {other:?}"
@@ -179,8 +174,8 @@ impl ClientBuilder {
     }
 }
 
-/// One blocking, version-negotiated connection to a memsync-serve
-/// instance.
+/// One blocking connection to a memsync-serve instance, past its
+/// handshake.
 #[derive(Debug)]
 pub struct Client {
     reader: BufReader<TcpStream>,
@@ -239,25 +234,10 @@ impl Client {
         Client::builder().connect(addr)
     }
 
-    /// What the server declared at connect time: settled protocol
-    /// version, backend capability bits, the serving backend, and the
-    /// shard/egress/route geometry.
+    /// What the server declared at connect time: its protocol version,
+    /// the serving backend, and the shard/egress/route geometry.
     pub fn server(&self) -> &ServerHello {
         &self.hello
-    }
-
-    /// Whether the server advertised the request-tracing capability
-    /// (span-tagged submits, stats streaming) at connect time.
-    pub fn supports_tracing(&self) -> bool {
-        self.hello.capabilities & CAP_TRACING != 0
-    }
-
-    /// Whether this connection can mutate routes at runtime: the server
-    /// advertised [`CAP_CONTROL`] *and* the handshake settled protocol
-    /// v3 or newer (a capable server still refuses control frames on a
-    /// connection that negotiated down to v2).
-    pub fn supports_control(&self) -> bool {
-        self.hello.capabilities & CAP_CONTROL != 0 && self.hello.version >= 3
     }
 
     /// One request/response round trip.
@@ -282,10 +262,7 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failures or a garbled response; [`ClientError::Unsupported`]
-    /// locally (nothing sent) when the options carry a span id but the
-    /// server never advertised the tracing capability — an older server
-    /// would reject the unknown submit flag byte.
+    /// I/O failures or a garbled response.
     pub fn submit_once(
         &mut self,
         packets: &[Ipv4Packet],
@@ -306,21 +283,12 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// I/O failures; [`ClientError::Unsupported`] locally (nothing sent)
-    /// for span-tagged submits against a server without the tracing
-    /// capability.
+    /// I/O failures.
     pub fn submit_send(
         &mut self,
         packets: &[Ipv4Packet],
         options: SubmitOptions,
     ) -> Result<(), ClientError> {
-        if options.span_id.is_some() && !self.supports_tracing() {
-            return Err(ClientError::Unsupported(
-                "server does not advertise the tracing capability; \
-                 span-tagged submits would not decode there"
-                    .into(),
-            ));
-        }
         // Encode straight from the caller's slice into the reusable
         // scratch — no Vec<Ipv4Packet> clone, no per-submit allocation.
         self.send(&Request::Submit { options, packets })
@@ -405,62 +373,12 @@ impl Client {
     /// not decode (both map to [`ClientError::Protocol`]).
     pub fn stats(&mut self) -> Result<StatsSnapshot, ClientError> {
         match self.roundtrip(&Request::Stats)? {
-            Response::Stats(doc) => decode_stats(&doc),
+            Response::Stats(doc) => doc
+                .parse::<StatsSnapshot>()
+                .map_err(|e| ClientError::Protocol(e.to_string())),
             other => Err(ClientError::Protocol(format!(
                 "unexpected response to stats: {other:?}"
             ))),
-        }
-    }
-
-    /// Subscribes to the live stats stream: the server pushes a snapshot
-    /// immediately and then every `interval` until the callback returns
-    /// `false`. Returns the final snapshot (a fresh non-push stats
-    /// response marking the stream boundary).
-    ///
-    /// The stop choreography rides the protocol's design: *any* client
-    /// frame ends a stream server-side, so the client sends a plain
-    /// `Stats` request, discards pushes still in flight, and the typed
-    /// `Stats` (not `StatsPush`) response is the unambiguous end marker.
-    ///
-    /// # Errors
-    ///
-    /// [`ClientError::Unsupported`] locally when the server never
-    /// advertised the tracing capability; I/O failures; a push document
-    /// that does not decode or an unexpected frame
-    /// ([`ClientError::Protocol`]); [`ClientError::Server`] if the server
-    /// refuses the subscription (e.g. a zero interval).
-    pub fn stats_stream(
-        &mut self,
-        interval: Duration,
-        mut on_push: impl FnMut(StatsSnapshot) -> bool,
-    ) -> Result<StatsSnapshot, ClientError> {
-        if !self.supports_tracing() {
-            return Err(ClientError::Unsupported(
-                "server does not advertise the tracing capability (stats streaming)".into(),
-            ));
-        }
-        let interval_ms = u32::try_from(interval.as_millis()).unwrap_or(u32::MAX);
-        self.send(&Request::StatsStream { interval_ms })?;
-        let mut stopping = false;
-        loop {
-            match self.submit_recv()? {
-                Response::StatsPush(doc) => {
-                    if stopping {
-                        continue; // a push that was already in flight
-                    }
-                    if !on_push(decode_stats(&doc)?) {
-                        self.send(&Request::Stats)?;
-                        stopping = true;
-                    }
-                }
-                Response::Stats(doc) if stopping => return decode_stats(&doc),
-                Response::Error(e) => return Err(ClientError::Server(e)),
-                other => {
-                    return Err(ClientError::Protocol(format!(
-                        "unexpected response in stats stream: {other:?}"
-                    )))
-                }
-            }
         }
     }
 
@@ -495,17 +413,8 @@ impl Client {
         }
     }
 
-    /// Sends one control frame and decodes the `RouteUpdated` response,
-    /// refusing locally (nothing sent) when the connection cannot carry
-    /// control frames.
+    /// Sends one control frame and decodes the `RouteUpdated` response.
     fn control_roundtrip(&mut self, req: &Request) -> Result<RouteUpdate, ClientError> {
-        if !self.supports_control() {
-            return Err(ClientError::Unsupported(format!(
-                "server does not support runtime route control on this \
-                 connection (settled v{}, capabilities {:#04x})",
-                self.hello.version, self.hello.capabilities
-            )));
-        }
         match self.roundtrip(req)? {
             Response::RouteUpdated {
                 generation,
@@ -530,10 +439,9 @@ impl Client {
     ///
     /// # Errors
     ///
-    /// [`ClientError::Unsupported`] locally when the connection lacks
-    /// the control capability or settled below v3; I/O failures;
-    /// [`ClientError::Server`] on malformed routes, or a table the flat
-    /// classifier cannot encode (the message names the limit).
+    /// I/O failures; [`ClientError::Server`] on malformed routes, a
+    /// draining server, or a table the flat classifier cannot encode (the
+    /// message names the limit).
     pub fn route_add(&mut self, routes: &[Route]) -> Result<RouteUpdate, ClientError> {
         self.control_roundtrip(&Request::RouteAdd(routes.to_vec()))
     }
@@ -560,7 +468,7 @@ impl Client {
 
     /// Fault injection: asks the service to crash shard `shard` on its
     /// next activation (it restarts in place). The index is
-    /// validated against the negotiated [`ServerHello::shards`] before
+    /// validated against the server's [`ServerHello::shards`] before
     /// anything hits the wire.
     ///
     /// # Errors
@@ -582,13 +490,6 @@ impl Client {
             ))),
         }
     }
-}
-
-/// A stats document as the typed snapshot; one that does not decode is a
-/// protocol error.
-fn decode_stats(doc: &str) -> Result<StatsSnapshot, ClientError> {
-    doc.parse::<StatsSnapshot>()
-        .map_err(|e| ClientError::Protocol(e.to_string()))
 }
 
 #[cfg(test)]

@@ -8,6 +8,12 @@
 use std::fmt::Display;
 use std::str::FromStr;
 
+/// Longest poll interval, in milliseconds, that `memsync-top
+/// --interval-ms` and `loadgen --stats-interval` accept. A poller is
+/// quiet between polls, and the `serve` bin closes a connection that
+/// stays quiet for 30 s; the margin covers a slow round trip.
+const MAX_POLL_MS: u64 = 25_000;
+
 /// One binary's parsed command line.
 #[derive(Debug)]
 pub struct Flags {
@@ -67,6 +73,18 @@ impl Flags {
     /// The value of `flag` parsed as `T`, or `default` when absent.
     pub fn or<T: FromStr<Err: Display>>(&self, flag: &str, default: T) -> T {
         self.parsed(flag).unwrap_or(default)
+    }
+
+    /// The poll interval `flag` gives, in milliseconds, if it was given;
+    /// exits 2 when it is 0, or 25,000 or more.
+    pub fn poll_ms(&self, flag: &str) -> Option<u64> {
+        let ms = self.parsed(flag)?;
+        if !(1..MAX_POLL_MS).contains(&ms) {
+            self.fail(&format!(
+                "{flag} must be 1..{MAX_POLL_MS}: the server closes a connection quiet for 30 s"
+            ));
+        }
+        Some(ms)
     }
 
     /// Prints `problem` and the usage line on stderr and exits 2.

@@ -9,17 +9,15 @@
 //! bytes after a frame's last field are malformed.
 //! `tests/data/frames.golden` pins every frame type's encoding.
 //!
-//! **Protocol v2 (this build)** is negotiated at connect time: the client
-//! speaks first with [`Request::Hello`] carrying the version range it
-//! supports, and the server answers [`Response::Hello`] with the settled
-//! version plus a [`ServerHello`] capability block (which forwarding
-//! backends the build supports, which one is serving, shard count, egress
-//! width, FIB routes). Any other first frame, even one that does not
-//! decode, is refused with a typed [`Response::Error`] and a clean close
-//! — never a frame desync. A v1 client (pre-`Hello`) talking to a v2
-//! server therefore gets an explicit error it already knows how to
-//! decode, and a v2 client talking to a v1 server maps the v1 `unknown
-//! request` error onto a typed `Unsupported` connect failure.
+//! **The handshake.** The client speaks first with [`Request::Hello`]
+//! carrying the closed range of protocol versions it accepts. The server
+//! answers [`Response::Hello`] with a [`ServerHello`] block (its version,
+//! the backend serving, shard count, egress width, FIB routes) only when
+//! that range contains [`PROTOCOL_VERSION`]. A range without it, any
+//! other first frame, and a first frame that does not decode are each
+//! refused with a typed [`Response::Error`] and a clean close — never a
+//! frame desync. Client and server are built from one source, so this
+//! build's client asks for exactly [`PROTOCOL_VERSION`].
 //!
 //! Packets travel as the exact 20-byte header [`Ipv4Packet::to_bytes`]
 //! emits; the decode side uses the strict [`Ipv4Packet::from_bytes`]
@@ -34,27 +32,12 @@ use memsync_netapp::Ipv4Packet;
 use std::fmt::Display;
 use std::io::{self, Read, Write};
 
-/// The newest protocol version this build speaks. Version 1 was the PR 3
-/// wire protocol without the connect-time handshake; version 2 added
-/// [`Request::Hello`]/[`Response::Hello`] negotiation, [`SubmitOptions`]
-/// flags, and backend capability bits; version 3 added the live control
-/// plane ([`Request::RouteAdd`] / [`Request::RouteWithdraw`] /
-/// [`Request::SwapDefault`] behind [`CAP_CONTROL`]).
-pub const PROTOCOL_VERSION: u16 = 3;
-
-/// The oldest protocol version this build still serves. A v2 client
-/// (no control frames) settles on version 2 and is served exactly as
-/// before; control frames on a settled-v2 connection are refused with a
-/// typed [`Response::Error`] — a frame every protocol version decodes.
-pub const PROTOCOL_MIN_SUPPORTED: u16 = 2;
-
-/// Settles the protocol version for a client advertising the closed
-/// range `[client_min, client_max]`: the highest version both sides
-/// speak, or `None` when the ranges don't overlap.
-pub fn settle_version(client_min: u16, client_max: u16) -> Option<u16> {
-    let settled = client_max.min(PROTOCOL_VERSION);
-    (client_min <= settled && settled >= PROTOCOL_MIN_SUPPORTED).then_some(settled)
-}
+/// The one protocol version this build speaks. Version 2 added the
+/// [`Request::Hello`] handshake and [`SubmitOptions`] flags, version 3 the
+/// live control plane ([`Request::RouteAdd`], [`Request::RouteWithdraw`],
+/// [`Request::SwapDefault`]); version 4 dropped the capability byte from
+/// [`ServerHello`] and the pushed stats stream.
+pub const PROTOCOL_VERSION: u16 = 4;
 
 /// Hard ceiling on a frame payload (1 MiB) — a malformed length prefix
 /// must not allocate unbounded memory.
@@ -73,22 +56,9 @@ pub const MAX_SUBMIT_PACKETS: usize = (MAX_PAYLOAD - 12) / 20;
 pub const FLAG_VERIFY: u8 = 0x01;
 
 /// Submit flag bit: the submit carries a client-assigned 8-byte span id
-/// between the flags byte and the packet count (request tracing). Only
-/// valid against servers advertising [`CAP_TRACING`]; the client refuses
-/// locally otherwise.
+/// between the flags byte and the packet count (request tracing). A
+/// server running without tracing ignores the id.
 pub const FLAG_SPAN: u8 = 0x02;
-
-/// Hello capability bit: the server supports request tracing (span-tagged
-/// submits via [`FLAG_SPAN`]) and [`Request::StatsStream`]. Lives above
-/// the backend capability bits ([`crate::backend::CAP_SIM`] and friends).
-pub const CAP_TRACING: u8 = 0x08;
-
-/// Hello capability bit: the server supports the protocol-v3 live
-/// control plane — [`Request::RouteAdd`], [`Request::RouteWithdraw`],
-/// and [`Request::SwapDefault`] mutate the FIB at runtime via
-/// RCU-style epoch-swapped tables. Only usable on connections that
-/// settled version ≥ 3; the client refuses locally otherwise.
-pub const CAP_CONTROL: u8 = 0x10;
 
 /// Most routes one control frame ([`Request::RouteAdd`] /
 /// [`Request::RouteWithdraw`]) can carry — the wire count field is a
@@ -131,16 +101,12 @@ impl SubmitOptions {
     }
 }
 
-/// What a server tells a client at connect time: the settled protocol
-/// version and the serving capabilities the client may rely on.
+/// What a server tells a client at connect time: its protocol version
+/// and the serving geometry the client may rely on.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct ServerHello {
-    /// The protocol version the server settled on (currently always
-    /// [`PROTOCOL_VERSION`]).
+    /// The server's protocol version ([`PROTOCOL_VERSION`]).
     pub version: u16,
-    /// Capability bits: which forwarding backends this build supports
-    /// (see [`crate::backend::CAP_SIM`] and friends).
-    pub capabilities: u8,
     /// The backend actually serving this instance.
     pub backend: BackendKind,
     /// Shard count — [`Request::Kill`] indices are validated against it
@@ -260,7 +226,7 @@ macro_rules! record_field {
     };
 }
 
-record_field!(ServerHello: version, capabilities, backend, shards, egress, routes);
+record_field!(ServerHello: version, backend, shards, egress, routes);
 record_field!(Route: prefix, len, next_hop);
 
 impl<'p, A: Field<'p>, B: Field<'p>> Field<'p> for (A, B) {
@@ -490,10 +456,10 @@ frames! {
     /// A request frame.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Request<'a>: "request" {
-        /// Protocol negotiation — must be the first frame on a connection.
+        /// The handshake — must be the first frame on a connection.
         /// Carries the closed range of protocol versions the client speaks;
-        /// the server settles on one ([`Response::Hello`]) or refuses with a
-        /// typed error and closes.
+        /// the server answers [`Response::Hello`] when the range contains
+        /// its version, or refuses with a typed error and closes.
         Hello {
             /// Lowest protocol version the client accepts.
             min_version: u16,
@@ -509,15 +475,6 @@ frames! {
         } = 0x01, "submit";
         /// Ask for the merged stats frame (JSON).
         Stats = 0x02, "stats";
-        /// Subscribe to pushed stats: the server sends a
-        /// [`Response::StatsPush`] immediately and then roughly every
-        /// `interval_ms` until the client sends any other frame (which is
-        /// answered normally and ends the stream). Capability-gated behind
-        /// [`CAP_TRACING`].
-        StatsStream {
-            /// Push interval in milliseconds (must be nonzero).
-            interval_ms: u32,
-        } = 0x07, "stats-stream";
         /// Stop accepting new submits, let in-flight packets complete, reply
         /// [`Response::Drained`] once every shard is idle.
         Drain = 0x03, "drain";
@@ -552,8 +509,8 @@ frames! {
     /// A response frame.
     #[derive(Debug, Clone, PartialEq, Eq)]
     pub enum Response: "response" {
-        /// The settled protocol version and server capabilities (the answer
-        /// to [`Request::Hello`]).
+        /// The server's version and serving geometry (the answer to
+        /// [`Request::Hello`]).
         Hello(hello: ServerHello) = 0x86, "hello";
         /// Generic acknowledgement (shutdown, kill).
         Ok = 0x80, "ok";
@@ -571,12 +528,6 @@ frames! {
         Busy(shard: u16) = 0x82, "busy";
         /// The merged stats frame as a JSON document.
         Stats(json: String) = 0x83, "stats";
-        /// One pushed stats document of an active [`Request::StatsStream`].
-        /// Deliberately a distinct frame type from [`Response::Stats`]: a
-        /// client stopping a stream sends a plain [`Request::Stats`] and
-        /// discards pushes until the non-push `Stats` answer arrives, which
-        /// marks the stream cleanly ended with no frame ambiguity.
-        StatsPush(json: String) = 0x87, "stats-push";
         /// Drain completed: queues empty, shards idle.
         Drained = 0x84, "drained";
         /// A control-plane mutation was published and the swap barrier
@@ -611,8 +562,8 @@ impl<'a> Request<'a> {
         Request::decode_with(payload, Some(packets))
     }
 
-    /// Whether this request is a v3 control-plane frame (gated behind a
-    /// settled version ≥ 3 and [`CAP_CONTROL`]).
+    /// Whether this request is a control-plane frame (refused while the
+    /// server drains).
     pub fn is_control(&self) -> bool {
         matches!(
             self,
@@ -934,7 +885,6 @@ mod tests {
                 options: SubmitOptions::new().verify(true).span(0xDEAD_BEEF_0042),
             },
             Request::Stats,
-            Request::StatsStream { interval_ms: 250 },
             Request::Drain,
             Request::Shutdown,
             Request::Kill(3),
@@ -971,7 +921,6 @@ mod tests {
         let rsps = [
             Response::Hello(ServerHello {
                 version: PROTOCOL_VERSION,
-                capabilities: crate::backend::capability_bits(),
                 backend: BackendKind::Differential,
                 shards: 4,
                 egress: 4,
@@ -985,7 +934,6 @@ mod tests {
             },
             Response::Busy(2),
             Response::Stats("{\"x\":1}".into()),
-            Response::StatsPush("{\"x\":2}".into()),
             Response::Drained,
             Response::RouteUpdated {
                 generation: 0x0102_0304_0506_0708,
@@ -1039,7 +987,7 @@ mod tests {
             assert_eq!(out, bytes, "{dir} {name} re-encodes byte for byte");
             names.insert((dir, name));
         }
-        assert_eq!(names.len(), 19, "every frame type is pinned: {names:?}");
+        assert_eq!(names.len(), 17, "every frame type is pinned: {names:?}");
     }
 
     #[test]
@@ -1075,7 +1023,7 @@ mod tests {
         assert!(batch.starts_with("malformed frame: batch "), "{batch}");
         let err = Response::decode(&[0x85, 0xff]).unwrap_err().to_string();
         assert!(err.starts_with("malformed frame: error "), "{err}");
-        let backend = Response::decode(&[0x86, 0, 3, 0, 9, 0, 1, 0, 1, 0, 0, 0, 1]);
+        let backend = Response::decode(&[0x86, 0, 3, 9, 0, 1, 0, 1, 0, 0, 0, 1]);
         assert!(backend
             .unwrap_err()
             .to_string()
@@ -1138,40 +1086,6 @@ mod tests {
             "malformed frame: expected a submit frame, got stats"
         );
         assert!(packets.is_empty());
-    }
-
-    #[test]
-    fn tracing_capability_is_distinct_from_backend_bits() {
-        assert_eq!(CAP_TRACING & crate::backend::capability_bits(), 0);
-    }
-
-    #[test]
-    fn control_capability_is_its_own_bit() {
-        assert_eq!(CAP_CONTROL & crate::backend::capability_bits(), 0);
-        assert_eq!(CAP_CONTROL & CAP_TRACING, 0);
-    }
-
-    #[test]
-    fn version_settling_picks_the_highest_shared_version() {
-        // (client_min, client_max) -> settled
-        let cases = [
-            ((2, 2), Some(2)), // pure v2 client
-            ((2, 3), Some(3)), // v2/v3 client takes v3
-            ((3, 3), Some(3)), // pure v3 client
-            ((3, 9), Some(3)), // future client caps at our newest
-            ((2, 9), Some(3)), // wide range still settles on v3
-            ((1, 2), Some(2)), // old floor, shared ceiling
-            ((1, 1), None),    // pure v1 client: below our floor
-            ((4, 9), None),    // future-only client: above our ceiling
-            ((9, 12), None),   // far future
-        ];
-        for ((min, max), want) in cases {
-            assert_eq!(settle_version(min, max), want, "range ({min},{max})");
-        }
-        assert_eq!(
-            settle_version(PROTOCOL_VERSION, PROTOCOL_VERSION),
-            Some(PROTOCOL_VERSION)
-        );
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! offline):
 //!
 //! * [`frame`] — the length-prefixed binary frame protocol (`Hello`
-//!   version negotiation / submit packet batch / query stats / drain /
+//!   handshake / submit packet batch / query stats / drain /
 //!   shutdown / fault-inject kill, plus the protocol-v3 control frames:
 //!   route add / route withdraw / default swap);
 //! * [`tables`] — the generation-swapped (RCU-style) route tables behind
@@ -59,8 +59,8 @@
 //!   (`serve --trace-spans`); zero-cost when disabled;
 //! * [`client`] — a blocking client used by the `loadgen` bin, the
 //!   loopback tests, and `memsync-benchmark`; built via
-//!   [`Client::builder`], it negotiates the protocol version and backend
-//!   capabilities at connect time;
+//!   [`Client::builder`], it checks the protocol version and reads the
+//!   server's backend and geometry at connect time;
 //! * [`flags`] — the strict flag parser the crate's three bins share.
 //!
 //! The crate is Linux-only: the reactor calls epoll directly.

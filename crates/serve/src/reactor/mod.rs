@@ -39,7 +39,7 @@
 //! or quiescence probe handing back a queued job wake the loop through
 //! the [`crate::queue::Reply`] waker (a self-pipe registered at token 0);
 //! the next pass steps every shard. A periodic sweep covers what wakes
-//! cannot (work deadlines, idle and write deadlines, stats-stream pushes).
+//! cannot: work deadlines, and idle and write deadlines.
 
 use crate::frame::{write_frame, FrameReader, FrameWriter, Response};
 use crate::queue::ReplyWaker;
@@ -73,8 +73,8 @@ pub const EGRESS_LOW_WATER: usize = EGRESS_HIGH_WATER / 4;
 /// small request whole, prefix and payload.
 const READ_AHEAD: usize = 8 * 1024;
 
-/// Sweep cadence for everything wakes can't deliver: work deadlines,
-/// idle and write deadlines, and stats-stream pushes.
+/// Sweep cadence for everything wakes can't deliver: work deadlines, and
+/// idle and write deadlines.
 const TICK: Duration = Duration::from_millis(25);
 
 /// Longest poller park with no work outstanding: stop flags are
@@ -517,7 +517,7 @@ impl Reactor {
                 },
                 frames: FrameReader::new(),
                 backlog: Vec::new(),
-                session: Session::new(Arc::clone(&self.shared), waker, now),
+                session: Session::new(Arc::clone(&self.shared), waker),
                 queued: false,
                 read_on: true,
                 write_on: false,
@@ -631,7 +631,7 @@ impl Reactor {
     }
 
     /// Time-driven duties wakes can't cover: idle and write deadlines
-    /// and stats-stream pushes (work deadlines ride `process_work`).
+    /// (work deadlines ride `process_work`).
     fn sweep(&mut self) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < TICK {
@@ -640,16 +640,13 @@ impl Reactor {
         self.last_sweep = now;
         let read_timeout = self.shared.config.read_timeout;
         let write_timeout = self.shared.config.write_timeout;
-        let mut doc = None;
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
             };
             let pending = conn.link.out.pending();
-            // Idle means nothing in flight, nothing to write, and no
-            // stats stream (a subscriber is deliberately quiet; the
-            // pushes are its liveness signal).
-            if pending > 0 || conn.session.busy() || conn.session.streaming() {
+            // Idle means nothing in flight and nothing to write.
+            if pending > 0 || conn.session.busy() {
                 conn.active = now;
             }
             let expired = if pending > 0 {
@@ -660,9 +657,6 @@ impl Reactor {
             };
             if expired {
                 self.close_conn(idx);
-            } else if conn.session.streaming() && pending < EGRESS_HIGH_WATER {
-                conn.session.tick(now, &mut doc, &mut conn.link);
-                self.after_io(idx);
             }
         }
     }

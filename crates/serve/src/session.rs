@@ -1,19 +1,17 @@
 //! One connection's protocol, with no transport attached.
 //!
 //! A [`Session`] makes every decision the frame protocol asks for: the
-//! `Hello` version settlement and the settled-version gate on control
-//! frames, submit routing (all-or-nothing enqueue, deferral on a full
-//! shard queue), drain and shutdown parked until the shard fleet is
-//! quiescent, route mutations parked on the control worker, kill, stats
-//! and the stats stream, and the `busy`/`errors` bookkeeping. `Request`
-//! is dispatched here and nowhere else. It enqueues jobs; the transport
-//! runs the shards ([`crate::shard::Shard::step`]).
+//! `Hello` handshake, submit routing (all-or-nothing enqueue, deferral on
+//! a full shard queue), drain and shutdown parked until the shard fleet
+//! is quiescent, route mutations parked on the control worker, kill,
+//! stats, and the `busy`/`errors` bookkeeping. `Request` is dispatched
+//! here and nowhere else. It enqueues jobs; the transport runs the
+//! shards ([`crate::shard::Shard::step`]).
 //!
-//! Inputs are a decoded frame ([`Session::on_frame`]), a completion poll
-//! ([`Session::poll`]: shard outcomes, control-worker outcomes, drain
-//! quiescence, deferred-submit retries, deadlines) and a clock tick
-//! ([`Session::tick`]: stats-stream pushes). Outputs are the responses
-//! handed to an [`Egress`], plus what the transport may do next:
+//! Inputs are a decoded frame ([`Session::on_frame`]) and a completion
+//! poll ([`Session::poll`]: shard outcomes, control-worker outcomes,
+//! drain quiescence, deferred-submit retries, deadlines). Outputs are the
+//! responses handed to an [`Egress`], plus what the transport may do next:
 //! [`Session::may_read`] and [`Session::closing`]. Time is an input too,
 //! so a test can drive a session with in-memory frames and a chosen
 //! clock.
@@ -25,11 +23,7 @@
 //! becomes a `Busy` response. Fan-in thus meets flow control instead of
 //! a Busy storm, with the router's all-or-nothing semantics unchanged.
 
-use crate::backend;
-use crate::frame::{
-    settle_version, Request, Response, ServerHello, SubmitOptions, CAP_CONTROL, CAP_TRACING,
-    PROTOCOL_MIN_SUPPORTED, PROTOCOL_VERSION,
-};
+use crate::frame::{Request, Response, ServerHello, SubmitOptions, PROTOCOL_VERSION};
 use crate::queue::{JobOutcome, Reply, ReplyWaker};
 use crate::router::ShardSplitter;
 use crate::server::Shared;
@@ -39,7 +33,7 @@ use memsync_netapp::Ipv4Packet;
 use std::sync::atomic::Ordering;
 use std::sync::mpsc::{channel, Receiver, TryRecvError};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 /// Where a session's responses go.
 pub(crate) trait Egress {
@@ -93,15 +87,13 @@ pub(crate) struct Session {
     /// Wakes the transport when a shard or the control worker delivers
     /// an outcome.
     waker: Arc<dyn ReplyWaker>,
-    /// Protocol version the `Hello` handshake settled; `None` until then.
-    settled: Option<u16>,
+    /// Whether the `Hello` handshake is done.
+    greeted: bool,
     /// Decoded submit scratch, reused across submits.
     packets: Vec<Ipv4Packet>,
     splitter: ShardSplitter,
     encoded: Vec<u8>,
     work: Work,
-    stream_every: Option<Duration>,
-    last_push: Instant,
     closing: bool,
     /// Raise the service stop flag when the session ends (set once the
     /// shutdown requester has its `Ok`).
@@ -109,18 +101,16 @@ pub(crate) struct Session {
 }
 
 impl Session {
-    pub(crate) fn new(shared: Arc<Shared>, waker: Arc<dyn ReplyWaker>, now: Instant) -> Session {
+    pub(crate) fn new(shared: Arc<Shared>, waker: Arc<dyn ReplyWaker>) -> Session {
         let splitter = ShardSplitter::new(shared.router.shards());
         Session {
             shared,
             waker,
-            settled: None,
+            greeted: false,
             packets: Vec::new(),
             splitter,
             encoded: Vec::new(),
             work: Work::Idle,
-            stream_every: None,
-            last_push: now,
             closing: false,
             stops_server: false,
         }
@@ -143,68 +133,57 @@ impl Session {
         self.closing
     }
 
-    /// Whether the peer subscribed to the stats stream. Such a peer is
-    /// deliberately quiet: the pushes are its liveness signal.
-    pub(crate) fn streaming(&self) -> bool {
-        self.stream_every.is_some()
-    }
-
     /// Serves one complete client frame.
     pub(crate) fn on_frame(&mut self, payload: &[u8], now: Instant, out: &mut impl Egress) {
         let decode_started = self.shared.tracer.enabled().then(Instant::now);
-        // Any complete client frame ends an active stats stream.
-        self.stream_every = None;
         // A submit decodes straight into the packet scratch.
         let req = match Request::decode(payload, &mut self.packets) {
             Ok(req) => req,
             Err(e) => {
                 // A first frame that does not even decode is refused and
                 // closed like any other pre-handshake frame.
-                self.closing |= self.settled.is_none();
+                self.closing |= !self.greeted;
                 return self.send(&Response::Error(e.to_string()), out);
             }
         };
         let decode_ns = decode_started.map_or(0, |t| t.elapsed().as_nanos() as u64);
-        let version = self.settled.unwrap_or(PROTOCOL_MIN_SUPPORTED);
         let rsp = match req {
-            // Idempotent: a repeated Hello re-settles and re-states the
-            // capability block.
+            // Idempotent: a repeated Hello re-states the same block.
             Request::Hello {
                 min_version,
                 max_version,
-            } => match settle_version(min_version, max_version) {
-                Some(version) => {
-                    self.settled = Some(version);
-                    Response::Hello(server_hello(&self.shared, version))
-                }
-                None => {
-                    self.closing = true;
-                    Response::Error(format!(
-                        "no common protocol version: client speaks \
-                         {min_version}..={max_version}, server speaks \
-                         {PROTOCOL_MIN_SUPPORTED}..={PROTOCOL_VERSION}"
-                    ))
-                }
-            },
-            // A pre-handshake request means the peer does not speak
-            // protocol v2+. The error frame has existed since v1, so even an
-            // old client decodes this; closing keeps the stream at a
-            // frame boundary.
-            req if self.settled.is_none() => {
+            } if (min_version..=max_version).contains(&PROTOCOL_VERSION) => {
+                self.greeted = true;
+                let config = &self.shared.config;
+                Response::Hello(ServerHello {
+                    version: PROTOCOL_VERSION,
+                    backend: config.backend,
+                    shards: config.shards as u16,
+                    egress: config.egress as u16,
+                    routes: config.routes as u32,
+                })
+            }
+            Request::Hello {
+                min_version,
+                max_version,
+            } => {
+                self.closing = true;
+                Response::Error(format!(
+                    "no common protocol version: client speaks \
+                     {min_version}..={max_version}, server speaks {PROTOCOL_VERSION}"
+                ))
+            }
+            // A request before the handshake is refused. The error frame
+            // has existed since v1, so even an old client decodes this;
+            // closing keeps the stream at a frame boundary.
+            req if !self.greeted => {
                 self.closing = true;
                 Response::Error(format!(
                     "expected hello before {}: this server speaks protocol \
-                     v{PROTOCOL_VERSION}, which negotiates at connect time",
+                     v{PROTOCOL_VERSION}, which starts with a handshake",
                     req.name()
                 ))
             }
-            // The capability is advertised, but the settled version gates
-            // it: a connection negotiated down to v2 must not send v3
-            // frames.
-            req if req.is_control() && version < 3 => Response::Error(format!(
-                "{} is a protocol-v3 control frame; this connection settled v{version}",
-                req.name()
-            )),
             req if req.is_control() && self.shared.draining.load(Ordering::Acquire) => {
                 Response::Error("draining: control plane refused".into())
             }
@@ -218,15 +197,8 @@ impl Session {
             Request::Submit { options, .. } => {
                 return self.start_submit(options, decode_ns, now, out)
             }
-            Request::Stats => Response::Stats(render_stats(&self.shared)),
-            Request::StatsStream { interval_ms: 0 } => {
-                Response::Error("stats-stream interval must be nonzero".into())
-            }
-            Request::StatsStream { interval_ms } => {
-                // The first push is the response; `tick` keeps the cadence.
-                self.stream_every = Some(Duration::from_millis(u64::from(interval_ms)));
-                self.last_push = now;
-                Response::StatsPush(render_stats(&self.shared))
+            Request::Stats => {
+                Response::Stats(crate::stats::snapshot(&self.shared).to_json().render())
             }
             Request::Drain | Request::Shutdown => {
                 let shutdown = matches!(req, Request::Shutdown);
@@ -376,19 +348,6 @@ impl Session {
         self.send(&rsp, out);
     }
 
-    /// Pushes a stats document to a stream subscriber whose interval is
-    /// due. `doc` is rendered at most once per tick across sessions.
-    pub(crate) fn tick(&mut self, now: Instant, doc: &mut Option<String>, out: &mut impl Egress) {
-        let Some(every) = self.stream_every else {
-            return;
-        };
-        if self.may_read() && now.duration_since(self.last_push) >= every {
-            self.last_push = now;
-            let doc = doc.get_or_insert_with(|| render_stats(&self.shared));
-            self.send(&Response::StatsPush(doc.clone()), out);
-        }
-    }
-
     fn send(&mut self, rsp: &Response, out: &mut impl Egress) {
         rsp.encode_into(&mut self.encoded);
         out.send(&self.encoded);
@@ -506,31 +465,13 @@ impl Drop for Session {
     }
 }
 
-/// The capability block a `Hello` settling `version` answers with.
-fn server_hello(shared: &Shared, version: u16) -> ServerHello {
-    ServerHello {
-        // The settled version for *this* connection: a v2 client reads
-        // back v2 and never sends control frames.
-        version,
-        capabilities: backend::capability_bits() | CAP_TRACING | CAP_CONTROL,
-        backend: shared.config.backend,
-        shards: shared.config.shards as u16,
-        egress: shared.config.egress as u16,
-        routes: shared.config.routes as u32,
-    }
-}
-
-/// The stats document (the Stats response and every StatsPush).
-fn render_stats(shared: &Shared) -> String {
-    crate::stats::snapshot(shared).to_json().render()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::{BackendKind, ServeConfig};
     use memsync_netapp::fib::Route;
     use memsync_netapp::Workload;
+    use std::time::Duration;
 
     #[derive(Debug)]
     struct NoWake;
@@ -577,7 +518,7 @@ mod tests {
         let (shared, control) = Shared::start(config).expect("start the service plane");
         // An unknown type byte, and a Hello cut short.
         for garbage in [&[0x42][..], &[0x06, 0x00]] {
-            let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
+            let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake));
             let mut out = Vec::new();
             session.on_frame(garbage, Instant::now(), &mut out);
             assert!(
@@ -600,14 +541,14 @@ mod tests {
             ..ServeConfig::default()
         };
         let (shared, control) = Shared::start(config).expect("start the service plane");
-        let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
+        let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake));
 
         let early = serve(&mut session, &Request::Stats);
         assert!(matches!(early, Response::Error(ref m) if m.contains("expected hello")));
         assert!(session.closing(), "a pre-handshake frame closes");
-        let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake), Instant::now());
+        let mut session = Session::new(Arc::clone(&shared), Arc::new(NoWake));
         let hello = Request::Hello {
-            min_version: PROTOCOL_MIN_SUPPORTED,
+            min_version: PROTOCOL_VERSION,
             max_version: PROTOCOL_VERSION,
         };
         match serve(&mut session, &hello) {

@@ -5,13 +5,12 @@
 //! registries and queues, [`crate::stats::ServerCounters`],
 //! [`crate::stats::FrontendStats`], [`crate::ServeTracer`] and
 //! [`crate::EpochTables`]), and sends `to_json().render()`;
-//! [`crate::Client::stats`] and [`crate::Client::stats_stream`] read the
-//! document back into the same type. Each section type is declared once,
-//! through `section!` below, and that declaration gives it its one
-//! `to_json`/`from_json` pair over [`memsync_trace::Json`]: a field's
-//! document key is its name, its position is its place in the document,
-//! and its type decides how it is written and read. Histograms are
-//! [`BucketSummary`] objects.
+//! [`crate::Client::stats`] reads the document back into the same type.
+//! Each section type is declared once, through `section!` below, and that
+//! declaration gives it its one `to_json`/`from_json` pair over
+//! [`memsync_trace::Json`]: a field's document key is its name, its
+//! position is its place in the document, and its type decides how it is
+//! written and read. Histograms are [`BucketSummary`] objects.
 //!
 //! Decoding is compatible both ways. Unknown keys are skipped (a newer
 //! server may add them); sections an older server did not render decode

@@ -1,12 +1,12 @@
-//! Protocol-v2 version negotiation: both compatibility directions must
-//! degrade into clean, typed rejections — never a frame desync.
+//! The `Hello` handshake: the server answers only a range that contains
+//! its version, and every other peer gets a clean, typed rejection —
+//! never a frame desync.
 //!
-//! * old client → new server: the first frame is not a `Hello`, so the
-//!   server answers with an `error` frame (a type that has existed since
-//!   v1, so the old client decodes it) and closes at a frame boundary;
-//! * new client → old server: the v1 server answers the unknown `Hello`
-//!   request with its error frame, which the client maps onto a typed
-//!   [`ClientError::Unsupported`].
+//! * a peer that skips the handshake, or asks for other versions, gets an
+//!   `error` frame (a type that has existed since v1, so any client
+//!   decodes it) and a close at a frame boundary;
+//! * a server that refuses this client's version, or answers with another
+//!   one, maps onto a typed [`ClientError::Unsupported`].
 
 use memsync_serve::frame::{write_frame, FrameReader};
 use memsync_serve::{
@@ -43,88 +43,20 @@ fn raw_roundtrip(
 }
 
 #[test]
-fn handshake_settles_version_and_exposes_capabilities() {
+fn handshake_reports_the_version_and_serving_geometry() {
     let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
     let client = Client::connect(server.local_addr()).expect("connect");
     let h = client.server();
     assert_eq!(h.version, PROTOCOL_VERSION);
+    assert_eq!(h.backend, ServeConfig::default().backend);
     assert_eq!(h.shards, 2);
     assert_eq!(h.egress, 2);
     assert_eq!(h.routes, 16);
-    assert_eq!(
-        h.capabilities,
-        memsync_serve::backend::capability_bits()
-            | memsync_serve::frame::CAP_TRACING
-            | memsync_serve::frame::CAP_CONTROL,
-        "this build supports all three backends, request tracing, and \
-         the live control plane"
-    );
-    assert!(
-        h.capabilities & h.backend.cap_bit() != 0,
-        "serving backend is a supported one"
-    );
-    assert!(client.supports_tracing(), "tracing capability surfaced");
-    assert!(client.supports_control(), "control capability surfaced");
-}
-
-#[test]
-fn span_tagged_submit_against_a_server_without_the_capability_is_refused_locally() {
-    // Simulates a v2 server one build older than this client: same
-    // protocol version, but no CAP_TRACING in its hello. A span-tagged
-    // submit must fail client-side with a typed Unsupported — nothing is
-    // sent, so the old server never sees a flag byte it cannot decode.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
-    let old_server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        let (mut frames, mut packets, mut out) = (FrameReader::new(), Vec::new(), Vec::new());
-        let mut served = 0usize;
-        while let Some(payload) = frames.read(&mut reader).expect("read") {
-            let rsp = match Request::decode(payload, &mut packets).expect("decode") {
-                Request::Hello { .. } => {
-                    Response::Hello(memsync_serve::ServerHello {
-                        version: PROTOCOL_VERSION,
-                        // Backends only — no CAP_TRACING.
-                        capabilities: memsync_serve::backend::capability_bits(),
-                        backend: memsync_serve::BackendKind::Sim,
-                        shards: 2,
-                        egress: 2,
-                        routes: 16,
-                    })
-                }
-                other => panic!("nothing but hello should arrive, got {other:?}"),
-            };
-            rsp.encode_into(&mut out);
-            write_frame(&mut stream, &out).expect("write");
-            served += 1;
-        }
-        served
-    });
-
-    let mut client = Client::connect(addr).expect("hello succeeds without tracing");
-    assert!(!client.supports_tracing());
-    let w = memsync_netapp::Workload::generate(2, 4, 16);
-    let err = client
-        .submit(&w.packets, SubmitOptions::new().span(42))
-        .expect_err("span-tagged submit must be refused locally");
-    match err {
-        ClientError::Unsupported(msg) => {
-            assert!(msg.contains("tracing"), "names the capability: {msg}");
-        }
-        other => panic!("expected Unsupported, got {other:?}"),
-    }
-    drop(client);
-    assert_eq!(
-        old_server.join().unwrap(),
-        1,
-        "only the hello reached the wire"
-    );
 }
 
 #[test]
 fn submit_before_hello_is_refused_with_a_v1_decodable_error() {
-    // Simulates a v1 client: no handshake, straight to business.
+    // A peer that skips the handshake and goes straight to business.
     let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
     let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
     stream
@@ -181,7 +113,9 @@ fn stats_and_kill_before_hello_are_also_refused() {
 #[test]
 fn version_range_outside_the_server_is_rejected_with_both_sides_named() {
     let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
-    for (min, max) in [(0, 1), (4, 9), (0, 0)] {
+    let v = PROTOCOL_VERSION;
+    // Below, above, empty, and the range a client of version 3 sends.
+    for (min, max) in [(0, v - 1), (v + 1, v + 5), (v, v - 1), (0, 0), (2, 3)] {
         let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
         stream
             .set_read_timeout(Some(Duration::from_secs(10)))
@@ -234,88 +168,16 @@ fn repeated_hello_is_idempotent() {
     let first = raw_roundtrip(&mut stream, &mut reader, &mut frames, &hello).expect("first hello");
     let second =
         raw_roundtrip(&mut stream, &mut reader, &mut frames, &hello).expect("second hello");
-    assert_eq!(first, second, "hello re-states the same capability block");
+    assert_eq!(first, second, "hello re-states the same block");
     // And the connection still serves.
     let rsp = raw_roundtrip(&mut stream, &mut reader, &mut frames, &Request::Stats).expect("stats");
     assert!(matches!(rsp, Response::Stats(_)));
 }
 
 #[test]
-fn v2_client_settles_v2_and_control_frames_are_refused_on_that_connection() {
-    // Backward compat: a v2 client (max_version 2) against this v3
-    // server settles v2, keeps full data-plane service, and the server
-    // refuses v3 control frames on the connection with a typed error —
-    // never a desync, even though the capability block advertises
-    // CAP_CONTROL server-wide.
-    let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
-    let mut stream = TcpStream::connect(server.local_addr()).expect("connect");
-    stream
-        .set_read_timeout(Some(Duration::from_secs(10)))
-        .unwrap();
-    let mut reader = BufReader::new(stream.try_clone().unwrap());
-    let mut frames = FrameReader::new();
-    let rsp = raw_roundtrip(
-        &mut stream,
-        &mut reader,
-        &mut frames,
-        &Request::Hello {
-            min_version: 2,
-            max_version: 2,
-        },
-    )
-    .expect("hello response");
-    match rsp {
-        Response::Hello(h) => {
-            assert_eq!(h.version, 2, "settles the client's maximum, not ours");
-            assert!(
-                h.capabilities & memsync_serve::frame::CAP_CONTROL != 0,
-                "capability block still advertises the server-wide feature"
-            );
-        }
-        other => panic!("expected Hello, got {other:?}"),
-    }
-    // Data plane still works on the settled-v2 connection.
-    let w = memsync_netapp::Workload::generate(1, 4, 16);
-    let rsp = raw_roundtrip(
-        &mut stream,
-        &mut reader,
-        &mut frames,
-        &Request::Submit {
-            packets: &w.packets,
-            options: SubmitOptions::new(),
-        },
-    )
-    .expect("submit response");
-    assert!(matches!(rsp, Response::Batch { .. }), "got {rsp:?}");
-    // Control frames do not.
-    let rsp = raw_roundtrip(
-        &mut stream,
-        &mut reader,
-        &mut frames,
-        &Request::RouteAdd(vec![memsync_netapp::fib::Route {
-            prefix: 0x0a00_0000,
-            len: 8,
-            next_hop: 9,
-        }]),
-    )
-    .expect("control response");
-    match rsp {
-        Response::Error(msg) => {
-            assert!(msg.contains("v3"), "names the required version: {msg}");
-            assert!(msg.contains("v2"), "names the settled version: {msg}");
-        }
-        other => panic!("expected Error for control on v2, got {other:?}"),
-    }
-    // The refusal is not a close: the connection keeps serving.
-    let rsp = raw_roundtrip(&mut stream, &mut reader, &mut frames, &Request::Stats).expect("stats");
-    assert!(matches!(rsp, Response::Stats(_)));
-}
-
-#[test]
-fn route_mutations_round_trip_on_a_settled_v3_connection() {
+fn route_mutations_round_trip_after_the_handshake() {
     let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
     let mut client = Client::connect(server.local_addr()).expect("connect");
-    assert!(client.supports_control());
     let up = client
         .route_add(&[memsync_netapp::fib::Route {
             prefix: 0x0a00_0000,
@@ -349,36 +211,47 @@ fn route_mutations_round_trip_on_a_settled_v3_connection() {
 
 #[test]
 fn new_client_against_an_old_server_maps_to_a_typed_unsupported_error() {
-    // Simulates a v1 server: accepts one connection, answers every frame
-    // (including the Hello it has never heard of) with its v1 error.
-    let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
-    let addr = listener.local_addr().unwrap();
-    let old_server = std::thread::spawn(move || {
-        let (mut stream, _) = listener.accept().expect("accept");
-        let mut reader = BufReader::new(stream.try_clone().unwrap());
-        if FrameReader::new()
-            .read(&mut reader)
-            .expect("read")
-            .is_some()
-        {
-            // v1 decode path: unknown request type 0x06.
-            let mut out = Vec::new();
-            Response::Error("malformed frame: unknown request 0x06".into()).encode_into(&mut out);
-            write_frame(&mut stream, &out).expect("write error");
+    // Two fake servers of another build, one connection each: one
+    // refuses the Hello with its error frame, as a server that does not
+    // speak this version does; the other answers a Hello naming another
+    // version.
+    let other = memsync_serve::ServerHello {
+        version: PROTOCOL_VERSION - 1,
+        backend: memsync_serve::BackendKind::Fast,
+        shards: 2,
+        egress: 2,
+        routes: 16,
+    };
+    let answers = [
+        Response::Error("malformed frame: unknown request 0x06".into()),
+        Response::Hello(other),
+    ];
+    let names = ["unknown request".to_owned(), format!("v{}", other.version)];
+    for (answer, names) in answers.into_iter().zip(names) {
+        let listener = TcpListener::bind("127.0.0.1:0").expect("bind");
+        let addr = listener.local_addr().unwrap();
+        let old_server = std::thread::spawn(move || {
+            let (mut stream, _) = listener.accept().expect("accept");
+            let mut reader = BufReader::new(stream.try_clone().unwrap());
+            if FrameReader::new()
+                .read(&mut reader)
+                .expect("read")
+                .is_some()
+            {
+                let mut out = Vec::new();
+                answer.encode_into(&mut out);
+                write_frame(&mut stream, &out).expect("write the answer");
+            }
+        });
+        match Client::connect(addr) {
+            Err(ClientError::Unsupported(msg)) => {
+                assert!(msg.contains(&names), "names {names:?}: {msg}");
+            }
+            Ok(_) => panic!("connect must not succeed against another version"),
+            Err(other) => panic!("expected Unsupported, got {other}"),
         }
-    });
-
-    match Client::connect(addr) {
-        Err(ClientError::Unsupported(msg)) => {
-            assert!(
-                msg.contains("unknown request"),
-                "carries the v1 error: {msg}"
-            );
-        }
-        Ok(_) => panic!("connect must not succeed against a v1 server"),
-        Err(other) => panic!("expected Unsupported, got {other}"),
+        old_server.join().unwrap();
     }
-    old_server.join().unwrap();
 }
 
 #[test]
@@ -418,7 +291,6 @@ fn a_receive_that_times_out_mid_response_resumes_on_retry() {
         ));
         Response::Hello(memsync_serve::ServerHello {
             version: PROTOCOL_VERSION,
-            capabilities: memsync_serve::backend::capability_bits(),
             backend: memsync_serve::BackendKind::Fast,
             shards: 2,
             egress: 2,

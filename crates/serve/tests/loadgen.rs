@@ -1,7 +1,7 @@
 //! The `loadgen` bin end to end, against an in-process fast-backend
 //! server: its exit status and the `SUMMARY` fields the CI serve steps
-//! grep for. Also the strict flags `serve`, `loadgen` and `memsync-top`
-//! share.
+//! grep for. Also `memsync-top`'s live modes, and the strict flags
+//! `serve`, `loadgen` and `memsync-top` share.
 
 use memsync_serve::{BackendKind, ServeConfig, Server};
 use std::io::Read;
@@ -54,7 +54,7 @@ fn one_connection_per_worker_verifies_every_packet() {
     let server = fast_server();
     let (status, summary) = loadgen(
         &server,
-        "--conns 3 --jobs 4 --batch 50 --verify --backend fast",
+        "--conns 3 --jobs 4 --batch 50 --verify --backend fast --stats-interval 20",
     );
     assert!(status.success(), "{status}");
     assert_summary(
@@ -121,6 +121,26 @@ fn a_server_mismatch_fails_the_run() {
 }
 
 #[test]
+fn memsync_top_polls_the_stats_frame_rendered_and_raw() {
+    let server = fast_server();
+    for (args, per_poll) in [
+        ("--interval-ms 20 --frames 2", "fast backend, 2 shards"),
+        ("--interval-ms 20 --frames 2 --raw", "\"per_shard\""),
+    ] {
+        let out = Command::new(env!("CARGO_BIN_EXE_memsync-top"))
+            .arg("--addr")
+            .arg(server.local_addr().to_string())
+            .args(args.split_whitespace())
+            .output()
+            .expect("run memsync-top");
+        let stdout = String::from_utf8_lossy(&out.stdout);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args}: {stdout}{stderr}");
+        assert_eq!(stdout.matches(per_poll).count(), 2, "{args}: {stdout}");
+    }
+}
+
+#[test]
 fn every_bin_refuses_a_flag_it_does_not_know_with_exit_2() {
     // Unreachable or ephemeral addresses: a bin that ignored the bad flag
     // would serve forever or fail to connect, never exit 2.
@@ -131,11 +151,19 @@ fn every_bin_refuses_a_flag_it_does_not_know_with_exit_2() {
         (serve, "--addr 127.0.0.1:0 --shard 8"),
         (serve, "--addr 127.0.0.1:0 --shards"),
         (serve, "--addr 127.0.0.1:0 --shards eight"),
+        // Values that parse but leave a server that cannot serve.
+        (serve, "--addr 127.0.0.1:0 --shards 0"),
+        (serve, "--addr 127.0.0.1:0 --queue-cap 0"),
+        (serve, "--addr 127.0.0.1:0 --max-conns 0"),
+        (serve, "--addr 127.0.0.1:0 --egress 0 --backend sim"),
         (loadgen, "--addr 127.0.0.1:1 --conn 100"),
         (loadgen, "--addr 127.0.0.1:1 --conns 8 --jobs"),
         (loadgen, "--addr 127.0.0.1:1 --batch 0"),
+        // A poll interval past the server's idle deadline.
+        (loadgen, "--addr 127.0.0.1:1 --stats-interval 25000"),
         (top, "--addr 127.0.0.1:1 --frame 1"),
         (top, "--addr 127.0.0.1:1 --frames -1"),
+        (top, "--addr 127.0.0.1:1 --interval-ms 25000"),
     ] {
         let mut child = Command::new(bin)
             .args(args.split_whitespace())

@@ -37,7 +37,7 @@ fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
     let w = Workload::generate(42, 400, 16);
     let (fwd, drop) = w.reference_forward();
     let mut client = connect(addr);
-    // The negotiated capability block mirrors the config.
+    // The hello block mirrors the config.
     assert_eq!(client.server().version, PROTOCOL_VERSION);
     assert_eq!(client.server().backend, BackendKind::Sim);
     assert_eq!(client.server().shards, 2);

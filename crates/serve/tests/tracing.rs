@@ -1,9 +1,9 @@
 //! End-to-end request tracing: a real server with tracing on, span JSONL
-//! export, the stats stream, and the restart-carryover pin.
+//! export, and the restart-carryover pin.
 //!
 //! The load-bearing assertion here is the acceptance criterion of the
 //! tracing plane: per-stage percentiles recomputed offline from the
-//! exported span lines must agree with the live stats-stream bucket
+//! exported span lines must agree with the live stats frame's bucket
 //! summaries to within one log2 bucket. Both sides see the exact same
 //! stage samples (the shard records each job's stages into its bucket
 //! histograms at the same instant it stamps the job's span timings), so
@@ -132,57 +132,6 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
     client.shutdown().expect("shutdown");
     server.wait();
     let _ = std::fs::remove_file(&path);
-}
-
-#[test]
-fn stats_stream_pushes_typed_snapshots_and_stops_cleanly() {
-    let server = Server::start("127.0.0.1:0", traced_config(None)).expect("bind");
-    let addr = server.local_addr();
-
-    let mut loader = connect(addr);
-    let w = Workload::generate(5, 640, 16);
-    for chunk in w.packets.chunks(64) {
-        loader.submit(chunk, SubmitOptions::new()).expect("submit");
-    }
-
-    let mut watcher = connect(addr);
-    assert!(watcher.supports_tracing());
-    let mut pushes = 0u32;
-    let last = watcher
-        .stats_stream(Duration::from_millis(20), |snap| {
-            assert_eq!(snap.packets, 640, "pushes carry the typed snapshot");
-            assert!(snap.spans.expect("spans section").enabled);
-            assert!(snap.frontend.expect("frontend section").conns_open >= 2);
-            pushes += 1;
-            pushes < 3
-        })
-        .expect("stats stream");
-    assert_eq!(pushes, 3, "callback saw exactly the requested pushes");
-    assert_eq!(last.packets, 640, "final snapshot closes the stream");
-    assert_eq!(last.backend, Some(BackendKind::Fast));
-
-    // The connection is back in plain request/response mode afterwards.
-    let snap = watcher.stats().expect("stats after stream");
-    assert_eq!(snap.packets, 640);
-    watcher.shutdown().expect("shutdown");
-    server.wait();
-}
-
-#[test]
-fn zero_interval_stream_is_refused_without_dropping_the_connection() {
-    let server = Server::start("127.0.0.1:0", traced_config(None)).expect("bind");
-    let mut client = connect(server.local_addr());
-    let rsp = client
-        .roundtrip(&memsync_serve::Request::StatsStream { interval_ms: 0 })
-        .expect("roundtrip");
-    assert!(
-        matches!(rsp, memsync_serve::Response::Error(ref m) if m.contains("nonzero")),
-        "got {rsp:?}"
-    );
-    let snap = client.stats().expect("connection survives the refusal");
-    assert_eq!(snap.shards, 2);
-    client.shutdown().expect("shutdown");
-    server.wait();
 }
 
 #[test]
