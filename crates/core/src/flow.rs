@@ -14,7 +14,6 @@ use memsync_hic::Program;
 use memsync_rtl::netlist::Module;
 use memsync_synth::fsm::Fsm;
 use memsync_synth::opt::{OptLevel, PassReport};
-use memsync_synth::schedule::Constraints;
 use memsync_synth::synthesis::Synthesis;
 use std::fmt;
 
@@ -91,7 +90,6 @@ impl From<memsync_fpga::timing::TimingError> for FlowError {
 pub struct Compiler {
     source: String,
     organization: OrganizationKind,
-    constraints: Constraints,
     opt: OptLevel,
     validate_netlists: bool,
 }
@@ -102,7 +100,6 @@ impl Compiler {
         Compiler {
             source: source.into(),
             organization: OrganizationKind::Arbitrated,
-            constraints: Constraints::default(),
             opt: OptLevel::O0,
             validate_netlists: true,
         }
@@ -115,12 +112,6 @@ impl Compiler {
         self
     }
 
-    /// Overrides the scheduling constraints.
-    pub fn constraints(&mut self, constraints: Constraints) -> &mut Self {
-        self.constraints = constraints;
-        self
-    }
-
     /// Selects the middle-end optimization level (default
     /// [`OptLevel::O0`]).
     pub fn opt(&mut self, level: OptLevel) -> &mut Self {
@@ -128,7 +119,7 @@ impl Compiler {
         self
     }
 
-    /// Disables structural netlist validation (for speed in sweeps).
+    /// Disables structural netlist validation.
     pub fn skip_validation(&mut self) -> &mut Self {
         self.validate_netlists = false;
         self
@@ -150,7 +141,6 @@ impl Compiler {
         for thread in &program.threads {
             let binding = plan.binding_for(&thread.name);
             let result = Synthesis::of(&program)
-                .constraints(self.constraints)
                 .binding(binding)
                 .opt(self.opt)
                 .thread(thread.name.as_str())

@@ -108,11 +108,6 @@ impl Capacity {
     pub fn fits(&self, slices: u32, brams: u32) -> bool {
         slices <= self.slices && brams <= self.brams
     }
-
-    /// Slice utilization as a fraction.
-    pub fn slice_utilization(&self, slices: u32) -> f64 {
-        f64::from(slices) / f64::from(self.slices)
-    }
 }
 
 #[cfg(test)]
@@ -145,12 +140,5 @@ mod tests {
             let c = p.capacity();
             assert_eq!(c.bram_bits, u64::from(c.brams) * 18 * 1024);
         }
-    }
-
-    #[test]
-    fn utilization_fraction() {
-        let cap = Part::Xc2vp20.capacity();
-        let u = cap.slice_utilization(4640);
-        assert!((u - 0.5).abs() < 1e-9);
     }
 }

@@ -31,11 +31,6 @@ impl ImplReport {
     pub fn fits(&self, part: Part) -> bool {
         part.capacity().fits(self.slices, self.brams)
     }
-
-    /// Whether the design meets a target clock in MHz.
-    pub fn meets(&self, target_mhz: f64) -> bool {
-        self.timing.fmax_mhz >= target_mhz
-    }
 }
 
 impl fmt::Display for ImplReport {
@@ -115,7 +110,6 @@ mod tests {
         assert_eq!(r.luts, 8);
         assert!(r.slices >= 4);
         assert!(r.fits(Part::Xc2vp20));
-        assert!(r.meets(10.0));
     }
 
     #[test]

@@ -418,23 +418,6 @@ pub enum BinaryOp {
     Rem,
 }
 
-impl BinaryOp {
-    /// Whether the operator yields a 1-bit boolean result.
-    pub fn is_comparison(self) -> bool {
-        matches!(
-            self,
-            BinaryOp::Eq
-                | BinaryOp::Ne
-                | BinaryOp::Lt
-                | BinaryOp::Le
-                | BinaryOp::Gt
-                | BinaryOp::Ge
-                | BinaryOp::And
-                | BinaryOp::Or
-        )
-    }
-}
-
 /// The four pragmas of §2 of the paper.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum Pragma {
@@ -619,12 +602,5 @@ mod tests {
             index: Box::new(Expr::Int(0, Span::dummy())),
         };
         assert_eq!(idx.base(), "arr");
-    }
-
-    #[test]
-    fn comparison_classification() {
-        assert!(BinaryOp::Eq.is_comparison());
-        assert!(!BinaryOp::Add.is_comparison());
-        assert!(BinaryOp::And.is_comparison());
     }
 }

@@ -16,8 +16,7 @@
 //!   lost-update bug class (a producer re-firing before every consumer has
 //!   read, silently overwritten under the paper's sampling semantics),
 //!   consume-before-produce, deadlock cycles, and dead/undeclared
-//!   dependencies. Driven by the `memsync-lint` binary;
-//! * [`pretty`] — canonical source rendering (round-trip tested).
+//!   dependencies. Driven by the `memsync-lint` binary.
 //!
 //! # Examples
 //!
@@ -48,7 +47,6 @@ pub mod error;
 pub mod hazards;
 pub mod lexer;
 pub mod parser;
-pub mod pretty;
 pub mod sema;
 pub mod token;
 pub mod usedef;

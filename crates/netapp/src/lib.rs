@@ -6,8 +6,7 @@
 //! application whose 1/2, 1/4, and 1/8 producer/consumer scenarios the
 //! experiments sweep.
 //!
-//! * [`packet`] — IPv4/Ethernet headers, RFC 1071 checksums, the forwarding
-//!   transform;
+//! * [`packet`] — IPv4 headers, RFC 1071 checksums, the forwarding transform;
 //! * [`fib`] — binary-trie longest-prefix match plus the flat
 //!   [`fib::Dir24_8`] classifier compiled from it;
 //! * [`forwarding`] — hic source generators ([`forwarding::app_source`],
@@ -23,5 +22,5 @@ pub mod packet;
 pub mod workload;
 
 pub use fib::{Dir24_8, Fib, Route};
-pub use packet::{EthernetFrame, Ipv4Packet};
+pub use packet::Ipv4Packet;
 pub use workload::Workload;

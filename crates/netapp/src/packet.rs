@@ -1,4 +1,4 @@
-//! IPv4 / Ethernet packet structures for the forwarding workloads.
+//! IPv4 packet headers for the forwarding workloads.
 
 /// A parsed IPv4 header (the fields the forwarding path touches).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -166,52 +166,6 @@ impl std::fmt::Display for ParsePacketError {
 
 impl std::error::Error for ParsePacketError {}
 
-/// A minimal Ethernet II frame around an IPv4 header.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct EthernetFrame {
-    /// Destination MAC.
-    pub dst_mac: [u8; 6],
-    /// Source MAC.
-    pub src_mac: [u8; 6],
-    /// Encapsulated packet.
-    pub payload: Ipv4Packet,
-}
-
-impl EthernetFrame {
-    /// EtherType of IPv4.
-    pub const ETHERTYPE_IPV4: u16 = 0x0800;
-
-    /// Serializes header + IPv4 header.
-    pub fn to_bytes(&self) -> Vec<u8> {
-        let mut v = Vec::with_capacity(14 + 20);
-        v.extend_from_slice(&self.dst_mac);
-        v.extend_from_slice(&self.src_mac);
-        v.extend_from_slice(&Self::ETHERTYPE_IPV4.to_be_bytes());
-        v.extend_from_slice(&self.payload.to_bytes());
-        v
-    }
-
-    /// Parses a frame.
-    ///
-    /// # Errors
-    ///
-    /// Rejects short frames, wrong EtherType, and bad IPv4 headers.
-    pub fn from_bytes(b: &[u8]) -> Result<Self, ParsePacketError> {
-        if b.len() < 14 + 20 {
-            return Err(ParsePacketError::Truncated);
-        }
-        let ethertype = u16::from_be_bytes([b[12], b[13]]);
-        if ethertype != Self::ETHERTYPE_IPV4 {
-            return Err(ParsePacketError::NotIpv4);
-        }
-        Ok(EthernetFrame {
-            dst_mac: b[0..6].try_into().expect("length checked"),
-            src_mac: b[6..12].try_into().expect("length checked"),
-            payload: Ipv4Packet::from_bytes(&b[14..])?,
-        })
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -357,17 +311,6 @@ mod tests {
             Ipv4Packet::from_bytes(&b),
             Err(ParsePacketError::BadChecksum { .. })
         ));
-    }
-
-    #[test]
-    fn ethernet_round_trip() {
-        let f = EthernetFrame {
-            dst_mac: [1, 2, 3, 4, 5, 6],
-            src_mac: [7, 8, 9, 10, 11, 12],
-            payload: Ipv4Packet::new(5, 6, 10, 6, 60),
-        };
-        let bytes = f.to_bytes();
-        assert_eq!(EthernetFrame::from_bytes(&bytes).unwrap(), f);
     }
 
     #[test]

@@ -8,8 +8,9 @@
 //! seeded [`Workload`] packets, closed-loop: `Busy` is resent after a
 //! pause, so every generated packet is eventually served. `--routes`
 //! must match the server's FIB (checked against the server's
-//! [`ServerHello`](memsync_serve::ServerHello)); `--backend` asserts which
-//! engine the server is running.
+//! [`ServerHello`](memsync_serve::ServerHello)) and be nonzero, since
+//! the traffic aims at the FIB's /24s; `--backend` asserts which engine
+//! the server is running.
 //!
 //! A pool of `min(conns, 8)` worker threads drives the connections. Each
 //! worker opens its share of them at paced deadlines, spread evenly over
@@ -59,6 +60,7 @@ use memsync_netapp::Workload;
 use memsync_serve::client::BatchResult;
 use memsync_serve::flags::Flags;
 use memsync_serve::{BackendKind, Client, Response, SubmitOptions};
+use memsync_trace::registry::percentile;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Barrier};
 use std::time::{Duration, Instant};
@@ -265,16 +267,6 @@ fn run_churn(addr: &str, rate: u64, stop: &AtomicBool) -> ChurnReport {
     report
 }
 
-/// Nearest-rank percentile over a sorted sample set, in microseconds.
-/// Returns 0 when no batch completed.
-fn percentile_us(sorted_ns: &[u64], p: f64) -> u64 {
-    if sorted_ns.is_empty() {
-        return 0;
-    }
-    let rank = ((p * sorted_ns.len() as f64).ceil() as usize).clamp(1, sorted_ns.len());
-    sorted_ns[rank - 1] / 1_000
-}
-
 fn main() {
     let flags = Flags::parse(USAGE);
     let addr = flags.value("--addr").unwrap_or("127.0.0.1:7171").to_owned();
@@ -288,7 +280,10 @@ fn main() {
         ));
     }
     let seed: u64 = flags.or("--seed", 42);
-    let routes: usize = flags.or("--routes", 64);
+    let routes: usize = match flags.or("--routes", 64) {
+        0 => flags.fail("--routes must be nonzero: the traffic aims at the FIB's /24s"),
+        n => n,
+    };
     let options = SubmitOptions::new().verify(flags.has("--verify"));
     let ramp = Duration::from_millis(flags.or("--ramp", 0));
     let spans = flags.has("--spans");
@@ -404,7 +399,9 @@ fn main() {
         totals.forwarded, totals.dropped, totals.mismatches, totals.busy_retries
     );
     rtts.sort_unstable();
-    let (rtt_p50_us, rtt_p99_us) = (percentile_us(&rtts, 0.50), percentile_us(&rtts, 0.99));
+    // In microseconds; 0 when no batch completed.
+    let percentile_us = |q| percentile(&rtts, q).map_or(0, |ns| ns / 1_000);
+    let (rtt_p50_us, rtt_p99_us) = (percentile_us(0.50), percentile_us(0.99));
     println!(
         "batch rtt p50 {rtt_p50_us}µs p99 {rtt_p99_us}µs ({} samples)",
         rtts.len()

@@ -21,6 +21,7 @@
 use memsync_serve::flags::Flags;
 use memsync_serve::snapshot::{StageSummarySnapshot, StatsSnapshot};
 use memsync_serve::Client;
+use memsync_trace::registry::percentile;
 use memsync_trace::SpanRecord;
 use std::io::IsTerminal;
 use std::time::{Duration, Instant};
@@ -39,15 +40,6 @@ fn fmt_ns(ns: u64) -> String {
     } else {
         format!("{ns}ns")
     }
-}
-
-/// Percentile over a sorted slice (nearest-rank on the closed interval).
-fn percentile(sorted: &[u64], q: f64) -> u64 {
-    if sorted.is_empty() {
-        return 0;
-    }
-    let idx = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
 }
 
 // ---------------------------------------------------------------- replay
@@ -87,13 +79,14 @@ fn replay(path: &str, slowest: usize) -> Result<(), String> {
         let name = spans[0].stages()[stage_idx].0;
         let mut vals: Vec<u64> = spans.iter().map(|s| s.stages()[stage_idx].1).collect();
         vals.sort_unstable();
+        let pct = |q| fmt_ns(percentile(&vals, q).expect("one value per span"));
         println!(
             "{:<10} {:>8} {:>10} {:>10} {:>10} {:>10}",
             name,
             vals.len(),
-            fmt_ns(percentile(&vals, 0.50)),
-            fmt_ns(percentile(&vals, 0.90)),
-            fmt_ns(percentile(&vals, 0.99)),
+            pct(0.50),
+            pct(0.90),
+            pct(0.99),
             fmt_ns(*vals.last().unwrap()),
         );
     }

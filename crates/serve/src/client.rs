@@ -191,7 +191,7 @@ pub struct Client {
 }
 
 /// The typed outcome of a route mutation ([`Client::route_add`],
-/// [`Client::route_withdraw`], [`Client::swap_default`]).
+/// [`Client::route_withdraw`]).
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct RouteUpdate {
     /// Table generation that carries the mutation. The response arrives
@@ -433,9 +433,10 @@ impl Client {
         }
     }
 
-    /// Inserts (or re-targets) a batch of routes in the live FIB. The
-    /// call returns once the new table generation is visible to every
-    /// shard (the server runs its drain barrier before responding).
+    /// Inserts (or re-targets) a batch of routes in the live FIB; a route
+    /// of `0/0` re-targets the default. The call returns once the new
+    /// table generation is visible to every shard (the server runs its
+    /// drain barrier before responding).
     ///
     /// # Errors
     ///
@@ -455,15 +456,6 @@ impl Client {
     /// See [`Client::route_add`].
     pub fn route_withdraw(&mut self, prefixes: &[(u32, u8)]) -> Result<RouteUpdate, ClientError> {
         self.control_roundtrip(&Request::RouteWithdraw(prefixes.to_vec()))
-    }
-
-    /// Re-targets the default route (`0.0.0.0/0`) in one frame.
-    ///
-    /// # Errors
-    ///
-    /// See [`Client::route_add`].
-    pub fn swap_default(&mut self, next_hop: u32) -> Result<RouteUpdate, ClientError> {
-        self.control_roundtrip(&Request::SwapDefault { next_hop })
     }
 
     /// Fault injection: asks the service to crash shard `shard` on its

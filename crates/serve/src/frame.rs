@@ -34,10 +34,12 @@ use std::io::{self, Read, Write};
 
 /// The one protocol version this build speaks. Version 2 added the
 /// [`Request::Hello`] handshake and [`SubmitOptions`] flags, version 3 the
-/// live control plane ([`Request::RouteAdd`], [`Request::RouteWithdraw`],
-/// [`Request::SwapDefault`]); version 4 dropped the capability byte from
-/// [`ServerHello`] and the pushed stats stream.
-pub const PROTOCOL_VERSION: u16 = 4;
+/// live control plane ([`Request::RouteAdd`], [`Request::RouteWithdraw`]
+/// and a swap-default frame, type `0x0a`); version 4 dropped the
+/// capability byte from [`ServerHello`] and the pushed stats stream;
+/// version 5 dropped the swap-default frame, which a [`Request::RouteAdd`]
+/// of `0/0` replaces.
+pub const PROTOCOL_VERSION: u16 = 5;
 
 /// Hard ceiling on a frame payload (1 MiB) — a malformed length prefix
 /// must not allocate unbounded memory.
@@ -496,12 +498,6 @@ frames! {
         /// `prefix/len`. Absent routes are skipped (reflected in the
         /// response's `applied` count), not errors — withdraw is idempotent.
         RouteWithdraw(prefixes: Vec<(u32, u8)>) = 0x09, "route-withdraw";
-        /// Control plane (v3): atomically swap the default route's next hop
-        /// (shorthand for a one-route `RouteAdd` of `0/0`).
-        SwapDefault {
-            /// The new next hop for the `0/0` route.
-            next_hop: u32,
-        } = 0x0a, "swap-default";
     }
 }
 
@@ -565,10 +561,7 @@ impl<'a> Request<'a> {
     /// Whether this request is a control-plane frame (refused while the
     /// server drains).
     pub fn is_control(&self) -> bool {
-        matches!(
-            self,
-            Request::RouteAdd(_) | Request::RouteWithdraw(_) | Request::SwapDefault { .. }
-        )
+        matches!(self, Request::RouteAdd(_) | Request::RouteWithdraw(_))
     }
 }
 
@@ -907,7 +900,6 @@ mod tests {
             ]),
             Request::RouteAdd(Vec::new()),
             Request::RouteWithdraw(vec![(0x0a00_0000, 8), (0, 0)]),
-            Request::SwapDefault { next_hop: 17 },
         ];
         let mut scratch = Vec::new();
         for r in reqs {
@@ -987,7 +979,7 @@ mod tests {
             assert_eq!(out, bytes, "{dir} {name} re-encodes byte for byte");
             names.insert((dir, name));
         }
-        assert_eq!(names.len(), 17, "every frame type is pinned: {names:?}");
+        assert_eq!(names.len(), 16, "every frame type is pinned: {names:?}");
     }
 
     #[test]

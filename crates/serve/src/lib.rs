@@ -16,7 +16,7 @@
 //! * [`frame`] — the length-prefixed binary frame protocol (`Hello`
 //!   handshake / submit packet batch / query stats / drain /
 //!   shutdown / fault-inject kill, plus the protocol-v3 control frames:
-//!   route add / route withdraw / default swap);
+//!   route add / route withdraw);
 //! * [`tables`] — the generation-swapped (RCU-style) route tables behind
 //!   the v3 control plane: a single writer compiles and publishes whole
 //!   fresh tables, shard readers follow one atomic generation counter

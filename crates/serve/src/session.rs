@@ -191,9 +191,6 @@ impl Session {
             Request::RouteWithdraw(prefixes) => {
                 return self.start_route(ControlOp::Withdraw(prefixes), now, out)
             }
-            Request::SwapDefault { next_hop } => {
-                return self.start_route(ControlOp::SwapDefault(next_hop), now, out)
-            }
             Request::Submit { options, .. } => {
                 return self.start_submit(options, decode_ns, now, out)
             }

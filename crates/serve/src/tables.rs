@@ -43,6 +43,7 @@ use crate::shard::{Shard, ShardTables};
 use crate::snapshot::{FibSnapshot, SwapLatencySnapshot};
 use memsync_netapp::fib::{CapacityError, Dir24_8, Route};
 use memsync_netapp::Fib;
+use memsync_trace::registry::percentile;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{Receiver, RecvTimeoutError, Sender};
 use std::sync::{Arc, Mutex};
@@ -53,13 +54,11 @@ use std::time::{Duration, Instant};
 /// host-side test).
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ControlOp {
-    /// Insert (or re-target) a batch of routes.
+    /// Insert (or re-target) a batch of routes; `0/0` is the default.
     Add(Vec<Route>),
     /// Withdraw a batch of `(prefix, len)` entries; absent entries are
     /// counted out of `applied` rather than erroring.
     Withdraw(Vec<(u32, u8)>),
-    /// Re-target the default route in one frame.
-    SwapDefault(u32),
 }
 
 impl ControlOp {
@@ -77,14 +76,6 @@ impl ControlOp {
                 .iter()
                 .filter(|(prefix, len)| fib.remove(*prefix, *len).is_some())
                 .count() as u32,
-            ControlOp::SwapDefault(next_hop) => {
-                fib.insert(Route {
-                    prefix: 0,
-                    len: 0,
-                    next_hop: *next_hop,
-                });
-                1
-            }
         }
     }
 }
@@ -280,7 +271,7 @@ impl EpochTables {
             let l = unpoison(self.latency.lock());
             let mut sorted = l.samples.clone();
             sorted.sort_unstable();
-            let pick = |q: f64| sorted[((sorted.len() - 1) as f64 * q) as usize];
+            let pick = |q| percentile(&sorted, q).expect("a max implies samples");
             sorted.last().map(|&max| SwapLatencySnapshot {
                 count: l.count,
                 p50: pick(0.50),
@@ -466,12 +457,12 @@ mod tests {
     fn a_replaced_table_is_freed_as_soon_as_its_last_reader_lets_go() {
         let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
         let boot = Arc::downgrade(&epoch.current().1);
-        epoch.mutate(&[ControlOp::SwapDefault(8)]);
+        epoch.mutate(&[ControlOp::Add(vec![route(0, 0, 8)])]);
         assert!(boot.upgrade().is_none(), "nothing else held the boot table");
 
         let (_, reader) = epoch.current();
         let second = Arc::downgrade(&reader);
-        epoch.mutate(&[ControlOp::SwapDefault(9)]);
+        epoch.mutate(&[ControlOp::Add(vec![route(0, 0, 9)])]);
         assert!(second.upgrade().is_some(), "a reader still holds it");
         assert_eq!(reader.dir.lookup(1), Some(8), "and still classifies");
         drop(reader);
@@ -492,15 +483,6 @@ mod tests {
         assert_eq!(r, [ok(2, 1, 1)], "absent withdraw does not count");
         let (_, t) = epoch.current();
         assert_eq!(t.dir.lookup(0x0a00_0001), Some(7), "default shows through");
-    }
-
-    #[test]
-    fn swap_default_retargets_in_one_op() {
-        let epoch = EpochTables::new(ShardTables::from_routes(&[route(0, 0, 7)]));
-        let r = epoch.mutate(&[ControlOp::SwapDefault(99)]);
-        assert_eq!(r, [ok(2, 1, 1)], "replaces, not adds");
-        let (_, t) = epoch.current();
-        assert_eq!(t.dir.lookup(0x1234_5678), Some(99));
     }
 
     #[test]
@@ -537,7 +519,7 @@ mod tests {
             // the barrier.
             let outgoing = epoch.current().1;
             let boot = Arc::downgrade(&outgoing);
-            epoch.mutate(&[ControlOp::SwapDefault(8)]);
+            epoch.mutate(&[ControlOp::Add(vec![route(0, 0, 8)])]);
             shard.adopt(&epoch);
             assert!(
                 rx.try_recv().is_ok(),
@@ -559,7 +541,7 @@ mod tests {
         let shard = Shard::new(0, config.queue_cap);
         serve_one(&shard, &epoch, &config);
         // The engine lags one generation, so the barrier reads the slot.
-        epoch.mutate(&[ControlOp::SwapDefault(8)]);
+        epoch.mutate(&[ControlOp::Add(vec![route(0, 0, 8)])]);
         let owner = Arc::new(CountWaker::default());
         let (tx, rx) = channel();
         let job = job_replying_on(Reply::with_waker(tx, Arc::clone(&owner) as _));
@@ -669,7 +651,10 @@ mod tests {
             (epoch.generation(), epoch.routes(), epoch.swaps()),
             (2, 2, 1)
         );
-        assert_eq!(epoch.mutate(&[ControlOp::SwapDefault(9)]), [ok(3, 2, 1)]);
+        assert_eq!(
+            epoch.mutate(&[ControlOp::Add(vec![route(0, 0, 9)])]),
+            [ok(3, 2, 1)]
+        );
     }
 
     #[test]

@@ -194,7 +194,13 @@ fn route_mutations_round_trip_after_the_handshake() {
         .expect("route withdraw");
     assert_eq!(up.routes, 17, "back to the boot table size");
     assert_eq!(up.applied, 1, "absent prefix does not count");
-    let up = client.swap_default(77).expect("swap default");
+    let up = client
+        .route_add(&[memsync_netapp::fib::Route {
+            prefix: 0,
+            len: 0,
+            next_hop: 77,
+        }])
+        .expect("swap default");
     assert_eq!(up.applied, 1);
     // The stats fib section audits the swaps and the retirement barrier.
     let snap = client.stats().expect("stats");

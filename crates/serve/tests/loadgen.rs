@@ -159,6 +159,8 @@ fn every_bin_refuses_a_flag_it_does_not_know_with_exit_2() {
         (loadgen, "--addr 127.0.0.1:1 --conn 100"),
         (loadgen, "--addr 127.0.0.1:1 --conns 8 --jobs"),
         (loadgen, "--addr 127.0.0.1:1 --batch 0"),
+        // No FIB prefix to aim the generated traffic at.
+        (loadgen, "--addr 127.0.0.1:1 --routes 0"),
         // A poll interval past the server's idle deadline.
         (loadgen, "--addr 127.0.0.1:1 --stats-interval 25000"),
         (top, "--addr 127.0.0.1:1 --frame 1"),

@@ -130,7 +130,13 @@ fn withdrawing_the_default_route_drops_its_traffic_until_one_is_swapped_back() {
         up.generation,
         "no route: every packet drops"
     );
-    let up = client.swap_default(9).expect("swap a default back in");
+    let up = client
+        .route_add(&[Route {
+            prefix: 0,
+            len: 0,
+            next_hop: 9,
+        }])
+        .expect("swap a default back in");
     assert_eq!(step(&mut client, 32), up.generation, "forwarding again");
     client.shutdown().expect("shutdown");
     server.wait();

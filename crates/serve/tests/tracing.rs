@@ -13,6 +13,7 @@
 use memsync_netapp::Workload;
 use memsync_serve::{BackendKind, Client, ServeConfig, Server, SubmitOptions, TracingConfig};
 use memsync_trace::bucket::bucket_index;
+use memsync_trace::registry::percentile;
 use memsync_trace::SpanRecord;
 use std::path::PathBuf;
 use std::time::Duration;
@@ -41,13 +42,6 @@ fn traced_config(spans_path: Option<String>) -> ServeConfig {
 
 fn temp_spans_path(tag: &str) -> PathBuf {
     std::env::temp_dir().join(format!("memsync-spans-{tag}-{}.jsonl", std::process::id()))
-}
-
-/// Raw-sample percentile at the same rank the bucket histogram uses:
-/// 1-based rank `round(q * (n - 1)) + 1`.
-fn raw_percentile(sorted: &[u64], q: f64) -> u64 {
-    let rank = (q * (sorted.len() - 1) as f64).round() as usize;
-    sorted[rank.min(sorted.len() - 1)]
 }
 
 #[test]
@@ -117,7 +111,8 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
         assert_eq!(live.min, raw[0], "{stage} exact min");
         assert_eq!(live.max, *raw.last().unwrap(), "{stage} exact max");
         for (q, live_p) in [(0.50, live.p50), (0.99, live.p99)] {
-            let raw_p = raw_percentile(&raw, q);
+            // The raw-sample rank the bucket histogram resolves.
+            let raw_p = percentile(&raw, q).expect("spans recorded");
             let (ri, li) = (bucket_index(raw_p), bucket_index(live_p));
             assert!(
                 ri.abs_diff(li) <= 1,

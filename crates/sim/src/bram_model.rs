@@ -47,14 +47,6 @@ impl BramModel {
     pub fn write(&mut self, addr: u32, data: u32) {
         self.words[addr as usize % BANK_WORDS] = data;
     }
-
-    /// Read-first simultaneous read+write on one port (Virtex-II Pro
-    /// read-first behaviour): returns the old value.
-    pub fn read_write(&mut self, addr: u32, data: u32) -> u32 {
-        let old = self.read(addr);
-        self.write(addr, data);
-        old
-    }
 }
 
 #[cfg(test)]
@@ -67,15 +59,6 @@ mod tests {
         b.write(7, 0xdead_beef);
         assert_eq!(b.read(7), 0xdead_beef);
         assert_eq!(b.read(8), 0);
-    }
-
-    #[test]
-    fn read_first_semantics() {
-        let mut b = BramModel::new();
-        b.write(3, 111);
-        let old = b.read_write(3, 222);
-        assert_eq!(old, 111);
-        assert_eq!(b.read(3), 222);
     }
 
     #[test]

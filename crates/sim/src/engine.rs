@@ -1,11 +1,11 @@
 //! The simulation engine: wires synthesized thread FSMs to behavioral
 //! memory-organization models and steps the whole system cycle by cycle.
 //!
-//! The hot path is fully interned (see [`crate::intern`]): thread and bank
-//! names are resolved to dense [`ThreadId`]/[`BankId`] indices once at
-//! [`System::new`] time, per-bank routing tables map pseudo-port slots to
-//! thread ids and back, and every per-cycle buffer (requests, wrapper
-//! inputs/outputs) is preallocated.
+//! The hot path is fully interned (see [`crate::intern`]): thread names
+//! are resolved to dense [`ThreadId`] indices once at [`System::new`]
+//! time, banks are indexed in allocation order, per-bank routing tables
+//! map pseudo-port slots to thread ids and back, and every per-cycle
+//! buffer (requests, wrapper inputs/outputs) is preallocated.
 //!
 //! A step does work only where state can change. It ticks the threads that
 //! can progress: a thread waiting on memory, or on `recv` with an empty
@@ -34,10 +34,9 @@
 use crate::arb_model::{ArbInputs, ArbOutputs, ArbitratedModel};
 use crate::bram_model::BramModel;
 use crate::event_model::{EventDrivenModel, EvtInputs, EvtOutputs};
-use crate::intern::{BankId, Interner, ThreadId};
+use crate::intern::{Interner, ThreadId};
 use crate::thread_model::{MemRequest, MemResponse, ThreadExec};
 use crate::traffic::ArrivalProcess;
-use memsync_core::alloc::SyncBank;
 use memsync_core::modulo::ModuloSchedule;
 use memsync_core::{CompiledSystem, OrganizationKind};
 use memsync_synth::ir::PortClass;
@@ -124,11 +123,10 @@ struct PrivateBank {
     pending_delivery: Option<(u32, u32)>,
 }
 
-/// A sync bank plus the interned routing tables the per-cycle loop uses in
-/// place of name lookups.
+/// A sync bank's wrapper model plus the interned routing tables the
+/// per-cycle loop uses in place of name lookups.
 #[derive(Debug)]
 struct SimBank {
-    spec: SyncBank,
     model: BankModel,
     /// Consumer pseudo-port slot -> executing thread (None when the named
     /// consumer did not compile to a thread).
@@ -196,15 +194,7 @@ impl System {
     /// on the same compiled program).
     pub fn with_organization(compiled: &CompiledSystem, kind: OrganizationKind) -> Self {
         let threads: Vec<ThreadExec> = compiled.fsms.iter().cloned().map(ThreadExec::new).collect();
-        let interner = Interner::new(
-            compiled.fsms.iter().map(|f| f.thread.clone()).collect(),
-            compiled
-                .plan
-                .sync_banks
-                .iter()
-                .map(|b| b.name.clone())
-                .collect(),
-        );
+        let interner = Interner::new(compiled.fsms.iter().map(|f| f.thread.clone()).collect());
         let n_threads = threads.len();
         let mut banks = Vec::new();
         let mut addr_route: Vec<(u32, u32)> = Vec::new();
@@ -272,7 +262,6 @@ impl System {
             }
             let last_issue = vec![None; bank.consumers.len()];
             banks.push(SimBank {
-                spec: bank.clone(),
                 model,
                 consumer_thread,
                 producer_thread,
@@ -308,21 +297,9 @@ impl System {
         self.cycle
     }
 
-    /// The thread/bank name tables. Trace consumers use this to render an
-    /// event's thread or bank index as a name lazily — the engine itself
-    /// never touches names after construction.
-    pub fn interner(&self) -> &Interner {
-        &self.interner
-    }
-
     /// Id of a thread by name (cold-path lookup).
     pub fn thread_id(&self, name: &str) -> Option<ThreadId> {
         self.interner.thread_id(name)
-    }
-
-    /// Id of a sync bank by name (cold-path lookup).
-    pub fn bank_id(&self, name: &str) -> Option<BankId> {
-        self.interner.bank_id(name)
     }
 
     /// Routes cycle events to `sink` and turns on instrumented stepping
@@ -340,26 +317,11 @@ impl System {
         self.instrumented = true;
     }
 
-    /// Flushes the attached sink (JSONL writers buffer).
-    pub fn flush_trace(&mut self) {
-        self.sink.flush();
-    }
-
     /// Access a thread by name.
     pub fn thread(&self, name: &str) -> Option<&ThreadExec> {
         self.interner
             .thread_id(name)
             .map(|id| &self.threads[id.idx()])
-    }
-
-    /// Access a thread by id.
-    pub fn thread_by_id(&self, id: ThreadId) -> &ThreadExec {
-        &self.threads[id.idx()]
-    }
-
-    /// The allocation-time spec of a sync bank.
-    pub fn bank_spec(&self, id: BankId) -> &SyncBank {
-        &self.banks[id.idx()].spec
     }
 
     /// Queues a message for a thread's `recv` interface.
@@ -379,14 +341,6 @@ impl System {
         if let Some(id) = self.interner.thread_id(thread) {
             self.rx_queues[id.idx()].extend(values);
         }
-    }
-
-    /// Messages currently queued on a thread's `recv` interface.
-    pub fn rx_queue_len(&self, thread: &str) -> usize {
-        self.interner
-            .thread_id(thread)
-            .map(|id| self.rx_queues[id.idx()].len())
-            .unwrap_or(0)
     }
 
     /// Messages a thread has sent on its tx interface so far.
@@ -904,24 +858,15 @@ mod tests {
     }
 
     #[test]
-    fn interner_round_trips_thread_and_bank_names() {
+    fn thread_ids_follow_the_compiled_fsms() {
         let sys_desc = compiled(OrganizationKind::Arbitrated);
         let sys = System::new(&sys_desc);
-        for name in ["t1", "t2", "t3"] {
+        for (i, name) in ["t1", "t2", "t3"].into_iter().enumerate() {
             let id = sys.thread_id(name).expect("thread interned");
-            assert_eq!(sys.interner().thread_name(id), name);
-            assert_eq!(sys.thread_by_id(id).name(), name);
+            assert_eq!(id, ThreadId(i as u32));
+            assert_eq!(sys.thread(name).expect("thread exists").name(), name);
         }
         assert_eq!(sys.thread_id("nope"), None);
-        // Allocation names banks sync0, sync1, ...; mt1 is the pragma label.
-        let bid = sys.bank_id("sync0").expect("bank interned");
-        assert_eq!(sys.interner().bank_name(bid), "sync0");
-        assert_eq!(sys.bank_spec(bid).name, "sync0");
-        assert_eq!(sys.bank_spec(bid).producers, vec!["t1".to_owned()]);
-        assert_eq!(
-            sys.bank_spec(bid).consumers,
-            vec!["t2".to_owned(), "t3".to_owned()]
-        );
     }
 
     /// Figure 1 with the producer paced by packet arrivals — §3.1's
@@ -1053,18 +998,15 @@ mod tests {
         let mut sys = System::new(&compiled);
         let rx = sys.thread_id("rx").unwrap();
         sys.push_messages("rx", [10i64, 20, 30]);
-        assert_eq!(sys.rx_queue_len("rx"), 3);
         assert!(sys.run_until_sent(&[rx], 3, 10_000), "batch completes");
-        assert_eq!(sys.rx_queue_len("rx"), 0);
         assert_eq!(sys.drain_sent(rx), vec![11, 21, 31]);
         assert_eq!(sys.sent_count(rx), 0, "drained");
         // A second batch starts from a clean sent buffer.
         sys.push_messages("rx", [40i64]);
         assert!(sys.run_until_sent(&[rx], 1, 10_000));
         assert_eq!(sys.drain_sent(rx), vec![41]);
-        // Unknown thread names are ignored / empty, matching push_message.
+        // Unknown thread names are ignored, matching push_message.
         sys.push_messages("nope", [1i64]);
-        assert_eq!(sys.rx_queue_len("nope"), 0);
     }
 
     #[test]

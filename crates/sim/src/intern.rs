@@ -1,24 +1,16 @@
-//! Dense integer IDs for thread and bank names.
+//! Dense integer IDs for thread names.
 //!
 //! The engine's hot loop must not touch `String`s: at [`crate::System`]
-//! construction time every thread and sync-bank name is interned into a
-//! [`ThreadId`] / [`BankId`], and all per-cycle state (private banks, rx
-//! queues, arrival sources, last-issue attribution) lives in flat `Vec`s
-//! indexed by those IDs. Names are only materialized again at the edges —
-//! public lookups like [`crate::System::thread`] and trace sinks that want
-//! to render an event's thread index lazily resolve through the
-//! [`Interner`].
+//! construction time every thread name is interned into a [`ThreadId`],
+//! and all per-cycle state (private banks, rx queues, arrival sources,
+//! per-bank slot routing) lives in flat `Vec`s indexed by those IDs. Names
+//! are only looked up again on cold, user-facing paths such as
+//! [`crate::System::thread`].
 
 /// Dense index of a thread within a [`crate::System`] (order of
 /// `CompiledSystem::fsms`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct ThreadId(pub u32);
-
-/// Dense index of a sync bank within a [`crate::System`] (order of
-/// `AllocationPlan::sync_banks`; private port-A banks follow at
-/// `n_sync + thread`).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
-pub struct BankId(pub u32);
 
 impl ThreadId {
     /// The id as a `usize` index.
@@ -28,40 +20,19 @@ impl ThreadId {
     }
 }
 
-impl BankId {
-    /// The id as a `usize` index.
-    #[inline]
-    pub fn idx(self) -> usize {
-        self.0 as usize
-    }
-}
-
-/// Bidirectional name table built once at `System::new` time.
+/// Thread-name table built once at `System::new` time.
 ///
-/// Forward lookups (`name -> id`) are linear scans over the interned
-/// tables — they only run on cold, user-facing paths (`System::thread`,
-/// `System::attach_source`). Reverse lookups (`id -> name`) are direct
-/// indexing and are what trace consumers use to render names lazily.
+/// Lookups (`name -> id`) are linear scans — they only run on cold,
+/// user-facing paths (`System::thread`, `System::attach_source`).
 #[derive(Debug, Clone, Default)]
 pub struct Interner {
     threads: Vec<String>,
-    banks: Vec<String>,
 }
 
 impl Interner {
-    /// Builds the table from thread and bank names, in engine order.
-    pub fn new(threads: Vec<String>, banks: Vec<String>) -> Self {
-        Interner { threads, banks }
-    }
-
-    /// Number of interned threads.
-    pub fn n_threads(&self) -> usize {
-        self.threads.len()
-    }
-
-    /// Number of interned sync banks.
-    pub fn n_banks(&self) -> usize {
-        self.banks.len()
+    /// Builds the table from thread names, in engine order.
+    pub fn new(threads: Vec<String>) -> Self {
+        Interner { threads }
     }
 
     /// Id of a thread name, if interned.
@@ -71,71 +42,16 @@ impl Interner {
             .position(|t| t == name)
             .map(|i| ThreadId(i as u32))
     }
-
-    /// Id of a bank name, if interned.
-    pub fn bank_id(&self, name: &str) -> Option<BankId> {
-        self.banks
-            .iter()
-            .position(|b| b == name)
-            .map(|i| BankId(i as u32))
-    }
-
-    /// Name of a thread id.
-    pub fn thread_name(&self, id: ThreadId) -> &str {
-        &self.threads[id.idx()]
-    }
-
-    /// Name of a bank id.
-    pub fn bank_name(&self, id: BankId) -> &str {
-        &self.banks[id.idx()]
-    }
-
-    /// All thread names in id order.
-    pub fn thread_names(&self) -> &[String] {
-        &self.threads
-    }
-
-    /// All bank names in id order.
-    pub fn bank_names(&self) -> &[String] {
-        &self.banks
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
-    fn table() -> Interner {
-        Interner::new(
-            vec!["t1".into(), "t2".into(), "t3".into()],
-            vec!["mt1".into()],
-        )
-    }
-
     #[test]
-    fn round_trips_thread_names() {
-        let i = table();
-        assert_eq!(i.n_threads(), 3);
-        let id = i.thread_id("t2").unwrap();
-        assert_eq!(id, ThreadId(1));
-        assert_eq!(i.thread_name(id), "t2");
+    fn ids_follow_engine_order() {
+        let i = Interner::new(vec!["t1".into(), "t2".into(), "t3".into()]);
+        assert_eq!(i.thread_id("t2"), Some(ThreadId(1)));
         assert_eq!(i.thread_id("nope"), None);
-    }
-
-    #[test]
-    fn round_trips_bank_names() {
-        let i = table();
-        assert_eq!(i.n_banks(), 1);
-        let id = i.bank_id("mt1").unwrap();
-        assert_eq!(id, BankId(0));
-        assert_eq!(i.bank_name(id), "mt1");
-        assert_eq!(i.bank_id("mt2"), None);
-    }
-
-    #[test]
-    fn exposes_tables_in_id_order() {
-        let i = table();
-        assert_eq!(i.thread_names(), &["t1", "t2", "t3"]);
-        assert_eq!(i.bank_names(), &["mt1"]);
     }
 }

@@ -34,5 +34,5 @@ pub mod thread_model;
 pub mod traffic;
 
 pub use engine::System;
-pub use intern::{BankId, Interner, ThreadId};
+pub use intern::{Interner, ThreadId};
 pub use thread_model::{MemRequest, MemResponse, ThreadExec};

@@ -262,11 +262,6 @@ impl MemBinding {
             .cloned()
             .unwrap_or(Residency::Register)
     }
-
-    /// Whether a variable is memory-resident.
-    pub fn in_memory(&self, var: &str) -> bool {
-        matches!(self.residency_of(var), Residency::Memory { .. })
-    }
 }
 
 /// The dataflow function of one thread: declared variables plus blocks.
@@ -329,7 +324,6 @@ mod tests {
         let mut b = MemBinding::new();
         assert_eq!(b.residency_of("x"), Residency::Register);
         b.place_in_memory("x", PortClass::C, 16);
-        assert!(b.in_memory("x"));
         assert_eq!(
             b.residency_of("x"),
             Residency::Memory {

@@ -23,7 +23,7 @@ pub enum Port {
 }
 
 impl Port {
-    /// Short stable name used in the JSONL schema and VCD signal names.
+    /// Short stable name used in the JSONL schema.
     pub fn name(self) -> &'static str {
         match self {
             Port::A => "A",

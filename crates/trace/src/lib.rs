@@ -18,8 +18,6 @@
 //!   utilization;
 //! * [`latency`] — the produce-to-consume [`LatencyRecorder`] (folded into
 //!   the registry);
-//! * [`vcd`] — exports event streams as VCD so traces open in waveform
-//!   viewers;
 //! * [`bucket`] — fixed-footprint log2 [`BucketHistogram`]s for long-lived
 //!   processes (the serve stage-latency histograms);
 //! * [`span`] — request-scoped [`SpanRecord`]s: per-stage timings of one
@@ -40,7 +38,6 @@ pub mod prng;
 pub mod registry;
 pub mod sink;
 pub mod span;
-pub mod vcd;
 
 pub use bucket::{BucketHistogram, BucketSummary};
 pub use event::{EventKind, Port, Role, TraceEvent};

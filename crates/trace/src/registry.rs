@@ -28,21 +28,15 @@ use crate::latency::{LatencyRecorder, LatencyStats};
 use crate::sink::TraceSink;
 use std::collections::BTreeMap;
 
-/// Nearest-rank percentile of an *unsorted* sample slice: the sample at
-/// rank `round(q * (n - 1))` in sorted order, with no interpolation
-/// between neighbours.
+/// Nearest-rank percentile of an ascending sample slice: the sample at
+/// rank `round(q * (n - 1))`, with no interpolation between neighbours.
+/// This is the rank [`BucketHistogram::percentile`] resolves to a bucket.
 ///
-/// `q` is in `[0, 1]`; returns `None` on an empty slice. Single samples
-/// answer every percentile with themselves.
-pub fn percentile(samples: &[u64], q: f64) -> Option<u64> {
-    if samples.is_empty() {
-        return None;
-    }
-    let mut sorted: Vec<u64> = samples.to_vec();
-    sorted.sort_unstable();
-    let q = q.clamp(0.0, 1.0);
-    let idx = q * (sorted.len() - 1) as f64;
-    Some(sorted[idx.round() as usize])
+/// `q` is clamped to `[0, 1]`; returns `None` on an empty slice. Single
+/// samples answer every percentile with themselves.
+pub fn percentile(sorted: &[u64], q: f64) -> Option<u64> {
+    let last = sorted.len().checked_sub(1)?;
+    Some(sorted[(q.clamp(0.0, 1.0) * last as f64).round() as usize])
 }
 
 /// A recorded sample distribution. It keeps every raw sample, so use it
@@ -85,18 +79,20 @@ impl Histogram {
 
     /// Percentile summary; `None` when empty.
     pub fn summary(&self) -> Option<HistSummary> {
-        let count = self.samples.len();
-        let min = *self.samples.iter().min()?;
-        let max = *self.samples.iter().max()?;
-        let sum: u128 = self.samples.iter().map(|&v| u128::from(v)).sum();
+        let mut sorted = self.samples.clone();
+        sorted.sort_unstable();
+        let (&min, &max) = (sorted.first()?, sorted.last()?);
+        let count = sorted.len();
+        let sum: u128 = sorted.iter().map(|&v| u128::from(v)).sum();
+        let pct = |q| percentile(&sorted, q).expect("non-empty");
         Some(HistSummary {
             count,
             min,
             max,
             mean: sum as f64 / count as f64,
-            p50: percentile(&self.samples, 0.50).expect("non-empty"),
-            p90: percentile(&self.samples, 0.90).expect("non-empty"),
-            p99: percentile(&self.samples, 0.99).expect("non-empty"),
+            p50: pct(0.50),
+            p90: pct(0.90),
+            p99: pct(0.99),
         })
     }
 }
@@ -160,15 +156,6 @@ impl MetricsRegistry {
     /// Current counter value (0 when never touched).
     pub fn counter(&self, name: &str) -> u64 {
         self.counters.get(name).copied().unwrap_or(0)
-    }
-
-    /// Counters whose name starts with `prefix`, summed.
-    pub fn counter_sum(&self, prefix: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(k, _)| k.starts_with(prefix))
-            .map(|(_, v)| v)
-            .sum()
     }
 
     /// Records a histogram sample.
@@ -306,7 +293,7 @@ impl MetricsRegistry {
     /// Folds another registry into this one: counters sum, histograms
     /// concatenate their samples (percentile summaries of the merged
     /// histogram equal those of recording every sample into one registry —
-    /// `percentile` is order-independent), high-water marks keep the
+    /// the summary sorts before it ranks), high-water marks keep the
     /// maximum, latency streams add their running sums, and the
     /// utilization span covers both. In-flight grant-wait state
     /// (`wait_since`) and open produce rounds are *not* merged: merge
@@ -620,15 +607,5 @@ mod tests {
         tee.emit(&ev(1, EventKind::ArbStall { consumer: 0 }));
         assert_eq!(v.events.len(), 1);
         assert_eq!(r.counter("bank0.arb_stall.c0"), 1);
-    }
-
-    #[test]
-    fn counter_sum_matches_prefix() {
-        let mut r = MetricsRegistry::new();
-        r.add("bank0.arb_stall.c0", 2);
-        r.add("bank0.arb_stall.c1", 3);
-        r.add("bank1.arb_stall.c0", 5);
-        assert_eq!(r.counter_sum("bank0.arb_stall."), 5);
-        assert_eq!(r.counter_sum("bank"), 10);
     }
 }

@@ -5,13 +5,11 @@
 //! while the event-driven organization delivers with zero variance.
 //!
 //! Run with: `cargo run --example trace_demo`
-//!
-//! Writes `trace_demo.vcd` (arbitrated run) for waveform viewers.
 
 use memsync::core::{Compiler, OrganizationKind};
 use memsync::sim::traffic::BernoulliSource;
 use memsync::sim::System;
-use memsync::trace::{vcd, SharedSink, VecSink};
+use memsync::trace::{SharedSink, VecSink};
 
 const FIGURE1_PACED: &str = r#"
     thread t1 () {
@@ -55,8 +53,12 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
             println!("  {}", ev.to_jsonl());
         }
 
-        let stalls = sys.metrics.counter_sum("bank0.arb_stall.");
-        let dep_waits = sys.metrics.counter_sum("bank0.dep_wait.");
+        // Figure 1's one bank serves two consumers, t2 (c0) and t3 (c1).
+        let both = |kind: &str| {
+            let count = |c: u32| sys.metrics.counter(&format!("bank0.{kind}.c{c}"));
+            count(0) + count(1)
+        };
+        let (stalls, dep_waits) = (both("arb_stall"), both("dep_wait"));
         println!("arbitration stalls: {stalls}, dependency waits: {dep_waits}");
         if let Some(h) = sys.metrics.histogram("bank0.grant_wait.consumers") {
             if let Some(s) = h.summary() {
@@ -87,13 +89,6 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         );
         for (bank, util) in sys.metrics.utilization() {
             println!("{bank} utilization: {:.2}%", util * 100.0);
-        }
-
-        if kind == OrganizationKind::Arbitrated {
-            let mut out = Vec::new();
-            vcd::export_vcd(&events, &mut out)?;
-            std::fs::write("trace_demo.vcd", &out)?;
-            println!("waveform written to trace_demo.vcd ({} bytes)", out.len());
         }
         println!();
     }

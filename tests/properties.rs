@@ -6,35 +6,9 @@
 
 use memsync::core::arbiter::RoundRobin;
 use memsync::core::deplist::{DependencyList, ReadOutcome};
-use memsync::hic::{parser, pretty};
 use memsync::netapp::fib::{Fib, Route};
 use memsync::netapp::Ipv4Packet;
 use memsync::trace::Pcg32;
-
-/// Pretty-printed programs re-parse to a fixed point.
-#[test]
-fn pretty_print_round_trip() {
-    let mut rng = Pcg32::seed_from_u64(0x5EED_0001);
-    for _case in 0..64 {
-        let n_vars = rng.gen_range_usize(1..5);
-        let n_assigns = rng.gen_range_usize(1..10);
-        let mut src = String::from("thread t() {\n    int ");
-        let names: Vec<String> = (0..n_vars).map(|i| format!("v{i}")).collect();
-        src.push_str(&names.join(", "));
-        src.push_str(";\n");
-        for _ in 0..n_assigns {
-            let dst = &names[rng.gen_range_usize(0..n_vars)];
-            let lhs = &names[rng.gen_range_usize(0..n_vars)];
-            let k = rng.gen_range(0..200) as i64 - 100;
-            src.push_str(&format!("    {dst} = {lhs} + {k};\n"));
-        }
-        src.push_str("}\n");
-        let first = parser::parse(&src).expect("generated source parses");
-        let rendered = pretty::program_to_string(&first);
-        let second = parser::parse(&rendered).expect("rendered source parses");
-        assert_eq!(rendered, pretty::program_to_string(&second));
-    }
-}
 
 /// The trie FIB agrees with a brute-force longest-prefix scan.
 #[test]
