@@ -17,7 +17,7 @@
 //! [`PipelineModel::carrier_batch`]: crate::pipeline::PipelineModel::carrier_batch
 //! [`PipelineModel::scramble_batch`]: crate::pipeline::PipelineModel::scramble_batch
 
-use super::{BackendKind, BackendMetrics, ForwardingBackend};
+use super::{BackendMetrics, ForwardingBackend};
 use crate::pipeline::PipelineModel;
 
 /// Lane-parallel batch execution of the compiled forwarding pipeline.
@@ -47,10 +47,6 @@ impl FastBackend {
 }
 
 impl ForwardingBackend for FastBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Fast
-    }
-
     fn submit_batch(&mut self, descriptors: &[u32]) {
         let n = descriptors.len();
         // Structure-of-arrays: one branch-free pass fills the carrier

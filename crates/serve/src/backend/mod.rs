@@ -3,7 +3,7 @@
 //! A shard activation does not care *how* a batch of packet descriptors
 //! turns into egress frames — only that the semantics match the compiled
 //! hic forwarding application. [`ForwardingBackend`] captures exactly that
-//! contract, and three implementations plug into it:
+//! contract, and two implementations plug into it:
 //!
 //! * [`SimBackend`] — the cycle-accurate [`memsync_sim::System`] under
 //!   either memory organization. The reference semantics; throughput is
@@ -13,19 +13,15 @@
 //!   structure-of-arrays kernels of [`crate::pipeline`], byte-pinned to
 //!   the per-packet oracle). Paced by construction, so `lost_updates` is
 //!   structurally 0.
-//! * [`DifferentialBackend`] — runs a reference and a candidate backend
-//!   side by side and fails loudly on any egress or lost-update
-//!   divergence. The honesty backstop: serve traffic at fast-path speed
-//!   while the simulator cross-checks every frame.
 //!
+//! Neither checks the other while serving: verify mode checks every
+//! egress frame of either against [`crate::pipeline::PipelineModel`].
 //! The serving backend is reported to clients in the `Hello` frame
 //! ([`crate::frame::ServerHello`]).
 
-mod differential;
 mod fast;
 mod sim;
 
-pub use differential::DifferentialBackend;
 pub use fast::FastBackend;
 pub use sim::SimBackend;
 
@@ -39,8 +35,6 @@ pub enum BackendKind {
     Sim,
     /// Functional compiled pipeline ([`FastBackend`]).
     Fast,
-    /// Both, cross-checked frame by frame ([`DifferentialBackend`]).
-    Differential,
 }
 
 impl BackendKind {
@@ -49,7 +43,6 @@ impl BackendKind {
         match self {
             BackendKind::Sim => 0,
             BackendKind::Fast => 1,
-            BackendKind::Differential => 2,
         }
     }
 
@@ -58,7 +51,6 @@ impl BackendKind {
         match code {
             0 => Some(BackendKind::Sim),
             1 => Some(BackendKind::Fast),
-            2 => Some(BackendKind::Differential),
             _ => None,
         }
     }
@@ -69,7 +61,6 @@ impl std::fmt::Display for BackendKind {
         f.write_str(match self {
             BackendKind::Sim => "sim",
             BackendKind::Fast => "fast",
-            BackendKind::Differential => "differential",
         })
     }
 }
@@ -81,10 +72,7 @@ impl std::str::FromStr for BackendKind {
         match s {
             "sim" => Ok(BackendKind::Sim),
             "fast" => Ok(BackendKind::Fast),
-            "differential" | "diff" => Ok(BackendKind::Differential),
-            other => Err(format!(
-                "unknown backend {other:?} (expected sim, fast, or differential)"
-            )),
+            other => Err(format!("unknown backend {other:?} (expected sim or fast)")),
         }
     }
 }
@@ -120,9 +108,6 @@ pub struct BackendMetrics {
 /// [`drain_egress`]: ForwardingBackend::drain_egress
 /// [`lost_updates`]: ForwardingBackend::lost_updates
 pub trait ForwardingBackend: Send + std::fmt::Debug {
-    /// Which implementation this is (stats attribution, `Hello` frames).
-    fn kind(&self) -> BackendKind;
-
     /// Executes a batch of packet descriptors. Its frames replace the
     /// previous batch's, drained or not. Execution counters (including
     /// `frames`) advance at submit time, so a caller can read
@@ -152,20 +137,8 @@ pub trait ForwardingBackend: Send + std::fmt::Debug {
 /// Builds the configured backend for one shard.
 pub fn build(config: &ServeConfig) -> Box<dyn ForwardingBackend> {
     match config.backend {
-        BackendKind::Sim => Box::new(SimBackend::with_opt(
-            config.egress,
-            config.organization,
-            config.opt,
-        )),
+        BackendKind::Sim => Box::new(SimBackend::new(config.egress, config.organization)),
         BackendKind::Fast => Box::new(FastBackend::new(config.egress)),
-        BackendKind::Differential => Box::new(DifferentialBackend::new(
-            Box::new(SimBackend::with_opt(
-                config.egress,
-                config.organization,
-                config.opt,
-            )),
-            Box::new(FastBackend::new(config.egress)),
-        )),
     }
 }
 
@@ -197,32 +170,37 @@ mod tests {
 
     #[test]
     fn build_honors_the_configured_kind() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::Fast,
-            BackendKind::Differential,
-        ] {
+        for kind in [BackendKind::Sim, BackendKind::Fast] {
             let config = ServeConfig {
                 egress: 2,
                 backend: kind,
                 ..ServeConfig::default()
             };
-            assert_eq!(build(&config).kind(), kind);
+            let mut b = build(&config);
+            b.submit_batch(&[0xc0a8_0140]);
+            // Only the simulator counts cycles.
+            assert_eq!(
+                b.metrics().sim_cycles > 0,
+                kind == BackendKind::Sim,
+                "{kind}"
+            );
         }
     }
 
     #[test]
     fn kind_round_trips_through_wire_and_str() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::Fast,
-            BackendKind::Differential,
-        ] {
+        for kind in [BackendKind::Sim, BackendKind::Fast] {
             assert_eq!(BackendKind::from_wire(kind.wire_code()), Some(kind));
             assert_eq!(kind.to_string().parse::<BackendKind>(), Ok(kind));
         }
-        assert_eq!(BackendKind::from_wire(9), None);
-        assert!("gpu".parse::<BackendKind>().is_err());
+        // Unknown codes and names, the removed differential backend's
+        // among them, are refused.
+        for code in [2, 9] {
+            assert_eq!(BackendKind::from_wire(code), None);
+        }
+        for name in ["differential", "diff", "gpu"] {
+            assert!(name.parse::<BackendKind>().is_err(), "{name}");
+        }
     }
 
     #[test]
@@ -247,22 +225,5 @@ mod tests {
                 "sim ({org}) and fast egress diverged"
             );
         }
-    }
-
-    #[test]
-    fn differential_backend_passes_on_agreeing_engines() {
-        let w = Workload::generate(7, 150, 16);
-        let descs: Vec<u32> = w.packets.iter().map(|p| p.descriptor()).collect();
-        let config = ServeConfig {
-            egress: 2,
-            backend: BackendKind::Differential,
-            ..ServeConfig::default()
-        };
-        let (frames, lost, m) = run_backend(build(&config), &descs, 25);
-        assert_eq!(lost, 0);
-        assert_eq!(m.descriptors, 150);
-        assert_eq!(m.frames, 150 * 2, "reference frames attributed");
-        let (fast_frames, _, _) = run_backend(Box::new(FastBackend::new(2)), &descs, 25);
-        assert_eq!(frames, fast_frames);
     }
 }

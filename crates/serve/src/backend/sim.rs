@@ -8,11 +8,12 @@
 //! [`System::submit_paced`]: guarded locations have sampling semantics,
 //! so an unpaced burst would overwrite unconsumed values and lose
 //! packets. Throughput is bounded by simulation speed; use
-//! [`crate::backend::FastBackend`] when serving rate matters and
-//! [`crate::backend::DifferentialBackend`] to get both.
+//! [`crate::backend::FastBackend`] when serving rate matters. The
+//! application is compiled at O0 only: `tests/opt_equivalence.rs` pins
+//! that O1 forwards the same frames.
 
-use super::{BackendKind, BackendMetrics, ForwardingBackend};
-use memsync_core::{OptLevel, OrganizationKind};
+use super::{BackendMetrics, ForwardingBackend};
+use memsync_core::OrganizationKind;
 use memsync_sim::{System, ThreadId};
 
 /// Upper bound on simulator cycles per descriptor — a stalled pipeline is
@@ -42,20 +43,11 @@ pub struct SimBackend {
 
 impl SimBackend {
     /// Compiles the forwarding application for `egress` consumers under
-    /// `organization` (at [`OptLevel::O0`]) and boots a fresh simulator.
+    /// `organization` and boots a fresh simulator.
     pub fn new(egress: usize, organization: OrganizationKind) -> SimBackend {
-        SimBackend::with_opt(egress, organization, OptLevel::O0)
-    }
-
-    /// Like [`SimBackend::new`] with an explicit middle-end optimization
-    /// level for the compiled thread FSMs.
-    pub fn with_opt(egress: usize, organization: OrganizationKind, opt: OptLevel) -> SimBackend {
         let src = memsync_netapp::forwarding::app_source(egress);
         let mut compiler = memsync_core::Compiler::new(&src);
-        compiler
-            .organization(organization)
-            .opt(opt)
-            .skip_validation();
+        compiler.organization(organization).skip_validation();
         let compiled = compiler.compile().expect("forwarding app compiles");
         let sys = System::new(&compiled);
         let ids = (0..egress)
@@ -77,10 +69,6 @@ impl SimBackend {
 }
 
 impl ForwardingBackend for SimBackend {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
     fn submit_batch(&mut self, descriptors: &[u32]) {
         self.values.clear();
         self.values
@@ -148,22 +136,6 @@ mod tests {
         }
         assert_eq!(b.lost_updates(), 0);
         assert!(b.metrics().sim_cycles > 0);
-    }
-
-    #[test]
-    fn optimized_sim_backend_matches_the_oracle() {
-        let w = Workload::generate(0xBEEF, 30, 16);
-        let descs: Vec<u32> = w.packets.iter().map(|p| p.descriptor()).collect();
-        let mut b = SimBackend::with_opt(2, OrganizationKind::Arbitrated, OptLevel::O1);
-        b.submit_batch(&descs);
-        let frames = b.drain_egress();
-        for (i, per_egress) in frames.iter().enumerate() {
-            assert_eq!(per_egress.len(), descs.len());
-            for (d, f) in descs.iter().zip(per_egress) {
-                assert_eq!(*f, expected_frame(*d, i));
-            }
-        }
-        assert_eq!(b.lost_updates(), 0);
     }
 
     #[test]

@@ -9,8 +9,8 @@
 //! pause, so every generated packet is eventually served. `--routes`
 //! must match the server's FIB (checked against the server's
 //! [`ServerHello`](memsync_serve::ServerHello)) and be nonzero, since
-//! the traffic aims at the FIB's /24s; `--backend` asserts which engine
-//! the server is running.
+//! the traffic aims at the FIB's /24s; `--backend` (`sim` or `fast`)
+//! asserts which engine the server is running.
 //!
 //! A pool of `min(conns, 8)` worker threads drives the connections. Each
 //! worker opens its share of them at paced deadlines, spread evenly over
@@ -68,7 +68,7 @@ use std::time::{Duration, Instant};
 const USAGE: &str = "\
 usage: loadgen [--addr 127.0.0.1:7171] [--conns 8] [--jobs 100] [--batch 32]
                [--seed 42] [--routes 64] [--verify] [--ramp MS]
-               [--backend sim|fast|differential] [--drain] [--shutdown]
+               [--backend sim|fast] [--drain] [--shutdown]
                [--spans] [--stats-interval MS] [--churn RATE]
 --stats-interval is under 25000: the server closes a connection quiet for 30 s";
 

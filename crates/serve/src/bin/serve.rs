@@ -6,13 +6,12 @@
 //! before anything binds.
 //!
 //! `--backend` picks the forwarding engine each shard runs: `sim` (the
-//! cycle-accurate reference), `fast` (the compiled functional fast path),
-//! or `differential` (both, cross-checked frame by frame — a divergence
-//! crashes the shard loudly). `--opt` sets the middle-end optimization
-//! level the `sim` and `differential` backends compile the application
-//! FSMs at (default 0). Prints `listening on <addr>` once the
-//! socket is bound (the loopback CI job waits for that line), then blocks
-//! until a client sends a shutdown frame and exits 0.
+//! cycle-accurate reference, under the `--org` memory organization) or
+//! `fast` (the compiled functional fast path). A client's verify mode
+//! checks either against the software pipeline model. Prints `listening
+//! on <addr>` once the socket is bound (the loopback CI job waits for
+//! that line), then blocks until a client sends a shutdown frame and
+//! exits 0.
 //!
 //! Connections are served by a few epoll event loops, thousands of
 //! connections per thread; `serve` is Linux-only. `--reactor-threads N`
@@ -32,8 +31,7 @@ use memsync_serve::{ServeConfig, Server, TracingConfig};
 const USAGE: &str = "\
 usage: serve [--addr 127.0.0.1:7171] [--shards 4] [--egress 4] [--routes 64]
              [--queue-cap 64] [--batch-max 64] [--org arbitrated|event-driven]
-             [--backend sim|fast|differential] [--opt 0|1]
-             [--reactor-threads N] [--max-conns N]
+             [--backend sim|fast] [--reactor-threads N] [--max-conns N]
              [--tracing] [--trace-spans FILE]";
 
 fn main() {
@@ -63,7 +61,6 @@ fn main() {
             Some(other) => flags.fail(&format!("--org: unknown organization {other:?}")),
         },
         backend: flags.or("--backend", defaults.backend),
-        opt: flags.or("--opt", defaults.opt),
         reactor_threads: flags.or("--reactor-threads", defaults.reactor_threads),
         max_conns: at_least_one("--max-conns", defaults.max_conns),
         ..defaults

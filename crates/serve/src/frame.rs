@@ -38,8 +38,9 @@ use std::io::{self, Read, Write};
 /// and a swap-default frame, type `0x0a`); version 4 dropped the
 /// capability byte from [`ServerHello`] and the pushed stats stream;
 /// version 5 dropped the swap-default frame, which a [`Request::RouteAdd`]
-/// of `0/0` replaces.
-pub const PROTOCOL_VERSION: u16 = 5;
+/// of `0/0` replaces; version 6 dropped backend code 2 (the differential
+/// backend) from [`ServerHello`].
+pub const PROTOCOL_VERSION: u16 = 6;
 
 /// Hard ceiling on a frame payload (1 MiB) — a malformed length prefix
 /// must not allocate unbounded memory.
@@ -913,7 +914,7 @@ mod tests {
         let rsps = [
             Response::Hello(ServerHello {
                 version: PROTOCOL_VERSION,
-                backend: BackendKind::Differential,
+                backend: BackendKind::Fast,
                 shards: 4,
                 egress: 4,
                 routes: 64,
@@ -1015,11 +1016,11 @@ mod tests {
         assert!(batch.starts_with("malformed frame: batch "), "{batch}");
         let err = Response::decode(&[0x85, 0xff]).unwrap_err().to_string();
         assert!(err.starts_with("malformed frame: error "), "{err}");
-        let backend = Response::decode(&[0x86, 0, 3, 9, 0, 1, 0, 1, 0, 0, 0, 1]);
-        assert!(backend
-            .unwrap_err()
-            .to_string()
-            .contains("backend code 0x09"));
+        for code in [2, 9] {
+            let backend = Response::decode(&[0x86, 0, 6, code, 0, 1, 0, 1, 0, 0, 0, 1]);
+            let err = backend.unwrap_err().to_string();
+            assert!(err.contains(&format!("backend code {code:#04x}")), "{err}");
+        }
     }
 
     #[test]

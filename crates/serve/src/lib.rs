@@ -23,14 +23,14 @@
 //!   lock-free, and an old generation is retired, and freed, only after
 //!   a drain barrier has moved every shard's engine off it;
 //! * [`backend`] — the pluggable [`backend::ForwardingBackend`] trait and
-//!   its three engines: cycle-accurate [`backend::SimBackend`] (the
-//!   reference), functional [`backend::FastBackend`] (the compiled fast
-//!   path), and [`backend::DifferentialBackend`] (both, cross-checked
-//!   frame by frame);
+//!   its two engines: cycle-accurate [`backend::SimBackend`] (the
+//!   reference) and functional [`backend::FastBackend`] (the compiled
+//!   fast path);
 //! * [`pipeline`] — the software model of the compiled forwarding
 //!   pipeline (expected egress frames per descriptor) and the
 //!   [`memsync_netapp::Workload::reference_forward`]-style FIB oracle
-//!   behind the per-packet `verify` mode;
+//!   behind the per-packet `verify` mode, the server's one runtime check
+//!   of a backend;
 //! * [`queue`] — bounded per-shard job queues with explicit backpressure:
 //!   a full queue defers the submit, never buffers without bound;
 //! * [`router`] — dst-prefix flow hashing and all-or-nothing multi-shard
@@ -101,7 +101,7 @@ pub use snapshot::StatsSnapshot;
 pub use tables::EpochTables;
 pub use tracing::{ServeTracer, TracingConfig};
 
-use memsync_core::{OptLevel, OrganizationKind};
+use memsync_core::OrganizationKind;
 use std::time::Duration;
 
 /// Raises the process's soft open-file limit to the hard limit and
@@ -122,14 +122,11 @@ pub struct ServeConfig {
     pub shards: usize,
     /// Egress consumer count of the compiled forwarding application.
     pub egress: usize,
-    /// Memory organization the shards simulate (relevant to the `sim`
-    /// and `differential` backends; the fast path is organization-free).
+    /// Memory organization the `sim` backend's shards simulate, each
+    /// compiled at O0 (the fast path is organization-free).
     pub organization: OrganizationKind,
     /// Which forwarding backend each shard runs.
     pub backend: BackendKind,
-    /// Middle-end optimization level the `sim` and `differential`
-    /// backends compile the application at (the fast path has no FSMs).
-    pub opt: OptLevel,
     /// Route count of the synthetic FIB (must match the loadgen's).
     pub routes: usize,
     /// Bounded shard queue capacity, in jobs. A full queue defers the
@@ -168,7 +165,6 @@ impl Default for ServeConfig {
             egress: 4,
             organization: OrganizationKind::Arbitrated,
             backend: BackendKind::Sim,
-            opt: OptLevel::O0,
             routes: 64,
             queue_cap: 64,
             batch_max: 64,

@@ -39,12 +39,15 @@
 //! or quiescence probe handing back a queued job wake the loop through
 //! the [`crate::queue::Reply`] waker (a self-pipe registered at token 0);
 //! the next pass steps every shard. A periodic sweep covers what wakes
-//! cannot: work deadlines, and idle and write deadlines.
+//! cannot: work deadlines, and idle and write deadlines. The last two
+//! skip time this thread was not scheduled: a wait that returns more
+//! than a tick late charges no connection for its lost time.
 
 use crate::frame::{write_frame, FrameReader, FrameWriter, Response};
 use crate::queue::ReplyWaker;
 use crate::server::Shared;
 use crate::session::{Egress, Session};
+use crate::ServeConfig;
 use std::io::{self, Read};
 use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::AsRawFd;
@@ -95,6 +98,27 @@ const WAKE_TOKEN: u64 = 0;
 /// succeed: the accept loop must pause and let connections close.
 fn is_fd_exhaustion(e: &io::Error) -> bool {
     matches!(e.raw_os_error(), Some(23) | Some(24)) // ENFILE | EMFILE
+}
+
+/// Whether a sweep at `now` closes a connection: one with `pending`
+/// egress bytes that made no progress since `wrote` for the write
+/// deadline (the peer stopped reading), or one idle since `active` for
+/// the idle deadline. A sweep after an overslept wait closes nothing:
+/// this thread was not scheduled, and most likely neither was the peer.
+fn expired(
+    now: Instant,
+    pending: usize,
+    wrote: Instant,
+    active: Instant,
+    overslept: bool,
+    config: &ServeConfig,
+) -> bool {
+    !overslept
+        && if pending > 0 {
+            now.duration_since(wrote) >= config.write_timeout
+        } else {
+            now.duration_since(active) >= config.read_timeout
+        }
 }
 
 /// Tells an over-cap client why it is being dropped: a best-effort
@@ -448,7 +472,12 @@ impl Reactor {
             let timeout = if self.work.is_empty() { POLL } else { TICK };
             let timeout = if owed { Duration::ZERO } else { timeout };
             events.clear();
-            if self.poller.wait(&mut events, timeout).is_err() {
+            let parked = Instant::now();
+            let waited = self.poller.wait(&mut events, timeout);
+            // How long past its timeout the wait returned: time this
+            // thread was not scheduled.
+            let late = parked.elapsed().saturating_sub(timeout);
+            if waited.is_err() {
                 // A broken poller is unrecoverable for this thread; back
                 // off so a persistent failure doesn't spin.
                 std::thread::sleep(POLL);
@@ -472,7 +501,7 @@ impl Reactor {
             }
             self.adopt_new_conns();
             self.process_work();
-            self.sweep();
+            self.sweep(late);
             // Every push of this pass so far precedes these steps; one
             // the answers below make goes to the next pass's steps.
             let shared = &self.shared;
@@ -631,15 +660,16 @@ impl Reactor {
     }
 
     /// Time-driven duties wakes can't cover: idle and write deadlines
-    /// (work deadlines ride `process_work`).
-    fn sweep(&mut self) {
+    /// (work deadlines ride `process_work`). `late` is how long past its
+    /// timeout this pass's wait returned; more than [`TICK`] is an
+    /// overslept wait, whose lost time neither deadline charges.
+    fn sweep(&mut self, late: Duration) {
         let now = Instant::now();
         if now.duration_since(self.last_sweep) < TICK {
             return;
         }
         self.last_sweep = now;
-        let read_timeout = self.shared.config.read_timeout;
-        let write_timeout = self.shared.config.write_timeout;
+        let overslept = late > TICK;
         for idx in 0..self.conns.len() {
             let Some(conn) = self.conns[idx].as_mut() else {
                 continue;
@@ -649,13 +679,12 @@ impl Reactor {
             if pending > 0 || conn.session.busy() {
                 conn.active = now;
             }
-            let expired = if pending > 0 {
-                // Egress made no progress: the peer stopped reading.
-                now.duration_since(conn.link.wrote) >= write_timeout
-            } else {
-                now.duration_since(conn.active) >= read_timeout
-            };
-            if expired {
+            if overslept {
+                conn.active = (conn.active + late).min(now);
+                conn.link.wrote = (conn.link.wrote + late).min(now);
+            }
+            let (wrote, active) = (conn.link.wrote, conn.active);
+            if expired(now, pending, wrote, active, overslept, &self.shared.config) {
                 self.close_conn(idx);
             }
         }
@@ -707,6 +736,23 @@ mod tests {
         ] {
             assert!(!is_fd_exhaustion(&io::Error::from(kind)), "{kind:?}");
         }
+    }
+
+    #[test]
+    fn an_overslept_pass_closes_no_connection() {
+        let config = ServeConfig::default();
+        let t0 = Instant::now();
+        // Idle past the idle deadline.
+        let now = t0 + config.read_timeout + TICK;
+        assert!(expired(now, 0, t0, t0, false, &config), "punctual pass");
+        assert!(!expired(now, 0, t0, t0, true, &config), "overslept pass");
+        // Pending egress stalled past the write deadline.
+        let now = t0 + config.write_timeout + TICK;
+        assert!(expired(now, 1, t0, now, false, &config), "punctual pass");
+        assert!(!expired(now, 1, t0, now, true, &config), "overslept pass");
+        // Inside both deadlines, nothing closes.
+        assert!(!expired(t0 + TICK, 0, t0, t0, false, &config));
+        assert!(!expired(t0 + TICK, 1, t0, t0, false, &config));
     }
 
     #[test]

@@ -25,17 +25,17 @@
 //! internally (guarded locations have sampling semantics — an unpaced
 //! burst would silently lose packets, see
 //! `pipeline::tests::unpaced_injection_overwrites_and_loses_packets`),
-//! the [`crate::backend::FastBackend`] is paced by construction, and
-//! [`crate::backend::DifferentialBackend`] cross-checks both. Outcomes
-//! are classified with the FIB oracle; in verify mode every egress frame
-//! is additionally checked against the software pipeline model
-//! ([`crate::pipeline::expected_frame`]).
+//! and the [`crate::backend::FastBackend`] is paced by construction.
+//! Outcomes are classified with the FIB oracle; in verify mode every
+//! egress frame is additionally checked against the software pipeline
+//! model ([`crate::pipeline::expected_frame`]), the server's one runtime
+//! check of a backend.
 //!
 //! Everything that must outlive a crash is the [`Shard`] record: queue,
-//! stats, kill flag, restart carryover. Each activation runs
-//! under `catch_unwind`; a panic (the kill frame, a stalled simulator
-//! tripping its cycle budget, a differential divergence) drops only the
-//! batch in flight, whose reply channels close, and the engine with it.
+//! stats, kill flag, restart carryover. Each activation runs under
+//! `catch_unwind`; a panic (the kill frame, a stalled simulator tripping
+//! its cycle budget) drops only the batch in flight, whose reply
+//! channels close, and the engine with it.
 //! The next job builds a fresh engine; queued jobs survive and the stats
 //! keep counting. The restart is counted in `shard_restarts`, and the
 //! packet total at that moment is latched as `restart_carryover`.
@@ -498,11 +498,7 @@ mod tests {
 
     #[test]
     fn shard_processes_a_batch_matching_the_oracle_on_every_backend() {
-        for kind in [
-            BackendKind::Sim,
-            BackendKind::Fast,
-            BackendKind::Differential,
-        ] {
+        for kind in [BackendKind::Sim, BackendKind::Fast] {
             let config = ServeConfig {
                 backend: kind,
                 ..fast_config()

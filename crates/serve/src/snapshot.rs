@@ -556,11 +556,10 @@ mod tests {
             deferred_now: counter(rng),
             egress_highwater_bytes: counter(rng),
         });
-        let backend = match rng.gen_range(0..4) {
+        let backend = match rng.gen_range(0..3) {
             0 => None,
             1 => Some(BackendKind::Sim),
-            2 => Some(BackendKind::Fast),
-            _ => Some(BackendKind::Differential),
+            _ => Some(BackendKind::Fast),
         };
         StatsSnapshot {
             shards: counter(rng),

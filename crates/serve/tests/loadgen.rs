@@ -156,9 +156,13 @@ fn every_bin_refuses_a_flag_it_does_not_know_with_exit_2() {
         (serve, "--addr 127.0.0.1:0 --queue-cap 0"),
         (serve, "--addr 127.0.0.1:0 --max-conns 0"),
         (serve, "--addr 127.0.0.1:0 --egress 0 --backend sim"),
+        // Modes that are gone: one simulator build, two backends.
+        (serve, "--addr 127.0.0.1:0 --opt 1"),
+        (serve, "--addr 127.0.0.1:0 --backend differential"),
         (loadgen, "--addr 127.0.0.1:1 --conn 100"),
         (loadgen, "--addr 127.0.0.1:1 --conns 8 --jobs"),
         (loadgen, "--addr 127.0.0.1:1 --batch 0"),
+        (loadgen, "--addr 127.0.0.1:1 --backend differential"),
         // No FIB prefix to aim the generated traffic at.
         (loadgen, "--addr 127.0.0.1:1 --routes 0"),
         // A poll interval past the server's idle deadline.

@@ -2,6 +2,7 @@
 //! clients, the full frame protocol (including the protocol-v2 `Hello`
 //! handshake every connection now opens with).
 
+use memsync_core::OrganizationKind;
 use memsync_netapp::fib::Route;
 use memsync_netapp::{Ipv4Packet, Workload};
 use memsync_serve::client::BatchResult;
@@ -31,7 +32,19 @@ fn connect(addr: std::net::SocketAddr) -> Client {
 
 #[test]
 fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
-    let server = Server::start("127.0.0.1:0", test_config()).expect("bind");
+    for organization in [OrganizationKind::Arbitrated, OrganizationKind::EventDriven] {
+        verify_run(organization);
+    }
+}
+
+/// A sim-backend server under `organization` serves 400 verified
+/// packets, reports them in its stats, then drains and shuts down.
+fn verify_run(organization: OrganizationKind) {
+    let config = ServeConfig {
+        organization,
+        ..test_config()
+    };
+    let server = Server::start("127.0.0.1:0", config).expect("bind");
     let addr = server.local_addr();
 
     let w = Workload::generate(42, 400, 16);
@@ -54,7 +67,10 @@ fn loopback_verify_run_matches_the_oracle_and_drains_clean() {
     }
     assert_eq!(totals.forwarded as usize, fwd);
     assert_eq!(totals.dropped as usize, drop);
-    assert_eq!(totals.mismatches, 0, "simulated frames match the model");
+    assert_eq!(
+        totals.mismatches, 0,
+        "{organization}: simulated frames match the model"
+    );
 
     // The typed stats snapshot reflects the traffic.
     let snap = client.stats().expect("stats");
