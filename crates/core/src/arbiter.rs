@@ -16,6 +16,11 @@ use memsync_rtl::netlist::NetId;
 pub const POINTER_WIDTH: u32 = 3;
 
 /// Behavioral round-robin arbiter state.
+///
+/// Requests arrive as a bit mask (bit `i` set: requester `i` requests),
+/// and the grant is the rotating-priority encoder [`generate_into`]
+/// builds: rotate the mask so the pointer's requester sits at bit 0, take
+/// the lowest set bit, and rotate the winner back.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct RoundRobin {
     n: usize,
@@ -51,27 +56,41 @@ impl RoundRobin {
         self.next
     }
 
-    /// Grants one requester among `requests` (true = requesting), starting
-    /// the search at the rotating pointer. Advances the pointer past the
-    /// winner so every requester is served in turn.
-    pub fn grant(&mut self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector length mismatch");
-        for k in 0..self.n {
-            let i = (self.next + k) % self.n;
-            if requests[i] {
-                self.next = (i + 1) % self.n;
-                return Some(i);
-            }
-        }
-        None
+    /// Grants one requester among `requests` (bit `i` set = requester `i`
+    /// requesting), starting the search at the rotating pointer. Advances
+    /// the pointer past the winner so every requester is served in turn.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` sets a bit at or above the requester count.
+    pub fn grant(&mut self, requests: u8) -> Option<usize> {
+        let winner = self.peek(requests)?;
+        self.next = if winner + 1 == self.n { 0 } else { winner + 1 };
+        Some(winner)
     }
 
     /// Peeks at the winner without advancing the pointer.
-    pub fn peek(&self, requests: &[bool]) -> Option<usize> {
-        assert_eq!(requests.len(), self.n, "request vector length mismatch");
-        (0..self.n)
-            .map(|k| (self.next + k) % self.n)
-            .find(|&i| requests[i])
+    ///
+    /// # Panics
+    ///
+    /// Panics if `requests` sets a bit at or above the requester count.
+    pub fn peek(&self, requests: u8) -> Option<usize> {
+        let n = self.n as u32;
+        let requests = u32::from(requests);
+        assert!(requests >> n == 0, "request mask wider than the arbiter");
+        if requests == 0 {
+            return None;
+        }
+        // Rotate right by the pointer within n bits: the requester that
+        // holds priority lands on bit 0.
+        let p = self.next as u32;
+        let rotated = ((requests >> p) | (requests << (n - p))) & ((1 << n) - 1);
+        let winner = self.next + rotated.trailing_zeros() as usize;
+        Some(if winner >= self.n {
+            winner - self.n
+        } else {
+            winner
+        })
     }
 }
 
@@ -204,10 +223,9 @@ mod tests {
     #[test]
     fn round_robin_is_fair() {
         let mut rr = RoundRobin::new(3);
-        let all = [true, true, true];
         let mut order = Vec::new();
         for _ in 0..6 {
-            order.push(rr.grant(&all).unwrap());
+            order.push(rr.grant(0b111).unwrap());
         }
         assert_eq!(order, vec![0, 1, 2, 0, 1, 2]);
     }
@@ -215,23 +233,48 @@ mod tests {
     #[test]
     fn skips_idle_requesters() {
         let mut rr = RoundRobin::new(4);
-        assert_eq!(rr.grant(&[false, false, true, false]), Some(2));
+        assert_eq!(rr.grant(0b0100), Some(2));
         // Pointer moved past 2.
-        assert_eq!(rr.grant(&[true, false, true, false]), Some(0));
+        assert_eq!(rr.grant(0b0101), Some(0));
     }
 
     #[test]
     fn no_request_no_grant() {
         let mut rr = RoundRobin::new(2);
-        assert_eq!(rr.grant(&[false, false]), None);
+        assert_eq!(rr.grant(0), None);
         assert_eq!(rr.pointer(), 0, "pointer holds with no grant");
     }
 
     #[test]
     fn peek_does_not_advance() {
         let rr = RoundRobin::new(2);
-        assert_eq!(rr.peek(&[false, true]), Some(1));
+        assert_eq!(rr.peek(0b10), Some(1));
         assert_eq!(rr.pointer(), 0);
+    }
+
+    /// The rotate-and-count grant picks what probing each requester from
+    /// the pointer, modulo n, picks: every width, pointer and mask.
+    #[test]
+    fn mask_grant_matches_the_probing_search() {
+        for n in 1..=8usize {
+            for pointer in 0..n {
+                for requests in 0..(1u16 << n) {
+                    let want = (0..n)
+                        .map(|k| (pointer + k) % n)
+                        .find(|&i| requests >> i & 1 == 1);
+                    let mut rr = RoundRobin { n, next: pointer };
+                    assert_eq!(rr.grant(requests as u8), want, "n={n} p={pointer}");
+                    let next = want.map_or(pointer, |w| (w + 1) % n);
+                    assert_eq!(rr.pointer(), next, "n={n} p={pointer}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "wider than the arbiter")]
+    fn rejects_requests_past_the_last_requester() {
+        let _ = RoundRobin::new(3).grant(0b1000);
     }
 
     #[test]

@@ -30,10 +30,17 @@ pub struct Entry {
 }
 
 /// The configuration-time populated dependency list.
+///
+/// Besides the entries it keeps one pending bit per entry (armed with
+/// reads still owed), so a caller that has resolved its addresses to entry
+/// indices once ([`DependencyList::find`]) tests any entry with a mask and
+/// reads, writes and checks by index with no further CAM search.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct DependencyList {
     entries: Vec<Entry>,
     capacity: usize,
+    /// Bit `e` set: entry `e` has an open produce–consume cycle.
+    pending: u16,
 }
 
 /// Outcome of a guarded producer write attempt.
@@ -102,6 +109,7 @@ impl DependencyList {
         DependencyList {
             entries: Vec::new(),
             capacity,
+            pending: 0,
         }
     }
 
@@ -135,7 +143,7 @@ impl DependencyList {
                 "dependency number {dep_number} out of range 1..=15"
             ));
         }
-        if self.lookup(base_addr).is_some() {
+        if self.find(base_addr).is_some() {
             return Err(format!("address {base_addr:#x} already guarded"));
         }
         self.entries.push(Entry {
@@ -147,9 +155,9 @@ impl DependencyList {
         Ok(())
     }
 
-    /// CAM search by address.
-    pub fn lookup(&self, addr: u32) -> Option<&Entry> {
-        self.entries.iter().find(|e| e.base_addr == addr)
+    /// CAM search: the index of the entry guarding `addr`.
+    pub fn find(&self, addr: u32) -> Option<usize> {
+        self.entries.iter().position(|e| e.base_addr == addr)
     }
 
     /// Producer write through port D: allowed only when a matching entry
@@ -167,19 +175,33 @@ impl DependencyList {
     /// [`DependencyList::producer_write`], but reports whether the re-arm
     /// overwrote a value whose consumers had not all read yet
     /// ([`WriteOutcome::lost_update`]). Every guarded overwrite in the
-    /// system flows through here — there is no other path that re-arms an
-    /// entry.
+    /// system flows through here or through
+    /// [`DependencyList::producer_write_at`] — there is no other path that
+    /// re-arms an entry.
     pub fn producer_write_checked(&mut self, addr: u32) -> WriteOutcome {
-        match self.entries.iter_mut().find(|e| e.base_addr == addr) {
-            Some(e) if e.dep_number > 0 => {
-                let overwrote_unconsumed = e.armed && e.remaining > 0;
-                e.remaining = e.dep_number;
-                e.armed = true;
-                WriteOutcome::Accepted {
-                    overwrote_unconsumed,
-                }
-            }
-            _ => WriteOutcome::Rejected,
+        match self.find(addr) {
+            Some(e) => self.producer_write_at(e),
+            None => WriteOutcome::Rejected,
+        }
+    }
+
+    /// [`DependencyList::producer_write_checked`] on the entry at index
+    /// `e`, as [`DependencyList::find`] resolved it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is not a populated entry.
+    pub fn producer_write_at(&mut self, e: usize) -> WriteOutcome {
+        let entry = &mut self.entries[e];
+        if entry.dep_number == 0 {
+            return WriteOutcome::Rejected;
+        }
+        let overwrote_unconsumed = entry.armed && entry.remaining > 0;
+        entry.remaining = entry.dep_number;
+        entry.armed = true;
+        self.pending |= 1 << e;
+        WriteOutcome::Accepted {
+            overwrote_unconsumed,
         }
     }
 
@@ -188,38 +210,49 @@ impl DependencyList {
     /// produce–consume cycle at zero ("ending of the need for the address
     /// to be guarded" until the next write).
     pub fn consumer_read(&mut self, addr: u32) -> ReadOutcome {
-        match self.entries.iter_mut().find(|e| e.base_addr == addr) {
+        match self.find(addr) {
             None => ReadOutcome::Unguarded,
-            Some(e) => {
-                if e.armed && e.remaining > 0 {
-                    e.remaining -= 1;
-                    if e.remaining == 0 {
-                        e.armed = false;
-                    }
-                    ReadOutcome::Granted {
-                        remaining: e.remaining,
-                    }
-                } else {
-                    ReadOutcome::Blocked
-                }
-            }
+            Some(e) => self.consumer_read_at(e),
+        }
+    }
+
+    /// [`DependencyList::consumer_read`] on the entry at index `e`, as
+    /// [`DependencyList::find`] resolved it.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `e` is not a populated entry.
+    pub fn consumer_read_at(&mut self, e: usize) -> ReadOutcome {
+        let entry = &mut self.entries[e];
+        if !(entry.armed && entry.remaining > 0) {
+            return ReadOutcome::Blocked;
+        }
+        entry.remaining -= 1;
+        if entry.remaining == 0 {
+            entry.armed = false;
+            self.pending &= !(1 << e);
+        }
+        ReadOutcome::Granted {
+            remaining: entry.remaining,
         }
     }
 
     /// Whether a produce–consume cycle is currently open for the address.
     pub fn is_pending(&self, addr: u32) -> bool {
-        self.lookup(addr)
-            .is_some_and(|e| e.armed && e.remaining > 0)
+        self.find(addr).is_some_and(|e| self.pending >> e & 1 == 1)
+    }
+
+    /// The entries with an open produce–consume cycle, bit `e` for the
+    /// entry at index `e`.
+    pub fn pending_mask(&self) -> u16 {
+        self.pending
     }
 
     /// Number of entries with an open produce–consume cycle (armed with
     /// reads still owed) — the instantaneous occupancy the trace layer
     /// tracks as a high-water mark.
     pub fn occupancy(&self) -> usize {
-        self.entries
-            .iter()
-            .filter(|e| e.armed && e.remaining > 0)
-            .count()
+        self.pending.count_ones() as usize
     }
 
     /// Iterates over entries.
@@ -272,6 +305,34 @@ mod tests {
         assert_eq!(dl.occupancy(), 2);
         dl.consumer_read(0x20);
         assert_eq!(dl.occupancy(), 1, "drained entry closes");
+    }
+
+    #[test]
+    fn pending_mask_follows_the_entries() {
+        let mut dl = DependencyList::new(4);
+        dl.configure(0x10, 1).unwrap();
+        dl.configure(0x20, 2).unwrap();
+        assert_eq!(
+            (dl.find(0x10), dl.find(0x20), dl.find(0x30)),
+            (Some(0), Some(1), None)
+        );
+        assert_eq!(dl.pending_mask(), 0);
+        dl.producer_write_at(1);
+        assert_eq!(dl.pending_mask(), 0b10);
+        dl.producer_write(0x10);
+        assert_eq!(dl.pending_mask(), 0b11);
+        assert_eq!(
+            dl.consumer_read_at(0),
+            ReadOutcome::Granted { remaining: 0 }
+        );
+        assert_eq!(dl.pending_mask(), 0b10);
+        dl.consumer_read(0x20);
+        assert_eq!(dl.pending_mask(), 0b10, "one read of two still owed");
+        dl.consumer_read(0x20);
+        assert_eq!(dl.pending_mask(), 0);
+        for e in dl.iter() {
+            assert!(!e.armed && e.remaining == 0);
+        }
     }
 
     #[test]

@@ -3,10 +3,19 @@
 //! cycle: decision (compare + round-robin) in one cycle, BRAM issue in the
 //! next, read data one cycle after that; producer writes pre-empt the port
 //! and pipelined reads replay.
+//!
+//! The decision stage works on masks, as the RTL does. Each pseudo-port
+//! resolves the address it presents to its dependency-list entry once, when
+//! the address first appears, and keeps that entry while it holds the
+//! request. A consumer is eligible when its entry's bit is set in the
+//! list's pending mask, and the round-robin arbiter grants among the
+//! eligible mask by rotating it to the pointer and taking the lowest set
+//! bit. At most one consumer and one producer win a cycle, so a step
+//! clears only the grant lanes the previous step set.
 
 use crate::bram_model::BramModel;
 use memsync_core::arbiter::RoundRobin;
-use memsync_core::deplist::DependencyList;
+use memsync_core::deplist::{DependencyList, ReadOutcome};
 use memsync_trace::{EventKind, NullSink, Port, Role, TraceEvent, TraceSink};
 
 /// Per-cycle inputs of the wrapper.
@@ -33,6 +42,71 @@ pub struct ArbOutputs {
     pub c_data: Option<(usize, u32)>,
     /// Port A read data (for the address presented last cycle).
     pub a_data: Option<u32>,
+    /// The set lane of `c_grant`, if any.
+    c_won: Option<usize>,
+    /// The set lane of `d_grant`, if any.
+    d_won: Option<usize>,
+}
+
+impl ArbOutputs {
+    /// The consumer granted this cycle: the one set lane of `c_grant`.
+    pub fn granted_consumer(&self) -> Option<usize> {
+        self.c_won
+    }
+
+    /// The producer granted this cycle: the one set lane of `d_grant`.
+    pub fn granted_producer(&self) -> Option<usize> {
+        self.d_won
+    }
+
+    /// Lowers last cycle's grant pulses. A buffer already sized for the
+    /// wrapper has at most one lane set per port class, so only those are
+    /// cleared; any other buffer is sized (once) with every lane low.
+    #[inline]
+    fn begin_cycle(&mut self, consumers: usize, producers: usize) {
+        if self.c_grant.len() == consumers && self.d_grant.len() == producers {
+            if let Some(i) = self.c_won.take() {
+                self.c_grant[i] = false;
+            }
+            if let Some(j) = self.d_won.take() {
+                self.d_grant[j] = false;
+            }
+        } else {
+            self.c_grant.clear();
+            self.c_grant.resize(consumers, false);
+            self.d_grant.clear();
+            self.d_grant.resize(producers, false);
+            self.c_won = None;
+            self.d_won = None;
+        }
+    }
+
+    fn grant_consumer(&mut self, i: usize) {
+        self.c_grant[i] = true;
+        self.c_won = Some(i);
+    }
+
+    fn grant_producer(&mut self, j: usize) {
+        self.d_grant[j] = true;
+        self.d_won = Some(j);
+    }
+}
+
+/// A pseudo-port's last presented address and the dependency-list entry it
+/// resolved to (`None` inside: no entry guards the address).
+type Resolved = Option<(u32, Option<usize>)>;
+
+/// The entry guarding `addr`, searched in the CAM only when the port
+/// presents an address other than its last one.
+fn entry_of(port: &mut Resolved, deplist: &DependencyList, addr: u32) -> Option<usize> {
+    match *port {
+        Some((last, entry)) if last == addr => entry,
+        _ => {
+            let entry = deplist.find(addr);
+            *port = Some((addr, entry));
+            entry
+        }
+    }
 }
 
 /// The behavioral wrapper.
@@ -50,9 +124,10 @@ pub struct ArbitratedModel {
     a_inflight: Option<u32>,
     bram: BramModel,
     cycle: u64,
-    /// Scratch eligibility mask for the decision stage (reused every cycle
-    /// so stepping allocates nothing).
-    eligible: Vec<bool>,
+    /// Per consumer port, its request's dependency-list entry.
+    c_entry: Vec<Resolved>,
+    /// Per producer port, its request's dependency-list entry.
+    d_entry: Vec<Resolved>,
     /// Producer writes that overwrote a guarded value with unconsumed
     /// reads outstanding (the sampling-semantics lost-update detector).
     lost_updates: u64,
@@ -81,7 +156,8 @@ impl ArbitratedModel {
             a_inflight: None,
             bram: BramModel::new(),
             cycle: 0,
-            eligible: vec![false; consumers],
+            c_entry: vec![None; consumers],
+            d_entry: vec![None; producers],
             lost_updates: 0,
             settled: false,
         }
@@ -94,6 +170,9 @@ impl ArbitratedModel {
     /// Propagates [`DependencyList::configure`] failures.
     pub fn configure(&mut self, base_addr: u32, dep_number: u8) -> Result<(), String> {
         self.settled = false;
+        // A new entry can guard an address a port already resolved.
+        self.c_entry.fill(None);
+        self.d_entry.fill(None);
         self.deplist.configure(base_addr, dep_number)
     }
 
@@ -130,6 +209,13 @@ impl ArbitratedModel {
         self.cycle += 1;
     }
 
+    /// Whether consumer `i`'s request at `addr` has an open
+    /// produce–consume cycle to read.
+    fn eligible(&mut self, i: usize, addr: u32) -> bool {
+        entry_of(&mut self.c_entry[i], &self.deplist, addr)
+            .is_some_and(|e| self.deplist.pending_mask() >> e & 1 == 1)
+    }
+
     /// Advances one clock cycle.
     ///
     /// # Panics
@@ -160,9 +246,10 @@ impl ArbitratedModel {
 
     /// [`ArbitratedModel::step_traced`] into a caller-owned output buffer.
     ///
-    /// The grant vectors are resized once (to the pseudo-port counts) and
-    /// then reused cycle after cycle, so a steady-state step performs no
-    /// heap allocation. The engine keeps one buffer per bank.
+    /// The grant vectors are sized once (to the pseudo-port counts); after
+    /// that a step lowers only the lanes the previous step raised, so a
+    /// steady-state step performs no heap allocation. The engine keeps one
+    /// buffer per bank.
     ///
     /// # Panics
     ///
@@ -184,10 +271,7 @@ impl ArbitratedModel {
             addr,
             kind,
         };
-        out.c_grant.clear();
-        out.c_grant.resize(self.consumers, false);
-        out.d_grant.clear();
-        out.d_grant.resize(self.producers, false);
+        out.begin_cycle(self.consumers, self.producers);
         out.c_data = self.inflight.take().map(|(i, addr, d)| {
             sink.emit(&ev(
                 Port::C,
@@ -211,24 +295,26 @@ impl ArbitratedModel {
         }
 
         // Port D: fixed priority among producers, highest overall priority.
-        let any_d = inputs.d_req.iter().any(Option::is_some);
-        if let Some((j, &Some((addr, data, dep)))) =
-            inputs.d_req.iter().enumerate().find(|(_, r)| r.is_some())
-        {
+        let d_winner = inputs
+            .d_req
+            .iter()
+            .enumerate()
+            .find_map(|(j, r)| r.map(|r| (j, r)));
+        let any_d = d_winner.is_some();
+        if let Some((j, (addr, data, dep))) = d_winner {
             // A write needs a matching entry (§3.1); the dependency number
             // is supplied by the producer and re-arms the counter. The
             // checked write is the single counted overwrite path: a re-arm
             // while reads are outstanding destroys the pending value.
-            let matched = self.deplist.lookup(addr).is_some();
-            if matched {
-                let outcome = self.deplist.producer_write_checked(addr);
+            if let Some(e) = entry_of(&mut self.d_entry[j], &self.deplist, addr) {
+                let outcome = self.deplist.producer_write_at(e);
                 debug_assert!(outcome.accepted());
                 if outcome.lost_update() {
                     self.lost_updates += 1;
                 }
                 let _ = dep; // dep_number is fixed at configuration time
                 self.bram.write(addr, data);
-                out.d_grant[j] = true;
+                out.grant_producer(j);
                 if sink.enabled() {
                     sink.emit(&ev(Port::D, addr, EventKind::DepListHit { producer: j }));
                     sink.emit(&ev(Port::D, addr, EventKind::Write { producer: j, data }));
@@ -259,12 +345,15 @@ impl ArbitratedModel {
         if !any_d {
             if let Some(i) = self.pipe.take() {
                 if let Some(addr) = inputs.c_req[i] {
-                    let outcome = self.deplist.consumer_read(addr);
+                    let outcome = match entry_of(&mut self.c_entry[i], &self.deplist, addr) {
+                        Some(e) => self.deplist.consumer_read_at(e),
+                        None => ReadOutcome::Unguarded,
+                    };
                     debug_assert!(
-                        matches!(outcome, memsync_core::deplist::ReadOutcome::Granted { .. }),
+                        matches!(outcome, ReadOutcome::Granted { .. }),
                         "issue stage found a drained entry: decision raced"
                     );
-                    out.c_grant[i] = true;
+                    out.grant_consumer(i);
                     self.inflight = Some((i, addr, self.bram.read(addr)));
                     if sink.enabled() {
                         sink.emit(&ev(Port::C, addr, EventKind::ReadIssue { consumer: i }));
@@ -289,24 +378,16 @@ impl ArbitratedModel {
 
         // Port C decision stage: when the pipe is free and no producer is
         // writing, round-robin among eligible consumers.
-        if !any_d && self.pipe.is_none() && out.c_grant.iter().all(|g| !g) {
-            let Self {
-                eligible,
-                deplist,
-                rr,
-                pipe,
-                ..
-            } = &mut *self;
-            eligible.clear();
-            eligible.extend(
-                inputs
-                    .c_req
-                    .iter()
-                    .map(|r| r.is_some_and(|addr| deplist.is_pending(addr))),
-            );
-            if let Some(winner) = rr.grant(eligible) {
-                *pipe = Some(winner);
+        if !any_d && self.pipe.is_none() && out.c_won.is_none() {
+            let mut eligible = 0u8;
+            for (i, r) in inputs.c_req.iter().enumerate() {
+                if let Some(addr) = *r {
+                    if self.eligible(i, addr) {
+                        eligible |= 1 << i;
+                    }
+                }
             }
+            self.pipe = self.rr.grant(eligible);
         }
 
         // Stall attribution for every consumer still holding an unserved
@@ -314,16 +395,16 @@ impl ArbitratedModel {
         // pipe); the rest wait on their dependency.
         if sink.enabled() {
             for (i, r) in inputs.c_req.iter().enumerate() {
-                let Some(addr) = r else { continue };
-                if out.c_grant[i] {
+                let Some(addr) = *r else { continue };
+                if out.c_won == Some(i) {
                     continue;
                 }
-                let kind = if self.deplist.is_pending(*addr) || self.pipe == Some(i) {
+                let kind = if self.eligible(i, addr) || self.pipe == Some(i) {
                     EventKind::ArbStall { consumer: i }
                 } else {
                     EventKind::DepWait { consumer: i }
                 };
-                sink.emit(&ev(Port::C, *addr, kind));
+                sink.emit(&ev(Port::C, addr, kind));
             }
         }
 
@@ -508,6 +589,47 @@ mod tests {
         wr.d_req[0] = Some((0x99, 1, 1));
         let out = m.step(&wr);
         assert!(!out.d_grant[0]);
+    }
+
+    /// A step into the engine's reused buffer, which clears only last
+    /// cycle's grant lanes, outputs what a step into a fresh buffer does.
+    #[test]
+    fn a_reused_output_buffer_matches_a_fresh_one() {
+        let mut rng = memsync_trace::Pcg32::seed_from_u64(0x5EED_0028);
+        let mut reused = ArbitratedModel::new(2, 3, 4);
+        reused.configure(0x1, 2).unwrap();
+        reused.configure(0x2, 1).unwrap();
+        let mut fresh = reused.clone();
+        let mut out = ArbOutputs::default();
+        // Ports behave as threads do: a request is held until granted.
+        let mut inp = idle(3, 2);
+        for cycle in 0..2_000 {
+            for c in inp.c_req.iter_mut().filter(|c| c.is_none()) {
+                *c = rng.gen_bool(0.3).then(|| 1 + u32::from(rng.gen_bool(0.5)));
+            }
+            for (j, d) in inp
+                .d_req
+                .iter_mut()
+                .enumerate()
+                .filter(|(_, d)| d.is_none())
+            {
+                *d = rng
+                    .gen_bool(0.1)
+                    .then(|| (1 + u32::from(rng.gen_bool(0.5)), cycle, j as u8));
+            }
+            reused.step_traced_into(&inp, 0, &mut NullSink, &mut out);
+            let want = fresh.step(&inp);
+            assert_eq!(out, want, "cycle {cycle}");
+            assert_eq!(out.granted_consumer(), want.c_grant.iter().position(|&g| g));
+            assert_eq!(out.granted_producer(), want.d_grant.iter().position(|&g| g));
+            if let Some(i) = out.granted_consumer() {
+                inp.c_req[i] = None;
+            }
+            if let Some(j) = out.granted_producer() {
+                inp.d_req[j] = None;
+            }
+        }
+        assert_eq!(reused.lost_updates(), fresh.lost_updates());
     }
 
     #[test]

@@ -7,20 +7,43 @@
 //! map pseudo-port slots to thread ids and back, and every per-cycle
 //! buffer (requests, wrapper inputs/outputs) is preallocated.
 //!
-//! A step does work only where state can change. It ticks the threads that
-//! can progress: a thread waiting on memory, or on `recv` with an empty
-//! queue, is parked, and the step only counts the cycle in its `cycles` and
-//! `blocked_cycles`. A posted request goes into its bank's input slot once
-//! and is held there until the thread stops holding it, normally at the
-//! bank's grant. A bank whose last step left it settled (a fixed point of
-//! its inputs) skips its step, and only advances its cycle count, until a
-//! request is posted to it. The private port-A delivery pass runs only
-//! while a private read is in flight. An instrumented step still steps every bank, because the
-//! per-cycle stall events and the occupancy gauge are the trace; parked
-//! threads emit no events either way. Every observable (cycle counts,
-//! per-thread counters, sent messages, latency sums, lost updates, trace
-//! bytes) is what ticking every thread and stepping every bank on every
-//! cycle produces: `crates/sim/tests/golden_metrics.rs` pins it.
+//! A step does work only where state can change:
+//!
+//! - **Which threads tick.** The engine keeps a runnable set, and a step
+//!   ticks exactly its members, in thread-index order. A thread leaves the
+//!   set when its tick ends with it waiting on memory, or on `recv` with
+//!   an empty queue: it is parked. It rejoins when the wait can end: a
+//!   grant or read data that completes its memory op (it then ticks the
+//!   next cycle), or a message queued for its `recv` (by an arrival
+//!   source, it ticks the same cycle; from [`System::push_message`],
+//!   [`System::push_messages`] or [`System::submit_paced`], the next
+//!   step).
+//! - **Parked counters.** A parked thread's `cycles` and `blocked_cycles`
+//!   are not touched while it is parked. The engine records the cycle its
+//!   parking began, adds the span when the thread rejoins, and
+//!   [`System::thread_cycles`] adds the open span of a thread still
+//!   parked. Every thread's cycle count thus equals [`System::cycle`], as
+//!   if it had been ticked every cycle.
+//! - **Routing.** Each memory op's bank and input slot are resolved at
+//!   construction, from the op's constant address. Only an op whose
+//!   element index is computed at run time is routed by its address when
+//!   it posts. A posted request goes into its bank's input slot once and
+//!   is held there until the thread stops holding it, normally at the
+//!   bank's grant.
+//! - **Banks.** A bank whose last step left it settled (a fixed point of
+//!   its inputs) skips its step, and only advances its cycle count, until
+//!   a request is posted to it. The private port-A delivery pass visits
+//!   only the reads in flight. An instrumented step still steps
+//!   every bank, because the per-cycle stall events and the occupancy
+//!   gauge are the trace; parked threads emit no events either way.
+//! - **Batches.** [`System::run_until_sent`] re-checks its target only
+//!   after a step in which some thread sent.
+//!
+//! Every observable (cycle counts, per-thread counters, sent messages,
+//! latency sums, lost updates, trace bytes) is what ticking every thread
+//! and stepping every bank on every cycle produces:
+//! `crates/sim/tests/golden_metrics.rs` pins it, and pins the work done
+//! ([`System::work`]) for the arbitrated paced run.
 //!
 //! A warmed uninstrumented [`System::step`] performs no `String` clones
 //! and no heap allocation. Its one map work is latency recording: each
@@ -80,6 +103,7 @@ impl BankModel {
 
     /// Sets an input slot: a posted request is held there until its thread
     /// stops holding it and the slot is set back to `None`.
+    #[inline]
     fn set_slot(&mut self, at: Slot, req: Option<&MemRequest>) {
         match (self, at) {
             (BankModel::Arbitrated { inp, .. }, Slot::Consumer(c)) => {
@@ -113,14 +137,19 @@ struct Held {
     slot: Slot,
 }
 
-/// Per-thread private port-A bank with the one-cycle read latency.
-#[derive(Debug, Clone, Default)]
-struct PrivateBank {
-    bram: BramModel,
-    /// Read issued this cycle: `(addr, data)` delivered next cycle.
-    inflight: Option<(u32, u32)>,
-    /// Read data due this cycle: `(addr, data)`.
-    pending_delivery: Option<(u32, u32)>,
+/// Where a memory op's requests go, resolved at construction.
+#[derive(Debug, Clone, Copy)]
+enum Route {
+    /// Port A: the thread's private bank.
+    Private,
+    /// An input slot of a sync bank.
+    Sync(Held),
+    /// Nowhere: no bank guards the address, or the thread has no slot of
+    /// the port's kind in the bank that does. The request is never posted.
+    Unrouted,
+    /// The element index is computed at run time: the request is routed
+    /// by its address when it posts.
+    ByAddress,
 }
 
 /// A sync bank's wrapper model plus the interned routing tables the
@@ -147,21 +176,102 @@ struct SimBank {
     posted: bool,
 }
 
+/// The runnable set and, for each parked thread, the cycle its parking
+/// began (see the module docs).
+#[derive(Debug)]
+struct Scheduler {
+    /// Bit `ti % 64` of word `ti / 64` set: thread `ti` ticks.
+    runnable: Vec<u64>,
+    /// Per parked thread, the first cycle it was not ticked.
+    parked_since: Vec<u64>,
+}
+
+impl Scheduler {
+    /// Every thread runnable.
+    fn new(n_threads: usize) -> Self {
+        let mut runnable = vec![0u64; n_threads.div_ceil(64)];
+        for ti in 0..n_threads {
+            runnable[ti / 64] |= 1 << (ti % 64);
+        }
+        Scheduler {
+            runnable,
+            parked_since: vec![0; n_threads],
+        }
+    }
+
+    fn is_runnable(&self, ti: usize) -> bool {
+        self.runnable[ti / 64] >> (ti % 64) & 1 == 1
+    }
+
+    /// Parks thread `ti`: it is not ticked from cycle `from` on.
+    fn park(&mut self, ti: usize, from: u64) {
+        self.runnable[ti / 64] &= !(1 << (ti % 64));
+        self.parked_since[ti] = from;
+    }
+
+    /// Cycles thread `ti` has spent parked up to cycle `now` (0 when it is
+    /// runnable).
+    fn parked_for(&self, ti: usize, now: u64) -> u64 {
+        if self.is_runnable(ti) {
+            0
+        } else {
+            now - self.parked_since[ti]
+        }
+    }
+
+    /// Makes parked thread `ti` runnable from cycle `at` on, counting the
+    /// cycles it spent parked as blocked ones.
+    fn wake(&mut self, t: &mut ThreadExec, ti: usize, at: u64) {
+        debug_assert!(!self.is_runnable(ti), "only a parked thread wakes");
+        let parked = at - self.parked_since[ti];
+        t.cycles += parked;
+        t.blocked_cycles += parked;
+        self.runnable[ti / 64] |= 1 << (ti % 64);
+    }
+
+    /// A message was queued for thread `ti`: a thread parked at its `recv`
+    /// ticks from cycle `at` on.
+    fn message_queued(&mut self, t: &mut ThreadExec, ti: usize, at: u64) {
+        if !self.is_runnable(ti) && t.can_progress(true) {
+            self.wake(t, ti, at);
+        }
+    }
+}
+
+/// The simulator's work so far, the simulator half of the count gate.
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+pub struct WorkCounts {
+    /// Thread ticks: one per runnable thread per cycle.
+    pub thread_ticks: u64,
+    /// Wrapper-model steps; a settled bank that skips its step adds none.
+    pub bank_steps: u64,
+}
+
 /// A full system simulation.
 #[derive(Debug)]
 pub struct System {
     threads: Vec<ThreadExec>,
     banks: Vec<SimBank>,
     /// Private port-A banks, indexed by [`ThreadId`].
-    private: Vec<PrivateBank>,
+    private: Vec<BramModel>,
+    /// Private port-A reads issued this cycle as `(thread, addr, data)`,
+    /// in thread order; their data is delivered next cycle, the bank's
+    /// one-cycle read latency.
+    private_issued: Vec<(usize, u32, u32)>,
+    /// Private port-A reads whose data is delivered this cycle.
+    private_due: Vec<(usize, u32, u32)>,
     /// Rx message queues, indexed by [`ThreadId`].
     rx_queues: Vec<VecDeque<i64>>,
     /// Attached arrival processes as `(thread index, source)`, in thread
     /// order.
     sources: Vec<(usize, Box<dyn ArrivalProcess>)>,
-    /// `(guarded base addr, bank index)` sorted by address: requests route
-    /// by binary search instead of scanning every bank's guarded list.
+    /// `(guarded base addr, bank index)` sorted by address, for routing
+    /// (see [`route_of`]).
     addr_route: Vec<(u32, u32)>,
+    /// Per thread, the route of each of its memory sites.
+    routes: Vec<Vec<Route>>,
+    /// Which threads tick.
+    sched: Scheduler,
     /// Requests posted this cycle as `(thread index, request)`, in thread
     /// order (reused every cycle).
     requests: Vec<(usize, MemRequest)>,
@@ -170,8 +280,9 @@ pub struct System {
     /// Slots whose threads stopped holding their requests this cycle,
     /// emptied at the end of the cycle (reused every cycle).
     released: Vec<Held>,
-    /// Whether a private port-A read awaits delivery next cycle.
-    private_read_pending: bool,
+    /// Whether some thread sent a message in the last step.
+    sent_in_step: bool,
+    work: WorkCounts,
     /// Name tables for threads and banks (IDs are dense indices).
     interner: Interner,
     cycle: u64,
@@ -273,14 +384,34 @@ impl System {
             });
         }
         addr_route.sort_unstable();
+        let routes = threads
+            .iter()
+            .enumerate()
+            .map(|(ti, t)| {
+                t.mem_sites()
+                    .iter()
+                    .map(|&(port, addr)| match (port, addr) {
+                        (PortClass::A, _) => Route::Private,
+                        (_, Some(addr)) => route_of(&addr_route, &banks, ti, port, addr)
+                            .map_or(Route::Unrouted, Route::Sync),
+                        (_, None) => Route::ByAddress,
+                    })
+                    .collect()
+            })
+            .collect();
         System {
-            private: vec![PrivateBank::default(); n_threads],
+            private: vec![BramModel::new(); n_threads],
+            private_issued: Vec::with_capacity(n_threads),
+            private_due: Vec::with_capacity(n_threads),
             rx_queues: vec![VecDeque::new(); n_threads],
             sources: Vec::new(),
+            routes,
+            sched: Scheduler::new(n_threads),
             requests: Vec::with_capacity(n_threads),
             held: vec![None; n_threads],
             released: Vec::with_capacity(n_threads),
-            private_read_pending: false,
+            sent_in_step: false,
+            work: WorkCounts::default(),
             threads,
             banks,
             addr_route,
@@ -295,6 +426,11 @@ impl System {
     /// Current cycle.
     pub fn cycle(&self) -> u64 {
         self.cycle
+    }
+
+    /// Thread ticks and bank steps so far.
+    pub fn work(&self) -> WorkCounts {
+        self.work
     }
 
     /// Id of a thread by name (cold-path lookup).
@@ -317,17 +453,27 @@ impl System {
         self.instrumented = true;
     }
 
-    /// Access a thread by name.
+    /// Access a thread by name. Its cycle counters are read through
+    /// [`System::thread_cycles`].
     pub fn thread(&self, name: &str) -> Option<&ThreadExec> {
         self.interner
             .thread_id(name)
             .map(|id| &self.threads[id.idx()])
     }
 
+    /// `(cycles, blocked_cycles)` of a thread: the cycles it has run,
+    /// which equal [`System::cycle`], and of those the cycles that ended
+    /// with it blocked on memory or I/O, parked cycles included.
+    pub fn thread_cycles(&self, id: ThreadId) -> (u64, u64) {
+        let t = &self.threads[id.idx()];
+        let parked = self.sched.parked_for(id.idx(), self.cycle);
+        (t.cycles + parked, t.blocked_cycles + parked)
+    }
+
     /// Queues a message for a thread's `recv` interface.
     pub fn push_message(&mut self, thread: &str, value: i64) {
         if let Some(id) = self.interner.thread_id(thread) {
-            self.rx_queues[id.idx()].push_back(value);
+            self.push_rx(id.idx(), value);
         }
     }
 
@@ -339,8 +485,20 @@ impl System {
         I: IntoIterator<Item = i64>,
     {
         if let Some(id) = self.interner.thread_id(thread) {
-            self.rx_queues[id.idx()].extend(values);
+            let q = &mut self.rx_queues[id.idx()];
+            q.extend(values);
+            if !q.is_empty() {
+                self.sched
+                    .message_queued(&mut self.threads[id.idx()], id.idx(), self.cycle);
+            }
         }
+    }
+
+    /// Queues `value` for thread `ti`'s `recv`, between steps.
+    fn push_rx(&mut self, ti: usize, value: i64) {
+        self.rx_queues[ti].push_back(value);
+        self.sched
+            .message_queued(&mut self.threads[ti], ti, self.cycle);
     }
 
     /// Messages a thread has sent on its tx interface so far.
@@ -372,13 +530,17 @@ impl System {
     pub fn run_until_sent(&mut self, ids: &[ThreadId], target: usize, max_cycles: u64) -> bool {
         let done =
             |threads: &[ThreadExec]| ids.iter().all(|id| threads[id.idx()].sent.len() >= target);
+        if done(&self.threads) {
+            return true;
+        }
         for _ in 0..max_cycles {
-            if done(&self.threads) {
+            self.step();
+            // Only a send brings the target closer.
+            if self.sent_in_step && done(&self.threads) {
                 return true;
             }
-            self.step();
         }
-        done(&self.threads)
+        false
     }
 
     /// Paced batch submission: pushes `values` onto `thread`'s rx queue
@@ -388,7 +550,9 @@ impl System {
     /// locations have sampling semantics, so an unpaced burst would
     /// overwrite unconsumed values and silently lose messages. Returns
     /// `false` if any value fails to emerge within `budget_per_value`
-    /// cycles (a stalled pipeline).
+    /// cycles (a stalled pipeline). `thread` is looked up once per call;
+    /// values for a name no thread has are dropped, as
+    /// [`System::push_message`] drops them.
     pub fn submit_paced(
         &mut self,
         thread: &str,
@@ -397,8 +561,11 @@ impl System {
         base: usize,
         budget_per_value: u64,
     ) -> bool {
+        let rx = self.interner.thread_id(thread);
         for (k, &v) in values.iter().enumerate() {
-            self.push_message(thread, v);
+            if let Some(id) = rx {
+                self.push_rx(id.idx(), v);
+            }
             if !self.run_until_sent(egress, base + k + 1, budget_per_value) {
                 return false;
             }
@@ -449,10 +616,15 @@ impl System {
             rx_queues,
             sources,
             addr_route,
+            routes,
+            sched,
             requests,
             held,
             released,
-            private_read_pending,
+            private_issued,
+            private_due,
+            sent_in_step,
+            work,
             cycle,
             metrics,
             sink,
@@ -465,12 +637,13 @@ impl System {
         // per-thread port-A banks follow at `n_sync + thread_index`.
         let n_sync = banks.len() as u16;
 
-        // Traffic arrivals.
+        // Traffic arrivals. A thread parked at `recv` ticks this cycle.
         for (ti, src) in sources.iter_mut() {
             let ti = *ti;
             if let Some(v) = src.poll(now) {
                 let q = &mut rx_queues[ti];
                 q.push_back(v);
+                sched.message_queued(&mut threads[ti], ti, now);
                 if instrumented {
                     let mut tee = RecordingSink {
                         sink: &mut **sink,
@@ -490,110 +663,118 @@ impl System {
             }
         }
 
-        // 1. Tick the threads that can progress and collect the requests
-        //    they post. A parked thread only counts the cycle.
+        // 1. Tick the runnable threads, in index order, and collect the
+        //    requests they post. A thread whose tick leaves it unable to
+        //    progress parks from the next cycle on.
         requests.clear();
-        for (ti, (t, q)) in threads.iter_mut().zip(rx_queues.iter_mut()).enumerate() {
-            if !t.can_progress(!q.is_empty()) {
-                t.skip_cycle();
-                continue;
+        *sent_in_step = false;
+        for w in 0..sched.runnable.len() {
+            let mut bits = sched.runnable[w];
+            while bits != 0 {
+                let ti = w * 64 + bits.trailing_zeros() as usize;
+                bits &= bits - 1;
+                let t = &mut threads[ti];
+                let q = &mut rx_queues[ti];
+                let mut rx = q.front().copied();
+                let had = rx.is_some();
+                let sent = t.sent.len();
+                let req = t.tick(&mut rx, true);
+                work.thread_ticks += 1;
+                *sent_in_step |= t.sent.len() != sent;
+                if had && rx.is_none() {
+                    q.pop_front();
+                    if instrumented {
+                        let mut tee = RecordingSink {
+                            sink: &mut **sink,
+                            registry: metrics,
+                        };
+                        tee.emit(&TraceEvent {
+                            cycle: now,
+                            bank: 0,
+                            port: Port::Rx,
+                            addr: 0,
+                            kind: EventKind::QueuePop {
+                                thread: ti,
+                                depth: q.len(),
+                            },
+                        });
+                    }
+                }
+                if let Some(r) = req {
+                    requests.push((ti, r));
+                }
+                if !t.can_progress(!q.is_empty()) {
+                    sched.park(ti, now + 1);
+                }
             }
-            let mut rx = q.front().copied();
-            let had = rx.is_some();
-            let req = t.tick(&mut rx, true);
-            if had && rx.is_none() {
-                q.pop_front();
-                if instrumented {
-                    let mut tee = RecordingSink {
-                        sink: &mut **sink,
-                        registry: metrics,
+        }
+
+        // 2. Route this cycle's requests, in thread order. A private port-A
+        //    access resolves at once (it is never arbitrated); a sync
+        //    request goes into its bank's input slot, where it stays until
+        //    released.
+        for &(ti, r) in requests.iter() {
+            let h = match routes[ti][r.site as usize] {
+                Route::Private => {
+                    let bram = &mut private[ti];
+                    let kind = match r.write {
+                        Some(data) => {
+                            bram.write(r.addr, data);
+                            EventKind::Write { producer: ti, data }
+                        }
+                        None => {
+                            private_issued.push((ti, r.addr, bram.read(r.addr)));
+                            EventKind::ReadIssue { consumer: ti }
+                        }
                     };
-                    tee.emit(&TraceEvent {
-                        cycle: now,
-                        bank: 0,
-                        port: Port::Rx,
-                        addr: 0,
-                        kind: EventKind::QueuePop {
-                            thread: ti,
-                            depth: q.len(),
-                        },
-                    });
+                    deliver(
+                        threads,
+                        sched,
+                        held,
+                        released,
+                        ti,
+                        MemResponse::Granted,
+                        now,
+                    );
+                    if instrumented {
+                        let mut tee = RecordingSink {
+                            sink: &mut **sink,
+                            registry: metrics,
+                        };
+                        tee.emit(&TraceEvent {
+                            cycle: now,
+                            bank: n_sync + ti as u16,
+                            port: Port::A,
+                            addr: r.addr,
+                            kind,
+                        });
+                    }
+                    continue;
                 }
-            }
-            if let Some(r) = req {
-                requests.push((ti, r));
-            }
-        }
-
-        // 2. Private port-A banks: resolve immediately (never arbitrated).
-        let mut private_read_issued = false;
-        for &(ti, r) in requests.iter() {
-            if r.port != PortClass::A {
-                continue;
-            }
-            let bank = &mut private[ti];
-            let kind = match r.write {
-                Some(data) => {
-                    bank.bram.write(r.addr, data);
-                    threads[ti].deliver(MemResponse::Granted);
-                    EventKind::Write { producer: ti, data }
-                }
-                None => {
-                    bank.inflight = Some((r.addr, bank.bram.read(r.addr)));
-                    private_read_issued = true;
-                    threads[ti].deliver(MemResponse::Granted);
-                    EventKind::ReadIssue { consumer: ti }
-                }
+                Route::Sync(h) => h,
+                Route::ByAddress => match route_of(addr_route, banks, ti, r.port, r.addr) {
+                    Some(h) => h,
+                    None => continue,
+                },
+                Route::Unrouted => continue,
             };
-            if instrumented {
-                let mut tee = RecordingSink {
-                    sink: &mut **sink,
-                    registry: metrics,
-                };
-                tee.emit(&TraceEvent {
-                    cycle: now,
-                    bank: n_sync + ti as u16,
-                    port: Port::A,
-                    addr: r.addr,
-                    kind,
-                });
-            }
-        }
-
-        // 3a. Post this cycle's sync requests into their bank's input
-        //     slots, where they stay until released.
-        for &(ti, r) in requests.iter() {
-            if r.port == PortClass::A {
-                continue;
-            }
-            // Guarded addresses are globally unique (see alloc): binary
-            // search finds the owning bank without scanning guarded lists.
-            let Ok(pos) = addr_route.binary_search_by_key(&r.addr, |&(a, _)| a) else {
-                continue;
-            };
-            let bi = addr_route[pos].1;
-            let bank = &mut banks[bi as usize];
-            let slot = match r.port {
-                PortClass::C | PortClass::B => bank.consumer_slot[ti].map(Slot::Consumer),
-                PortClass::D => bank.producer_slot[ti].map(Slot::Producer),
-                PortClass::A => None,
-            };
-            let Some(slot) = slot else { continue };
-            bank.model.set_slot(slot, Some(&r));
+            let bank = &mut banks[h.bank as usize];
+            bank.model.set_slot(h.slot, Some(&r));
             bank.posted = true;
-            held[ti] = Some(Held { bank: bi, slot });
+            held[ti] = Some(h);
         }
 
-        // 3b. Step each sync bank and feed grants/data back to threads. A
-        //     settled bank with no new request would change nothing but
-        //     its cycle count; an instrumented run steps it anyway for its
-        //     per-cycle stall events and occupancy gauge.
+        // 3. Step each sync bank and feed grants/data back to threads. A
+        //    settled bank with no new request would change nothing but its
+        //    cycle count; an instrumented run steps it anyway for its
+        //    per-cycle stall events and occupancy gauge.
         for (bi, bank) in banks.iter_mut().enumerate() {
             if !instrumented && !bank.posted && bank.model.settled() {
                 bank.model.skip_cycle();
                 continue;
             }
             bank.posted = false;
+            work.bank_steps += 1;
             let bid = bi as u16;
             let SimBank {
                 model,
@@ -603,7 +784,8 @@ impl System {
                 gauge_name,
                 ..
             } = bank;
-            let mut feed = |tid: ThreadId, resp| deliver(threads, held, released, tid.idx(), resp);
+            let mut feed =
+                |tid: ThreadId, resp| deliver(threads, sched, held, released, tid.idx(), resp, now);
             match model {
                 BankModel::Arbitrated { model: m, inp, out } => {
                     if instrumented {
@@ -632,11 +814,8 @@ impl System {
                             }
                         }
                     }
-                    // Producer grants.
-                    for (p, granted) in out.d_grant.iter().enumerate() {
-                        if !granted {
-                            continue;
-                        }
+                    // The producer grant.
+                    if let Some(p) = out.granted_producer() {
                         if let Some(tid) = producer_thread[p] {
                             if !instrumented {
                                 if let Some((addr, _, _)) = inp.d_req[p] {
@@ -646,12 +825,9 @@ impl System {
                             feed(tid, MemResponse::Granted);
                         }
                     }
-                    // Consumer grants (read issued); remember the address
-                    // for delivery attribution.
-                    for (c, granted) in out.c_grant.iter().enumerate() {
-                        if !granted {
-                            continue;
-                        }
+                    // The consumer grant (read issued); remember the
+                    // address for delivery attribution.
+                    if let Some(c) = out.granted_consumer() {
                         if let Some(tid) = consumer_thread[c] {
                             feed(tid, MemResponse::Granted);
                         }
@@ -701,40 +877,44 @@ impl System {
             }
         }
 
-        // 4. Deliver private-bank read data scheduled last cycle, and
-        //    promote this cycle's issues to next cycle's deliveries.
-        if *private_read_pending || private_read_issued {
-            let mut pending = false;
-            for (ti, bank) in private.iter_mut().enumerate() {
-                if let Some((addr, data)) = bank.pending_delivery.take() {
-                    deliver(threads, held, released, ti, MemResponse::Data(data));
-                    if instrumented {
-                        let mut tee = RecordingSink {
-                            sink: &mut **sink,
-                            registry: metrics,
-                        };
-                        tee.emit(&TraceEvent {
-                            cycle: now,
-                            bank: n_sync + ti as u16,
-                            port: Port::A,
-                            addr,
-                            kind: EventKind::Deliver { consumer: ti, data },
-                        });
-                    }
-                }
-                bank.pending_delivery = bank.inflight.take();
-                pending |= bank.pending_delivery.is_some();
+        // 4. Deliver private-bank read data issued last cycle, and make
+        //    this cycle's issues next cycle's deliveries.
+        for &(ti, addr, data) in private_due.iter() {
+            deliver(
+                threads,
+                sched,
+                held,
+                released,
+                ti,
+                MemResponse::Data(data),
+                now,
+            );
+            if instrumented {
+                let mut tee = RecordingSink {
+                    sink: &mut **sink,
+                    registry: metrics,
+                };
+                tee.emit(&TraceEvent {
+                    cycle: now,
+                    bank: n_sync + ti as u16,
+                    port: Port::A,
+                    addr,
+                    kind: EventKind::Deliver { consumer: ti, data },
+                });
             }
-            *private_read_pending = pending;
         }
+        private_due.clear();
+        std::mem::swap(private_due, private_issued);
 
         // 5. Empty the slots of requests no longer held. A bank's inputs
         //    for a cycle are what its threads held after their ticks, so a
         //    slot a delivery released empties only once every bank has
         //    stepped. A settled bank stays settled when a request leaves
         //    (see the models' `settled`), so a release does not wake it.
-        for h in released.drain(..) {
-            banks[h.bank as usize].model.set_slot(h.slot, None);
+        if !released.is_empty() {
+            for h in released.drain(..) {
+                banks[h.bank as usize].model.set_slot(h.slot, None);
+            }
         }
 
         *cycle += 1;
@@ -755,20 +935,48 @@ impl System {
     }
 }
 
-/// Feeds `resp` to thread `ti`. A thread that thereby stops holding a
-/// request posted to a bank slot queues that slot for release at the end
-/// of the cycle. Normally this is the bank's own grant, but a delivery can
-/// reach a thread waiting elsewhere: an event-driven slot served before its
-/// consumer waits (see `EventDrivenModel::step_traced_into`).
+/// The bank slot a request of thread `ti` on `port` at `addr` is held in:
+/// guarded addresses are globally unique (see alloc), so a binary search
+/// finds the owning bank, whose tables give the thread's slot there.
+fn route_of(
+    addr_route: &[(u32, u32)],
+    banks: &[SimBank],
+    ti: usize,
+    port: PortClass,
+    addr: u32,
+) -> Option<Held> {
+    let pos = addr_route.binary_search_by_key(&addr, |&(a, _)| a).ok()?;
+    let bi = addr_route[pos].1;
+    let bank = &banks[bi as usize];
+    let slot = match port {
+        PortClass::C | PortClass::B => bank.consumer_slot[ti].map(Slot::Consumer),
+        PortClass::D => bank.producer_slot[ti].map(Slot::Producer),
+        PortClass::A => None,
+    }?;
+    Some(Held { bank: bi, slot })
+}
+
+/// Feeds `resp`, produced in cycle `now`, to thread `ti`. A thread whose
+/// wait thereby ends ticks again from the next cycle. A thread that stops
+/// holding a request posted to a bank slot queues that slot for release at
+/// the end of the cycle. Normally this is the bank's own grant, but a
+/// delivery can reach a thread waiting elsewhere: an event-driven slot
+/// served before its consumer waits (see
+/// `EventDrivenModel::step_traced_into`).
+#[inline]
 fn deliver(
     threads: &mut [ThreadExec],
+    sched: &mut Scheduler,
     held: &mut [Option<Held>],
     released: &mut Vec<Held>,
     ti: usize,
     resp: MemResponse,
+    now: u64,
 ) {
     let t = &mut threads[ti];
-    t.deliver(resp);
+    if t.deliver(resp) {
+        sched.wake(t, ti, now + 1);
+    }
     if t.held_request().is_none() {
         if let Some(h) = held[ti].take() {
             released.push(h);
@@ -918,7 +1126,8 @@ mod tests {
 
     /// The invariant held requests rest on: after every step, each bank's
     /// inputs are what rebuilding them from the threads' held requests
-    /// gives, as the engine once did every cycle.
+    /// gives, each routed by its address, as the engine once did every
+    /// cycle.
     fn assert_slots_hold_the_threads_requests(sys: &System) {
         let inputs = |m: &BankModel| match m {
             BankModel::Arbitrated { inp, .. } => format!("{inp:?}"),
@@ -934,19 +1143,9 @@ mod tests {
             }
             for (ti, t) in sys.threads.iter().enumerate() {
                 let Some(r) = t.held_request() else { continue };
-                let Ok(pos) = sys.addr_route.binary_search_by_key(&r.addr, |&(a, _)| a) else {
-                    continue;
-                };
-                if sys.addr_route[pos].1 as usize != bi {
-                    continue;
-                }
-                let slot = match r.port {
-                    PortClass::C | PortClass::B => bank.consumer_slot[ti].map(Slot::Consumer),
-                    PortClass::D => bank.producer_slot[ti].map(Slot::Producer),
-                    PortClass::A => None,
-                };
-                if let Some(slot) = slot {
-                    want.set_slot(slot, Some(&r));
+                match route_of(&sys.addr_route, &sys.banks, ti, r.port, r.addr) {
+                    Some(h) if h.bank as usize == bi => want.set_slot(h.slot, Some(&r)),
+                    _ => {}
                 }
             }
             assert_eq!(
@@ -955,6 +1154,23 @@ mod tests {
                 "bank {bi} after cycle {}",
                 sys.cycle
             );
+        }
+    }
+
+    /// The scheduler's invariant: the threads the next step ticks are
+    /// exactly those a tick could change, and every thread's cycle count,
+    /// parked spans included, is the system's.
+    fn assert_runnable_threads_can_progress(sys: &System) {
+        for (ti, (t, q)) in sys.threads.iter().zip(&sys.rx_queues).enumerate() {
+            assert_eq!(
+                sys.sched.is_runnable(ti),
+                t.can_progress(!q.is_empty()),
+                "thread {ti} after cycle {}",
+                sys.cycle
+            );
+            let (cycles, blocked) = sys.thread_cycles(ThreadId(ti as u32));
+            assert_eq!(cycles, sys.cycle, "thread {ti}'s cycles");
+            assert!(blocked <= cycles, "thread {ti}: {blocked} blocked cycles");
         }
     }
 
@@ -972,6 +1188,7 @@ mod tests {
                 for _ in 0..3_000 {
                     sys.step();
                     assert_slots_hold_the_threads_requests(&sys);
+                    assert_runnable_threads_can_progress(&sys);
                 }
                 assert!(
                     sys.thread(rx).unwrap().iterations > 50,
@@ -979,6 +1196,40 @@ mod tests {
                 );
             }
         }
+    }
+
+    /// Messages queued between steps wake a thread parked at `recv` for
+    /// the next step, and its parked cycles count as blocked ones.
+    #[test]
+    fn a_message_queued_between_steps_wakes_its_thread() {
+        let src = "thread rx () { message m; int v; recv m; v = m + 1; send v; }";
+        let mut c = Compiler::new(src);
+        c.skip_validation();
+        let mut sys = System::new(&c.compile().unwrap());
+        let rx = sys.thread_id("rx").unwrap();
+        for _ in 0..10 {
+            sys.step();
+        }
+        assert!(!sys.sched.is_runnable(rx.idx()), "parked at recv");
+        let (cycles, blocked) = sys.thread_cycles(rx);
+        assert_eq!(cycles, 10);
+        sys.push_message("rx", 41);
+        assert_runnable_threads_can_progress(&sys);
+        assert!(sys.run_until_sent(&[rx], 1, 100));
+        assert_eq!(sys.drain_sent(rx), vec![42]);
+        // Back round to its recv, where it parks again.
+        while sys.sched.is_runnable(rx.idx()) {
+            sys.step();
+        }
+        let ticks = sys.work().thread_ticks;
+        for _ in 0..5 {
+            sys.step();
+        }
+        assert_eq!(sys.work().thread_ticks, ticks, "parked again: no ticks");
+        let (cycles_after, blocked_after) = sys.thread_cycles(rx);
+        assert_eq!(cycles_after, sys.cycle());
+        assert!(blocked_after >= blocked + 5);
+        assert_runnable_threads_can_progress(&sys);
     }
 
     #[test]

@@ -33,6 +33,6 @@ pub mod intern;
 pub mod thread_model;
 pub mod traffic;
 
-pub use engine::System;
+pub use engine::{System, WorkCounts};
 pub use intern::{Interner, ThreadId};
 pub use thread_model::{MemRequest, MemResponse, ThreadExec};

@@ -7,16 +7,32 @@
 //! network interface. The engine drives `tick` once per cycle, except while
 //! the thread is parked on a wait no tick can resolve, and feeds back
 //! grants/data through [`ThreadExec::deliver`].
+//!
+//! # The lowered form
+//!
+//! [`ThreadExec::new`] lowers the FSM once into the form the interpreter
+//! runs, and the [`Fsm`] stays only as the source of names:
+//!
+//! - Every operand indexes one `i64` slot file. The variables come first
+//!   (slot = variable id), then the temps (dense by temp id), then one slot
+//!   per distinct constant, widened once the way the datapath reads it.
+//! - The states' ops become one flat array of fixed-size ops. Each state
+//!   keeps the range of its ops and its transition, whose branch condition
+//!   or switch selector is a slot too.
+//! - What a `DfOp` left to each execution is resolved once: a call's name
+//!   hash (the network is then [`call_function_seeded`]), a variable's
+//!   memory port and base address, and its width mask. A pure op without a
+//!   result does nothing and is dropped.
+//! - Each memory op is a numbered site. [`MemRequest::site`] names the one
+//!   a request came from, so the engine routes it by site, not by address.
 
+use memsync_hic::ast::{BinaryOp, UnaryOp};
 use memsync_synth::eval::{
-    call_function, eval_binary_datapath, eval_unary_datapath, mask_to_width,
+    call_function_seeded, eval_binary_datapath, eval_unary_datapath, mask_to_width, name_seed,
 };
 use memsync_synth::fsm::{Fsm, StateNext};
-use memsync_synth::ir::{OpKind, PortClass, Residency, Temp, Value};
-
-/// Stack buffer size for datapath call arguments; calls with more spill to
-/// a (cold) heap path.
-const MAX_CALL_ARGS: usize = 8;
+use memsync_synth::ir::{OpKind, PortClass, Residency, Value};
+use std::collections::HashMap;
 
 /// A memory request a thread holds while blocked.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +45,9 @@ pub struct MemRequest {
     pub write: Option<u32>,
     /// Dependency number presented on writes through port D.
     pub dep_number: u8,
+    /// The memory op that posted the request: its index among the
+    /// thread's memory ops, in state order.
+    pub site: u32,
 }
 
 /// Response events fed back by the engine.
@@ -44,66 +63,210 @@ pub enum MemResponse {
 enum Waiting {
     /// Executing freely.
     None,
-    /// Holding a memory request; `result` is the temp receiving read data.
+    /// Holding a memory request; `result` is the slot receiving read data.
     Mem {
         req: MemRequest,
-        result: Option<u32>, // temp id
+        result: Option<u32>,
         granted: bool,
     },
-    /// Blocked on `recv`.
-    Recv { var: u32 },
+    /// Blocked on `recv`: the message lands in slot `var`, masked.
+    Recv { var: u32, mask: i64 },
     /// Blocked on `send`.
     Send { value: i64 },
+}
+
+/// One lowered operation: operands and destinations are slot indices.
+#[derive(Debug, Clone, Copy)]
+enum Op {
+    Copy {
+        dst: u32,
+        a: u32,
+    },
+    Unary {
+        op: UnaryOp,
+        dst: u32,
+        a: u32,
+    },
+    Binary {
+        op: BinaryOp,
+        dst: u32,
+        a: u32,
+        b: u32,
+    },
+    /// The call network seeded by `seed` over the `len` argument slots
+    /// listed from `call_args[args]`.
+    Call {
+        seed: u64,
+        dst: u32,
+        args: u32,
+        len: u32,
+    },
+    Select {
+        dst: u32,
+        cond: u32,
+        a: u32,
+        b: u32,
+    },
+    /// A register write, masked to the variable's width.
+    Store {
+        var: u32,
+        src: u32,
+        mask: i64,
+    },
+    MemRead {
+        site: u32,
+        port: PortClass,
+        base: u32,
+        idx: u32,
+        dst: Option<u32>,
+    },
+    MemWrite {
+        site: u32,
+        port: PortClass,
+        dep_number: u8,
+        base: u32,
+        idx: u32,
+        data: u32,
+    },
+    Recv {
+        var: u32,
+        mask: i64,
+    },
+    Send {
+        src: u32,
+    },
+}
+
+/// A lowered transition; conditions and selectors are slot indices.
+#[derive(Debug, Clone, Copy)]
+enum Next {
+    Goto(u32),
+    Branch {
+        cond: u32,
+        then_state: u32,
+        else_state: u32,
+    },
+    /// The `len` arms listed from `arms[arms]`, first match wins.
+    Switch {
+        selector: u32,
+        arms: u32,
+        len: u32,
+        default: u32,
+    },
+    Restart,
+}
+
+/// A lowered state: its ops are `ops[start..end]`.
+#[derive(Debug, Clone, Copy)]
+struct State {
+    start: u32,
+    end: u32,
+    next: Next,
 }
 
 /// Executes one thread FSM cycle by cycle.
 #[derive(Debug, Clone)]
 pub struct ThreadExec {
+    /// The synthesized FSM, kept for names; the interpreter runs the
+    /// lowered form below.
     fsm: Fsm,
-    regs: Vec<i64>,
-    /// Temp values, indexed densely by [`Temp`] id (sized at construction
-    /// by scanning the FSM so the per-cycle path never reallocates).
-    temps: Vec<i64>,
-    /// Per-variable `(port, base_addr)`, resolved once at construction:
-    /// `MemBinding::residency_of` clones the dependency-name strings on
-    /// every call, which would put an allocation on every memory op.
-    residency: Vec<(PortClass, u32)>,
+    ops: Vec<Op>,
+    states: Vec<State>,
+    /// Argument slots of every call, each call's run contiguous.
+    call_args: Vec<u32>,
+    /// `(match, target state)` arms of every switch, each switch's run
+    /// contiguous.
+    arms: Vec<(i64, u32)>,
+    /// Variables, temps and constants.
+    slots: Vec<i64>,
+    /// Per memory site, its port and, when its index is a constant, its
+    /// address.
+    sites: Vec<(PortClass, Option<u32>)>,
+    /// Call argument values, gathered for the call network (sized at
+    /// construction for the widest call).
+    call_buf: Vec<i64>,
     state: usize,
-    op_pos: usize,
+    /// Index into `ops` of the next op to execute.
+    pc: usize,
     waiting: Waiting,
     /// Completed run-to-completion iterations.
     pub iterations: u64,
-    /// Cycles executed. This includes the cycles in which the engine parks
-    /// the thread instead of ticking it (see [`crate::engine`]).
-    pub cycles: u64,
+    /// Cycles ticked. The engine adds the cycles it parks the thread
+    /// instead of ticking it (see [`crate::engine`]).
+    pub(crate) cycles: u64,
     /// Cycles that ended with the thread blocked on memory or I/O — the
-    /// per-thread stall attribution the trace layer reports. This includes
-    /// every cycle the engine parks the thread.
-    pub blocked_cycles: u64,
+    /// per-thread stall attribution the trace layer reports. Like
+    /// `cycles`, this includes every cycle the engine parks the thread.
+    pub(crate) blocked_cycles: u64,
     /// Messages sent on the tx interface.
     pub sent: Vec<i64>,
 }
 
-impl ThreadExec {
-    /// Creates an executor over a synthesized FSM.
-    pub fn new(fsm: Fsm) -> Self {
-        let regs = vec![0; fsm.vars.len()];
-        // Size the dense temp table up front: the hot loop indexes it
-        // without ever growing.
-        let mut n_temps = 0usize;
-        for st in &fsm.states {
-            for op in &st.ops {
-                if let Some(t) = op.result {
-                    n_temps = n_temps.max(t.0 as usize + 1);
-                }
-                for a in &op.args {
-                    if let Value::Temp(t) = a {
-                        n_temps = n_temps.max(t.0 as usize + 1);
-                    }
-                }
+/// Builds the slot file while the ops are lowered.
+struct Slots {
+    /// Slot of temp 0; variables take the slots below it.
+    temp_base: u32,
+    /// Slot of the first constant.
+    const_base: u32,
+    values: Vec<i64>,
+    consts: HashMap<i64, u32>,
+}
+
+impl Slots {
+    /// The slot holding `v`. A constant is widened as the datapath reads
+    /// it, and equal constants share a slot.
+    fn of(&mut self, v: Value) -> u32 {
+        match v {
+            Value::Var(id) => id.0,
+            Value::Temp(t) => self.temp_base + t.0,
+            Value::Const(c) => {
+                let value = i64::from(c as u32);
+                *self.consts.entry(value).or_insert_with(|| {
+                    self.values.push(value);
+                    (self.values.len() - 1) as u32
+                })
             }
         }
-        let residency = fsm
+    }
+
+    /// The constant in slot `slot`, if it holds one.
+    fn constant(&self, slot: u32) -> Option<i64> {
+        (slot >= self.const_base).then(|| self.values[slot as usize])
+    }
+}
+
+impl ThreadExec {
+    /// Creates an executor over a synthesized FSM, lowering it once (see
+    /// the module docs).
+    pub fn new(fsm: Fsm) -> Self {
+        // Every temp any op or transition names gets a slot: one never
+        // written reads 0.
+        let mut n_temps = 0u32;
+        let mut see = |v: &Value| {
+            if let Value::Temp(t) = v {
+                n_temps = n_temps.max(t.0 + 1);
+            }
+        };
+        for st in &fsm.states {
+            for op in &st.ops {
+                op.args.iter().for_each(&mut see);
+                if let Some(t) = op.result {
+                    see(&Value::Temp(t));
+                }
+            }
+            match &st.next {
+                StateNext::Branch { cond: v, .. } | StateNext::Switch { selector: v, .. } => see(v),
+                StateNext::Goto(_) | StateNext::Restart => {}
+            }
+        }
+        let n_vars = fsm.vars.len() as u32;
+        let mut slots = Slots {
+            temp_base: n_vars,
+            const_base: n_vars + n_temps,
+            values: vec![0; (n_vars + n_temps) as usize],
+            consts: HashMap::new(),
+        };
+        let residency: Vec<(PortClass, u32)> = fsm
             .vars
             .iter()
             .map(|v| match fsm.binding.residency_of(v) {
@@ -113,13 +276,137 @@ impl ThreadExec {
                 Residency::Register => (PortClass::A, 0),
             })
             .collect();
+        let mask = |var: u32| mask_to_width(-1, fsm.widths[var as usize].min(32));
+
+        let mut ops = Vec::new();
+        let mut states = Vec::with_capacity(fsm.states.len());
+        let mut call_args = Vec::new();
+        let mut arms = Vec::new();
+        let mut sites = Vec::new();
+        let mut widest_call = 0;
+        for st in &fsm.states {
+            let start = ops.len() as u32;
+            for op in &st.ops {
+                let dst = op.result.map(|t| slots.of(Value::Temp(t)));
+                let lowered = match &op.kind {
+                    OpKind::Copy => dst.map(|dst| Op::Copy {
+                        dst,
+                        a: slots.of(op.args[0]),
+                    }),
+                    OpKind::Unary(u) => dst.map(|dst| Op::Unary {
+                        op: *u,
+                        dst,
+                        a: slots.of(op.args[0]),
+                    }),
+                    OpKind::Binary(b) => dst.map(|dst| Op::Binary {
+                        op: *b,
+                        dst,
+                        a: slots.of(op.args[0]),
+                        b: slots.of(op.args[1]),
+                    }),
+                    OpKind::Call(name) => dst.map(|dst| {
+                        let first = call_args.len() as u32;
+                        call_args.extend(op.args.iter().map(|a| slots.of(*a)));
+                        widest_call = widest_call.max(op.args.len());
+                        Op::Call {
+                            seed: name_seed(name),
+                            dst,
+                            args: first,
+                            len: op.args.len() as u32,
+                        }
+                    }),
+                    OpKind::Select => dst.map(|dst| Op::Select {
+                        dst,
+                        cond: slots.of(op.args[0]),
+                        a: slots.of(op.args[1]),
+                        b: slots.of(op.args[2]),
+                    }),
+                    OpKind::StoreVar { var } => Some(Op::Store {
+                        var: var.0,
+                        src: slots.of(op.args[0]),
+                        mask: mask(var.0),
+                    }),
+                    OpKind::MemRead { var, .. } | OpKind::MemWrite { var, .. } => {
+                        let (port, base) = residency[var.0 as usize];
+                        let idx = slots.of(op.args[0]);
+                        let site = sites.len() as u32;
+                        sites.push((
+                            port,
+                            slots.constant(idx).map(|i| base.wrapping_add(i as u32)),
+                        ));
+                        Some(match &op.kind {
+                            OpKind::MemWrite { dep, .. } => Op::MemWrite {
+                                site,
+                                port,
+                                dep_number: u8::from(dep.is_some()),
+                                base,
+                                idx,
+                                data: slots.of(op.args[1]),
+                            },
+                            _ => Op::MemRead {
+                                site,
+                                port,
+                                base,
+                                idx,
+                                dst,
+                            },
+                        })
+                    }
+                    OpKind::Recv { var } => Some(Op::Recv {
+                        var: var.0,
+                        mask: mask(var.0),
+                    }),
+                    OpKind::Send => Some(Op::Send {
+                        src: slots.of(op.args[0]),
+                    }),
+                };
+                // A pure op with no result changes nothing.
+                ops.extend(lowered);
+            }
+            let next = match &st.next {
+                StateNext::Goto(t) => Next::Goto(*t as u32),
+                StateNext::Branch {
+                    cond,
+                    then_state,
+                    else_state,
+                } => Next::Branch {
+                    cond: slots.of(*cond),
+                    then_state: *then_state as u32,
+                    else_state: *else_state as u32,
+                },
+                StateNext::Switch {
+                    selector,
+                    arms: cases,
+                    default,
+                } => {
+                    let first = arms.len() as u32;
+                    arms.extend(cases.iter().map(|&(k, t)| (k, t as u32)));
+                    Next::Switch {
+                        selector: slots.of(*selector),
+                        arms: first,
+                        len: cases.len() as u32,
+                        default: *default as u32,
+                    }
+                }
+                StateNext::Restart => Next::Restart,
+            };
+            states.push(State {
+                start,
+                end: ops.len() as u32,
+                next,
+            });
+        }
         ThreadExec {
             fsm,
-            regs,
-            temps: vec![0; n_temps],
-            residency,
+            ops,
+            states,
+            call_args,
+            arms,
+            slots: slots.values,
+            sites,
+            call_buf: Vec::with_capacity(widest_call),
             state: 0,
-            op_pos: 0,
+            pc: 0,
             waiting: Waiting::None,
             iterations: 0,
             cycles: 0,
@@ -135,7 +422,13 @@ impl ThreadExec {
 
     /// Current register value of a variable.
     pub fn var(&self, name: &str) -> Option<i64> {
-        self.fsm.var_id(name).map(|id| self.regs[id.0 as usize])
+        self.fsm.var_id(name).map(|id| self.slots[id.0 as usize])
+    }
+
+    /// Per memory site (in [`MemRequest::site`] order), its port class and,
+    /// when its element index is a constant, the address it always posts.
+    pub(crate) fn mem_sites(&self) -> &[(PortClass, Option<u32>)] {
+        &self.sites
     }
 
     /// Whether the thread is stalled on a memory request or I/O.
@@ -145,8 +438,8 @@ impl ThreadExec {
 
     /// Whether a tick can change anything. A thread waiting on memory, or
     /// on `recv` while `rx_ready` is false, would only count the cycle as
-    /// blocked: the engine parks it and calls [`ThreadExec::skip_cycle`]
-    /// instead. (`send` never waits: the engine's tx side is always ready.)
+    /// blocked: the engine parks it instead. (`send` never waits: the
+    /// engine's tx side is always ready.)
     pub(crate) fn can_progress(&self, rx_ready: bool) -> bool {
         match self.waiting {
             Waiting::None | Waiting::Send { .. } => true,
@@ -155,94 +448,67 @@ impl ThreadExec {
         }
     }
 
-    /// Counts one cycle in which the thread was parked: exactly what a tick
-    /// of a blocked thread does.
-    pub(crate) fn skip_cycle(&mut self) {
-        debug_assert!(self.is_blocked(), "only a blocked thread parks");
-        self.cycles += 1;
-        self.blocked_cycles += 1;
-    }
-
-    fn store_var(&mut self, id: u32, value: i64) {
-        store_var_masked(&self.fsm.widths, &mut self.regs, id, value);
-    }
-
     /// Advances one cycle. `rx` offers an incoming message (taken if the
     /// thread is at a `recv`); `tx_ready` gates `send`. Returns the memory
     /// request the thread is holding at the end of the cycle, if any.
     pub fn tick(&mut self, rx: &mut Option<i64>, tx_ready: bool) -> Option<MemRequest> {
-        let req = self.tick_inner(rx, tx_ready);
-        if self.is_blocked() {
-            self.blocked_cycles += 1;
-        }
-        req
-    }
-
-    fn tick_inner(&mut self, rx: &mut Option<i64>, tx_ready: bool) -> Option<MemRequest> {
         self.cycles += 1;
         // Resolve blocking I/O first.
         match self.waiting {
-            Waiting::Recv { var } => {
+            Waiting::Recv { var, mask } => {
                 if let Some(msg) = rx.take() {
-                    self.store_var(var, msg);
+                    self.slots[var as usize] = msg & mask;
                     self.waiting = Waiting::None;
-                    self.op_pos += 1;
+                    self.pc += 1;
                     self.run_state();
                 }
-                return self.held_request();
             }
             Waiting::Send { value } => {
                 if tx_ready {
                     self.sent.push(value);
                     self.waiting = Waiting::None;
-                    self.op_pos += 1;
+                    self.pc += 1;
                     self.run_state();
                 }
-                return self.held_request();
             }
-            Waiting::Mem { .. } => {
-                // Still blocked; the request stays posted.
-                return self.held_request();
-            }
-            Waiting::None => {}
+            // Still blocked; the request stays posted.
+            Waiting::Mem { .. } => {}
+            Waiting::None => self.run_state(),
         }
-        self.run_state();
+        if self.is_blocked() {
+            self.blocked_cycles += 1;
+        }
         self.held_request()
     }
 
-    /// Feeds back a grant or read data for the held request.
-    pub fn deliver(&mut self, resp: MemResponse) {
-        let Waiting::Mem {
-            req,
-            result,
-            granted: _,
-        } = self.waiting
-        else {
-            return;
+    /// Feeds back a grant or read data for the held request. Returns
+    /// whether the thread thereby stopped waiting (a write granted, or
+    /// read data arrived); a response with no request held is ignored.
+    pub fn deliver(&mut self, resp: MemResponse) -> bool {
+        let Waiting::Mem { req, result, .. } = self.waiting else {
+            return false;
         };
         match resp {
-            MemResponse::Granted => {
-                if req.write.is_some() {
-                    // Write complete.
-                    self.waiting = Waiting::None;
-                    self.op_pos += 1;
-                } else {
-                    // Read issued; data comes later.
-                    self.waiting = Waiting::Mem {
-                        req,
-                        result,
-                        granted: true,
-                    };
-                }
+            MemResponse::Granted if req.write.is_none() => {
+                // Read issued; data comes later.
+                self.waiting = Waiting::Mem {
+                    req,
+                    result,
+                    granted: true,
+                };
+                return false;
             }
+            // Write complete.
+            MemResponse::Granted => {}
             MemResponse::Data(d) => {
-                if let Some(t) = result {
-                    set_temp(&mut self.temps, Some(Temp(t)), i64::from(d));
+                if let Some(slot) = result {
+                    self.slots[slot as usize] = i64::from(d);
                 }
-                self.waiting = Waiting::None;
-                self.op_pos += 1;
             }
         }
+        self.waiting = Waiting::None;
+        self.pc += 1;
+        true
     }
 
     /// The memory request the thread holds, not yet granted.
@@ -256,188 +522,146 @@ impl ThreadExec {
     /// Executes ops of the current state until a blocking op or the state
     /// completes (then takes the transition). At most one state per cycle.
     ///
-    /// This is the simulator's innermost loop: ops are executed by
-    /// reference (no clones) and results land in the dense temp table, so
-    /// a cycle with no `send`/`recv` performs no heap allocation.
+    /// This is the simulator's innermost loop: it runs the lowered ops,
+    /// reading and writing the slot file by index, so a cycle with no
+    /// `send` performs no heap allocation.
     fn run_state(&mut self) {
         let ThreadExec {
-            fsm,
-            regs,
-            temps,
-            residency,
+            ops,
+            states,
+            call_args,
+            arms,
+            slots,
+            call_buf,
             state,
-            op_pos,
+            pc,
             waiting,
             iterations,
             ..
         } = self;
-        if fsm.states.is_empty() {
+        let Some(st) = states.get(*state) else {
             return;
-        }
-        loop {
-            let st = &fsm.states[*state];
-            if *op_pos >= st.ops.len() {
-                break;
-            }
-            let op = &st.ops[*op_pos];
-            match &op.kind {
-                OpKind::Copy => {
-                    let v = value_of(regs, temps, op.args[0]);
-                    set_temp(temps, op.result, v);
+        };
+        while *pc < st.end as usize {
+            match ops[*pc] {
+                Op::Copy { dst, a } => slots[dst as usize] = slots[a as usize],
+                Op::Unary { op, dst, a } => {
+                    slots[dst as usize] = eval_unary_datapath(op, slots[a as usize]);
                 }
-                OpKind::Unary(u) => {
-                    let v = eval_unary_datapath(*u, value_of(regs, temps, op.args[0]));
-                    set_temp(temps, op.result, v);
+                Op::Binary { op, dst, a, b } => {
+                    slots[dst as usize] =
+                        eval_binary_datapath(op, slots[a as usize], slots[b as usize]);
                 }
-                OpKind::Binary(bop) => {
-                    let v = eval_binary_datapath(
-                        *bop,
-                        value_of(regs, temps, op.args[0]),
-                        value_of(regs, temps, op.args[1]),
-                    );
-                    set_temp(temps, op.result, v);
+                Op::Call {
+                    seed,
+                    dst,
+                    args,
+                    len,
+                } => {
+                    let args = &call_args[args as usize..(args + len) as usize];
+                    call_buf.clear();
+                    call_buf.extend(args.iter().map(|&a| slots[a as usize]));
+                    slots[dst as usize] = call_function_seeded(seed, call_buf);
                 }
-                OpKind::Call(name) => {
-                    // Datapath networks take a handful of inputs: evaluate
-                    // into a stack buffer, spilling to the heap only for
-                    // pathological arities.
-                    let v = if op.args.len() <= MAX_CALL_ARGS {
-                        let mut buf = [0i64; MAX_CALL_ARGS];
-                        for (slot, a) in buf.iter_mut().zip(op.args.iter()) {
-                            *slot = value_of(regs, temps, *a);
-                        }
-                        call_function(name, &buf[..op.args.len()])
-                    } else {
-                        let args: Vec<i64> =
-                            op.args.iter().map(|a| value_of(regs, temps, *a)).collect();
-                        call_function(name, &args)
-                    };
-                    set_temp(temps, op.result, v);
+                Op::Select { dst, cond, a, b } => {
+                    let pick = if slots[cond as usize] != 0 { a } else { b };
+                    slots[dst as usize] = slots[pick as usize];
                 }
-                OpKind::Select => {
-                    let v = if value_of(regs, temps, op.args[0]) != 0 {
-                        value_of(regs, temps, op.args[1])
-                    } else {
-                        value_of(regs, temps, op.args[2])
-                    };
-                    set_temp(temps, op.result, v);
-                }
-                OpKind::StoreVar { var } => {
-                    let v = value_of(regs, temps, op.args[0]);
-                    store_var_masked(&fsm.widths, regs, var.0, v);
-                }
-                OpKind::MemRead { var, .. } => {
-                    let (port, base) = residency[var.0 as usize];
-                    let idx = value_of(regs, temps, op.args[0]) as u32;
+                Op::Store { var, src, mask } => slots[var as usize] = slots[src as usize] & mask,
+                Op::MemRead {
+                    site,
+                    port,
+                    base,
+                    idx,
+                    dst,
+                } => {
                     *waiting = Waiting::Mem {
                         req: MemRequest {
                             port,
-                            addr: base.wrapping_add(idx),
+                            addr: base.wrapping_add(slots[idx as usize] as u32),
                             write: None,
                             dep_number: 0,
+                            site,
                         },
-                        result: op.result.map(|t| t.0),
+                        result: dst,
                         granted: false,
                     };
                     return;
                 }
-                OpKind::MemWrite { var, dep } => {
-                    let (port, base) = residency[var.0 as usize];
-                    let idx = value_of(regs, temps, op.args[0]) as u32;
-                    let data = value_of(regs, temps, op.args[1]) as u32;
-                    let dep_number = dep.as_ref().map(|_| 1).unwrap_or(0);
+                Op::MemWrite {
+                    site,
+                    port,
+                    dep_number,
+                    base,
+                    idx,
+                    data,
+                } => {
                     *waiting = Waiting::Mem {
                         req: MemRequest {
                             port,
-                            addr: base.wrapping_add(idx),
-                            write: Some(data),
+                            addr: base.wrapping_add(slots[idx as usize] as u32),
+                            write: Some(slots[data as usize] as u32),
                             dep_number,
+                            site,
                         },
                         result: None,
                         granted: false,
                     };
                     return;
                 }
-                OpKind::Recv { var } => {
-                    *waiting = Waiting::Recv { var: var.0 };
+                Op::Recv { var, mask } => {
+                    *waiting = Waiting::Recv { var, mask };
                     return;
                 }
-                OpKind::Send => {
-                    let v = value_of(regs, temps, op.args[0]);
-                    *waiting = Waiting::Send { value: v };
+                Op::Send { src } => {
+                    *waiting = Waiting::Send {
+                        value: slots[src as usize],
+                    };
                     return;
                 }
             }
-            *op_pos += 1;
+            *pc += 1;
         }
         // State complete: take the transition (consumes the cycle).
-        let st = &fsm.states[*state];
-        *op_pos = 0;
-        *state = match &st.next {
-            StateNext::Goto(t) => *t,
-            StateNext::Branch {
+        let next = match st.next {
+            Next::Goto(t) => t,
+            Next::Branch {
                 cond,
                 then_state,
                 else_state,
             } => {
-                if value_of(regs, temps, *cond) != 0 {
-                    *then_state
+                if slots[cond as usize] != 0 {
+                    then_state
                 } else {
-                    *else_state
+                    else_state
                 }
             }
-            StateNext::Switch {
+            Next::Switch {
                 selector,
-                arms,
+                arms: first,
+                len,
                 default,
             } => {
-                let sel = value_of(regs, temps, *selector);
-                arms.iter()
-                    .find(|(k, _)| i64::from(*k as u32) == sel || *k == sel)
-                    .map(|(_, t)| *t)
-                    .unwrap_or(*default)
+                let sel = slots[selector as usize];
+                arms[first as usize..(first + len) as usize]
+                    .iter()
+                    .find(|&&(k, _)| i64::from(k as u32) == sel || k == sel)
+                    .map_or(default, |&(_, t)| t)
             }
-            StateNext::Restart => {
+            Next::Restart => {
                 *iterations += 1;
                 0
             }
         };
+        *state = next as usize;
+        *pc = states[*state].start as usize;
     }
-}
-
-// Free helpers over disjoint `ThreadExec` fields, so `run_state` can read
-// ops by reference while writing registers and temps.
-
-#[inline]
-fn value_of(regs: &[i64], temps: &[i64], v: Value) -> i64 {
-    match v {
-        Value::Const(c) => i64::from(c as u32),
-        Value::Var(id) => regs[id.0 as usize],
-        Value::Temp(t) => temps.get(t.0 as usize).copied().unwrap_or(0),
-    }
-}
-
-#[inline]
-fn set_temp(temps: &mut Vec<i64>, t: Option<Temp>, v: i64) {
-    if let Some(t) = t {
-        let i = t.0 as usize;
-        if i >= temps.len() {
-            // Cold: the table is pre-sized from the FSM at construction.
-            temps.resize(i + 1, 0);
-        }
-        temps[i] = v;
-    }
-}
-
-#[inline]
-fn store_var_masked(widths: &[u32], regs: &mut [i64], id: u32, value: i64) {
-    let width = widths[id as usize].min(32);
-    regs[id as usize] = mask_to_width(value, width);
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use memsync_synth::eval::call_function;
     use memsync_synth::ir::MemBinding;
     use memsync_synth::Synthesis;
 

@@ -7,11 +7,18 @@
 //! cycle count. The forwarding-app and stray-serve constants were captured
 //! from the polling engine, which ticked every thread and stepped every
 //! bank on every cycle, before stepping became activity-driven.
+//!
+//! The arbitrated paced run also pins the simulator's work: its thread
+//! ticks and bank steps ([`System::work`]), the simulator half of the count
+//! gate. They were captured from the activity-driven engine before threads
+//! ran lowered ops. The pin is exact: a change that cuts the work records
+//! the lower count, and no change may raise it. The event-driven totals
+//! are printed, not pinned, until that model follows its RTL.
 
 use memsync_core::{CompiledSystem, Compiler, OptLevel, OrganizationKind};
 use memsync_netapp::Workload;
 use memsync_sim::traffic::{BernoulliSource, PeriodicSource};
-use memsync_sim::System;
+use memsync_sim::{System, WorkCounts};
 use memsync_synth::eval::name_seed;
 use memsync_trace::{SharedSink, TraceEvent, VecSink};
 
@@ -177,7 +184,9 @@ fn thread_counters(sys: &System, threads: &[&str]) -> Vec<(u64, u64, u64, usize)
         .iter()
         .map(|name| {
             let t = sys.thread(name).expect("forwarding thread");
-            (t.iterations, t.cycles, t.blocked_cycles, t.sent.len())
+            let id = sys.thread_id(name).expect("forwarding thread");
+            let (cycles, blocked_cycles) = sys.thread_cycles(id);
+            (t.iterations, cycles, blocked_cycles, t.sent.len())
         })
         .collect()
 }
@@ -232,6 +241,8 @@ struct ForwardingPins {
     bernoulli_registry: u64,
     paced_cycles: u64,
     paced_threads: [(u64, u64, u64, usize); 7],
+    /// Thread ticks and bank steps of the paced run, where pinned.
+    paced_work: Option<WorkCounts>,
     late_events: usize,
     late_trace: u64,
     late_registry: u64,
@@ -266,6 +277,11 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
             (256, 8961, 8449, 0),
             (256, 8961, 8449, 0),
         ],
+        // 39.02 ticks and 20 bank steps per packet.
+        paced_work: Some(WorkCounts {
+            thread_ticks: 9990,
+            bank_steps: 5120,
+        }),
         late_events: 25_600,
         late_trace: 0x298d_07a1_c6f1_d1fe,
         late_registry: 0xd573_7c5e_1973_c9ee,
@@ -295,6 +311,7 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
             (256, 7425, 6913, 0),
             (256, 7425, 6913, 0),
         ],
+        paced_work: None,
         late_events: 21_376,
         late_trace: 0x7e35_67f1_8239_b491,
         late_registry: 0xe71e_c594_6575_01f0,
@@ -350,6 +367,10 @@ fn forwarding_paced_run_matches_the_polling_engine() {
             pin.kind
         );
         assert_eq!(frames, PACED_FRAMES, "{}", pin.kind);
+        match pin.paced_work {
+            Some(work) => assert_eq!(sys.work(), work, "{}: simulator work", pin.kind),
+            None => println!("{}: paced run work {:?}", pin.kind, sys.work()),
+        }
     }
 }
 

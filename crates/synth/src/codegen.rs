@@ -1,7 +1,9 @@
 //! RTL code generation: FSM → `memsync-rtl` netlist.
 //!
 //! Produces a synthesizable thread module: a binary-encoded state register,
-//! one 32-bit datapath register per declared variable, shared registers for
+//! one datapath register per declared variable (a variable narrower than
+//! 32 bits, such as a `char`, is truncated to its width on every write, as
+//! the simulator's executor stores it), shared registers for
 //! cross-state temporaries, spatially instantiated operators, and the memory
 //! port interfaces that connect to the wrapper of `memsync-core`:
 //!
@@ -271,6 +273,7 @@ pub fn generate(fsm: &Fsm) -> Result<Module, CodegenError> {
                 }
                 OpKind::StoreVar { var } => {
                     let v = resolve(&mut b, &temp_wire, &var_wire, &temp_reg, op.args[0]);
+                    let v = to_var_width(&mut b, fsm, *var, v);
                     var_writers[var.0 as usize].push((si, v, None));
                     var_wire.insert(var.0, (si, v));
                 }
@@ -337,11 +340,12 @@ pub fn generate(fsm: &Fsm) -> Result<Module, CodegenError> {
                 }
                 OpKind::Recv { var } => {
                     let (rx_data, rx_valid) = rx.expect("recv implies rx ports");
-                    var_writers[var.0 as usize].push((si, rx_data, Some(rx_valid)));
+                    let v = to_var_width(&mut b, fsm, *var, rx_data);
+                    var_writers[var.0 as usize].push((si, v, Some(rx_valid)));
                     // Later ops in this state see the arriving message
                     // combinationally (their commits are gated by the same
                     // state advance, so stalled cycles are harmless).
-                    var_wire.insert(var.0, (si, rx_data));
+                    var_wire.insert(var.0, (si, v));
                     recv_states.push(si);
                     let nv = b.not(rx_valid, "no_rx");
                     stall_terms.push(nv);
@@ -547,6 +551,17 @@ fn extend_bit(b: &mut ModuleBuilder, bit: NetId, w: u32, name: &str) -> NetId {
 fn bool_of(b: &mut ModuleBuilder, v: NetId, w: u32) -> NetId {
     let zero = b.constant(0, w, "z");
     b.ne(v, zero, "nz")
+}
+
+/// `value` as variable `var` holds it: truncated to the variable's declared
+/// width, zero-extended in the datapath.
+fn to_var_width(b: &mut ModuleBuilder, fsm: &Fsm, var: VarId, value: NetId) -> NetId {
+    let width = fsm.widths[var.0 as usize];
+    if width >= DATAPATH_WIDTH {
+        return value;
+    }
+    let mask = b.constant((1u64 << width) - 1, DATAPATH_WIDTH, "var_mask");
+    b.and(&[value, mask], "var_trunc")
 }
 
 fn gen_unary(b: &mut ModuleBuilder, op: UnaryOp, a: NetId, w: u32) -> NetId {

@@ -1,15 +1,27 @@
 //! Generated thread-datapath RTL vs the FSM executor: the same hic thread,
 //! synthesized to RTL and run in the netlist interpreter, must emit the
 //! same `send` values as the cycle-accurate FSM executor — the end-to-end
-//! check on the behavioral-synthesis code generator.
+//! check on the behavioral-synthesis code generator. Every program runs at
+//! both optimization levels: O1's if-conversion emits `Select`, which no
+//! O0 lowering does, so between them the programs execute every op the
+//! executor's lowered form has apart from memory ops.
 
 use memsync::rtl::interp::Interp;
 use memsync::sim::ThreadExec;
-use memsync::synth::{codegen, Synthesis};
+use memsync::synth::ir::OpKind;
+use memsync::synth::{codegen, Fsm, OptLevel, Synthesis};
 
-fn build(src: &str) -> (Interp, ThreadExec) {
+fn fsm_at(src: &str, opt: OptLevel) -> Fsm {
     let program = memsync::hic::parser::parse(src).expect("parses");
-    let fsm = Synthesis::of(&program).run().expect("synthesizes").fsm;
+    Synthesis::of(&program)
+        .opt(opt)
+        .run()
+        .expect("synthesizes")
+        .fsm
+}
+
+fn build(src: &str, opt: OptLevel) -> (Interp, ThreadExec) {
+    let fsm = fsm_at(src, opt);
     let module = codegen::generate(&fsm).expect("codegen");
     memsync::rtl::validate::validate(&module).expect("valid netlist");
     (
@@ -20,8 +32,8 @@ fn build(src: &str) -> (Interp, ThreadExec) {
 
 /// Runs both sides until each produced `count` sends; returns the value
 /// streams.
-fn collect_sends(src: &str, inputs: &[u32], count: usize) -> (Vec<u64>, Vec<i64>) {
-    let (mut rtl, mut exec) = build(src);
+fn collect_sends(src: &str, opt: OptLevel, inputs: &[u32], count: usize) -> (Vec<u64>, Vec<i64>) {
+    let (mut rtl, mut exec) = build(src, opt);
 
     // --- RTL side ---
     let mut rtl_sent = Vec::new();
@@ -69,77 +81,125 @@ fn collect_sends(src: &str, inputs: &[u32], count: usize) -> (Vec<u64>, Vec<i64>
     (rtl_sent, exec.sent.clone())
 }
 
+/// Runs `src` at O0 and at O1 and compares RTL with executor at each.
 fn check(src: &str, inputs: &[u32], count: usize) {
-    let (rtl, exec) = collect_sends(src, inputs, count);
-    assert!(rtl.len() >= count, "RTL produced only {} sends", rtl.len());
-    assert!(
-        exec.len() >= count,
-        "executor produced only {} sends",
-        exec.len()
-    );
-    for i in 0..count {
-        assert_eq!(
-            rtl[i],
-            exec[i] as u64 & 0xffff_ffff,
-            "send #{i} differs (rtl {:x?} vs exec {:x?})",
-            &rtl[..count.min(rtl.len())],
-            &exec[..count.min(exec.len())]
+    for opt in [OptLevel::O0, OptLevel::O1] {
+        let (rtl, exec) = collect_sends(src, opt, inputs, count);
+        assert!(
+            rtl.len() >= count,
+            "{opt:?}: RTL produced only {} sends",
+            rtl.len()
         );
+        assert!(
+            exec.len() >= count,
+            "{opt:?}: executor produced only {} sends",
+            exec.len()
+        );
+        for i in 0..count {
+            assert_eq!(
+                rtl[i],
+                exec[i] as u64 & 0xffff_ffff,
+                "{opt:?}: send #{i} differs (rtl {:x?} vs exec {:x?})",
+                &rtl[..count.min(rtl.len())],
+                &exec[..count.min(exec.len())]
+            );
+        }
     }
 }
 
+const ARITHMETIC: &str =
+    "thread t() { message m; int a, b; recv m; a = (m >> 3) + 7; b = (a * 5) ^ (m & 255); send b; }";
+
+const CONTROL_FLOW: &str = "thread t() { message m; int acc, i; recv m;
+      acc = 0;
+      for (i = 0; i < 4; i = i + 1) { acc = acc + ((m >> i) & 15); }
+      if (acc > 20) { acc = acc - 20; } else { acc = acc + 100; }
+      send acc; }";
+
+const CASE_MACHINE: &str = "thread t() { message m; int s, r; recv m;
+      s = m & 3;
+      case (s) { when 0: r = m + 1; when 1: r = m ^ 21; when 2: r = m << 2; default: r = 9; }
+      send r; }";
+
+const CALL_NETWORK: &str = "thread t() { message m; int y; recv m; y = f(m, m >> 5); send y; }";
+
+const COMPARISONS: &str = "thread t() { message m; int a, b, c; recv m;
+      a = (m < 100) | ((m > 1000) << 1);
+      b = (m == 77) + (m != 78);
+      c = (a && b) | ((a || b) << 4);
+      send a + (b << 8) + (c << 16); }";
+
+/// `char` variables hold 8 bits: every store truncates, and reads see the
+/// truncated value.
+const CHAR_WIDTH: &str = "thread t() { message m; char c, d; int r; recv m;
+      c = m + 200;
+      d = c * 3;
+      if (d > 100) { c = d - 7; } else { c = d + 7; }
+      r = (c << 8) + d;
+      send r; }";
+
+const UNARY: &str = "thread t() { message m; int a, b, c; recv m;
+      a = -m;
+      b = !(m & 3) + !m;
+      c = ~m ^ -(a >> 4);
+      send a ^ (b << 3) ^ c; }";
+
 #[test]
 fn arithmetic_pipeline_matches() {
-    check(
-        "thread t() { message m; int a, b; recv m; a = (m >> 3) + 7; b = (a * 5) ^ (m & 255); send b; }",
-        &[0x1234_5678, 0xffff_ffff, 0, 42],
-        8,
-    );
+    check(ARITHMETIC, &[0x1234_5678, 0xffff_ffff, 0, 42], 8);
 }
 
 #[test]
 fn control_flow_matches() {
-    check(
-        "thread t() { message m; int acc, i; recv m;
-          acc = 0;
-          for (i = 0; i < 4; i = i + 1) { acc = acc + ((m >> i) & 15); }
-          if (acc > 20) { acc = acc - 20; } else { acc = acc + 100; }
-          send acc; }",
-        &[0x0f0f_0f0f, 1, 0xdead_beef],
-        6,
-    );
+    check(CONTROL_FLOW, &[0x0f0f_0f0f, 1, 0xdead_beef], 6);
 }
 
 #[test]
 fn case_machine_matches() {
-    check(
-        "thread t() { message m; int s, r; recv m;
-          s = m & 3;
-          case (s) { when 0: r = m + 1; when 1: r = m ^ 21; when 2: r = m << 2; default: r = 9; }
-          send r; }",
-        &[0, 1, 2, 3, 100, 101, 102, 103],
-        8,
-    );
+    check(CASE_MACHINE, &[0, 1, 2, 3, 100, 101, 102, 103], 8);
 }
 
 #[test]
 fn call_network_matches() {
-    check(
-        "thread t() { message m; int y; recv m; y = f(m, m >> 5); send y; }",
-        &[7, 0x8000_0000, 12345],
-        6,
-    );
+    check(CALL_NETWORK, &[7, 0x8000_0000, 12345], 6);
 }
 
 #[test]
 fn comparisons_and_logic_match() {
-    check(
-        "thread t() { message m; int a, b, c; recv m;
-          a = (m < 100) | ((m > 1000) << 1);
-          b = (m == 77) + (m != 78);
-          c = (a && b) | ((a || b) << 4);
-          send a + (b << 8) + (c << 16); }",
-        &[50, 77, 78, 5000, 100],
-        10,
-    );
+    check(COMPARISONS, &[50, 77, 78, 5000, 100], 10);
+}
+
+#[test]
+fn char_width_matches() {
+    check(CHAR_WIDTH, &[0, 55, 56, 255, 0x1234_5678, 0xffff_ffff], 12);
+}
+
+#[test]
+fn unary_operators_match() {
+    check(UNARY, &[0, 1, 2, 3, 0x8000_0000, 0xffff_ffff, 1234], 14);
+}
+
+/// The O1 runs above execute a `Select`: if-conversion turns at least one
+/// of the programs' diamonds into one.
+#[test]
+fn an_o1_program_executes_a_select() {
+    let selects = [
+        ARITHMETIC,
+        CONTROL_FLOW,
+        CASE_MACHINE,
+        CALL_NETWORK,
+        COMPARISONS,
+        CHAR_WIDTH,
+        UNARY,
+    ]
+    .iter()
+    .filter(|src| {
+        fsm_at(src, OptLevel::O1)
+            .states
+            .iter()
+            .flat_map(|s| &s.ops)
+            .any(|op| matches!(op.kind, OpKind::Select))
+    })
+    .count();
+    assert!(selects >= 1, "no O1 program holds a Select");
 }
