@@ -160,33 +160,13 @@ impl DependencyList {
         self.entries.iter().position(|e| e.base_addr == addr)
     }
 
-    /// Producer write through port D: allowed only when a matching entry
-    /// exists with dep_number > 0 (§3.1); re-arms the counter.
-    ///
-    /// Returns whether the write was accepted. Overwrite-blind convenience
-    /// wrapper around [`DependencyList::producer_write_checked`] — callers
-    /// that must account for lost updates (the simulator's guarded-write
-    /// path) use the checked form.
-    pub fn producer_write(&mut self, addr: u32) -> bool {
-        self.producer_write_checked(addr).accepted()
-    }
-
-    /// The counted guarded-write helper: like
-    /// [`DependencyList::producer_write`], but reports whether the re-arm
-    /// overwrote a value whose consumers had not all read yet
+    /// Producer write through port D to the entry at index `e`, as
+    /// [`DependencyList::find`] resolved it: allowed only with
+    /// dep_number > 0 (§3.1); re-arms the counter. Reports whether the
+    /// re-arm overwrote a value whose consumers had not all read yet
     /// ([`WriteOutcome::lost_update`]). Every guarded overwrite in the
-    /// system flows through here or through
-    /// [`DependencyList::producer_write_at`] — there is no other path that
-    /// re-arms an entry.
-    pub fn producer_write_checked(&mut self, addr: u32) -> WriteOutcome {
-        match self.find(addr) {
-            Some(e) => self.producer_write_at(e),
-            None => WriteOutcome::Rejected,
-        }
-    }
-
-    /// [`DependencyList::producer_write_checked`] on the entry at index
-    /// `e`, as [`DependencyList::find`] resolved it.
+    /// system flows through here — there is no other path that re-arms
+    /// an entry.
     ///
     /// # Panics
     ///
@@ -205,19 +185,11 @@ impl DependencyList {
         }
     }
 
-    /// Consumer read through port C: granted when the entry is armed with
-    /// remaining reads; decrements the counter, completing the
+    /// Consumer read through port C of the entry at index `e`, as
+    /// [`DependencyList::find`] resolved it: granted when the entry is
+    /// armed with remaining reads; decrements the counter, completing the
     /// produce–consume cycle at zero ("ending of the need for the address
     /// to be guarded" until the next write).
-    pub fn consumer_read(&mut self, addr: u32) -> ReadOutcome {
-        match self.find(addr) {
-            None => ReadOutcome::Unguarded,
-            Some(e) => self.consumer_read_at(e),
-        }
-    }
-
-    /// [`DependencyList::consumer_read`] on the entry at index `e`, as
-    /// [`DependencyList::find`] resolved it.
     ///
     /// # Panics
     ///
@@ -237,11 +209,6 @@ impl DependencyList {
         }
     }
 
-    /// Whether a produce–consume cycle is currently open for the address.
-    pub fn is_pending(&self, addr: u32) -> bool {
-        self.find(addr).is_some_and(|e| self.pending >> e & 1 == 1)
-    }
-
     /// The entries with an open produce–consume cycle, bit `e` for the
     /// entry at index `e`.
     pub fn pending_mask(&self) -> u16 {
@@ -254,41 +221,42 @@ impl DependencyList {
     pub fn occupancy(&self) -> usize {
         self.pending.count_ones() as usize
     }
-
-    /// Iterates over entries.
-    pub fn iter(&self) -> impl Iterator<Item = &Entry> {
-        self.entries.iter()
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    /// Whether entry `e` has an open produce–consume cycle.
+    fn pending(dl: &DependencyList, e: usize) -> bool {
+        dl.pending_mask() >> e & 1 == 1
+    }
+
     #[test]
     fn configure_then_full_cycle() {
         let mut dl = DependencyList::new(4);
         dl.configure(0x10, 2).unwrap();
+        let e = dl.find(0x10).expect("configured");
         // Reads before any write block.
-        assert_eq!(dl.consumer_read(0x10), ReadOutcome::Blocked);
+        assert_eq!(dl.consumer_read_at(e), ReadOutcome::Blocked);
         // Producer arms the entry.
-        assert!(dl.producer_write(0x10));
-        assert!(dl.is_pending(0x10));
+        assert!(dl.producer_write_at(e).accepted());
+        assert!(pending(&dl, e));
         // Two consumer reads drain it.
         assert_eq!(
-            dl.consumer_read(0x10),
+            dl.consumer_read_at(e),
             ReadOutcome::Granted { remaining: 1 }
         );
         assert_eq!(
-            dl.consumer_read(0x10),
+            dl.consumer_read_at(e),
             ReadOutcome::Granted { remaining: 0 }
         );
-        assert!(!dl.is_pending(0x10));
+        assert!(!pending(&dl, e));
         // Third read blocks until the next write.
-        assert_eq!(dl.consumer_read(0x10), ReadOutcome::Blocked);
-        assert!(dl.producer_write(0x10));
+        assert_eq!(dl.consumer_read_at(e), ReadOutcome::Blocked);
+        assert!(dl.producer_write_at(e).accepted());
         assert_eq!(
-            dl.consumer_read(0x10),
+            dl.consumer_read_at(e),
             ReadOutcome::Granted { remaining: 1 }
         );
     }
@@ -298,12 +266,13 @@ mod tests {
         let mut dl = DependencyList::new(4);
         dl.configure(0x10, 2).unwrap();
         dl.configure(0x20, 1).unwrap();
+        let (a, b) = (dl.find(0x10).unwrap(), dl.find(0x20).unwrap());
         assert_eq!(dl.occupancy(), 0);
-        dl.producer_write(0x10);
+        dl.producer_write_at(a);
         assert_eq!(dl.occupancy(), 1);
-        dl.producer_write(0x20);
+        dl.producer_write_at(b);
         assert_eq!(dl.occupancy(), 2);
-        dl.consumer_read(0x20);
+        dl.consumer_read_at(b);
         assert_eq!(dl.occupancy(), 1, "drained entry closes");
     }
 
@@ -319,18 +288,18 @@ mod tests {
         assert_eq!(dl.pending_mask(), 0);
         dl.producer_write_at(1);
         assert_eq!(dl.pending_mask(), 0b10);
-        dl.producer_write(0x10);
+        dl.producer_write_at(0);
         assert_eq!(dl.pending_mask(), 0b11);
         assert_eq!(
             dl.consumer_read_at(0),
             ReadOutcome::Granted { remaining: 0 }
         );
         assert_eq!(dl.pending_mask(), 0b10);
-        dl.consumer_read(0x20);
+        dl.consumer_read_at(1);
         assert_eq!(dl.pending_mask(), 0b10, "one read of two still owed");
-        dl.consumer_read(0x20);
+        dl.consumer_read_at(1);
         assert_eq!(dl.pending_mask(), 0);
-        for e in dl.iter() {
+        for e in &dl.entries {
             assert!(!e.armed && e.remaining == 0);
         }
     }
@@ -339,16 +308,13 @@ mod tests {
     fn unguarded_addresses_pass_through() {
         let mut dl = DependencyList::new(4);
         dl.configure(0x10, 1).unwrap();
-        assert_eq!(dl.consumer_read(0x99), ReadOutcome::Unguarded);
+        assert_eq!(dl.find(0x99), None, "no entry guards 0x99");
     }
 
     #[test]
     fn write_to_unlisted_address_rejected() {
-        let mut dl = DependencyList::new(4);
-        assert!(
-            !dl.producer_write(0x44),
-            "§3.1: write needs a matching entry"
-        );
+        let dl = DependencyList::new(4);
+        assert_eq!(dl.find(0x44), None, "§3.1: write needs a matching entry");
     }
 
     #[test]
@@ -378,25 +344,27 @@ mod tests {
     fn checked_write_reports_overwrite_of_unconsumed_value() {
         let mut dl = DependencyList::new(4);
         dl.configure(0x30, 2).unwrap();
+        let e = dl.find(0x30).expect("configured");
         // First write of a cycle: nothing pending, no loss.
         assert_eq!(
-            dl.producer_write_checked(0x30),
+            dl.producer_write_at(e),
             WriteOutcome::Accepted {
                 overwrote_unconsumed: false
             }
         );
         // Re-write before any consumer read: the pending value is lost.
-        assert!(dl.producer_write_checked(0x30).lost_update());
+        assert!(dl.producer_write_at(e).lost_update());
         // Partially drained still counts: one of two reads outstanding.
-        dl.consumer_read(0x30);
-        assert!(dl.producer_write_checked(0x30).lost_update());
+        dl.consumer_read_at(e);
+        assert!(dl.producer_write_at(e).lost_update());
         // Fully drained: the next write opens a fresh cycle cleanly.
-        dl.consumer_read(0x30);
-        dl.consumer_read(0x30);
-        assert!(!dl.producer_write_checked(0x30).lost_update());
-        // Unlisted addresses are rejected, never counted as lost.
-        let out = dl.producer_write_checked(0x99);
-        assert_eq!(out, WriteOutcome::Rejected);
+        dl.consumer_read_at(e);
+        dl.consumer_read_at(e);
+        assert!(!dl.producer_write_at(e).lost_update());
+        // Unlisted addresses have no entry to write, and a refused write
+        // is never counted as lost.
+        assert_eq!(dl.find(0x99), None);
+        let out = WriteOutcome::Rejected;
         assert!(!out.accepted() && !out.lost_update());
     }
 
@@ -406,14 +374,15 @@ mod tests {
         // counter (the new value supersedes; no rollback per the paper).
         let mut dl = DependencyList::new(4);
         dl.configure(0x20, 3).unwrap();
-        assert!(dl.producer_write(0x20));
+        let e = dl.find(0x20).expect("configured");
+        assert!(dl.producer_write_at(e).accepted());
         assert_eq!(
-            dl.consumer_read(0x20),
+            dl.consumer_read_at(e),
             ReadOutcome::Granted { remaining: 2 }
         );
-        assert!(dl.producer_write(0x20));
+        assert!(dl.producer_write_at(e).accepted());
         assert_eq!(
-            dl.consumer_read(0x20),
+            dl.consumer_read_at(e),
             ReadOutcome::Granted { remaining: 2 }
         );
     }

@@ -50,10 +50,11 @@
 //!   schema: each section type carries the one `to_json`/`from_json`
 //!   pair (over the dependency-free [`memsync_trace::Json`]) that the
 //!   server renders with and the client decodes with;
-//! * [`stats`] — the live sources that fill the snapshot: per-shard
-//!   [`memsync_trace::MetricsRegistry`] instances with bucketed
-//!   histograms (O(1) memory), merged into the totals next to each
-//!   shard's own section, plus the server and connection-plane counters;
+//! * [`stats`] — the live sources that fill the snapshot, and the one
+//!   module that knows its metric set: each shard's typed `ShardStats`
+//!   (seven counters and bucketed histograms, O(1) memory), summed field
+//!   by field into the totals next to each shard's own section, plus the
+//!   server and connection-plane counters;
 //! * [`tracing`] — request-scoped spans: per-stage timings from decode to
 //!   socket write, live stage histograms, and JSONL span export
 //!   (`serve --trace-spans`); zero-cost when disabled;

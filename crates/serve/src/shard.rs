@@ -32,7 +32,8 @@
 //! check of a backend.
 //!
 //! Everything that must outlive a crash is the [`Shard`] record: queue,
-//! stats, kill flag, restart carryover. Each activation runs under
+//! stats (the typed `ShardStats` each activation records into, in
+//! [`crate::stats`]), kill flag, restart carryover. Each activation runs under
 //! `catch_unwind`; a panic (the kill frame, a stalled simulator tripping
 //! its cycle budget) drops only the batch in flight, whose reply
 //! channels close, and the engine with it.
@@ -43,11 +44,12 @@
 use crate::backend::{self, ForwardingBackend};
 use crate::pipeline::PipelineModel;
 use crate::queue::{unpoison, Job, JobOutcome, ShardQueue};
+use crate::stats::ShardStats;
 use crate::tables::EpochTables;
 use crate::ServeConfig;
 use memsync_netapp::fib::{synthetic_table, Dir24_8, Route};
 use memsync_netapp::{Fib, Ipv4Packet};
-use memsync_trace::{MetricsRegistry, SpanRecord};
+use memsync_trace::SpanRecord;
 use std::panic::{self, AssertUnwindSafe};
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, TryLockError};
@@ -164,7 +166,6 @@ impl Engine {
         // Walk the concatenated batch job by job against the borrowed egress
         // lanes — the backend's own arena buffers, never copied out.
         self.outcomes.clear();
-        let mut totals = JobOutcome::default();
         {
             let frames = self.backend.drain_egress();
             for (i, f) in frames.iter().enumerate() {
@@ -197,9 +198,6 @@ impl Engine {
                     }
                 }
                 offset += job.packets.len();
-                totals.forwarded += out.forwarded;
-                totals.dropped += out.dropped;
-                totals.mismatches += out.mismatches;
                 self.outcomes.push(out);
             }
         }
@@ -229,33 +227,14 @@ impl Engine {
         }
 
         // Record stats *before* replying: a client that queries stats right
-        // after its submit response must already see this batch.
+        // after its submit response must already see this batch. A traced
+        // job's stages are recorded from its span record, so the offline
+        // JSONL and the stats frame agree bucket for bucket.
         {
-            let mut reg = unpoison(shard.stats.lock());
-            reg.add("serve.packets", n as u64);
-            reg.add("serve.forwarded", u64::from(totals.forwarded));
-            reg.add("serve.dropped", u64::from(totals.dropped));
-            reg.add("serve.mismatches", u64::from(totals.mismatches));
-            reg.add("serve.lost_updates", lost_updates);
-            reg.add("serve.sim_cycles", sim_cycles);
-            reg.inc("serve.batches");
-            reg.record_bucket("serve.batch_size", n as u64);
-            for job in self.jobs.iter() {
-                reg.record_bucket(
-                    "serve.service_latency_us",
-                    job.enqueued.elapsed().as_micros() as u64,
-                );
-            }
-            // Shard-side stage histograms feed the live tracing views; the
-            // identical numbers ride the outcomes into span records, so the
-            // offline JSONL and the stats frame agree bucket for bucket.
-            for out in &self.outcomes {
-                if let Some(t) = out.timings {
-                    reg.record_bucket("serve.stage.queue_ns", t.queue_ns);
-                    reg.record_bucket("serve.stage.coalesce_ns", t.coalesce_ns);
-                    reg.record_bucket("serve.stage.execute_ns", t.execute_ns);
-                    reg.record_bucket("serve.stage.egress_ns", t.egress_ns);
-                }
+            let mut stats = unpoison(shard.stats.lock());
+            stats.record_batch(n as u64, lost_updates, sim_cycles);
+            for (job, out) in self.jobs.iter().zip(&self.outcomes) {
+                stats.record_job(out, job.enqueued.elapsed().as_micros() as u64);
             }
         }
         // Drain (not consume) both vectors so their capacity survives into
@@ -280,15 +259,15 @@ pub struct Shard {
     pub id: usize,
     /// The shard's bounded job queue.
     pub queue: Arc<ShardQueue>,
-    /// Serve-level metrics for this shard (merged into stats frames).
-    pub stats: Mutex<MetricsRegistry>,
+    /// This shard's live stats (summed into stats frames).
+    pub(crate) stats: Mutex<ShardStats>,
     /// Fault injection: when set, the shard panics on its next
     /// activation (cleared on restart).
     pub die: AtomicBool,
-    /// `serve.packets` total latched at the shard's most recent restart
-    /// (0 while it never restarted). The registry keeps counting across
-    /// restarts, so a nonzero value proves pre-restart traffic still
-    /// counts in the merged stats frame.
+    /// Packet total latched at the shard's most recent restart (0 while
+    /// it never restarted). The stats keep counting across restarts, so a
+    /// nonzero value proves pre-restart traffic still counts in the stats
+    /// frame.
     pub carryover: AtomicU64,
     /// Times an activation panicked and the engine was rebuilt.
     pub restarts: AtomicU64,
@@ -304,7 +283,7 @@ impl Shard {
         Shard {
             id,
             queue: Arc::new(ShardQueue::new(queue_cap)),
-            stats: Mutex::new(MetricsRegistry::new()),
+            stats: Mutex::default(),
             die: AtomicBool::new(false),
             carryover: AtomicU64::new(0),
             restarts: AtomicU64::new(0),
@@ -366,7 +345,7 @@ impl Shard {
         if ran.is_err() {
             *slot = None;
             eprintln!("[shard {}] died; restarting", self.id);
-            let total = unpoison(self.stats.lock()).counter("serve.packets");
+            let total = unpoison(self.stats.lock()).packets;
             self.carryover.store(total, Ordering::Relaxed);
             self.die.store(false, Ordering::Release);
             // Release: whoever reads the new count also sees the carryover.
@@ -491,7 +470,7 @@ mod tests {
             rx.recv().expect("the activation answers its job")
         }
 
-        fn stats(&self) -> std::sync::MutexGuard<'_, MetricsRegistry> {
+        fn stats(&self) -> std::sync::MutexGuard<'_, ShardStats> {
             self.shard.stats.lock().unwrap()
         }
     }
@@ -511,30 +490,24 @@ mod tests {
             assert_eq!(out.forwarded as usize, fwd, "{kind}");
             assert_eq!(out.dropped as usize, drop, "{kind}");
             assert_eq!(out.mismatches, 0, "{kind}: backend matches the model");
-            let reg = rig.stats();
-            assert_eq!(reg.counter("serve.packets"), 40);
-            assert_eq!(reg.counter("serve.batches"), 1);
+            let stats = rig.stats();
+            assert_eq!(stats.packets, 40);
+            assert_eq!(stats.batches, 1);
             assert_eq!(
-                reg.counter("serve.lost_updates"),
-                0,
+                stats.lost_updates, 0,
                 "{kind}: a conforming backend never overwrites an unconsumed value"
             );
-            let sizes = reg.bucket_histogram("serve.batch_size").unwrap();
+            let sizes = &stats.batch_size;
             assert_eq!(
                 (sizes.count(), sizes.min(), sizes.max()),
                 (1, Some(40), Some(40))
             );
             if kind == BackendKind::Fast {
-                assert_eq!(reg.counter("serve.sim_cycles"), 0, "no simulator ran");
+                assert_eq!(stats.sim_cycles, 0, "no simulator ran");
             } else {
-                assert!(reg.counter("serve.sim_cycles") > 0);
+                assert!(stats.sim_cycles > 0);
             }
-            assert_eq!(
-                reg.bucket_histogram("serve.service_latency_us")
-                    .unwrap()
-                    .count(),
-                1
-            );
+            assert_eq!(stats.service_latency_us.count(), 1);
         }
     }
 
@@ -548,25 +521,20 @@ mod tests {
         assert_eq!(t.packets, 24);
         assert_eq!(t.frames, 24 * 2, "one frame per egress lane");
         assert_eq!(t.sim_cycles, 0, "fast backend reports no cycles");
-        let reg = rig.stats();
-        for stage in [
-            "serve.stage.queue_ns",
-            "serve.stage.coalesce_ns",
-            "serve.stage.execute_ns",
-            "serve.stage.egress_ns",
-        ] {
-            let h = reg.bucket_histogram(stage).unwrap_or_else(|| {
-                panic!("stage histogram {stage} missing");
-            });
-            assert_eq!(h.count(), 1, "{stage}: one sample per job");
-        }
-        // The histogram saw the same number the span will carry.
+        let stages = rig.stats().stages.section();
+        let counts: Vec<_> = stages.iter().map(|s| (s.stage.as_str(), s.count)).collect();
         assert_eq!(
-            reg.bucket_histogram("serve.stage.execute_ns")
-                .unwrap()
-                .max(),
-            Some(t.execute_ns)
+            counts,
+            [
+                ("queue_ns", 1),
+                ("coalesce_ns", 1),
+                ("execute_ns", 1),
+                ("egress_ns", 1)
+            ],
+            "one sample of each shard stage per job"
         );
+        // The histogram saw the same number the span will carry.
+        assert_eq!(stages[2].max, t.execute_ns);
     }
 
     #[test]
@@ -579,16 +547,14 @@ mod tests {
         for _ in 0..N {
             rig.activate(&w.packets, SubmitOptions::new(), None);
         }
-        let reg = rig.stats();
-        assert_eq!(
-            reg.to_json().get("histograms"),
-            Some(&memsync_trace::Json::obj()),
-            "no raw-sample histogram"
-        );
-        let sizes = reg.bucket_histogram("serve.batch_size").unwrap();
+        let stats = rig.stats();
+        let sizes = &stats.batch_size;
         assert_eq!((sizes.count(), sizes.max()), (N, Some(8)));
-        let latency = reg.bucket_histogram("serve.service_latency_us").unwrap();
-        assert_eq!(latency.count(), N, "one job per activation");
+        assert_eq!(
+            stats.service_latency_us.count(),
+            N,
+            "one job per activation"
+        );
     }
 
     #[test]
@@ -634,13 +600,8 @@ mod tests {
         for _ in 0..2 {
             let mut rig = Rig::new(0, &config);
             let out = rig.activate(&w.packets, SubmitOptions::new().verify(true), None);
-            let reg = rig.stats();
-            counts.push((
-                out,
-                reg.counter("serve.forwarded"),
-                reg.counter("serve.dropped"),
-                reg.counter("serve.sim_cycles"),
-            ));
+            let stats = rig.stats();
+            counts.push((out, stats.forwarded, stats.dropped, stats.sim_cycles));
         }
         assert_eq!(counts[0], counts[1]);
     }
@@ -724,7 +685,7 @@ mod tests {
         assert_eq!(a_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
         assert_eq!(b_rx.try_recv().map(|o| o.forwarded + o.dropped), Ok(16));
         assert!(shard.quiescent());
-        assert_eq!(unpoison(shard.stats.lock()).counter("serve.batches"), 2);
+        assert_eq!(unpoison(shard.stats.lock()).batches, 2);
     }
 
     #[test]

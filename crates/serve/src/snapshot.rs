@@ -1,8 +1,8 @@
 //! The stats document's one schema.
 //!
 //! [`StatsSnapshot`] is both ends of the stats frame. The server fills it
-//! from its live sources, each filling its own section (the shard
-//! registries and queues, [`crate::stats::ServerCounters`],
+//! from its live sources, each filling its own section (the shards'
+//! `ShardStats` and queues, [`crate::stats::ServerCounters`],
 //! [`crate::stats::FrontendStats`], [`crate::ServeTracer`] and
 //! [`crate::EpochTables`]), and sends `to_json().render()`;
 //! [`crate::Client::stats`] reads the document back into the same type.
@@ -12,10 +12,11 @@
 //! position is its place in the document, and its type decides how it is
 //! written and read. Histograms are [`BucketSummary`] objects.
 //!
-//! Decoding is compatible both ways. Unknown keys are skipped (a newer
-//! server may add them); sections an older server did not render decode
-//! to `None` or an empty list; an unknown backend name decodes to `None`.
-//! Malformed JSON and missing or mistyped required fields are refused.
+//! The client decodes what a server of its own protocol version renders.
+//! Unknown keys are skipped; an optional section or list the server left
+//! out decodes to `None` or an empty list; an unknown backend name
+//! decodes to `None`. Malformed JSON and missing or mistyped required
+//! fields are refused.
 
 use crate::backend::BackendKind;
 use memsync_trace::{BucketSummary, Json};
@@ -70,8 +71,8 @@ impl Field for Option<BackendKind> {
         }
     }
 
-    /// An unknown backend name means a newer server; the rest of the
-    /// frame still decodes, so it reads as `None` rather than failing.
+    /// An unknown backend name reads as `None` rather than refusing the
+    /// rest of the frame.
     fn take(obj: &Json, key: &str) -> Result<Self, DecodeStatsError> {
         Ok(obj
             .get(key)
@@ -96,14 +97,13 @@ impl Field for Option<BucketSummary> {
 
 /// Declares one section of the stats document: the struct, and the one
 /// `to_json`/`from_json` pair that carries it, both following the field
-/// list in declaration order. A field written `name: u64 = 0` reads as
-/// `0` from a document that lacks it (one rendered by an older server).
-/// A section nests in another as an optional object or as an array.
+/// list in declaration order. A section nests in another as an optional
+/// object or as an array.
 macro_rules! section {
     (
         $(#[$meta:meta])*
         pub struct $name:ident {
-            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty $(= $absent:expr)?, )*
+            $( $(#[$fmeta:meta])* pub $field:ident: $ty:ty, )*
         }
     ) => {
         $(#[$meta])*
@@ -127,11 +127,7 @@ macro_rules! section {
             /// A required field is missing or mistyped.
             pub fn from_json(obj: &Json) -> Result<$name, DecodeStatsError> {
                 Ok($name {
-                    $( $field: {
-                        let key = stringify!($field);
-                        $( if obj.get(key).is_none() { $absent } else )?
-                        { <$ty as Field>::take(obj, key)? }
-                    }, )*
+                    $( $field: <$ty as Field>::take(obj, stringify!($field))?, )*
                 })
             }
         }
@@ -272,7 +268,7 @@ section! {
         /// Packet total latched at this shard's most recent restart (0
         /// while the original incarnation lives). Nonzero
         /// proves pre-restart traffic still counts in the totals above.
-        pub restart_carryover: u64 = 0,
+        pub restart_carryover: u64,
         /// Packets per activation; absent before the first batch.
         pub batch_size: Option<BucketSummary>,
         /// Enqueue-to-reply latency per job in microseconds; absent before
@@ -374,7 +370,7 @@ section! {
         pub shard_restarts: u64,
         /// Summed per-shard restart carryover (see
         /// [`ShardSnapshot::restart_carryover`]).
-        pub restart_carryover: u64 = 0,
+        pub restart_carryover: u64,
         /// Submit batches accepted.
         pub accepted: u64,
         /// Submit batches refused with `Busy`.
@@ -407,14 +403,11 @@ section! {
         /// connection-side decode/write stages, in pipeline order. Empty
         /// when tracing is off.
         pub stages: Vec<StageSummarySnapshot>,
-        /// Request-tracing status (absent from documents rendered by
-        /// pre-tracing servers).
+        /// Request-tracing status (a server always renders it).
         pub spans: Option<SpansSnapshot>,
-        /// Route-table control-plane section (absent from documents
-        /// rendered by pre-control-plane servers).
+        /// Route-table control-plane section (a server always renders it).
         pub fib: Option<FibSnapshot>,
-        /// Connection-plane counters (absent from documents rendered by
-        /// pre-frontend servers).
+        /// Connection-plane counters (a server always renders them).
         pub frontend: Option<FrontendSnapshot>,
         /// Per-shard breakdown.
         pub per_shard: Vec<ShardSnapshot>,
@@ -434,7 +427,7 @@ impl std::str::FromStr for StatsSnapshot {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::stats::STAGE_METRICS;
+    use crate::stats::STAGES;
     use memsync_trace::Pcg32;
 
     /// A stats document as the server rendered it before
@@ -461,7 +454,7 @@ mod tests {
         assert!(snap.per_shard.iter().all(|s| s.batch_size.is_some()
             && s.service_latency_us.is_some()
             && s.stages.len() == 4));
-        assert_eq!(snap.stages.len(), STAGE_METRICS.len());
+        assert_eq!(snap.stages.len(), STAGES.len());
         assert!(snap.batch_size.is_some() && snap.service_latency_us.is_some());
         assert_eq!(snap.spans.map(|s| s.seen), Some(5));
         let fib = snap.fib.expect("fib section");
@@ -501,12 +494,9 @@ mod tests {
 
     /// A random subset of the stage names, in pipeline order.
     fn stages(rng: &mut Pcg32) -> Vec<StageSummarySnapshot> {
-        STAGE_METRICS
+        STAGES
             .iter()
-            .filter_map(|(stage, _)| {
-                let s = summary(rng)?;
-                Some(StageSummarySnapshot::new(stage, s))
-            })
+            .filter_map(|stage| Some(StageSummarySnapshot::new(stage, summary(rng)?)))
             .collect()
     }
 
@@ -632,28 +622,6 @@ mod tests {
         for (n, marker) in somewhere.iter().zip(SOMEWHERE) {
             assert!(*n > 0, "{marker} in no document");
         }
-    }
-
-    #[test]
-    fn decode_tolerates_documents_from_older_servers() {
-        // No restart_carryover (top level or per shard), spans, fib,
-        // frontend, histograms or stages: what a pre-tracing server sent.
-        let doc = r#"{"shards":1,"backend":"sim","uptime_secs":2.5,"draining":false,
-            "shard_restarts":0,"accepted":3,"busy":0,"errors":0,"packets":5,
-            "forwarded":4,"dropped":1,"mismatches":0,"lost_updates":0,"batches":1,
-            "sim_cycles":900,"packets_per_sec":2,
-            "per_shard":[{"shard":0,"packets":5,"forwarded":4,"dropped":1,
-            "mismatches":0,"lost_updates":0,"batches":1,"sim_cycles":900,
-            "queue_depth_highwater":1,"queue_depth":0}]}"#;
-        let snap = decode(doc);
-        assert_eq!((snap.forwarded, snap.restart_carryover), (4, 0));
-        assert_eq!(snap.spans, None);
-        assert_eq!(snap.fib, None);
-        assert_eq!(snap.frontend, None);
-        assert!(snap.stages.is_empty() && snap.batch_size.is_none());
-        assert_eq!(snap.per_shard.len(), 1);
-        assert_eq!(snap.per_shard[0].restart_carryover, 0);
-        assert_eq!(snap.per_shard[0].queue_depth_highwater, 1);
     }
 
     #[test]

@@ -1,36 +1,159 @@
 //! The live side of the stats frame: every source fills its own section
-//! of the [`StatsSnapshot`] schema.
+//! of the [`StatsSnapshot`] schema, and this module knows the metric set.
 //!
-//! Each shard records into its own [`MetricsRegistry`] (no cross-shard
-//! lock traffic on the hot path), histograms included as fixed-footprint
-//! [`memsync_trace::BucketHistogram`]s, so a shard's stats stay O(1) in
-//! memory however long the server runs. A stats request folds every
-//! shard's registry into one for the top-level totals and histograms,
-//! next to each shard's own section; the session renders the result.
+//! Each shard records into its own `ShardStats` (no cross-shard lock
+//! traffic on the hot path): seven counters and fixed-footprint
+//! [`BucketHistogram`]s, so a shard's stats stay O(1) in memory however
+//! long the server runs. The tracer keeps the session's two traced
+//! stages in the same `StageHistograms`. A stats request sums every
+//! shard's stats, field by field, into the top-level totals, next to each
+//! shard's own section; the session renders the result.
 
+use crate::queue::JobOutcome;
 use crate::server::Shared;
 use crate::shard::Shard;
 use crate::snapshot::{FrontendSnapshot, ShardSnapshot, StageSummarySnapshot, StatsSnapshot};
 use crate::tracing::ServeTracer;
-use memsync_trace::{BucketHistogram, BucketSummary, MetricsRegistry};
+use memsync_trace::{BucketHistogram, SpanRecord};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, PoisonError};
 
-/// The traced stages of a `stages` section and the registry histograms
-/// they summarize, in pipeline order. The four shard stages live in the
-/// shard registries; decode/write come from the tracer's frontend
-/// registry.
-pub const STAGE_METRICS: [(&str, &str); 6] = [
-    ("decode_ns", "serve.stage.decode_ns"),
-    ("queue_ns", "serve.stage.queue_ns"),
-    ("coalesce_ns", "serve.stage.coalesce_ns"),
-    ("execute_ns", "serve.stage.execute_ns"),
-    ("egress_ns", "serve.stage.egress_ns"),
-    ("write_ns", "serve.stage.write_ns"),
+/// The traced stages' keys in a `stages` section, in pipeline order. The
+/// session times the first and the last, a shard activation the four
+/// between (the stage fields of [`SpanRecord`]); [`StageHistograms`]
+/// keeps one histogram per key, at the key's index.
+pub(crate) const STAGES: [&str; 6] = [
+    "decode_ns",
+    "queue_ns",
+    "coalesce_ns",
+    "execute_ns",
+    "egress_ns",
+    "write_ns",
 ];
 
+/// One latency histogram per traced stage, in nanoseconds.
+#[derive(Debug, Default)]
+pub(crate) struct StageHistograms([BucketHistogram; STAGES.len()]);
+
+impl StageHistograms {
+    /// Records the two stages a session times.
+    pub(crate) fn record_session(&mut self, decode_ns: u64, write_ns: u64) {
+        self.0[0].record(decode_ns);
+        self.0[5].record(write_ns);
+    }
+
+    /// Records the four stages a shard activation times, from a job's
+    /// span record.
+    fn record_shard(&mut self, t: &SpanRecord) {
+        let stages = [t.queue_ns, t.coalesce_ns, t.execute_ns, t.egress_ns];
+        for (h, ns) in self.0[1..5].iter_mut().zip(stages) {
+            h.record(ns);
+        }
+    }
+
+    /// Adds `other`'s samples, stage by stage.
+    fn add(&mut self, other: &StageHistograms) {
+        for (h, o) in self.0.iter_mut().zip(&other.0) {
+            h.merge(o);
+        }
+    }
+
+    /// A `stages` section: every stage with a sample, in pipeline order.
+    pub(crate) fn section(&self) -> Vec<StageSummarySnapshot> {
+        STAGES
+            .iter()
+            .zip(&self.0)
+            .filter_map(|(stage, h)| Some(StageSummarySnapshot::new(stage, h.summary()?)))
+            .collect()
+    }
+}
+
+/// One shard's live stats, recorded by its activations: the traffic
+/// counters, a histogram per activation and per job, and the shard's
+/// traced stages.
+#[derive(Debug, Default)]
+pub(crate) struct ShardStats {
+    /// Packets executed.
+    pub(crate) packets: u64,
+    /// Packets the oracle classified as forwarded.
+    pub(crate) forwarded: u64,
+    /// Packets dropped (TTL expiry or no route).
+    pub(crate) dropped: u64,
+    /// Verify-mode mismatches.
+    pub(crate) mismatches: u64,
+    /// Guarded-location overwrites the backend reported.
+    pub(crate) lost_updates: u64,
+    /// Activations.
+    pub(crate) batches: u64,
+    /// Simulator cycles consumed (0 under the fast backend).
+    pub(crate) sim_cycles: u64,
+    /// Packets per activation.
+    pub(crate) batch_size: BucketHistogram,
+    /// Enqueue-to-reply latency per job, in microseconds.
+    pub(crate) service_latency_us: BucketHistogram,
+    /// The traced stages a shard times (queue, coalesce, execute,
+    /// egress).
+    pub(crate) stages: StageHistograms,
+}
+
+impl ShardStats {
+    /// Records one activation of `packets` packets, with the lost
+    /// updates and simulator cycles its backend reported.
+    pub(crate) fn record_batch(&mut self, packets: u64, lost_updates: u64, sim_cycles: u64) {
+        self.packets += packets;
+        self.lost_updates += lost_updates;
+        self.sim_cycles += sim_cycles;
+        self.batches += 1;
+        self.batch_size.record(packets);
+    }
+
+    /// Records one job of an activation: its outcome, its service
+    /// latency and, when traced, the four stages its span record carries.
+    pub(crate) fn record_job(&mut self, out: &JobOutcome, service_us: u64) {
+        self.forwarded += u64::from(out.forwarded);
+        self.dropped += u64::from(out.dropped);
+        self.mismatches += u64::from(out.mismatches);
+        self.service_latency_us.record(service_us);
+        if let Some(t) = &out.timings {
+            self.stages.record_shard(t);
+        }
+    }
+
+    /// Adds `other`: counters sum, histograms merge.
+    fn add(&mut self, other: &ShardStats) {
+        self.packets += other.packets;
+        self.forwarded += other.forwarded;
+        self.dropped += other.dropped;
+        self.mismatches += other.mismatches;
+        self.lost_updates += other.lost_updates;
+        self.batches += other.batches;
+        self.sim_cycles += other.sim_cycles;
+        self.batch_size.merge(&other.batch_size);
+        self.service_latency_us.merge(&other.service_latency_us);
+        self.stages.add(&other.stages);
+    }
+
+    /// The part of a shard section these stats fill. Applied to the sum
+    /// over every shard, it gives the top-level totals.
+    fn section(&self) -> ShardSnapshot {
+        ShardSnapshot {
+            packets: self.packets,
+            forwarded: self.forwarded,
+            dropped: self.dropped,
+            mismatches: self.mismatches,
+            lost_updates: self.lost_updates,
+            batches: self.batches,
+            sim_cycles: self.sim_cycles,
+            batch_size: self.batch_size.summary(),
+            service_latency_us: self.service_latency_us.summary(),
+            stages: self.stages.section(),
+            ..ShardSnapshot::default()
+        }
+    }
+}
+
 /// Server-global counters the sessions maintain (everything per-shard
-/// lives in the shard registries).
+/// lives in the shards' `ShardStats`).
 #[derive(Debug, Default)]
 pub struct ServerCounters {
     /// Submit batches accepted (enqueued on every target shard).
@@ -96,48 +219,18 @@ impl FrontendStats {
     }
 }
 
-fn summary(reg: &MetricsRegistry, metric: &str) -> Option<BucketSummary> {
-    reg.bucket_histogram(metric)
-        .and_then(BucketHistogram::summary)
-}
-
-/// The registry-fed part of a shard section: traffic counters and
-/// histograms. Applied to the merged registry, it gives the top-level
-/// totals.
-fn registry_section(reg: &MetricsRegistry) -> ShardSnapshot {
-    ShardSnapshot {
-        packets: reg.counter("serve.packets"),
-        forwarded: reg.counter("serve.forwarded"),
-        dropped: reg.counter("serve.dropped"),
-        mismatches: reg.counter("serve.mismatches"),
-        lost_updates: reg.counter("serve.lost_updates"),
-        batches: reg.counter("serve.batches"),
-        sim_cycles: reg.counter("serve.sim_cycles"),
-        batch_size: summary(reg, "serve.batch_size"),
-        service_latency_us: summary(reg, "serve.service_latency_us"),
-        stages: STAGE_METRICS
-            .iter()
-            .filter_map(|(stage, metric)| {
-                Some(StageSummarySnapshot::new(stage, summary(reg, metric)?))
-            })
-            .collect(),
-        ..ShardSnapshot::default()
-    }
-}
-
 /// The shard plane's part of a snapshot: one section per shard (its
-/// registry, queue and restart carryover), and their sums and merged
-/// histograms as the top-level totals, with the tracer's decode/write
-/// stages folded into the top-level `stages`. The server-level fields
-/// stay at their defaults for [`snapshot`] to fill.
+/// stats, queue and restart carryover), and their sum, with the tracer's
+/// decode and write stages added, as the top-level totals. The
+/// server-level fields stay at their defaults for [`snapshot`] to fill.
 pub(crate) fn collect_shards(shards: &[Arc<Shard>], tracer: &ServeTracer) -> StatsSnapshot {
-    let mut merged = MetricsRegistry::new();
+    let mut sum = ShardStats::default();
     let mut per_shard = Vec::with_capacity(shards.len());
     for s in shards {
         let section = {
-            let reg = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
-            merged.merge(&reg);
-            registry_section(&reg)
+            let stats = s.stats.lock().unwrap_or_else(PoisonError::into_inner);
+            sum.add(&stats);
+            stats.section()
         };
         per_shard.push(ShardSnapshot {
             shard: s.id as u64,
@@ -147,8 +240,9 @@ pub(crate) fn collect_shards(shards: &[Arc<Shard>], tracer: &ServeTracer) -> Sta
             ..section
         });
     }
-    tracer.merge_frontend_into(&mut merged);
-    let totals = registry_section(&merged);
+    sum.stages
+        .add(&tracer.stages.lock().unwrap_or_else(PoisonError::into_inner));
+    let totals = sum.section();
     StatsSnapshot {
         restart_carryover: per_shard.iter().map(|s| s.restart_carryover).sum(),
         packets: totals.packets,
@@ -193,18 +287,19 @@ pub(crate) fn snapshot(shared: &Shared) -> StatsSnapshot {
 mod tests {
     use super::*;
     use crate::tracing::{PendingSpan, TracingConfig};
-    use memsync_trace::SpanRecord;
+    use memsync_trace::Pcg32;
 
-    fn mk_shard(id: usize, forwarded: u64, dropped: u64, carryover: u64) -> Arc<Shard> {
+    fn mk_shard(id: usize, forwarded: u32, dropped: u32, carryover: u64) -> Arc<Shard> {
         let shard = Shard::new(id, 4);
         {
-            let mut r = shard.stats.lock().unwrap();
-            r.add("serve.packets", forwarded + dropped);
-            r.add("serve.forwarded", forwarded);
-            r.add("serve.dropped", dropped);
-            r.add("serve.batches", 1);
-            r.record_bucket("serve.batch_size", forwarded + dropped);
-            r.record_bucket("serve.service_latency_us", 100);
+            let mut s = shard.stats.lock().unwrap();
+            s.record_batch(u64::from(forwarded + dropped), 0, 0);
+            let out = JobOutcome {
+                forwarded,
+                dropped,
+                ..JobOutcome::default()
+            };
+            s.record_job(&out, 100);
         }
         shard.carryover.store(carryover, Ordering::Relaxed);
         Arc::new(shard)
@@ -216,6 +311,28 @@ mod tests {
             ..TracingConfig::default()
         };
         ServeTracer::new(&config).expect("no span file to open")
+    }
+
+    /// A span record carrying the four shard stages.
+    fn shard_stages(
+        queue_ns: u64,
+        coalesce_ns: u64,
+        execute_ns: u64,
+        egress_ns: u64,
+    ) -> SpanRecord {
+        SpanRecord {
+            queue_ns,
+            coalesce_ns,
+            execute_ns,
+            egress_ns,
+            ..SpanRecord::default()
+        }
+    }
+
+    /// A stage duration from a nanosecond to about nine minutes.
+    fn stage_ns(rng: &mut Pcg32) -> u64 {
+        let bits = rng.gen_range(1..40);
+        rng.gen_range(0..1 << bits)
     }
 
     #[test]
@@ -241,12 +358,12 @@ mod tests {
     #[test]
     fn traced_shard_and_frontend_stages_merge_into_the_top_level() {
         let shards = vec![mk_shard(0, 10, 2, 0), mk_shard(1, 1, 1, 0)];
-        {
-            let mut reg = shards[0].stats.lock().unwrap();
-            for (_, metric) in &STAGE_METRICS[1..5] {
-                reg.record_bucket(metric, 1500);
-            }
-        }
+        shards[0]
+            .stats
+            .lock()
+            .unwrap()
+            .stages
+            .record_shard(&shard_stages(1500, 1500, 1500, 1500));
         let tracer = tracer(true);
         tracer.finish(
             &PendingSpan {
@@ -256,20 +373,15 @@ mod tests {
                 timings: vec![SpanRecord {
                     shard: 0,
                     packets: 12,
-                    queue_ns: 1500,
-                    coalesce_ns: 1500,
-                    execute_ns: 1500,
-                    egress_ns: 1500,
                     frames: 24,
-                    ..SpanRecord::default()
+                    ..shard_stages(1500, 1500, 1500, 1500)
                 }],
             },
             300,
         );
         let snap = collect_shards(&shards, &tracer);
         let names: Vec<&str> = snap.stages.iter().map(|s| s.stage.as_str()).collect();
-        let all: Vec<&str> = STAGE_METRICS.iter().map(|(stage, _)| *stage).collect();
-        assert_eq!(names, all, "shard stages plus decode/write, in order");
+        assert_eq!(names, STAGES, "shard stages plus decode/write, in order");
         let decode = &snap.stages[0];
         assert_eq!((decode.count, decode.min), (1, 800));
         assert_eq!(snap.stages[5].max, 300, "write stage from the tracer");
@@ -280,9 +392,105 @@ mod tests {
             .collect();
         assert_eq!(
             shard_stages,
-            &all[1..5],
+            &STAGES[1..5],
             "a shard holds only its own stages"
         );
         assert!(snap.per_shard[1].stages.is_empty());
+    }
+
+    /// Seeded property: activations and traced jobs dealt across one to
+    /// four shards, and the session stages of each traced job recorded by
+    /// the tracer, sum in `collect_shards` to exactly what one
+    /// `ShardStats` that recorded everything reports: every counter, and
+    /// every histogram's summary.
+    #[test]
+    fn property_shard_totals_equal_one_shard_that_recorded_everything() {
+        for case in 0..64u64 {
+            let seed = 0x5_7A75_0000 ^ case;
+            let mut rng = Pcg32::seed_from_u64(seed);
+            let shards: Vec<Arc<Shard>> = (0..1 + rng.gen_range_usize(0..4))
+                .map(|id| Arc::new(Shard::new(id, 4)))
+                .collect();
+            let tracer = tracer(true);
+            let mut one = ShardStats::default();
+            for _ in 0..rng.gen_range(0..120) {
+                let jobs: Vec<(JobOutcome, u64)> = (0..1 + rng.gen_range(0..4))
+                    .map(|_| {
+                        let out = JobOutcome {
+                            forwarded: rng.gen_range_u32(0..512),
+                            dropped: rng.gen_range_u32(0..512),
+                            mismatches: rng.gen_range_u32(0..3),
+                            timings: rng.gen_bool(0.5).then(|| {
+                                let mut ns = || stage_ns(&mut rng);
+                                shard_stages(ns(), ns(), ns(), ns())
+                            }),
+                        };
+                        (out, rng.gen_range(0..1 << 20))
+                    })
+                    .collect();
+                let packets = jobs
+                    .iter()
+                    .map(|(out, _)| u64::from(out.forwarded + out.dropped))
+                    .sum();
+                let (lost, cycles) = (rng.gen_range(0..3), rng.gen_range(0..1 << 20));
+                let shard = &shards[rng.gen_range_usize(0..shards.len())];
+                for stats in [&mut *shard.stats.lock().unwrap(), &mut one] {
+                    stats.record_batch(packets, lost, cycles);
+                    for (out, service_us) in &jobs {
+                        stats.record_job(out, *service_us);
+                    }
+                }
+                for timings in jobs.iter().filter_map(|(out, _)| out.timings) {
+                    let (decode_ns, write_ns) = (stage_ns(&mut rng), stage_ns(&mut rng));
+                    let span = PendingSpan {
+                        span_id: 1,
+                        client_assigned: true,
+                        decode_ns,
+                        timings: vec![timings],
+                    };
+                    tracer.finish(&span, write_ns);
+                    one.stages.record_session(decode_ns, write_ns);
+                }
+            }
+            let got = collect_shards(&shards, &tracer);
+            let want = one.section();
+            let counters = |s: &ShardSnapshot| {
+                [
+                    s.packets,
+                    s.forwarded,
+                    s.dropped,
+                    s.mismatches,
+                    s.lost_updates,
+                    s.batches,
+                    s.sim_cycles,
+                ]
+            };
+            let totals = [
+                got.packets,
+                got.forwarded,
+                got.dropped,
+                got.mismatches,
+                got.lost_updates,
+                got.batches,
+                got.sim_cycles,
+            ];
+            assert_eq!(totals, counters(&want), "counters (seed {seed:#x})");
+            let mut per_shard = [0; 7];
+            for section in &got.per_shard {
+                for (sum, c) in per_shard.iter_mut().zip(counters(section)) {
+                    *sum += c;
+                }
+            }
+            assert_eq!(per_shard, totals, "shard sections (seed {seed:#x})");
+            assert_eq!(
+                got.batch_size, want.batch_size,
+                "batch_size (seed {seed:#x})"
+            );
+            assert_eq!(
+                got.service_latency_us, want.service_latency_us,
+                "service_latency_us (seed {seed:#x})"
+            );
+            assert_eq!(got.stages, want.stages, "stages (seed {seed:#x})");
+        }
     }
 }

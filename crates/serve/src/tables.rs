@@ -545,7 +545,7 @@ mod tests {
         let owner = Arc::new(CountWaker::default());
         let (tx, rx) = channel();
         let job = job_replying_on(Reply::with_waker(tx, Arc::clone(&owner) as _));
-        let batches = || unpoison(shard.stats.lock()).counter("serve.batches");
+        let batches = || unpoison(shard.stats.lock()).batches;
         std::thread::scope(|s| {
             // Holding the slot parks the barrier inside the engine lock.
             let live = unpoison(epoch.live.lock());

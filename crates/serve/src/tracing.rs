@@ -11,10 +11,9 @@
 //! the span id on each record after the response hits the socket.
 //! Finished spans land two places:
 //!
-//! * per-shard stage [`BucketHistogram`]s (the shard records its four
-//!   stages under its own stats registry; the tracer records the two
-//!   connection-side stages in a server-global frontend registry) —
-//!   merged into the stats frame for live p50/p99;
+//! * stage histograms (`stats::StageHistograms`): each shard records its
+//!   four stages in its own `stats::ShardStats`, the tracer the session's
+//!   two in its own, and a stats request sums them for live p50/p99;
 //! * the optional JSONL span sink (`serve --trace-spans FILE`), one line
 //!   per span, reusing [`memsync_trace::JsonlSink`].
 //!
@@ -24,11 +23,10 @@
 //! **Cost when disabled** (the default): a single `bool` load gates every
 //! instrumentation site — no `Instant::now`, no locks, no allocations.
 //! Pinned by `tests/trace_zero_alloc.rs`.
-//!
-//! [`BucketHistogram`]: memsync_trace::BucketHistogram
 
 use crate::snapshot::SpansSnapshot;
-use memsync_trace::{JsonlSink, MetricsRegistry, SpanRecord};
+use crate::stats::StageHistograms;
+use memsync_trace::{JsonlSink, SpanRecord};
 use std::fs::File;
 use std::io::{self, BufWriter};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -65,17 +63,16 @@ pub struct PendingSpan {
 }
 
 /// The server-global tracing state: span-id assignment, the finished
-/// span count, the frontend (connection-side) stage registry, and the
-/// JSONL sink.
+/// span count, the session's stage histograms, and the JSONL sink.
 #[derive(Debug)]
 pub struct ServeTracer {
     enabled: bool,
     next_span: AtomicU64,
     /// Span records finished so far, one per (request, shard).
     seen: AtomicU64,
-    /// Decode/write stage histograms (connection-thread stages; the four
-    /// shard stages live in the per-shard stats registries).
-    frontend: Mutex<MetricsRegistry>,
+    /// The decode and write stages, which the sessions time; the four
+    /// shard stages live in each shard's stats.
+    pub(crate) stages: Mutex<StageHistograms>,
     sink: Option<Mutex<JsonlSink<BufWriter<File>>>>,
     exported: AtomicU64,
 }
@@ -97,7 +94,7 @@ impl ServeTracer {
             enabled: config.enabled,
             next_span: AtomicU64::new(1),
             seen: AtomicU64::new(0),
-            frontend: Mutex::new(MetricsRegistry::new()),
+            stages: Mutex::default(),
             sink,
             exported: AtomicU64::new(0),
         })
@@ -131,11 +128,10 @@ impl ServeTracer {
         if !self.enabled() || pending.timings.is_empty() {
             return;
         }
-        {
-            let mut reg = self.frontend.lock().unwrap_or_else(PoisonError::into_inner);
-            reg.record_bucket("serve.stage.decode_ns", pending.decode_ns);
-            reg.record_bucket("serve.stage.write_ns", write_ns);
-        }
+        self.stages
+            .lock()
+            .unwrap_or_else(PoisonError::into_inner)
+            .record_session(pending.decode_ns, write_ns);
         let records = pending.timings.len() as u64;
         self.seen.fetch_add(records, Ordering::Relaxed);
         if let Some(sink) = &self.sink {
@@ -161,12 +157,6 @@ impl ServeTracer {
             use memsync_trace::TraceSink as _;
             sink.lock().unwrap_or_else(PoisonError::into_inner).flush();
         }
-    }
-
-    /// Folds the connection-side stage histograms (decode/write) into a
-    /// registry being assembled for a stats frame.
-    pub fn merge_frontend_into(&self, reg: &mut MetricsRegistry) {
-        reg.merge(&self.frontend.lock().unwrap_or_else(PoisonError::into_inner));
     }
 
     /// The snapshot's `spans` section.
@@ -227,12 +217,15 @@ mod tests {
             },
             2000,
         );
-        let mut reg = MetricsRegistry::new();
-        t.merge_frontend_into(&mut reg);
-        let d = reg.bucket_histogram("serve.stage.decode_ns").unwrap();
-        assert_eq!((d.count(), d.min()), (1, Some(1000)));
-        let w = reg.bucket_histogram("serve.stage.write_ns").unwrap();
-        assert_eq!(w.max(), Some(2000));
+        let stages = t.stages.lock().unwrap().section();
+        let got: Vec<_> = stages
+            .iter()
+            .map(|s| (s.stage.as_str(), s.count, s.min, s.max))
+            .collect();
+        assert_eq!(
+            got,
+            [("decode_ns", 1, 1000, 1000), ("write_ns", 1, 2000, 2000)]
+        );
     }
 
     #[test]

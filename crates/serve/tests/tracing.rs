@@ -57,6 +57,7 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
     // Enough traffic for stable percentiles (hundreds of spans/stage).
     let mut client = connect(addr);
     let w = Workload::generate(11, 20_000, 16);
+    let submits = w.packets.chunks(64).len() as u64;
     for (i, chunk) in w.packets.chunks(64).enumerate() {
         client
             .submit(chunk, SubmitOptions::new().span(i as u64))
@@ -89,8 +90,9 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
     // The acceptance pin: recomputed per-stage p50/p99 from the raw span
     // lines land within one log2 bucket of the live summaries for every
     // shard-side stage (queue-wait, coalesce, backend-execute, egress).
-    // Decode/write are excluded: their live histograms count one sample
-    // per request while span lines repeat them per (request, shard).
+    // Decode/write are checked below instead: their live histograms count
+    // one sample per request while span lines repeat them per (request,
+    // shard).
     for stage in ["queue_ns", "coalesce_ns", "execute_ns", "egress_ns"] {
         let mut raw: Vec<u64> = spans
             .iter()
@@ -123,6 +125,18 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
         }
     }
 
+    // The tracer's half of the stages: one decode and one write sample
+    // per traced submit. The session records both before it reads the
+    // connection's next request, so the stats request sees them all.
+    for stage in ["decode_ns", "write_ns"] {
+        let live = snap
+            .stages
+            .iter()
+            .find(|s| s.stage == stage)
+            .unwrap_or_else(|| panic!("live summary for {stage}"));
+        assert_eq!(live.count, submits, "{stage}: one sample per traced submit");
+    }
+
     let mut client = connect(addr);
     client.shutdown().expect("shutdown");
     server.wait();
@@ -131,9 +145,9 @@ fn exported_spans_recompute_the_live_stage_percentiles() {
 
 #[test]
 fn restarted_shard_carries_its_pre_restart_totals() {
-    // A shard restarted in place keeps counting on the same registry,
-    // and the latched carryover proves how much of its total predates
-    // the restart.
+    // A shard restarted in place keeps counting on the same stats, and
+    // the latched carryover proves how much of its total predates the
+    // restart.
     let server = Server::start("127.0.0.1:0", traced_config(None)).expect("bind");
     let addr = server.local_addr();
     let mut client = connect(addr);

@@ -4,7 +4,7 @@
 //! The raw bank knows nothing about guarding: `write` unconditionally
 //! overwrites. That is correct because every *guarded* write in the
 //! system reaches a bank only through a wrapper's counted path — the
-//! arbitrated model's `DependencyList::producer_write_checked` or the
+//! arbitrated model's `DependencyList::producer_write_at` or the
 //! event-driven model's window admission — both of which account for
 //! overwrites of unconsumed values in their `lost_updates` counters.
 //! Port A traffic (private per-thread state, lookup tables) is unguarded

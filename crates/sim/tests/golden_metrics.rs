@@ -6,7 +6,10 @@
 //! (BTreeMap-keyed banks/queues/sources) on the same program, seed, and
 //! cycle count. The forwarding-app and stray-serve constants were captured
 //! from the polling engine, which ticked every thread and stepped every
-//! bank on every cycle, before stepping became activity-driven.
+//! bank on every cycle, before stepping became activity-driven. The four
+//! registry-JSON hashes were re-captured when the registry's always-empty
+//! `"buckets":{}` member left its JSON: each is the hash of the earlier
+//! render with exactly that member removed.
 //!
 //! The arbitrated paced run also pins the simulator's work: its thread
 //! ticks and bank steps ([`System::work`]), the simulator half of the count
@@ -266,7 +269,7 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
         ],
         bernoulli_events: 117_196,
         bernoulli_trace: 0x3b84_62b4_679e_4ba2,
-        bernoulli_registry: 0x4127_b4cd_e8e4_aa3c,
+        bernoulli_registry: 0x160c_9a53_0825_1971,
         paced_cycles: 8961,
         paced_threads: [
             (256, 8961, 7937, 0),
@@ -284,7 +287,7 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
         }),
         late_events: 25_600,
         late_trace: 0x298d_07a1_c6f1_d1fe,
-        late_registry: 0xd573_7c5e_1973_c9ee,
+        late_registry: 0xdf21_6195_4306_7d4b,
     },
     ForwardingPins {
         kind: OrganizationKind::EventDriven,
@@ -300,7 +303,7 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
         ],
         bernoulli_events: 130_762,
         bernoulli_trace: 0x532b_1f0f_2c1a_be16,
-        bernoulli_registry: 0xfc25_754a_d943_91cc,
+        bernoulli_registry: 0x4e71_a006_80ba_56c7,
         paced_cycles: 7425,
         paced_threads: [
             (256, 7425, 6401, 0),
@@ -314,7 +317,7 @@ const FORWARDING_PINS: [ForwardingPins; 2] = [
         paced_work: None,
         late_events: 21_376,
         late_trace: 0x7e35_67f1_8239_b491,
-        late_registry: 0xe71e_c594_6575_01f0,
+        late_registry: 0xf16d_930f_5831_ec77,
     },
 ];
 

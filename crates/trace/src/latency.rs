@@ -4,8 +4,7 @@
 //! A stream keeps five running integer sums, not its samples: count, Σx,
 //! Σx², min and max determine every field of [`LatencyStats`] exactly, so
 //! a recorder's memory follows its number of streams, not the number of
-//! deliveries it has seen. It lives next to the counter registry that
-//! embeds it.
+//! deliveries it has seen. Each counter registry embeds one.
 
 use std::collections::BTreeMap;
 
@@ -137,17 +136,6 @@ impl LatencyRecorder {
     /// Streams recorded, as `(addr, consumer)` keys in ascending order.
     pub fn streams(&self) -> Vec<(u32, usize)> {
         self.streams.keys().copied().collect()
-    }
-
-    /// Folds another recorder's streams into this one: each stream's sums
-    /// add. Open produce rounds (writes with no delivery yet) are not
-    /// carried over: merging is meant for recorders whose measurement
-    /// windows are closed, e.g. per-shard registries snapshotted for a
-    /// stats frame.
-    pub fn merge(&mut self, other: &LatencyRecorder) {
-        for (key, sums) in &other.streams {
-            self.streams.entry(*key).or_insert(Sums::EMPTY).merge(sums);
-        }
     }
 }
 
@@ -305,11 +293,5 @@ mod tests {
         assert_eq!((s1.count, s1.min, s1.max), (2, top, top));
         assert!(s1.is_deterministic());
         assert_eq!(s1.variance, 0.0);
-        // Merging saturated sums saturates again.
-        let mut merged = r.clone();
-        merged.merge(&r);
-        let m = merged.pooled_stats().unwrap();
-        assert_eq!((m.count, m.min, m.max), (8, top - 1, top));
-        assert!(m.variance.is_finite() && m.variance >= 0.0);
     }
 }

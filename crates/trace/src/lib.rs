@@ -12,14 +12,14 @@
 //!   `(cycle, bank, port, addr)` attribution;
 //! * [`sink`] — the near-zero-cost [`TraceSink`] trait with [`NullSink`],
 //!   [`VecSink`], [`JsonlSink`], and [`SharedSink`];
-//! * [`registry`] — the counter/histogram registry: arbitration stalls per
-//!   consumer, grant-wait histograms with percentile summaries,
-//!   dependency-list occupancy high-water marks, rx-queue depths, per-bank
-//!   utilization;
+//! * [`registry`] — the counter/histogram registry that folds the
+//!   simulator's cycle events: arbitration stalls per consumer,
+//!   grant-wait histograms with percentile summaries, dependency-list
+//!   occupancy high-water marks, rx-queue depths, per-bank utilization;
 //! * [`latency`] — the produce-to-consume [`LatencyRecorder`] (folded into
 //!   the registry);
 //! * [`bucket`] — fixed-footprint log2 [`BucketHistogram`]s for long-lived
-//!   processes (the serve stage-latency histograms);
+//!   processes (the histograms of the serve crate's typed stats);
 //! * [`span`] — request-scoped [`SpanRecord`]s: per-stage timings of one
 //!   submit batch through the serving stack, JSONL-exportable;
 //! * [`json`] — a dependency-free JSON value builder used by the JSONL

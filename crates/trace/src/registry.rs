@@ -1,12 +1,15 @@
-//! The counter/histogram registry.
+//! The counter/histogram registry that folds the simulator's cycle events.
 //!
-//! Everything the trace layer counts lands here: arbitration stalls per
-//! consumer, grant-wait histograms, dependency-list occupancy high-water
-//! marks, rx-queue depths, per-bank utilization, and the folded-in
-//! produce-to-consume [`LatencyRecorder`]. The registry understands the
-//! event vocabulary directly ([`MetricsRegistry::observe`]), so any
-//! instrumentation site that emits [`TraceEvent`]s feeds the counters for
-//! free via [`RecordingSink`].
+//! Everything the simulator's trace events count lands here: arbitration
+//! stalls per consumer, grant-wait histograms, dependency-list occupancy
+//! high-water marks, rx-queue depths, per-bank utilization, and the
+//! folded-in produce-to-consume [`LatencyRecorder`]. The registry
+//! understands the event vocabulary directly
+//! ([`MetricsRegistry::observe`]), so any instrumentation site that emits
+//! [`TraceEvent`]s feeds the counters for free via [`RecordingSink`].
+//! Each simulation owns one registry, and nothing merges two; the serve
+//! crate's live stats are typed structs over
+//! [`BucketHistogram`](crate::bucket::BucketHistogram)s instead.
 //!
 //! Counter naming scheme (stable, documented in EXPERIMENTS.md):
 //!
@@ -21,7 +24,6 @@
 //!   `bank{b}.grant_wait.consumers`;
 //! * high-water marks `bank{b}.deplist_occupancy` and `queue{t}.depth`.
 
-use crate::bucket::BucketHistogram;
 use crate::event::{EventKind, Port, Role, TraceEvent};
 use crate::json::Json;
 use crate::latency::{LatencyRecorder, LatencyStats};
@@ -30,7 +32,9 @@ use std::collections::BTreeMap;
 
 /// Nearest-rank percentile of an ascending sample slice: the sample at
 /// rank `round(q * (n - 1))`, with no interpolation between neighbours.
-/// This is the rank [`BucketHistogram::percentile`] resolves to a bucket.
+/// This is the rank
+/// [`BucketHistogram::percentile`](crate::bucket::BucketHistogram::percentile)
+/// resolves to a bucket.
 ///
 /// `q` is clamped to `[0, 1]`; returns `None` on an empty slice. Single
 /// samples answer every percentile with themselves.
@@ -41,7 +45,7 @@ pub fn percentile(sorted: &[u64], q: f64) -> Option<u64> {
 
 /// A recorded sample distribution. It keeps every raw sample, so use it
 /// only in bounded runs; a long-lived process records into a
-/// [`BucketHistogram`] instead.
+/// [`BucketHistogram`](crate::bucket::BucketHistogram) instead.
 #[derive(Debug, Clone, Default)]
 pub struct Histogram {
     samples: Vec<u64>,
@@ -127,7 +131,6 @@ fn slot<'a, V: Default>(map: &'a mut BTreeMap<String, V>, name: &str) -> &'a mut
 pub struct MetricsRegistry {
     counters: BTreeMap<String, u64>,
     histograms: BTreeMap<String, Histogram>,
-    buckets: BTreeMap<String, BucketHistogram>,
     highwater: BTreeMap<String, u64>,
     /// Produce-to-consume latency streams.
     pub latency: LatencyRecorder,
@@ -166,18 +169,6 @@ impl MetricsRegistry {
     /// A histogram by name.
     pub fn histogram(&self, name: &str) -> Option<&Histogram> {
         self.histograms.get(name)
-    }
-
-    /// Records a sample into a fixed-footprint log2 [`BucketHistogram`]
-    /// (the long-lived-process counterpart of [`MetricsRegistry::record`]:
-    /// O(1) memory, exact min/max, bucket-resolution percentiles).
-    pub fn record_bucket(&mut self, name: &str, v: u64) {
-        slot(&mut self.buckets, name).record(v);
-    }
-
-    /// A bucketed histogram by name.
-    pub fn bucket_histogram(&self, name: &str) -> Option<&BucketHistogram> {
-        self.buckets.get(name)
     }
 
     /// Raises a high-water mark (keeps the maximum ever observed).
@@ -290,33 +281,6 @@ impl MetricsRegistry {
         }
     }
 
-    /// Folds another registry into this one: counters sum, histograms
-    /// concatenate their samples (percentile summaries of the merged
-    /// histogram equal those of recording every sample into one registry —
-    /// the summary sorts before it ranks), high-water marks keep the
-    /// maximum, latency streams add their running sums, and the
-    /// utilization span covers both. In-flight grant-wait state
-    /// (`wait_since`) and open produce rounds are *not* merged: merge
-    /// operates on closed measurement windows, e.g. the per-shard
-    /// registries a serve stats frame aggregates.
-    pub fn merge(&mut self, other: &MetricsRegistry) {
-        for (k, v) in &other.counters {
-            *slot(&mut self.counters, k) += v;
-        }
-        for (k, h) in &other.histograms {
-            slot(&mut self.histograms, k).samples.extend(&h.samples);
-        }
-        for (k, h) in &other.buckets {
-            slot(&mut self.buckets, k).merge(h);
-        }
-        for (k, v) in &other.highwater {
-            let mark = slot(&mut self.highwater, k);
-            *mark = (*mark).max(*v);
-        }
-        self.latency.merge(&other.latency);
-        self.last_cycle = self.last_cycle.max(other.last_cycle);
-    }
-
     /// Per-bank utilization: BRAM-active cycles (reads + writes) over the
     /// observed cycle span, for every bank with any activity.
     pub fn utilization(&self) -> Vec<(String, f64)> {
@@ -356,12 +320,6 @@ impl MetricsRegistry {
                 hists.set(k, s.to_json());
             }
         }
-        let mut buckets = Json::obj();
-        for (k, h) in &self.buckets {
-            if let Some(s) = h.summary() {
-                buckets.set(k, s.to_json());
-            }
-        }
         let mut util = Json::obj();
         for (bank, u) in self.utilization() {
             util.set(&bank, u.into());
@@ -397,7 +355,6 @@ impl MetricsRegistry {
             .with("counters", counters)
             .with("highwater", hw)
             .with("histograms", hists)
-            .with("buckets", buckets)
             .with("utilization", util)
             .with(
                 "latency",
@@ -580,13 +537,11 @@ mod tests {
             },
         ));
         r.observe_gauge("bank0.deplist_occupancy", 3);
-        r.record_bucket("stage.queue_ns", 17);
         let s = r.to_json().render();
         for key in [
             "counters",
             "highwater",
             "histograms",
-            "buckets",
             "utilization",
             "latency",
             "pooled",

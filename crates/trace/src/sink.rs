@@ -70,19 +70,13 @@ impl TraceSink for VecSink {
 #[derive(Debug)]
 pub struct JsonlSink<W: Write + std::fmt::Debug> {
     w: W,
-    /// Lines written so far.
-    pub lines: u64,
     error: Option<std::io::Error>,
 }
 
 impl<W: Write + std::fmt::Debug> JsonlSink<W> {
     /// Wraps a writer. Callers wanting buffering pass a `BufWriter`.
     pub fn new(w: W) -> Self {
-        JsonlSink {
-            w,
-            lines: 0,
-            error: None,
-        }
+        JsonlSink { w, error: None }
     }
 
     /// Writes a raw metadata line (e.g. run headers between experiment
@@ -90,7 +84,6 @@ impl<W: Write + std::fmt::Debug> JsonlSink<W> {
     pub fn write_meta(&mut self, obj: &str) {
         let written = writeln!(self.w, "{obj}");
         self.keep_error(written);
-        self.lines += 1;
     }
 
     /// Consumes the sink, returning the writer after flushing it, or the
@@ -115,7 +108,6 @@ impl<W: Write + std::fmt::Debug + Send> TraceSink for JsonlSink<W> {
     fn emit(&mut self, ev: &TraceEvent) {
         let written = writeln!(self.w, "{}", ev.to_jsonl());
         self.keep_error(written);
-        self.lines += 1;
     }
 
     fn flush(&mut self) {
@@ -224,7 +216,6 @@ mod tests {
         s.emit(&ev(1));
         s.emit(&ev(2));
         s.emit(&ev(3));
-        assert_eq!(s.lines, 3);
         let err = s.into_inner().expect_err("the writer ran out of room");
         assert_eq!(err.kind(), std::io::ErrorKind::WriteZero);
     }

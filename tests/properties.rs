@@ -97,15 +97,16 @@ fn deplist_counts_exact() {
         for extra_reads in 0usize..5 {
             let mut dl = DependencyList::new(4);
             dl.configure(7, dep_number).expect("configures");
-            assert!(dl.producer_write(7));
+            let e = dl.find(7).expect("configured");
+            assert!(dl.producer_write_at(e).accepted());
             let mut granted = 0;
             for _ in 0..(usize::from(dep_number) + extra_reads) {
-                if matches!(dl.consumer_read(7), ReadOutcome::Granted { .. }) {
+                if matches!(dl.consumer_read_at(e), ReadOutcome::Granted { .. }) {
                     granted += 1;
                 }
             }
             assert_eq!(granted, usize::from(dep_number));
-            assert_eq!(dl.consumer_read(7), ReadOutcome::Blocked);
+            assert_eq!(dl.consumer_read_at(e), ReadOutcome::Blocked);
         }
     }
 }
